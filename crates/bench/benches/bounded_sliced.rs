@@ -7,12 +7,14 @@
 //! one hill-climb pricing step — the full susan @ 4 KB neighbourhood under
 //! the parent's own cost as the incumbent — in every configuration:
 //!
-//! * `coset` — the PR 6 baseline ([`FrozenKernel::cost_neighborhood_sliced`]):
-//!   every lane summed to completion;
+//! * `coset` — [`FrozenKernel::cost_neighborhood_bounded`] at bound
+//!   `u64::MAX`: every lane summed to completion;
 //! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`]: same slicing,
 //!   but lanes that saturate the incumbent drop out of the scan and fully
 //!   saturated blocks abandon early;
-//! * `engine/t1`, `engine/t4` — the whole engine route
+//! * `engine/unbounded` — the whole engine route at bound `u64::MAX`
+//!   ([`EvalEngine::estimate_neighborhood`]);
+//! * `engine/t1`, `engine/t4` — the whole engine route under the incumbent
 //!   ([`EvalEngine::estimate_neighborhood_bounded`]): memo probes, cached
 //!   scaffolding, and (at `t4`) `map_parallel` block stamping;
 //! * `scaffold/cold` vs `scaffold/warm` — the same engine step with the
@@ -27,7 +29,7 @@ use std::hint::black_box;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
 use xorindex::search::{NeighborPool, PackedNeighborhood};
-use xorindex::{BoundedCost, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass};
+use xorindex::{BoundedCost, EvalEngine, FrozenKernel, FunctionClass};
 use xorindex_bench::{prepare_data, HASHED_BITS};
 
 fn bench_bounded_sliced(c: &mut Criterion) {
@@ -53,8 +55,9 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     let bound = kernel.cost(&parent);
 
     // Bit-identity before timing anything: bounded kernel pricing is exact
-    // for every lane below the incumbent and `AtLeast(bound)` otherwise, and
-    // the engine route reproduces it at every thread count.
+    // for every lane below the incumbent and `AtLeast(bound)` otherwise, the
+    // engine route reproduces it at every thread count, and the unbounded
+    // engine route is the scalar path.
     let scalar: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
     let bounded = kernel.cost_neighborhood_bounded(&parent_span, &nbhd.hyperplanes, &lanes, bound);
     for (cost, &truth) in bounded.iter().zip(&scalar) {
@@ -68,17 +71,26 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     }
     let price = |threads: usize| {
         let mut engine = EvalEngine::new(profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
             .with_threads(threads)
             .with_memo_capacity(0);
         engine.estimate_neighborhood_bounded(&nbhd, bound)
     };
     assert_eq!(price(1), bounded);
     assert_eq!(price(4), bounded);
+    // At bound `u64::MAX` every lane is exact.
+    assert_eq!(
+        EvalEngine::new(profile).estimate_neighborhood(&nbhd),
+        scalar
+    );
 
     group.bench_with_input(BenchmarkId::new("susan/coset", n), &n, |b, _| {
         b.iter(|| {
-            black_box(kernel.cost_neighborhood_sliced(&parent_span, &nbhd.hyperplanes, &lanes))
+            black_box(kernel.cost_neighborhood_bounded(
+                &parent_span,
+                &nbhd.hyperplanes,
+                &lanes,
+                u64::MAX,
+            ))
         })
     });
     group.bench_with_input(BenchmarkId::new("susan/bounded", n), &n, |b, _| {
@@ -91,11 +103,9 @@ fn bench_bounded_sliced(c: &mut Criterion) {
             ))
         })
     });
-    // The engine-level PR 6 baseline: the same route, memo probes and all,
-    // with every lane summed to completion — what a hill-climb step cost
-    // before bounding.
+    // The engine-level baseline: the same route, memo probes and all, with
+    // every lane summed to completion (bound `u64::MAX`).
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     group.bench_with_input(BenchmarkId::new("susan/engine/unbounded", n), &n, |b, _| {
@@ -106,7 +116,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         // miss, inserts are rejected); the scaffold cache warms on the first
         // iteration and stays warm, like a climb revisiting its parent.
         let mut engine = EvalEngine::new(profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
             .with_threads(threads)
             .with_memo_capacity(0);
         group.bench_with_input(
@@ -120,7 +129,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     // hyperplane frame + remainder histogram either rebuilt every iteration
     // or answered from the cache.
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     group.bench_with_input(BenchmarkId::new("susan/scaffold/cold", n), &n, |b, _| {
@@ -130,7 +138,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         })
     });
     let mut engine = EvalEngine::new(profile)
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_threads(1)
         .with_memo_capacity(0);
     let _ = engine.estimate_neighborhood_bounded(&nbhd, bound);

@@ -7,9 +7,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
 use std::hint::black_box;
-use xorindex::search::{neighborhood, NeighborPool, PackedNeighborhood, Searcher};
+use xorindex::search::{NeighborPool, PackedNeighborhood, Searcher};
 use xorindex::{
-    ConflictProfile, EvalEngine, FunctionClass, HashFunction, MissEstimator, SearchAlgorithm,
+    ConflictProfile, EvalEngine, FrozenKernel, FunctionClass, HashFunction, MissEstimator,
+    SearchAlgorithm,
 };
 use xorindex_bench::{prepare_data, HASHED_BITS};
 
@@ -35,34 +36,19 @@ fn bench_search_cost(c: &mut Criterion) {
         b.iter(|| black_box(estimator.estimate(&conventional).expect("same geometry")))
     });
 
-    // The same single evaluation through the dense engine's kernel (packed
-    // basis + flat histogram), without memoization.
+    // The same single evaluation through the dense kernel (packed basis +
+    // flat histogram), without memoization.
     group.bench_function("dense_estimate_eq4", |b| {
-        let engine = EvalEngine::new(&prepared.profile);
-        let ns = conventional.null_space();
-        b.iter(|| black_box(engine.evaluate_fresh(&ns)))
+        let kernel = FrozenKernel::new(&prepared.profile);
+        let ns = conventional.null_space().to_packed();
+        b.iter(|| black_box(kernel.cost(&ns)))
     });
 
-    // One full hill-climbing neighbourhood priced as a batch, exercising the
-    // hyperplane-delta path. The memo is cleared every iteration so the batch
-    // is recomputed rather than answered from cache.
-    group.bench_function("neighborhood_batch", |b| {
-        let pool = NeighborPool::UnitsAndPairs.vectors(HASHED_BITS, &prepared.profile);
-        let nbhd = neighborhood(
-            &conventional.null_space(),
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        let mut engine = EvalEngine::new(&prepared.profile);
-        b.iter(|| {
-            engine.reset();
-            black_box(engine.evaluate_neighborhood(&nbhd))
-        })
-    });
-
-    // The same batch through the packed-native entry point the search
-    // algorithms actually use: pricing never touches a Subspace. Generation
-    // cost is measured separately by the neighborhood_cost target.
+    // One full hill-climbing neighbourhood priced as a batch through the
+    // packed-native entry point the search algorithms use. The memo is
+    // cleared every iteration so the batch is recomputed rather than
+    // answered from cache. Generation cost is measured separately by the
+    // neighborhood_cost target.
     group.bench_function("packed_neighborhood_batch", |b| {
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &prepared.profile);
         let parent =

@@ -1,21 +1,20 @@
 //! Bench for the bit-sliced batch pricing paths.
 //!
 //! PR 6 refactored the pricing stack from one-candidate-at-a-time to
-//! 64-candidates-per-word. This target pins the four ways one full
+//! 64-candidates-per-word. This target pins three ways one full
 //! hill-climbing neighbourhood can be priced, on the paper's susan @ 4 KB
 //! configuration (n = 16, 4095 candidates of dimension 6):
 //!
 //! * `scalar` — the PR 3 baseline: one [`FrozenKernel::cost`] call per
 //!   candidate;
-//! * `delta` — the PR 5 path: hyperplane costs plus the one-generator coset
-//!   delta per candidate ([`FrozenKernel::neighbour_cost`]);
 //! * `sliced` — the generic transposed batch
 //!   ([`FrozenKernel::cost_batch_sliced`]): membership masks for 64
 //!   candidates per `u64` word, one histogram scan per block;
-//! * `coset` — the neighbourhood-aware sliced path
-//!   ([`FrozenKernel::cost_neighborhood_sliced`]): hyperplane functionals
-//!   hoisted into a `CosetFrame`, the histogram grouped by parent remainder,
-//!   each 64-lane block summing only the entries its cosets select.
+//! * `coset` — the neighbourhood route the searches run
+//!   ([`FrozenKernel::cost_neighborhood_bounded`] at bound `u64::MAX`):
+//!   hyperplane functionals hoisted into a `CosetFrame`, the histogram
+//!   grouped by parent remainder, each 64-lane block summing only the
+//!   entries its cosets select.
 //!
 //! A second group reprices a neighbourhood slice at n = 26 through the
 //! hybrid profile (dense tail over the hot low region, binary search above
@@ -28,7 +27,7 @@ use cache_sim::BlockAddr;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
 use xorindex::search::{NeighborPool, PackedNeighborhood};
-use xorindex::{ConflictProfile, FrozenKernel, FunctionClass};
+use xorindex::{BoundedCost, ConflictProfile, FrozenKernel, FunctionClass};
 use xorindex_bench::{prepare_data, HASHED_BITS};
 
 const WIDE_BITS: usize = 26;
@@ -77,57 +76,33 @@ fn bench_paths(
     let n = refs.len();
     let kernel = &prep.kernel;
 
-    // Bit-identity across all four paths before timing anything.
-    let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-    assert_eq!(scalar, kernel.cost_batch_sliced(&refs));
-    assert_eq!(
-        scalar,
-        kernel.cost_neighborhood_sliced(
+    let coset = || {
+        kernel.cost_neighborhood_bounded(
             &prep.parent_span,
             &prep.neighborhood.hyperplanes,
-            &prep.lanes
+            &prep.lanes,
+            u64::MAX,
         )
-    );
+    };
+
+    // Bit-identity across all three paths before timing anything.
+    let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+    assert_eq!(scalar, kernel.cost_batch_sliced(&refs));
+    let exact: Vec<BoundedCost> = scalar.iter().map(|&c| BoundedCost::Exact(c)).collect();
+    assert_eq!(exact, coset());
 
     group.bench_with_input(
         BenchmarkId::new(format!("{label}/scalar"), n),
         &n,
         |b, _| b.iter(|| refs.iter().map(|basis| kernel.cost(basis)).sum::<u64>()),
     );
-    group.bench_with_input(BenchmarkId::new(format!("{label}/delta"), n), &n, |b, _| {
-        b.iter(|| {
-            let hyper_costs: Vec<u64> = prep
-                .neighborhood
-                .hyperplanes
-                .iter()
-                .map(|h| kernel.cost(h))
-                .collect();
-            prep.neighborhood
-                .candidates
-                .iter()
-                .map(|c| {
-                    kernel.neighbour_cost(
-                        hyper_costs[c.hyperplane],
-                        &prep.neighborhood.hyperplanes[c.hyperplane],
-                        c.direction,
-                    )
-                })
-                .sum::<u64>()
-        })
-    });
     group.bench_with_input(
         BenchmarkId::new(format!("{label}/sliced"), n),
         &n,
         |b, _| b.iter(|| black_box(kernel.cost_batch_sliced(&refs))),
     );
     group.bench_with_input(BenchmarkId::new(format!("{label}/coset"), n), &n, |b, _| {
-        b.iter(|| {
-            black_box(kernel.cost_neighborhood_sliced(
-                &prep.parent_span,
-                &prep.neighborhood.hyperplanes,
-                &prep.lanes,
-            ))
-        })
+        b.iter(|| black_box(coset()))
     });
 }
 

@@ -6,8 +6,7 @@
 //!   with the derived geometry (sets, index bits, offset bits);
 //! * [`IndexFunction`] — how a block address is mapped to a set: conventional
 //!   modulo indexing ([`ModuloIndex`]), arbitrary bit selection
-//!   ([`BitSelectIndex`]), XOR/matrix indexing ([`XorIndex`]) and per-way
-//!   skewing ([`skewed::SkewedCache`]);
+//!   ([`BitSelectIndex`]) and XOR/matrix indexing ([`XorIndex`]);
 //! * [`Cache`] — a set-associative cache simulator with LRU/FIFO/random
 //!   replacement and full hit/miss accounting, including 3C miss
 //!   classification (compulsory / capacity / conflict);
@@ -55,9 +54,7 @@ mod preclass;
 mod replacement;
 mod stats;
 
-pub mod hierarchy;
 pub mod index;
-pub mod skewed;
 
 pub use addr::{Address, BlockAddr};
 pub use cache::{AccessOutcome, Cache};

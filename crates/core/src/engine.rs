@@ -9,7 +9,7 @@
 //!
 //! * [`FrozenKernel`] — the immutable pricing core: the [`DenseProfile`]
 //!   snapshot plus all Eq. 4 arithmetic (full walks, histogram scans,
-//!   hyperplane-delta coset sums) and strategy resolution. `Send + Sync`,
+//!   coset-sliced neighbourhood sums) and strategy resolution. `Send + Sync`,
 //!   shared via `Arc` so one kernel per application serves any number of
 //!   searches and serving workers concurrently.
 //! * [`ShardedMemo`] — the concurrent `CanonicalKey → u64` memo, sharded
@@ -19,20 +19,21 @@
 //!
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
-//! `std::thread::scope` parallelism, and the hyperplane-delta neighbourhood
-//! evaluation. All paths compute the exact Eq. 4 sum; estimates are
-//! bit-identical to [`MissEstimator`](crate::MissEstimator) under every
-//! [`EstimationStrategy`], with or without a memo cap, and however many
-//! engines share one kernel and memo.
+//! `std::thread::scope` parallelism, and incumbent-bounded neighbourhood
+//! pricing over a cached coset scaffold. All paths compute the exact Eq. 4
+//! sum; estimates are bit-identical to
+//! [`MissEstimator`](crate::MissEstimator) under every
+//! [`EstimationStrategy`](crate::EstimationStrategy), with or without a memo
+//! cap, and however many engines share one kernel and memo.
 
 use std::sync::Arc;
 
-use gf2::{PackedBasis, Subspace, SLICED_LANES};
+use gf2::{PackedBasis, SLICED_LANES};
 
-use crate::search::{Neighborhood, PackedNeighborhood};
+use crate::search::PackedNeighborhood;
 use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel,
-    NeighborhoodRoute, ScaffoldCache, ShardedMemo,
+    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache,
+    ShardedMemo,
 };
 
 /// Minimum number of fresh candidates before a batch is split across threads
@@ -47,13 +48,9 @@ const PARALLEL_THRESHOLD: usize = 8;
 /// [`ShardedMemo::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Unique candidate Eq. 4 evaluations computed (full walks, scans or
-    /// coset deltas).
+    /// Unique candidate Eq. 4 evaluations priced exactly (full walks, scans
+    /// or sliced-block lanes).
     pub evaluations: u64,
-    /// Hyperplane partial sums computed to support delta evaluation; each is
-    /// half the work of a full candidate walk and is shared by every
-    /// neighbour retaining that hyperplane.
-    pub support_evaluations: u64,
     /// Candidate costs answered from the memo table.
     pub memo_hits: u64,
     /// Batches that were split across threads.
@@ -91,13 +88,13 @@ pub struct EngineStats {
 /// let conventional = HashFunction::conventional(16, 8)?;
 ///
 /// let mut engine = EvalEngine::new(&profile);
-/// let ns = conventional.null_space();
+/// let ns = conventional.null_space().to_packed();
 /// assert_eq!(
-///     engine.evaluate(&ns),
+///     engine.estimate_packed(&ns),
 ///     MissEstimator::new(&profile).estimate(&conventional)?
 /// );
 /// // The second query is a memo hit.
-/// engine.evaluate(&ns);
+/// engine.estimate_packed(&ns);
 /// assert_eq!(engine.stats().evaluations, 1);
 /// assert_eq!(engine.stats().memo_hits, 1);
 /// # Ok::<(), xorindex::XorIndexError>(())
@@ -114,8 +111,7 @@ pub struct EvalEngine<'a> {
 
 impl<'a> EvalEngine<'a> {
     /// Builds an engine over a profile, freezing its histogram into a private
-    /// kernel. Uses [`EstimationStrategy::Auto`] and as many threads as the
-    /// host exposes.
+    /// kernel. Uses as many threads as the host exposes.
     #[must_use]
     pub fn new(profile: &'a ConflictProfile) -> Self {
         Self::from_parts(
@@ -155,23 +151,6 @@ impl<'a> EvalEngine<'a> {
                 .unwrap_or(1),
             stats: EngineStats::default(),
         }
-    }
-
-    /// Selects the evaluation strategy (default: automatic per candidate).
-    ///
-    /// Rebuilds this engine's kernel; call it at construction time, before
-    /// sharing the kernel with other engines.
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        match Arc::get_mut(&mut self.kernel) {
-            // The common builder chain (`EvalEngine::new(p).with_strategy(s)`)
-            // still uniquely owns the kernel: update it in place.
-            Some(kernel) => kernel.set_strategy(strategy),
-            // Already shared: leave the other holders' kernel untouched and
-            // re-freeze a private copy with the new strategy.
-            None => self.kernel = Arc::new((*self.kernel).clone().with_strategy(strategy)),
-        }
-        self
     }
 
     /// Caps the number of worker threads batches may use (1 = sequential).
@@ -268,73 +247,17 @@ impl<'a> EvalEngine<'a> {
         cost
     }
 
-    /// Estimated conflict misses of any function whose null space is `ns`,
-    /// memoized on the canonical null space. Boundary wrapper over
-    /// [`EvalEngine::estimate_packed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the null space's ambient width differs from the profile's
-    /// hashed width.
-    pub fn evaluate(&mut self, ns: &Subspace) -> u64 {
-        self.estimate_packed(&ns.to_packed())
-    }
-
-    /// One-shot packed evaluation that bypasses the memo table (useful for
-    /// benchmarking the raw evaluation kernel).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the basis's ambient width differs from the profile's hashed
-    /// width.
-    #[must_use]
-    pub fn estimate_packed_fresh(&self, basis: &PackedBasis) -> u64 {
-        self.kernel.cost(basis)
-    }
-
-    /// One-shot evaluation that bypasses the memo table. Boundary wrapper
-    /// over [`EvalEngine::estimate_packed_fresh`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the null space's ambient width differs from the profile's
-    /// hashed width.
-    #[must_use]
-    pub fn evaluate_fresh(&self, ns: &Subspace) -> u64 {
-        self.estimate_packed_fresh(&ns.to_packed())
-    }
-
     /// Prices a whole batch of packed candidates, answering memoized ones
-    /// from cache and computing the rest in parallel when the batch is large
-    /// enough — the packed-native batch entry point.
+    /// from cache and pricing the rest under the kernel's resolved
+    /// [`BatchStrategy`] — per candidate in parallel, or transposed into
+    /// 64-lane sliced blocks with whole blocks as the unit of parallelism —
+    /// then backfilling the memo from the batch results.
     ///
     /// # Panics
     ///
     /// Panics if any candidate's ambient width differs from the profile's
     /// hashed width.
     pub fn estimate_batch(&mut self, candidates: &[PackedBasis]) -> Vec<u64> {
-        let refs: Vec<&PackedBasis> = candidates.iter().collect();
-        self.estimate_batch_refs(&refs)
-    }
-
-    /// Evaluates a whole batch of candidates. Boundary wrapper over
-    /// [`EvalEngine::estimate_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any candidate's ambient width differs from the profile's
-    /// hashed width.
-    pub fn evaluate_all(&mut self, candidates: &[Subspace]) -> Vec<u64> {
-        let packed: Vec<PackedBasis> = candidates.iter().map(Subspace::to_packed).collect();
-        self.estimate_batch(&packed)
-    }
-
-    /// Shared batch core over borrowed packed bases: memo-probe every
-    /// candidate, then price the misses under the kernel's resolved
-    /// [`BatchStrategy`] — per candidate in parallel, or transposed into
-    /// 64-lane sliced blocks with whole blocks as the unit of parallelism —
-    /// and backfill the memo from the batch results.
-    fn estimate_batch_refs(&mut self, candidates: &[&PackedBasis]) -> Vec<u64> {
         let mut out = vec![0u64; candidates.len()];
         let mut pending: Vec<usize> = Vec::new();
         for (i, basis) in candidates.iter().enumerate() {
@@ -354,18 +277,18 @@ impl<'a> EvalEngine<'a> {
         match kernel.batch_strategy(&dims) {
             BatchStrategy::PerCandidate => {
                 let costs = Self::map_parallel(&pending, self.threads, &mut self.stats, |&i| {
-                    kernel.cost(candidates[i])
+                    kernel.cost(&candidates[i])
                 });
                 self.stats.evaluations += pending.len() as u64;
                 for (i, cost) in pending.into_iter().zip(costs) {
                     out[i] = cost;
-                    self.memo.insert(candidates[i], cost);
+                    self.memo.insert(&candidates[i], cost);
                 }
             }
             BatchStrategy::SlicedScan => {
                 let chunks: Vec<&[usize]> = pending.chunks(SLICED_LANES).collect();
                 let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-                    let refs: Vec<&PackedBasis> = chunk.iter().map(|&i| candidates[i]).collect();
+                    let refs: Vec<&PackedBasis> = chunk.iter().map(|&i| &candidates[i]).collect();
                     kernel.cost_batch_sliced(&refs)
                 });
                 self.stats.evaluations += pending.len() as u64;
@@ -373,7 +296,7 @@ impl<'a> EvalEngine<'a> {
                 for (chunk, costs) in chunks.iter().zip(blocks) {
                     for (&i, cost) in chunk.iter().zip(costs) {
                         out[i] = cost;
-                        self.memo.insert(candidates[i], cost);
+                        self.memo.insert(&candidates[i], cost);
                     }
                 }
             }
@@ -381,57 +304,55 @@ impl<'a> EvalEngine<'a> {
         out
     }
 
-    /// Prices a packed neighbourhood under the kernel's resolved
-    /// [`NeighborhoodRoute`] — the packed-native path every search step runs
-    /// on. All three routes are bit-identical:
-    ///
-    /// * [`NeighborhoodRoute::SlicedCosets`]: pending candidates are
-    ///   transposed into [`gf2::SlicedCosetBlock`]s over the shared parent
-    ///   and priced by one histogram scan per 64-lane block;
-    /// * [`NeighborhoodRoute::HyperplaneDelta`]: each candidate
-    ///   `M ⊕ span(w)` costs its hyperplane's partial sum (computed once per
-    ///   hyperplane, memoized) plus a `2^(d−1)`-term coset sum;
-    /// * [`NeighborhoodRoute::PerCandidate`]: plain batch pricing.
-    ///
-    /// Either way the memo is probed first and backfilled with every fresh
-    /// result. Returns costs aligned with `neighborhood.candidates`.
+    /// Prices a packed neighbourhood exactly — the unbounded form of
+    /// [`EvalEngine::estimate_neighborhood_bounded`] (bound `u64::MAX`).
+    /// Returns costs aligned with `neighborhood.candidates`.
     ///
     /// # Panics
     ///
     /// Panics if a candidate's ambient width differs from the profile's
     /// hashed width.
     pub fn estimate_neighborhood(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        if neighborhood.candidates.is_empty() {
-            return Vec::new();
-        }
-        let dim = neighborhood.candidates[0].basis.dim();
-        match self
-            .kernel
-            .neighborhood_route(dim, neighborhood.candidates.len())
-        {
-            NeighborhoodRoute::SlicedCosets => self.estimate_neighborhood_cosets(neighborhood),
-            NeighborhoodRoute::HyperplaneDelta => self.estimate_neighborhood_delta(neighborhood),
-            NeighborhoodRoute::PerCandidate => {
-                let refs: Vec<&PackedBasis> = neighborhood.bases().collect();
-                self.estimate_batch_refs(&refs)
-            }
-        }
+        self.estimate_neighborhood_bounded(neighborhood, u64::MAX)
+            .into_iter()
+            .map(BoundedCost::lower_bound)
+            .collect()
     }
 
-    /// The transposed neighbourhood path: memo misses are packed, 64 lanes at
-    /// a time, into [`gf2::SlicedCosetBlock`]s over the neighbourhood's
-    /// shared parent and priced from one remainder-grouped histogram.
-    fn estimate_neighborhood_cosets(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
+    /// Prices a packed neighbourhood under an incumbent bound — the path
+    /// every search step runs on: per lane, either the exact cost (memo hit,
+    /// or priced below the bound) or [`BoundedCost::AtLeast`]`(bound)` for a
+    /// lane whose running sum saturated the incumbent and was abandoned
+    /// mid-scan.
+    ///
+    /// The memo is probed first; the misses are transposed, 64 lanes at a
+    /// time, into [`gf2::SlicedCosetBlock`]s over the neighbourhood's shared
+    /// parent and priced from one cached remainder-grouped histogram, each
+    /// block abandoning once every lane has saturated. Exact lanes are
+    /// bit-identical to [`FrozenKernel::cost`] and are backfilled into the
+    /// memo; abandoned lanes are never memoized, so memoization stays
+    /// bit-correct.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a candidate's ambient width differs from the profile's
+    /// hashed width.
+    pub fn estimate_neighborhood_bounded(
+        &mut self,
+        neighborhood: &PackedNeighborhood,
+        bound: u64,
+    ) -> Vec<BoundedCost> {
         let Some(parent) = neighborhood.parent_span() else {
             return Vec::new();
         };
-        let mut out = vec![0u64; neighborhood.candidates.len()];
+        let mut out = vec![BoundedCost::AtLeast(bound); neighborhood.candidates.len()];
         let mut pending: Vec<usize> = Vec::new();
         for (i, candidate) in neighborhood.candidates.iter().enumerate() {
             self.kernel.check_width(&candidate.basis);
             if let Some(cost) = self.memo.probe(&candidate.basis) {
+                // A memo hit is exact whatever the bound.
                 self.stats.memo_hits += 1;
-                out[i] = cost;
+                out[i] = BoundedCost::Exact(cost);
             } else {
                 pending.push(i);
             }
@@ -455,13 +376,21 @@ impl<'a> EvalEngine<'a> {
         let frame = &*scaffold.frame;
         let histogram = &*scaffold.histogram;
         let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-            frame.block(chunk).sum_weights(histogram)
+            frame.block(chunk).sum_weights(histogram, bound)
         });
-        self.stats.evaluations += pending.len() as u64;
         self.stats.sliced_blocks += chunks.len() as u64;
-        for (&i, cost) in pending.iter().zip(blocks.into_iter().flatten()) {
+        let priced = blocks
+            .into_iter()
+            .flat_map(|block| BoundedCost::from_block(block, bound));
+        for (&i, cost) in pending.iter().zip(priced) {
+            match cost {
+                BoundedCost::Exact(sum) => {
+                    self.stats.evaluations += 1;
+                    self.memo.insert(&neighborhood.candidates[i].basis, sum);
+                }
+                BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
+            }
             out[i] = cost;
-            self.memo.insert(&neighborhood.candidates[i].basis, cost);
         }
         out
     }
@@ -480,105 +409,6 @@ impl<'a> EvalEngine<'a> {
             self.stats.scaffold_misses += 1;
         }
         scaffold
-    }
-
-    /// [`EvalEngine::estimate_neighborhood`] under an incumbent bound — the
-    /// form a best-improvement search step wants: per lane, either the exact
-    /// cost (memo hit, or priced below the bound) or
-    /// [`BoundedCost::AtLeast`]`(bound)` for a lane whose running sum
-    /// saturated the incumbent and was abandoned mid-scan.
-    ///
-    /// Exact lanes are bit-identical to the unbounded path and are backfilled
-    /// into the memo; abandoned lanes are never memoized, so memoization
-    /// stays bit-correct. Only the coset-sliced route can abandon lanes; the
-    /// delta and per-candidate routes price exactly and wrap the results in
-    /// [`BoundedCost::Exact`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate's ambient width differs from the profile's
-    /// hashed width.
-    pub fn estimate_neighborhood_bounded(
-        &mut self,
-        neighborhood: &PackedNeighborhood,
-        bound: u64,
-    ) -> Vec<BoundedCost> {
-        if neighborhood.candidates.is_empty() {
-            return Vec::new();
-        }
-        let dim = neighborhood.candidates[0].basis.dim();
-        match self
-            .kernel
-            .neighborhood_route(dim, neighborhood.candidates.len())
-        {
-            NeighborhoodRoute::SlicedCosets => {
-                self.estimate_neighborhood_cosets_bounded(neighborhood, bound)
-            }
-            NeighborhoodRoute::HyperplaneDelta | NeighborhoodRoute::PerCandidate => self
-                .estimate_neighborhood(neighborhood)
-                .into_iter()
-                .map(BoundedCost::Exact)
-                .collect(),
-        }
-    }
-
-    /// The bounded coset route: identical memo probing and block chunking to
-    /// [`EvalEngine::estimate_neighborhood_cosets`], but each block scans
-    /// under the bound and abandons once every live lane has saturated.
-    fn estimate_neighborhood_cosets_bounded(
-        &mut self,
-        neighborhood: &PackedNeighborhood,
-        bound: u64,
-    ) -> Vec<BoundedCost> {
-        let Some(parent) = neighborhood.parent_span() else {
-            return Vec::new();
-        };
-        let mut out = vec![BoundedCost::AtLeast(bound); neighborhood.candidates.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                // A memo hit is exact whatever the bound.
-                self.stats.memo_hits += 1;
-                out[i] = BoundedCost::Exact(cost);
-            } else {
-                pending.push(i);
-            }
-        }
-        if pending.is_empty() {
-            return out;
-        }
-        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
-        let lanes: Vec<(usize, u64)> = pending
-            .iter()
-            .map(|&i| {
-                let candidate = &neighborhood.candidates[i];
-                (candidate.hyperplane, candidate.direction)
-            })
-            .collect();
-        let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
-        let frame = &*scaffold.frame;
-        let histogram = &*scaffold.histogram;
-        let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-            frame.block(chunk).sum_weights_bounded(histogram, bound)
-        });
-        self.stats.sliced_blocks += chunks.len() as u64;
-        let mut offset = 0usize;
-        for (sums, saturated) in blocks {
-            for (j, sum) in sums.into_iter().enumerate() {
-                let i = pending[offset + j];
-                if saturated & (1u64 << j) == 0 {
-                    self.stats.evaluations += 1;
-                    out[i] = BoundedCost::Exact(sum);
-                    self.memo.insert(&neighborhood.candidates[i].basis, sum);
-                } else {
-                    self.stats.bounded_abandons += 1;
-                    out[i] = BoundedCost::AtLeast(bound);
-                }
-            }
-            offset += SLICED_LANES;
-        }
-        out
     }
 
     /// [`EvalEngine::estimate_packed`] under an incumbent bound: a memo hit
@@ -607,104 +437,6 @@ impl<'a> EvalEngine<'a> {
                 abandoned
             }
         }
-    }
-
-    /// The hyperplane-delta neighbourhood path: partial sums per retained
-    /// hyperplane plus a coset sum per pending candidate.
-    fn estimate_neighborhood_delta(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        // Partial sums: one support evaluation per referenced hyperplane
-        // (memoized, so a hyperplane shared with an earlier step is free).
-        let mut hyper: Vec<Option<u64>> = vec![None; neighborhood.hyperplanes.len()];
-        for candidate in &neighborhood.candidates {
-            let slot = candidate.hyperplane;
-            if hyper[slot].is_none() {
-                hyper[slot] = Some(self.estimate_support(&neighborhood.hyperplanes[slot]));
-            }
-        }
-
-        let mut out = vec![0u64; neighborhood.candidates.len()];
-        let mut pending: Vec<(usize, u64, &PackedBasis, u64)> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                self.stats.memo_hits += 1;
-                out[i] = cost;
-            } else {
-                let hyper_cost = hyper[candidate.hyperplane]
-                    .expect("referenced hyperplanes are evaluated above");
-                pending.push((
-                    i,
-                    hyper_cost,
-                    &neighborhood.hyperplanes[candidate.hyperplane],
-                    candidate.direction,
-                ));
-            }
-        }
-        if pending.is_empty() {
-            return out;
-        }
-        let kernel = &*self.kernel;
-        let costs = Self::map_parallel(
-            &pending,
-            self.threads,
-            &mut self.stats,
-            |&(_, hyper_cost, hyperplane, direction)| {
-                kernel.neighbour_cost(hyper_cost, hyperplane, direction)
-            },
-        );
-        self.stats.evaluations += pending.len() as u64;
-        for ((i, ..), cost) in pending.into_iter().zip(costs) {
-            out[i] = cost;
-            self.memo.insert(&neighborhood.candidates[i].basis, cost);
-        }
-        out
-    }
-
-    /// Evaluates a boundary-view neighbourhood. Wrapper that re-packs the
-    /// candidates and delegates to [`EvalEngine::estimate_neighborhood`];
-    /// packed-native callers should pass the [`PackedNeighborhood`] directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate's ambient width differs from the profile's
-    /// hashed width.
-    pub fn evaluate_neighborhood(&mut self, neighborhood: &Neighborhood) -> Vec<u64> {
-        if neighborhood.candidates.is_empty() {
-            return Vec::new();
-        }
-        let width = neighborhood.candidates[0].subspace.ambient_width();
-        let packed = PackedNeighborhood {
-            width,
-            hyperplanes: neighborhood
-                .hyperplanes
-                .iter()
-                .map(Subspace::to_packed)
-                .collect(),
-            candidates: neighborhood
-                .candidates
-                .iter()
-                .map(|c| crate::search::PackedCandidate {
-                    hyperplane: c.hyperplane,
-                    direction: c.direction.as_u64(),
-                    basis: c.subspace.to_packed(),
-                })
-                .collect(),
-        };
-        self.estimate_neighborhood(&packed)
-    }
-
-    /// Memoized evaluation counted as support work (hyperplane partial sums)
-    /// rather than as a candidate evaluation.
-    fn estimate_support(&mut self, basis: &PackedBasis) -> u64 {
-        self.kernel.check_width(basis);
-        let kernel = &self.kernel;
-        let (cost, hit) = self.memo.price_with(basis, || kernel.cost(basis));
-        if hit {
-            self.stats.memo_hits += 1;
-        } else {
-            self.stats.support_evaluations += 1;
-        }
-        cost
     }
 
     /// Maps `job_cost` over `jobs` in order, splitting across scoped threads
@@ -742,8 +474,8 @@ impl<'a> EvalEngine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{neighborhood, NeighborPool};
-    use crate::{FunctionClass, HashFunction, MissEstimator};
+    use crate::search::NeighborPool;
+    use crate::{EstimationStrategy, FunctionClass, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
     use gf2::BitMatrix;
 
@@ -764,6 +496,35 @@ mod tests {
         profile_from(&seq, 12, 64)
     }
 
+    /// The unlimited-XOR neighbourhood of the conventional function with
+    /// `set_bits` set-index bits.
+    fn xor_neighborhood(profile: &ConflictProfile, set_bits: usize) -> PackedNeighborhood {
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, profile);
+        let parent = PackedBasis::standard_span(12, set_bits..12);
+        PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool)
+    }
+
+    /// Pins every lane of `nbhd`, priced by a fresh engine, against the
+    /// estimator under every strategy.
+    fn assert_neighborhood_matches_the_estimator(
+        profile: &ConflictProfile,
+        nbhd: &PackedNeighborhood,
+    ) {
+        assert!(!nbhd.is_empty());
+        let costs = EvalEngine::new(profile).estimate_neighborhood(nbhd);
+        assert_eq!(costs.len(), nbhd.len());
+        for strategy in [
+            EstimationStrategy::Auto,
+            EstimationStrategy::EnumerateNullSpace,
+            EstimationStrategy::ScanHistogram,
+        ] {
+            let estimator = MissEstimator::new(profile).with_strategy(strategy);
+            for (basis, &cost) in nbhd.bases().zip(&costs) {
+                assert_eq!(cost, estimator.estimate_packed(basis), "{strategy:?}");
+            }
+        }
+    }
+
     #[test]
     fn engine_matches_the_estimator_under_every_strategy() {
         let profile = mixed_profile();
@@ -778,35 +539,68 @@ mod tests {
             EstimationStrategy::EnumerateNullSpace,
             EstimationStrategy::ScanHistogram,
         ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
+            let mut engine = EvalEngine::new(&profile);
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for f in &functions {
                 let ns = f.null_space();
+                let packed = ns.to_packed();
                 assert_eq!(
-                    engine.evaluate(&ns),
+                    engine.estimate_packed(&packed),
                     estimator.estimate_null_space(&ns),
                     "{strategy:?}"
                 );
-                assert_eq!(engine.evaluate_fresh(&ns), engine.evaluate(&ns));
+                assert_eq!(
+                    engine.kernel().cost(&packed),
+                    engine.estimate_packed(&packed)
+                );
             }
         }
+    }
+
+    #[test]
+    fn all_three_neighborhood_routes_are_bit_identical() {
+        // The engine reaches a neighbourhood's prices three ways: the
+        // neighbourhood call, its bounded form at `u64::MAX`, and a batch
+        // over the materialized candidates. Each, on a fresh engine so no
+        // memo carries over, must reproduce the scalar costs exactly.
+        let profile = mixed_profile();
+        // Wide enough to span several memo shards.
+        let nbhd = xor_neighborhood(&profile, 6);
+        assert!(nbhd.len() > crate::memo::DEFAULT_MEMO_SHARDS);
+        let kernel = crate::FrozenKernel::new(&profile);
+        let reference: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
+        assert_eq!(
+            EvalEngine::new(&profile).estimate_neighborhood(&nbhd),
+            reference
+        );
+        let bounded: Vec<BoundedCost> = reference.iter().copied().map(BoundedCost::Exact).collect();
+        assert_eq!(
+            EvalEngine::new(&profile).estimate_neighborhood_bounded(&nbhd, u64::MAX),
+            bounded
+        );
+        let materialized: Vec<PackedBasis> = nbhd.bases().cloned().collect();
+        assert_eq!(
+            EvalEngine::new(&profile).estimate_batch(&materialized),
+            reference
+        );
+        assert_neighborhood_matches_the_estimator(&profile, &nbhd);
     }
 
     #[test]
     fn batch_evaluation_matches_singles_and_memoizes() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
-        let candidates: Vec<Subspace> = (2..=6)
-            .map(|m| HashFunction::conventional(12, m).unwrap().null_space())
+        let candidates: Vec<PackedBasis> = (2..=6)
+            .map(|m| PackedBasis::standard_span(12, m..12))
             .collect();
-        let batch = engine.evaluate_all(&candidates);
+        let batch = engine.estimate_batch(&candidates);
         let estimator = MissEstimator::new(&profile);
-        for (ns, &cost) in candidates.iter().zip(&batch) {
-            assert_eq!(cost, estimator.estimate_null_space(ns));
+        for (basis, &cost) in candidates.iter().zip(&batch) {
+            assert_eq!(cost, estimator.estimate_packed(basis));
         }
         assert_eq!(engine.stats().evaluations, candidates.len() as u64);
         // Second pass is answered entirely from the memo.
-        let again = engine.evaluate_all(&candidates);
+        let again = engine.estimate_batch(&candidates);
         assert_eq!(again, batch);
         assert_eq!(engine.stats().evaluations, candidates.len() as u64);
         assert_eq!(engine.stats().memo_hits, candidates.len() as u64);
@@ -814,27 +608,19 @@ mod tests {
 
     #[test]
     fn neighborhood_delta_evaluation_is_exact() {
+        // Six set bits leave 6-dimensional null spaces, small enough that a
+        // single candidate would be priced by enumeration: every class's
+        // neighbourhood must still price exactly through the coset blocks.
         let profile = mixed_profile();
-        let estimator = MissEstimator::new(&profile);
-        let pool = NeighborPool::UnitsAndPairs.vectors(12, &profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        let parent = PackedBasis::standard_span(12, 6..12);
         for class in [
             FunctionClass::xor_unlimited(),
             FunctionClass::permutation_based_unlimited(),
             FunctionClass::bit_selecting(),
         ] {
-            let parent = HashFunction::conventional(12, 6).unwrap().null_space();
-            let nbhd = neighborhood(&parent, class, &pool);
-            assert!(!nbhd.is_empty(), "{class}");
-            let mut engine = EvalEngine::new(&profile);
-            let costs = engine.evaluate_neighborhood(&nbhd);
-            for (candidate, &cost) in nbhd.candidates.iter().zip(&costs) {
-                assert_eq!(
-                    cost,
-                    estimator.estimate_null_space(&candidate.subspace),
-                    "{class}: candidate {}",
-                    candidate.subspace
-                );
-            }
+            let nbhd = PackedNeighborhood::generate(&parent, class, &pool);
+            assert_neighborhood_matches_the_estimator(&profile, &nbhd);
         }
     }
 
@@ -842,35 +628,27 @@ mod tests {
     fn neighborhood_scan_fallback_is_exact() {
         // A tiny cache (2 set bits) gives 10-dimensional null spaces: 1023
         // non-zero vectors dwarf the handful of distinct conflict vectors, so
-        // Auto falls back to histogram scanning.
+        // a single candidate would be priced by scanning the histogram.
         let profile = mixed_profile();
-        let estimator = MissEstimator::new(&profile);
-        let pool = NeighborPool::UnitsAndPairs.vectors(12, &profile);
-        let parent = HashFunction::conventional(12, 2).unwrap().null_space();
-        let nbhd = neighborhood(&parent, FunctionClass::xor_unlimited(), &pool);
-        assert!(!nbhd.is_empty());
-        let mut engine = EvalEngine::new(&profile);
-        let costs = engine.evaluate_neighborhood(&nbhd);
-        for (candidate, &cost) in nbhd.candidates.iter().zip(&costs) {
-            assert_eq!(cost, estimator.estimate_null_space(&candidate.subspace));
-        }
+        assert_neighborhood_matches_the_estimator(&profile, &xor_neighborhood(&profile, 2));
     }
 
     #[test]
     fn parallel_and_sequential_batches_agree() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.vectors(12, &profile);
-        let parent = HashFunction::conventional(12, 6).unwrap().null_space();
-        let nbhd = neighborhood(&parent, FunctionClass::xor_unlimited(), &pool);
+        let nbhd = xor_neighborhood(&profile, 6);
+        let candidates: Vec<PackedBasis> = nbhd.bases().cloned().collect();
         let mut sequential = EvalEngine::new(&profile).with_threads(1);
         let mut parallel = EvalEngine::new(&profile).with_threads(4);
         assert_eq!(
-            sequential.evaluate_neighborhood(&nbhd),
-            parallel.evaluate_neighborhood(&nbhd)
+            sequential.estimate_neighborhood(&nbhd),
+            parallel.estimate_neighborhood(&nbhd)
         );
+        sequential.reset();
+        parallel.reset();
         assert_eq!(
-            sequential.evaluate_all(&nbhd.subspaces()),
-            parallel.evaluate_all(&nbhd.subspaces())
+            sequential.estimate_batch(&candidates),
+            parallel.estimate_batch(&candidates)
         );
     }
 
@@ -878,12 +656,12 @@ mod tests {
     fn reset_clears_memo_and_stats() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
-        let ns = HashFunction::conventional(12, 6).unwrap().null_space();
-        engine.evaluate(&ns);
+        let ns = PackedBasis::standard_span(12, 6..12);
+        engine.estimate_packed(&ns);
         assert_eq!(engine.stats().evaluations, 1);
         engine.reset();
         assert_eq!(engine.stats(), EngineStats::default());
-        engine.evaluate(&ns);
+        engine.estimate_packed(&ns);
         assert_eq!(engine.stats().evaluations, 1);
         assert_eq!(engine.stats().memo_hits, 0);
     }
@@ -895,10 +673,10 @@ mod tests {
         let mut second =
             EvalEngine::from_parts(&profile, Arc::clone(first.kernel()), first.memo().clone());
         let mut first = first;
-        let ns = HashFunction::conventional(12, 6).unwrap().null_space();
-        let cost = first.evaluate(&ns);
+        let ns = PackedBasis::standard_span(12, 6..12);
+        let cost = first.estimate_packed(&ns);
         // The second engine hits the shared memo without evaluating.
-        assert_eq!(second.evaluate(&ns), cost);
+        assert_eq!(second.estimate_packed(&ns), cost);
         assert_eq!(second.stats().evaluations, 0);
         assert_eq!(second.stats().memo_hits, 1);
         // The shared table saw one miss (first engine) and one hit (second).
@@ -909,20 +687,18 @@ mod tests {
     #[test]
     fn capped_memo_is_bit_identical_with_more_recomputation() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.vectors(12, &profile);
-        let parent = HashFunction::conventional(12, 6).unwrap().null_space();
-        let nbhd = neighborhood(&parent, FunctionClass::xor_unlimited(), &pool);
+        let nbhd = xor_neighborhood(&profile, 6);
 
         let mut uncapped = EvalEngine::new(&profile).with_threads(1);
         let mut capped = EvalEngine::new(&profile)
             .with_threads(1)
             .with_memo_capacity(4);
-        let reference = uncapped.evaluate_neighborhood(&nbhd);
-        assert_eq!(capped.evaluate_neighborhood(&nbhd), reference);
+        let reference = uncapped.estimate_neighborhood(&nbhd);
+        assert_eq!(capped.estimate_neighborhood(&nbhd), reference);
         // Re-pricing the same neighbourhood: the capped engine recomputes
         // everything it could not cache, still bit-identically.
-        assert_eq!(capped.evaluate_neighborhood(&nbhd), reference);
-        assert_eq!(uncapped.evaluate_neighborhood(&nbhd), reference);
+        assert_eq!(capped.estimate_neighborhood(&nbhd), reference);
+        assert_eq!(uncapped.estimate_neighborhood(&nbhd), reference);
         assert!(capped.stats().evaluations > uncapped.stats().evaluations);
         // Capacity 4 is enforced as ceil(4/shards) per shard.
         assert!(capped.memo().len() <= capped.memo().shards());
@@ -934,54 +710,14 @@ mod tests {
     fn width_mismatch_panics() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
-        let _ = engine.evaluate(&Subspace::full(8));
-    }
-
-    #[test]
-    fn all_three_neighborhood_routes_are_bit_identical() {
-        let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        assert!(nbhd.candidates.len() > crate::memo::DEFAULT_MEMO_SHARDS);
-        let kernel = crate::FrozenKernel::new(&profile);
-        let reference: Vec<u64> = nbhd
-            .candidates
-            .iter()
-            .map(|c| kernel.cost(&c.basis))
-            .collect();
-        // Each strategy pins a different route (Scan → coset blocks,
-        // Enumerate → hyperplane delta, Auto → whatever the model picks);
-        // every one must reproduce the scalar costs exactly.
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
-            assert_eq!(
-                engine.estimate_neighborhood(&nbhd),
-                reference,
-                "{strategy:?}"
-            );
-        }
+        let _ = engine.estimate_packed(&PackedBasis::standard_span(8, 0..8));
     }
 
     #[test]
     fn coset_route_counts_blocks_and_backfills_the_memo() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        let mut engine = EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+        let nbhd = xor_neighborhood(&profile, 6);
+        let mut engine = EvalEngine::new(&profile);
         let first = engine.estimate_neighborhood(&nbhd);
         let lanes = nbhd.candidates.len() as u64;
         assert_eq!(engine.stats().evaluations, lanes);
@@ -998,22 +734,12 @@ mod tests {
     #[test]
     fn threaded_sliced_coset_route_is_bit_identical_and_actually_splits() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
+        let nbhd = xor_neighborhood(&profile, 6);
         // Enough candidates that the sliced route has ≥ PARALLEL_THRESHOLD
         // 64-lane chunks to split across workers.
         assert!(nbhd.candidates.len() >= PARALLEL_THRESHOLD * gf2::SLICED_LANES);
-        let mut sequential = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_threads(1);
-        let mut parallel = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_threads(4);
+        let mut sequential = EvalEngine::new(&profile).with_threads(1);
+        let mut parallel = EvalEngine::new(&profile).with_threads(4);
         let reference = sequential.estimate_neighborhood(&nbhd);
         assert_eq!(parallel.estimate_neighborhood(&nbhd), reference);
         // The parallel engine really split the sliced route: it counted the
@@ -1029,21 +755,13 @@ mod tests {
     #[test]
     fn bounded_neighborhood_is_exact_below_and_at_least_above() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        let mut exact_engine =
-            EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
-        let exact = exact_engine.estimate_neighborhood(&nbhd);
+        let nbhd = xor_neighborhood(&profile, 6);
+        let estimator = MissEstimator::new(&profile);
+        let exact: Vec<u64> = nbhd.bases().map(|b| estimator.estimate_packed(b)).collect();
         let lo = *exact.iter().min().unwrap();
         let hi = *exact.iter().max().unwrap();
         for bound in [lo, lo + (hi - lo) / 2, hi + 1] {
-            let mut engine =
-                EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+            let mut engine = EvalEngine::new(&profile);
             let bounded = engine.estimate_neighborhood_bounded(&nbhd, bound);
             let mut abandons = 0u64;
             for (lane, (&true_cost, &got)) in exact.iter().zip(&bounded).enumerate() {
@@ -1076,11 +794,8 @@ mod tests {
     fn bounded_single_candidate_pricing_memoizes_only_exact_results() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
-        let ns = HashFunction::conventional(12, 6)
-            .unwrap()
-            .null_space()
-            .to_packed();
-        let exact = engine.estimate_packed_fresh(&ns);
+        let ns = PackedBasis::standard_span(12, 6..12);
+        let exact = engine.kernel().cost(&ns);
         // Below the bound: exact, memoized.
         assert_eq!(
             engine.estimate_packed_bounded(&ns, exact + 1),
@@ -1095,11 +810,8 @@ mod tests {
         assert_eq!(engine.stats().memo_hits, 1);
         // A fresh candidate under a saturating bound abandons and stays
         // unmemoized.
-        let other = HashFunction::conventional(12, 5)
-            .unwrap()
-            .null_space()
-            .to_packed();
-        let other_exact = engine.estimate_packed_fresh(&other);
+        let other = PackedBasis::standard_span(12, 5..12);
+        let other_exact = engine.kernel().cost(&other);
         if other_exact > 0 {
             assert_eq!(
                 engine.estimate_packed_bounded(&other, other_exact),
@@ -1113,16 +825,8 @@ mod tests {
     #[test]
     fn scaffold_cache_hits_across_neighborhood_revisits() {
         let profile = mixed_profile();
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-        let parent = gf2::PackedBasis::standard_span(12, 6..12);
-        let nbhd = crate::search::PackedNeighborhood::generate(
-            &parent,
-            FunctionClass::xor_unlimited(),
-            &pool,
-        );
-        let mut engine = EvalEngine::new(&profile)
-            .with_strategy(EstimationStrategy::ScanHistogram)
-            .with_memo_capacity(1);
+        let nbhd = xor_neighborhood(&profile, 6);
+        let mut engine = EvalEngine::new(&profile).with_memo_capacity(1);
         // With the memo effectively disabled, each pass re-prices the lanes —
         // but the scaffolding is built once and reused.
         let first = engine.estimate_neighborhood(&nbhd);
@@ -1138,7 +842,6 @@ mod tests {
             Arc::clone(engine.kernel()),
             ShardedMemo::with_capacity(1),
         )
-        .with_strategy(EstimationStrategy::ScanHistogram)
         .with_scaffold_cache(engine.scaffold_cache().clone());
         assert_eq!(shared.estimate_neighborhood(&nbhd), first);
         assert_eq!(shared.stats().scaffold_misses, 0);
@@ -1150,16 +853,22 @@ mod tests {
 
     #[test]
     fn forced_sliced_batches_count_blocks_and_backfill() {
+        // 64 two-dimensional-codimension null spaces: wide enough that the
+        // kernel resolves the batch to one transposed histogram scan.
         let profile = mixed_profile();
-        let candidates: Vec<gf2::PackedBasis> = (2..=9)
-            .map(|m| gf2::PackedBasis::standard_span(12, m..12))
+        let candidates: Vec<PackedBasis> = (0..12)
+            .flat_map(|i| (i + 1..12).map(move |j| (i, j)))
+            .take(SLICED_LANES)
+            .map(|(i, j)| PackedBasis::standard_span(12, (0..12).filter(|&b| b != i && b != j)))
             .collect();
-        let mut engine = EvalEngine::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
+        let mut engine = EvalEngine::new(&profile);
+        let dims: Vec<usize> = candidates.iter().map(PackedBasis::dim).collect();
+        assert_eq!(
+            engine.kernel().batch_strategy(&dims),
+            BatchStrategy::SlicedScan
+        );
         let batch = engine.estimate_batch(&candidates);
-        let fresh: Vec<u64> = candidates
-            .iter()
-            .map(|b| engine.estimate_packed_fresh(b))
-            .collect();
+        let fresh: Vec<u64> = candidates.iter().map(|b| engine.kernel().cost(b)).collect();
         assert_eq!(batch, fresh);
         assert_eq!(engine.stats().sliced_blocks, 1);
         // Backfilled: re-estimating costs no further evaluations.

@@ -36,7 +36,7 @@ pub enum EstimationStrategy {
 /// than distinct vectors, otherwise scan the histogram.
 ///
 /// The single source of truth for the crossover — both [`MissEstimator`] and
-/// [`EvalEngine`](crate::EvalEngine) call it, which is what keeps their
+/// [`FrozenKernel`](crate::FrozenKernel) call it, which is what keeps their
 /// strategy choices (and therefore their per-candidate work) aligned.
 #[must_use]
 pub(crate) fn resolve_strategy(
@@ -75,22 +75,6 @@ pub enum BatchStrategy {
     PerCandidate,
 }
 
-/// How a *neighbourhood* — candidates `hyperplane ⊕ span(direction)` over one
-/// shared parent — is priced. All three routes compute the exact Eq. 4 sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NeighborhoodRoute {
-    /// Transpose the candidates into [`gf2::SlicedCosetBlock`]s (one shared
-    /// parent reduction rejects all 64 lanes per histogram entry) and scan
-    /// the histogram once per block.
-    SlicedCosets,
-    /// Per candidate, reuse the retained hyperplane's memoized partial sum
-    /// and add a `2^(dim−1)`-term coset sum (the one-generator-delta
-    /// identity).
-    HyperplaneDelta,
-    /// Price each candidate alone, as a plain batch.
-    PerCandidate,
-}
-
 /// An Eq. 4 price under an incumbent bound: either the exact miss count, or
 /// the verdict that the candidate costs at least the bound — all a
 /// best-improvement search ever needs from a lane it will discard.
@@ -126,6 +110,22 @@ impl BoundedCost {
             BoundedCost::Exact(cost) | BoundedCost::AtLeast(cost) => cost,
         }
     }
+
+    /// Per-lane prices of one bounded sliced block, from the `(sums,
+    /// saturated)` pair [`gf2::SlicedCosetBlock::sum_weights`] returns: an
+    /// unsaturated lane is exact, a saturated one costs at least `bound`.
+    pub(crate) fn from_block(
+        (sums, saturated): (Vec<u64>, u64),
+        bound: u64,
+    ) -> impl Iterator<Item = BoundedCost> {
+        sums.into_iter().enumerate().map(move |(lane, sum)| {
+            if saturated & (1u64 << lane) == 0 {
+                BoundedCost::Exact(sum)
+            } else {
+                BoundedCost::AtLeast(bound)
+            }
+        })
+    }
 }
 
 /// Cost-model weight of one dense-table point lookup relative to one `u64`
@@ -135,94 +135,20 @@ impl BoundedCost {
 /// costs a few times a dependent XOR chain step.
 const ENUM_LOOKUP_UNITS: u128 = 4;
 
-/// Modelled per-entry overhead of the coset block's shared rejection test
-/// beyond the `dim`-row parent reduction: the remainder binary search and
-/// branch.
-const COSET_PROBE_UNITS: u128 = 6;
-
-/// Modelled `u64`-operation cost of pricing one candidate alone: the cheaper
-/// of enumerating its `2^dim` null-space vectors or scanning the histogram
-/// with a `dim`-row reduction per entry.
-pub(crate) fn scalar_units(dim: usize, distinct_vectors: usize) -> u128 {
-    let enumerate = ENUM_LOOKUP_UNITS << dim.min(100);
-    let scan = (distinct_vectors as u128) * (dim.max(1) as u128);
-    enumerate.min(scan)
-}
-
-/// Modelled `u64`-operation cost of pricing one whole generic sliced block
-/// (up to 64 lanes): per histogram entry, one column-slice XOR across
-/// `max_checks` check planes for each set bit of the entry
-/// (`mean_popcount`).
-pub(crate) fn sliced_units(
-    mean_popcount: usize,
-    max_checks: usize,
-    distinct_vectors: usize,
-) -> u128 {
-    (distinct_vectors as u128) * (max_checks.max(1) as u128) * (mean_popcount as u128 + 1)
-}
-
-/// Modelled `u64`-operation cost of pricing one whole coset block (up to 64
-/// lanes): per histogram entry, a `dim`-row parent reduction plus the
-/// remainder probe; the parity pass only runs for the few entries near the
-/// parent and is folded into the probe constant.
-pub(crate) fn coset_units(dim: usize, distinct_vectors: usize) -> u128 {
-    (distinct_vectors as u128) * (dim as u128 + COSET_PROBE_UNITS)
-}
-
-/// Resolves how a neighbourhood of `lanes` candidates of null-space dimension
-/// `dim` over one shared parent should be priced.
-///
-/// An explicit [`EstimationStrategy::EnumerateNullSpace`] keeps the
-/// enumeration-based delta path; an explicit
-/// [`EstimationStrategy::ScanHistogram`] transposes into coset blocks (the
-/// coset scan *is* the histogram scan, shared across lanes);
-/// [`EstimationStrategy::Auto`] compares the modelled per-candidate costs.
-/// Single-candidate neighbourhoods are never sliced.
-#[must_use]
-pub(crate) fn resolve_neighborhood_route(
-    strategy: EstimationStrategy,
-    dim: usize,
-    lanes: usize,
-    distinct_vectors: usize,
-) -> NeighborhoodRoute {
-    if lanes <= 1 || dim == 0 {
-        return match resolve_strategy(strategy, dim, distinct_vectors) {
-            EstimationStrategy::EnumerateNullSpace => NeighborhoodRoute::HyperplaneDelta,
-            _ => NeighborhoodRoute::PerCandidate,
-        };
-    }
-    match strategy {
-        EstimationStrategy::EnumerateNullSpace => NeighborhoodRoute::HyperplaneDelta,
-        EstimationStrategy::ScanHistogram => NeighborhoodRoute::SlicedCosets,
-        EstimationStrategy::Auto => {
-            let block_lanes = lanes.min(gf2::SLICED_LANES) as u128;
-            let coset = coset_units(dim, distinct_vectors) / block_lanes;
-            let delta = ENUM_LOOKUP_UNITS << (dim - 1).min(100);
-            let scalar = scalar_units(dim, distinct_vectors);
-            if coset <= delta && coset <= scalar {
-                NeighborhoodRoute::SlicedCosets
-            } else if delta <= scalar {
-                NeighborhoodRoute::HyperplaneDelta
-            } else {
-                NeighborhoodRoute::PerCandidate
-            }
-        }
-    }
-}
-
 /// Resolves how one block of candidates (at most [`gf2::SLICED_LANES`], with
 /// the given null-space dimensions) should be priced against a histogram of
-/// `distinct_vectors` entries.
+/// `distinct_vectors` entries, by comparing the modelled `u64`-operation
+/// costs of the two paths:
 ///
-/// An explicit [`EstimationStrategy::EnumerateNullSpace`] always prices per
-/// candidate (enumeration has no sliced form) and an explicit
-/// [`EstimationStrategy::ScanHistogram`] always slices (the sliced scan *is*
-/// the histogram scan, transposed); [`EstimationStrategy::Auto`] compares the
-/// modelled word-operation costs of the two paths. Single-candidate blocks
-/// are never sliced.
+/// * per candidate, the cheaper of enumerating its `2^dim` null-space
+///   vectors or scanning the histogram with a `dim`-row reduction per entry;
+/// * one generic sliced block (up to 64 lanes): per histogram entry, one
+///   column-slice XOR across `max_checks` check planes for each set bit of
+///   the entry (`mean_popcount`).
+///
+/// Single-candidate blocks are never sliced.
 #[must_use]
 pub(crate) fn resolve_batch_strategy(
-    strategy: EstimationStrategy,
     width: usize,
     mean_popcount: usize,
     dims: &[usize],
@@ -231,21 +157,17 @@ pub(crate) fn resolve_batch_strategy(
     if dims.len() <= 1 {
         return BatchStrategy::PerCandidate;
     }
-    match strategy {
-        EstimationStrategy::EnumerateNullSpace => BatchStrategy::PerCandidate,
-        EstimationStrategy::ScanHistogram => BatchStrategy::SlicedScan,
-        EstimationStrategy::Auto => {
-            let scalar: u128 = dims
-                .iter()
-                .map(|&dim| scalar_units(dim, distinct_vectors))
-                .sum();
-            let max_checks = dims.iter().map(|&dim| width - dim).max().unwrap_or(0);
-            if sliced_units(mean_popcount, max_checks, distinct_vectors) < scalar {
-                BatchStrategy::SlicedScan
-            } else {
-                BatchStrategy::PerCandidate
-            }
-        }
+    let distinct = distinct_vectors as u128;
+    let scalar: u128 = dims
+        .iter()
+        .map(|&dim| (ENUM_LOOKUP_UNITS << dim.min(100)).min(distinct * dim.max(1) as u128))
+        .sum();
+    let max_checks = dims.iter().map(|&dim| width - dim).max().unwrap_or(0);
+    let sliced = distinct * max_checks.max(1) as u128 * (mean_popcount as u128 + 1);
+    if sliced < scalar {
+        BatchStrategy::SlicedScan
+    } else {
+        BatchStrategy::PerCandidate
     }
 }
 

@@ -3,20 +3,25 @@
 //! [`FrozenKernel`] is the immutable half of what used to be `EvalEngine`: a
 //! [`DenseProfile`] snapshot of one application's conflict histogram plus the
 //! Eq. 4 arithmetic (full null-space walks, histogram scans, and the
-//! hyperplane-delta coset sums) and the strategy-resolution rule. It holds no
-//! interior mutability at all, so it is `Send + Sync` by construction and one
-//! `Arc<FrozenKernel>` can price candidates from any number of threads
-//! simultaneously — the [`EvalEngine`](crate::EvalEngine) façade, the search
-//! algorithms, and a multi-tenant serving layer all share the same kernel per
-//! application instead of re-freezing the histogram per search.
+//! coset-sliced neighbourhood sums) and the strategy-resolution rule. It
+//! holds no interior mutability at all, so it is `Send + Sync` by
+//! construction and one `Arc<FrozenKernel>` can price candidates from any
+//! number of threads simultaneously — the [`EvalEngine`](crate::EvalEngine)
+//! façade, the search algorithms, and a multi-tenant serving layer all share
+//! the same kernel per application instead of re-freezing the histogram per
+//! search.
 //!
-//! Pricing comes in two shapes. The scalar path ([`FrozenKernel::cost`])
+//! Pricing comes in three shapes. The scalar path ([`FrozenKernel::cost`])
 //! prices one candidate under its resolved [`EstimationStrategy`]. The batch
 //! path ([`FrozenKernel::cost_batch`] / [`FrozenKernel::cost_batch_sliced`])
 //! transposes up to [`SLICED_LANES`] candidates into a [`SlicedBlock`] and
 //! scans the histogram once, advancing every candidate per entry with a
 //! word-parallel membership mask; [`BatchStrategy`] resolution picks between
-//! the two by batch shape. Both compute the exact Eq. 4 sum, bit-identically.
+//! the two by batch shape. The neighbourhood path
+//! ([`FrozenKernel::cost_neighborhood_bounded`]) prices candidates
+//! `hyperplane ⊕ span(direction)` over one shared parent in coset-sliced
+//! blocks under an incumbent bound. All compute the exact Eq. 4 sum,
+//! bit-identically.
 //!
 //! Memoization lives next door in [`ShardedMemo`](crate::ShardedMemo); the
 //! kernel itself never caches, so every method here is a pure function of the
@@ -24,14 +29,13 @@
 
 use gf2::{CosetFrame, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
 
-use crate::estimate::{resolve_batch_strategy, resolve_neighborhood_route, resolve_strategy};
+use crate::estimate::{resolve_batch_strategy, resolve_strategy};
 use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy,
-    NeighborhoodRoute, XorIndexError,
+    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, XorIndexError,
 };
 
-/// The immutable Eq. 4 pricing core: a frozen [`DenseProfile`] plus the
-/// evaluation strategy, shareable across threads via `Arc`.
+/// The immutable Eq. 4 pricing core: a frozen [`DenseProfile`], shareable
+/// across threads via `Arc`.
 ///
 /// # Example
 ///
@@ -56,46 +60,19 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct FrozenKernel {
     dense: DenseProfile,
-    strategy: EstimationStrategy,
 }
 
 impl FrozenKernel {
-    /// Freezes a profile's histogram into a kernel using
-    /// [`EstimationStrategy::Auto`].
+    /// Freezes a profile's histogram into a kernel.
     #[must_use]
     pub fn new(profile: &ConflictProfile) -> Self {
-        FrozenKernel {
-            dense: DenseProfile::from_profile(profile),
-            strategy: EstimationStrategy::Auto,
-        }
+        Self::from_dense(DenseProfile::from_profile(profile))
     }
 
     /// Builds a kernel over an already-frozen dense profile.
     #[must_use]
     pub fn from_dense(dense: DenseProfile) -> Self {
-        FrozenKernel {
-            dense,
-            strategy: EstimationStrategy::Auto,
-        }
-    }
-
-    /// Selects the evaluation strategy (default: automatic per candidate).
-    #[must_use]
-    pub fn with_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// In-place strategy change for a uniquely-owned kernel (the façade's
-    /// builder path), avoiding a dense-profile clone.
-    pub(crate) fn set_strategy(&mut self, strategy: EstimationStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The configured evaluation strategy.
-    #[must_use]
-    pub fn strategy(&self) -> EstimationStrategy {
-        self.strategy
+        FrozenKernel { dense }
     }
 
     /// The frozen dense view of the histogram.
@@ -125,7 +102,8 @@ impl FrozenKernel {
     }
 
     /// The exact Eq. 4 sum for one packed null space — a fresh evaluation,
-    /// never memoized.
+    /// never memoized, on whichever side of Eq. 4 is smaller
+    /// ([`EstimationStrategy::Auto`]).
     ///
     /// # Panics
     ///
@@ -134,18 +112,12 @@ impl FrozenKernel {
     #[must_use]
     pub fn cost(&self, basis: &PackedBasis) -> u64 {
         self.check_width(basis);
-        match resolve_strategy(self.strategy, basis.dim(), self.dense.distinct_vectors()) {
+        if self.enumerates(basis) {
             // The zero vector carries weight 0, so it needs no special case.
-            EstimationStrategy::EnumerateNullSpace => {
-                basis.vectors().map(|v| self.dense.misses_of(v)).sum()
-            }
-            EstimationStrategy::ScanHistogram => self
-                .dense
-                .iter()
-                .filter(|&(v, _)| basis.contains(v))
-                .map(|(_, w)| w)
-                .sum(),
-            EstimationStrategy::Auto => unreachable!("Auto resolved above"),
+            basis.vectors().map(|v| self.dense.misses_of(v)).sum()
+        } else {
+            let members = self.dense.iter().filter(|&(v, _)| basis.contains(v));
+            members.map(|(_, w)| w).sum()
         }
     }
 
@@ -166,18 +138,6 @@ impl FrozenKernel {
                 candidate_bits: basis.width(),
             })
         }
-    }
-
-    /// Non-panicking [`FrozenKernel::cost`]: prices the candidate, or reports
-    /// the width mismatch as a typed error instead of panicking.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XorIndexError::ProfileMismatch`] when the basis's ambient
-    /// width differs from the profile's hashed width.
-    pub fn try_cost(&self, basis: &PackedBasis) -> Result<u64, XorIndexError> {
-        self.ensure_width(basis)?;
-        Ok(self.cost(basis))
     }
 
     /// Prices a batch of candidates, chunking it into blocks of at most
@@ -250,18 +210,7 @@ impl FrozenKernel {
         for basis in chunk {
             self.check_width(basis);
         }
-        let block = SlicedBlock::from_bases(chunk.iter().copied());
-        let mut sums = vec![0u64; chunk.len()];
-        let mut scratch = [0u64; SLICED_LANES];
-        for (v, w) in self.dense.iter() {
-            let mut mask = block.member_mask_scratch(v, &mut scratch);
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                sums[lane] += w;
-            }
-        }
-        sums
+        SlicedBlock::from_bases(chunk.iter().copied()).sum_weights(self.dense.iter())
     }
 
     /// Resolves how a batch of candidates with the given null-space
@@ -271,7 +220,6 @@ impl FrozenKernel {
     #[must_use]
     pub fn batch_strategy(&self, dims: &[usize]) -> BatchStrategy {
         resolve_batch_strategy(
-            self.strategy,
             self.hashed_bits(),
             self.dense.mean_popcount(),
             dims,
@@ -279,53 +227,11 @@ impl FrozenKernel {
         )
     }
 
-    /// Resolves how a neighbourhood of `lanes` candidates of null-space
-    /// dimension `dim` over one shared parent should be priced: transposed
-    /// coset blocks, hyperplane-delta reuse, or plain per-candidate pricing.
-    #[must_use]
-    pub fn neighborhood_route(&self, dim: usize, lanes: usize) -> NeighborhoodRoute {
-        resolve_neighborhood_route(self.strategy, dim, lanes, self.dense.distinct_vectors())
-    }
-
-    /// Prices a whole neighbourhood of candidates `hyperplanes[h] ⊕
-    /// span(direction)` over one shared `parent` through the coset-sliced
-    /// path. The per-neighbourhood work is hoisted once — hyperplane
-    /// functionals into a [`CosetFrame`], the histogram grouped by parent
-    /// remainder into a [`CosetHistogram`] — then each block of up to
-    /// [`SLICED_LANES`] lanes is stamped and summed from only the entries its
-    /// lanes' cosets select. Results align with `lanes` and are bit-identical
-    /// to [`FrozenKernel::cost`] on each materialized extension.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent's ambient width differs from the profile's hashed
-    /// width, or if a hyperplane or lane is not a valid hyperplane/direction
-    /// decomposition over the parent (see [`CosetFrame::new`] and
-    /// [`CosetFrame::block`]).
-    #[must_use]
-    pub fn cost_neighborhood_sliced(
-        &self,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-        lanes: &[(usize, u64)],
-    ) -> Vec<u64> {
-        self.check_width(parent);
-        if lanes.is_empty() {
-            return Vec::new();
-        }
-        let (frame, histogram) = self.neighborhood_scaffold(parent, hyperplanes);
-        let mut out = Vec::with_capacity(lanes.len());
-        for chunk in lanes.chunks(SLICED_LANES) {
-            out.extend(frame.block(chunk).sum_weights(&histogram));
-        }
-        out
-    }
-
-    /// Builds the per-neighbourhood scaffolding the coset-sliced paths share:
+    /// Builds the per-neighbourhood scaffolding coset-sliced pricing needs:
     /// the [`CosetFrame`] of hyperplane functionals and the [`CosetHistogram`]
     /// grouping of the whole dense profile by parent remainder.
     ///
-    /// [`FrozenKernel::cost_neighborhood_sliced`] builds this internally per
+    /// [`FrozenKernel::cost_neighborhood_bounded`] builds this internally per
     /// call; orchestrating callers (the engine's scaffold cache, parallel
     /// block stamping) build it once here and then stamp and sum blocks
     /// themselves via [`CosetFrame::block`] and
@@ -348,15 +254,27 @@ impl FrozenKernel {
         )
     }
 
-    /// [`FrozenKernel::cost_neighborhood_sliced`] under an incumbent bound:
-    /// lanes whose running sum saturates `bound` are abandoned
+    /// Prices a whole neighbourhood of candidates `hyperplanes[h] ⊕
+    /// span(direction)` over one shared `parent` through the coset-sliced
+    /// path, under an incumbent bound. The per-neighbourhood work is hoisted
+    /// once — hyperplane functionals into a [`CosetFrame`], the histogram
+    /// grouped by parent remainder into a [`CosetHistogram`] — then each
+    /// block of up to [`SLICED_LANES`] lanes is stamped and summed from only
+    /// the entries its lanes' cosets select.
+    ///
+    /// Lanes whose running sum saturates `bound` are abandoned
     /// ([`BoundedCost::AtLeast`]) and whole blocks stop scanning once every
     /// lane has saturated. Lanes with true cost below the bound are priced
-    /// exactly, bit-identical to the unbounded path.
+    /// exactly, bit-identical to [`FrozenKernel::cost`] on each materialized
+    /// extension; `bound = u64::MAX` prices every lane exactly. Results align
+    /// with `lanes`.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`FrozenKernel::cost_neighborhood_sliced`].
+    /// Panics if the parent's ambient width differs from the profile's hashed
+    /// width, or if a hyperplane or lane is not a valid hyperplane/direction
+    /// decomposition over the parent (see [`CosetFrame::new`] and
+    /// [`CosetFrame::block`]).
     #[must_use]
     pub fn cost_neighborhood_bounded(
         &self,
@@ -372,14 +290,8 @@ impl FrozenKernel {
         let (frame, histogram) = self.neighborhood_scaffold(parent, hyperplanes);
         let mut out = Vec::with_capacity(lanes.len());
         for chunk in lanes.chunks(SLICED_LANES) {
-            let (sums, saturated) = frame.block(chunk).sum_weights_bounded(&histogram, bound);
-            out.extend(sums.iter().enumerate().map(|(j, &sum)| {
-                if saturated & (1u64 << j) == 0 {
-                    BoundedCost::Exact(sum)
-                } else {
-                    BoundedCost::AtLeast(bound)
-                }
-            }));
+            let block = frame.block(chunk).sum_weights(&histogram, bound);
+            out.extend(BoundedCost::from_block(block, bound));
         }
         out
     }
@@ -398,22 +310,16 @@ impl FrozenKernel {
     pub fn cost_bounded(&self, basis: &PackedBasis, bound: u64) -> BoundedCost {
         self.check_width(basis);
         let mut sum = 0u64;
-        let saturated =
-            match resolve_strategy(self.strategy, basis.dim(), self.dense.distinct_vectors()) {
-                EstimationStrategy::EnumerateNullSpace => basis.vectors().any(|v| {
-                    sum += self.dense.misses_of(v);
-                    sum >= bound
-                }),
-                EstimationStrategy::ScanHistogram => self
-                    .dense
-                    .iter()
-                    .filter(|&(v, _)| basis.contains(v))
-                    .any(|(_, w)| {
-                        sum += w;
-                        sum >= bound
-                    }),
-                EstimationStrategy::Auto => unreachable!("Auto resolved above"),
-            };
+        let mut saturates = |w: u64| {
+            sum += w;
+            sum >= bound
+        };
+        let saturated = if self.enumerates(basis) {
+            basis.vectors().any(|v| saturates(self.dense.misses_of(v)))
+        } else {
+            let mut members = self.dense.iter().filter(|&(v, _)| basis.contains(v));
+            members.any(|(_, w)| saturates(w))
+        };
         if saturated {
             BoundedCost::AtLeast(bound)
         } else {
@@ -421,34 +327,13 @@ impl FrozenKernel {
         }
     }
 
-    /// `true` when the hyperplane-delta decomposition pays off for candidates
-    /// of this null-space dimension — i.e. when the resolved strategy would
-    /// enumerate the null space rather than scan the histogram.
-    #[must_use]
-    pub fn delta_pays(&self, dim: usize) -> bool {
-        matches!(
-            resolve_strategy(self.strategy, dim, self.dense.distinct_vectors()),
-            EstimationStrategy::EnumerateNullSpace
-        )
-    }
-
-    /// Prices a neighbour `hyperplane ⊕ span(direction)` from its hyperplane's
-    /// already-known cost: `misses(M ⊕ span(w)) = misses(M) + Σ_{u∈M}
-    /// misses(u ⊕ w)` — the one-generator-delta identity the neighbourhood
-    /// batches exploit. Every coset vector is non-zero (the direction lies
-    /// outside the hyperplane), and the zero vector carries weight 0 anyway.
-    #[must_use]
-    pub fn neighbour_cost(
-        &self,
-        hyperplane_cost: u64,
-        hyperplane: &PackedBasis,
-        direction: u64,
-    ) -> u64 {
-        hyperplane_cost
-            + hyperplane
-                .coset(direction)
-                .map(|v| self.dense.misses_of(v))
-                .sum::<u64>()
+    /// Whether a single candidate is priced by enumerating its null space
+    /// rather than scanning the histogram — whichever side of Eq. 4 is
+    /// smaller.
+    fn enumerates(&self, basis: &PackedBasis) -> bool {
+        let distinct = self.dense.distinct_vectors();
+        resolve_strategy(EstimationStrategy::Auto, basis.dim(), distinct)
+            == EstimationStrategy::EnumerateNullSpace
     }
 }
 
@@ -457,6 +342,12 @@ mod tests {
     use super::*;
     use crate::{HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
+
+    const STRATEGIES: [EstimationStrategy; 3] = [
+        EstimationStrategy::Auto,
+        EstimationStrategy::EnumerateNullSpace,
+        EstimationStrategy::ScanHistogram,
+    ];
 
     fn mixed_profile() -> ConflictProfile {
         let seq: Vec<u64> = (0..400u64)
@@ -471,18 +362,31 @@ mod tests {
         ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 12, 64)
     }
 
+    /// The first `count` `(hyperplane, direction)` lanes over `hyperplanes`,
+    /// directions ascending — enough to cross a block boundary, including
+    /// directions inside the parent (whose candidate degenerates to the
+    /// parent itself).
+    fn lanes_over(hyperplanes: &[PackedBasis], count: usize) -> Vec<(usize, u64)> {
+        hyperplanes
+            .iter()
+            .enumerate()
+            .flat_map(|(h, hyperplane)| {
+                (1..(1u64 << 12))
+                    .filter(move |&v| !hyperplane.contains(v))
+                    .map(move |v| (h, v))
+            })
+            .take(count)
+            .collect()
+    }
+
     #[test]
     fn kernel_is_send_sync_and_prices_like_the_estimator() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<FrozenKernel>();
 
         let profile = mixed_profile();
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
+        let kernel = FrozenKernel::new(&profile);
+        for strategy in STRATEGIES {
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for m in 2..=8 {
                 let ns = HashFunction::conventional(12, m).unwrap().null_space();
@@ -518,20 +422,56 @@ mod tests {
 
     #[test]
     fn neighbour_cost_matches_a_fresh_evaluation() {
+        // Each neighbour priced alone, as a one-lane coset block, costs what
+        // a fresh evaluation of its materialized extension costs — for a
+        // direction inside the parent and one outside it.
         let profile = mixed_profile();
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
-        for hyperplane in parent.hyperplanes() {
-            let hyperplane_cost = kernel.cost(&hyperplane);
-            let direction = parent
+        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
+        for (h, hyperplane) in hyperplanes.iter().enumerate() {
+            let inside = parent
                 .vectors()
                 .find(|&v| v != 0 && !hyperplane.contains(v))
                 .expect("a hyperplane misses half the parent");
-            assert_eq!(
-                kernel.neighbour_cost(hyperplane_cost, &hyperplane, direction),
-                kernel.cost(&hyperplane.extended(direction))
-            );
+            for direction in [inside, 1] {
+                let costs = kernel.cost_neighborhood_bounded(
+                    &parent,
+                    &hyperplanes,
+                    &[(h, direction)],
+                    u64::MAX,
+                );
+                assert_eq!(
+                    costs,
+                    [BoundedCost::Exact(
+                        kernel.cost(&hyperplane.extended(direction))
+                    )],
+                    "lane ({h}, {direction:#x})"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn cost_neighborhood_sliced_matches_materialized_extensions() {
+        // Every lane of a multi-block neighbourhood priced through the
+        // coset-sliced route at bound `u64::MAX` costs what a fresh
+        // evaluation of its materialized extension costs.
+        let profile = mixed_profile();
+        let kernel = FrozenKernel::new(&profile);
+        let estimator = MissEstimator::new(&profile);
+        let parent = PackedBasis::standard_span(12, 6..12);
+        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
+        let lanes = lanes_over(&hyperplanes, 150);
+        let costs = kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, u64::MAX);
+        assert_eq!(costs.len(), lanes.len());
+        for (&(h, d), &cost) in lanes.iter().zip(&costs) {
+            let fresh = estimator.estimate_packed(&hyperplanes[h].extended(d));
+            assert_eq!(cost, BoundedCost::Exact(fresh), "lane ({h}, {d:#x})");
+        }
+        assert!(kernel
+            .cost_neighborhood_bounded(&parent, &hyperplanes, &[], u64::MAX)
+            .is_empty());
     }
 
     #[test]
@@ -541,8 +481,6 @@ mod tests {
         let b = FrozenKernel::from_dense(DenseProfile::from_profile(&profile));
         assert_eq!(a.dense(), b.dense());
         assert_eq!(a.hashed_bits(), 12);
-        assert_eq!(a.strategy(), EstimationStrategy::Auto);
-        assert!(a.delta_pays(3));
     }
 
     #[test]
@@ -553,20 +491,18 @@ mod tests {
     }
 
     #[test]
-    fn try_cost_reports_width_mismatch_as_a_typed_error() {
+    fn ensure_width_reports_width_mismatch_as_a_typed_error() {
         let kernel = FrozenKernel::new(&mixed_profile());
-        let good = PackedBasis::standard_span(12, 6..12);
-        assert_eq!(kernel.try_cost(&good).unwrap(), kernel.cost(&good));
-        let bad = PackedBasis::standard_span(8, 0..4);
+        assert!(kernel
+            .ensure_width(&PackedBasis::standard_span(12, 6..12))
+            .is_ok());
         assert!(matches!(
-            kernel.try_cost(&bad),
+            kernel.ensure_width(&PackedBasis::standard_span(8, 0..4)),
             Err(crate::XorIndexError::ProfileMismatch {
                 profile_bits: 12,
                 candidate_bits: 8,
             })
         ));
-        assert!(kernel.ensure_width(&good).is_ok());
-        assert!(kernel.ensure_width(&bad).is_err());
     }
 
     #[test]
@@ -582,17 +518,14 @@ mod tests {
             }))
             .collect();
         let refs: Vec<&PackedBasis> = bases.iter().collect();
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
-            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-            assert_eq!(kernel.cost_batch(&refs), scalar, "{strategy:?} cost_batch");
+        let kernel = FrozenKernel::new(&profile);
+        for strategy in STRATEGIES {
+            let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+            let oracle: Vec<u64> = refs.iter().map(|b| estimator.estimate_packed(b)).collect();
+            assert_eq!(kernel.cost_batch(&refs), oracle, "{strategy:?} cost_batch");
             assert_eq!(
                 kernel.cost_batch_sliced(&refs),
-                scalar,
+                oracle,
                 "{strategy:?} cost_batch_sliced"
             );
         }
@@ -601,57 +534,30 @@ mod tests {
     #[test]
     fn cost_block_reports_the_resolved_strategy() {
         let profile = mixed_profile();
-        let bases: Vec<PackedBasis> = (4..=9)
-            .map(|m| PackedBasis::standard_span(12, m..12))
-            .collect();
-        let refs: Vec<&PackedBasis> = bases.iter().collect();
-        // A single-candidate block never slices, whatever the strategy.
-        let kernel = FrozenKernel::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
-        assert_eq!(kernel.cost_block(&refs[..1]).1, BatchStrategy::PerCandidate);
-        // Explicit strategies force the matching batch path on multi blocks.
-        assert_eq!(kernel.cost_block(&refs).1, BatchStrategy::SlicedScan);
-        let kernel =
-            FrozenKernel::new(&profile).with_strategy(EstimationStrategy::EnumerateNullSpace);
-        assert_eq!(kernel.cost_block(&refs).1, BatchStrategy::PerCandidate);
-        // Whichever path a block resolves to, the costs are the scalar costs.
         let kernel = FrozenKernel::new(&profile);
-        let (costs, _) = kernel.cost_block(&refs);
-        let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-        assert_eq!(costs, scalar);
-    }
-
-    #[test]
-    fn cost_neighborhood_sliced_matches_materialized_extensions() {
-        let profile = mixed_profile();
-        let parent = PackedBasis::standard_span(12, 6..12);
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        // Enough lanes to cross a block boundary, including directions inside
-        // the parent (whose candidate degenerates to the parent itself).
-        let mut lanes: Vec<(usize, u64)> = Vec::new();
-        'outer: for (h, hyperplane) in hyperplanes.iter().enumerate() {
-            for v in 1..(1u64 << 12) {
-                if !hyperplane.contains(v) {
-                    lanes.push((h, v));
-                }
-                if lanes.len() == 150 {
-                    break 'outer;
-                }
-            }
-        }
-        for strategy in [EstimationStrategy::Auto, EstimationStrategy::ScanHistogram] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
-            let costs = kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes);
-            assert_eq!(costs.len(), lanes.len());
-            for (&(h, d), &cost) in lanes.iter().zip(&costs) {
-                assert_eq!(
-                    cost,
-                    kernel.cost(&hyperplanes[h].extended(d)),
-                    "{strategy:?} lane ({h}, {d:#x})"
-                );
-            }
-            assert!(kernel
-                .cost_neighborhood_sliced(&parent, &hyperplanes, &[])
-                .is_empty());
+        // Wide blocks of large null spaces share one histogram scan; a pair
+        // of one-dimensional null spaces is cheaper to enumerate; a single
+        // candidate never slices.
+        let wide: Vec<PackedBasis> = (0..12)
+            .flat_map(|i| (i + 1..12).map(move |j| (i, j)))
+            .take(SLICED_LANES)
+            .map(|(i, j)| PackedBasis::standard_span(12, (0..12).filter(|&b| b != i && b != j)))
+            .collect();
+        let narrow: Vec<PackedBasis> = (0..2)
+            .map(|b| PackedBasis::standard_span(12, [b]))
+            .collect();
+        for (bases, expect) in [
+            (&wide[..], BatchStrategy::SlicedScan),
+            (&narrow[..], BatchStrategy::PerCandidate),
+            (&wide[..1], BatchStrategy::PerCandidate),
+        ] {
+            let refs: Vec<&PackedBasis> = bases.iter().collect();
+            let dims: Vec<usize> = bases.iter().map(PackedBasis::dim).collect();
+            assert_eq!(kernel.batch_strategy(&dims), expect);
+            // Whichever path a block resolves to, the costs are the scalar
+            // costs.
+            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+            assert_eq!(kernel.cost_block(&refs), (scalar, expect));
         }
     }
 
@@ -661,18 +567,11 @@ mod tests {
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
         let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        let mut lanes: Vec<(usize, u64)> = Vec::new();
-        'outer: for (h, hyperplane) in hyperplanes.iter().enumerate() {
-            for v in 1..(1u64 << 12) {
-                if !hyperplane.contains(v) {
-                    lanes.push((h, v));
-                }
-                if lanes.len() == 150 {
-                    break 'outer;
-                }
-            }
-        }
-        let exact = kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes);
+        let lanes = lanes_over(&hyperplanes, 150);
+        let exact: Vec<u64> = lanes
+            .iter()
+            .map(|&(h, d)| kernel.cost(&hyperplanes[h].extended(d)))
+            .collect();
         let lo = *exact.iter().min().unwrap();
         let hi = *exact.iter().max().unwrap();
         for bound in [0, lo, lo + (hi - lo) / 2, hi + 1] {
@@ -702,15 +601,12 @@ mod tests {
     #[test]
     fn bounded_scalar_cost_matches_under_every_strategy() {
         let profile = mixed_profile();
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let kernel = FrozenKernel::new(&profile).with_strategy(strategy);
+        let kernel = FrozenKernel::new(&profile);
+        for strategy in STRATEGIES {
+            let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for m in 2..=8 {
                 let ns = PackedBasis::standard_span(12, m..12);
-                let exact = kernel.cost(&ns);
+                let exact = estimator.estimate_packed(&ns);
                 assert_eq!(
                     kernel.cost_bounded(&ns, exact + 1),
                     BoundedCost::Exact(exact),
@@ -745,50 +641,16 @@ mod tests {
             })
             .collect();
         let (frame, histogram) = kernel.neighborhood_scaffold(&parent, &hyperplanes);
-        let via_scaffold: Vec<u64> = lanes
+        let via_scaffold: Vec<BoundedCost> = lanes
             .chunks(SLICED_LANES)
-            .flat_map(|chunk| frame.block(chunk).sum_weights(&histogram))
+            .flat_map(|chunk| {
+                let block = frame.block(chunk).sum_weights(&histogram, u64::MAX);
+                BoundedCost::from_block(block, u64::MAX)
+            })
             .collect();
         assert_eq!(
             via_scaffold,
-            kernel.cost_neighborhood_sliced(&parent, &hyperplanes, &lanes)
-        );
-    }
-
-    #[test]
-    fn neighborhood_route_resolves_by_shape() {
-        let profile = mixed_profile();
-        let distinct = profile.distinct_vectors();
-        let kernel = FrozenKernel::new(&profile);
-        // Single-lane neighbourhoods never slice: they fall back on the
-        // scalar resolution — delta when enumeration would win, else plain.
-        for dim in 1..=11 {
-            let expect = if (1u128 << dim) - 1 <= distinct as u128 {
-                NeighborhoodRoute::HyperplaneDelta
-            } else {
-                NeighborhoodRoute::PerCandidate
-            };
-            assert_eq!(kernel.neighborhood_route(dim, 1), expect, "dim={dim}");
-        }
-        // Explicit strategies force their matching route on wide fans.
-        let kernel =
-            FrozenKernel::new(&profile).with_strategy(EstimationStrategy::EnumerateNullSpace);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::HyperplaneDelta
-        );
-        let kernel = FrozenKernel::new(&profile).with_strategy(EstimationStrategy::ScanHistogram);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::SlicedCosets
-        );
-        // Auto amortizes the coset scan over the block: with a full fan the
-        // per-lane cost of one shared histogram pass beats a 2^(dim−1)-term
-        // delta sum at search dimensions.
-        let kernel = FrozenKernel::new(&profile);
-        assert_eq!(
-            kernel.neighborhood_route(6, 64),
-            NeighborhoodRoute::SlicedCosets
+            kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, u64::MAX)
         );
     }
 }

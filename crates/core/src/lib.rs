@@ -14,8 +14,9 @@
 //!    re-simulating the trace as `Σ_{v ∈ N(H)} misses(v)` over its null space.
 //!    The searches run this sum through the dense evaluation engine
 //!    ([`EvalEngine`] over a [`DenseProfile`]): packed `u64` bases, memoized
-//!    canonical null spaces, one-generator-delta neighbourhood batches and
-//!    scoped-thread parallelism, with bit-identical results. The engine is a
+//!    canonical null spaces, incumbent-bounded coset-sliced neighbourhood
+//!    batches and scoped-thread parallelism, with results bit-identical to
+//!    [`MissEstimator`]. The engine is a
 //!    façade over an immutable, `Arc`-shareable [`FrozenKernel`] (the Eq. 4
 //!    arithmetic) and a concurrent [`ShardedMemo`], so one kernel + memo per
 //!    application can serve many searches and threads at once.
@@ -80,9 +81,7 @@ pub mod search;
 pub use dense::{DenseProfile, FLAT_LOOKUP_MAX_BITS, TAIL_CAP_MAX_BITS};
 pub use engine::{EngineStats, EvalEngine};
 pub use error::XorIndexError;
-pub use estimate::{
-    BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator, NeighborhoodRoute,
-};
+pub use estimate::{BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator};
 pub use function_class::FunctionClass;
 pub use hashfn::HashFunction;
 pub use kernel::FrozenKernel;

@@ -5,7 +5,7 @@
 //! [`CosetFrame`] of hyperplane functionals (`O(dim²)` per hyperplane) and —
 //! far more expensively — the [`CosetHistogram`], a full pass over the dense
 //! profile grouping every entry by its remainder modulo the parent. The
-//! kernel's standalone [`FrozenKernel::cost_neighborhood_sliced`] rebuilds
+//! kernel's standalone [`FrozenKernel::cost_neighborhood_bounded`] rebuilds
 //! both per call, which is fine for a one-shot pricing but wasteful for the
 //! callers that dominate real runs: random restarts walking back through
 //! earlier parents, annealing chains re-visiting a parent after a rejected

@@ -10,7 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::search::neighbors::PackedNeighborhood;
 use crate::search::{SearchOutcome, Searcher};
-use crate::{BoundedCost, HashFunction, XorIndexError};
+use crate::{HashFunction, XorIndexError};
 
 impl Searcher<'_> {
     /// Simulated annealing from the conventional function.
@@ -64,22 +64,18 @@ impl Searcher<'_> {
             let candidate = &nbhd.candidates[pick].basis;
             // Memoized: revisiting a proposal from an earlier iteration (or
             // the reverse of an accepted move) costs a table lookup.
-            let cost = if self.bounded() {
-                // Any proposal pricier than `current + ⌈800·T⌉` is rejected
-                // with probability exactly 0: Δ/T ≥ 800 drives exp(−Δ/T) to
-                // 0.0 in f64 (it underflows below ~exp(−745)), and the true
-                // cost of an abandoned lane is at least the bound, so its
-                // acceptance probability is 0.0 too. Substituting the lower
-                // bound therefore makes the same decision and consumes the
-                // same single RNG draw as pricing the proposal exactly.
-                let bound = current_cost.saturating_add((800.0 * temperature).ceil() as u64);
-                match engine.estimate_packed_bounded(candidate, bound) {
-                    BoundedCost::Exact(cost) => cost,
-                    BoundedCost::AtLeast(bound) => bound,
-                }
-            } else {
-                engine.estimate_packed(candidate)
-            };
+            //
+            // Any proposal pricier than `current + ⌈800·T⌉` is rejected with
+            // probability exactly 0: Δ/T ≥ 800 drives exp(−Δ/T) to 0.0 in f64
+            // (it underflows below ~exp(−745)), and the true cost of an
+            // abandoned lane is at least the bound, so its acceptance
+            // probability is 0.0 too. Substituting the lower bound therefore
+            // makes the same decision and consumes the same single RNG draw
+            // as pricing the proposal exactly.
+            let bound = current_cost.saturating_add((800.0 * temperature).ceil() as u64);
+            let cost = engine
+                .estimate_packed_bounded(candidate, bound)
+                .lower_bound();
             let delta = cost as f64 - current_cost as f64;
             let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
             if accept {
@@ -110,9 +106,12 @@ impl Searcher<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::search::{SearchAlgorithm, Searcher};
-    use crate::{ConflictProfile, FunctionClass, MissEstimator};
+    use crate::search::{NeighborPool, PackedNeighborhood, SearchAlgorithm, Searcher};
+    use crate::{ConflictProfile, FunctionClass, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
+    use gf2::PackedBasis;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn profile() -> ConflictProfile {
         let trace = (0..200u64).map(|i| BlockAddr((i % 2) * 64 + (i % 3) * 0x200));
@@ -160,26 +159,62 @@ mod tests {
         assert_eq!(a.estimated_misses, b.estimated_misses);
     }
 
+    /// Unlimited-XOR annealing with every proposal priced exactly by
+    /// [`MissEstimator`] — the unbounded trajectory. Returns the best
+    /// function, its cost and the accepted-move count.
+    fn unbounded_annealing(
+        profile: &ConflictProfile,
+        iterations: usize,
+        initial_temperature: f64,
+        seed: u64,
+    ) -> (HashFunction, u64, u64) {
+        let class = FunctionClass::xor_unlimited();
+        let estimator = MissEstimator::new(profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, profile);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut current = PackedBasis::standard_span(12, 6..12);
+        let mut current_cost = estimator.estimate_packed(&current);
+        let start = HashFunction::from_null_space(&current.to_subspace(), class).unwrap();
+        let mut best = (start, current_cost);
+        let mut steps = 0;
+        let temperature_floor = (initial_temperature * 0.01).max(1e-9);
+        let decay = (temperature_floor / initial_temperature.max(1e-9))
+            .powf(1.0 / (iterations as f64 - 1.0));
+        let mut temperature = initial_temperature.max(1e-9);
+        for _ in 0..iterations {
+            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
+            let candidate = &nbhd.candidates[rng.gen_range(0..nbhd.len())].basis;
+            let cost = estimator.estimate_packed(candidate);
+            let delta = cost as f64 - current_cost as f64;
+            if delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp() {
+                (current, current_cost) = (candidate.clone(), cost);
+                steps += 1;
+                if cost < best.1 {
+                    let function = HashFunction::from_null_space(&current.to_subspace(), class);
+                    best = (function.unwrap(), cost);
+                }
+            }
+            temperature = (temperature * decay).max(temperature_floor);
+        }
+        (best.0, best.1, steps)
+    }
+
     #[test]
     fn bounded_annealing_reproduces_the_unbounded_trajectory() {
         let p = profile();
         for seed in [0u64, 7, 42] {
-            let run = |bounded: bool| {
-                Searcher::new(&p, FunctionClass::xor_unlimited(), 6)
-                    .unwrap()
-                    .with_bounded_pricing(bounded)
-                    .run(SearchAlgorithm::Annealing {
-                        iterations: 80,
-                        initial_temperature: 30.0,
-                        seed,
-                    })
-                    .unwrap()
-            };
-            let bounded = run(true);
-            let unbounded = run(false);
-            assert_eq!(bounded.function, unbounded.function, "seed {seed}");
-            assert_eq!(bounded.estimated_misses, unbounded.estimated_misses);
-            assert_eq!(bounded.steps, unbounded.steps, "seed {seed}");
+            let bounded = Searcher::new(&p, FunctionClass::xor_unlimited(), 6)
+                .unwrap()
+                .run(SearchAlgorithm::Annealing {
+                    iterations: 80,
+                    initial_temperature: 30.0,
+                    seed,
+                })
+                .unwrap();
+            let (function, cost, steps) = unbounded_annealing(&p, 80, 30.0, seed);
+            assert_eq!(bounded.function, function, "seed {seed}");
+            assert_eq!(bounded.estimated_misses, cost, "seed {seed}");
+            assert_eq!(bounded.steps, steps, "seed {seed}");
         }
     }
 

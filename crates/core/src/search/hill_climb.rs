@@ -86,34 +86,22 @@ impl Searcher<'_> {
             // Evaluate the whole neighbourhood in one engine batch, cheapest
             // check first: the engine prices every candidate, the (more
             // expensive) fan-in admissibility check runs only on candidates
-            // that would be taken. With bounded pricing the incumbent is
-            // passed down so the engine can abandon any lane whose running
-            // sum saturates `best_cost` — such a lane's true cost is at
-            // least the incumbent, so it could never be moved to anyway.
+            // that would be taken. The incumbent is passed down as the bound
+            // so the engine can abandon any lane whose running sum saturates
+            // `best_cost` — such a lane's true cost is at least the
+            // incumbent, so it could never be moved to anyway. Memo hits are
+            // exact whatever the bound, hence the filter.
             let nbhd = PackedNeighborhood::generate(&current, class, &pool);
-            let mut below: Vec<(u64, usize)> = Vec::new();
-            if self.bounded() {
-                for (i, cost) in engine
-                    .estimate_neighborhood_bounded(&nbhd, best_cost)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if let Some(exact) = cost.exact() {
-                        if exact < best_cost {
-                            below.push((exact, i));
-                        }
-                    }
-                }
-            } else {
-                for (i, &cost) in engine.estimate_neighborhood(&nbhd).iter().enumerate() {
-                    if cost < best_cost {
-                        below.push((cost, i));
-                    }
-                }
-            }
+            let mut below: Vec<(u64, usize)> = engine
+                .estimate_neighborhood_bounded(&nbhd, best_cost)
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, cost)| cost.exact().map(|exact| (exact, i)))
+                .filter(|&(exact, _)| exact < best_cost)
+                .collect();
             // Sorting (cost, index) tuples reproduces the tie order of a
-            // stable sort on cost alone, so bounded and unbounded climbs
-            // visit candidates identically.
+            // stable sort on cost alone, so the climb visits candidates in
+            // the order an exhaustively priced neighbourhood would.
             below.sort_unstable();
 
             let mut moved = false;
@@ -159,9 +147,10 @@ impl Searcher<'_> {
 
 #[cfg(test)]
 mod tests {
-    use crate::search::{NeighborPool, SearchAlgorithm, Searcher};
-    use crate::{ConflictProfile, FunctionClass, MissEstimator};
+    use crate::search::{NeighborPool, PackedNeighborhood, SearchAlgorithm, Searcher};
+    use crate::{ConflictProfile, FunctionClass, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
+    use gf2::PackedBasis;
 
     /// Profile of a classic power-of-two stride conflict: blocks 0 and 64
     /// alternate and collide in a 64-set direct-mapped cache.
@@ -264,6 +253,43 @@ mod tests {
         assert!(outcome.estimated_misses < outcome.baseline_estimate);
     }
 
+    /// The climb with every neighbour priced exactly by [`MissEstimator`] —
+    /// no bound, no memo. Returns the winner, its cost and the step count.
+    fn unbounded_climb(
+        profile: &ConflictProfile,
+        class: FunctionClass,
+    ) -> (HashFunction, u64, u64) {
+        let estimator = MissEstimator::new(profile);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, profile);
+        let mut current = PackedBasis::standard_span(12, 6..12);
+        let mut best_function =
+            HashFunction::from_null_space(&current.to_subspace(), class).unwrap();
+        let mut best_cost = estimator.estimate_packed(&current);
+        let mut steps = 0;
+        loop {
+            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
+            let mut priced: Vec<(u64, usize)> = nbhd
+                .bases()
+                .map(|b| estimator.estimate_packed(b))
+                .zip(0..)
+                .collect();
+            priced.sort_unstable();
+            let next = priced
+                .into_iter()
+                .take_while(|&(cost, _)| cost < best_cost)
+                .find_map(|(cost, i)| {
+                    let basis = &nbhd.candidates[i].basis;
+                    let function = HashFunction::from_null_space(&basis.to_subspace(), class);
+                    function.ok().map(|f| (f, cost, basis.clone()))
+                });
+            let Some((function, cost, basis)) = next else {
+                return (best_function, best_cost, steps);
+            };
+            (best_function, best_cost, current) = (function, cost, basis);
+            steps += 1;
+        }
+    }
+
     #[test]
     fn bounded_and_unbounded_climbs_take_the_same_path() {
         let profile = multi_stride_profile();
@@ -272,21 +298,14 @@ mod tests {
             FunctionClass::permutation_based(2),
             FunctionClass::xor_unlimited(),
         ] {
-            let run = |bounded: bool| {
-                Searcher::new(&profile, class, 6)
-                    .unwrap()
-                    .with_bounded_pricing(bounded)
-                    .run(SearchAlgorithm::HillClimb)
-                    .unwrap()
-            };
-            let bounded = run(true);
-            let unbounded = run(false);
-            assert_eq!(bounded.function, unbounded.function);
-            assert_eq!(bounded.estimated_misses, unbounded.estimated_misses);
-            assert_eq!(bounded.baseline_estimate, unbounded.baseline_estimate);
-            assert_eq!(bounded.steps, unbounded.steps);
-            // Bounded pricing may abandon lanes; it must never evaluate more.
-            assert!(bounded.evaluations <= unbounded.evaluations);
+            let bounded = Searcher::new(&profile, class, 6)
+                .unwrap()
+                .run(SearchAlgorithm::HillClimb)
+                .unwrap();
+            let (function, cost, steps) = unbounded_climb(&profile, class);
+            assert_eq!(bounded.function, function, "{class}");
+            assert_eq!(bounded.estimated_misses, cost, "{class}");
+            assert_eq!(bounded.steps, steps, "{class}");
         }
     }
 

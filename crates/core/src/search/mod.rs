@@ -11,9 +11,9 @@
 //! [`HashFunction`] construction). Candidate quality is judged with the
 //! profile-based estimator (paper Eq. 4), never by re-simulating the trace;
 //! every algorithm routes its evaluations through the dense [`EvalEngine`],
-//! which memoizes canonical null spaces, evaluates neighbourhoods in one
-//! (optionally parallel) batch, and reuses hyperplane partial sums across the
-//! one-generator-delta neighbours of a hill-climbing step.
+//! which memoizes canonical null spaces and prices each neighbourhood in
+//! (optionally parallel) coset-sliced blocks under the incumbent's cost as a
+//! bound, abandoning candidates that cannot improve on it.
 //!
 //! Available algorithms:
 //!
@@ -39,8 +39,8 @@ use gf2::{PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    ConflictProfile, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass, HashFunction,
-    MissEstimator, ScaffoldCache, ShardedMemo, XorIndexError,
+    ConflictProfile, EvalEngine, FrozenKernel, FunctionClass, HashFunction, MissEstimator,
+    ScaffoldCache, ShardedMemo, XorIndexError,
 };
 
 pub use neighbors::{
@@ -130,13 +130,11 @@ pub struct Searcher<'a> {
     class: FunctionClass,
     set_bits: usize,
     pool: NeighborPool,
-    strategy: EstimationStrategy,
     threads: Option<usize>,
     kernel: Option<Arc<FrozenKernel>>,
     memo: Option<ShardedMemo>,
     memo_capacity: Option<usize>,
     scaffold: Option<ScaffoldCache>,
-    bounded: bool,
 }
 
 impl<'a> Searcher<'a> {
@@ -164,13 +162,11 @@ impl<'a> Searcher<'a> {
             class,
             set_bits,
             pool: NeighborPool::UnitsAndPairs,
-            strategy: EstimationStrategy::Auto,
             threads: None,
             kernel: None,
             memo: None,
             memo_capacity: None,
             scaffold: None,
-            bounded: true,
         })
     }
 
@@ -179,13 +175,6 @@ impl<'a> Searcher<'a> {
     #[must_use]
     pub fn with_pool(mut self, pool: NeighborPool) -> Self {
         self.pool = pool;
-        self
-    }
-
-    /// Selects the estimation strategy (default: automatic).
-    #[must_use]
-    pub fn with_estimation_strategy(mut self, strategy: EstimationStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -202,8 +191,7 @@ impl<'a> Searcher<'a> {
     /// application across several classes, geometries or threads.
     ///
     /// The kernel must have been frozen from a profile with the same hashed
-    /// width (checked when the engine is assembled). Its strategy wins over
-    /// [`Searcher::with_estimation_strategy`].
+    /// width (checked when the engine is assembled).
     #[must_use]
     pub fn with_kernel(mut self, kernel: Arc<FrozenKernel>) -> Self {
         self.kernel = Some(kernel);
@@ -242,25 +230,6 @@ impl<'a> Searcher<'a> {
         self
     }
 
-    /// Enables or disables incumbent-bounded neighbourhood pricing
-    /// (default: **on**). When on, the algorithms pass their incumbent cost
-    /// as a bound so the engine can abandon lanes that saturate it
-    /// mid-scan; search outcomes (function, estimate, steps) are identical
-    /// either way, but the bounded run performs fewer full evaluations, so
-    /// [`SearchOutcome::evaluations`] may differ. Turn it off to reproduce
-    /// historical evaluation counts exactly.
-    #[must_use]
-    pub fn with_bounded_pricing(mut self, bounded: bool) -> Self {
-        self.bounded = bounded;
-        self
-    }
-
-    /// Whether incumbent-bounded neighbourhood pricing is enabled.
-    #[must_use]
-    pub(crate) fn bounded(&self) -> bool {
-        self.bounded
-    }
-
     /// The function class being searched.
     #[must_use]
     pub fn class(&self) -> FunctionClass {
@@ -293,12 +262,8 @@ impl<'a> Searcher<'a> {
         PackedBasis::standard_span(self.hashed_bits(), self.set_bits..self.hashed_bits())
     }
 
-    fn estimator(&self) -> MissEstimator<'a> {
-        MissEstimator::new(self.profile).with_strategy(self.strategy)
-    }
-
     /// Builds the dense evaluation engine every search algorithm runs on,
-    /// configured with this searcher's strategy, thread cap, and any shared
+    /// configured with this searcher's thread cap, and any shared
     /// kernel/memo supplied through [`Searcher::with_kernel`] /
     /// [`Searcher::with_memo`].
     ///
@@ -309,7 +274,7 @@ impl<'a> Searcher<'a> {
     pub fn engine(&self) -> EvalEngine<'a> {
         let kernel = match &self.kernel {
             Some(kernel) => Arc::clone(kernel),
-            None => Arc::new(FrozenKernel::new(self.profile).with_strategy(self.strategy)),
+            None => Arc::new(FrozenKernel::new(self.profile)),
         };
         let memo = match (&self.memo, self.memo_capacity) {
             (Some(memo), _) => memo.clone(),
@@ -329,8 +294,7 @@ impl<'a> Searcher<'a> {
     /// Estimated misses of the conventional function under this profile.
     #[must_use]
     pub fn baseline_estimate(&self) -> u64 {
-        self.estimator()
-            .estimate_null_space(&self.conventional_null_space())
+        MissEstimator::new(self.profile).estimate_null_space(&self.conventional_null_space())
     }
 
     /// Runs the chosen algorithm.

@@ -102,10 +102,10 @@ impl NeighborPool {
 /// A candidate null space of a packed neighbourhood, together with its
 /// decomposition `candidate = hyperplane ⊕ span(direction)`.
 ///
-/// The decomposition is what lets the evaluation engine reuse partial sums:
-/// `misses(candidate) = misses(hyperplane) + Σ_{u ∈ hyperplane} misses(u ⊕
-/// direction)`, and the hyperplane term is shared by every candidate built
-/// from the same hyperplane.
+/// The decomposition is what lets the evaluation engine price a whole
+/// neighbourhood in coset-sliced blocks: every retained hyperplane is a
+/// hyperplane of one shared parent, so one parent reduction per histogram
+/// entry answers membership for 64 candidates at once.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedCandidate {
     /// Index into [`PackedNeighborhood::hyperplanes`] of the retained
@@ -390,7 +390,7 @@ pub fn neighbors(null_space: &Subspace, class: FunctionClass, pool: &[BitVec]) -
 }
 
 /// Generates the neighbourhood of `null_space` with its hyperplane/direction
-/// structure preserved, for delta evaluation by the engine.
+/// structure preserved.
 ///
 /// Candidates appear in the same deterministic order as [`neighbors`]
 /// produces. Boundary convenience over [`PackedNeighborhood::generate`];
@@ -520,7 +520,7 @@ mod tests {
     fn neighborhood_decomposition_is_consistent() {
         // Every candidate must equal its hyperplane extended by its direction,
         // with the direction outside the hyperplane — the invariant the
-        // engine's delta evaluation relies on.
+        // engine's coset-sliced pricing relies on.
         let p = dummy_profile(8);
         let pool = NeighborPool::UnitsAndPairs.vectors(8, &p);
         for (ns, class) in [

@@ -4,13 +4,14 @@
 //! back to binary search. The hybrid layout keeps a dense tail over the hot
 //! low-index region on the wide side, and — the invariant pinned here — all
 //! three representations (whole-space tail, hybrid tail, pure sorted) answer
-//! bit-identically, pointwise and through the frozen kernel, at 20 and 21
-//! bits alike.
+//! bit-identically to the `MissEstimator` oracle, pointwise and through the
+//! frozen kernel, at 20 and 21 bits alike.
 
 use cache_sim::BlockAddr;
 use gf2::PackedBasis;
 use xorindex::{
-    ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel, FLAT_LOOKUP_MAX_BITS,
+    ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel, MissEstimator,
+    FLAT_LOOKUP_MAX_BITS,
 };
 
 /// A trace whose conflict vectors populate both the low-index region (small
@@ -30,10 +31,12 @@ fn boundary_profile(hashed_bits: usize) -> ConflictProfile {
 }
 
 /// Candidate null-space bases straddling the tail boundary: fully inside the
-/// low region, crossing into the top bit, and mixed-row spans.
+/// low region, crossing into the top bit, and mixed-row spans — plus one
+/// null space too large to enumerate, so the kernel scans for it.
 fn candidate_bases(hashed_bits: usize) -> Vec<PackedBasis> {
     let top = hashed_bits - 1;
     vec![
+        PackedBasis::standard_span(hashed_bits, 0..12),
         PackedBasis::standard_span(hashed_bits, []),
         PackedBasis::standard_span(hashed_bits, [0usize, 1, 2, 3, 4]),
         PackedBasis::standard_span(hashed_bits, [top, 0, 3]),
@@ -131,29 +134,41 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
             "no basis caught any weight"
         );
 
+        // The kernel enumerates the small null spaces and scans the
+        // histogram for the large one.
+        let sides: Vec<EstimationStrategy> = bases
+            .iter()
+            .map(|b| MissEstimator::new(&profile).resolved_strategy(&b.to_subspace()))
+            .collect();
+        assert!(sides.contains(&EstimationStrategy::EnumerateNullSpace));
+        assert!(sides.contains(&EstimationStrategy::ScanHistogram));
+        for strategy in [
+            EstimationStrategy::Auto,
+            EstimationStrategy::EnumerateNullSpace,
+            EstimationStrategy::ScanHistogram,
+        ] {
+            let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+            let oracle: Vec<u64> = bases.iter().map(|b| estimator.estimate_packed(b)).collect();
+            assert_eq!(oracle, expected, "{strategy:?} at {hashed_bits} bits");
+        }
+
         for (name, rep) in representations(&profile) {
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let kernel = FrozenKernel::from_dense(rep.clone()).with_strategy(strategy);
-                let scalar: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
-                assert_eq!(
-                    scalar, expected,
-                    "scalar path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-                assert_eq!(
-                    kernel.cost_batch(&refs),
-                    expected,
-                    "batch path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-                assert_eq!(
-                    kernel.cost_batch_sliced(&refs),
-                    expected,
-                    "sliced path diverged: {name} / {strategy:?} at {hashed_bits} bits"
-                );
-            }
+            let kernel = FrozenKernel::from_dense(rep);
+            let scalar: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
+            assert_eq!(
+                scalar, expected,
+                "scalar path diverged: {name} at {hashed_bits} bits"
+            );
+            assert_eq!(
+                kernel.cost_batch(&refs),
+                expected,
+                "batch path diverged: {name} at {hashed_bits} bits"
+            );
+            assert_eq!(
+                kernel.cost_batch_sliced(&refs),
+                expected,
+                "sliced path diverged: {name} at {hashed_bits} bits"
+            );
         }
     }
 }

@@ -6,13 +6,20 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use xorindex::search::{
-    neighbors, NeighborCandidate, NeighborPool, Neighborhood, PackedNeighborhood, SearchAlgorithm,
+    NeighborCandidate, NeighborPool, Neighborhood, PackedNeighborhood, SearchAlgorithm,
     SearchOutcome, Searcher,
 };
 use xorindex::{
     BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, EvalEngine, FrozenKernel,
     FunctionClass, HashFunction, MissEstimator,
 };
+
+/// Every side of Eq. 4 the [`MissEstimator`] oracle can enumerate.
+const STRATEGIES: [EstimationStrategy; 3] = [
+    EstimationStrategy::Auto,
+    EstimationStrategy::EnumerateNullSpace,
+    EstimationStrategy::ScanHistogram,
+];
 
 const HASHED_BITS: usize = 10;
 
@@ -88,22 +95,33 @@ proptest! {
     fn estimate_upper_bounds_simulated_conflict_misses_for_the_profiled_function(
         blocks in trace_strategy(),
         cache in cache_strategy(),
+        seed in any::<u64>(),
     ) {
-        // Every simulated conflict miss of the conventional cache contributes
-        // at least one conflict vector inside the conventional null space, so
-        // the Eq. 4 estimate can never be smaller than the simulated
-        // conflict-miss count for that same function.
+        // Every simulated conflict miss of a direct-mapped cache contributes
+        // at least one conflict vector inside the indexing function's null
+        // space, so the Eq. 4 estimate can never be smaller than the
+        // simulated conflict-miss count for that same function — the
+        // conventional one the profile was gathered against, and any other.
         let profile = profile_of(&blocks, &cache);
+        let estimator = MissEstimator::new(&profile);
         let conventional = HashFunction::conventional(HASHED_BITS, cache.set_bits()).unwrap();
-        let estimate = MissEstimator::new(&profile).estimate(&conventional).unwrap();
         let mut sim = Cache::new(cache, ModuloIndex::for_config(&cache)).with_classification();
-        let stats = sim.simulate_blocks(blocks.iter().copied());
-        prop_assert!(
-            estimate >= stats.conflict_misses,
-            "estimate {} < simulated conflict misses {}",
-            estimate,
-            stats.conflict_misses
-        );
+        let conventional_misses = sim.simulate_blocks(blocks.iter().copied()).conflict_misses;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let matrix = gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, cache.set_bits());
+        let random = HashFunction::new(matrix).expect("full rank");
+        let mut sim = Cache::new(cache, random.to_index_function()).with_classification();
+        let random_misses = sim.simulate_blocks(blocks.iter().copied()).conflict_misses;
+        for (function, simulated) in [(conventional, conventional_misses), (random, random_misses)] {
+            let estimate = estimator.estimate(&function).unwrap();
+            prop_assert!(
+                estimate >= simulated,
+                "estimate {} < simulated conflict misses {} for {:?}",
+                estimate,
+                simulated,
+                function
+            );
+        }
     }
 
     #[test]
@@ -186,22 +204,19 @@ proptest! {
             DenseProfile::from_profile(&profile),
             DenseProfile::with_tail_cap(&profile, tail_cap),
         ] {
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let kernel = FrozenKernel::from_dense(dense.clone()).with_strategy(strategy);
-                let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-                prop_assert_eq!(
-                    &kernel.cost_batch(&refs), &scalar,
-                    "cost_batch, strategy {:?}, tail {}", strategy, dense.tail_bits()
-                );
-                prop_assert_eq!(
-                    &kernel.cost_batch_sliced(&refs), &scalar,
-                    "cost_batch_sliced, strategy {:?}, tail {}", strategy, dense.tail_bits()
-                );
+            let tail = dense.tail_bits();
+            let kernel = FrozenKernel::from_dense(dense);
+            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
+            for strategy in STRATEGIES {
+                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+                let oracle: Vec<u64> = refs.iter().map(|b| estimator.estimate_packed(b)).collect();
+                prop_assert_eq!(&scalar, &oracle, "cost, strategy {:?}, tail {}", strategy, tail);
             }
+            prop_assert_eq!(&kernel.cost_batch(&refs), &scalar, "cost_batch, tail {}", tail);
+            prop_assert_eq!(
+                &kernel.cost_batch_sliced(&refs), &scalar,
+                "cost_batch_sliced, tail {}", tail
+            );
         }
     }
 
@@ -222,23 +237,15 @@ proptest! {
                 cache.set_bits()..HASHED_BITS,
             );
             let nbhd = PackedNeighborhood::generate(&parent, class, &pool);
-            // Reference: every candidate priced alone, fresh.
-            let kernel = FrozenKernel::new(&profile);
-            let reference: Vec<u64> = nbhd
-                .candidates
-                .iter()
-                .map(|c| kernel.cost(&c.basis))
-                .collect();
-            // Every strategy pins a different neighbourhood route; all three
-            // must reproduce the per-candidate costs exactly.
-            for strategy in [
-                EstimationStrategy::Auto,
-                EstimationStrategy::EnumerateNullSpace,
-                EstimationStrategy::ScanHistogram,
-            ] {
-                let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
+            let costs = EvalEngine::new(&profile).estimate_neighborhood(&nbhd);
+            // Reference: every candidate priced alone by the oracle, on
+            // every side of Eq. 4.
+            for strategy in STRATEGIES {
+                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+                let reference: Vec<u64> =
+                    nbhd.bases().map(|b| estimator.estimate_packed(b)).collect();
                 prop_assert_eq!(
-                    &engine.estimate_neighborhood(&nbhd), &reference,
+                    &costs, &reference,
                     "class {}, strategy {:?}", class, strategy
                 );
             }
@@ -253,19 +260,16 @@ proptest! {
     ) {
         let profile = profile_of(&blocks, &cache);
         let mut rng = StdRng::seed_from_u64(seed);
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let mut engine = EvalEngine::new(&profile).with_strategy(strategy);
-            let estimator = MissEstimator::new(&profile).with_strategy(strategy);
-            for _ in 0..3 {
-                let matrix =
-                    gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, cache.set_bits());
-                let ns = matrix.null_space();
+        let mut engine = EvalEngine::new(&profile);
+        for _ in 0..3 {
+            let matrix =
+                gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, cache.set_bits());
+            let ns = matrix.null_space();
+            let cost = engine.estimate_packed(&ns.to_packed());
+            for strategy in STRATEGIES {
+                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
                 prop_assert_eq!(
-                    engine.evaluate(&ns),
+                    cost,
                     estimator.estimate_null_space(&ns),
                     "strategy {:?}", strategy
                 );
@@ -286,12 +290,10 @@ proptest! {
             FunctionClass::xor_unlimited(),
         ] {
             let searcher = Searcher::new(&profile, class, cache.set_bits()).unwrap();
-            let parent = searcher.conventional_null_space();
-            let pool = xorindex::search::NeighborPool::UnitsAndPairs
-                .vectors(HASHED_BITS, &profile);
-            let nbhd = xorindex::search::neighborhood(&parent, class, &pool);
-            let mut engine = searcher.engine();
-            let costs = engine.evaluate_neighborhood(&nbhd);
+            let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
+            let packed = PackedNeighborhood::generate(&searcher.conventional_packed(), class, &pool);
+            let costs = searcher.engine().estimate_neighborhood(&packed);
+            let nbhd = packed.to_neighborhood();
             prop_assert_eq!(costs.len(), nbhd.len());
             for (candidate, &cost) in nbhd.candidates.iter().zip(&costs) {
                 prop_assert_eq!(
@@ -427,51 +429,6 @@ fn reference_bit_select_neighborhood(null_space: &Subspace) -> Neighborhood {
     }
 }
 
-/// The pre-engine hill climb, verbatim: per-candidate [`MissEstimator`] calls,
-/// no memoization, no delta evaluation. The engine-backed search must reach
-/// the same outcome with no more evaluations.
-fn reference_hill_climb(
-    profile: &ConflictProfile,
-    class: FunctionClass,
-    set_bits: usize,
-) -> (u64, u64, HashFunction) {
-    let estimator = MissEstimator::new(profile);
-    let n = profile.hashed_bits();
-    let pool = xorindex::search::NeighborPool::UnitsAndPairs.vectors(n, profile);
-    let start = gf2::Subspace::standard_span(n, set_bits..n);
-    let mut current = start.clone();
-    let mut best_cost = estimator.estimate_null_space(&current);
-    let mut best_function = HashFunction::from_null_space(&start, class).unwrap();
-    let mut evaluations: u64 = 1;
-    loop {
-        let mut candidates: Vec<(u64, gf2::Subspace)> = neighbors(&current, class, &pool)
-            .into_iter()
-            .map(|ns| {
-                evaluations += 1;
-                (estimator.estimate_null_space(&ns), ns)
-            })
-            .collect();
-        candidates.sort_by_key(|(cost, _)| *cost);
-        let mut moved = false;
-        for (cost, ns) in candidates {
-            if cost >= best_cost {
-                break;
-            }
-            if let Ok(function) = HashFunction::from_null_space(&ns, class) {
-                current = ns;
-                best_cost = cost;
-                best_function = function;
-                moved = true;
-                break;
-            }
-        }
-        if !moved {
-            break;
-        }
-    }
-    (best_cost, evaluations, best_function)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -481,22 +438,19 @@ proptest! {
         cache in cache_strategy(),
     ) {
         let profile = profile_of(&blocks, &cache);
+        let set_bits = cache.set_bits();
         for class in [
             FunctionClass::bit_selecting(),
             FunctionClass::permutation_based(2),
             FunctionClass::xor_unlimited(),
         ] {
-            let (ref_cost, ref_evals, ref_function) =
-                reference_hill_climb(&profile, class, cache.set_bits());
-            let searcher = Searcher::new(&profile, class, cache.set_bits()).unwrap();
-            let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
-            prop_assert_eq!(outcome.estimated_misses, ref_cost, "class {}", class);
-            prop_assert_eq!(&outcome.function, &ref_function, "class {}", class);
-            prop_assert!(
-                outcome.evaluations <= ref_evals,
-                "class {}: engine used {} evaluations, reference {}",
-                class, outcome.evaluations, ref_evals
+            let reference = reference_engine_hill_climb(
+                &mut OraclePricer::new(&profile), &profile, class, set_bits,
+                reference_conventional(HASHED_BITS, set_bits),
             );
+            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
+            let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
+            assert_matches_reference(&outcome, &reference, &format!("class {class}"));
         }
     }
 
@@ -506,9 +460,8 @@ proptest! {
         cache in cache_strategy(),
         seed in any::<u64>(),
     ) {
-        // Costs are bit-identical under every strategy, so each algorithm's
-        // trajectory — and therefore its outcome — must not depend on which
-        // side of Eq. 4 the engine enumerates.
+        // Each algorithm's reported winner and baseline costs must be what
+        // the oracle computes on either side of Eq. 4.
         let profile = profile_of(&blocks, &cache);
         let algorithms = [
             SearchAlgorithm::HillClimb,
@@ -525,38 +478,62 @@ proptest! {
                 SearchAlgorithm::OptimalBitSelect => FunctionClass::bit_selecting(),
                 _ => FunctionClass::xor_unlimited(),
             };
-            let run = |strategy| {
-                Searcher::new(&profile, class, cache.set_bits())
-                    .unwrap()
-                    .with_estimation_strategy(strategy)
-                    .run(algorithm)
-                    .unwrap()
-            };
-            let enumerate = run(EstimationStrategy::EnumerateNullSpace);
-            let scan = run(EstimationStrategy::ScanHistogram);
-            let auto = run(EstimationStrategy::Auto);
-            prop_assert_eq!(enumerate.estimated_misses, scan.estimated_misses);
-            prop_assert_eq!(enumerate.estimated_misses, auto.estimated_misses);
-            prop_assert_eq!(&enumerate.function, &scan.function);
-            prop_assert_eq!(&enumerate.function, &auto.function);
-            prop_assert_eq!(enumerate.steps, scan.steps);
-            // The reported cost always matches an independent re-estimate.
-            prop_assert_eq!(
-                MissEstimator::new(&profile).estimate(&auto.function).unwrap(),
-                auto.estimated_misses
-            );
+            let outcome = Searcher::new(&profile, class, cache.set_bits())
+                .unwrap()
+                .run(algorithm)
+                .unwrap();
+            let conventional = HashFunction::conventional(HASHED_BITS, cache.set_bits()).unwrap();
+            for strategy in STRATEGIES {
+                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+                prop_assert_eq!(
+                    estimator.estimate(&outcome.function).unwrap(),
+                    outcome.estimated_misses,
+                    "{:?}, strategy {:?}", algorithm, strategy
+                );
+                prop_assert_eq!(
+                    estimator.estimate(&conventional).unwrap(),
+                    outcome.baseline_estimate,
+                    "{:?}, strategy {:?}", algorithm, strategy
+                );
+            }
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Pre-refactor (PR 2, Subspace-native) search algorithms, verbatim. They run
-// on the engine's `Subspace` boundary API and the verbatim reference
-// neighbourhood generation above, so they reproduce the pre-packed search
-// exactly — including its engine work counters. The packed-native algorithms
-// must produce bit-identical `SearchOutcome`s (function, estimated_misses,
-// baseline_estimate, evaluations, steps).
+// Pre-refactor (PR 2, Subspace-native) search algorithms, verbatim except
+// that they price through the `MissEstimator` oracle. They run on the
+// verbatim reference neighbourhood generation above, price every candidate
+// exactly, and count each distinct null space once — the work counter of an
+// exhaustively pricing, memoized engine. The packed-native algorithms must
+// reach the same function, estimate, baseline and step count, with no more
+// evaluations (bounded pricing leaves abandoned candidates uncounted).
 // ---------------------------------------------------------------------------
+
+/// The reference searches' pricing: the [`MissEstimator`] oracle plus the
+/// set of distinct null spaces it has priced.
+struct OraclePricer<'p> {
+    estimator: MissEstimator<'p>,
+    priced: std::collections::HashSet<Subspace>,
+}
+
+impl<'p> OraclePricer<'p> {
+    fn new(profile: &'p ConflictProfile) -> Self {
+        OraclePricer {
+            estimator: MissEstimator::new(profile),
+            priced: std::collections::HashSet::new(),
+        }
+    }
+
+    fn price(&mut self, ns: &Subspace) -> u64 {
+        self.priced.insert(ns.clone());
+        self.estimator.estimate_null_space(ns)
+    }
+
+    fn evaluations(&self) -> u64 {
+        self.priced.len() as u64
+    }
+}
 
 fn reference_conventional(n: usize, set_bits: usize) -> Subspace {
     Subspace::standard_span(n, set_bits..n)
@@ -564,7 +541,7 @@ fn reference_conventional(n: usize, set_bits: usize) -> Subspace {
 
 /// PR 2's `hill_climb_with`, verbatim on the Subspace path.
 fn reference_engine_hill_climb(
-    engine: &mut EvalEngine<'_>,
+    pricer: &mut OraclePricer<'_>,
     profile: &ConflictProfile,
     class: FunctionClass,
     set_bits: usize,
@@ -573,15 +550,15 @@ fn reference_engine_hill_climb(
     let n = profile.hashed_bits();
     let pool = NeighborPool::UnitsAndPairs.vectors(n, profile);
     let start_function = HashFunction::from_null_space(&start, class).unwrap();
-    let baseline_estimate = engine.evaluate(&reference_conventional(n, set_bits));
-    let evaluations_before = engine.stats().evaluations;
+    let baseline_estimate = pricer.price(&reference_conventional(n, set_bits));
+    let evaluations_before = pricer.evaluations();
     let mut current = start;
-    let mut best_cost = engine.evaluate(&current);
+    let mut best_cost = pricer.price(&current);
     let mut best_function = start_function;
     let mut steps: u64 = 0;
     loop {
         let nbhd = reference_neighborhood(&current, class, &pool);
-        let costs = engine.evaluate_neighborhood(&nbhd);
+        let costs: Vec<u64> = nbhd.iter_subspaces().map(|ns| pricer.price(ns)).collect();
         let mut order: Vec<usize> = (0..nbhd.candidates.len()).collect();
         order.sort_by_key(|&i| costs[i]);
         let mut moved = false;
@@ -607,7 +584,7 @@ fn reference_engine_hill_climb(
         function: best_function,
         estimated_misses: best_cost,
         baseline_estimate,
-        evaluations: engine.stats().evaluations - evaluations_before,
+        evaluations: pricer.evaluations() - evaluations_before,
         steps,
     }
 }
@@ -662,9 +639,9 @@ fn reference_engine_random_restart(
 ) -> SearchOutcome {
     let n = profile.hashed_bits();
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut engine = EvalEngine::new(profile);
+    let mut pricer = OraclePricer::new(profile);
     let mut best = reference_engine_hill_climb(
-        &mut engine,
+        &mut pricer,
         profile,
         class,
         set_bits,
@@ -674,7 +651,7 @@ fn reference_engine_random_restart(
     let mut total_steps = best.steps;
     for _ in 0..restarts {
         let start = reference_random_start(&mut rng, n, set_bits, class);
-        let outcome = reference_engine_hill_climb(&mut engine, profile, class, set_bits, start);
+        let outcome = reference_engine_hill_climb(&mut pricer, profile, class, set_bits, start);
         total_evaluations += outcome.evaluations;
         total_steps += outcome.steps;
         if outcome.estimated_misses < best.estimated_misses {
@@ -697,12 +674,12 @@ fn reference_engine_annealing(
 ) -> SearchOutcome {
     use rand::Rng;
     let n = profile.hashed_bits();
-    let mut engine = EvalEngine::new(profile);
+    let mut pricer = OraclePricer::new(profile);
     let pool = NeighborPool::UnitsAndPairs.vectors(n, profile);
     let mut rng = StdRng::seed_from_u64(seed);
     let start = reference_conventional(n, set_bits);
     let mut current = start.clone();
-    let mut current_cost = engine.evaluate(&current);
+    let mut current_cost = pricer.price(&current);
     let baseline_estimate = current_cost;
     let mut best_function = HashFunction::from_null_space(&start, class).unwrap();
     let mut best_cost = current_cost;
@@ -721,7 +698,7 @@ fn reference_engine_annealing(
         }
         let pick = rng.gen_range(0..candidates.len());
         let candidate = &candidates[pick];
-        let cost = engine.evaluate(candidate);
+        let cost = pricer.price(candidate);
         let delta = cost as f64 - current_cost as f64;
         let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
         if accept {
@@ -741,7 +718,7 @@ fn reference_engine_annealing(
         function: best_function,
         estimated_misses: best_cost,
         baseline_estimate,
-        evaluations: engine.stats().evaluations,
+        evaluations: pricer.evaluations(),
         steps,
     }
 }
@@ -769,8 +746,8 @@ fn reference_engine_optimal_bit_select(
     const CHUNK: usize = 4096;
     let n = profile.hashed_bits();
     let m = set_bits;
-    let mut engine = EvalEngine::new(profile);
-    let baseline_estimate = engine.evaluate(&reference_conventional(n, m));
+    let mut pricer = OraclePricer::new(profile);
+    let baseline_estimate = pricer.price(&reference_conventional(n, m));
     let mut best: Option<(u64, Vec<usize>)> = None;
     let mut evaluations = 0u64;
     let mut selection: Vec<usize> = (0..m).collect();
@@ -787,7 +764,7 @@ fn reference_engine_optimal_bit_select(
                 break;
             }
         }
-        let costs = engine.evaluate_all(&candidates);
+        let costs: Vec<u64> = candidates.iter().map(|ns| pricer.price(ns)).collect();
         evaluations += candidates.len() as u64;
         for (sel, cost) in selections.into_iter().zip(costs) {
             let improves = match &best {
@@ -855,6 +832,28 @@ proptest! {
     }
 }
 
+/// The packed-native search must reach the reference's function, estimate,
+/// baseline and step count, pricing no more candidates than the reference's
+/// distinct null spaces.
+fn assert_matches_reference(outcome: &SearchOutcome, reference: &SearchOutcome, label: &str) {
+    assert_eq!(&outcome.function, &reference.function, "{label}");
+    assert_eq!(
+        outcome.estimated_misses, reference.estimated_misses,
+        "{label}"
+    );
+    assert_eq!(
+        outcome.baseline_estimate, reference.baseline_estimate,
+        "{label}"
+    );
+    assert_eq!(outcome.steps, reference.steps, "{label}");
+    assert!(
+        outcome.evaluations <= reference.evaluations,
+        "{label}: {} evaluations, reference priced {}",
+        outcome.evaluations,
+        reference.evaluations
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -864,56 +863,46 @@ proptest! {
         cache in cache_strategy(),
         seed in any::<u64>(),
     ) {
+        // The references price every candidate exactly; the searches price
+        // under the incumbent bound. Matching outcomes therefore also pin
+        // that bounded pricing never changes any algorithm's decisions.
         let profile = profile_of(&blocks, &cache);
         let set_bits = cache.set_bits();
         let n = profile.hashed_bits();
 
-        // These pins compare the *full* `SearchOutcome` — including the
-        // `evaluations` counter — against the PR 2 references, which always
-        // price every candidate exactly. Incumbent-bounded pricing (the
-        // default) abandons lanes that saturate the bound and so reports
-        // fewer evaluations; it is switched off here to keep the verbatim
-        // counter comparison meaningful. The bounded-vs-unbounded outcome
-        // equivalence is pinned separately in
-        // `bounded_pricing_never_changes_any_algorithms_outcome`.
         // Hill climbing, every class.
         for class in [
             FunctionClass::bit_selecting(),
             FunctionClass::permutation_based(2),
             FunctionClass::xor_unlimited(),
         ] {
-            let mut engine = EvalEngine::new(&profile);
             let reference = reference_engine_hill_climb(
-                &mut engine, &profile, class, set_bits,
+                &mut OraclePricer::new(&profile), &profile, class, set_bits,
                 reference_conventional(n, set_bits),
             );
-            let searcher = Searcher::new(&profile, class, set_bits)
-                .unwrap()
-                .with_bounded_pricing(false);
+            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
             let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
-            prop_assert_eq!(&outcome, &reference, "hill climb, class {}", class);
+            assert_matches_reference(&outcome, &reference, &format!("hill climb, class {class}"));
         }
 
-        // Random restarts (shared engine, shared RNG stream).
+        // Random restarts (shared pricing, shared RNG stream).
         for class in [FunctionClass::permutation_based(2), FunctionClass::xor_unlimited()] {
             let reference =
                 reference_engine_random_restart(&profile, class, set_bits, 2, seed);
-            let searcher = Searcher::new(&profile, class, set_bits)
-                .unwrap()
-                .with_bounded_pricing(false);
+            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
             let outcome = searcher
                 .run(SearchAlgorithm::RandomRestart { restarts: 2, seed })
                 .unwrap();
-            prop_assert_eq!(&outcome, &reference, "random restart, class {}", class);
+            assert_matches_reference(
+                &outcome, &reference, &format!("random restart, class {class}"),
+            );
         }
 
         // Simulated annealing (identical proposal and acceptance stream).
         for class in [FunctionClass::permutation_based(2), FunctionClass::xor_unlimited()] {
             let reference =
                 reference_engine_annealing(&profile, class, set_bits, 30, 10.0, seed);
-            let searcher = Searcher::new(&profile, class, set_bits)
-                .unwrap()
-                .with_bounded_pricing(false);
+            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
             let outcome = searcher
                 .run(SearchAlgorithm::Annealing {
                     iterations: 30,
@@ -921,14 +910,12 @@ proptest! {
                     seed,
                 })
                 .unwrap();
-            prop_assert_eq!(&outcome, &reference, "annealing, class {}", class);
+            assert_matches_reference(&outcome, &reference, &format!("annealing, class {class}"));
         }
 
-        // Exhaustive bit selection.
+        // Exhaustive bit selection prices every combination exactly.
         let reference = reference_engine_optimal_bit_select(&profile, set_bits);
-        let searcher = Searcher::new(&profile, FunctionClass::bit_selecting(), set_bits)
-            .unwrap()
-            .with_bounded_pricing(false);
+        let searcher = Searcher::new(&profile, FunctionClass::bit_selecting(), set_bits).unwrap();
         let outcome = searcher.run(SearchAlgorithm::OptimalBitSelect).unwrap();
         prop_assert_eq!(&outcome, &reference, "optimal bit select");
     }
@@ -942,7 +929,7 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
     ) {
-        // `ScanHistogram` pins the sliced-coset neighbourhood route, so this
+        // Every neighbourhood prices through the sliced-coset route, so this
         // exercises the chunked `map_parallel` stamping path end to end:
         // every thread count must reproduce the sequential costs bit for bit,
         // bounded and unbounded alike.
@@ -954,16 +941,12 @@ proptest! {
         );
         let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
         let price = |threads: usize| {
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram)
-                .with_threads(threads);
-            engine.estimate_neighborhood(&nbhd)
+            EvalEngine::new(&profile).with_threads(threads).estimate_neighborhood(&nbhd)
         };
         let price_bounded = |threads: usize, bound: u64| {
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram)
-                .with_threads(threads);
-            engine.estimate_neighborhood_bounded(&nbhd, bound)
+            EvalEngine::new(&profile)
+                .with_threads(threads)
+                .estimate_neighborhood_bounded(&nbhd, bound)
         };
         let sequential = price(1);
         let bound = sequential.iter().copied().max().unwrap_or(0) / 2 + 1;
@@ -982,8 +965,9 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
     ) {
-        // Contract: a lane whose true Eq. 4 cost is below the bound is priced
-        // exactly; every other lane is abandoned as `AtLeast(bound)`.
+        // Contract, at every thread count: a lane whose true Eq. 4 cost (the
+        // oracle's) is below the bound is priced exactly; every other lane
+        // is abandoned as `AtLeast(bound)`.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
         let parent = gf2::PackedBasis::standard_span(
@@ -991,25 +975,27 @@ proptest! {
             cache.set_bits()..HASHED_BITS,
         );
         let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
-        let kernel = FrozenKernel::new(&profile);
-        let exact: Vec<u64> = nbhd.candidates.iter().map(|c| kernel.cost(&c.basis)).collect();
+        let estimator = MissEstimator::new(&profile);
+        let exact: Vec<u64> = nbhd.bases().map(|b| estimator.estimate_packed(b)).collect();
         let lo = exact.iter().copied().min().unwrap_or(0);
         let hi = exact.iter().copied().max().unwrap_or(0);
-        for bound in [0, lo, lo + (hi - lo) / 2, hi, hi + 1] {
-            // Fresh engine per bound: no memo carry-over between probes.
-            let mut engine = EvalEngine::new(&profile)
-                .with_strategy(EstimationStrategy::ScanHistogram);
-            let priced = engine.estimate_neighborhood_bounded(&nbhd, bound);
-            prop_assert_eq!(priced.len(), exact.len());
-            for (i, (cost, &truth)) in priced.iter().zip(&exact).enumerate() {
-                match *cost {
-                    BoundedCost::Exact(c) => {
-                        prop_assert!(truth < bound, "lane {} not abandoned at bound {}", i, bound);
-                        prop_assert_eq!(c, truth, "lane {} bound {}", i, bound);
-                    }
-                    BoundedCost::AtLeast(b) => {
-                        prop_assert_eq!(b, bound, "lane {}", i);
-                        prop_assert!(truth >= bound, "lane {} wrongly abandoned", i);
+        for threads in [1usize, 2, 4, 7] {
+            for bound in [0, lo, lo + (hi - lo) / 2, hi, hi + 1] {
+                // Fresh engine per bound: no memo carry-over between probes.
+                let priced = EvalEngine::new(&profile)
+                    .with_threads(threads)
+                    .estimate_neighborhood_bounded(&nbhd, bound);
+                prop_assert_eq!(priced.len(), exact.len());
+                for (i, (cost, &truth)) in priced.iter().zip(&exact).enumerate() {
+                    match *cost {
+                        BoundedCost::Exact(c) => {
+                            prop_assert!(truth < bound, "lane {} not abandoned at bound {}", i, bound);
+                            prop_assert_eq!(c, truth, "lane {} bound {} threads {}", i, bound, threads);
+                        }
+                        BoundedCost::AtLeast(b) => {
+                            prop_assert_eq!(b, bound, "lane {}", i);
+                            prop_assert!(truth >= bound, "lane {} wrongly abandoned", i);
+                        }
                     }
                 }
             }
@@ -1024,10 +1010,13 @@ proptest! {
     ) {
         // Incumbent-bounded pricing only skips work that could never alter a
         // decision, so every algorithm's found function, estimate, baseline
-        // and step count are identical with it on or off (only the
-        // `evaluations` counter may shrink).
+        // and step count are those of a reference that prices every
+        // candidate exactly (only the `evaluations` counter may shrink), and
+        // the reported estimate is the exact Eq. 4 price of the function.
         let profile = profile_of(&blocks, &cache);
         let set_bits = cache.set_bits();
+        let n = profile.hashed_bits();
+        let estimator = MissEstimator::new(&profile);
         let algorithms = [
             SearchAlgorithm::HillClimb,
             SearchAlgorithm::RandomRestart { restarts: 2, seed },
@@ -1043,20 +1032,33 @@ proptest! {
                 SearchAlgorithm::OptimalBitSelect => FunctionClass::bit_selecting(),
                 _ => FunctionClass::xor_unlimited(),
             };
-            let run = |bounded: bool| {
-                Searcher::new(&profile, class, set_bits)
-                    .unwrap()
-                    .with_bounded_pricing(bounded)
-                    .run(algorithm)
-                    .unwrap()
+            let reference = match algorithm {
+                SearchAlgorithm::HillClimb => reference_engine_hill_climb(
+                    &mut OraclePricer::new(&profile), &profile, class, set_bits,
+                    reference_conventional(n, set_bits),
+                ),
+                SearchAlgorithm::RandomRestart { restarts, seed } => {
+                    reference_engine_random_restart(&profile, class, set_bits, restarts, seed)
+                }
+                SearchAlgorithm::Annealing { iterations, initial_temperature, seed } => {
+                    reference_engine_annealing(
+                        &profile, class, set_bits, iterations, initial_temperature, seed,
+                    )
+                }
+                SearchAlgorithm::OptimalBitSelect => {
+                    reference_engine_optimal_bit_select(&profile, set_bits)
+                }
             };
-            let on = run(true);
-            let off = run(false);
-            prop_assert_eq!(&on.function, &off.function, "{:?}", algorithm);
-            prop_assert_eq!(on.estimated_misses, off.estimated_misses, "{:?}", algorithm);
-            prop_assert_eq!(on.baseline_estimate, off.baseline_estimate, "{:?}", algorithm);
-            prop_assert_eq!(on.steps, off.steps, "{:?}", algorithm);
-            prop_assert!(on.evaluations <= off.evaluations, "{:?}", algorithm);
+            let outcome = Searcher::new(&profile, class, set_bits)
+                .unwrap()
+                .run(algorithm)
+                .unwrap();
+            assert_matches_reference(&outcome, &reference, &format!("{algorithm:?}"));
+            prop_assert_eq!(
+                outcome.estimated_misses,
+                estimator.estimate_null_space(&outcome.function.null_space()),
+                "{:?}", algorithm
+            );
         }
     }
 }

@@ -144,30 +144,6 @@ impl SlicedBlock {
         }
     }
 
-    /// Builds the block for the neighbours `hyperplane ⊕ span(direction_j)` —
-    /// the hyperplane/direction decomposition a search neighbourhood arrives
-    /// in, without the caller materializing each extended basis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `directions` is empty, longer than [`SLICED_LANES`], or
-    /// contains a vector already inside the hyperplane (the neighbour would
-    /// not be an extension).
-    #[must_use]
-    pub fn from_extensions(hyperplane: &PackedBasis, directions: &[u64]) -> Self {
-        let extended: Vec<PackedBasis> = directions
-            .iter()
-            .map(|&d| {
-                assert!(
-                    !hyperplane.contains(d),
-                    "direction {d:#x} lies inside the hyperplane"
-                );
-                hyperplane.extended(d)
-            })
-            .collect();
-        Self::from_bases(&extended)
-    }
-
     /// Ambient width shared by every lane.
     #[must_use]
     pub fn width(&self) -> usize {
@@ -217,42 +193,6 @@ impl SlicedBlock {
             }
         }
         sums
-    }
-
-    /// [`SlicedBlock::sum_weights`] with an incumbent bound: a lane whose
-    /// running sum reaches `bound` is *saturated* — it stops accumulating, and
-    /// once every lane is saturated the sweep abandons the remaining entries.
-    ///
-    /// Returns `(sums, saturated)` where bit `j` of `saturated` marks lane
-    /// `j` as saturated. An unsaturated lane's sum is its exact Eq. 4 cost
-    /// (running sums are monotone, so a lane with true cost `< bound` never
-    /// saturates); a saturated lane's true cost is `≥ bound`.
-    #[must_use]
-    pub fn sum_weights_bounded(
-        &self,
-        entries: impl IntoIterator<Item = (u64, u64)>,
-        bound: u64,
-    ) -> (Vec<u64>, u64) {
-        let mut scratch = [0u64; SLICED_LANES];
-        let mut sums = vec![0u64; self.lanes];
-        let mut saturated = if bound == 0 { self.lane_mask } else { 0 };
-        if saturated != self.lane_mask {
-            for (v, w) in entries {
-                let mut mask = self.member_mask_scratch(v, &mut scratch) & !saturated;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sums[lane] += w;
-                    if sums[lane] >= bound {
-                        saturated |= 1u64 << lane;
-                    }
-                }
-                if saturated == self.lane_mask {
-                    break;
-                }
-            }
-        }
-        (sums, saturated)
     }
 
     /// [`SlicedBlock::member_mask`] with a caller-owned scratch buffer, for
@@ -424,9 +364,19 @@ impl SlicedCosetBlock {
         mask & self.lane_mask
     }
 
-    /// Sums entry weights into every lane at once: lane `j` of the result is
-    /// `Σ w` over the histogram entries `(v, w)` with `v` in lane `j`'s
-    /// candidate — Eq. 4 for the whole block from one pre-grouped histogram.
+    /// Sums entry weights into every lane at once under an incumbent bound:
+    /// lane `j`'s sum is `Σ w` over the histogram entries `(v, w)` with `v` in
+    /// lane `j`'s candidate — Eq. 4 for the whole block from one pre-grouped
+    /// histogram.
+    ///
+    /// A lane whose running sum reaches `bound` is *saturated*: it stops
+    /// accumulating, and once every lane is saturated the scan abandons the
+    /// remaining entries (checked per entry in the in-parent pass and per
+    /// coset group). Returns `(sums, saturated)` where bit `j` of `saturated`
+    /// marks lane `j` as saturated. An unsaturated lane's sum is its exact
+    /// Eq. 4 cost (running sums are monotone, so a lane with true cost
+    /// `< bound` never saturates); a saturated lane's true cost is `≥ bound`.
+    /// `bound = u64::MAX` prices every lane exactly.
     ///
     /// The histogram must have been grouped over the same parent this block
     /// was built from. Unlike a [`SlicedCosetBlock::member_mask`] sweep, this
@@ -434,61 +384,16 @@ impl SlicedCosetBlock {
     /// per block the work is `(|parent entries| + Σ |this block's coset
     /// entries|)` parity passes, not one test per histogram entry.
     #[must_use]
-    pub fn sum_weights(&self, histogram: &CosetHistogram) -> Vec<u64> {
-        debug_assert_eq!(
-            self.rows, histogram.rows,
-            "histogram was grouped over a different parent"
-        );
-        let mut sums = vec![0u64; self.lanes];
-        // Entries inside the parent: candidates contain them through their
-        // hyperplane (parity 0) or — for the rare in-parent directions —
-        // through the direction's coset of the hyperplane.
-        let rho0 = self.coset_lane_mask(0);
-        for &(c, w) in &histogram.in_parent {
-            let parity = self.parity_word(c);
-            let mut mask = (!parity & self.lane_mask) | (rho0 & !(parity ^ self.direction_parity));
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                sums[lane] += w;
-            }
-        }
-        // Entries in a direction's coset of the parent: only the lanes with
-        // that direction remainder can contain them.
-        for &(rho, rho_lanes) in &self.cosets {
-            if rho == 0 {
-                continue;
-            }
-            for &(c, w) in histogram.coset_group(rho) {
-                let mut mask = rho_lanes & !(self.parity_word(c) ^ self.direction_parity);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sums[lane] += w;
-                }
-            }
-        }
-        sums
-    }
-
-    /// [`SlicedCosetBlock::sum_weights`] with an incumbent bound: a lane
-    /// whose running sum reaches `bound` is *saturated* — it stops
-    /// accumulating, and once every lane is saturated the scan abandons the
-    /// remaining entries (checked per entry in the in-parent pass and per
-    /// coset group).
-    ///
-    /// Returns `(sums, saturated)` where bit `j` of `saturated` marks lane
-    /// `j` as saturated. An unsaturated lane's sum is its exact Eq. 4 cost
-    /// (running sums are monotone, so a lane with true cost `< bound` never
-    /// saturates); a saturated lane's true cost is `≥ bound`.
-    #[must_use]
-    pub fn sum_weights_bounded(&self, histogram: &CosetHistogram, bound: u64) -> (Vec<u64>, u64) {
+    pub fn sum_weights(&self, histogram: &CosetHistogram, bound: u64) -> (Vec<u64>, u64) {
         debug_assert_eq!(
             self.rows, histogram.rows,
             "histogram was grouped over a different parent"
         );
         let mut sums = vec![0u64; self.lanes];
         let mut saturated = if bound == 0 { self.lane_mask } else { 0 };
+        // Entries inside the parent: candidates contain them through their
+        // hyperplane (parity 0) or — for the rare in-parent directions —
+        // through the direction's coset of the hyperplane.
         let rho0 = self.coset_lane_mask(0);
         if saturated != self.lane_mask {
             for &(c, w) in &histogram.in_parent {
@@ -509,6 +414,8 @@ impl SlicedCosetBlock {
                 }
             }
         }
+        // Entries in a direction's coset of the parent: only the lanes with
+        // that direction remainder can contain them.
         for &(rho, rho_lanes) in &self.cosets {
             if rho == 0 || rho_lanes & !saturated == 0 {
                 continue;
@@ -919,24 +826,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn from_extensions_matches_materialized_bases() {
-        let mut rng = StdRng::seed_from_u64(0xE17);
-        let width = 8;
-        let hyperplane = random::random_subspace(&mut rng, width, 4).to_packed();
-        let directions: Vec<u64> = (0..(1u64 << width))
-            .filter(|&v| !hyperplane.contains(v))
-            .take(5)
-            .collect();
-        let block = SlicedBlock::from_extensions(&hyperplane, &directions);
-        let materialized: Vec<PackedBasis> =
-            directions.iter().map(|&d| hyperplane.extended(d)).collect();
-        let reference = SlicedBlock::from_bases(materialized.iter());
-        for v in 0..(1u64 << width) {
-            assert_eq!(block.member_mask(v), reference.member_mask(v), "v={v:#x}");
-        }
-    }
-
     /// Exhaustively pins a coset block against `contains` on the materialized
     /// extensions.
     fn assert_coset_matches_contains(parent: &PackedBasis, lanes: &[(&PackedBasis, u64)]) {
@@ -1088,7 +977,11 @@ mod tests {
                     expect[lane] += w;
                 }
             }
-            assert_eq!(block.sum_weights(&histogram), expect, "dim={dim}");
+            assert_eq!(
+                block.sum_weights(&histogram, u64::MAX),
+                (expect, 0),
+                "dim={dim}"
+            );
         }
     }
 
@@ -1113,12 +1006,13 @@ mod tests {
             let block = frame.block(&lanes);
             let entries: Vec<(u64, u64)> = (0..(1u64 << width)).map(|v| (v, v % 7 + 1)).collect();
             let histogram = CosetHistogram::new(&parent, entries.iter().copied());
-            let exact = block.sum_weights(&histogram);
+            let (exact, none) = block.sum_weights(&histogram, u64::MAX);
+            assert_eq!(none, 0);
             let lo = *exact.iter().min().unwrap();
             let hi = *exact.iter().max().unwrap();
             // Bounds straddling the cost range, plus the degenerate extremes.
             for bound in [0, lo, lo + 1, lo + (hi - lo) / 2, hi, hi + 1] {
-                let (sums, saturated) = block.sum_weights_bounded(&histogram, bound);
+                let (sums, saturated) = block.sum_weights(&histogram, bound);
                 for (lane, &true_cost) in exact.iter().enumerate() {
                     if saturated & (1u64 << lane) == 0 {
                         assert_eq!(sums[lane], true_cost, "dim={dim} bound={bound} lane={lane}");
@@ -1130,11 +1024,11 @@ mod tests {
                 }
             }
             // A bound above every cost completes exactly.
-            let (sums, saturated) = block.sum_weights_bounded(&histogram, hi + 1);
+            let (sums, saturated) = block.sum_weights(&histogram, hi + 1);
             assert_eq!(sums, exact);
             assert_eq!(saturated, 0);
             // A zero bound abandons immediately with every lane saturated.
-            let (sums, saturated) = block.sum_weights_bounded(&histogram, 0);
+            let (sums, saturated) = block.sum_weights(&histogram, 0);
             assert_eq!(sums, vec![0u64; block.lanes()]);
             assert_eq!(saturated, block.lane_mask());
         }
@@ -1158,18 +1052,14 @@ mod tests {
                 expect[lane] += w;
             }
         }
-        let exact = block.sum_weights(entries.iter().copied());
-        assert_eq!(exact, expect);
-        let hi = *exact.iter().max().unwrap();
-        for bound in [0, 1, hi / 2, hi, hi + 1] {
-            let (sums, saturated) = block.sum_weights_bounded(entries.iter().copied(), bound);
-            for (lane, &true_cost) in exact.iter().enumerate() {
-                if saturated & (1u64 << lane) == 0 {
-                    assert_eq!(sums[lane], true_cost, "bound={bound} lane={lane}");
-                } else {
-                    assert!(true_cost >= bound, "bound={bound} lane={lane}");
-                }
-            }
+        let sums = block.sum_weights(entries.iter().copied());
+        assert_eq!(sums, expect);
+        // Every lane holds the zero vector and at most the whole space; the
+        // full-dimension lanes reach the total weight.
+        let total: u64 = entries.iter().map(|&(_, w)| w).sum();
+        for (lane, basis) in bases.iter().enumerate() {
+            assert!((1..=total).contains(&sums[lane]), "lane={lane}");
+            assert_eq!(sums[lane] == total, basis.dim() == width, "lane={lane}");
         }
     }
 

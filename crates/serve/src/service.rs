@@ -540,7 +540,7 @@ impl IndexService {
     }
 
     /// Prices one candidate null space for an application: a typed width
-    /// check ([`FrozenKernel::try_cost`] semantics), a sharded memo probe,
+    /// check ([`FrozenKernel::ensure_width`]), a sharded memo probe,
     /// then (on a miss) one fresh kernel evaluation. No `Subspace` is ever
     /// materialized.
     ///
@@ -833,17 +833,6 @@ impl IndexService {
         })
     }
 
-    /// Clears only the memoized costs, keeping the scaffold cache warm —
-    /// the surgical variant for forcing re-pricing (benchmarks, cache-reuse
-    /// experiments) without discarding still-valid coset scaffolding.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownApp`] for an unregistered id.
-    pub fn evict_memo(&self, app: AppId) -> Result<usize, ServeError> {
-        Ok(self.app(app)?.memo.clear())
-    }
-
     /// A point-in-time copy of the registry, in registration order — what
     /// the snapshot writer iterates.
     pub(crate) fn applications(&self) -> Vec<Arc<Application>> {
@@ -1063,9 +1052,9 @@ mod tests {
 
     #[test]
     fn searches_reuse_the_applications_scaffold_cache() {
-        // A tiny cache leaves a 10-dimensional null space, where delta
-        // enumeration is hopeless and the engine routes neighbourhoods
-        // through the coset slices — the path that uses the scaffold cache.
+        // A tiny cache leaves a 10-dimensional null space; every
+        // neighbourhood prices through the coset slices, the path that uses
+        // the scaffold cache.
         let tiny = CacheConfig::builder()
             .size_bytes(16)
             .block_bytes(4)
@@ -1083,11 +1072,11 @@ mod tests {
         let first = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
         let after_first = service.stats(app).unwrap().scaffold;
         assert!(after_first.misses > 0, "search should build scaffolds");
-        // Dropping only the memo (`evict_memo`, not the full `evict`, which
-        // would discard the scaffolds too) forces the second (identical)
-        // search to re-price every neighbourhood — but every scaffold it
-        // needs is already cached, so misses stay flat while hits climb.
-        service.evict_memo(app).unwrap();
+        // Dropping only the memo (not the full `evict`, which would discard
+        // the scaffolds too) forces the second (identical) search to
+        // re-price every neighbourhood — but every scaffold it needs is
+        // already cached, so misses stay flat while hits climb.
+        service.app(app).unwrap().memo.clear();
         let second = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
         let after_second = service.stats(app).unwrap().scaffold;
         assert_eq!(first.function, second.function);
