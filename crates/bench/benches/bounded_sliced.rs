@@ -12,8 +12,9 @@
 //! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`]: same slicing,
 //!   but lanes that saturate the incumbent drop out of the scan and fully
 //!   saturated blocks abandon early;
-//! * `engine/unbounded` — the whole engine route at bound `u64::MAX`
-//!   ([`EvalEngine::estimate_neighborhood`]);
+//! * `engine/unbounded` — the engine's memo-free ranking call
+//!   ([`EvalEngine::estimate_neighborhood`]): every lane summed to
+//!   completion from the cached scaffold, no memo probe or backfill;
 //! * `engine/t1`, `engine/t4` — the whole engine route under the incumbent
 //!   ([`EvalEngine::estimate_neighborhood_bounded`]): memo probes, cached
 //!   scaffolding, and (at `t4`) `map_parallel` block stamping;
@@ -103,8 +104,8 @@ fn bench_bounded_sliced(c: &mut Criterion) {
             ))
         })
     });
-    // The engine-level baseline: the same route, memo probes and all, with
-    // every lane summed to completion (bound `u64::MAX`).
+    // The engine-level baseline: the memo-free ranking call, every lane
+    // summed to completion from the warm scaffold.
     let mut engine = EvalEngine::new(profile)
         .with_threads(1)
         .with_memo_capacity(0);

@@ -8,7 +8,8 @@
 //!
 //! * `packed` — the packed-native path the search runs on
 //!   ([`PackedNeighborhood::generate`]): incremental `u64` hyperplane
-//!   enumeration, one-`insert` extensions, `CanonicalKey` dedup;
+//!   enumeration, per-hyperplane dedup on coset representatives, one
+//!   allocation per admitted candidate;
 //! * `subspace` — the pre-refactor representation, reproduced verbatim:
 //!   heap-allocated [`Subspace`] candidates, full Gaussian re-canonicalization
 //!   per extension, `HashSet<Subspace>` dedup.
@@ -16,9 +17,10 @@
 //! Both are generated from the conventional null space with the default
 //! `UnitsAndPairs` pool, for the unlimited-XOR and unrestricted
 //! permutation-based classes (bit selection uses the tiny structural
-//! neighbourhood and is not interesting here). The `CRITERION_JSON` records
-//! land in `BENCH_neighborhood.json` on CI, extending the perf trajectory
-//! started by `BENCH_search_cost.json`.
+//! neighbourhood and is not interesting here). Both paths must produce the
+//! same number of candidates before either is timed. The `CRITERION_JSON`
+//! records land in `BENCH_neighborhood.json` on CI, extending the perf
+//! trajectory started by `BENCH_search_cost.json`.
 
 use std::collections::HashSet;
 use std::hint::black_box;
@@ -81,6 +83,11 @@ fn bench_neighborhood_cost(c: &mut Criterion) {
                 FunctionClass::permutation_based_unlimited(),
             ),
         ] {
+            assert_eq!(
+                PackedNeighborhood::generate(&packed_parent, class, &packed_pool).len(),
+                subspace_neighbors(&parent, class, &pool),
+                "{label} at n = {n}: the two generators disagree"
+            );
             group.bench_with_input(
                 BenchmarkId::new(format!("packed/{label}"), n),
                 &n,

@@ -44,11 +44,11 @@ fn bench_search_cost(c: &mut Criterion) {
         b.iter(|| black_box(kernel.cost(&ns)))
     });
 
-    // One full hill-climbing neighbourhood priced as a batch through the
-    // packed-native entry point the search algorithms use. The memo is
-    // cleared every iteration so the batch is recomputed rather than
-    // answered from cache. Generation cost is measured separately by the
-    // neighborhood_cost target.
+    // One full hill-climbing neighbourhood priced exactly through the
+    // memo-free ranking call (`estimate_neighborhood`), which prices every
+    // lane from the coset scaffold. The reset clears the scaffold cache, so
+    // every iteration also rebuilds the scaffold. Generation cost is
+    // measured separately by the neighborhood_cost target.
     group.bench_function("packed_neighborhood_batch", |b| {
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &prepared.profile);
         let parent =

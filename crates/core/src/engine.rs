@@ -48,8 +48,10 @@ const PARALLEL_THRESHOLD: usize = 8;
 /// [`ShardedMemo::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Unique candidate Eq. 4 evaluations priced exactly (full walks, scans
-    /// or sliced-block lanes).
+    /// Candidate Eq. 4 evaluations priced exactly (full walks, scans or
+    /// sliced-block lanes). Memo hits are not counted, so on the memoized
+    /// routes these are unique candidates; each
+    /// [`EvalEngine::estimate_neighborhood`] call counts all its lanes.
     pub evaluations: u64,
     /// Candidate costs answered from the memo table.
     pub memo_hits: u64,
@@ -304,16 +306,37 @@ impl<'a> EvalEngine<'a> {
         out
     }
 
-    /// Prices a packed neighbourhood exactly — the unbounded form of
-    /// [`EvalEngine::estimate_neighborhood_bounded`] (bound `u64::MAX`).
-    /// Returns costs aligned with `neighborhood.candidates`.
+    /// Prices a packed neighbourhood exactly, without touching the memo:
+    /// every lane is summed to completion from the cached coset scaffold of
+    /// the neighbourhood's parent, 64 lanes per block. Returns costs aligned
+    /// with `neighborhood.candidates`, bit-identical to
+    /// [`FrozenKernel::cost`].
+    ///
+    /// This is the ranking call for a neighbourhood that is priced once and
+    /// then dropped, such as the verified pick's ranking of the search
+    /// winner's neighbourhood: probing the memo would miss on most lanes,
+    /// and backfilling it would store costs no later step reads. Every lane
+    /// counts as an evaluation. A search step that revisits candidates
+    /// prices through [`EvalEngine::estimate_neighborhood_bounded`], which
+    /// probes and backfills.
     ///
     /// # Panics
     ///
     /// Panics if a candidate's ambient width differs from the profile's
     /// hashed width.
     pub fn estimate_neighborhood(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        self.estimate_neighborhood_bounded(neighborhood, u64::MAX)
+        let Some(parent) = neighborhood.parent_span() else {
+            return Vec::new();
+        };
+        let lanes: Vec<(usize, u64)> = neighborhood
+            .candidates
+            .iter()
+            .map(|candidate| {
+                self.kernel.check_width(&candidate.basis);
+                (candidate.hyperplane, candidate.direction)
+            })
+            .collect();
+        self.price_lanes(&parent, &neighborhood.hyperplanes, &lanes, u64::MAX)
             .into_iter()
             .map(BoundedCost::lower_bound)
             .collect()
@@ -325,13 +348,11 @@ impl<'a> EvalEngine<'a> {
     /// lane whose running sum saturated the incumbent and was abandoned
     /// mid-scan.
     ///
-    /// The memo is probed first; the misses are transposed, 64 lanes at a
-    /// time, into [`gf2::SlicedCosetBlock`]s over the neighbourhood's shared
-    /// parent and priced from one cached remainder-grouped histogram, each
-    /// block abandoning once every lane has saturated. Exact lanes are
-    /// bit-identical to [`FrozenKernel::cost`] and are backfilled into the
-    /// memo; abandoned lanes are never memoized, so memoization stays
-    /// bit-correct.
+    /// The memo is probed first; the misses are priced as in
+    /// [`EvalEngine::estimate_neighborhood`], each block abandoning once
+    /// every lane has saturated. Exact lanes are bit-identical to
+    /// [`FrozenKernel::cost`] and are backfilled into the memo; abandoned
+    /// lanes are never memoized, so memoization stays bit-correct.
     ///
     /// # Panics
     ///
@@ -360,11 +381,6 @@ impl<'a> EvalEngine<'a> {
         if pending.is_empty() {
             return out;
         }
-        // The scaffolding — hyperplane functionals and the remainder-grouped
-        // histogram — is cached per parent and shared read-only, so the
-        // 64-lane blocks are independent units of work: each touches only the
-        // entries its cosets select, and chunks stamp on scoped threads.
-        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
         let lanes: Vec<(usize, u64)> = pending
             .iter()
             .map(|&i| {
@@ -372,6 +388,34 @@ impl<'a> EvalEngine<'a> {
                 (candidate.hyperplane, candidate.direction)
             })
             .collect();
+        let priced = self.price_lanes(&parent, &neighborhood.hyperplanes, &lanes, bound);
+        for (&i, cost) in pending.iter().zip(priced) {
+            if let BoundedCost::Exact(sum) = cost {
+                self.memo.insert(&neighborhood.candidates[i].basis, sum);
+            }
+            out[i] = cost;
+        }
+        out
+    }
+
+    /// Prices `(hyperplane index, direction)` lanes over `parent` under
+    /// `bound`: the lanes are transposed, 64 at a time, into
+    /// [`gf2::SlicedCosetBlock`]s and priced from the parent's cached
+    /// remainder-grouped histogram, whole blocks split across the engine's
+    /// threads. Counts the blocks, the scaffold probe, the exact lanes as
+    /// evaluations and the saturated ones as abandons.
+    fn price_lanes(
+        &mut self,
+        parent: &PackedBasis,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+        bound: u64,
+    ) -> Vec<BoundedCost> {
+        // The scaffolding — hyperplane functionals and the remainder-grouped
+        // histogram — is cached per parent and shared read-only, so the
+        // 64-lane blocks are independent units of work: each touches only the
+        // entries its cosets select, and chunks stamp on scoped threads.
+        let scaffold = self.cached_scaffold(parent, hyperplanes);
         let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
         let frame = &*scaffold.frame;
         let histogram = &*scaffold.histogram;
@@ -379,20 +423,17 @@ impl<'a> EvalEngine<'a> {
             frame.block(chunk).sum_weights(histogram, bound)
         });
         self.stats.sliced_blocks += chunks.len() as u64;
-        let priced = blocks
+        let priced: Vec<BoundedCost> = blocks
             .into_iter()
-            .flat_map(|block| BoundedCost::from_block(block, bound));
-        for (&i, cost) in pending.iter().zip(priced) {
+            .flat_map(|block| BoundedCost::from_block(block, bound))
+            .collect();
+        for cost in &priced {
             match cost {
-                BoundedCost::Exact(sum) => {
-                    self.stats.evaluations += 1;
-                    self.memo.insert(&neighborhood.candidates[i].basis, sum);
-                }
+                BoundedCost::Exact(_) => self.stats.evaluations += 1,
                 BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
             }
-            out[i] = cost;
         }
-        out
+        priced
     }
 
     /// Checks the coset scaffolding for `parent` out of the cache (building
@@ -689,16 +730,27 @@ mod tests {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
 
+        // The memo-backed route is the search step's, at bound `u64::MAX`.
         let mut uncapped = EvalEngine::new(&profile).with_threads(1);
         let mut capped = EvalEngine::new(&profile)
             .with_threads(1)
             .with_memo_capacity(4);
-        let reference = uncapped.estimate_neighborhood(&nbhd);
-        assert_eq!(capped.estimate_neighborhood(&nbhd), reference);
+        let reference = uncapped.estimate_neighborhood_bounded(&nbhd, u64::MAX);
+        assert!(reference.iter().all(|cost| cost.exact().is_some()));
+        assert_eq!(
+            capped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
+            reference
+        );
         // Re-pricing the same neighbourhood: the capped engine recomputes
         // everything it could not cache, still bit-identically.
-        assert_eq!(capped.estimate_neighborhood(&nbhd), reference);
-        assert_eq!(uncapped.estimate_neighborhood(&nbhd), reference);
+        assert_eq!(
+            capped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
+            reference
+        );
+        assert_eq!(
+            uncapped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
+            reference
+        );
         assert!(capped.stats().evaluations > uncapped.stats().evaluations);
         // Capacity 4 is enforced as ceil(4/shards) per shard.
         assert!(capped.memo().len() <= capped.memo().shards());
@@ -717,8 +769,9 @@ mod tests {
     fn coset_route_counts_blocks_and_backfills_the_memo() {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
+        // The route that backfills is the search step's, at bound `u64::MAX`.
         let mut engine = EvalEngine::new(&profile);
-        let first = engine.estimate_neighborhood(&nbhd);
+        let first = engine.estimate_neighborhood_bounded(&nbhd, u64::MAX);
         let lanes = nbhd.candidates.len() as u64;
         assert_eq!(engine.stats().evaluations, lanes);
         assert_eq!(
@@ -726,9 +779,50 @@ mod tests {
             lanes.div_ceil(gf2::SLICED_LANES as u64)
         );
         // Every block result landed in the memo: the second pass is all hits.
-        assert_eq!(engine.estimate_neighborhood(&nbhd), first);
+        assert_eq!(engine.estimate_neighborhood_bounded(&nbhd, u64::MAX), first);
         assert_eq!(engine.stats().evaluations, lanes);
         assert_eq!(engine.stats().memo_hits, lanes);
+    }
+
+    #[test]
+    fn estimate_neighborhood_prices_every_lane_without_touching_the_memo() {
+        let profile = mixed_profile();
+        let nbhd = xor_neighborhood(&profile, 6);
+        let lanes = nbhd.candidates.len() as u64;
+        let mut engine = EvalEngine::new(&profile);
+        // Half-warm the memo through the search step's route, so there are
+        // entries a probing ranker would hit.
+        let costliest = nbhd.bases().map(|b| engine.kernel().cost(b)).max();
+        let _ = engine.estimate_neighborhood_bounded(&nbhd, costliest.unwrap());
+        let memo_before = engine.memo().stats();
+        assert!(memo_before.entries > 0 && (memo_before.entries as u64) < lanes);
+        let before = engine.stats();
+
+        let costs = engine.estimate_neighborhood(&nbhd);
+        let estimator = MissEstimator::new(&profile);
+        assert_eq!(costs.len(), nbhd.len());
+        for (lane, (basis, &cost)) in nbhd.bases().zip(&costs).enumerate() {
+            assert_eq!(cost, estimator.estimate_packed(basis), "lane {lane}");
+        }
+        // Neither probed (hit and miss counters unchanged) nor backfilled.
+        assert_eq!(engine.memo().stats(), memo_before);
+        assert_eq!(engine.memo().len(), memo_before.entries);
+        let after = engine.stats();
+        assert_eq!(after.memo_hits, before.memo_hits);
+        // Every lane was priced, in full blocks, from one scaffold probe.
+        assert_eq!(after.evaluations - before.evaluations, lanes);
+        assert_eq!(
+            after.sliced_blocks - before.sliced_blocks,
+            lanes.div_ceil(gf2::SLICED_LANES as u64)
+        );
+        assert_eq!(after.bounded_abandons, before.bounded_abandons);
+        assert_eq!(
+            (after.scaffold_hits + after.scaffold_misses)
+                - (before.scaffold_hits + before.scaffold_misses),
+            1
+        );
+        // The scaffold the search step built for this parent was reused.
+        assert_eq!(after.scaffold_hits - before.scaffold_hits, 1);
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!    null spaces (neighbours differ in exactly one dimension), plus the
 //!    random-restart / simulated-annealing extensions and the exhaustive
 //!    optimal bit-selecting baseline of Patel et al. used in the paper's
-//!    Table 3. The whole layer is packed-native: candidate generation
-//!    ([`search::PackedNeighborhood`]), dedup/memoization
+//!    Table 3. The whole layer is packed-native: candidate generation and
+//!    dedup ([`search::PackedNeighborhood`]), memoization
 //!    ([`gf2::CanonicalKey`]) and algorithm state all run on
 //!    [`gf2::PackedBasis`], with `Subspace` conversions only at API
 //!    boundaries.

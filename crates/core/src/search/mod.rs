@@ -4,7 +4,7 @@
 //! equal null spaces give identical conflict behaviour, and canonical bases
 //! make equality checks cheap, so no function is evaluated twice. The native
 //! null-space currency of the whole layer is [`gf2::PackedBasis`]: candidate
-//! generation ([`PackedNeighborhood`]), deduplication and memoization
+//! generation and deduplication ([`PackedNeighborhood`]), memoization
 //! ([`gf2::CanonicalKey`]), and each algorithm's current/best state are all
 //! packed `u64` words, with [`Subspace`](gf2::Subspace) conversions only at
 //! public API boundaries (start points and the final

@@ -14,15 +14,16 @@
 //!
 //! Generation is *packed-native*: [`PackedNeighborhood::generate`] works
 //! entirely on [`PackedBasis`] word arithmetic — incremental hyperplane
-//! enumeration, one-`insert` extensions and [`CanonicalKey`]-keyed
-//! deduplication — so no heap-allocated [`Subspace`] and no full Gaussian
-//! elimination appears anywhere on the search hot path. The
-//! [`Subspace`]-based [`Neighborhood`] view remains as the public boundary
-//! representation, converted from the packed form on demand.
+//! enumeration, one-allocation extensions and per-hyperplane deduplication
+//! on coset representatives (reduced directions) — so no heap-allocated
+//! [`Subspace`], no hashed basis key and no full Gaussian elimination
+//! appears anywhere on the search hot path. The [`Subspace`]-based
+//! [`Neighborhood`] view remains as the public boundary representation,
+//! converted from the packed form on demand.
 
 use std::collections::HashSet;
 
-use gf2::{BitVec, CanonicalKey, PackedBasis, Subspace};
+use gf2::{BitVec, PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
 
 use crate::{ConflictProfile, FunctionClass};
@@ -152,26 +153,33 @@ impl PackedNeighborhood {
             .copied()
             .filter(|&v| !parent.contains(v))
             .collect();
-        let mut seen: HashSet<CanonicalKey> = HashSet::new();
+        // With every direction outside the parent P, a candidate
+        // `H ⊕ span(v)` meets P in exactly H, so candidates of distinct
+        // hyperplanes never coincide; within one hyperplane, two directions
+        // give the same candidate iff they differ by a member of H, i.e.
+        // iff they reduce to the same coset representative. Duplicates are
+        // therefore found per hyperplane, on reduced directions.
+        let mut cosets = CosetSet::with_room_for(pool.len());
         let mut hyperplanes = Vec::new();
         let mut candidates = Vec::new();
-        let mut buf = [0u64; 65];
         for hyperplane in parent.hyperplanes() {
             let hyperplane_index = hyperplanes.len();
             let mut used = false;
+            cosets.clear();
             for &v in &pool {
-                let candidate = hyperplane.extended(v);
+                let remainder = hyperplane.reduce(v);
+                // Only the first direction of each coset builds a basis
+                // (and is checked for admissibility, a property of the
+                // candidate shared by the whole coset).
+                if !cosets.insert(remainder) {
+                    continue;
+                }
+                let candidate = hyperplane.extended_reduced(remainder);
                 debug_assert_eq!(candidate.dim(), parent.dim());
                 // candidate contains v and parent does not (the pool is
                 // pre-filtered), so candidate can never equal parent.
                 debug_assert_ne!(&candidate, parent);
-                // Probe with the stack-buffered key words; the boxed key is
-                // only allocated for candidates that are actually admitted.
-                if seen.contains(candidate.key_words(&mut buf)) {
-                    continue;
-                }
                 if Self::admissible(&candidate, class, m) {
-                    seen.insert(candidate.canonical_key());
                     candidates.push(PackedCandidate {
                         hyperplane: hyperplane_index,
                         direction: v,
@@ -312,6 +320,48 @@ impl PackedNeighborhood {
                     subspace: c.basis.to_subspace(),
                 })
                 .collect(),
+        }
+    }
+}
+
+/// The coset representatives (directions reduced modulo one hyperplane) seen
+/// so far while extending that hyperplane: a set of non-zero words, open
+/// addressed with linear probing in a power-of-two table at most half full,
+/// with zero marking an empty slot. Cleared once per hyperplane.
+struct CosetSet {
+    slots: Vec<u64>,
+    shift: u32,
+}
+
+impl CosetSet {
+    /// A set with room for `len` representatives.
+    fn with_room_for(len: usize) -> Self {
+        let slots = (2 * len).next_power_of_two().max(2);
+        CosetSet {
+            slots: vec![0; slots],
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.slots.fill(0);
+    }
+
+    /// Adds the non-zero `key`; `false` when it was already present.
+    fn insert(&mut self, key: u64) -> bool {
+        debug_assert_ne!(key, 0, "zero marks an empty slot");
+        let mask = self.slots.len() - 1;
+        // Fibonacci hashing: the high bits of the product mix every key bit.
+        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = key;
+                    return true;
+                }
+                seen if seen == key => return false,
+                _ => i = (i + 1) & mask,
+            }
         }
     }
 }

@@ -786,6 +786,51 @@ fn reference_engine_optimal_bit_select(
     }
 }
 
+/// A raw direction list aimed at the cases per-hyperplane coset dedup
+/// decides: the zero vector and members of the parent (never neighbours),
+/// repeated directions, and pairs `v`, `v ⊕ p` with `p` in the parent — the
+/// same candidate under exactly the hyperplanes that contain `p`, distinct
+/// ones under the rest.
+fn coset_edge_directions(rng: &mut StdRng, parent: &Subspace) -> Vec<BitVec> {
+    use rand::Rng;
+    let n = parent.ambient_width();
+    let member = |rng: &mut StdRng| {
+        parent
+            .basis()
+            .iter()
+            .filter(|_| rng.gen::<bool>())
+            .fold(BitVec::zero(n), |acc, &row| acc ^ row)
+    };
+    let mut directions = vec![BitVec::zero(n)];
+    directions.extend(parent.basis().iter().copied());
+    for _ in 0..8 {
+        let v = gf2::random::random_nonzero_vector(rng, n);
+        let p = member(rng);
+        directions.extend([v, v ^ p, v]);
+    }
+    directions.push(member(rng));
+    directions
+}
+
+/// Asserts `packed` equals the reference field for field — same candidates,
+/// same order, same hyperplane/direction decomposition — and that no
+/// candidate's canonical key repeats, within a hyperplane or across them.
+fn assert_matches_reference_neighborhood(
+    packed: &Neighborhood,
+    reference: &Neighborhood,
+    label: &str,
+) {
+    assert_eq!(packed, reference, "{label}");
+    let keys: std::collections::HashSet<_> = packed
+        .packed_candidates()
+        .map(|basis| basis.canonical_key())
+        .collect();
+    assert_eq!(keys.len(), packed.len(), "{label}: repeated candidate");
+}
+
+/// Width of the wide-parent case: the hybrid-profile regime.
+const WIDE_BITS: usize = 26;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -794,10 +839,9 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
         seed in any::<u64>(),
+        heaviest in 1usize..=12,
     ) {
         let profile = profile_of(&blocks, &cache);
-        let pool = NeighborPool::UnitsAndPairs.vectors(HASHED_BITS, &profile);
-        let packed_pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = HASHED_BITS - cache.set_bits();
         for class in [
@@ -818,16 +862,46 @@ proptest! {
                 random_coordinate,
             ];
             for parent in parents {
-                let reference = reference_neighborhood(&parent, class, &pool);
-                let packed =
-                    PackedNeighborhood::generate(&parent.to_packed(), class, &packed_pool);
-                // Same candidate set, same deterministic order, same
-                // hyperplane/direction decomposition.
-                prop_assert_eq!(
-                    packed.to_neighborhood(), reference,
-                    "class {}, parent {}", class, &parent
-                );
+                let edge = coset_edge_directions(&mut rng, &parent);
+                let pools = [
+                    NeighborPool::UnitsAndPairs.vectors(HASHED_BITS, &profile),
+                    NeighborPool::UnitsPairsAndProfile(heaviest).vectors(HASHED_BITS, &profile),
+                    NeighborPool::Custom(edge.clone()).vectors(HASHED_BITS, &profile),
+                    // Undeduplicated, zero included, straight into generation.
+                    edge,
+                ];
+                for (p, pool) in pools.iter().enumerate() {
+                    let packed_pool: Vec<u64> = pool.iter().map(|v| v.as_u64()).collect();
+                    let packed =
+                        PackedNeighborhood::generate(&parent.to_packed(), class, &packed_pool);
+                    assert_matches_reference_neighborhood(
+                        &packed.to_neighborhood(),
+                        &reference_neighborhood(&parent, class, pool),
+                        &format!("class {class}, pool {p}, parent {parent}"),
+                    );
+                }
             }
+        }
+
+        // One wide parent, through the `Subspace` boundary entry point.
+        let wide_profile = ConflictProfile::from_blocks(
+            blocks.iter().copied(),
+            WIDE_BITS,
+            cache.num_blocks() as usize,
+        );
+        let wide_parent = gf2::random::random_subspace(&mut rng, WIDE_BITS, 4);
+        let mut wide_pool = NeighborPool::UnitsPairsAndProfile(heaviest)
+            .vectors(WIDE_BITS, &wide_profile);
+        wide_pool.extend(coset_edge_directions(&mut rng, &wide_parent));
+        for class in [
+            FunctionClass::permutation_based_unlimited(),
+            FunctionClass::xor_unlimited(),
+        ] {
+            assert_matches_reference_neighborhood(
+                &xorindex::search::neighborhood(&wide_parent, class, &wide_pool),
+                &reference_neighborhood(&wide_parent, class, &wide_pool),
+                &format!("n = {WIDE_BITS}, class {class}, parent {wide_parent}"),
+            );
         }
     }
 }

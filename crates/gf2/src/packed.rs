@@ -412,7 +412,8 @@ impl PackedBasis {
     }
 
     /// Span of this subspace and one extra generator — the owned counterpart
-    /// of [`PackedBasis::insert`], mirroring [`Subspace::extended`].
+    /// of [`PackedBasis::insert`], mirroring [`Subspace::extended`]. The
+    /// result is built in one allocation.
     ///
     /// When `v` already lies in the span the result equals `self`.
     ///
@@ -421,9 +422,64 @@ impl PackedBasis {
     /// Panics if `v` has bits outside the ambient width.
     #[must_use]
     pub fn extended(&self, v: u64) -> Self {
-        let mut out = self.clone();
-        out.insert(v);
-        out
+        assert_eq!(
+            v & !self.low_mask(),
+            0,
+            "generator has bits outside GF(2)^{}",
+            self.width
+        );
+        match self.reduce(v) {
+            0 => self.clone(),
+            remainder => self.extended_reduced(remainder),
+        }
+    }
+
+    /// Span of this subspace and `remainder`, a non-zero vector already
+    /// reduced modulo it (as [`PackedBasis::reduce`] returns it) — the form
+    /// of [`PackedBasis::extended`] for a caller that holds the remainder
+    /// anyway, so nothing is reduced twice. One allocation.
+    ///
+    /// The remainder is zero at every existing pivot, so it becomes a row
+    /// as-is; its pivot is cleared from the rows that carry it, which keeps
+    /// their own leading bits, and it goes where the decreasing-pivot order
+    /// puts it.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds panic if `remainder` is zero, not reduced, or has bits
+    /// outside the ambient width.
+    #[must_use]
+    pub fn extended_reduced(&self, remainder: u64) -> Self {
+        debug_assert_ne!(remainder, 0, "a zero remainder does not extend the span");
+        debug_assert_eq!(
+            remainder & !self.low_mask(),
+            0,
+            "remainder outside the width"
+        );
+        debug_assert_eq!(self.reduce(remainder), remainder, "remainder not reduced");
+        let pivot = 1u64 << (63 - remainder.leading_zeros());
+        let mut rows = Vec::with_capacity(self.rows.len() + 1);
+        let mut placed = false;
+        for &row in &self.rows {
+            // Rows with a higher pivot compare greater than the remainder,
+            // rows with a lower pivot smaller.
+            if !placed && row < remainder {
+                rows.push(remainder);
+                placed = true;
+            }
+            rows.push(if row & pivot != 0 {
+                row ^ remainder
+            } else {
+                row
+            });
+        }
+        if !placed {
+            rows.push(remainder);
+        }
+        PackedBasis {
+            rows,
+            width: self.width,
+        }
     }
 
     /// Enumerates all `2^dim − 1` hyperplanes (subspaces of dimension
@@ -773,6 +829,30 @@ mod tests {
             );
             // Dependent directions leave the basis unchanged.
             assert_eq!(grown.dim() == packed.dim(), packed.contains(v));
+        }
+    }
+
+    #[test]
+    fn extended_reduced_matches_insert_in_one_allocation() {
+        let bases = [
+            PackedBasis::trivial(8),
+            PackedBasis::standard_span(8, [0usize, 7]),
+            PackedBasis::from_subspace(&subspace(8, &[0b1011_0001, 0b0010_0110, 0b0000_1100])),
+        ];
+        for basis in &bases {
+            for v in 1..(1u64 << 8) {
+                let remainder = basis.reduce(v);
+                if remainder == 0 {
+                    continue;
+                }
+                let mut reference = basis.clone();
+                assert!(reference.insert(v));
+                let grown = basis.extended_reduced(remainder);
+                assert_eq!(grown, reference, "basis {basis:?}, direction {v:08b}");
+                assert_eq!(basis.extended(v), reference);
+                // Built at exact capacity: nothing reallocated or left over.
+                assert_eq!(grown.rows.capacity(), grown.dim());
+            }
         }
     }
 

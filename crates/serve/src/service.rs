@@ -714,9 +714,9 @@ impl IndexService {
         let top_k = top_k.max(1);
 
         // The candidate set: the search winner first, then its neighbourhood
-        // ranked by (estimate, generation order). Generation already
-        // deduplicates candidates under canonical null-space keys and never
-        // yields the parent itself, so no further dedup is needed here.
+        // ranked by (estimate, generation order). Generation already yields
+        // each candidate null space once and never the parent itself, so no
+        // further dedup is needed here.
         let winner_basis = search.function.null_space().to_packed();
         let mut functions = vec![search.function.clone()];
         let mut estimates = vec![search.estimated_misses];
@@ -733,10 +733,10 @@ impl IndexService {
                 }
             };
             // Price the neighbourhood through the engine's coset-sliced
-            // path: memo probes first, misses stamped 64 lanes at a time
-            // against the scaffold the climb's final iteration already
-            // cached for this very parent. Exact Eq. 4 costs, backfilled
-            // into the shared memo.
+            // path, 64 lanes at a time against the scaffold the climb's
+            // final iteration already cached for this very parent. Exact
+            // Eq. 4 costs; the memo is neither probed nor backfilled, since
+            // nothing reads these costs again.
             let costs = searcher.engine().estimate_neighborhood(&hood);
             let mut scored: Vec<(u64, usize)> =
                 costs.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
@@ -892,10 +892,14 @@ mod tests {
     use cache_sim::BlockAddr;
     use xorindex::EvalEngine;
 
+    fn trace() -> Vec<BlockAddr> {
+        (0..400u64)
+            .flat_map(|i| [BlockAddr((i % 3) * 256), BlockAddr(0x800 + (i % 2) * 0x100)])
+            .collect()
+    }
+
     fn profile(hashed_bits: usize) -> ConflictProfile {
-        let blocks = (0..400u64)
-            .flat_map(|i| [BlockAddr((i % 3) * 256), BlockAddr(0x800 + (i % 2) * 0x100)]);
-        ConflictProfile::from_blocks(blocks, hashed_bits, 256)
+        ConflictProfile::from_blocks(trace(), hashed_bits, 256)
     }
 
     #[test]
@@ -1011,6 +1015,51 @@ mod tests {
         let hits_before = service.stats(app).unwrap().memo.hits;
         let _ = service.price_candidate(app, &winner).unwrap();
         assert_eq!(service.stats(app).unwrap().memo.hits, hits_before + 1);
+    }
+
+    #[test]
+    fn optimize_verified_leaves_the_memo_as_run_search_does() {
+        // The verified pick ranks the winner's neighbourhood without the
+        // memo, so afterwards the memo holds exactly what its search stored.
+        let service = IndexService::new();
+        let register = || {
+            let registration = Registration::new(profile(12), CacheConfig::paper_cache(1))
+                .with_class(FunctionClass::xor_unlimited())
+                .with_trace(trace());
+            service.register(registration).unwrap()
+        };
+        let verified = register();
+        let searched = register();
+        let outcome = service
+            .optimize_verified(verified, SearchAlgorithm::HillClimb, 3)
+            .unwrap();
+        let search = service
+            .run_search(searched, SearchAlgorithm::HillClimb)
+            .unwrap();
+        assert_eq!(outcome.search, search);
+        let shard_entries = |app| -> Vec<usize> {
+            let stats = service.stats(app).unwrap();
+            stats.shards.iter().map(|shard| shard.entries).collect()
+        };
+        assert_eq!(shard_entries(verified), shard_entries(searched));
+        // Entry for entry over the neighbourhood the rank step priced: each
+        // candidate is cached in both memos at one cost, or in neither.
+        let (verified, searched) = (
+            service.app(verified).unwrap(),
+            service.app(searched).unwrap(),
+        );
+        let pool = verified.pool.packed_vectors(12, &verified.profile);
+        let winner = search.function.null_space().to_packed();
+        let hood = PackedNeighborhood::generate(&winner, verified.class, &pool);
+        let mut uncached = 0;
+        for basis in hood.bases() {
+            let cost = verified.memo.probe(basis);
+            assert_eq!(cost, searched.memo.probe(basis));
+            uncached += usize::from(cost.is_none());
+        }
+        // The climb abandoned some of those lanes, so a ranker that
+        // backfilled the memo would have left more entries.
+        assert!(uncached > 0);
     }
 
     #[test]
