@@ -2,7 +2,7 @@
 //! on top of the estimate-only search, and how fast the replayer chews
 //! through retained block accesses.
 //!
-//! Three measurements on susan @ 4 KB (the paper's cell):
+//! Measurements on susan @ 4 KB (the paper's cell):
 //!
 //! * `estimate_only` — `run_search` alone: pick by Eq. 4 estimate, no
 //!   simulation (the pre-verification serving path);
@@ -12,15 +12,15 @@
 //! * `replay/accesses_N` — one `TraceReplayer::replay` of the conventional
 //!   function over the N retained accesses; ns/iter ÷ N is the per-access
 //!   replay cost, so replayed-accesses/sec falls out of the JSON directly.
-//!   Rides the fast engine (shared 3C pre-classification + sliced set-index
-//!   stream + compact LRU sets);
+//!   Rides the fast engine (shared 3C pre-classification, then one pass of
+//!   byte-table set lookups into compact LRU sets);
 //! * `replay_legacy/accesses_N` — the same replay through the legacy
 //!   `Cache`-based simulator; the legacy/fast ratio is the headline number
 //!   for the fast replay engine. Bit-identity between the two paths is
 //!   asserted in setup before anything is timed;
-//! * `replay_t4/accesses_N` — the fast replay with 4 set partitions: the
-//!   within-candidate parallel path (identical output, multi-core
-//!   wall-clock).
+//! * `preclass/accesses_N` — one `ReuseStream::build`, the 3C
+//!   pre-classification a replayer pays once per (trace, geometry). Its
+//!   codes are asserted equal to a `MissClassifier` walk before timing.
 //!
 //! Both optimize benches evict the application's memo every iteration so
 //! the searches pay identical (cold) pricing costs and the measured gap is
@@ -28,6 +28,7 @@
 
 use std::sync::Arc;
 
+use cache_sim::{MissClassifier, ReuseStream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xorindex::{FunctionClass, HashFunction, SearchAlgorithm};
@@ -90,14 +91,16 @@ fn bench_verify_loop(c: &mut Criterion) {
         fast, legacy,
         "fast replay must be bit-identical to the legacy simulator"
     );
-    let partitioned = TraceReplayer::new(prepared.cache, Arc::clone(&trace))
-        .with_set_partitions(4)
-        .replay(&conventional)
-        .expect("geometry matches");
-    assert_eq!(
-        partitioned, legacy,
-        "set partitioning must not change results"
-    );
+    let capacity = prepared.cache.num_blocks() as usize;
+    let reuse = ReuseStream::build(&trace, capacity);
+    let mut classifier = MissClassifier::new(capacity);
+    for (i, &block) in trace.iter().enumerate() {
+        assert_eq!(
+            reuse.miss_class(i),
+            MissClassifier::classify_miss(classifier.observe(block)),
+            "pre-classification must match the classifier at access {i}"
+        );
+    }
 
     group.bench_with_input(
         BenchmarkId::new("replay", format!("accesses_{}", trace.len())),
@@ -119,11 +122,10 @@ fn bench_verify_loop(c: &mut Criterion) {
         },
     );
 
-    let replayer_t4 = TraceReplayer::new(prepared.cache, Arc::clone(&trace)).with_set_partitions(4);
     group.bench_with_input(
-        BenchmarkId::new("replay_t4", format!("accesses_{}", trace.len())),
+        BenchmarkId::new("preclass", format!("accesses_{}", trace.len())),
         &trace.len(),
-        |b, _| b.iter(|| black_box(replayer_t4.replay(&conventional).expect("geometry matches"))),
+        |b, _| b.iter(|| black_box(ReuseStream::build(&trace, capacity))),
     );
 
     group.finish();

@@ -73,10 +73,13 @@ impl CompactSets {
 
     /// Accesses `block` in `set` under LRU replacement.
     ///
+    /// Always inlined: it is the body of the replay engine's per-access loop,
+    /// and left to the inliner's judgement across crates it stays a call.
+    ///
     /// # Panics
     ///
     /// Panics if `set` is out of range.
-    #[inline]
+    #[inline(always)]
     pub fn access(&mut self, set: usize, block: u64) -> CompactAccess {
         let len = self.occupancy[set] as usize;
         if self.ways == 1 {

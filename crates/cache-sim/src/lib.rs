@@ -17,8 +17,9 @@
 //! * [`CacheStats`] — counters and the `misses / K-uop` metric reported in the
 //!   paper's tables;
 //! * [`ReuseStream`] / [`CompactSets`] — the function-independent 3C
-//!   pre-classification and allocation-free LRU tag arrays backing the fast
-//!   replay engine in the `xorindex-verify` crate.
+//!   pre-classification (one O(1)-per-access fully-associative LRU pass,
+//!   pinned to [`MissClassifier`]) and allocation-free LRU tag arrays backing
+//!   the fast replay engine in the `xorindex-verify` crate.
 //!
 //! # Example
 //!

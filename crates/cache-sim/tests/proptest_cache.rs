@@ -2,7 +2,7 @@
 
 use cache_sim::{
     BitSelectIndex, BlockAddr, Cache, CacheConfig, CacheStats, FullyAssociativeCache,
-    IndexFunction, LruStack, ModuloIndex, StackScan, XorIndex,
+    IndexFunction, LruStack, MissClassifier, ModuloIndex, ReuseStream, StackScan, XorIndex,
 };
 use gf2::BitMatrix;
 use proptest::prelude::*;
@@ -26,6 +26,52 @@ fn small_config_strategy() -> impl Strategy<Value = CacheConfig> {
             .build()
             .expect("powers of two are valid")
     })
+}
+
+/// A capacity in `1..=64` and a trace whose footprint is at most
+/// `2 * capacity + 2` blocks, so reuses land at stack distances
+/// `capacity - 1`, `capacity` and `capacity + 1`. In "wide" traces the
+/// footprint's blocks are drawn from the whole `u64` range, `u64::MAX` among
+/// them; otherwise they are `0..footprint`.
+fn preclass_case_strategy() -> impl Strategy<Value = (usize, Vec<BlockAddr>)> {
+    (1usize..=64, any::<bool>()).prop_flat_map(|(capacity, wide)| {
+        (1usize..=2 * capacity + 2).prop_flat_map(move |footprint| {
+            let names = proptest::collection::vec(any::<u64>(), footprint);
+            let picks = proptest::collection::vec(0..footprint, 1usize..600);
+            (names, picks).prop_map(move |(mut names, picks)| {
+                if wide {
+                    names[0] = u64::MAX;
+                } else {
+                    names = (0..footprint as u64).collect();
+                }
+                let trace = picks.into_iter().map(|p| BlockAddr(names[p])).collect();
+                (capacity, trace)
+            })
+        })
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn reuse_stream_matches_the_classifier_around_the_capacity(
+        (capacity, trace) in preclass_case_strategy(),
+    ) {
+        let stream = ReuseStream::build(&trace, capacity);
+        prop_assert_eq!(stream.len(), trace.len());
+        let mut classifier = MissClassifier::new(capacity);
+        for (i, &block) in trace.iter().enumerate() {
+            prop_assert_eq!(
+                stream.miss_class(i),
+                MissClassifier::classify_miss(classifier.observe(block)),
+                "access {} of {:?} at capacity {}",
+                i,
+                block,
+                capacity
+            );
+        }
+    }
 }
 
 proptest! {

@@ -26,7 +26,7 @@
 //! [`EstimationStrategy`](crate::EstimationStrategy), with or without a memo
 //! cap, and however many engines share one kernel and memo.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gf2::{PackedBasis, SLICED_LANES};
 
@@ -35,6 +35,15 @@ use crate::{
     BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache,
     ShardedMemo,
 };
+
+/// The host's available parallelism (1 when it cannot be determined),
+/// resolved once per process: the query reads cgroup files on Linux, which
+/// costs more than many of the batches sized by it.
+#[must_use]
+pub fn host_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
+}
 
 /// Minimum number of fresh candidates before a batch is split across threads
 /// (below this the spawn overhead dominates).
@@ -148,9 +157,7 @@ impl<'a> EvalEngine<'a> {
             kernel,
             memo,
             scaffold: ScaffoldCache::new(),
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
+            threads: host_threads(),
             stats: EngineStats::default(),
         }
     }

@@ -79,7 +79,7 @@ pub mod hardware;
 pub mod search;
 
 pub use dense::{DenseProfile, FLAT_LOOKUP_MAX_BITS, TAIL_CAP_MAX_BITS};
-pub use engine::{EngineStats, EvalEngine};
+pub use engine::{host_threads, EngineStats, EvalEngine};
 pub use error::XorIndexError;
 pub use estimate::{BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator};
 pub use function_class::FunctionClass;

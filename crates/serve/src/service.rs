@@ -263,14 +263,15 @@ pub(crate) struct Application {
 }
 
 impl Application {
-    /// Builds the persistent replayer for a retained trace: set partitioning
-    /// defaults to one per host CPU (free of observable effect — it only
-    /// buys wall-clock on single-candidate replays).
+    /// Builds the persistent replayer for a retained trace. Its clones share
+    /// one pre-classification, so a trace is classified once per
+    /// application; each single-candidate replay is one pass on the worker
+    /// thread that asked for it.
     pub(crate) fn build_replayer(
         cache: CacheConfig,
         trace: Option<&Arc<Vec<BlockAddr>>>,
     ) -> Option<TraceReplayer> {
-        trace.map(|t| TraceReplayer::new(cache, Arc::clone(t)).with_set_partitions(0))
+        trace.map(|t| TraceReplayer::new(cache, Arc::clone(t)))
     }
 }
 

@@ -26,10 +26,12 @@
 //!
 //! Replays of [`HashFunction`] candidates ride the fast engine in [`replay`]
 //! when the geometry allows (LRU, associativity ≤ 8): a shared, cached 3C
-//! pre-classification of the trace, sliced per-candidate set-index streams,
-//! and set-partitioned parallel simulation — bit-identical to the legacy
-//! [`Cache`]-based path (exposed as [`TraceReplayer::replay_legacy`]) but
-//! an order of magnitude faster for multi-candidate verification.
+//! pre-classification of the trace, then one pass per candidate that looks
+//! each access's set up in per-candidate byte tables and simulates compact
+//! LRU tag arrays — bit-identical to the legacy [`Cache`]-based path
+//! (exposed as [`TraceReplayer::replay_legacy`]) and over an order of
+//! magnitude faster. A single replay runs on the calling thread;
+//! [`TraceReplayer::replay_many`] spreads candidates across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,7 +47,7 @@ use cache_sim::{
 };
 use xorindex::{HashFunction, SearchOutcome};
 
-pub use replay::{ReplayStats, SetIndexStream};
+pub use replay::ReplayStats;
 
 use replay::ReplayCounters;
 
@@ -152,9 +154,6 @@ impl fmt::Display for SimStats {
 pub struct TraceReplayer {
     config: CacheConfig,
     trace: Arc<Vec<BlockAddr>>,
-    /// Set partitions a single fast-path replay may fan across (`0` = one
-    /// per host CPU, `1` = sequential).
-    set_partitions: usize,
     /// Function-independent 3C pre-classification, built lazily once per
     /// (trace, geometry) and shared across clones.
     preclass: Arc<OnceLock<Arc<ReuseStream>>>,
@@ -169,18 +168,16 @@ impl TraceReplayer {
         TraceReplayer {
             config,
             trace,
-            set_partitions: 1,
             preclass: Arc::new(OnceLock::new()),
             counters: Arc::new(ReplayCounters::default()),
         }
     }
 
-    /// Sets how many set partitions a *single* fast-path replay may fan
-    /// across (`0` = one per host CPU). Partitioning never changes results —
-    /// each set is owned by exactly one partition — it only buys wall-clock.
+    /// A no-op, kept so existing callers still compile. A single replay is
+    /// one pass on the calling thread whatever `_partitions` says, and its
+    /// result never depends on it.
     #[must_use]
-    pub fn with_set_partitions(mut self, partitions: usize) -> Self {
-        self.set_partitions = partitions;
+    pub fn with_set_partitions(self, _partitions: usize) -> Self {
         self
     }
 
@@ -227,14 +224,6 @@ impl TraceReplayer {
         replay::fast_eligible(&self.config)
     }
 
-    fn resolved_partitions(&self) -> usize {
-        if self.set_partitions == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
-        } else {
-            self.set_partitions
-        }
-    }
-
     /// Returns (building it on first use) the shared function-independent
     /// reuse-class stream for this (trace, geometry).
     fn reuse_stream(&self) -> Arc<ReuseStream> {
@@ -266,14 +255,12 @@ impl TraceReplayer {
             return self.replay_boxed(Box::new(function.to_index_function()));
         }
         let reuse = self.reuse_stream();
-        let stream = SetIndexStream::build(&self.trace, function);
         self.counters.note_replays(1);
         Ok(replay::replay_fast(
             &self.config,
             &self.trace,
             &reuse,
-            stream.indices(),
-            self.resolved_partitions(),
+            function,
         ))
     }
 
@@ -311,12 +298,8 @@ impl TraceReplayer {
     /// Replays every candidate, fanning the independent simulations across
     /// up to `threads` OS threads (`0` = one per host CPU). Results are
     /// indexed by candidate position, so the output is bit-identical at any
-    /// thread count.
-    ///
-    /// On the fast path the batch shares one pre-classification pass, the
-    /// first candidate's sliced set-index stream seeds its neighbours'
-    /// [`SetIndexStream::derive`], and threads left over after one-per-
-    /// candidate become set partitions *within* each candidate's replay.
+    /// thread count. On the fast path the batch shares one
+    /// pre-classification pass.
     ///
     /// # Errors
     ///
@@ -333,17 +316,24 @@ impl TraceReplayer {
         if functions.is_empty() {
             return Ok(Vec::new());
         }
+        let reuse = self.fast_path().then(|| self.reuse_stream());
+        let replay_one = |function: &HashFunction| match &reuse {
+            Some(reuse) => {
+                self.counters.note_replays(1);
+                replay::replay_fast(&self.config, &self.trace, reuse, function)
+            }
+            None => self
+                .replay_legacy(function)
+                .expect("batch was validated before simulation"),
+        };
         let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, usize::from)
+            xorindex::host_threads()
         } else {
             threads
         };
-        if self.fast_path() {
-            return Ok(self.replay_many_fast(functions, threads));
-        }
         let threads = threads.min(functions.len());
         if threads <= 1 {
-            return functions.iter().map(|f| self.replay(f)).collect();
+            return Ok(functions.iter().map(replay_one).collect());
         }
         let slots: Vec<OnceLock<SimStats>> =
             (0..functions.len()).map(|_| OnceLock::new()).collect();
@@ -355,10 +345,7 @@ impl TraceReplayer {
                     if i >= functions.len() {
                         break;
                     }
-                    let sim = self
-                        .replay(&functions[i])
-                        .expect("batch was validated before simulation");
-                    let _ = slots[i].set(sim);
+                    let _ = slots[i].set(replay_one(&functions[i]));
                 });
             }
         });
@@ -366,64 +353,6 @@ impl TraceReplayer {
             .into_iter()
             .map(|slot| slot.into_inner().expect("every slot was filled"))
             .collect())
-    }
-
-    /// Fast-path batch replay: shared reuse stream, parent-derived index
-    /// slices, cross-candidate work stealing with leftover threads spent as
-    /// within-candidate set partitions.
-    fn replay_many_fast(&self, functions: &[HashFunction], threads: usize) -> Vec<SimStats> {
-        let reuse = self.reuse_stream();
-        self.counters.note_replays(functions.len() as u64);
-        // The first candidate (the search winner in `OptimizeVerified`) seeds
-        // the delta derivation for its neighbours.
-        let parent = Arc::new(SetIndexStream::build(&self.trace, &functions[0]));
-        let outer = threads.min(functions.len());
-        let inner = (threads / functions.len()).max(1);
-        let stream_for = |i: usize| -> Arc<SetIndexStream> {
-            if i == 0 {
-                Arc::clone(&parent)
-            } else {
-                Arc::new(parent.derive(&self.trace, &functions[i]))
-            }
-        };
-        if outer <= 1 {
-            return (0..functions.len())
-                .map(|i| {
-                    replay::replay_fast(
-                        &self.config,
-                        &self.trace,
-                        &reuse,
-                        stream_for(i).indices(),
-                        inner,
-                    )
-                })
-                .collect();
-        }
-        let slots: Vec<OnceLock<SimStats>> =
-            (0..functions.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..outer {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= functions.len() {
-                        break;
-                    }
-                    let sim = replay::replay_fast(
-                        &self.config,
-                        &self.trace,
-                        &reuse,
-                        stream_for(i).indices(),
-                        inner,
-                    );
-                    let _ = slots[i].set(sim);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot was filled"))
-            .collect()
     }
 }
 

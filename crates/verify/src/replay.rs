@@ -1,5 +1,5 @@
-//! The fast replay engine: pre-classified reuse, sliced set-index streams and
-//! set-partitioned simulation.
+//! The fast replay engine: pre-classified reuse and a single-pass byte-table
+//! replay kernel.
 //!
 //! Replaying a candidate through the general [`Cache`](cache_sim::Cache)
 //! spends almost all of its time on work that is *not* candidate-specific:
@@ -11,21 +11,20 @@
 //! 1. **Shared 3C pre-classification** — one [`ReuseStream`] pass per
 //!    (trace, geometry) records each access's reuse class. Compulsory and
 //!    capacity misses are index-function-independent (the paper's Eq. 2/3
-//!    decomposition), so `k`-candidate replay pays the classifier once.
-//! 2. **Sliced set-index streams** — a [`SetIndexStream`] materializes a
-//!    candidate's set index per access as word-wide parity of
-//!    `block & column_mask`, replacing the virtual call and its allocation.
-//!    Neighbour candidates that share most matrix columns with an already
-//!    sliced parent are [derived](SetIndexStream::derive) by re-evaluating
-//!    only the differing columns and XOR-correcting the parent's stream.
-//! 3. **Set-partitioned simulation** — once indices are known, per-set access
-//!    sequences are independent, so one candidate's replay can partition the
-//!    sets across scoped threads over [`CompactSets`] tag arrays and merge
-//!    deterministically (each set is owned by exactly one partition).
+//!    decomposition), so `k`-candidate replay pays the classification once.
+//! 2. **Byte-table set indices** — a candidate's set index is linear over
+//!    GF(2), so `a · H` is the XOR over the address bytes of each byte's own
+//!    contribution. Per candidate, 256-entry tables per byte of hashed
+//!    address hold those contributions, and a set index costs one lookup per
+//!    byte instead of a parity per set-index bit.
+//! 3. **One fused pass** — a single loop over the trace looks up each
+//!    access's set, runs it through [`CompactSets`] tag arrays and, on a
+//!    miss, reads its 3C class from the reuse stream. No per-access index
+//!    vector is materialized and no thread is started.
 //!
 //! The engine is bit-identical to the legacy replayer — same [`SimStats`],
-//! including the per-set conflict breakdown — at every thread count; the
-//! equivalence is pinned by proptests in `tests/fast_vs_legacy.rs`.
+//! including the per-set conflict breakdown; the equivalence is pinned by
+//! proptests in `tests/fast_vs_legacy.rs`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -39,198 +38,103 @@ use crate::SimStats;
 
 /// `true` when `config` can be simulated by the fast engine: LRU (the
 /// replayer's only policy), compact associativity, and set indices that fit
-/// the sliced `u32` streams.
+/// the `u32` table entries.
 pub(crate) fn fast_eligible(config: &CacheConfig) -> bool {
     config.associativity() <= COMPACT_MAX_WAYS && config.set_bits() <= 32
 }
 
-/// One column of the candidate matrix as a mask over hashed address bits:
-/// set-index bit `c` of block `a` is `parity(a & mask[c])`, because
-/// `a · H` sums (XORs) exactly the rows selected by `a`'s one bits.
-fn column_masks(function: &HashFunction) -> Vec<u64> {
-    (0..function.set_bits())
-        .map(|c| function.matrix().column(c).as_u64())
+/// A candidate's set-index function as byte tables: entry `v` of table `k`
+/// is the set index of the address whose only nonzero byte is byte `k` with
+/// value `v`. Because `a · H` is linear over GF(2), the set index of any
+/// block is the XOR of its bytes' entries, so [`set_index`] equals
+/// [`HashFunction::set_index_of`] for every `u64`, including addresses with
+/// bits above the hashed width (rows at or above it contribute zero).
+///
+/// There are ⌈n/8⌉ tables for `n` hashed bits, padded with all-zero tables
+/// to a power of two so [`replay_fast`] needs only four fixed table counts.
+/// `function` must have at most 32 set bits, as every `fast_eligible`
+/// geometry does.
+fn byte_tables(function: &HashFunction) -> Vec<[u32; 256]> {
+    let n = function.hashed_bits();
+    // Row r of H is the set index of address bit r alone.
+    let rows: Vec<u32> = (0..n)
+        .map(|r| function.matrix().row(r).as_u64() as u32)
+        .collect();
+    (0..n.div_ceil(8).next_power_of_two())
+        .map(|k| {
+            let mut table = [0u32; 256];
+            for v in 1..256usize {
+                // Entry v extends entry v-without-its-lowest-bit by the row
+                // of that bit.
+                let bit = 8 * k + v.trailing_zeros() as usize;
+                table[v] = table[v & (v - 1)] ^ rows.get(bit).copied().unwrap_or(0);
+            }
+            table
+        })
         .collect()
 }
 
-#[inline]
-fn set_index(block: u64, masks: &[u64]) -> u32 {
-    let mut set = 0u32;
-    for (c, &mask) in masks.iter().enumerate() {
-        set |= ((block & mask).count_ones() & 1) << c;
-    }
-    set
+/// The set index of `block`: one lookup per byte table.
+#[inline(always)]
+fn set_index(tables: &[[u32; 256]], block: u64) -> u32 {
+    tables.iter().enumerate().fold(0, |set, (k, table)| {
+        set ^ table[((block >> (8 * k)) & 0xff) as usize]
+    })
 }
 
-/// A candidate's set index for every access of a trace, materialized in one
-/// vectorizable pass (no virtual calls, no per-access allocation).
-#[derive(Debug, Clone)]
-pub struct SetIndexStream {
-    masks: Vec<u64>,
-    indices: Vec<u32>,
-}
-
-impl SetIndexStream {
-    /// Slices `function`'s set index over every access of `trace`.
-    #[must_use]
-    pub fn build(trace: &[BlockAddr], function: &HashFunction) -> Self {
-        let masks = column_masks(function);
-        let indices = trace
-            .iter()
-            .map(|&b| set_index(b.as_u64(), &masks))
-            .collect();
-        SetIndexStream { masks, indices }
-    }
-
-    /// Slices `function` by correcting this (parent) stream: only the
-    /// columns where the two matrices differ are re-evaluated, and the
-    /// parent's index is XOR-corrected per access. Falls back to a fresh
-    /// [`SetIndexStream::build`] when the candidates share no columns (or
-    /// have different widths), so calling this is never worse than building.
-    #[must_use]
-    pub fn derive(&self, trace: &[BlockAddr], function: &HashFunction) -> Self {
-        let masks = column_masks(function);
-        if masks.len() != self.masks.len() || self.indices.len() != trace.len() {
-            let indices = trace
-                .iter()
-                .map(|&b| set_index(b.as_u64(), &masks))
-                .collect();
-            return SetIndexStream { masks, indices };
-        }
-        let diffs: Vec<(u32, u64)> = masks
-            .iter()
-            .zip(&self.masks)
-            .enumerate()
-            .filter(|(_, (child, parent))| child != parent)
-            .map(|(c, (child, parent))| (c as u32, child ^ parent))
-            .collect();
-        if diffs.len() >= masks.len() {
-            let indices = trace
-                .iter()
-                .map(|&b| set_index(b.as_u64(), &masks))
-                .collect();
-            return SetIndexStream { masks, indices };
-        }
-        let indices = trace
-            .iter()
-            .zip(&self.indices)
-            .map(|(&b, &parent_index)| {
-                let mut correction = 0u32;
-                for &(c, diff) in &diffs {
-                    correction |= ((b.as_u64() & diff).count_ones() & 1) << c;
-                }
-                parent_index ^ correction
-            })
-            .collect();
-        SetIndexStream { masks, indices }
-    }
-
-    /// The per-access set indices.
-    #[must_use]
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
-    }
-
-    /// Number of matrix columns that differ from `function`'s — the work a
-    /// [`SetIndexStream::derive`] call would re-evaluate per access.
-    #[must_use]
-    pub fn columns_differing(&self, function: &HashFunction) -> usize {
-        let masks = column_masks(function);
-        if masks.len() != self.masks.len() {
-            return masks.len();
-        }
-        masks
-            .iter()
-            .zip(&self.masks)
-            .filter(|(child, parent)| child != parent)
-            .count()
-    }
-}
-
-/// One partition's result: aggregate counters plus the nonzero per-set
-/// conflict breakdown (ascending set order).
-type PartitionResult = (CacheStats, Vec<(u32, u64)>);
-
-/// Simulates the accesses whose set index falls in `[lo, hi)` against
-/// compact LRU tag arrays, returning the partition's aggregate counters and
-/// its nonzero per-set conflict breakdown (ascending set order).
-fn simulate_partition(
+/// Replays one candidate in a single pass over the trace: byte-table set
+/// lookups into compact LRU tag arrays, with misses classified by the shared
+/// reuse stream.
+pub(crate) fn replay_fast(
+    config: &CacheConfig,
     trace: &[BlockAddr],
     reuse: &ReuseStream,
-    indices: &[u32],
-    lo: u32,
-    hi: u32,
-    ways: usize,
-) -> (CacheStats, Vec<(u32, u64)>) {
-    let span = (hi - lo) as usize;
-    let mut sets = CompactSets::new(span, ways);
-    let mut conflicts = vec![0u64; span];
+    function: &HashFunction,
+) -> SimStats {
+    let tables = byte_tables(function);
+    // A table count known at compile time unrolls the per-access lookups;
+    // measured, that and the inlined tag-array access together cut the pass
+    // by about a third.
+    match tables.len() {
+        1 => replay_with::<1>(config, trace, reuse, &tables),
+        2 => replay_with::<2>(config, trace, reuse, &tables),
+        4 => replay_with::<4>(config, trace, reuse, &tables),
+        _ => replay_with::<8>(config, trace, reuse, &tables),
+    }
+}
+
+fn replay_with<const K: usize>(
+    config: &CacheConfig,
+    trace: &[BlockAddr],
+    reuse: &ReuseStream,
+    tables: &[[u32; 256]],
+) -> SimStats {
+    let tables: &[[u32; 256]; K] = tables
+        .try_into()
+        .expect("byte_tables pads to 1, 2, 4 or 8 tables");
+    let num_sets = config.num_sets() as usize;
+    let mut sets = CompactSets::new(num_sets, config.associativity() as usize);
+    let mut conflicts = vec![0u64; num_sets];
     let mut stats = CacheStats::new();
-    for (i, (&set, &block)) in indices.iter().zip(trace.iter()).enumerate() {
-        if set < lo || set >= hi {
-            continue;
-        }
-        let local = (set - lo) as usize;
-        match sets.access(local, block.as_u64()) {
+    for (i, &block) in trace.iter().enumerate() {
+        let set = set_index(tables, block.as_u64()) as usize;
+        match sets.access(set, block.as_u64()) {
             CompactAccess::Hit => stats.record_hit(),
             outcome @ (CompactAccess::MissFilled | CompactAccess::MissEvicted) => {
                 let class = reuse.miss_class(i);
                 if class == MissClass::Conflict {
-                    conflicts[local] += 1;
+                    conflicts[set] += 1;
                 }
                 stats.record_miss(Some(class), outcome == CompactAccess::MissEvicted);
             }
         }
     }
-    let nonzero = conflicts
+    let set_conflicts = conflicts
         .into_iter()
         .enumerate()
         .filter(|&(_, count)| count > 0)
-        .map(|(local, count)| (lo + local as u32, count))
+        .map(|(set, count)| (set as u32, count))
         .collect();
-    (stats, nonzero)
-}
-
-/// Replays one candidate's sliced index stream, splitting the sets into up
-/// to `partitions` contiguous ranges simulated on scoped threads. Each set is
-/// owned by exactly one partition and partitions merge in ascending set
-/// order, so the result is bit-identical for every partition count.
-pub(crate) fn replay_fast(
-    config: &CacheConfig,
-    trace: &[BlockAddr],
-    reuse: &ReuseStream,
-    indices: &[u32],
-    partitions: usize,
-) -> SimStats {
-    let num_sets = config.num_sets() as u32;
-    let ways = config.associativity() as usize;
-    let partitions = partitions.clamp(1, num_sets as usize) as u32;
-    if partitions == 1 {
-        let (stats, set_conflicts) = simulate_partition(trace, reuse, indices, 0, num_sets, ways);
-        return SimStats {
-            stats,
-            set_conflicts,
-        };
-    }
-    let span = num_sets.div_ceil(partitions);
-    let mut parts: Vec<Option<PartitionResult>> = Vec::new();
-    parts.resize_with(partitions as usize, || None);
-    std::thread::scope(|scope| {
-        for (p, slot) in parts.iter_mut().enumerate() {
-            let lo = (p as u32 * span).min(num_sets);
-            let hi = lo.saturating_add(span).min(num_sets);
-            scope.spawn(move || {
-                *slot = Some(simulate_partition(trace, reuse, indices, lo, hi, ways));
-            });
-        }
-    });
-    let mut stats = CacheStats::new();
-    let mut set_conflicts = Vec::new();
-    for part in parts {
-        let (part_stats, part_conflicts) = part.expect("every partition was simulated");
-        stats += part_stats;
-        set_conflicts.extend(part_conflicts);
-    }
     SimStats {
         stats,
         set_conflicts,
@@ -299,10 +203,10 @@ mod tests {
             HashFunction::conventional(16, 8).unwrap(),
             HashFunction::bit_selecting(16, &[1, 3, 5, 7, 9, 11, 13, 15]).unwrap(),
         ] {
-            let stream = SetIndexStream::build(&trace, &function);
+            let tables = byte_tables(&function);
             for (i, &b) in trace.iter().enumerate() {
                 assert_eq!(
-                    u64::from(stream.indices()[i]),
+                    u64::from(set_index(&tables, b.as_u64())),
                     function.set_index_of(b.as_u64()),
                     "access {i}"
                 );
@@ -310,36 +214,46 @@ mod tests {
         }
     }
 
+    /// The byte tables of a neighbour (one differing column) and of a
+    /// narrower function agree with the hash function at every width the
+    /// tables cover in part: partial last bytes and bits above the width.
     #[test]
     fn derive_equals_build_for_neighbours() {
-        let trace = trace();
         let parent_fn = HashFunction::conventional(16, 8).unwrap();
         let child_fn = HashFunction::bit_selecting(16, &[0, 1, 2, 3, 4, 5, 6, 15]).unwrap();
-        let parent = SetIndexStream::build(&trace, &parent_fn);
-        assert_eq!(parent.columns_differing(&child_fn), 1);
-        let derived = parent.derive(&trace, &child_fn);
-        let built = SetIndexStream::build(&trace, &child_fn);
-        assert_eq!(derived.indices(), built.indices());
-        // Deriving from an unrelated-width parent still yields correct slices.
-        let narrow_fn = HashFunction::conventional(16, 4).unwrap();
-        let narrow = parent.derive(&trace, &narrow_fn);
-        assert_eq!(
-            narrow.indices(),
-            SetIndexStream::build(&trace, &narrow_fn).indices()
-        );
+        let narrow_fn = HashFunction::conventional(13, 4).unwrap();
+        let wide_fn = HashFunction::bit_selecting(26, &[25, 17, 8, 0]).unwrap();
+        let blocks = trace().into_iter().map(|b| b.as_u64()).chain([
+            u64::MAX,
+            1 << 63,
+            0x00ff_00ff_00ff_00ff,
+            (1 << 26) - 1,
+        ]);
+        for block in blocks {
+            for function in [&parent_fn, &child_fn, &narrow_fn, &wide_fn] {
+                assert_eq!(
+                    u64::from(set_index(&byte_tables(function), block)),
+                    function.set_index_of(block),
+                    "block {block:#x}"
+                );
+            }
+        }
     }
 
+    /// `with_set_partitions` survives as a no-op: no partition count changes
+    /// what a replay returns.
     #[test]
     fn partitioned_replay_is_partition_count_invariant() {
         let trace = trace();
         let config = CacheConfig::paper_cache(1);
         let function = HashFunction::conventional(16, config.set_bits()).unwrap();
         let reuse = ReuseStream::build(&trace, config.num_blocks() as usize);
-        let stream = SetIndexStream::build(&trace, &function);
-        let one = replay_fast(&config, &trace, &reuse, stream.indices(), 1);
-        for partitions in [2usize, 3, 7, 1024] {
+        let one = replay_fast(&config, &trace, &reuse, &function);
+        for partitions in [0usize, 1, 2, 3, 7, 1024] {
+            let replayer = crate::TraceReplayer::new(config, Arc::new(trace.clone()))
+                .with_set_partitions(partitions);
             assert_eq!(
-                replay_fast(&config, &trace, &reuse, stream.indices(), partitions),
+                replayer.replay(&function).unwrap(),
                 one,
                 "partitions {partitions}"
             );
