@@ -12,12 +12,12 @@
 //! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`]: same slicing,
 //!   but lanes that saturate the incumbent drop out of the scan and fully
 //!   saturated blocks abandon early;
-//! * `engine/unbounded` — the engine's memo-free ranking call
-//!   ([`EvalEngine::estimate_neighborhood`]): every lane summed to
-//!   completion from the cached scaffold, no memo probe or backfill;
+//! * `engine/unbounded` — the engine's ranking call
+//!   ([`EvalEngine::estimate_neighborhood`], the bounded route at
+//!   `u64::MAX`): every lane summed to completion from the cached scaffold;
 //! * `engine/t1`, `engine/t4` — the whole engine route under the incumbent
-//!   ([`EvalEngine::estimate_neighborhood_bounded`]): memo probes, cached
-//!   scaffolding, and (at `t4`) `map_parallel` block stamping;
+//!   ([`EvalEngine::estimate_neighborhood_bounded`]): cached scaffolding
+//!   and (at `t4`) `map_parallel` block stamping;
 //! * `scaffold/cold` vs `scaffold/warm` — the same engine step with the
 //!   scaffold cache cleared before each iteration vs left warm, isolating
 //!   what the cached frame + histogram rebuild is worth.
@@ -71,9 +71,7 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         }
     }
     let price = |threads: usize| {
-        let mut engine = EvalEngine::new(profile)
-            .with_threads(threads)
-            .with_memo_capacity(0);
+        let mut engine = EvalEngine::new(profile).with_threads(threads);
         engine.estimate_neighborhood_bounded(&nbhd, bound)
     };
     assert_eq!(price(1), bounded);
@@ -104,21 +102,17 @@ fn bench_bounded_sliced(c: &mut Criterion) {
             ))
         })
     });
-    // The engine-level baseline: the memo-free ranking call, every lane
-    // summed to completion from the warm scaffold.
-    let mut engine = EvalEngine::new(profile)
-        .with_threads(1)
-        .with_memo_capacity(0);
+    // The engine-level baseline: the ranking call, every lane summed to
+    // completion from the warm scaffold.
+    let mut engine = EvalEngine::new(profile).with_threads(1);
     group.bench_with_input(BenchmarkId::new("susan/engine/unbounded", n), &n, |b, _| {
         b.iter(|| black_box(engine.estimate_neighborhood(&nbhd)))
     });
     for threads in [1usize, 4] {
-        // Memo capacity 0 keeps every iteration a fresh compute (probes all
-        // miss, inserts are rejected); the scaffold cache warms on the first
-        // iteration and stays warm, like a climb revisiting its parent.
-        let mut engine = EvalEngine::new(profile)
-            .with_threads(threads)
-            .with_memo_capacity(0);
+        // The engine caches no costs, so every iteration prices every lane
+        // afresh; the scaffold cache warms on the first iteration and stays
+        // warm, like a climb revisiting its parent.
+        let mut engine = EvalEngine::new(profile).with_threads(threads);
         group.bench_with_input(
             BenchmarkId::new(format!("susan/engine/t{threads}"), n),
             &n,
@@ -129,18 +123,14 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     // Warm-vs-cold scaffold contrast: identical pricing work, with the
     // hyperplane frame + remainder histogram either rebuilt every iteration
     // or answered from the cache.
-    let mut engine = EvalEngine::new(profile)
-        .with_threads(1)
-        .with_memo_capacity(0);
+    let mut engine = EvalEngine::new(profile).with_threads(1);
     group.bench_with_input(BenchmarkId::new("susan/scaffold/cold", n), &n, |b, _| {
         b.iter(|| {
             engine.scaffold_cache().clear();
             black_box(engine.estimate_neighborhood_bounded(&nbhd, bound))
         })
     });
-    let mut engine = EvalEngine::new(profile)
-        .with_threads(1)
-        .with_memo_capacity(0);
+    let mut engine = EvalEngine::new(profile).with_threads(1);
     let _ = engine.estimate_neighborhood_bounded(&nbhd, bound);
     group.bench_with_input(BenchmarkId::new("susan/scaffold/warm", n), &n, |b, _| {
         b.iter(|| black_box(engine.estimate_neighborhood_bounded(&nbhd, bound)))

@@ -45,7 +45,7 @@ fn bench_search_cost(c: &mut Criterion) {
     });
 
     // One full hill-climbing neighbourhood priced exactly through the
-    // memo-free ranking call (`estimate_neighborhood`), which prices every
+    // ranking call (`estimate_neighborhood`), which prices every
     // lane from the coset scaffold. The reset clears the scaffold cache, so
     // every iteration also rebuilds the scaffold. Generation cost is
     // measured separately by the neighborhood_cost target.

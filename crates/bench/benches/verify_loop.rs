@@ -22,9 +22,9 @@
 //!   pre-classification a replayer pays once per (trace, geometry). Its
 //!   codes are asserted equal to a `MissClassifier` walk before timing.
 //!
-//! Both optimize benches evict the application's memo every iteration so
-//! the searches pay identical (cold) pricing costs and the measured gap is
-//! the verification work itself.
+//! Both optimize benches evict the application's caches every iteration so
+//! the searches start from identical (cold) scaffolds and the measured gap
+//! is the verification work itself.
 
 use std::sync::Arc;
 

@@ -1,30 +1,26 @@
 //! Dense evaluation engine for Eq. 4 over whole candidate sets.
 //!
 //! [`MissEstimator`](crate::MissEstimator) evaluates one candidate at a time
-//! against the `HashMap` histogram; every search step re-pays key hashing,
-//! `Subspace` traversal and — across steps — re-evaluation of candidates the
-//! search has already seen. [`EvalEngine`] is the batch-oriented replacement
-//! the search algorithms run on. Since the engine split it is a thin façade
-//! over two shareable parts:
-//!
-//! * [`FrozenKernel`] — the immutable pricing core: the [`DenseProfile`]
-//!   snapshot plus all Eq. 4 arithmetic (full walks, histogram scans,
-//!   coset-sliced neighbourhood sums) and strategy resolution. `Send + Sync`,
-//!   shared via `Arc` so one kernel per application serves any number of
-//!   searches and serving workers concurrently.
-//! * [`ShardedMemo`] — the concurrent `CanonicalKey → u64` memo, sharded
-//!   across `Mutex<HashMap>` shards selected by the key hash, probe-able
-//!   allocation-free, with per-shard hit/miss stats and an optional entry
-//!   cap.
+//! against the `HashMap` histogram, re-paying key hashing and `Subspace`
+//! traversal on every call. [`EvalEngine`] is the batch-oriented replacement
+//! the search algorithms run on: a thin façade over a shared
+//! [`FrozenKernel`] — the immutable pricing core holding the
+//! [`DenseProfile`] snapshot plus all Eq. 4 arithmetic (full walks,
+//! histogram scans, coset-sliced neighbourhood sums), `Send + Sync` and
+//! shared via `Arc`, so one kernel per application serves any number of
+//! searches and serving workers concurrently.
 //!
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
 //! `std::thread::scope` parallelism, and incumbent-bounded neighbourhood
-//! pricing over a cached coset scaffold. All paths compute the exact Eq. 4
-//! sum; estimates are bit-identical to
-//! [`MissEstimator`](crate::MissEstimator) under every
-//! [`EstimationStrategy`](crate::EstimationStrategy), with or without a memo
-//! cap, and however many engines share one kernel and memo.
+//! pricing over a cached coset scaffold ([`ScaffoldCache`]). It caches no
+//! costs: every call prices every candidate it is given, so its answers and
+//! counters depend only on the kernel and the calls made. (Repeat pricing
+//! requests are served from a [`ShardedMemo`](crate::ShardedMemo) one layer
+//! up, in the serving layer.) All paths compute the exact Eq. 4 sum;
+//! estimates are bit-identical to [`MissEstimator`](crate::MissEstimator)
+//! under every [`EstimationStrategy`](crate::EstimationStrategy), however
+//! many engines share one kernel.
 
 use std::sync::{Arc, OnceLock};
 
@@ -33,7 +29,6 @@ use gf2::{PackedBasis, SLICED_LANES};
 use crate::search::PackedNeighborhood;
 use crate::{
     BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache,
-    ShardedMemo,
 };
 
 /// The host's available parallelism (1 when it cannot be determined),
@@ -52,18 +47,15 @@ const PARALLEL_THRESHOLD: usize = 8;
 /// Counters describing the work an [`EvalEngine`] has performed.
 ///
 /// These are per-engine (per-façade) counters: an engine sharing its
-/// [`ShardedMemo`] with other engines still reports only its own evaluations
-/// and hits here; the shared table's global view is
-/// [`ShardedMemo::stats`].
+/// [`FrozenKernel`] or [`ScaffoldCache`] with other engines still reports
+/// only its own work here; the shared scaffold table's global view is
+/// [`ScaffoldCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Candidate Eq. 4 evaluations priced exactly (full walks, scans or
-    /// sliced-block lanes). Memo hits are not counted, so on the memoized
-    /// routes these are unique candidates; each
-    /// [`EvalEngine::estimate_neighborhood`] call counts all its lanes.
+    /// sliced-block lanes). Nothing is cached, so a candidate priced twice
+    /// counts twice.
     pub evaluations: u64,
-    /// Candidate costs answered from the memo table.
-    pub memo_hits: u64,
     /// Batches that were split across threads.
     pub parallel_batches: u64,
     /// Transposed 64-lane blocks priced by one histogram scan each (generic
@@ -75,18 +67,17 @@ pub struct EngineStats {
     /// Coset scaffoldings built from the dense profile.
     pub scaffold_misses: u64,
     /// Lanes abandoned by bounded pricing because their running sum saturated
-    /// the incumbent bound (reported as [`BoundedCost::AtLeast`], never
-    /// memoized, not counted as evaluations).
+    /// the incumbent bound (reported as [`BoundedCost::AtLeast`], not counted
+    /// as evaluations).
     pub bounded_abandons: u64,
 }
 
 /// Batch evaluator of Eq. 4 (`misses(H) = Σ_{v ∈ N(H)} misses(v)`) over a
-/// frozen [`DenseProfile`] — a compatibility façade over an
-/// `Arc<`[`FrozenKernel`]`>` and a [`ShardedMemo`].
+/// frozen [`DenseProfile`] — a façade over an `Arc<`[`FrozenKernel`]`>`.
 ///
-/// Cloning an engine clones the `Arc` and the memo *handle*: the clone prices
-/// against the same kernel and shares the same memo table (its
-/// [`EngineStats`] start fresh).
+/// Cloning an engine clones the `Arc` and the scaffold cache *handle*: the
+/// clone prices against the same kernel and shares the same scaffolds, and
+/// counts its own work from a copy of the original's [`EngineStats`].
 ///
 /// # Example
 ///
@@ -104,58 +95,34 @@ pub struct EngineStats {
 ///     engine.estimate_packed(&ns),
 ///     MissEstimator::new(&profile).estimate(&conventional)?
 /// );
-/// // The second query is a memo hit.
+/// // Nothing is cached: the second query is priced again.
 /// engine.estimate_packed(&ns);
-/// assert_eq!(engine.stats().evaluations, 1);
-/// assert_eq!(engine.stats().memo_hits, 1);
+/// assert_eq!(engine.stats().evaluations, 2);
 /// # Ok::<(), xorindex::XorIndexError>(())
 /// ```
 #[derive(Debug, Clone)]
-pub struct EvalEngine<'a> {
-    profile: &'a ConflictProfile,
+pub struct EvalEngine {
     kernel: Arc<FrozenKernel>,
-    memo: ShardedMemo,
     scaffold: ScaffoldCache,
     threads: usize,
     stats: EngineStats,
 }
 
-impl<'a> EvalEngine<'a> {
+impl EvalEngine {
     /// Builds an engine over a profile, freezing its histogram into a private
     /// kernel. Uses as many threads as the host exposes.
     #[must_use]
-    pub fn new(profile: &'a ConflictProfile) -> Self {
-        Self::from_parts(
-            profile,
-            Arc::new(FrozenKernel::new(profile)),
-            ShardedMemo::new(),
-        )
+    pub fn new(profile: &ConflictProfile) -> Self {
+        Self::from_parts(Arc::new(FrozenKernel::new(profile)))
     }
 
-    /// Assembles an engine from an existing kernel and memo handle — the
-    /// sharing entry point: several engines (across searches, threads or
-    /// serving workers) built from clones of the same `Arc` and memo answer
-    /// from one frozen histogram and one cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel was frozen for a different hashed width than
-    /// `profile` records.
+    /// Assembles an engine from an existing kernel — the sharing entry
+    /// point: several engines (across searches, threads or serving workers)
+    /// built from clones of the same `Arc` answer from one frozen histogram.
     #[must_use]
-    pub fn from_parts(
-        profile: &'a ConflictProfile,
-        kernel: Arc<FrozenKernel>,
-        memo: ShardedMemo,
-    ) -> Self {
-        assert_eq!(
-            kernel.hashed_bits(),
-            profile.hashed_bits(),
-            "kernel width must match the profile"
-        );
+    pub fn from_parts(kernel: Arc<FrozenKernel>) -> Self {
         EvalEngine {
-            profile,
             kernel,
-            memo,
             scaffold: ScaffoldCache::new(),
             threads: host_threads(),
             stats: EngineStats::default(),
@@ -166,15 +133,6 @@ impl<'a> EvalEngine<'a> {
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Replaces the memo with a fresh entry-capped table (see
-    /// [`ShardedMemo::with_capacity`]); estimates are unaffected, overflow
-    /// is recomputed instead of cached. Call at construction time.
-    #[must_use]
-    pub fn with_memo_capacity(mut self, total_entries: usize) -> Self {
-        self.memo = ShardedMemo::with_capacity(total_entries);
         self
     }
 
@@ -189,23 +147,11 @@ impl<'a> EvalEngine<'a> {
         self
     }
 
-    /// The profile this engine evaluates against.
-    #[must_use]
-    pub fn profile(&self) -> &ConflictProfile {
-        self.profile
-    }
-
     /// The shared pricing kernel. Clone the `Arc` to share it with another
     /// engine or a serving layer.
     #[must_use]
     pub fn kernel(&self) -> &Arc<FrozenKernel> {
         &self.kernel
-    }
-
-    /// The memo handle. Clones share this engine's table.
-    #[must_use]
-    pub fn memo(&self) -> &ShardedMemo {
-        &self.memo
     }
 
     /// The coset scaffolding cache handle. Clones share this engine's table.
@@ -227,139 +173,94 @@ impl<'a> EvalEngine<'a> {
         self.stats
     }
 
-    /// Clears the memo table, the scaffolding cache and the counters, keeping
-    /// the frozen kernel. The memo and scaffold clears affect every handle
-    /// sharing those tables.
+    /// Clears the scaffolding cache and the counters, keeping the frozen
+    /// kernel. The scaffold clear affects every handle sharing that table.
     pub fn reset(&mut self) {
-        self.memo.clear();
         self.scaffold.clear();
         self.stats = EngineStats::default();
     }
 
-    /// Estimated conflict misses of any function whose null space is `basis`,
-    /// memoized on the canonical key — the packed-native single-candidate
-    /// entry point.
+    /// Estimated conflict misses of any function whose null space is `basis`
+    /// — the packed-native single-candidate entry point.
     ///
     /// # Panics
     ///
     /// Panics if the basis's ambient width differs from the profile's hashed
     /// width.
     pub fn estimate_packed(&mut self, basis: &PackedBasis) -> u64 {
-        self.kernel.check_width(basis);
-        let kernel = &self.kernel;
-        let (cost, hit) = self.memo.price_with(basis, || kernel.cost(basis));
-        if hit {
-            self.stats.memo_hits += 1;
-        } else {
-            self.stats.evaluations += 1;
-        }
+        let cost = self.kernel.cost(basis);
+        self.stats.evaluations += 1;
         cost
     }
 
-    /// Prices a whole batch of packed candidates, answering memoized ones
-    /// from cache and pricing the rest under the kernel's resolved
+    /// Prices a whole batch of packed candidates under the kernel's resolved
     /// [`BatchStrategy`] — per candidate in parallel, or transposed into
-    /// 64-lane sliced blocks with whole blocks as the unit of parallelism —
-    /// then backfilling the memo from the batch results.
+    /// 64-lane sliced blocks with whole blocks as the unit of parallelism.
+    /// Costs are aligned with `candidates`.
     ///
     /// # Panics
     ///
     /// Panics if any candidate's ambient width differs from the profile's
     /// hashed width.
     pub fn estimate_batch(&mut self, candidates: &[PackedBasis]) -> Vec<u64> {
-        let mut out = vec![0u64; candidates.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, basis) in candidates.iter().enumerate() {
+        for basis in candidates {
             self.kernel.check_width(basis);
-            if let Some(cost) = self.memo.probe(basis) {
-                self.stats.memo_hits += 1;
-                out[i] = cost;
-            } else {
-                pending.push(i);
-            }
         }
-        if pending.is_empty() {
-            return out;
+        if candidates.is_empty() {
+            return Vec::new();
         }
         let kernel = &*self.kernel;
-        let dims: Vec<usize> = pending.iter().map(|&i| candidates[i].dim()).collect();
+        let dims: Vec<usize> = candidates.iter().map(PackedBasis::dim).collect();
+        self.stats.evaluations += candidates.len() as u64;
         match kernel.batch_strategy(&dims) {
             BatchStrategy::PerCandidate => {
-                let costs = Self::map_parallel(&pending, self.threads, &mut self.stats, |&i| {
-                    kernel.cost(&candidates[i])
-                });
-                self.stats.evaluations += pending.len() as u64;
-                for (i, cost) in pending.into_iter().zip(costs) {
-                    out[i] = cost;
-                    self.memo.insert(&candidates[i], cost);
-                }
+                Self::map_parallel(candidates, self.threads, &mut self.stats, |basis| {
+                    kernel.cost(basis)
+                })
             }
             BatchStrategy::SlicedScan => {
-                let chunks: Vec<&[usize]> = pending.chunks(SLICED_LANES).collect();
+                let chunks: Vec<&[PackedBasis]> = candidates.chunks(SLICED_LANES).collect();
+                self.stats.sliced_blocks += chunks.len() as u64;
                 let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-                    let refs: Vec<&PackedBasis> = chunk.iter().map(|&i| &candidates[i]).collect();
+                    let refs: Vec<&PackedBasis> = chunk.iter().collect();
                     kernel.cost_batch_sliced(&refs)
                 });
-                self.stats.evaluations += pending.len() as u64;
-                self.stats.sliced_blocks += chunks.len() as u64;
-                for (chunk, costs) in chunks.iter().zip(blocks) {
-                    for (&i, cost) in chunk.iter().zip(costs) {
-                        out[i] = cost;
-                        self.memo.insert(&candidates[i], cost);
-                    }
-                }
+                blocks.into_iter().flatten().collect()
             }
         }
-        out
     }
 
-    /// Prices a packed neighbourhood exactly, without touching the memo:
-    /// every lane is summed to completion from the cached coset scaffold of
-    /// the neighbourhood's parent, 64 lanes per block. Returns costs aligned
-    /// with `neighborhood.candidates`, bit-identical to
-    /// [`FrozenKernel::cost`].
+    /// Prices a packed neighbourhood exactly: every lane summed to
+    /// completion. Returns costs aligned with `neighborhood.candidates`,
+    /// bit-identical to [`FrozenKernel::cost`].
     ///
-    /// This is the ranking call for a neighbourhood that is priced once and
-    /// then dropped, such as the verified pick's ranking of the search
-    /// winner's neighbourhood: probing the memo would miss on most lanes,
-    /// and backfilling it would store costs no later step reads. Every lane
-    /// counts as an evaluation. A search step that revisits candidates
-    /// prices through [`EvalEngine::estimate_neighborhood_bounded`], which
-    /// probes and backfills.
+    /// This is [`EvalEngine::estimate_neighborhood_bounded`] at bound
+    /// `u64::MAX`, where every lane is exact — the ranking call for a
+    /// neighbourhood whose every price is needed, such as the verified
+    /// pick's ranking of the search winner's neighbourhood.
     ///
     /// # Panics
     ///
     /// Panics if a candidate's ambient width differs from the profile's
     /// hashed width.
     pub fn estimate_neighborhood(&mut self, neighborhood: &PackedNeighborhood) -> Vec<u64> {
-        let Some(parent) = neighborhood.parent_span() else {
-            return Vec::new();
-        };
-        let lanes: Vec<(usize, u64)> = neighborhood
-            .candidates
-            .iter()
-            .map(|candidate| {
-                self.kernel.check_width(&candidate.basis);
-                (candidate.hyperplane, candidate.direction)
-            })
-            .collect();
-        self.price_lanes(&parent, &neighborhood.hyperplanes, &lanes, u64::MAX)
+        self.estimate_neighborhood_bounded(neighborhood, u64::MAX)
             .into_iter()
             .map(BoundedCost::lower_bound)
             .collect()
     }
 
     /// Prices a packed neighbourhood under an incumbent bound — the path
-    /// every search step runs on: per lane, either the exact cost (memo hit,
-    /// or priced below the bound) or [`BoundedCost::AtLeast`]`(bound)` for a
-    /// lane whose running sum saturated the incumbent and was abandoned
-    /// mid-scan.
+    /// every search step runs on: per lane, either the exact cost (priced
+    /// below the bound) or [`BoundedCost::AtLeast`]`(bound)` for a lane whose
+    /// running sum saturated the incumbent and was abandoned mid-scan.
     ///
-    /// The memo is probed first; the misses are priced as in
-    /// [`EvalEngine::estimate_neighborhood`], each block abandoning once
-    /// every lane has saturated. Exact lanes are bit-identical to
-    /// [`FrozenKernel::cost`] and are backfilled into the memo; abandoned
-    /// lanes are never memoized, so memoization stays bit-correct.
+    /// The lanes are transposed, 64 at a time, into
+    /// [`gf2::SlicedCosetBlock`]s and priced from the parent's cached
+    /// remainder-grouped histogram, whole blocks split across the engine's
+    /// threads; each block stops scanning once every lane has saturated.
+    /// Exact lanes are bit-identical to [`FrozenKernel::cost`] and count as
+    /// evaluations; saturated ones count as abandons.
     ///
     /// # Panics
     ///
@@ -373,56 +274,19 @@ impl<'a> EvalEngine<'a> {
         let Some(parent) = neighborhood.parent_span() else {
             return Vec::new();
         };
-        let mut out = vec![BoundedCost::AtLeast(bound); neighborhood.candidates.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, candidate) in neighborhood.candidates.iter().enumerate() {
-            self.kernel.check_width(&candidate.basis);
-            if let Some(cost) = self.memo.probe(&candidate.basis) {
-                // A memo hit is exact whatever the bound.
-                self.stats.memo_hits += 1;
-                out[i] = BoundedCost::Exact(cost);
-            } else {
-                pending.push(i);
-            }
-        }
-        if pending.is_empty() {
-            return out;
-        }
-        let lanes: Vec<(usize, u64)> = pending
+        let lanes: Vec<(usize, u64)> = neighborhood
+            .candidates
             .iter()
-            .map(|&i| {
-                let candidate = &neighborhood.candidates[i];
+            .map(|candidate| {
+                self.kernel.check_width(&candidate.basis);
                 (candidate.hyperplane, candidate.direction)
             })
             .collect();
-        let priced = self.price_lanes(&parent, &neighborhood.hyperplanes, &lanes, bound);
-        for (&i, cost) in pending.iter().zip(priced) {
-            if let BoundedCost::Exact(sum) = cost {
-                self.memo.insert(&neighborhood.candidates[i].basis, sum);
-            }
-            out[i] = cost;
-        }
-        out
-    }
-
-    /// Prices `(hyperplane index, direction)` lanes over `parent` under
-    /// `bound`: the lanes are transposed, 64 at a time, into
-    /// [`gf2::SlicedCosetBlock`]s and priced from the parent's cached
-    /// remainder-grouped histogram, whole blocks split across the engine's
-    /// threads. Counts the blocks, the scaffold probe, the exact lanes as
-    /// evaluations and the saturated ones as abandons.
-    fn price_lanes(
-        &mut self,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-        lanes: &[(usize, u64)],
-        bound: u64,
-    ) -> Vec<BoundedCost> {
         // The scaffolding — hyperplane functionals and the remainder-grouped
         // histogram — is cached per parent and shared read-only, so the
         // 64-lane blocks are independent units of work: each touches only the
         // entries its cosets select, and chunks stamp on scoped threads.
-        let scaffold = self.cached_scaffold(parent, hyperplanes);
+        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
         let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
         let frame = &*scaffold.frame;
         let histogram = &*scaffold.histogram;
@@ -434,11 +298,8 @@ impl<'a> EvalEngine<'a> {
             .into_iter()
             .flat_map(|block| BoundedCost::from_block(block, bound))
             .collect();
-        for cost in &priced {
-            match cost {
-                BoundedCost::Exact(_) => self.stats.evaluations += 1,
-                BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
-            }
+        for &cost in &priced {
+            self.tally(cost);
         }
         priced
     }
@@ -459,31 +320,26 @@ impl<'a> EvalEngine<'a> {
         scaffold
     }
 
-    /// [`EvalEngine::estimate_packed`] under an incumbent bound: a memo hit
-    /// answers exactly whatever the bound; a fresh evaluation scans under the
-    /// bound and abandons with [`BoundedCost::AtLeast`] once the running sum
-    /// saturates it. Only exact results are memoized.
+    /// [`EvalEngine::estimate_packed`] under an incumbent bound: the scan
+    /// abandons with [`BoundedCost::AtLeast`] once the running sum saturates
+    /// the bound, and prices exactly otherwise.
     ///
     /// # Panics
     ///
     /// Panics if the basis's ambient width differs from the profile's hashed
     /// width.
     pub fn estimate_packed_bounded(&mut self, basis: &PackedBasis, bound: u64) -> BoundedCost {
-        self.kernel.check_width(basis);
-        if let Some(cost) = self.memo.probe(basis) {
-            self.stats.memo_hits += 1;
-            return BoundedCost::Exact(cost);
-        }
-        match self.kernel.cost_bounded(basis, bound) {
-            BoundedCost::Exact(cost) => {
-                self.stats.evaluations += 1;
-                self.memo.insert(basis, cost);
-                BoundedCost::Exact(cost)
-            }
-            abandoned => {
-                self.stats.bounded_abandons += 1;
-                abandoned
-            }
+        let cost = self.kernel.cost_bounded(basis, bound);
+        self.tally(cost);
+        cost
+    }
+
+    /// Counts one bounded price: an evaluation when exact, an abandon when
+    /// it saturated the bound.
+    fn tally(&mut self, cost: BoundedCost) {
+        match cost {
+            BoundedCost::Exact(_) => self.stats.evaluations += 1,
+            BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
         }
     }
 
@@ -609,12 +465,10 @@ mod tests {
     fn all_three_neighborhood_routes_are_bit_identical() {
         // The engine reaches a neighbourhood's prices three ways: the
         // neighbourhood call, its bounded form at `u64::MAX`, and a batch
-        // over the materialized candidates. Each, on a fresh engine so no
-        // memo carries over, must reproduce the scalar costs exactly.
+        // over the materialized candidates. Each must reproduce the scalar
+        // costs exactly.
         let profile = mixed_profile();
-        // Wide enough to span several memo shards.
         let nbhd = xor_neighborhood(&profile, 6);
-        assert!(nbhd.len() > crate::memo::DEFAULT_MEMO_SHARDS);
         let kernel = crate::FrozenKernel::new(&profile);
         let reference: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
         assert_eq!(
@@ -635,7 +489,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_evaluation_matches_singles_and_memoizes() {
+    fn batch_evaluation_matches_singles_and_reprices() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
         let candidates: Vec<PackedBasis> = (2..=6)
@@ -647,11 +501,13 @@ mod tests {
             assert_eq!(cost, estimator.estimate_packed(basis));
         }
         assert_eq!(engine.stats().evaluations, candidates.len() as u64);
-        // Second pass is answered entirely from the memo.
+        // Nothing is cached: a second pass prices every candidate again, to
+        // the same costs.
         let again = engine.estimate_batch(&candidates);
         assert_eq!(again, batch);
-        assert_eq!(engine.stats().evaluations, candidates.len() as u64);
-        assert_eq!(engine.stats().memo_hits, candidates.len() as u64);
+        assert_eq!(engine.stats().evaluations, 2 * candidates.len() as u64);
+        assert!(engine.estimate_batch(&[]).is_empty());
+        assert_eq!(engine.stats().evaluations, 2 * candidates.len() as u64);
     }
 
     #[test]
@@ -701,67 +557,35 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_memo_and_stats() {
-        let profile = mixed_profile();
-        let mut engine = EvalEngine::new(&profile);
-        let ns = PackedBasis::standard_span(12, 6..12);
-        engine.estimate_packed(&ns);
-        assert_eq!(engine.stats().evaluations, 1);
-        engine.reset();
-        assert_eq!(engine.stats(), EngineStats::default());
-        engine.estimate_packed(&ns);
-        assert_eq!(engine.stats().evaluations, 1);
-        assert_eq!(engine.stats().memo_hits, 0);
-    }
-
-    #[test]
-    fn engines_sharing_kernel_and_memo_answer_from_one_table() {
-        let profile = mixed_profile();
-        let first = EvalEngine::new(&profile);
-        let mut second =
-            EvalEngine::from_parts(&profile, Arc::clone(first.kernel()), first.memo().clone());
-        let mut first = first;
-        let ns = PackedBasis::standard_span(12, 6..12);
-        let cost = first.estimate_packed(&ns);
-        // The second engine hits the shared memo without evaluating.
-        assert_eq!(second.estimate_packed(&ns), cost);
-        assert_eq!(second.stats().evaluations, 0);
-        assert_eq!(second.stats().memo_hits, 1);
-        // The shared table saw one miss (first engine) and one hit (second).
-        assert_eq!(first.memo().stats().hits, 1);
-        assert_eq!(first.memo().stats().misses, 1);
-    }
-
-    #[test]
-    fn capped_memo_is_bit_identical_with_more_recomputation() {
+    fn reset_clears_the_scaffold_cache_and_stats() {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
+        let mut engine = EvalEngine::new(&profile);
+        let costs = engine.estimate_neighborhood(&nbhd);
+        assert_eq!(engine.stats().evaluations, nbhd.len() as u64);
+        assert_eq!(engine.scaffold_cache().stats().entries, 1);
+        engine.reset();
+        assert_eq!(engine.stats(), EngineStats::default());
+        assert_eq!(engine.scaffold_cache().stats().entries, 0);
+        // The kernel survives: the same prices, from a rebuilt scaffold.
+        assert_eq!(engine.estimate_neighborhood(&nbhd), costs);
+        assert_eq!(engine.stats().evaluations, nbhd.len() as u64);
+        assert_eq!(engine.stats().scaffold_misses, 1);
+    }
 
-        // The memo-backed route is the search step's, at bound `u64::MAX`.
-        let mut uncapped = EvalEngine::new(&profile).with_threads(1);
-        let mut capped = EvalEngine::new(&profile)
-            .with_threads(1)
-            .with_memo_capacity(4);
-        let reference = uncapped.estimate_neighborhood_bounded(&nbhd, u64::MAX);
-        assert!(reference.iter().all(|cost| cost.exact().is_some()));
-        assert_eq!(
-            capped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
-            reference
-        );
-        // Re-pricing the same neighbourhood: the capped engine recomputes
-        // everything it could not cache, still bit-identically.
-        assert_eq!(
-            capped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
-            reference
-        );
-        assert_eq!(
-            uncapped.estimate_neighborhood_bounded(&nbhd, u64::MAX),
-            reference
-        );
-        assert!(capped.stats().evaluations > uncapped.stats().evaluations);
-        // Capacity 4 is enforced as ceil(4/shards) per shard.
-        assert!(capped.memo().len() <= capped.memo().shards());
-        assert!(capped.memo().stats().rejected_inserts > 0);
+    #[test]
+    fn engines_sharing_a_kernel_answer_from_one_table() {
+        let profile = mixed_profile();
+        let mut first = EvalEngine::new(&profile);
+        let mut second = EvalEngine::from_parts(Arc::clone(first.kernel()));
+        assert!(Arc::ptr_eq(first.kernel(), second.kernel()));
+        let ns = PackedBasis::standard_span(12, 6..12);
+        let cost = first.estimate_packed(&ns);
+        // Both engines price from the one frozen histogram; each counts only
+        // its own work.
+        assert_eq!(second.estimate_packed(&ns), cost);
+        assert_eq!(first.stats().evaluations, 1);
+        assert_eq!(second.stats().evaluations, 1);
     }
 
     #[test]
@@ -773,22 +597,22 @@ mod tests {
     }
 
     #[test]
-    fn coset_route_counts_blocks_and_backfills_the_memo() {
+    fn coset_route_counts_blocks_and_reprices_every_pass() {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
-        // The route that backfills is the search step's, at bound `u64::MAX`.
         let mut engine = EvalEngine::new(&profile);
         let first = engine.estimate_neighborhood_bounded(&nbhd, u64::MAX);
         let lanes = nbhd.candidates.len() as u64;
+        let blocks = lanes.div_ceil(gf2::SLICED_LANES as u64);
         assert_eq!(engine.stats().evaluations, lanes);
-        assert_eq!(
-            engine.stats().sliced_blocks,
-            lanes.div_ceil(gf2::SLICED_LANES as u64)
-        );
-        // Every block result landed in the memo: the second pass is all hits.
+        assert_eq!(engine.stats().sliced_blocks, blocks);
+        // Nothing is cached but the scaffold: the second pass prices every
+        // lane again, block for block, from the scaffold the first built.
         assert_eq!(engine.estimate_neighborhood_bounded(&nbhd, u64::MAX), first);
-        assert_eq!(engine.stats().evaluations, lanes);
-        assert_eq!(engine.stats().memo_hits, lanes);
+        assert_eq!(engine.stats().evaluations, 2 * lanes);
+        assert_eq!(engine.stats().sliced_blocks, 2 * blocks);
+        assert_eq!(engine.stats().scaffold_misses, 1);
+        assert_eq!(engine.stats().scaffold_hits, 1);
     }
 
     #[test]
@@ -797,12 +621,10 @@ mod tests {
         let nbhd = xor_neighborhood(&profile, 6);
         let lanes = nbhd.candidates.len() as u64;
         let mut engine = EvalEngine::new(&profile);
-        // Half-warm the memo through the search step's route, so there are
-        // entries a probing ranker would hit.
+        // A bounded search step first, which abandons some lanes.
         let costliest = nbhd.bases().map(|b| engine.kernel().cost(b)).max();
-        let _ = engine.estimate_neighborhood_bounded(&nbhd, costliest.unwrap());
-        let memo_before = engine.memo().stats();
-        assert!(memo_before.entries > 0 && (memo_before.entries as u64) < lanes);
+        let bounded = engine.estimate_neighborhood_bounded(&nbhd, costliest.unwrap());
+        assert!(bounded.iter().any(|cost| cost.exact().is_none()));
         let before = engine.stats();
 
         let costs = engine.estimate_neighborhood(&nbhd);
@@ -811,11 +633,7 @@ mod tests {
         for (lane, (basis, &cost)) in nbhd.bases().zip(&costs).enumerate() {
             assert_eq!(cost, estimator.estimate_packed(basis), "lane {lane}");
         }
-        // Neither probed (hit and miss counters unchanged) nor backfilled.
-        assert_eq!(engine.memo().stats(), memo_before);
-        assert_eq!(engine.memo().len(), memo_before.entries);
         let after = engine.stats();
-        assert_eq!(after.memo_hits, before.memo_hits);
         // Every lane was priced, in full blocks, from one scaffold probe.
         assert_eq!(after.evaluations - before.evaluations, lanes);
         assert_eq!(
@@ -883,53 +701,54 @@ mod tests {
                 exact.len() as u64 - abandons,
                 "only exact lanes count as evaluations"
             );
-            // Only exact lanes were memoized; a second bounded pass answers
-            // them from the memo and re-abandons the rest.
+            // Nothing is cached: a second bounded pass prices the exact lanes
+            // again and re-abandons the rest.
             let again = engine.estimate_neighborhood_bounded(&nbhd, bound);
             assert_eq!(again, bounded);
-            assert_eq!(engine.stats().memo_hits, exact.len() as u64 - abandons);
+            assert_eq!(engine.stats().bounded_abandons, 2 * abandons);
+            assert_eq!(
+                engine.stats().evaluations,
+                2 * (exact.len() as u64 - abandons)
+            );
         }
     }
 
     #[test]
-    fn bounded_single_candidate_pricing_memoizes_only_exact_results() {
+    fn bounded_single_candidate_pricing_is_exact_below_the_bound() {
         let profile = mixed_profile();
         let mut engine = EvalEngine::new(&profile);
         let ns = PackedBasis::standard_span(12, 6..12);
         let exact = engine.kernel().cost(&ns);
-        // Below the bound: exact, memoized.
+        assert!(exact > 0);
+        // Below the bound: exact, one evaluation.
         assert_eq!(
             engine.estimate_packed_bounded(&ns, exact + 1),
             BoundedCost::Exact(exact)
         );
         assert_eq!(engine.stats().evaluations, 1);
-        // A memo hit answers exactly even under a tighter bound.
+        // At the bound: abandoned, counted as an abandon only.
         assert_eq!(
             engine.estimate_packed_bounded(&ns, exact),
+            BoundedCost::AtLeast(exact)
+        );
+        assert_eq!(engine.stats().evaluations, 1);
+        assert_eq!(engine.stats().bounded_abandons, 1);
+        // An earlier exact price never answers a later bounded call: each
+        // call is priced under its own bound.
+        assert_eq!(
+            engine.estimate_packed_bounded(&ns, u64::MAX),
             BoundedCost::Exact(exact)
         );
-        assert_eq!(engine.stats().memo_hits, 1);
-        // A fresh candidate under a saturating bound abandons and stays
-        // unmemoized.
-        let other = PackedBasis::standard_span(12, 5..12);
-        let other_exact = engine.kernel().cost(&other);
-        if other_exact > 0 {
-            assert_eq!(
-                engine.estimate_packed_bounded(&other, other_exact),
-                BoundedCost::AtLeast(other_exact)
-            );
-            assert_eq!(engine.stats().bounded_abandons, 1);
-            assert!(engine.memo().probe(&other).is_none());
-        }
+        assert_eq!(engine.stats().evaluations, 2);
     }
 
     #[test]
     fn scaffold_cache_hits_across_neighborhood_revisits() {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
-        let mut engine = EvalEngine::new(&profile).with_memo_capacity(1);
-        // With the memo effectively disabled, each pass re-prices the lanes —
-        // but the scaffolding is built once and reused.
+        let mut engine = EvalEngine::new(&profile);
+        // Each pass re-prices the lanes, but the scaffolding is built once
+        // and reused.
         let first = engine.estimate_neighborhood(&nbhd);
         assert_eq!(engine.estimate_neighborhood(&nbhd), first);
         assert_eq!(engine.stats().scaffold_misses, 1);
@@ -938,12 +757,8 @@ mod tests {
         assert_eq!(cache_stats.misses, 1);
         assert_eq!(cache_stats.entries, 1);
         // Engines sharing the cache handle pool scaffolding.
-        let mut shared = EvalEngine::from_parts(
-            &profile,
-            Arc::clone(engine.kernel()),
-            ShardedMemo::with_capacity(1),
-        )
-        .with_scaffold_cache(engine.scaffold_cache().clone());
+        let mut shared = EvalEngine::from_parts(Arc::clone(engine.kernel()))
+            .with_scaffold_cache(engine.scaffold_cache().clone());
         assert_eq!(shared.estimate_neighborhood(&nbhd), first);
         assert_eq!(shared.stats().scaffold_misses, 0);
         assert_eq!(shared.stats().scaffold_hits, 1);
@@ -953,7 +768,7 @@ mod tests {
     }
 
     #[test]
-    fn forced_sliced_batches_count_blocks_and_backfill() {
+    fn forced_sliced_batches_count_blocks_and_evaluations() {
         // 64 two-dimensional-codimension null spaces: wide enough that the
         // kernel resolves the batch to one transposed histogram scan.
         let profile = mixed_profile();
@@ -972,9 +787,10 @@ mod tests {
         let fresh: Vec<u64> = candidates.iter().map(|b| engine.kernel().cost(b)).collect();
         assert_eq!(batch, fresh);
         assert_eq!(engine.stats().sliced_blocks, 1);
-        // Backfilled: re-estimating costs no further evaluations.
-        let evaluations = engine.stats().evaluations;
+        assert_eq!(engine.stats().evaluations, SLICED_LANES as u64);
+        // Re-estimating scans the block again, to the same costs.
         assert_eq!(engine.estimate_batch(&candidates), batch);
-        assert_eq!(engine.stats().evaluations, evaluations);
+        assert_eq!(engine.stats().sliced_blocks, 2);
+        assert_eq!(engine.stats().evaluations, 2 * SLICED_LANES as u64);
     }
 }

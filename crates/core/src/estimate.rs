@@ -247,8 +247,9 @@ impl<'a> MissEstimator<'a> {
 
     /// The concrete strategy [`MissEstimator::estimate_null_space`] would run
     /// for a null space of this dimension: never
-    /// [`EstimationStrategy::Auto`]. See [`resolve_strategy`] for the
-    /// crossover rule.
+    /// [`EstimationStrategy::Auto`], which enumerates the `2^dim − 1`
+    /// non-zero null-space vectors when there are no more of them than
+    /// distinct histogram vectors, and scans the histogram otherwise.
     #[must_use]
     pub fn resolved_strategy(&self, ns: &Subspace) -> EstimationStrategy {
         resolve_strategy(self.strategy, ns.dim(), self.profile.distinct_vectors())

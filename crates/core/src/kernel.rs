@@ -23,9 +23,9 @@
 //! blocks under an incumbent bound. All compute the exact Eq. 4 sum,
 //! bit-identically.
 //!
-//! Memoization lives next door in [`ShardedMemo`](crate::ShardedMemo); the
-//! kernel itself never caches, so every method here is a pure function of the
-//! frozen histogram.
+//! The kernel never caches, so every method here is a pure function of the
+//! frozen histogram. (The serving layer answers repeat pricing requests from
+//! a [`ShardedMemo`](crate::ShardedMemo) in front of it.)
 
 use gf2::{CosetFrame, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
 
@@ -88,12 +88,13 @@ impl FrozenKernel {
     }
 
     /// Asserts that a candidate's ambient width matches the profile's hashed
-    /// width (the precondition of every pricing method).
+    /// width (the precondition of every pricing method). Public callers use
+    /// the typed [`FrozenKernel::ensure_width`].
     ///
     /// # Panics
     ///
     /// Panics on mismatch.
-    pub fn check_width(&self, basis: &PackedBasis) {
+    pub(crate) fn check_width(&self, basis: &PackedBasis) {
         assert_eq!(
             basis.width(),
             self.dense.hashed_bits(),
@@ -101,8 +102,8 @@ impl FrozenKernel {
         );
     }
 
-    /// The exact Eq. 4 sum for one packed null space — a fresh evaluation,
-    /// never memoized, on whichever side of Eq. 4 is smaller
+    /// The exact Eq. 4 sum for one packed null space — a fresh evaluation
+    /// on whichever side of Eq. 4 is smaller
     /// ([`EstimationStrategy::Auto`]).
     ///
     /// # Panics
@@ -126,9 +127,9 @@ impl FrozenKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`XorIndexError::ProfileMismatch`] on mismatch — the typed
-    /// counterpart of the panicking [`FrozenKernel::check_width`], for
-    /// callers (like a serving layer) that must survive malformed requests.
+    /// Returns [`XorIndexError::ProfileMismatch`] on mismatch, for callers
+    /// (like a serving layer) that must survive malformed requests. The
+    /// pricing methods themselves panic on a mismatch.
     pub fn ensure_width(&self, basis: &PackedBasis) -> Result<(), XorIndexError> {
         if basis.width() == self.dense.hashed_bits() {
             Ok(())

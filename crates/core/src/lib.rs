@@ -13,20 +13,19 @@
 //!    count of *any* candidate hash function `H` is estimated without
 //!    re-simulating the trace as `Σ_{v ∈ N(H)} misses(v)` over its null space.
 //!    The searches run this sum through the dense evaluation engine
-//!    ([`EvalEngine`] over a [`DenseProfile`]): packed `u64` bases, memoized
-//!    canonical null spaces, incumbent-bounded coset-sliced neighbourhood
-//!    batches and scoped-thread parallelism, with results bit-identical to
-//!    [`MissEstimator`]. The engine is a
-//!    façade over an immutable, `Arc`-shareable [`FrozenKernel`] (the Eq. 4
-//!    arithmetic) and a concurrent [`ShardedMemo`], so one kernel + memo per
-//!    application can serve many searches and threads at once.
+//!    ([`EvalEngine`] over a [`DenseProfile`]): packed `u64` bases,
+//!    incumbent-bounded coset-sliced neighbourhood batches and scoped-thread
+//!    parallelism, with results bit-identical to [`MissEstimator`]. The
+//!    engine is a façade over an immutable, `Arc`-shareable [`FrozenKernel`]
+//!    (the Eq. 4 arithmetic), so one kernel per application can serve many
+//!    searches and threads at once; a concurrent [`ShardedMemo`] in front of
+//!    it answers repeat pricing requests in the serving layer.
 //! 3. **Design-space search** ([`search`]): steepest-descent hill climbing over
 //!    null spaces (neighbours differ in exactly one dimension), plus the
 //!    random-restart / simulated-annealing extensions and the exhaustive
 //!    optimal bit-selecting baseline of Patel et al. used in the paper's
 //!    Table 3. The whole layer is packed-native: candidate generation and
-//!    dedup ([`search::PackedNeighborhood`]), memoization
-//!    ([`gf2::CanonicalKey`]) and algorithm state all run on
+//!    dedup ([`search::PackedNeighborhood`]) and algorithm state all run on
 //!    [`gf2::PackedBasis`], with `Subspace` conversions only at API
 //!    boundaries.
 //! 4. **Function classes** ([`FunctionClass`]): unrestricted XOR functions,

@@ -1,12 +1,15 @@
 //! Sharded concurrent memo table for canonical null-space costs.
 //!
-//! [`ShardedMemo`] is the mutable half of what used to be `EvalEngine`'s
-//! private `HashMap`: a `CanonicalKey → u64` table split across N
-//! `Mutex<HashMap>` shards selected by the key's stable
-//! [`gf2::hash_key_words`] hash. Because Eq. 4 costs are pure functions of
-//! the (frozen) profile, the table is only ever a cache — concurrent readers
-//! and writers can interleave freely and every answer stays bit-identical;
-//! the worst a race can cost is one redundant recomputation.
+//! [`ShardedMemo`] is the serving layer's cache for repeat pricing requests:
+//! a `CanonicalKey → u64` table split across N `Mutex<HashMap>` shards
+//! selected by the key's stable [`gf2::hash_key_words`] hash. Searches do
+//! not use it — their candidates rarely recur, so they price through the
+//! [`EvalEngine`](crate::EvalEngine) directly — but clients that price the
+//! same candidates again and again do. Because Eq. 4 costs are pure
+//! functions of the (frozen) profile, the table is only ever a cache —
+//! concurrent readers and writers can interleave freely and every answer
+//! stays bit-identical; the worst a race can cost is one redundant
+//! recomputation.
 //!
 //! Probes are allocation-free: the caller's [`gf2::PackedBasis`] writes its
 //! key words into a stack buffer and the shard map is probed through the
@@ -15,11 +18,10 @@
 //!
 //! The handle is internally reference-counted: cloning a `ShardedMemo` gives
 //! a second handle to the *same* table, which is how one application's memo
-//! is shared between its serving workers and any search running on the same
-//! profile. An optional entry cap bounds memory: once a shard is full,
-//! further inserts are rejected (and counted), trading recomputation for a
-//! hard memory ceiling — results are unaffected because the table only ever
-//! caches exact values.
+//! is shared between its serving workers. An optional entry cap bounds
+//! memory: once a shard is full, further inserts are rejected (and counted),
+//! trading recomputation for a hard memory ceiling — results are unaffected
+//! because the table only ever caches exact values.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -252,7 +254,9 @@ impl ShardedMemo {
     }
 
     /// The memoized cost of `basis`, computing and caching it through the
-    /// kernel on a miss — the one-call serving hot path. Two threads racing
+    /// kernel on a miss — the one-call serving hot path. One key
+    /// serialization and one shard-selection hash cover both the probe and
+    /// the insert, and the kernel runs outside the lock. Two threads racing
     /// on the same key may both compute; they cache the same value.
     ///
     /// # Panics
@@ -261,17 +265,6 @@ impl ShardedMemo {
     /// width.
     #[must_use]
     pub fn price(&self, kernel: &FrozenKernel, basis: &PackedBasis) -> u64 {
-        self.price_with(basis, || kernel.cost(basis)).0
-    }
-
-    /// The memoized cost of `basis`, calling `compute` on a miss — the
-    /// single-pass core behind [`ShardedMemo::price`] and the engine
-    /// façade's single-candidate path: one key serialization and one
-    /// shard-selection hash cover both the probe and the insert, and the
-    /// computation runs outside the lock. Returns the cost and `true` when
-    /// it was answered from the table (so callers can keep their own
-    /// hit/evaluation accounting without a second probe).
-    pub fn price_with(&self, basis: &PackedBasis, compute: impl FnOnce() -> u64) -> (u64, bool) {
         let mut buf = [0u64; 65];
         let words = basis.key_words(&mut buf);
         let index = (gf2::hash_key_words(words) as usize) % self.inner.shards.len();
@@ -281,21 +274,21 @@ impl ShardedMemo {
             match shard.map.get(words) {
                 Some(&cost) => {
                     shard.hits += 1;
-                    return (cost, true);
+                    return cost;
                 }
                 None => shard.misses += 1,
             }
         }
-        let cost = compute();
+        let cost = kernel.cost(basis);
         let mut shard = self.lock(shard_mutex);
         if let Some(cap) = self.inner.per_shard_capacity {
             if shard.map.len() >= cap && !shard.map.contains_key(words) {
                 shard.rejected_inserts += 1;
-                return (cost, false);
+                return cost;
             }
         }
         shard.map.insert(basis.canonical_key(), cost);
-        (cost, false)
+        cost
     }
 
     /// Drops every cached entry and resets all counters. Returns the number

@@ -51,7 +51,6 @@ pub struct OptimizerBuilder {
     algorithm: SearchAlgorithm,
     revert_if_worse: bool,
     search_threads: Option<usize>,
-    memo_capacity: Option<usize>,
 }
 
 impl Default for OptimizerBuilder {
@@ -63,7 +62,6 @@ impl Default for OptimizerBuilder {
             algorithm: SearchAlgorithm::HillClimb,
             revert_if_worse: false,
             search_threads: None,
-            memo_capacity: None,
         }
     }
 }
@@ -110,18 +108,6 @@ impl OptimizerBuilder {
         self
     }
 
-    /// Caps the evaluation engine's memo at roughly `total_entries` cached
-    /// candidate costs (default: unbounded). A capped memo returns
-    /// bit-identical estimates — overflowing candidates are recomputed
-    /// instead of cached — so this bounds the search's memory footprint
-    /// without affecting what it finds. See
-    /// [`ShardedMemo::with_capacity`](crate::ShardedMemo::with_capacity) for
-    /// the exact per-shard ceiling.
-    pub fn memo_capacity(&mut self, total_entries: usize) -> &mut Self {
-        self.memo_capacity = Some(total_entries);
-        self
-    }
-
     /// Builds the optimizer.
     #[must_use]
     pub fn build(&self) -> Optimizer {
@@ -132,7 +118,6 @@ impl OptimizerBuilder {
             algorithm: self.algorithm,
             revert_if_worse: self.revert_if_worse,
             search_threads: self.search_threads,
-            memo_capacity: self.memo_capacity,
         }
     }
 }
@@ -140,11 +125,10 @@ impl OptimizerBuilder {
 /// Profiles a block-address trace, searches for an application-specific hash
 /// function, and verifies it by full cache simulation.
 ///
-/// The search runs on the packed-native core: candidate generation,
-/// deduplication and memoization all operate on
-/// [`gf2::PackedBasis`]/[`gf2::CanonicalKey`], and every candidate is priced
-/// through the dense [`EvalEngine`](crate::EvalEngine)'s packed entry points
-/// — the Table 2/3 reproductions built on this type inherit that path
+/// The search runs on the packed-native core: candidate generation and
+/// deduplication operate on [`gf2::PackedBasis`], and every candidate is
+/// priced through the dense [`EvalEngine`](crate::EvalEngine)'s packed entry
+/// points — the Table 2/3 reproductions built on this type inherit that path
 /// end-to-end.
 ///
 /// # Example
@@ -172,7 +156,6 @@ pub struct Optimizer {
     algorithm: SearchAlgorithm,
     revert_if_worse: bool,
     search_threads: Option<usize>,
-    memo_capacity: Option<usize>,
 }
 
 impl Optimizer {
@@ -217,9 +200,6 @@ impl Optimizer {
             crate::search::Searcher::new(profile, self.class, self.cache.set_bits())?;
         if let Some(threads) = self.search_threads {
             searcher = searcher.with_threads(threads);
-        }
-        if let Some(cap) = self.memo_capacity {
-            searcher = searcher.with_memo_capacity(cap);
         }
         searcher.run(self.algorithm)
     }
@@ -343,43 +323,6 @@ mod tests {
         if outcome.reverted {
             assert!(outcome.function.is_conventional());
         }
-    }
-
-    #[test]
-    fn memo_capacity_keeps_estimates_bit_identical_with_more_recomputation() {
-        // A multi-stride trace so the hill climb takes several steps and its
-        // overlapping neighbourhoods actually exercise the memo.
-        let blocks: Vec<BlockAddr> = (0..600u64)
-            .flat_map(|i| [BlockAddr((i % 4) * 256), BlockAddr(0x8000 + (i % 3) * 512)])
-            .collect();
-        let cache = CacheConfig::paper_cache(1);
-        let mut builder = Optimizer::builder();
-        builder
-            .cache(cache)
-            .function_class(FunctionClass::xor_unlimited());
-        let uncapped = builder.build();
-        let capped = builder.memo_capacity(8).build();
-
-        let profile = uncapped.profile(blocks.iter().copied());
-        let reference = uncapped.search_profile(&profile).unwrap();
-        let limited = capped.search_profile(&profile).unwrap();
-        // Bit-identical result: same function, same estimates, same steps.
-        assert_eq!(limited.function, reference.function);
-        assert_eq!(limited.estimated_misses, reference.estimated_misses);
-        assert_eq!(limited.baseline_estimate, reference.baseline_estimate);
-        assert_eq!(limited.steps, reference.steps);
-        // The only cost of the cap is recomputation of evicted candidates.
-        assert!(
-            limited.evaluations >= reference.evaluations,
-            "capped memo cannot evaluate less: {} < {}",
-            limited.evaluations,
-            reference.evaluations
-        );
-        // The end-to-end pipeline agrees too.
-        let a = uncapped.optimize(blocks.clone());
-        let b = capped.optimize(blocks);
-        assert_eq!(a.function, b.function);
-        assert_eq!(a.optimized_stats, b.optimized_stats);
     }
 
     #[test]

@@ -62,9 +62,6 @@ impl Searcher<'_> {
             }
             let pick = rng.gen_range(0..nbhd.len());
             let candidate = &nbhd.candidates[pick].basis;
-            // Memoized: revisiting a proposal from an earlier iteration (or
-            // the reverse of an accepted move) costs a table lookup.
-            //
             // Any proposal pricier than `current + ⌈800·T⌉` is rejected with
             // probability exactly 0: Δ/T ≥ 800 drives exp(−Δ/T) to 0.0 in f64
             // (it underflows below ~exp(−745)), and the true cost of an

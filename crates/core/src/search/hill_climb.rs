@@ -35,11 +35,12 @@ impl Searcher<'_> {
     }
 
     /// Hill climbing on a caller-supplied engine, so several climbs (random
-    /// restarts) share one memo table and dense profile.
+    /// restarts) share one frozen kernel and scaffold cache.
     ///
-    /// Reported `evaluations` are the *unique* Eq. 4 evaluations this climb
-    /// added to the engine; overlapping neighbourhoods answered from the memo
-    /// are free.
+    /// Reported `evaluations` are the Eq. 4 evaluations this climb completed
+    /// on the engine: the start (unless it is the conventional null space,
+    /// whose baseline price it reuses) plus every lane a step priced exactly.
+    /// Lanes abandoned under the incumbent bound are not counted.
     ///
     /// # Errors
     ///
@@ -47,7 +48,7 @@ impl Searcher<'_> {
     /// not admissible for the searcher's function class.
     pub(crate) fn hill_climb_with(
         &self,
-        engine: &mut EvalEngine<'_>,
+        engine: &mut EvalEngine,
         start: Subspace,
     ) -> Result<SearchOutcome, XorIndexError> {
         Ok(self.hill_climb_full(engine, start)?.0)
@@ -61,7 +62,7 @@ impl Searcher<'_> {
     /// [`PackedNeighborhood::generate`].
     pub(crate) fn hill_climb_full(
         &self,
-        engine: &mut EvalEngine<'_>,
+        engine: &mut EvalEngine,
         start: Subspace,
     ) -> Result<(SearchOutcome, PackedNeighborhood), XorIndexError> {
         let pool = self.packed_pool();
@@ -70,14 +71,21 @@ impl Searcher<'_> {
         // Validate the start and prime the bookkeeping. The baseline is
         // priced before the evaluation snapshot so it is never charged to
         // this climb (matching the pre-engine accounting, where the baseline
-        // went through a separate estimator call). The start arrives as a
+        // went through a separate estimator call). A climb from the
+        // conventional null space reuses that price as the start's cost
+        // rather than pricing the same basis twice. The start arrives as a
         // `Subspace` (the public boundary) and is packed once; from here the
         // climb carries `PackedBasis` state end-to-end.
         let start_function = HashFunction::from_null_space(&start, class)?;
-        let baseline_estimate = engine.estimate_packed(&self.conventional_packed());
+        let conventional = self.conventional_packed();
+        let baseline_estimate = engine.estimate_packed(&conventional);
         let evaluations_before = engine.stats().evaluations;
         let mut current = start.to_packed();
-        let mut best_cost = engine.estimate_packed(&current);
+        let mut best_cost = if current == conventional {
+            baseline_estimate
+        } else {
+            engine.estimate_packed(&current)
+        };
         let mut best_function = start_function;
         let mut steps: u64 = 0;
         let final_neighborhood;
@@ -89,15 +97,14 @@ impl Searcher<'_> {
             // that would be taken. The incumbent is passed down as the bound
             // so the engine can abandon any lane whose running sum saturates
             // `best_cost` — such a lane's true cost is at least the
-            // incumbent, so it could never be moved to anyway. Memo hits are
-            // exact whatever the bound, hence the filter.
+            // incumbent, so it could never be moved to anyway. The exact
+            // lanes are therefore exactly those below the incumbent.
             let nbhd = PackedNeighborhood::generate(&current, class, &pool);
             let mut below: Vec<(u64, usize)> = engine
                 .estimate_neighborhood_bounded(&nbhd, best_cost)
                 .into_iter()
                 .enumerate()
                 .filter_map(|(i, cost)| cost.exact().map(|exact| (exact, i)))
-                .filter(|&(exact, _)| exact < best_cost)
                 .collect();
             // Sorting (cost, index) tuples reproduces the tie order of a
             // stable sort on cost alone, so the climb visits candidates in
@@ -254,7 +261,7 @@ mod tests {
     }
 
     /// The climb with every neighbour priced exactly by [`MissEstimator`] —
-    /// no bound, no memo. Returns the winner, its cost and the step count.
+    /// no bound. Returns the winner, its cost and the step count.
     fn unbounded_climb(
         profile: &ConflictProfile,
         class: FunctionClass,

@@ -2,18 +2,20 @@
 //!
 //! The search operates on *null spaces* rather than matrices (paper Section 3.2):
 //! equal null spaces give identical conflict behaviour, and canonical bases
-//! make equality checks cheap, so no function is evaluated twice. The native
-//! null-space currency of the whole layer is [`gf2::PackedBasis`]: candidate
-//! generation and deduplication ([`PackedNeighborhood`]), memoization
-//! ([`gf2::CanonicalKey`]), and each algorithm's current/best state are all
-//! packed `u64` words, with [`Subspace`](gf2::Subspace) conversions only at
-//! public API boundaries (start points and the final
-//! [`HashFunction`] construction). Candidate quality is judged with the
-//! profile-based estimator (paper Eq. 4), never by re-simulating the trace;
-//! every algorithm routes its evaluations through the dense [`EvalEngine`],
-//! which memoizes canonical null spaces and prices each neighbourhood in
-//! (optionally parallel) coset-sliced blocks under the incumbent's cost as a
-//! bound, abandoning candidates that cannot improve on it.
+//! make equality checks cheap, so a neighbourhood never holds the same
+//! function twice. The native null-space currency of the whole layer is
+//! [`gf2::PackedBasis`]: candidate generation and deduplication
+//! ([`PackedNeighborhood`]) and each algorithm's current/best state are all
+//! packed `u64` words, with [`Subspace`] conversions only at public API
+//! boundaries (start points and the final [`HashFunction`] construction).
+//! Candidate quality is judged with the profile-based estimator (paper
+//! Eq. 4), never by re-simulating the trace; every algorithm routes its
+//! evaluations through the dense [`EvalEngine`], which prices each
+//! neighbourhood in (optionally parallel) coset-sliced blocks under the
+//! incumbent's cost as a bound, abandoning candidates that cannot improve on
+//! it. Nothing is memoized, so a search's outcome — its
+//! [`SearchOutcome::evaluations`] included — depends only on the profile,
+//! the class, the geometry and the algorithm.
 //!
 //! Available algorithms:
 //!
@@ -132,8 +134,6 @@ pub struct Searcher<'a> {
     pool: NeighborPool,
     threads: Option<usize>,
     kernel: Option<Arc<FrozenKernel>>,
-    memo: Option<ShardedMemo>,
-    memo_capacity: Option<usize>,
     scaffold: Option<ScaffoldCache>,
 }
 
@@ -164,8 +164,6 @@ impl<'a> Searcher<'a> {
             pool: NeighborPool::UnitsAndPairs,
             threads: None,
             kernel: None,
-            memo: None,
-            memo_capacity: None,
             scaffold: None,
         })
     }
@@ -191,31 +189,19 @@ impl<'a> Searcher<'a> {
     /// application across several classes, geometries or threads.
     ///
     /// The kernel must have been frozen from a profile with the same hashed
-    /// width (checked when the engine is assembled).
+    /// width (checked when the engine is assembled, see
+    /// [`Searcher::engine`]).
     #[must_use]
     pub fn with_kernel(mut self, kernel: Arc<FrozenKernel>) -> Self {
         self.kernel = Some(kernel);
         self
     }
 
-    /// Answers candidate costs from (and caches them into) an existing memo
-    /// handle instead of a fresh private table. Costs depend only on the
-    /// profile, never on the class or geometry, so one memo can back every
-    /// search over the same profile — and the serving layer shares each
-    /// application's memo between its workers this way.
+    /// A no-op, kept so existing callers still compile. Searches cache no
+    /// costs, so `_memo` is neither probed nor filled, and the outcome never
+    /// depends on it.
     #[must_use]
-    pub fn with_memo(mut self, memo: ShardedMemo) -> Self {
-        self.memo = Some(memo);
-        self
-    }
-
-    /// Caps the engine's memo at roughly `total_entries` cached costs (see
-    /// [`ShardedMemo::with_capacity`]); results are bit-identical, overflow
-    /// is recomputed instead of cached. Ignored when [`Searcher::with_memo`]
-    /// supplies a table.
-    #[must_use]
-    pub fn with_memo_capacity(mut self, total_entries: usize) -> Self {
-        self.memo_capacity = Some(total_entries);
+    pub fn with_memo(self, _memo: ShardedMemo) -> Self {
         self
     }
 
@@ -263,25 +249,32 @@ impl<'a> Searcher<'a> {
     }
 
     /// Builds the dense evaluation engine every search algorithm runs on,
-    /// configured with this searcher's thread cap, and any shared
-    /// kernel/memo supplied through [`Searcher::with_kernel`] /
-    /// [`Searcher::with_memo`].
+    /// configured with this searcher's thread cap, and any shared kernel or
+    /// scaffold cache supplied through [`Searcher::with_kernel`] /
+    /// [`Searcher::with_scaffold_cache`].
     ///
     /// Freezing the histogram is the expensive part, so build the engine once
     /// per search (or share one kernel across several searches) rather than
     /// per candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kernel supplied through [`Searcher::with_kernel`] was
+    /// frozen for a different hashed width than the profile records.
     #[must_use]
-    pub fn engine(&self) -> EvalEngine<'a> {
+    pub fn engine(&self) -> EvalEngine {
         let kernel = match &self.kernel {
-            Some(kernel) => Arc::clone(kernel),
+            Some(kernel) => {
+                assert_eq!(
+                    kernel.hashed_bits(),
+                    self.profile.hashed_bits(),
+                    "kernel width must match the profile"
+                );
+                Arc::clone(kernel)
+            }
             None => Arc::new(FrozenKernel::new(self.profile)),
         };
-        let memo = match (&self.memo, self.memo_capacity) {
-            (Some(memo), _) => memo.clone(),
-            (None, Some(cap)) => ShardedMemo::with_capacity(cap),
-            (None, None) => ShardedMemo::new(),
-        };
-        let mut engine = EvalEngine::from_parts(self.profile, kernel, memo);
+        let mut engine = EvalEngine::from_parts(kernel);
         if let Some(threads) = self.threads {
             engine = engine.with_threads(threads);
         }
@@ -402,29 +395,23 @@ mod tests {
                 .with_memo(memo.clone())
                 .run(SearchAlgorithm::HillClimb)
                 .unwrap();
-            assert_eq!(shared.function, private.function, "{class}");
-            assert_eq!(shared.estimated_misses, private.estimated_misses);
-            assert_eq!(shared.baseline_estimate, private.baseline_estimate);
-            // Sharing can only remove evaluations (memo carries over between
-            // classes), never change what the search finds.
-            assert!(shared.evaluations <= private.evaluations);
+            // Nothing carries over between searches: the outcome, its
+            // evaluation count included, is the private searcher's.
+            assert_eq!(shared, private, "{class}");
         }
-        assert!(memo.stats().hits > 0, "later searches reuse earlier costs");
+        // The memo handed to `with_memo` was never probed or filled.
+        assert_eq!(memo.stats(), ShardedMemo::new().stats());
     }
 
     #[test]
-    fn capped_searcher_memo_is_bit_identical() {
+    #[should_panic(expected = "width must match")]
+    fn a_kernel_of_another_width_is_rejected() {
         let p = ping_pong_profile();
-        let searcher = Searcher::new(&p, FunctionClass::xor_unlimited(), 6).unwrap();
-        let reference = searcher.run(SearchAlgorithm::HillClimb).unwrap();
-        let capped = searcher
-            .clone()
-            .with_memo_capacity(2)
-            .run(SearchAlgorithm::HillClimb)
-            .unwrap();
-        assert_eq!(capped.function, reference.function);
-        assert_eq!(capped.estimated_misses, reference.estimated_misses);
-        assert_eq!(capped.baseline_estimate, reference.baseline_estimate);
+        let wide = ConflictProfile::from_blocks([BlockAddr(0), BlockAddr(64)], 16, 64);
+        let searcher = Searcher::new(&p, FunctionClass::xor_unlimited(), 6)
+            .unwrap()
+            .with_kernel(Arc::new(FrozenKernel::new(&wide)));
+        let _ = searcher.engine();
     }
 
     #[test]

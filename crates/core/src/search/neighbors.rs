@@ -120,7 +120,7 @@ pub struct PackedCandidate {
 
 /// The full neighbourhood of a null space in packed form, grouped by retained
 /// hyperplane — the representation that flows through candidate generation,
-/// memoization and all four search algorithms.
+/// pricing and all four search algorithms.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedNeighborhood {
     /// Ambient width of the hashed address space.

@@ -18,11 +18,12 @@ impl Searcher<'_> {
     /// Hill climbing from the conventional starting point plus `restarts`
     /// random admissible starting points.
     ///
-    /// All climbs share one evaluation engine, so a restart that wanders into
-    /// a basin an earlier climb already priced answers those candidates from
-    /// the memo instead of re-evaluating them. Random starts are drawn as
-    /// [`Subspace`]s (the random-generation boundary) and packed once on
-    /// entry to the climb, which then carries packed state end-to-end.
+    /// All climbs share one evaluation engine, so they price from one frozen
+    /// kernel and one scaffold cache; each climb prices its own
+    /// neighbourhoods, even where an earlier climb already priced them.
+    /// Random starts are drawn as [`Subspace`]s (the random-generation
+    /// boundary) and packed once on entry to the climb, which then carries
+    /// packed state end-to-end.
     ///
     /// # Errors
     ///

@@ -504,34 +504,35 @@ proptest! {
 // Pre-refactor (PR 2, Subspace-native) search algorithms, verbatim except
 // that they price through the `MissEstimator` oracle. They run on the
 // verbatim reference neighbourhood generation above, price every candidate
-// exactly, and count each distinct null space once — the work counter of an
-// exhaustively pricing, memoized engine. The packed-native algorithms must
-// reach the same function, estimate, baseline and step count, with no more
-// evaluations (bounded pricing leaves abandoned candidates uncounted).
+// exactly, and count every pricing they perform — the work counter of an
+// exhaustively pricing engine that caches nothing. The packed-native
+// algorithms must reach the same function, estimate, baseline and step
+// count, with no more evaluations (bounded pricing leaves abandoned
+// candidates uncounted).
 // ---------------------------------------------------------------------------
 
 /// The reference searches' pricing: the [`MissEstimator`] oracle plus the
-/// set of distinct null spaces it has priced.
+/// number of pricings it has performed, repeats included.
 struct OraclePricer<'p> {
     estimator: MissEstimator<'p>,
-    priced: std::collections::HashSet<Subspace>,
+    pricings: u64,
 }
 
 impl<'p> OraclePricer<'p> {
     fn new(profile: &'p ConflictProfile) -> Self {
         OraclePricer {
             estimator: MissEstimator::new(profile),
-            priced: std::collections::HashSet::new(),
+            pricings: 0,
         }
     }
 
     fn price(&mut self, ns: &Subspace) -> u64 {
-        self.priced.insert(ns.clone());
+        self.pricings += 1;
         self.estimator.estimate_null_space(ns)
     }
 
     fn evaluations(&self) -> u64 {
-        self.priced.len() as u64
+        self.pricings
     }
 }
 
@@ -907,8 +908,8 @@ proptest! {
 }
 
 /// The packed-native search must reach the reference's function, estimate,
-/// baseline and step count, pricing no more candidates than the reference's
-/// distinct null spaces.
+/// baseline and step count, completing no more pricings than the reference's
+/// exhaustive pricing performs.
 fn assert_matches_reference(outcome: &SearchOutcome, reference: &SearchOutcome, label: &str) {
     assert_eq!(&outcome.function, &reference.function, "{label}");
     assert_eq!(
@@ -1055,7 +1056,7 @@ proptest! {
         let hi = exact.iter().copied().max().unwrap_or(0);
         for threads in [1usize, 2, 4, 7] {
             for bound in [0, lo, lo + (hi - lo) / 2, hi, hi + 1] {
-                // Fresh engine per bound: no memo carry-over between probes.
+                // A fresh engine per bound and thread count.
                 let priced = EvalEngine::new(&profile)
                     .with_threads(threads)
                     .estimate_neighborhood_bounded(&nbhd, bound);

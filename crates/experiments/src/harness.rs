@@ -6,9 +6,7 @@ use cache_sim::{BlockAddr, Cache, CacheConfig, CacheStats, ModuloIndex};
 use memtrace::Trace;
 use workloads::Scale;
 use xorindex::search::NeighborPool;
-use xorindex::{
-    ConflictProfile, FrozenKernel, FunctionClass, HashFunction, SearchAlgorithm, ShardedMemo,
-};
+use xorindex::{ConflictProfile, FrozenKernel, FunctionClass, HashFunction, SearchAlgorithm};
 
 /// Which side of a workload trace an experiment evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -139,16 +137,13 @@ impl CellResult {
 }
 
 /// Profiles `blocks` once and evaluates every function class on it, sharing
-/// the profile, the frozen evaluation kernel, the candidate memo, and the
-/// baseline simulation across classes.
+/// the profile, the frozen evaluation kernel and the baseline simulation
+/// across classes.
 ///
 /// Each class's search runs on the packed-native core (packed neighbourhood
-/// generation, `CanonicalKey`-keyed memoization, packed engine pricing), so
-/// the table reproductions measure the same hot path the library ships. The
-/// histogram is frozen into one [`FrozenKernel`] for the whole cell — where
-/// each class's search used to rebuild its engine — and candidate costs are
-/// class-independent, so one [`ShardedMemo`] lets later classes answer from
-/// basins earlier classes already priced.
+/// generation, packed engine pricing), so the table reproductions measure
+/// the same hot path the library ships. The histogram is frozen into one
+/// [`FrozenKernel`] for the whole cell rather than once per class.
 ///
 /// Returns one [`CellResult`] per class, in the order given.
 #[must_use]
@@ -165,7 +160,6 @@ pub fn evaluate_trace(
         cache.num_blocks() as usize,
     );
     let kernel = Arc::new(FrozenKernel::new(&profile));
-    let memo = ShardedMemo::new();
 
     let mut baseline_cache = Cache::new(cache, ModuloIndex::for_config(&cache));
     let baseline = baseline_cache.simulate_blocks(blocks.iter().copied());
@@ -177,8 +171,7 @@ pub fn evaluate_trace(
                 .expect("experiment geometry is valid")
                 .with_pool(config.pool.clone())
                 .with_threads(config.search_threads)
-                .with_kernel(Arc::clone(&kernel))
-                .with_memo(memo.clone());
+                .with_kernel(Arc::clone(&kernel));
             let outcome = searcher
                 .run(config.algorithm)
                 .expect("search on a valid geometry succeeds");

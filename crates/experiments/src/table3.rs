@@ -60,11 +60,9 @@ pub fn evaluate_workload(
         config.hashed_bits,
         cache.num_blocks() as usize,
     );
-    // One frozen kernel and one memo back all six searches of this row:
-    // candidate costs depend only on the profile, so the heuristic classes
-    // reuse whatever the exhaustive bit-select sweep already priced.
+    // One frozen kernel backs all six searches of this row: candidate costs
+    // depend only on the profile, so the histogram is frozen once.
     let kernel = std::sync::Arc::new(xorindex::FrozenKernel::new(&profile));
-    let memo = xorindex::ShardedMemo::new();
 
     let removed = |optimized: &CacheStats| CacheStats::percent_misses_removed(&baseline, optimized);
 
@@ -73,7 +71,6 @@ pub fn evaluate_workload(
             .expect("valid geometry")
             .with_pool(config.pool.clone())
             .with_kernel(std::sync::Arc::clone(&kernel))
-            .with_memo(memo.clone())
             .run(algorithm)
             .expect("search succeeds");
         let mut optimized = Cache::new(cache, outcome.function.to_index_function());

@@ -11,15 +11,17 @@
 //!   application's [`ConflictProfile`](xorindex::ConflictProfile) into an
 //!   `Arc<`[`FrozenKernel`](xorindex::FrozenKernel)`>` and pairs it with a
 //!   [`ShardedMemo`](xorindex::ShardedMemo); every request for that
-//!   application — from any thread — prices through the same kernel and
-//!   answers repeats from the same memo.
+//!   application — from any thread — prices through the same kernel, and
+//!   the pricing requests answer repeats from the same memo. Searches price
+//!   through the kernel alone, so their answers never depend on how warm
+//!   the memo is.
 //! * [`Request`] / [`Response`] — the typed protocol:
 //!   [`Request::PriceCandidate`], [`Request::PriceBatch`],
 //!   [`Request::RunSearch`], [`Request::Stats`], [`Request::Evict`],
 //!   [`Request::SimulateFunction`], [`Request::OptimizeVerified`].
-//!   Candidate requests carry [`gf2::PackedBasis`] (and are deduplicated /
-//!   cached under [`gf2::CanonicalKey`] hashes), so the pricing hot path
-//!   never materializes a `Subspace`. The two simulation requests replay an
+//!   Pricing requests carry [`gf2::PackedBasis`] (and are cached under
+//!   [`gf2::CanonicalKey`] hashes), so the pricing hot path never
+//!   materializes a `Subspace`. The two simulation requests replay an
 //!   application's retained trace (opt-in at registration, capped by
 //!   [`DEFAULT_TRACE_CAP_BLOCKS`]) through `cache_sim` via
 //!   [`xorindex_verify`], turning Eq. 4 *estimates* into measured
@@ -27,7 +29,8 @@
 //! * [`WorkerPool`] — N worker threads draining a bounded `crossbeam`
 //!   channel of request envelopes; each reply arrives on a per-request
 //!   [`PendingResponse`]. Because the kernel is immutable and the memo is
-//!   sharded, workers scale with cores instead of serializing on one engine.
+//!   sharded, pricing workers scale with cores instead of serializing on one
+//!   engine.
 //! * the wire codec — a length-prefixed binary encoding
 //!   of the request/response enums ([`encode_request`], [`split_frame`],
 //!   [`decode_server_frame`], …). Total on malformed input: every bad
@@ -46,7 +49,8 @@
 //! Correctness is pinned by the crate's stress test: every concurrent answer
 //! is bit-identical to a fresh single-threaded
 //! [`EvalEngine`](xorindex::EvalEngine) over the same profile, and the
-//! memo's per-shard hit/miss counters account for every request exactly.
+//! memo's per-shard hit/miss counters account for every pricing request
+//! exactly.
 //!
 //! # Quickstart
 //!

@@ -305,7 +305,8 @@ pub enum Request {
         bound: u64,
     },
     /// Run a full design-space search for the application's function class,
-    /// sharing the application's kernel and memo.
+    /// pricing through the application's kernel. The memo is not consulted:
+    /// the outcome depends only on the registration and the request.
     RunSearch {
         /// The application to optimize.
         app: AppId,
@@ -412,7 +413,10 @@ pub struct AppStats {
     pub set_bits: usize,
     /// Distinct conflict vectors in its frozen histogram.
     pub distinct_vectors: usize,
-    /// Aggregate memo counters (see [`ShardedMemo::stats`]).
+    /// Aggregate memo counters (see [`ShardedMemo::stats`]). Only the pricing
+    /// requests ([`Request::PriceCandidate`], [`Request::PriceBatch`],
+    /// [`Request::PriceBatchBounded`]) probe and fill the memo, so these
+    /// count pricing requests alone; searches never move them.
     pub memo: MemoStats,
     /// Per-shard hit/miss/entry counters, in shard order.
     pub shards: Vec<xorindex::MemoShardStats>,
@@ -625,9 +629,11 @@ impl IndexService {
         Ok(out)
     }
 
-    /// Runs a full search for the application's configured class, sharing
-    /// the application's kernel and memo — so a search warms the same cache
-    /// candidate pricing answers from, and vice versa.
+    /// Runs a full search for the application's configured class, pricing
+    /// through the application's kernel and scaffold cache. The memo is
+    /// neither probed nor filled — a search's candidates almost never recur —
+    /// so the outcome, its `evaluations` included, depends only on the
+    /// registration and the request, never on earlier requests.
     ///
     /// The search itself runs single-threaded: the worker pool is the
     /// parallelism layer, and one request should not oversubscribe it.
@@ -644,7 +650,6 @@ impl IndexService {
         let searcher = Searcher::new(&app.profile, app.class, app.cache.set_bits())?
             .with_pool(app.pool.clone())
             .with_kernel(Arc::clone(&app.kernel))
-            .with_memo(app.memo.clone())
             .with_scaffold_cache(app.scaffold.clone())
             .with_threads(1);
         Ok(searcher.run(algorithm)?)
@@ -708,7 +713,6 @@ impl IndexService {
         let searcher = Searcher::new(&app.profile, app.class, app.cache.set_bits())?
             .with_pool(app.pool.clone())
             .with_kernel(Arc::clone(&app.kernel))
-            .with_memo(app.memo.clone())
             .with_scaffold_cache(app.scaffold.clone())
             .with_threads(1);
         let (search, hood) = searcher.run_with_neighborhood(algorithm)?;
@@ -736,8 +740,8 @@ impl IndexService {
             // Price the neighbourhood through the engine's coset-sliced
             // path, 64 lanes at a time against the scaffold the climb's
             // final iteration already cached for this very parent. Exact
-            // Eq. 4 costs; the memo is neither probed nor backfilled, since
-            // nothing reads these costs again.
+            // Eq. 4 costs; like the search, the ranking leaves the memo
+            // alone.
             let costs = searcher.engine().estimate_neighborhood(&hood);
             let mut scored: Vec<(u64, usize)> =
                 costs.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
@@ -994,7 +998,7 @@ mod tests {
     }
 
     #[test]
-    fn run_search_matches_a_standalone_searcher_and_warms_the_memo() {
+    fn run_search_matches_a_standalone_searcher_and_leaves_the_memo_untouched() {
         let p = profile(12);
         let service = IndexService::new();
         let app = service
@@ -1003,64 +1007,47 @@ mod tests {
                     .with_class(FunctionClass::xor_unlimited()),
             )
             .unwrap();
+        let before = service.stats(app).unwrap();
         let served = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
         let standalone = Searcher::new(&p, FunctionClass::xor_unlimited(), 8)
             .unwrap()
             .run(SearchAlgorithm::HillClimb)
             .unwrap();
-        assert_eq!(served.function, standalone.function);
-        assert_eq!(served.estimated_misses, standalone.estimated_misses);
-        assert_eq!(served.baseline_estimate, standalone.baseline_estimate);
-        // The search populated the app's memo: re-pricing its winner is a hit.
-        let winner = served.function.null_space().to_packed();
-        let hits_before = service.stats(app).unwrap().memo.hits;
-        let _ = service.price_candidate(app, &winner).unwrap();
-        assert_eq!(service.stats(app).unwrap().memo.hits, hits_before + 1);
+        // The whole outcome, `evaluations` included, is the standalone one.
+        assert_eq!(served, standalone);
+        // The search neither probed nor filled the app's memo.
+        let after = service.stats(app).unwrap();
+        assert_eq!(after.memo, before.memo);
+        assert_eq!(after.shards, before.shards);
+        // So a repeat answers identically.
+        assert_eq!(
+            service.run_search(app, SearchAlgorithm::HillClimb).unwrap(),
+            served
+        );
     }
 
     #[test]
     fn optimize_verified_leaves_the_memo_as_run_search_does() {
-        // The verified pick ranks the winner's neighbourhood without the
-        // memo, so afterwards the memo holds exactly what its search stored.
+        // Neither the search nor the rank step touches the memo, so both
+        // requests leave it as registration left it: empty and unprobed.
         let service = IndexService::new();
-        let register = || {
-            let registration = Registration::new(profile(12), CacheConfig::paper_cache(1))
-                .with_class(FunctionClass::xor_unlimited())
-                .with_trace(trace());
-            service.register(registration).unwrap()
-        };
-        let verified = register();
-        let searched = register();
-        let outcome = service
-            .optimize_verified(verified, SearchAlgorithm::HillClimb, 3)
-            .unwrap();
-        let search = service
-            .run_search(searched, SearchAlgorithm::HillClimb)
-            .unwrap();
-        assert_eq!(outcome.search, search);
-        let shard_entries = |app| -> Vec<usize> {
-            let stats = service.stats(app).unwrap();
-            stats.shards.iter().map(|shard| shard.entries).collect()
-        };
-        assert_eq!(shard_entries(verified), shard_entries(searched));
-        // Entry for entry over the neighbourhood the rank step priced: each
-        // candidate is cached in both memos at one cost, or in neither.
-        let (verified, searched) = (
-            service.app(verified).unwrap(),
-            service.app(searched).unwrap(),
+        let registration = Registration::new(profile(12), CacheConfig::paper_cache(1))
+            .with_class(FunctionClass::xor_unlimited())
+            .with_trace(trace());
+        let app = service.register(registration).unwrap();
+        let before = service.stats(app).unwrap();
+        assert_eq!(
+            (before.memo.entries, before.memo.hits, before.memo.misses),
+            (0, 0, 0)
         );
-        let pool = verified.pool.packed_vectors(12, &verified.profile);
-        let winner = search.function.null_space().to_packed();
-        let hood = PackedNeighborhood::generate(&winner, verified.class, &pool);
-        let mut uncached = 0;
-        for basis in hood.bases() {
-            let cost = verified.memo.probe(basis);
-            assert_eq!(cost, searched.memo.probe(basis));
-            uncached += usize::from(cost.is_none());
-        }
-        // The climb abandoned some of those lanes, so a ranker that
-        // backfilled the memo would have left more entries.
-        assert!(uncached > 0);
+        let outcome = service
+            .optimize_verified(app, SearchAlgorithm::HillClimb, 3)
+            .unwrap();
+        let search = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
+        assert_eq!(outcome.search, search);
+        let after = service.stats(app).unwrap();
+        assert_eq!(after.memo, before.memo);
+        assert_eq!(after.shards, before.shards);
     }
 
     #[test]
@@ -1122,11 +1109,9 @@ mod tests {
         let first = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
         let after_first = service.stats(app).unwrap().scaffold;
         assert!(after_first.misses > 0, "search should build scaffolds");
-        // Dropping only the memo (not the full `evict`, which would discard
-        // the scaffolds too) forces the second (identical) search to
-        // re-price every neighbourhood — but every scaffold it needs is
-        // already cached, so misses stay flat while hits climb.
-        service.app(app).unwrap().memo.clear();
+        // The second (identical) search re-prices every neighbourhood, but
+        // every scaffold it needs is already cached, so misses stay flat
+        // while hits climb.
         let second = service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
         let after_second = service.stats(app).unwrap().scaffold;
         assert_eq!(first.function, second.function);
@@ -1151,8 +1136,13 @@ mod tests {
             )
             .unwrap();
         service.run_search(app, SearchAlgorithm::HillClimb).unwrap();
+        // Searches leave the memo alone; a pricing request fills it.
+        let candidates: Vec<PackedBasis> = (1..=3)
+            .map(|m| PackedBasis::standard_span(12, m..12))
+            .collect();
+        service.price_batch(app, &candidates).unwrap();
         let stats = service.stats(app).unwrap();
-        assert!(stats.memo.entries > 0);
+        assert_eq!(stats.memo.entries, candidates.len());
         assert!(stats.scaffold.entries > 0);
         // Evict through the request protocol: both caches empty, counts
         // reported per cache.

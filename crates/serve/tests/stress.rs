@@ -2,7 +2,7 @@
 //! against one registered application must answer bit-identically to a
 //! fresh single-threaded `EvalEngine` over the same profile, and the
 //! application's per-shard memo counters must account for every pricing
-//! request exactly.
+//! request exactly (searches never touch the memo).
 
 use std::sync::Arc;
 
@@ -230,18 +230,16 @@ fn a_search_and_concurrent_pricing_share_one_memo_consistently() {
         .unwrap();
     let pool = WorkerPool::new(Arc::clone(&service), 3, 16);
 
-    // One client runs searches while two others price candidates; the memo
-    // fills from both sides and every answer must stay exact.
-    std::thread::scope(|scope| {
+    // One client runs a search while two others price candidates. Only the
+    // pricing fills the memo, and every answer must stay exact.
+    let searched = std::thread::scope(|scope| {
         let pool_ref = &pool;
-        scope.spawn(move || {
+        let search = scope.spawn(move || {
             match pool_ref.call(Request::RunSearch {
                 app,
                 algorithm: SearchAlgorithm::HillClimb,
             }) {
-                Response::Search(outcome) => {
-                    assert!(outcome.estimated_misses <= outcome.baseline_estimate)
-                }
+                Response::Search(outcome) => outcome,
                 other => panic!("unexpected {other:?}"),
             }
         });
@@ -264,20 +262,28 @@ fn a_search_and_concurrent_pricing_share_one_memo_consistently() {
                 }
             });
         }
+        search.join().expect("search client panicked")
     });
+    assert!(searched.estimated_misses <= searched.baseline_estimate);
+    assert_eq!(
+        searched.estimated_misses,
+        oracle.estimate_packed(&searched.function.null_space().to_packed())
+    );
 
-    // The search's own steps went through the same shared memo: the winning
-    // function's null space is cached, so re-pricing it is a pure hit.
-    let stats_before = service.stats(app).unwrap().memo;
-    let winner = match pool.call(Request::RunSearch {
+    // The memo counters account for the pricing requests alone: one probe
+    // per priced candidate, one entry per distinct candidate.
+    let stats = service.stats(app).unwrap().memo;
+    assert_eq!(stats.hits + stats.misses, 2 * candidates.len() as u64);
+    assert_eq!(stats.entries, candidates.len());
+
+    // A search on the now-warm application answers exactly as the one that
+    // raced the pricing did, and moves no memo counter.
+    match pool.call(Request::RunSearch {
         app,
         algorithm: SearchAlgorithm::HillClimb,
     }) {
-        Response::Search(outcome) => outcome.function.null_space().to_packed(),
+        Response::Search(outcome) => assert_eq!(outcome, searched),
         other => panic!("unexpected {other:?}"),
-    };
-    let cost = service.price_candidate(app, &winner).unwrap();
-    assert_eq!(cost, oracle.estimate_packed(&winner));
-    let stats_after = service.stats(app).unwrap().memo;
-    assert!(stats_after.hits > stats_before.hits);
+    }
+    assert_eq!(service.stats(app).unwrap().memo, stats);
 }

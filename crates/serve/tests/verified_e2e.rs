@@ -1,13 +1,15 @@
 //! End-to-end tests for the optimize→verify loop: `OptimizeVerified` run
-//! through worker pools of different sizes answers bit-identically, and on
-//! the paper's susan @ 4 KB cell the simulated winner never loses to
-//! conventional bit selection.
+//! through worker pools of different sizes, or repeated around pricing
+//! requests, answers bit-identically, and on the paper's susan @ 4 KB cell
+//! the simulated winner never loses to conventional bit selection.
 
 use std::sync::Arc;
 
 use cache_sim::{BlockAddr, CacheConfig};
+use gf2::PackedBasis;
 use workloads::mibench::Susan;
 use workloads::{Scale, Workload};
+use xorindex::search::{NeighborPool, PackedNeighborhood};
 use xorindex::{ConflictProfile, FunctionClass, HashFunction, SearchAlgorithm};
 use xorindex_serve::{IndexService, Registration, Request, Response, ServeError, WorkerPool};
 
@@ -73,14 +75,14 @@ fn susan_4kb_verified_winner_never_loses_to_bit_selection() {
 #[test]
 fn optimize_verified_is_bit_identical_across_worker_counts() {
     let cache = CacheConfig::paper_cache(1);
+    // One service for every pool size: a search's answer depends only on
+    // the registration and the request, so repeating it on a warm
+    // application changes nothing, and the claim under test is that the
+    // *worker count* never changes the answer either.
+    let (service, app) = susan_service(cache);
 
     let mut outcomes = Vec::new();
     for workers in [1usize, 2, 4] {
-        // A fresh service per pool size: memo warmth changes the search's
-        // `evaluations` bookkeeping between repeated runs on one service,
-        // which is not what this test pins. The claim is that the *worker
-        // count* never changes the answer.
-        let (service, app) = susan_service(cache);
         let pool = WorkerPool::new(Arc::clone(&service), workers, 16);
         let pending = pool
             .submit(Request::OptimizeVerified {
@@ -96,13 +98,78 @@ fn optimize_verified_is_bit_identical_across_worker_counts() {
     }
 
     // Same request, same retained trace: the full outcome — candidates,
-    // winner, per-set conflict breakdowns, audit — is bit-identical no
-    // matter how many workers served it.
+    // winner, per-set conflict breakdowns, audit, search evaluations — is
+    // bit-identical no matter how many workers served it.
     assert_eq!(outcomes[0], outcomes[1]);
     assert_eq!(outcomes[1], outcomes[2]);
     assert_eq!(outcomes[0].audit, outcomes[2].audit);
     let agreement = outcomes[0].audit.rank_agreement();
     assert_eq!(agreement, outcomes[2].audit.rank_agreement());
+}
+
+#[test]
+fn repeat_search_requests_answer_identically_around_pricing() {
+    let cache = CacheConfig::paper_cache(1);
+    let (service, app) = susan_service(cache);
+    let search = || match service.handle(Request::RunSearch {
+        app,
+        algorithm: SearchAlgorithm::HillClimb,
+    }) {
+        Response::Search(outcome) => outcome,
+        other => panic!("expected Search, got {other:?}"),
+    };
+    let verified = || match service.handle(Request::OptimizeVerified {
+        app,
+        algorithm: SearchAlgorithm::HillClimb,
+        top_k: 3,
+    }) {
+        Response::Verified(outcome) => outcome,
+        other => panic!("expected Verified, got {other:?}"),
+    };
+    let memo = || service.stats(app).unwrap().memo;
+
+    let first_search = search();
+    let first_verified = verified();
+    assert_eq!(first_verified.search, first_search);
+    // Neither request touched the memo.
+    let untouched = memo();
+    assert_eq!(
+        (untouched.entries, untouched.hits, untouched.misses),
+        (0, 0, 0)
+    );
+
+    // Price the winner's whole neighbourhood: the candidates a search
+    // sharing the memo would have found there.
+    let blocks = susan_blocks(cache);
+    let profile = ConflictProfile::from_blocks(
+        blocks.iter().copied(),
+        HASHED_BITS,
+        cache.num_blocks() as usize,
+    );
+    let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
+    let winner = first_search.function.null_space().to_packed();
+    let bases: Vec<PackedBasis> =
+        PackedNeighborhood::generate(&winner, FunctionClass::xor_unlimited(), &pool)
+            .bases()
+            .cloned()
+            .collect();
+    assert!(!bases.is_empty());
+    let Response::Prices(prices) = service.handle(Request::PriceBatch {
+        app,
+        bases: bases.clone(),
+    }) else {
+        panic!("expected Prices");
+    };
+    assert_eq!(prices.len(), bases.len());
+    let priced = memo();
+    assert_eq!(priced.hits + priced.misses, bases.len() as u64);
+    assert_eq!(priced.entries, bases.len());
+
+    // The repeats answer exactly as the first requests did, evaluation
+    // counts included, and the memo moved only by the batch's probes.
+    assert_eq!(search(), first_search);
+    assert_eq!(verified(), first_verified);
+    assert_eq!(memo(), priced);
 }
 
 #[test]

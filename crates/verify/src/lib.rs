@@ -8,7 +8,7 @@
 //!
 //! * [`TraceReplayer`] — replays a retained block trace through the
 //!   `cache_sim` simulator under any candidate
-//!   [`HashFunction`](xorindex::HashFunction), producing true
+//!   [`HashFunction`], producing true
 //!   hit/miss/conflict-miss counts ([`SimStats`]) with a per-set conflict
 //!   breakdown that localizes where a candidate still collides.
 //! * [`EstimateAudit`] — compares Eq. 4 predictions against simulated truth
