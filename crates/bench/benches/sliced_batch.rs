@@ -119,8 +119,7 @@ fn bench_sliced_batch(c: &mut Criterion) {
     // Wide-width regime: n = 26 through the hybrid profile (no flat table).
     let wide = wide_profile();
     let prep = prepare(&wide, WIDE_BITS, WIDE_BITS - 6);
-    let dense = prep.kernel.dense();
-    assert!(!dense.has_flat_lookup() && dense.has_dense_tail());
+    assert!(!prep.kernel.has_flat_lookup() && prep.kernel.has_dense_tail());
     bench_paths(&mut group, "wide26", &prep);
 
     group.finish();

@@ -1,12 +1,9 @@
 //! The set-associative cache simulator.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use crate::replacement::{CacheSet, SetAccess};
 use crate::{
     Address, BlockAddr, CacheConfig, CacheError, CacheStats, IndexFunction, MissClass,
-    MissClassifier, ReplacementPolicy,
+    MissClassifier,
 };
 
 /// Outcome of a single cache access.
@@ -58,15 +55,13 @@ pub struct Cache {
     config: CacheConfig,
     index_fn: Box<dyn IndexFunction>,
     sets: Vec<CacheSet>,
-    policy: ReplacementPolicy,
-    rng: StdRng,
     stats: CacheStats,
     classifier: Option<MissClassifier>,
     set_conflicts: Option<Vec<u64>>,
 }
 
 impl Cache {
-    /// Creates a cache with the default LRU replacement policy.
+    /// Creates an LRU cache.
     ///
     /// # Panics
     ///
@@ -112,19 +107,10 @@ impl Cache {
             config,
             index_fn,
             sets,
-            policy: ReplacementPolicy::Lru,
-            rng: StdRng::seed_from_u64(0x5EED),
             stats: CacheStats::new(),
             classifier: None,
             set_conflicts: None,
         })
-    }
-
-    /// Selects a replacement policy (default LRU).
-    #[must_use]
-    pub fn with_policy(mut self, policy: ReplacementPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Enables 3C miss classification (compulsory / capacity / conflict).
@@ -163,12 +149,6 @@ impl Cache {
     #[must_use]
     pub fn index_description(&self) -> String {
         self.index_fn.describe()
-    }
-
-    /// The replacement policy in use.
-    #[must_use]
-    pub fn policy(&self) -> ReplacementPolicy {
-        self.policy
     }
 
     /// Accumulated statistics.
@@ -231,7 +211,7 @@ impl Cache {
         let reuse = self.classifier.as_mut().map(|c| c.observe(block));
         let set = self.index_fn.set_index(block) as usize;
         debug_assert!(set < self.sets.len(), "index function out of range");
-        match self.sets[set].access(block.as_u64(), self.policy, &mut self.rng) {
+        match self.sets[set].access(block.as_u64()) {
             SetAccess::Hit => {
                 self.stats.record_hit();
                 AccessOutcome::Hit
@@ -330,6 +310,7 @@ mod tests {
     fn conflicting_strided_accesses_thrash_a_direct_mapped_cache() {
         let config = dm_1kb();
         let mut cache = Cache::new(config, ModuloIndex::for_config(&config));
+        assert!(cache.index_description().contains("modulo"));
         // Alternate between two addresses 1 KB apart: every access misses.
         for _ in 0..10 {
             assert_eq!(cache.access_addr(0x0000u64), AccessOutcome::Miss);
@@ -472,15 +453,6 @@ mod tests {
         cache.access_block(BlockAddr(16));
         assert!(cache.contains_block(BlockAddr(0)));
         assert!(!cache.contains_block(BlockAddr(8)));
-    }
-
-    #[test]
-    fn policies_can_be_selected() {
-        let config = dm_1kb();
-        let cache = Cache::new(config, ModuloIndex::for_config(&config))
-            .with_policy(ReplacementPolicy::Fifo);
-        assert_eq!(cache.policy(), ReplacementPolicy::Fifo);
-        assert!(cache.index_description().contains("modulo"));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! * [`IndexFunction`] — how a block address is mapped to a set: conventional
 //!   modulo indexing ([`ModuloIndex`]), arbitrary bit selection
 //!   ([`BitSelectIndex`]) and XOR/matrix indexing ([`XorIndex`]);
-//! * [`Cache`] — a set-associative cache simulator with LRU/FIFO/random
-//!   replacement and full hit/miss accounting, including 3C miss
-//!   classification (compulsory / capacity / conflict);
+//! * [`Cache`] — a set-associative LRU cache simulator with full hit/miss
+//!   accounting, including 3C miss classification (compulsory / capacity /
+//!   conflict);
 //! * [`FullyAssociativeCache`] — the fully-associative LRU reference used by
 //!   the paper's Table 3 (`FA` column);
 //! * [`LruStack`] — the stack-distance structure shared by the classifier and
@@ -66,7 +66,6 @@ pub use fully_assoc::FullyAssociativeCache;
 pub use index::{BitSelectIndex, IndexFunction, ModuloIndex, XorIndex};
 pub use lru_stack::{LruStack, StackScan};
 pub use preclass::ReuseStream;
-pub use replacement::ReplacementPolicy;
 pub use stats::CacheStats;
 
 #[cfg(test)]

@@ -1,39 +1,6 @@
-//! Replacement policies and per-set state.
+//! Per-set LRU state of the general cache simulator.
 
-use std::fmt;
-
-use rand::rngs::StdRng;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// Block replacement policy within a cache set.
-///
-/// The paper's evaluation uses LRU (the only policy that matters for a
-/// direct-mapped cache is trivially "the single resident block"); FIFO and
-/// random are provided for the replacement-sensitivity ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum ReplacementPolicy {
-    /// Evict the least recently used block.
-    #[default]
-    Lru,
-    /// Evict the block that has been resident longest.
-    Fifo,
-    /// Evict a uniformly random resident block.
-    Random,
-}
-
-impl fmt::Display for ReplacementPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let name = match self {
-            ReplacementPolicy::Lru => "LRU",
-            ReplacementPolicy::Fifo => "FIFO",
-            ReplacementPolicy::Random => "random",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Storage and replacement bookkeeping for one cache set.
+/// Storage and LRU bookkeeping for one cache set.
 ///
 /// Blocks are identified by their full block address, so the simulation is
 /// correct for any index function without needing an explicit tag function
@@ -41,10 +8,7 @@ impl fmt::Display for ReplacementPolicy {
 /// `xorindex` crate).
 #[derive(Debug, Clone)]
 pub(crate) struct CacheSet {
-    /// Resident blocks ordered by the policy's bookkeeping:
-    /// * LRU — most recently used last;
-    /// * FIFO — insertion order, oldest first;
-    /// * Random — arbitrary order.
+    /// Resident blocks, most recently used last.
     blocks: Vec<u64>,
     ways: usize,
 }
@@ -76,30 +40,19 @@ impl CacheSet {
         &self.blocks
     }
 
-    pub(crate) fn access(
-        &mut self,
-        block: u64,
-        policy: ReplacementPolicy,
-        rng: &mut StdRng,
-    ) -> SetAccess {
+    pub(crate) fn access(&mut self, block: u64) -> SetAccess {
         if let Some(pos) = self.blocks.iter().position(|&b| b == block) {
-            if policy == ReplacementPolicy::Lru {
-                // Move to the most-recently-used end.
-                let b = self.blocks.remove(pos);
-                self.blocks.push(b);
-            }
+            // Move to the most-recently-used end.
+            let b = self.blocks.remove(pos);
+            self.blocks.push(b);
             return SetAccess::Hit;
         }
         if self.blocks.len() < self.ways {
             self.blocks.push(block);
             return SetAccess::MissFilled;
         }
-        let victim_pos = match policy {
-            // Both LRU and FIFO evict the front under their respective orders.
-            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => 0,
-            ReplacementPolicy::Random => rng.gen_range(0..self.blocks.len()),
-        };
-        let victim = self.blocks.remove(victim_pos);
+        // The least recently used block sits at the front.
+        let victim = self.blocks.remove(0);
         self.blocks.push(block);
         SetAccess::MissEvicted(victim)
     }
@@ -112,28 +65,13 @@ impl CacheSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(0)
-    }
 
     #[test]
     fn direct_mapped_set_always_evicts_on_conflict() {
         let mut set = CacheSet::new(1);
-        let mut r = rng();
-        assert_eq!(
-            set.access(1, ReplacementPolicy::Lru, &mut r),
-            SetAccess::MissFilled
-        );
-        assert_eq!(
-            set.access(1, ReplacementPolicy::Lru, &mut r),
-            SetAccess::Hit
-        );
-        assert_eq!(
-            set.access(2, ReplacementPolicy::Lru, &mut r),
-            SetAccess::MissEvicted(1)
-        );
+        assert_eq!(set.access(1), SetAccess::MissFilled);
+        assert_eq!(set.access(1), SetAccess::Hit);
+        assert_eq!(set.access(2), SetAccess::MissEvicted(1));
         assert!(set.contains(2));
         assert!(!set.contains(1));
     }
@@ -141,70 +79,19 @@ mod tests {
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut set = CacheSet::new(2);
-        let mut r = rng();
-        set.access(1, ReplacementPolicy::Lru, &mut r);
-        set.access(2, ReplacementPolicy::Lru, &mut r);
+        set.access(1);
+        set.access(2);
         // Touch 1 so 2 becomes LRU.
-        assert_eq!(
-            set.access(1, ReplacementPolicy::Lru, &mut r),
-            SetAccess::Hit
-        );
-        assert_eq!(
-            set.access(3, ReplacementPolicy::Lru, &mut r),
-            SetAccess::MissEvicted(2)
-        );
-    }
-
-    #[test]
-    fn fifo_ignores_recency() {
-        let mut set = CacheSet::new(2);
-        let mut r = rng();
-        set.access(1, ReplacementPolicy::Fifo, &mut r);
-        set.access(2, ReplacementPolicy::Fifo, &mut r);
-        // Hitting 1 does not save it: it is still the oldest insertion.
-        assert_eq!(
-            set.access(1, ReplacementPolicy::Fifo, &mut r),
-            SetAccess::Hit
-        );
-        assert_eq!(
-            set.access(3, ReplacementPolicy::Fifo, &mut r),
-            SetAccess::MissEvicted(1)
-        );
-    }
-
-    #[test]
-    fn random_evicts_some_resident_block() {
-        let mut set = CacheSet::new(4);
-        let mut r = rng();
-        for b in 0..4 {
-            set.access(b, ReplacementPolicy::Random, &mut r);
-        }
-        match set.access(99, ReplacementPolicy::Random, &mut r) {
-            SetAccess::MissEvicted(v) => assert!(v < 4),
-            other => panic!("expected an eviction, got {other:?}"),
-        }
-        assert_eq!(set.resident().len(), 4);
-        assert!(set.contains(99));
+        assert_eq!(set.access(1), SetAccess::Hit);
+        assert_eq!(set.access(3), SetAccess::MissEvicted(2));
     }
 
     #[test]
     fn flush_empties_the_set() {
         let mut set = CacheSet::new(2);
-        let mut r = rng();
-        set.access(1, ReplacementPolicy::Lru, &mut r);
+        set.access(1);
         set.flush();
         assert_eq!(set.resident().len(), 0);
-        assert_eq!(
-            set.access(1, ReplacementPolicy::Lru, &mut r),
-            SetAccess::MissFilled
-        );
-    }
-
-    #[test]
-    fn policy_display_names() {
-        assert_eq!(ReplacementPolicy::Lru.to_string(), "LRU");
-        assert_eq!(ReplacementPolicy::Fifo.to_string(), "FIFO");
-        assert_eq!(ReplacementPolicy::Random.to_string(), "random");
-        assert_eq!(ReplacementPolicy::default(), ReplacementPolicy::Lru);
+        assert_eq!(set.access(1), SetAccess::MissFilled);
     }
 }

@@ -1,44 +1,29 @@
-//! Dense, read-optimized view of a [`ConflictProfile`].
+//! The dense point-lookup tail a [`FrozenKernel`] lays over its profile.
 //!
-//! The profiling pass builds its histogram in a `HashMap<BitVec, u64>`, which
-//! is the right structure for accumulation but a poor one for the evaluation
-//! hot path: Eq. 4 sums `misses(v)` over up to `2^(n−m)` null-space vectors
-//! per candidate, and each `HashMap` lookup hashes a `BitVec` key. A
-//! [`DenseProfile`] freezes the histogram into a *hybrid* layout:
+//! A [`ConflictProfile`](crate::ConflictProfile) holds its histogram as
+//! `(vector, weight)` pairs sorted by vector — the cache-friendly layout for
+//! scanning the whole histogram. Eq. 4 also looks single vectors up, up to
+//! `2^(n−m)` of them per candidate, and each binary search over the entries
+//! costs a dozen dependent loads. So the kernel adds a dense *tail*: a flat
+//! weight array covering the vectors below `2^tail_bits`, sized to the
+//! hottest low-index region of the histogram rather than to the full
+//! address space. Point lookups that land under the tail are one indexed
+//! load; the rest binary-search only the entries above it.
 //!
-//! * a `Vec<(u64, u64)>` of `(vector, weight)` pairs sorted by vector — the
-//!   cache-friendly layout for scanning the whole histogram; and
-//! * an optional dense *tail*: a flat weight array covering the vectors below
-//!   `2^tail_bits`, sized to the hottest low-index region of the histogram
-//!   rather than to the full address space. Point lookups that land under the
-//!   tail are one indexed load; the rest binary-search only the entries above
-//!   it.
+//! Narrow profiles (`hashed_bits ≤` [`FLAT_LOOKUP_MAX_BITS`]) get a tail
+//! spanning the whole space, so every lookup is a flat load (at the 20-bit
+//! limit that is `2^20 × 8 B = 8 MB`; the paper's configuration uses
+//! n = 16, i.e. 512 KB). Wider profiles do not fall off a cliff into pure
+//! binary search: conflict vectors are XORs of addresses and cluster heavily
+//! in the low-index region (small strides), so the kernel materializes a
+//! tail over that region whenever it is occupied densely enough to pay for
+//! itself. Whatever the tail, lookups answer bit-identically.
 //!
-//! Narrow profiles (`hashed_bits ≤` [`FLAT_LOOKUP_MAX_BITS`]) keep the old
-//! behaviour as a special case: the tail spans the whole space, so every
-//! lookup is a flat load (at the 20-bit limit that is `2^20 × 8 B = 8 MB`;
-//! the paper's configuration uses n = 16, i.e. 512 KB). Wider profiles no
-//! longer fall off a cliff into pure binary search: conflict vectors are
-//! XORs of addresses and cluster heavily in the low-index region (small
-//! strides), so [`DenseProfile::from_profile`] materializes a tail over that
-//! region whenever it is occupied densely enough to pay for itself, and
-//! [`DenseProfile::with_tail_cap`] lets callers move the memory/latency
-//! trade-off in either direction.
-//!
-//! It mirrors the read-side API of [`ConflictProfile`], so evaluation code is
-//! oblivious to which representation it is handed — all three (full tail,
-//! hybrid tail, pure sorted) answer bit-identically.
+//! [`FrozenKernel`]: crate::FrozenKernel
 
-use crate::{ConflictProfile, XorIndexError};
-
-/// Widest `hashed_bits` for which [`DenseProfile::from_profile`] covers the
-/// *entire* space with the dense tail (the old "flat lookup" behaviour), and
-/// the default tail cap for wider profiles.
+/// Widest `hashed_bits` for which a kernel's tail covers the *entire* space
+/// (the flat lookup), and the widest tail any kernel holds.
 pub const FLAT_LOOKUP_MAX_BITS: usize = 20;
-
-/// Widest tail a caller may request through [`DenseProfile::with_tail_cap`]
-/// (a `2^30`-entry tail is already an 8 GiB allocation).
-pub const TAIL_CAP_MAX_BITS: usize = 30;
 
 /// A candidate tail must cover at least three quarters of the entries any
 /// tail under the cap could cover; otherwise a smaller tail is chosen.
@@ -51,318 +36,93 @@ const TAIL_COVERAGE_DEN: usize = 4;
 const TAIL_MIN_OCCUPANCY_SHIFT: usize = 6;
 const TAIL_MIN_ENTRIES: usize = 4;
 
-/// A read-optimized snapshot of a [`ConflictProfile`] histogram.
-///
-/// # Example
-///
-/// ```
-/// use cache_sim::BlockAddr;
-/// use xorindex::{ConflictProfile, DenseProfile};
-///
-/// let trace = (0..20u64).map(|i| BlockAddr((i % 2) * 0x100));
-/// let profile = ConflictProfile::from_blocks(trace, 16, 256);
-/// let dense = DenseProfile::from_profile(&profile);
-/// assert_eq!(dense.misses_of(0x100), profile.misses_of(0x100));
-/// assert_eq!(dense.total_weight(), profile.total_weight());
-/// ```
+/// A flat weight table over the vectors below `2^bits`, answering point
+/// lookups over a sorted entry slice together with a binary search above
+/// it.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DenseProfile {
-    hashed_bits: usize,
-    capacity_blocks: usize,
-    /// `(vector, weight)` pairs sorted by vector; weights are non-zero and the
-    /// zero vector never appears (the profiler drops it).
-    entries: Vec<(u64, u64)>,
-    /// Dense tail: `misses_of(v)` for every `v < 2^tail_bits`, when
-    /// materialized (empty otherwise).
-    tail: Vec<u64>,
-    /// Width of the tail in bits; meaningful only when `tail` is non-empty.
-    tail_bits: usize,
-    /// Index of the first entry `≥ 2^tail_bits`: entries below it are
-    /// answered by the tail, the slice above it by binary search.
-    tail_split: usize,
-    total_weight: u64,
-    /// Mean set-bit count over the distinct recorded vectors, rounded up —
-    /// the batch cost model's estimate of per-entry sliced work.
-    mean_popcount: usize,
+pub(crate) struct LookupTail {
+    /// `misses(v)` for every `v < 2^bits`; empty when no tail is
+    /// materialized.
+    table: Vec<u64>,
+    /// Width of the tail in bits; 0 exactly when `table` is empty.
+    bits: usize,
+    /// Index of the first entry `≥ 2^bits`: entries below it are answered
+    /// by the table, the slice above it by binary search.
+    split: usize,
 }
 
-impl DenseProfile {
-    /// Freezes a profile's histogram into the hybrid layout with the default
-    /// tail cap ([`FLAT_LOOKUP_MAX_BITS`]): narrow profiles get a
-    /// whole-space tail, wide profiles a tail over their hottest low-index
-    /// region when occupancy warrants one.
-    #[must_use]
-    pub fn from_profile(profile: &ConflictProfile) -> Self {
-        Self::with_tail_cap(profile, FLAT_LOOKUP_MAX_BITS)
-    }
-
-    /// Freezes a profile with an explicit bound on the dense tail's width.
-    ///
-    /// `cap_bits = 0` disables the tail entirely (pure sorted entries — the
-    /// smallest footprint and the reference representation in tests); larger
-    /// caps permit up to a `2^cap_bits`-slot tail, `8 << cap_bits` bytes at
-    /// the limit. The cap is clamped to the profile's own width. Whatever
-    /// the cap, estimates are bit-identical; only lookup latency and memory
-    /// change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap_bits` exceeds [`TAIL_CAP_MAX_BITS`].
-    #[must_use]
-    pub fn with_tail_cap(profile: &ConflictProfile, cap_bits: usize) -> Self {
-        assert!(
-            cap_bits <= TAIL_CAP_MAX_BITS,
-            "tail cap of {cap_bits} bits exceeds the {TAIL_CAP_MAX_BITS}-bit limit"
-        );
-        let hashed_bits = profile.hashed_bits();
-        let mut entries: Vec<(u64, u64)> = profile
-            .iter()
-            .map(|(v, w)| (v.as_u64(), w))
-            .filter(|&(_, w)| w > 0)
-            .collect();
-        entries.sort_unstable_by_key(|&(v, _)| v);
-        let total_weight = entries.iter().map(|&(_, w)| w).sum();
-        let popcount_sum: usize = entries.iter().map(|&(v, _)| v.count_ones() as usize).sum();
-        let mean_popcount = popcount_sum.div_ceil(entries.len().max(1));
-
-        let tail_bits = choose_tail_bits(&entries, hashed_bits, cap_bits.min(hashed_bits));
-        let (tail, tail_split) = match tail_bits {
-            Some(bits) => {
-                let split = covered_below(&entries, bits);
-                let mut table = vec![0u64; 1usize << bits];
-                for &(v, w) in &entries[..split] {
-                    table[v as usize] = w;
-                }
-                (table, split)
-            }
-            None => (Vec::new(), 0),
-        };
-
-        DenseProfile {
-            hashed_bits,
-            capacity_blocks: profile.capacity_blocks(),
-            entries,
-            tail,
-            tail_bits: tail_bits.unwrap_or(0),
-            tail_split,
-            total_weight,
-            mean_popcount,
+impl LookupTail {
+    /// The default tail width for a profile's sorted entries: the whole
+    /// space for narrow profiles (kept even when they are empty); for wider
+    /// ones, the smallest width covering three quarters of what a
+    /// [`FLAT_LOOKUP_MAX_BITS`]-wide tail would cover — provided that region
+    /// is occupied densely enough to be worth materializing, else 0 (no
+    /// tail).
+    pub(crate) fn default_bits(entries: &[(u64, u64)], hashed_bits: usize) -> usize {
+        if hashed_bits <= FLAT_LOOKUP_MAX_BITS {
+            return hashed_bits;
         }
-    }
-
-    /// Reconstructs a dense profile from its serialized parts — the
-    /// deserialization counterpart of [`DenseProfile::entries`] /
-    /// [`DenseProfile::tail_bits`], used by snapshot restore. A profile
-    /// rebuilt from its own parts is bit-identical (`==`) to the original:
-    /// the dense tail, split point and derived statistics are recomputed from
-    /// the entries, which fully determine them given `tail_bits`.
-    ///
-    /// `tail_bits = 0` means no dense tail (the pure sorted layout); any
-    /// other value materializes a `2^tail_bits`-slot tail exactly as the
-    /// freezing constructors would have.
-    ///
-    /// # Errors
-    ///
-    /// [`XorIndexError::MalformedProfile`] when the parts violate the frozen
-    /// representation's invariants: entries must be strictly ascending by
-    /// vector with non-zero vectors and weights inside the hashed width, and
-    /// `tail_bits` must fit both the width and [`TAIL_CAP_MAX_BITS`].
-    pub fn from_parts(
-        hashed_bits: usize,
-        capacity_blocks: usize,
-        tail_bits: usize,
-        entries: Vec<(u64, u64)>,
-    ) -> Result<Self, XorIndexError> {
-        let malformed = |reason: String| XorIndexError::MalformedProfile { reason };
-        if !(1..=64).contains(&hashed_bits) {
-            return Err(malformed(format!(
-                "hashed_bits {hashed_bits} not in 1..=64"
-            )));
-        }
-        if capacity_blocks == 0 {
-            return Err(malformed("capacity_blocks is zero".to_string()));
-        }
-        if tail_bits > hashed_bits || tail_bits > TAIL_CAP_MAX_BITS {
-            return Err(malformed(format!(
-                "tail of {tail_bits} bits cannot cover a {hashed_bits}-bit profile \
-                 (cap {TAIL_CAP_MAX_BITS})"
-            )));
-        }
-        let mut last: Option<u64> = None;
-        for &(v, w) in &entries {
-            if v == 0 {
-                return Err(malformed("zero conflict vector recorded".to_string()));
-            }
-            if hashed_bits < 64 && v >> hashed_bits != 0 {
-                return Err(malformed(format!(
-                    "vector {v:#x} outside the {hashed_bits}-bit hashed space"
-                )));
-            }
-            if w == 0 {
-                return Err(malformed(format!("vector {v:#x} has zero weight")));
-            }
-            if last.is_some_and(|prev| prev >= v) {
-                return Err(malformed(
-                    "entries not strictly ascending by vector".to_string(),
-                ));
-            }
-            last = Some(v);
-        }
-        let total_weight = entries.iter().map(|&(_, w)| w).sum();
-        let popcount_sum: usize = entries.iter().map(|&(v, _)| v.count_ones() as usize).sum();
-        let mean_popcount = popcount_sum.div_ceil(entries.len().max(1));
-        let (tail, tail_split) = if tail_bits > 0 {
-            let split = covered_below(&entries, tail_bits);
-            let mut table = vec![0u64; 1usize << tail_bits];
-            for &(v, w) in &entries[..split] {
-                table[v as usize] = w;
-            }
-            (table, split)
+        let target = covered_below(entries, FLAT_LOOKUP_MAX_BITS);
+        let bits = (1..FLAT_LOOKUP_MAX_BITS)
+            .find(|&t| covered_below(entries, t) * TAIL_COVERAGE_DEN >= target * TAIL_COVERAGE_NUM)
+            .unwrap_or(FLAT_LOOKUP_MAX_BITS);
+        let covered = covered_below(entries, bits);
+        let occupancy_floor = ((1usize << bits) >> TAIL_MIN_OCCUPANCY_SHIFT).max(TAIL_MIN_ENTRIES);
+        if covered >= occupancy_floor {
+            bits
         } else {
-            (Vec::new(), 0)
-        };
-        Ok(DenseProfile {
-            hashed_bits,
-            capacity_blocks,
-            entries,
-            tail,
-            tail_bits,
-            tail_split,
-            total_weight,
-            mean_popcount,
-        })
-    }
-
-    /// Number of hashed address bits `n`.
-    #[must_use]
-    pub fn hashed_bits(&self) -> usize {
-        self.hashed_bits
-    }
-
-    /// Cache capacity (in blocks) the source profile was gathered for.
-    #[must_use]
-    pub fn capacity_blocks(&self) -> usize {
-        self.capacity_blocks
-    }
-
-    /// Number of distinct conflict vectors recorded.
-    #[must_use]
-    pub fn distinct_vectors(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Mean set-bit count over the distinct recorded vectors, rounded up (0
-    /// for an empty profile). Conflict vectors are XORs of nearby addresses
-    /// and are typically much sparser than random `hashed_bits`-wide words;
-    /// the batch cost model uses this to predict sliced-scan work.
-    #[must_use]
-    pub fn mean_popcount(&self) -> usize {
-        if self.entries.is_empty() {
             0
-        } else {
-            self.mean_popcount
         }
     }
 
-    /// `true` when the dense tail covers the *entire* space, so every point
-    /// lookup is a single indexed load (the pre-hybrid "flat" layout).
-    #[must_use]
-    pub fn has_flat_lookup(&self) -> bool {
-        !self.tail.is_empty() && self.tail_bits == self.hashed_bits
-    }
-
-    /// `true` when any dense tail is materialized (whole-space or hybrid).
-    #[must_use]
-    pub fn has_dense_tail(&self) -> bool {
-        !self.tail.is_empty()
-    }
-
-    /// Width of the dense tail in bits (0 when no tail is materialized; a
-    /// materialized tail always covers at least one bit).
-    #[must_use]
-    pub fn tail_bits(&self) -> usize {
-        if self.tail.is_empty() {
-            0
-        } else {
-            self.tail_bits
+    /// Builds a `bits`-wide tail (0 = none) over sorted entries.
+    pub(crate) fn new(entries: &[(u64, u64)], bits: usize) -> Self {
+        if bits == 0 {
+            return LookupTail {
+                table: Vec::new(),
+                bits: 0,
+                split: 0,
+            };
         }
-    }
-
-    /// Number of recorded entries the dense tail answers (the rest go through
-    /// binary search over the sorted slice above it).
-    #[must_use]
-    pub fn tail_covered(&self) -> usize {
-        self.tail_split
-    }
-
-    /// The accumulated weight `misses(v)` of a conflict vector's raw bits.
-    #[must_use]
-    pub fn misses_of(&self, v: u64) -> u64 {
-        debug_assert!(self.hashed_bits == 64 || v < (1u64 << self.hashed_bits));
-        if !self.tail.is_empty() && (v >> self.tail_bits) == 0 {
-            return self.tail[v as usize];
+        let split = covered_below(entries, bits);
+        let mut table = vec![0u64; 1usize << bits];
+        for &(v, w) in &entries[..split] {
+            table[v as usize] = w;
         }
-        self.entries[self.tail_split..]
-            .binary_search_by_key(&v, |&(vec, _)| vec)
-            .map(|i| self.entries[self.tail_split + i].1)
-            .unwrap_or(0)
+        LookupTail { table, bits, split }
     }
 
-    /// The sorted `(vector, weight)` pairs, ascending by vector.
-    #[must_use]
-    pub fn entries(&self) -> &[(u64, u64)] {
-        &self.entries
+    /// Width of the tail in bits (0 when none is materialized).
+    pub(crate) fn bits(&self) -> usize {
+        self.bits
     }
 
-    /// Iterates over `(vector, weight)` pairs in ascending vector order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.entries.iter().copied()
+    /// Number of entries the table answers.
+    pub(crate) fn covered(&self) -> usize {
+        self.split
     }
 
-    /// Total weight over all vectors.
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        self.total_weight
+    /// `misses(v)` over the `entries` the tail was built from.
+    pub(crate) fn lookup(&self, entries: &[(u64, u64)], v: u64) -> u64 {
+        if self.bits > 0 && (v >> self.bits) == 0 {
+            return self.table[v as usize];
+        }
+        let above = &entries[self.split..];
+        above
+            .binary_search_by_key(&v, |&(vector, _)| vector)
+            .map_or(0, |i| above[i].1)
     }
 }
 
-/// Number of sorted entries with vector `< 2^bits`.
+/// Number of sorted entries with vector `< 2^bits` (`bits` below 64).
 fn covered_below(entries: &[(u64, u64)], bits: usize) -> usize {
-    if bits >= 64 {
-        return entries.len();
-    }
     entries.partition_point(|&(v, _)| v < (1u64 << bits))
-}
-
-/// Picks the dense tail's width: the whole space for narrow profiles, else
-/// the smallest width covering most of what the cap could cover — provided
-/// the region is occupied densely enough to be worth materializing.
-fn choose_tail_bits(entries: &[(u64, u64)], hashed_bits: usize, cap: usize) -> Option<usize> {
-    if cap == 0 {
-        return None;
-    }
-    if cap >= hashed_bits {
-        // Narrow profile: whole-space tail, unconditionally (the pre-hybrid
-        // flat behaviour, kept even for empty profiles).
-        return Some(hashed_bits);
-    }
-    let target = covered_below(entries, cap);
-    let bits = (1..=cap)
-        .find(|&t| covered_below(entries, t) * TAIL_COVERAGE_DEN >= target * TAIL_COVERAGE_NUM)?;
-    let covered = covered_below(entries, bits);
-    let occupancy_floor = ((1usize << bits) >> TAIL_MIN_OCCUPANCY_SHIFT).max(TAIL_MIN_ENTRIES);
-    (covered >= occupancy_floor).then_some(bits)
-}
-
-impl From<&ConflictProfile> for DenseProfile {
-    fn from(profile: &ConflictProfile) -> Self {
-        DenseProfile::from_profile(profile)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ConflictProfile, FrozenKernel, XorIndexError};
     use cache_sim::BlockAddr;
     use gf2::BitVec;
 
@@ -374,32 +134,31 @@ mod tests {
     fn dense_lookups_match_the_hashmap_histogram() {
         let seq: Vec<u64> = (0..300u64).map(|i| (i * 37) % 97).collect();
         let p = profile(&seq, 10);
-        let d = DenseProfile::from_profile(&p);
-        assert!(d.has_flat_lookup());
-        assert!(d.has_dense_tail());
-        assert_eq!(d.tail_bits(), 10);
+        let k = FrozenKernel::new(&p);
+        assert!(k.has_flat_lookup());
+        assert!(k.has_dense_tail());
+        assert_eq!(k.tail_bits(), 10);
+        assert_eq!(k.tail_covered(), p.distinct_vectors());
         for v in 0..(1u64 << 10) {
-            assert_eq!(d.misses_of(v), p.misses(BitVec::from_u64(v, 10)), "v={v}");
+            assert_eq!(k.misses_of(v), p.misses(BitVec::from_u64(v, 10)), "v={v}");
         }
-        assert_eq!(d.total_weight(), p.total_weight());
-        assert_eq!(d.distinct_vectors(), p.distinct_vectors());
-        assert_eq!(d.hashed_bits(), 10);
-        assert_eq!(d.capacity_blocks(), 64);
+        assert_eq!(k.profile().hashed_bits(), 10);
+        assert_eq!(k.profile().capacity_blocks(), 64);
     }
 
     #[test]
     fn wide_profiles_get_no_flat_lookup() {
         let seq: Vec<u64> = (0..100u64).map(|i| (i % 5) << 40).collect();
         let p = ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 48, 64);
-        let d = DenseProfile::from_profile(&p);
-        assert!(!d.has_flat_lookup());
+        let k = FrozenKernel::new(&p);
+        assert!(!k.has_flat_lookup());
         // All mass sits at bit 40 and above: no low-index tail pays off.
-        assert!(!d.has_dense_tail());
+        assert!(!k.has_dense_tail());
+        assert_eq!(k.tail_bits(), 0);
         for (v, w) in p.iter() {
-            assert_eq!(d.misses_of(v.as_u64()), w);
+            assert_eq!(k.misses_of(v.as_u64()), w);
         }
-        assert_eq!(d.misses_of(0x1234), 0);
-        assert_eq!(d.total_weight(), p.total_weight());
+        assert_eq!(k.misses_of(0x1234), 0);
     }
 
     #[test]
@@ -411,17 +170,17 @@ mod tests {
             seq.push((i % 2) << 40); // two far-apart blocks
         }
         let p = ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 48, 64);
-        let d = DenseProfile::from_profile(&p);
-        assert!(!d.has_flat_lookup());
-        assert!(d.has_dense_tail(), "hot low region should be materialized");
-        assert!(d.tail_bits() <= FLAT_LOOKUP_MAX_BITS);
-        assert!(d.tail_covered() > 0);
+        let k = FrozenKernel::new(&p);
+        assert!(!k.has_flat_lookup());
+        assert!(k.has_dense_tail(), "hot low region should be materialized");
+        assert!(k.tail_bits() <= FLAT_LOOKUP_MAX_BITS);
+        assert!(k.tail_covered() > 0);
         // Every lookup still agrees with the histogram, tail or not.
         for (v, w) in p.iter() {
-            assert_eq!(d.misses_of(v.as_u64()), w, "v={:#x}", v.as_u64());
+            assert_eq!(k.misses_of(v.as_u64()), w, "v={:#x}", v.as_u64());
         }
-        assert_eq!(d.misses_of(0x3), 0);
-        assert_eq!(d.misses_of(0x3 << 30), 0);
+        assert_eq!(k.misses_of(0x3), 0);
+        assert_eq!(k.misses_of(0x3 << 30), 0);
     }
 
     #[test]
@@ -430,39 +189,45 @@ mod tests {
             .map(|i| (i % 7) * 0x21 + (i % 3) * 0x4000)
             .collect();
         let p = profile(&seq, 18);
-        let flat = DenseProfile::from_profile(&p); // whole-space tail
-        let sorted = DenseProfile::with_tail_cap(&p, 0); // no tail
-        let hybrid = DenseProfile::with_tail_cap(&p, 10); // partial tail
+        let flat = FrozenKernel::new(&p); // whole-space tail
+        let sorted = FrozenKernel::from_parts(p.clone(), 0).unwrap(); // no tail
+        let hybrid = FrozenKernel::from_parts(p.clone(), 10).unwrap(); // partial tail
         assert!(flat.has_flat_lookup());
         assert!(!sorted.has_dense_tail());
+        assert!(hybrid.has_dense_tail() && !hybrid.has_flat_lookup());
         for v in (0..(1u64 << 18)).step_by(7) {
             let w = flat.misses_of(v);
             assert_eq!(sorted.misses_of(v), w, "v={v:#x}");
             assert_eq!(hybrid.misses_of(v), w, "v={v:#x}");
+            assert_eq!(p.misses_of(v), w, "v={v:#x}");
         }
-        assert_eq!(flat.entries(), sorted.entries());
-        assert_eq!(flat.entries(), hybrid.entries());
+        assert_eq!(flat.profile().entries(), sorted.profile().entries());
+        assert_eq!(flat.profile().entries(), hybrid.profile().entries());
     }
 
     #[test]
     fn entries_are_sorted_nonzero_and_complete() {
         let seq: Vec<u64> = (0..200u64).map(|i| (i % 7) * 13).collect();
         let p = profile(&seq, 12);
-        let d = DenseProfile::from_profile(&p);
-        assert!(d.entries().windows(2).all(|w| w[0].0 < w[1].0));
-        assert!(d.iter().all(|(v, w)| v != 0 && w > 0));
-        assert_eq!(d.iter().map(|(_, w)| w).sum::<u64>(), p.total_weight());
+        assert!(p.entries().windows(2).all(|w| w[0].0 < w[1].0));
+        assert!(p.entries().iter().all(|&(v, w)| v != 0 && w > 0));
+        // Every block fits the width, so no vector truncated away: the
+        // weights add up to every conflict vector the walk recorded.
+        let total: u64 = p.entries().iter().map(|&(_, w)| w).sum();
+        assert_eq!(total, p.summary().conflict_vectors);
+        // The kernel prices from a copy of exactly these entries.
+        assert_eq!(FrozenKernel::new(&p).profile().entries(), p.entries());
     }
 
     #[test]
     fn empty_profile_gives_empty_dense_view() {
         let p = ConflictProfile::from_blocks(std::iter::empty(), 16, 64);
-        let d = DenseProfile::from_profile(&p);
-        assert_eq!(d.distinct_vectors(), 0);
-        assert_eq!(d.total_weight(), 0);
-        assert_eq!(d.misses_of(0x10), 0);
+        let k = FrozenKernel::new(&p);
+        assert_eq!(k.profile().distinct_vectors(), 0);
+        assert_eq!(k.profile().total_weight(), 0);
+        assert_eq!(k.misses_of(0x10), 0);
         // Narrow widths keep the whole-space tail even when empty.
-        assert!(d.has_flat_lookup());
+        assert!(k.has_flat_lookup());
     }
 
     #[test]
@@ -472,49 +237,60 @@ mod tests {
             .collect();
         let p = profile(&seq, 18);
         for original in [
-            DenseProfile::from_profile(&p),      // whole-space tail
-            DenseProfile::with_tail_cap(&p, 0),  // no tail
-            DenseProfile::with_tail_cap(&p, 10), // hybrid tail
+            FrozenKernel::new(&p),                            // whole-space tail
+            FrozenKernel::from_parts(p.clone(), 0).unwrap(),  // no tail
+            FrozenKernel::from_parts(p.clone(), 10).unwrap(), // hybrid tail
         ] {
-            let rebuilt = DenseProfile::from_parts(
-                original.hashed_bits(),
-                original.capacity_blocks(),
-                original.tail_bits(),
-                original.entries().to_vec(),
+            let parts = original.profile();
+            let profile = ConflictProfile::from_parts(
+                parts.hashed_bits(),
+                parts.capacity_blocks(),
+                parts.entries().to_vec(),
             )
             .expect("own parts are valid");
-            assert_eq!(rebuilt, original);
+            let rebuilt = FrozenKernel::from_parts(profile, original.tail_bits())
+                .expect("own tail width is valid");
+            assert_eq!(rebuilt.profile().entries(), parts.entries());
+            assert_eq!(rebuilt.profile().hashed_bits(), 18);
+            assert_eq!(rebuilt.profile().capacity_blocks(), 64);
+            assert_eq!(rebuilt.tail_bits(), original.tail_bits());
+            assert_eq!(rebuilt.tail_covered(), original.tail_covered());
+            for v in 0..(1u64 << 18) {
+                assert_eq!(rebuilt.misses_of(v), original.misses_of(v), "v={v:#x}");
+            }
         }
         // The empty flat profile round-trips too.
-        let empty =
-            DenseProfile::from_profile(&ConflictProfile::from_blocks(std::iter::empty(), 16, 64));
-        assert_eq!(
-            DenseProfile::from_parts(16, 64, empty.tail_bits(), Vec::new()).unwrap(),
-            empty
-        );
+        let empty = FrozenKernel::new(&ConflictProfile::from_blocks(std::iter::empty(), 16, 64));
+        let rebuilt = FrozenKernel::from_parts(
+            ConflictProfile::from_parts(16, 64, Vec::new()).unwrap(),
+            empty.tail_bits(),
+        )
+        .unwrap();
+        assert!(rebuilt.has_flat_lookup());
+        assert_eq!(rebuilt.profile(), empty.profile());
     }
 
     #[test]
     fn from_parts_rejects_malformed_data() {
-        use crate::XorIndexError;
-        let bad = |r: Result<DenseProfile, XorIndexError>| {
+        let bad = |r: Result<ConflictProfile, XorIndexError>| {
             assert!(matches!(r, Err(XorIndexError::MalformedProfile { .. })));
         };
-        bad(DenseProfile::from_parts(0, 64, 0, vec![]));
-        bad(DenseProfile::from_parts(12, 0, 0, vec![]));
-        bad(DenseProfile::from_parts(12, 64, 13, vec![])); // tail wider than space
-        bad(DenseProfile::from_parts(40, 64, 31, vec![])); // tail above the cap
-        bad(DenseProfile::from_parts(12, 64, 0, vec![(0, 5)])); // zero vector
-        bad(DenseProfile::from_parts(12, 64, 0, vec![(1 << 12, 5)])); // outside width
-        bad(DenseProfile::from_parts(12, 64, 0, vec![(3, 0)])); // zero weight
-        bad(DenseProfile::from_parts(12, 64, 0, vec![(7, 1), (3, 1)])); // unsorted
-        bad(DenseProfile::from_parts(12, 64, 0, vec![(3, 1), (3, 2)])); // duplicate
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_tail_cap_panics() {
-        let p = ConflictProfile::from_blocks(std::iter::empty(), 16, 64);
-        let _ = DenseProfile::with_tail_cap(&p, TAIL_CAP_MAX_BITS + 1);
+        let bad_tail = |r: Result<FrozenKernel, XorIndexError>| {
+            assert!(matches!(r, Err(XorIndexError::MalformedProfile { .. })));
+        };
+        let empty = |bits| ConflictProfile::from_parts(bits, 64, vec![]).unwrap();
+        bad(ConflictProfile::from_parts(0, 64, vec![]));
+        bad(ConflictProfile::from_parts(65, 64, vec![]));
+        bad(ConflictProfile::from_parts(12, 0, vec![]));
+        bad_tail(FrozenKernel::from_parts(empty(12), 13)); // tail wider than space
+        bad_tail(FrozenKernel::from_parts(empty(40), 21)); // tail above the cap
+        assert!(FrozenKernel::from_parts(empty(40), FLAT_LOOKUP_MAX_BITS).is_ok());
+        bad(ConflictProfile::from_parts(12, 64, vec![(0, 5)])); // zero vector
+        bad(ConflictProfile::from_parts(12, 64, vec![(1 << 12, 5)])); // outside width
+        bad(ConflictProfile::from_parts(12, 64, vec![(3, 0)])); // zero weight
+        bad(ConflictProfile::from_parts(12, 64, vec![(7, 1), (3, 1)])); // unsorted
+        bad(ConflictProfile::from_parts(12, 64, vec![(3, 1), (3, 2)])); // duplicate
+        let overflowing = vec![(3, u64::MAX), (5, 1)];
+        bad(ConflictProfile::from_parts(12, 64, overflowing)); // total overflows
     }
 }

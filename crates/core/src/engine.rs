@@ -1,14 +1,14 @@
 //! Dense evaluation engine for Eq. 4 over whole candidate sets.
 //!
 //! [`MissEstimator`](crate::MissEstimator) evaluates one candidate at a time
-//! against the `HashMap` histogram, re-paying key hashing and `Subspace`
-//! traversal on every call. [`EvalEngine`] is the batch-oriented replacement
-//! the search algorithms run on: a thin façade over a shared
-//! [`FrozenKernel`] — the immutable pricing core holding the
-//! [`DenseProfile`] snapshot plus all Eq. 4 arithmetic (full walks,
-//! histogram scans, coset-sliced neighbourhood sums), `Send + Sync` and
-//! shared via `Arc`, so one kernel per application serves any number of
-//! searches and serving workers concurrently.
+//! through `BitVec` lookups, re-paying `Subspace` traversal on every call.
+//! [`EvalEngine`] is the batch-oriented replacement the search algorithms
+//! run on: a thin façade over a shared [`FrozenKernel`] — the immutable
+//! pricing core holding the frozen [`ConflictProfile`] and its point-lookup
+//! tail plus all Eq. 4 arithmetic (full walks, histogram scans, coset-sliced
+//! neighbourhood sums), `Send + Sync` and shared via `Arc`, so one kernel
+//! per application serves any number of searches and serving workers
+//! concurrently.
 //!
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
@@ -27,9 +27,7 @@ use std::sync::{Arc, OnceLock};
 use gf2::{PackedBasis, SLICED_LANES};
 
 use crate::search::PackedNeighborhood;
-use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, FrozenKernel, ScaffoldCache,
-};
+use crate::{BatchStrategy, BoundedCost, ConflictProfile, FrozenKernel, ScaffoldCache};
 
 /// The host's available parallelism (1 when it cannot be determined),
 /// resolved once per process: the query reads cgroup files on Linux, which
@@ -64,7 +62,7 @@ pub struct EngineStats {
     /// Coset scaffoldings (frame + grouped histogram) answered from this
     /// engine's [`ScaffoldCache`].
     pub scaffold_hits: u64,
-    /// Coset scaffoldings built from the dense profile.
+    /// Coset scaffoldings built from the kernel's histogram.
     pub scaffold_misses: u64,
     /// Lanes abandoned by bounded pricing because their running sum saturated
     /// the incumbent bound (reported as [`BoundedCost::AtLeast`], not counted
@@ -73,7 +71,7 @@ pub struct EngineStats {
 }
 
 /// Batch evaluator of Eq. 4 (`misses(H) = Σ_{v ∈ N(H)} misses(v)`) over a
-/// frozen [`DenseProfile`] — a façade over an `Arc<`[`FrozenKernel`]`>`.
+/// frozen [`ConflictProfile`] — a façade over an `Arc<`[`FrozenKernel`]`>`.
 ///
 /// Cloning an engine clones the `Arc` and the scaffold cache *handle*: the
 /// clone prices against the same kernel and shares the same scaffolds, and
@@ -158,12 +156,6 @@ impl EvalEngine {
     #[must_use]
     pub fn scaffold_cache(&self) -> &ScaffoldCache {
         &self.scaffold
-    }
-
-    /// The frozen dense view of the histogram.
-    #[must_use]
-    pub fn dense(&self) -> &DenseProfile {
-        self.kernel.dense()
     }
 
     /// Work counters accumulated since construction (or the last

@@ -1,10 +1,11 @@
 //! The frozen, shareable pricing core of the evaluation engine.
 //!
-//! [`FrozenKernel`] is the immutable half of what used to be `EvalEngine`: a
-//! [`DenseProfile`] snapshot of one application's conflict histogram plus the
-//! Eq. 4 arithmetic (full null-space walks, histogram scans, and the
-//! coset-sliced neighbourhood sums) and the strategy-resolution rule. It
-//! holds no interior mutability at all, so it is `Send + Sync` by
+//! [`FrozenKernel`] is the immutable half of what used to be `EvalEngine`:
+//! one application's [`ConflictProfile`] — whose sorted `(vector, weight)`
+//! entries every pricing path reads — plus a dense point-lookup tail over
+//! them, and the Eq. 4 arithmetic (full null-space walks, histogram scans,
+//! and the coset-sliced neighbourhood sums) with the strategy-resolution
+//! rule. It holds no interior mutability at all, so it is `Send + Sync` by
 //! construction and one `Arc<FrozenKernel>` can price candidates from any
 //! number of threads simultaneously — the [`EvalEngine`](crate::EvalEngine)
 //! façade, the search algorithms, and a multi-tenant serving layer all share
@@ -29,13 +30,15 @@
 
 use gf2::{CosetFrame, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
 
+use crate::dense::LookupTail;
 use crate::estimate::{resolve_batch_strategy, resolve_strategy};
 use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, XorIndexError,
+    BatchStrategy, BoundedCost, ConflictProfile, EstimationStrategy, XorIndexError,
+    FLAT_LOOKUP_MAX_BITS,
 };
 
-/// The immutable Eq. 4 pricing core: a frozen [`DenseProfile`], shareable
-/// across threads via `Arc`.
+/// The immutable Eq. 4 pricing core: a frozen [`ConflictProfile`] plus its
+/// point-lookup tail, shareable across threads via `Arc`.
 ///
 /// # Example
 ///
@@ -56,35 +59,118 @@ use crate::{
 ///     kernel.cost(&ns),
 ///     MissEstimator::new(&profile).estimate_packed(&ns)
 /// );
+/// // A 16-bit profile gets a lookup table over its whole space.
+/// assert!(kernel.has_flat_lookup());
+/// assert_eq!(kernel.misses_of(0x100), profile.misses_of(0x100));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenKernel {
-    dense: DenseProfile,
+    profile: ConflictProfile,
+    tail: LookupTail,
+    /// Mean set-bit count over the distinct recorded vectors, rounded up (0
+    /// for an empty profile) — the batch cost model's estimate of per-entry
+    /// sliced work. Conflict vectors are XORs of nearby addresses and are
+    /// typically much sparser than random `hashed_bits`-wide words.
+    mean_popcount: usize,
 }
 
 impl FrozenKernel {
-    /// Freezes a profile's histogram into a kernel.
+    /// Freezes a copy of a profile's entries into a kernel with the default
+    /// lookup tail: the whole space for `hashed_bits ≤`
+    /// [`FLAT_LOOKUP_MAX_BITS`], the hot low-index region of wider profiles
+    /// when it is occupied densely enough to pay for itself.
     #[must_use]
     pub fn new(profile: &ConflictProfile) -> Self {
-        Self::from_dense(DenseProfile::from_profile(profile))
+        let tail_bits = LookupTail::default_bits(profile.entries(), profile.hashed_bits());
+        Self::assemble(profile.clone(), tail_bits)
     }
 
-    /// Builds a kernel over an already-frozen dense profile.
-    #[must_use]
-    pub fn from_dense(dense: DenseProfile) -> Self {
-        FrozenKernel { dense }
+    /// Builds a kernel over `profile` with a `tail_bits`-wide lookup tail
+    /// (0 = none, the pure sorted layout) — the counterpart of
+    /// [`FrozenKernel::profile`] and [`FrozenKernel::tail_bits`], used by
+    /// snapshot restore. A kernel rebuilt from its own parts answers and
+    /// lays out its tail exactly as the original did. Whatever the tail,
+    /// prices are bit-identical; only lookup latency and memory change.
+    ///
+    /// # Errors
+    ///
+    /// [`XorIndexError::MalformedProfile`] when `tail_bits` exceeds the
+    /// profile's hashed width or [`FLAT_LOOKUP_MAX_BITS`].
+    pub fn from_parts(profile: ConflictProfile, tail_bits: usize) -> Result<Self, XorIndexError> {
+        let hashed_bits = profile.hashed_bits();
+        if tail_bits > hashed_bits || tail_bits > FLAT_LOOKUP_MAX_BITS {
+            return Err(XorIndexError::MalformedProfile {
+                reason: format!(
+                    "tail of {tail_bits} bits cannot cover a {hashed_bits}-bit profile \
+                     (cap {FLAT_LOOKUP_MAX_BITS})"
+                ),
+            });
+        }
+        Ok(Self::assemble(profile, tail_bits))
     }
 
-    /// The frozen dense view of the histogram.
+    fn assemble(profile: ConflictProfile, tail_bits: usize) -> Self {
+        let entries = profile.entries();
+        let popcount_sum: usize = entries.iter().map(|&(v, _)| v.count_ones() as usize).sum();
+        let mean_popcount = popcount_sum.div_ceil(entries.len().max(1));
+        let tail = LookupTail::new(entries, tail_bits);
+        FrozenKernel {
+            profile,
+            tail,
+            mean_popcount,
+        }
+    }
+
+    /// The frozen conflict histogram.
     #[must_use]
-    pub fn dense(&self) -> &DenseProfile {
-        &self.dense
+    pub fn profile(&self) -> &ConflictProfile {
+        &self.profile
     }
 
     /// Number of hashed address bits the kernel prices against.
     #[must_use]
     pub fn hashed_bits(&self) -> usize {
-        self.dense.hashed_bits()
+        self.profile.hashed_bits()
+    }
+
+    /// Width of the lookup tail in bits (0 when none is materialized; a
+    /// materialized tail always covers at least one bit).
+    #[must_use]
+    pub fn tail_bits(&self) -> usize {
+        self.tail.bits()
+    }
+
+    /// `true` when the lookup tail covers the *entire* space, so every point
+    /// lookup is a single indexed load.
+    #[must_use]
+    pub fn has_flat_lookup(&self) -> bool {
+        self.tail.bits() == self.hashed_bits()
+    }
+
+    /// `true` when any lookup tail is materialized (whole-space or hybrid).
+    #[must_use]
+    pub fn has_dense_tail(&self) -> bool {
+        self.tail.bits() > 0
+    }
+
+    /// Number of entries the lookup tail answers (the rest go through binary
+    /// search over the sorted slice above it).
+    #[must_use]
+    pub fn tail_covered(&self) -> usize {
+        self.tail.covered()
+    }
+
+    /// The weight `misses(v)` of a conflict vector's raw bits, through the
+    /// lookup tail where it covers `v` and binary search above it.
+    #[must_use]
+    pub fn misses_of(&self, v: u64) -> u64 {
+        debug_assert!(self.hashed_bits() == 64 || v < (1u64 << self.hashed_bits()));
+        self.tail.lookup(self.profile.entries(), v)
+    }
+
+    /// The histogram's `(vector, weight)` pairs, ascending by vector.
+    fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.profile.entries().iter().copied()
     }
 
     /// Asserts that a candidate's ambient width matches the profile's hashed
@@ -97,7 +183,7 @@ impl FrozenKernel {
     pub(crate) fn check_width(&self, basis: &PackedBasis) {
         assert_eq!(
             basis.width(),
-            self.dense.hashed_bits(),
+            self.hashed_bits(),
             "null space width must match the profile"
         );
     }
@@ -115,9 +201,9 @@ impl FrozenKernel {
         self.check_width(basis);
         if self.enumerates(basis) {
             // The zero vector carries weight 0, so it needs no special case.
-            basis.vectors().map(|v| self.dense.misses_of(v)).sum()
+            basis.vectors().map(|v| self.misses_of(v)).sum()
         } else {
-            let members = self.dense.iter().filter(|&(v, _)| basis.contains(v));
+            let members = self.entries().filter(|&(v, _)| basis.contains(v));
             members.map(|(_, w)| w).sum()
         }
     }
@@ -131,11 +217,11 @@ impl FrozenKernel {
     /// (like a serving layer) that must survive malformed requests. The
     /// pricing methods themselves panic on a mismatch.
     pub fn ensure_width(&self, basis: &PackedBasis) -> Result<(), XorIndexError> {
-        if basis.width() == self.dense.hashed_bits() {
+        if basis.width() == self.hashed_bits() {
             Ok(())
         } else {
             Err(XorIndexError::ProfileMismatch {
-                profile_bits: self.dense.hashed_bits(),
+                profile_bits: self.hashed_bits(),
                 candidate_bits: basis.width(),
             })
         }
@@ -211,7 +297,7 @@ impl FrozenKernel {
         for basis in chunk {
             self.check_width(basis);
         }
-        SlicedBlock::from_bases(chunk.iter().copied()).sum_weights(self.dense.iter())
+        SlicedBlock::from_bases(chunk.iter().copied()).sum_weights(self.entries())
     }
 
     /// Resolves how a batch of candidates with the given null-space
@@ -222,15 +308,15 @@ impl FrozenKernel {
     pub fn batch_strategy(&self, dims: &[usize]) -> BatchStrategy {
         resolve_batch_strategy(
             self.hashed_bits(),
-            self.dense.mean_popcount(),
+            self.mean_popcount,
             dims,
-            self.dense.distinct_vectors(),
+            self.profile.distinct_vectors(),
         )
     }
 
     /// Builds the per-neighbourhood scaffolding coset-sliced pricing needs:
     /// the [`CosetFrame`] of hyperplane functionals and the [`CosetHistogram`]
-    /// grouping of the whole dense profile by parent remainder.
+    /// grouping of the whole histogram by parent remainder.
     ///
     /// [`FrozenKernel::cost_neighborhood_bounded`] builds this internally per
     /// call; orchestrating callers (the engine's scaffold cache, parallel
@@ -251,7 +337,7 @@ impl FrozenKernel {
         self.check_width(parent);
         (
             CosetFrame::new(parent, hyperplanes),
-            CosetHistogram::new(parent, self.dense.iter()),
+            CosetHistogram::new(parent, self.entries()),
         )
     }
 
@@ -316,9 +402,9 @@ impl FrozenKernel {
             sum >= bound
         };
         let saturated = if self.enumerates(basis) {
-            basis.vectors().any(|v| saturates(self.dense.misses_of(v)))
+            basis.vectors().any(|v| saturates(self.misses_of(v)))
         } else {
-            let mut members = self.dense.iter().filter(|&(v, _)| basis.contains(v));
+            let mut members = self.entries().filter(|&(v, _)| basis.contains(v));
             members.any(|(_, w)| saturates(w))
         };
         if saturated {
@@ -332,7 +418,7 @@ impl FrozenKernel {
     /// rather than scanning the histogram — whichever side of Eq. 4 is
     /// smaller.
     fn enumerates(&self, basis: &PackedBasis) -> bool {
-        let distinct = self.dense.distinct_vectors();
+        let distinct = self.profile.distinct_vectors();
         resolve_strategy(EstimationStrategy::Auto, basis.dim(), distinct)
             == EstimationStrategy::EnumerateNullSpace
     }
@@ -477,10 +563,14 @@ mod tests {
 
     #[test]
     fn from_dense_and_new_agree() {
+        // A kernel rebuilt from its parts holds what `new` froze.
         let profile = mixed_profile();
         let a = FrozenKernel::new(&profile);
-        let b = FrozenKernel::from_dense(DenseProfile::from_profile(&profile));
-        assert_eq!(a.dense(), b.dense());
+        let b = FrozenKernel::from_parts(profile.clone(), a.tail_bits()).unwrap();
+        assert_eq!(a.profile(), &profile);
+        assert_eq!(a.profile(), b.profile());
+        assert_eq!(a.tail, b.tail);
+        assert_eq!(a.mean_popcount, b.mean_popcount);
         assert_eq!(a.hashed_bits(), 12);
     }
 

@@ -13,7 +13,7 @@
 //!    count of *any* candidate hash function `H` is estimated without
 //!    re-simulating the trace as `Σ_{v ∈ N(H)} misses(v)` over its null space.
 //!    The searches run this sum through the dense evaluation engine
-//!    ([`EvalEngine`] over a [`DenseProfile`]): packed `u64` bases,
+//!    ([`EvalEngine`] over the profile's sorted entries): packed `u64` bases,
 //!    incumbent-bounded coset-sliced neighbourhood batches and scoped-thread
 //!    parallelism, with results bit-identical to [`MissEstimator`]. The
 //!    engine is a façade over an immutable, `Arc`-shareable [`FrozenKernel`]
@@ -66,6 +66,7 @@ mod engine;
 mod error;
 mod estimate;
 mod function_class;
+mod hasher;
 mod hashfn;
 mod kernel;
 mod memo;
@@ -77,7 +78,7 @@ mod scaffold;
 pub mod hardware;
 pub mod search;
 
-pub use dense::{DenseProfile, FLAT_LOOKUP_MAX_BITS, TAIL_CAP_MAX_BITS};
+pub use dense::FLAT_LOOKUP_MAX_BITS;
 pub use engine::{host_threads, EngineStats, EvalEngine};
 pub use error::XorIndexError;
 pub use estimate::{BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator};

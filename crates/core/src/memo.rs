@@ -23,42 +23,17 @@
 //! trading recomputation for a hard memory ceiling — results are unaffected
 //! because the table only ever caches exact values.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::{Arc, Mutex};
 
 use gf2::{CanonicalKey, PackedBasis};
 
+use crate::hasher::WordMap;
 use crate::FrozenKernel;
 
-/// FxHash-style hasher for the shard maps. Canonical-key words are already
-/// well-mixed pivot patterns and the table is internal (no untrusted keys),
-/// so SipHash's DoS resistance buys nothing here — a multiply per word
-/// roughly halves the probe cost on the serving hot path.
-#[derive(Default)]
-struct WordHasher(u64);
-
-impl Hasher for WordHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.write_u64(n as u64);
-    }
-}
-
-type ShardMap = HashMap<CanonicalKey, u64, BuildHasherDefault<WordHasher>>;
+/// The shard maps hash through the crate's word hasher: a multiply per key
+/// word roughly halves the probe cost on the serving hot path against
+/// SipHash.
+type ShardMap = WordMap<CanonicalKey, u64>;
 
 /// Default number of shards: enough to keep a worker pool of typical width
 /// from serializing on one lock, small enough that per-shard stats stay

@@ -1,10 +1,11 @@
 //! Conflict-vector profiling (paper Fig. 1).
 
-use std::collections::HashMap;
-
 use cache_sim::{BlockAddr, LruStack, StackScan};
 use gf2::BitVec;
 use serde::{Deserialize, Serialize};
+
+use crate::hasher::WordMap;
+use crate::XorIndexError;
 
 /// Summary counters of a profiling run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -37,6 +38,12 @@ pub struct ProfileSummary {
 /// as `Σ_{v ∈ N(H)} misses(v)` (paper Eq. 4) — see
 /// [`MissEstimator`](crate::MissEstimator).
 ///
+/// The histogram is held in the one form every pricing path reads: raw
+/// `(vector, weight)` pairs sorted ascending by vector, with neither the zero
+/// vector nor a zero weight ([`ConflictProfile::entries`]). Point lookups
+/// binary-search them; a [`FrozenKernel`](crate::FrozenKernel) adds a dense
+/// lookup table on top.
+///
 /// # Example
 ///
 /// ```
@@ -49,13 +56,63 @@ pub struct ProfileSummary {
 /// let profile = ConflictProfile::from_blocks(trace, 16, 256);
 /// assert_eq!(profile.misses_of(0x100), 18);
 /// assert_eq!(profile.summary().compulsory, 2);
+/// assert_eq!(profile.entries(), &[(0x100, 18)]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ConflictProfile {
     hashed_bits: usize,
     capacity_blocks: usize,
-    histogram: HashMap<BitVec, u64>,
     summary: ProfileSummary,
+    /// `(vector, weight)` pairs, strictly ascending by vector; neither the
+    /// zero vector nor a zero weight appears.
+    entries: Vec<(u64, u64)>,
+}
+
+/// The low `hashed_bits` bits of a word.
+fn width_mask(hashed_bits: usize) -> u64 {
+    if hashed_bits == 64 {
+        u64::MAX
+    } else {
+        (1u64 << hashed_bits) - 1
+    }
+}
+
+fn assert_geometry(hashed_bits: usize, capacity_blocks: usize) {
+    assert!(
+        (1..=64).contains(&hashed_bits),
+        "hashed_bits must be in 1..=64"
+    );
+    assert!(capacity_blocks > 0, "cache capacity must be positive");
+}
+
+/// Sorts accumulated counts into the entry layout, ascending by vector.
+fn sorted(counts: WordMap<u64, u64>) -> Vec<(u64, u64)> {
+    let mut entries: Vec<(u64, u64)> = counts.into_iter().collect();
+    entries.sort_unstable_by_key(|&(v, _)| v);
+    entries
+}
+
+/// The accumulate-then-sort normaliser of [`ConflictProfile::from_histogram`]
+/// and [`ConflictProfile::merge`]: weights add up per vector in a
+/// word-hashed map, the zero vector and zero weights are dropped, and one
+/// sort at the end yields the entry layout.
+///
+/// # Panics
+///
+/// Panics if a vector has bits outside the hashed width.
+fn normalise(hashed_bits: usize, pairs: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
+    let mask = width_mask(hashed_bits);
+    let mut counts: WordMap<u64, u64> = WordMap::default();
+    for (v, w) in pairs {
+        assert!(
+            v & !mask == 0,
+            "vector {v:#x} has bits outside the {hashed_bits}-bit hashed width"
+        );
+        if v != 0 && w != 0 {
+            *counts.entry(v).or_insert(0) += w;
+        }
+    }
+    sorted(counts)
 }
 
 impl ConflictProfile {
@@ -71,93 +128,138 @@ impl ConflictProfile {
     where
         I: IntoIterator<Item = BlockAddr>,
     {
-        assert!(
-            (1..=64).contains(&hashed_bits),
-            "hashed_bits must be in 1..=64"
-        );
-        assert!(capacity_blocks > 0, "cache capacity must be positive");
+        assert_geometry(hashed_bits, capacity_blocks);
+        let mask = width_mask(hashed_bits);
         let mut stack = LruStack::new();
-        let mut histogram: HashMap<BitVec, u64> = HashMap::new();
+        let mut counts: WordMap<u64, u64> = WordMap::default();
         let mut summary = ProfileSummary::default();
         for block in blocks {
             summary.references += 1;
             let x = block.as_u64();
-            let mut vectors: Vec<u64> = Vec::new();
-            let scan = stack.access_scan(x, capacity_blocks, |y| vectors.push(x ^ y));
+            let scan = stack.access_scan(x, capacity_blocks, |y| {
+                // The zero vector can only arise from truncation of
+                // high-order bits; it never represents an avoidable
+                // conflict, so it is not recorded (it still counts in
+                // `conflict_vectors`).
+                let v = (x ^ y) & mask;
+                if v != 0 {
+                    *counts.entry(v).or_insert(0) += 1;
+                }
+            });
             match scan {
                 StackScan::Cold => summary.compulsory += 1,
                 StackScan::Beyond => summary.capacity += 1,
-                StackScan::Within { .. } => {
+                StackScan::Within { distance } => {
                     summary.profiled += 1;
-                    for v in vectors {
-                        summary.conflict_vectors += 1;
-                        let key = BitVec::from_u64(v, hashed_bits);
-                        // The zero vector can only arise from truncation of
-                        // high-order bits; it never represents an avoidable
-                        // conflict, so it is not recorded.
-                        if !key.is_zero() {
-                            *histogram.entry(key).or_insert(0) += 1;
-                        }
-                    }
+                    summary.conflict_vectors += distance as u64;
                 }
             }
         }
         ConflictProfile {
             hashed_bits,
             capacity_blocks,
-            histogram,
             summary,
+            entries: sorted(counts),
         }
     }
 
-    /// Reconstructs a profile from a recorded `misses(v)` histogram — the
-    /// restore path of the serving layer's kernel snapshots, where the
-    /// original trace is no longer available. Entries with zero weight or a
-    /// zero vector are dropped, exactly as profiling itself would never have
-    /// recorded them; duplicate vectors accumulate.
+    /// Reconstructs a profile from a recorded `misses(v)` histogram, in any
+    /// order. Entries with zero weight or a zero vector are dropped, exactly
+    /// as profiling itself would never have recorded them; duplicate vectors
+    /// accumulate.
     ///
     /// The [`ProfileSummary`] of a rebuilt profile reflects only what the
     /// histogram retains: `conflict_vectors` (and `profiled`) carry the total
     /// recorded weight, while the trace-level counters (`references`,
-    /// `compulsory`, `capacity`) are zero because the snapshot does not keep
-    /// the trace. Everything search and estimation consume — the histogram,
-    /// widths, and capacity — is reconstructed exactly.
+    /// `compulsory`, `capacity`) are zero because no trace is at hand.
+    /// Everything search and estimation consume — the histogram, widths, and
+    /// capacity — is reconstructed exactly.
     ///
     /// # Panics
     ///
     /// Panics if `hashed_bits` is 0 or larger than 64, `capacity_blocks` is
-    /// 0, or a vector has bits outside the hashed width
-    /// ([`BitVec::from_u64`]'s contract).
+    /// 0, or a vector has bits outside the hashed width.
     #[must_use]
     pub fn from_histogram<I>(entries: I, hashed_bits: usize, capacity_blocks: usize) -> Self
     where
         I: IntoIterator<Item = (u64, u64)>,
     {
-        assert!(
-            (1..=64).contains(&hashed_bits),
-            "hashed_bits must be in 1..=64"
-        );
-        assert!(capacity_blocks > 0, "cache capacity must be positive");
-        let mut histogram: HashMap<BitVec, u64> = HashMap::new();
-        let mut total = 0u64;
-        for (v, w) in entries {
-            if v == 0 || w == 0 {
-                continue;
-            }
-            *histogram
-                .entry(BitVec::from_u64(v, hashed_bits))
-                .or_insert(0) += w;
-            total += w;
+        assert_geometry(hashed_bits, capacity_blocks);
+        Self::rebuilt(
+            hashed_bits,
+            capacity_blocks,
+            normalise(hashed_bits, entries),
+        )
+    }
+
+    /// Reassembles a profile from its serialized parts — the counterpart of
+    /// [`ConflictProfile::hashed_bits`], [`ConflictProfile::capacity_blocks`]
+    /// and [`ConflictProfile::entries`], used by snapshot restore. The
+    /// entries are taken as they are, never re-sorted; the summary is the
+    /// one [`ConflictProfile::from_histogram`] gives.
+    ///
+    /// # Errors
+    ///
+    /// [`XorIndexError::MalformedProfile`] when the parts violate the
+    /// histogram's invariants: `hashed_bits` in `1..=64`, a non-zero
+    /// capacity, and entries strictly ascending by vector, with non-zero
+    /// vectors inside the hashed width, non-zero weights, and a total weight
+    /// that fits a `u64`.
+    pub fn from_parts(
+        hashed_bits: usize,
+        capacity_blocks: usize,
+        entries: Vec<(u64, u64)>,
+    ) -> Result<Self, XorIndexError> {
+        let malformed = |reason: String| XorIndexError::MalformedProfile { reason };
+        if !(1..=64).contains(&hashed_bits) {
+            return Err(malformed(format!(
+                "hashed_bits {hashed_bits} not in 1..=64"
+            )));
         }
+        if capacity_blocks == 0 {
+            return Err(malformed("capacity_blocks is zero".to_string()));
+        }
+        let mask = width_mask(hashed_bits);
+        let mut total = 0u64;
+        let mut last: Option<u64> = None;
+        for &(v, w) in &entries {
+            if v == 0 {
+                return Err(malformed("zero conflict vector recorded".to_string()));
+            }
+            if v & !mask != 0 {
+                return Err(malformed(format!(
+                    "vector {v:#x} outside the {hashed_bits}-bit hashed space"
+                )));
+            }
+            if w == 0 {
+                return Err(malformed(format!("vector {v:#x} has zero weight")));
+            }
+            if last.is_some_and(|prev| prev >= v) {
+                return Err(malformed(
+                    "entries not strictly ascending by vector".to_string(),
+                ));
+            }
+            last = Some(v);
+            total = total
+                .checked_add(w)
+                .ok_or_else(|| malformed("total weight overflows u64".to_string()))?;
+        }
+        Ok(Self::rebuilt(hashed_bits, capacity_blocks, entries))
+    }
+
+    /// A profile over already-normalised entries, with the summary of a
+    /// profile rebuilt without its trace.
+    fn rebuilt(hashed_bits: usize, capacity_blocks: usize, entries: Vec<(u64, u64)>) -> Self {
+        let total = entries.iter().map(|&(_, w)| w).sum();
         ConflictProfile {
             hashed_bits,
             capacity_blocks,
-            histogram,
             summary: ProfileSummary {
                 profiled: total,
                 conflict_vectors: total,
                 ..ProfileSummary::default()
             },
+            entries,
         }
     }
 
@@ -182,26 +284,37 @@ impl ConflictProfile {
     /// Number of distinct conflict vectors observed.
     #[must_use]
     pub fn distinct_vectors(&self) -> usize {
-        self.histogram.len()
+        self.entries.len()
     }
 
     /// The accumulated weight `misses(v)` of a conflict vector.
     #[must_use]
     pub fn misses(&self, v: BitVec) -> u64 {
         debug_assert_eq!(v.width(), self.hashed_bits);
-        self.histogram.get(&v).copied().unwrap_or(0)
+        self.misses_of(v.as_u64())
     }
 
     /// Convenience form of [`ConflictProfile::misses`] taking the raw bits of
-    /// the vector.
+    /// the vector (truncated to the hashed width).
     #[must_use]
     pub fn misses_of(&self, v: u64) -> u64 {
-        self.misses(BitVec::from_u64(v, self.hashed_bits))
+        let v = v & width_mask(self.hashed_bits);
+        self.entries
+            .binary_search_by_key(&v, |&(vector, _)| vector)
+            .map_or(0, |i| self.entries[i].1)
     }
 
-    /// Iterates over `(vector, weight)` pairs in unspecified order.
+    /// The `(vector, weight)` pairs as raw words, ascending by vector.
+    #[must_use]
+    pub fn entries(&self) -> &[(u64, u64)] {
+        &self.entries
+    }
+
+    /// Iterates over `(vector, weight)` pairs in ascending vector order.
     pub fn iter(&self) -> impl Iterator<Item = (BitVec, u64)> + '_ {
-        self.histogram.iter().map(|(&v, &w)| (v, w))
+        self.entries
+            .iter()
+            .map(|&(v, w)| (BitVec::from_u64(v, self.hashed_bits), w))
     }
 
     /// The `count` heaviest conflict vectors, sorted by decreasing weight
@@ -218,7 +331,7 @@ impl ConflictProfile {
     /// misses any single hash function can be charged with by Eq. 4.
     #[must_use]
     pub fn total_weight(&self) -> u64 {
-        self.histogram.values().sum()
+        self.entries.iter().map(|&(_, w)| w).sum()
     }
 
     /// Merges another profile into this one (histograms and counters add).
@@ -232,9 +345,8 @@ impl ConflictProfile {
             self.capacity_blocks, other.capacity_blocks,
             "capacities differ"
         );
-        for (v, w) in other.iter() {
-            *self.histogram.entry(v).or_insert(0) += w;
-        }
+        let pairs = self.entries.iter().chain(&other.entries).copied();
+        self.entries = normalise(self.hashed_bits, pairs);
         self.summary.references += other.summary.references;
         self.summary.compulsory += other.summary.compulsory;
         self.summary.capacity += other.summary.capacity;
@@ -282,6 +394,7 @@ mod tests {
             assert_eq!(rebuilt.misses(v), w);
         }
         assert_eq!(rebuilt.heaviest(5), original.heaviest(5));
+        assert_eq!(rebuilt.entries(), original.entries());
         // …while the trace-level summary counters record only what the
         // histogram retains.
         assert_eq!(rebuilt.summary().conflict_vectors, original.total_weight());
@@ -290,6 +403,14 @@ mod tests {
         let p = ConflictProfile::from_histogram([(0, 9), (5, 0), (3, 2), (3, 4)], 8, 16);
         assert_eq!(p.distinct_vectors(), 1);
         assert_eq!(p.misses_of(3), 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 8-bit hashed width")]
+    fn from_histogram_rejects_vectors_outside_the_hashed_width() {
+        // Truncating would record 0x100 as the zero vector and fold 0x103
+        // into 0x3.
+        let _ = ConflictProfile::from_histogram([(0x100, 5), (0x103, 2), (0x3, 1)], 8, 16);
     }
 
     #[test]
@@ -344,6 +465,7 @@ mod tests {
         let mut merged = a.clone();
         merged.merge(&b);
         assert_eq!(merged.misses_of(1), a.misses_of(1) + b.misses_of(1));
+        assert_eq!(merged.entries(), &[(1, a.misses_of(1) + b.misses_of(1))]);
         assert_eq!(
             merged.summary().references,
             a.summary().references + b.summary().references

@@ -3,8 +3,8 @@
 //! Every coset-sliced neighbourhood evaluation needs two pieces of
 //! per-parent precomputation before any block can be stamped: the
 //! [`CosetFrame`] of hyperplane functionals (`O(dim²)` per hyperplane) and —
-//! far more expensively — the [`CosetHistogram`], a full pass over the dense
-//! profile grouping every entry by its remainder modulo the parent. The
+//! far more expensively — the [`CosetHistogram`], a full pass over the
+//! histogram grouping every entry by its remainder modulo the parent. The
 //! kernel's standalone [`FrozenKernel::cost_neighborhood_bounded`] rebuilds
 //! both per call, which is fine for a one-shot pricing but wasteful for the
 //! callers that dominate real runs: random restarts walking back through
@@ -48,7 +48,7 @@ struct CachedScaffold {
 pub struct Scaffold {
     /// The hyperplane functionals over the parent.
     pub frame: Arc<CosetFrame>,
-    /// The dense profile grouped by remainder modulo the parent.
+    /// The kernel's histogram grouped by remainder modulo the parent.
     pub histogram: Arc<CosetHistogram>,
     /// `true` when the parent was already cached (even if the frame was
     /// re-solved for a different hyperplane list).
@@ -62,7 +62,7 @@ pub struct ScaffoldStats {
     /// the histogram was reused but the functionals were re-solved for a
     /// different hyperplane list).
     pub hits: u64,
-    /// Probes that had to build the scaffolding from the dense profile.
+    /// Probes that had to build the scaffolding from the histogram.
     pub misses: u64,
     /// Entries evicted to make room (FIFO order).
     pub evictions: u64,
@@ -148,7 +148,7 @@ impl ScaffoldCache {
 
     /// The scaffolding for pricing neighbourhoods of `parent` whose retained
     /// hyperplanes are `hyperplanes`: cached when the parent was seen before,
-    /// built from the kernel's dense profile (and cached) otherwise.
+    /// built from the kernel's histogram (and cached) otherwise.
     ///
     /// A revisit with a *different* hyperplane list still reuses the grouped
     /// histogram — the expensive full-profile pass — and only re-solves the
@@ -193,8 +193,8 @@ impl ScaffoldCache {
                 }
             }
         };
-        // Build outside the lock: the histogram grouping walks the whole
-        // dense profile, and concurrent probers of *other* parents must not
+        // Build outside the lock: the histogram grouping walks every
+        // histogram entry, and concurrent probers of *other* parents must not
         // serialize behind it. A racing build of the same parent is benign —
         // both compute identical scaffolding and the table keeps one.
         let (frame, histogram) = match cached_histogram {

@@ -1,17 +1,16 @@
 //! Regression tests at the `FLAT_LOOKUP_MAX_BITS` boundary.
 //!
-//! PR 5 made the 20-bit limit a cliff: one bit wider and every lookup fell
-//! back to binary search. The hybrid layout keeps a dense tail over the hot
-//! low-index region on the wide side, and — the invariant pinned here — all
-//! three representations (whole-space tail, hybrid tail, pure sorted) answer
-//! bit-identically to the `MissEstimator` oracle, pointwise and through the
-//! frozen kernel, at 20 and 21 bits alike.
+//! Up to 20 hashed bits a kernel's lookup tail spans the whole space; one
+//! bit wider, it keeps a dense tail over the hot low-index region rather
+//! than falling back to binary search everywhere. The invariant pinned here:
+//! all three kernel layouts (widest tail, default tail, no tail) answer
+//! bit-identically to the `MissEstimator` oracle, pointwise and through
+//! every pricing path, at 20 and 21 bits alike.
 
 use cache_sim::BlockAddr;
 use gf2::PackedBasis;
 use xorindex::{
-    ConflictProfile, DenseProfile, EstimationStrategy, FrozenKernel, MissEstimator,
-    FLAT_LOOKUP_MAX_BITS,
+    ConflictProfile, EstimationStrategy, FrozenKernel, MissEstimator, FLAT_LOOKUP_MAX_BITS,
 };
 
 /// A trace whose conflict vectors populate both the low-index region (small
@@ -46,32 +45,38 @@ fn candidate_bases(hashed_bits: usize) -> Vec<PackedBasis> {
     ]
 }
 
-fn representations(profile: &ConflictProfile) -> [(&'static str, DenseProfile); 3] {
+/// The three kernel layouts: the widest tail a kernel may hold (the whole
+/// space up to [`FLAT_LOOKUP_MAX_BITS`], the cap beyond it), the default
+/// tail, and no tail.
+fn representations(profile: &ConflictProfile) -> [(&'static str, FrozenKernel); 3] {
+    let layout = |tail_bits| FrozenKernel::from_parts(profile.clone(), tail_bits).unwrap();
+    let widest = layout(profile.hashed_bits().min(FLAT_LOOKUP_MAX_BITS));
     [
-        (
-            "flat",
-            DenseProfile::with_tail_cap(profile, profile.hashed_bits()),
-        ),
-        ("hybrid", DenseProfile::from_profile(profile)),
-        ("sorted", DenseProfile::with_tail_cap(profile, 0)),
+        ("widest", widest),
+        ("hybrid", FrozenKernel::new(profile)),
+        ("sorted", layout(0)),
     ]
 }
 
 #[test]
 fn representations_take_the_expected_shape_on_each_side_of_the_boundary() {
     let narrow = boundary_profile(FLAT_LOOKUP_MAX_BITS);
-    let [(_, flat), (_, hybrid), (_, sorted)] = representations(&narrow);
-    assert!(flat.has_flat_lookup());
-    // At the limit the default cap still covers the whole space.
+    let [(_, widest), (_, hybrid), (_, sorted)] = representations(&narrow);
+    assert!(widest.has_flat_lookup());
+    // At the limit the default tail still covers the whole space.
     assert!(hybrid.has_flat_lookup());
     assert_eq!(hybrid.tail_bits(), FLAT_LOOKUP_MAX_BITS);
     assert!(!sorted.has_dense_tail());
 
     let wide = boundary_profile(FLAT_LOOKUP_MAX_BITS + 1);
-    let [(_, flat), (_, hybrid), (_, sorted)] = representations(&wide);
-    assert!(flat.has_flat_lookup());
-    // One bit past the limit: no whole-space tail, but the hot low-index
-    // region is dense enough that a hybrid tail materializes.
+    let [(_, widest), (_, hybrid), (_, sorted)] = representations(&wide);
+    // One bit past the limit no layout is flat: the widest tail stops at
+    // the cap…
+    assert!(!widest.has_flat_lookup());
+    assert_eq!(widest.tail_bits(), FLAT_LOOKUP_MAX_BITS);
+    assert!(FrozenKernel::from_parts(wide.clone(), FLAT_LOOKUP_MAX_BITS + 1).is_err());
+    // …and the hot low-index region is dense enough that a narrower hybrid
+    // tail materializes by default.
     assert!(!hybrid.has_flat_lookup());
     assert!(hybrid.has_dense_tail());
     assert!(hybrid.tail_bits() < FLAT_LOOKUP_MAX_BITS);
@@ -84,13 +89,13 @@ fn pointwise_lookups_are_bit_identical_across_representations() {
     for hashed_bits in [FLAT_LOOKUP_MAX_BITS, FLAT_LOOKUP_MAX_BITS + 1] {
         let profile = boundary_profile(hashed_bits);
         let reps = representations(&profile);
-        let (_, reference) = &reps[2];
-        assert!(reference.distinct_vectors() > 32, "trace too tame to test");
+        let entries = profile.entries();
+        assert!(entries.len() > 32, "trace too tame to test");
 
         // Every recorded vector, its neighbours, and a spread of absent
         // probes on both sides of any tail boundary.
-        let mut probes: Vec<u64> = reference.iter().map(|(v, _)| v).collect();
-        probes.extend(reference.iter().map(|(v, _)| v ^ 1));
+        let mut probes: Vec<u64> = entries.iter().map(|&(v, _)| v).collect();
+        probes.extend(entries.iter().map(|&(v, _)| v ^ 1));
         probes.extend((0..64u64).map(|k| k * 31 % (1 << hashed_bits)));
         probes.push((1 << hashed_bits) - 1);
         for v in probes {
@@ -104,8 +109,7 @@ fn pointwise_lookups_are_bit_identical_across_representations() {
             }
         }
         for (name, rep) in &reps {
-            assert_eq!(rep.total_weight(), profile.total_weight(), "{name}");
-            assert_eq!(rep.distinct_vectors(), profile.distinct_vectors(), "{name}");
+            assert_eq!(rep.profile().entries(), entries, "{name}");
         }
     }
 }
@@ -118,14 +122,14 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
         let refs: Vec<&PackedBasis> = bases.iter().collect();
 
         // Independent reference: a direct scan of the sorted entries.
-        let sorted = DenseProfile::with_tail_cap(&profile, 0);
         let expected: Vec<u64> = bases
             .iter()
             .map(|basis| {
-                sorted
+                profile
+                    .entries()
                     .iter()
-                    .filter(|&(v, _)| basis.contains(v))
-                    .map(|(_, w)| w)
+                    .filter(|&&(v, _)| basis.contains(v))
+                    .map(|&(_, w)| w)
                     .sum()
             })
             .collect();
@@ -152,8 +156,7 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
             assert_eq!(oracle, expected, "{strategy:?} at {hashed_bits} bits");
         }
 
-        for (name, rep) in representations(&profile) {
-            let kernel = FrozenKernel::from_dense(rep);
+        for (name, kernel) in representations(&profile) {
             let scalar: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
             assert_eq!(
                 scalar, expected,

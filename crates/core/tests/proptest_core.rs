@@ -1,17 +1,19 @@
 //! Property-based tests for the profiling / estimation / search pipeline.
 
-use cache_sim::{BlockAddr, Cache, CacheConfig, ModuloIndex};
+use std::collections::HashMap;
+
+use cache_sim::{BlockAddr, Cache, CacheConfig, LruStack, ModuloIndex, StackScan};
 use gf2::{BitVec, Subspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use xorindex::search::{
     NeighborCandidate, NeighborPool, Neighborhood, PackedNeighborhood, SearchAlgorithm,
     SearchOutcome, Searcher,
 };
 use xorindex::{
-    BoundedCost, ConflictProfile, DenseProfile, EstimationStrategy, EvalEngine, FrozenKernel,
-    FunctionClass, HashFunction, MissEstimator,
+    BoundedCost, ConflictProfile, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass,
+    HashFunction, MissEstimator, ProfileSummary,
 };
 
 /// Every side of Eq. 4 the [`MissEstimator`] oracle can enumerate.
@@ -163,17 +165,21 @@ proptest! {
         cache in cache_strategy(),
     ) {
         let profile = profile_of(&blocks, &cache);
-        let dense = DenseProfile::from_profile(&profile);
-        prop_assert_eq!(dense.hashed_bits(), profile.hashed_bits());
-        prop_assert_eq!(dense.distinct_vectors(), profile.distinct_vectors());
-        prop_assert_eq!(dense.total_weight(), profile.total_weight());
-        // Exhaustive point-lookup agreement over the whole hashed domain.
+        let kernel = FrozenKernel::new(&profile);
+        let (reference, _) =
+            reference_profile(blocks.iter().copied(), HASHED_BITS, cache.num_blocks() as usize);
+        prop_assert_eq!(kernel.hashed_bits(), profile.hashed_bits());
+        prop_assert_eq!(kernel.profile().distinct_vectors(), reference.len());
+        // Exhaustive point-lookup agreement over the whole hashed domain:
+        // the kernel's lookup table and the profile's binary search both
+        // answer what the reference map holds.
         for v in 0..(1u64 << HASHED_BITS) {
-            prop_assert_eq!(
-                dense.misses_of(v),
-                profile.misses(gf2::BitVec::from_u64(v, HASHED_BITS)),
-                "vector {}", v
-            );
+            let expected = reference
+                .get(&BitVec::from_u64(v, HASHED_BITS))
+                .copied()
+                .unwrap_or(0);
+            prop_assert_eq!(kernel.misses_of(v), expected, "vector {}", v);
+            prop_assert_eq!(profile.misses_of(v), expected, "vector {}", v);
         }
     }
 
@@ -182,7 +188,7 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
         seed in any::<u64>(),
-        tail_cap in 0usize..=HASHED_BITS,
+        tail_bits in 0usize..=HASHED_BITS,
     ) {
         let profile = profile_of(&blocks, &cache);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -198,14 +204,13 @@ proptest! {
             (0..HASHED_BITS).map(|m| gf2::PackedBasis::standard_span(HASHED_BITS, m..HASHED_BITS)),
         );
         let refs: Vec<&gf2::PackedBasis> = bases.iter().collect();
-        // Both profile representations: the default freeze and an explicitly
-        // capped tail (cap 0 = pure sorted-sparse, no dense tail at all).
-        for dense in [
-            DenseProfile::from_profile(&profile),
-            DenseProfile::with_tail_cap(&profile, tail_cap),
+        // Two kernel layouts: the default tail and an explicit tail width
+        // (0 = pure sorted entries, no dense tail at all).
+        for kernel in [
+            FrozenKernel::new(&profile),
+            FrozenKernel::from_parts(profile.clone(), tail_bits).unwrap(),
         ] {
-            let tail = dense.tail_bits();
-            let kernel = FrozenKernel::from_dense(dense);
+            let tail = kernel.tail_bits();
             let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
             for strategy in STRATEGIES {
                 let estimator = MissEstimator::new(&profile).with_strategy(strategy);
@@ -329,6 +334,103 @@ proptest! {
             merged.summary().references,
             a.summary().references + b.summary().references
         );
+    }
+}
+
+/// The profiler as it stood while its histogram was a `HashMap<BitVec, u64>`,
+/// verbatim: the Fig. 1 LRU-stack walk collecting each access's vectors,
+/// then truncating and recording them one key at a time. `from_blocks` must
+/// reproduce its histogram and every summary counter exactly.
+fn reference_profile<I>(
+    blocks: I,
+    hashed_bits: usize,
+    capacity_blocks: usize,
+) -> (HashMap<BitVec, u64>, ProfileSummary)
+where
+    I: IntoIterator<Item = BlockAddr>,
+{
+    let mut stack = LruStack::new();
+    let mut histogram: HashMap<BitVec, u64> = HashMap::new();
+    let mut summary = ProfileSummary::default();
+    for block in blocks {
+        summary.references += 1;
+        let x = block.as_u64();
+        let mut vectors: Vec<u64> = Vec::new();
+        let scan = stack.access_scan(x, capacity_blocks, |y| vectors.push(x ^ y));
+        match scan {
+            StackScan::Cold => summary.compulsory += 1,
+            StackScan::Beyond => summary.capacity += 1,
+            StackScan::Within { .. } => {
+                summary.profiled += 1;
+                for v in vectors {
+                    summary.conflict_vectors += 1;
+                    let key = BitVec::from_u64(v, hashed_bits);
+                    // The zero vector can only arise from truncation of
+                    // high-order bits; it never represents an avoidable
+                    // conflict, so it is not recorded.
+                    if !key.is_zero() {
+                        *histogram.entry(key).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+    }
+    (histogram, summary)
+}
+
+/// Hashed widths the profiling oracle covers, both ends of `1..=64`
+/// included.
+const PROFILE_WIDTHS: [usize; 7] = [1, 8, 12, 16, 20, 26, 64];
+
+/// A width, a capacity in `1..=4096` blocks (half the time no larger than
+/// the largest footprint, so reuses also fall beyond it), and a trace over a
+/// small footprint (so reuses conflict) whose blocks carry random bits above
+/// the width, plus `u64::MAX` — so conflict vectors truncate to zero and
+/// alias.
+fn profiling_case_strategy() -> impl Strategy<Value = (usize, usize, Vec<BlockAddr>)> {
+    (
+        0..PROFILE_WIDTHS.len(),
+        1usize..=4096,
+        any::<bool>(),
+        1usize..=40,
+        0usize..300,
+        any::<u64>(),
+    )
+        .prop_map(|(w, capacity, small, footprint, len, seed)| {
+            let width = PROFILE_WIDTHS[w];
+            let capacity = if small { 1 + capacity % 40 } else { capacity };
+            let mut rng = StdRng::seed_from_u64(seed);
+            let blocks: Vec<u64> = (0..footprint)
+                .map(|_| match rng.gen_range(0..8u32) {
+                    0 => u64::MAX,
+                    1..=3 => rng.gen_range(0..64u64),
+                    _ => {
+                        rng.gen_range(0..64u64)
+                            | rng.gen::<u64>().checked_shl(width as u32).unwrap_or(0)
+                    }
+                })
+                .collect();
+            let trace = (0..len)
+                .map(|_| BlockAddr(blocks[rng.gen_range(0..footprint)]))
+                .collect();
+            (width, capacity, trace)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn profile_entries_and_counters_match_the_reference_walk(
+        (width, capacity, blocks) in profiling_case_strategy(),
+    ) {
+        let profile = ConflictProfile::from_blocks(blocks.iter().copied(), width, capacity);
+        let (reference, summary) = reference_profile(blocks.iter().copied(), width, capacity);
+        let mut expected: Vec<(u64, u64)> =
+            reference.iter().map(|(v, &w)| (v.as_u64(), w)).collect();
+        expected.sort_unstable();
+        prop_assert_eq!(profile.entries(), &expected[..], "width {}, capacity {}", width, capacity);
+        prop_assert_eq!(profile.summary(), summary, "width {}, capacity {}", width, capacity);
     }
 }
 

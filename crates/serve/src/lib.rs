@@ -40,7 +40,7 @@
 //!   itself, never the shared worker pool. [`TcpServer::wire_stats`] counts
 //!   connections, frames, bytes, decode errors and pipeline depth.
 //! * snapshot/restore — [`IndexService::snapshot`] serializes every
-//!   application's frozen dense profile and registry metadata into a
+//!   application's frozen profile entries and registry metadata into a
 //!   versioned, checksummed image; [`IndexService::restore`] rebuilds a
 //!   bit-identical service from it, so a restarted server comes back warm
 //!   without re-profiling (memo and scaffold caches restart cold — they

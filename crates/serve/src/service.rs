@@ -156,7 +156,8 @@ impl From<VerifyError> for ServeError {
 /// Everything the service needs to take ownership of one application.
 #[derive(Debug, Clone)]
 pub struct Registration {
-    /// The application's conflict profile (owned by the service thereafter).
+    /// The application's conflict profile, frozen into its kernel on
+    /// registration.
     pub profile: ConflictProfile,
     /// The cache geometry its index function is derived for.
     pub cache: CacheConfig,
@@ -238,12 +239,12 @@ impl Registration {
     }
 }
 
-/// One registered application: its owned profile plus the shared pricing
-/// state every request routes through. `pub(crate)` so the snapshot module
-/// can serialize and rebuild it without widening the public API.
+/// One registered application: the shared pricing state every request
+/// routes through, its conflict histogram held once, by the kernel.
+/// `pub(crate)` so the snapshot module can serialize and rebuild it without
+/// widening the public API.
 #[derive(Debug)]
 pub(crate) struct Application {
-    pub(crate) profile: ConflictProfile,
     pub(crate) cache: CacheConfig,
     pub(crate) class: FunctionClass,
     pub(crate) pool: NeighborPool,
@@ -481,7 +482,6 @@ impl IndexService {
         };
         let replayer = Application::build_replayer(registration.cache, registration.trace.as_ref());
         let app = Application {
-            profile: registration.profile,
             cache: registration.cache,
             class: registration.class,
             pool: registration.pool,
@@ -647,7 +647,7 @@ impl IndexService {
         algorithm: SearchAlgorithm,
     ) -> Result<SearchOutcome, ServeError> {
         let app = self.app(app)?;
-        let searcher = Searcher::new(&app.profile, app.class, app.cache.set_bits())?
+        let searcher = Searcher::new(app.kernel.profile(), app.class, app.cache.set_bits())?
             .with_pool(app.pool.clone())
             .with_kernel(Arc::clone(&app.kernel))
             .with_scaffold_cache(app.scaffold.clone())
@@ -710,7 +710,7 @@ impl IndexService {
         // hill climb can hand back the winner's neighbourhood — the final
         // climb iteration already generated it, and regenerating it here was
         // the single largest cost of the whole verified pick.
-        let searcher = Searcher::new(&app.profile, app.class, app.cache.set_bits())?
+        let searcher = Searcher::new(app.kernel.profile(), app.class, app.cache.set_bits())?
             .with_pool(app.pool.clone())
             .with_kernel(Arc::clone(&app.kernel))
             .with_scaffold_cache(app.scaffold.clone())
@@ -731,9 +731,8 @@ impl IndexService {
                 // Algorithms that carry no final neighbourhood (annealing,
                 // exhaustive bit selection) pay one generation here.
                 None => {
-                    let pool = app
-                        .pool
-                        .packed_vectors(app.profile.hashed_bits(), &app.profile);
+                    let profile = app.kernel.profile();
+                    let pool = app.pool.packed_vectors(profile.hashed_bits(), profile);
                     PackedNeighborhood::generate(&winner_basis, app.class, &pool)
                 }
             };
@@ -769,7 +768,7 @@ impl IndexService {
             Some(baseline) => baseline.clone(),
             None => {
                 let conventional =
-                    HashFunction::conventional(app.profile.hashed_bits(), app.cache.set_bits())?;
+                    HashFunction::conventional(app.kernel.hashed_bits(), app.cache.set_bits())?;
                 let sim = replayer.replay(&conventional)?;
                 app.baseline.get_or_init(|| sim).clone()
             }
@@ -809,9 +808,9 @@ impl IndexService {
         let app = self.app(app_id)?;
         Ok(AppStats {
             app: app_id,
-            hashed_bits: app.profile.hashed_bits(),
+            hashed_bits: app.kernel.hashed_bits(),
             set_bits: app.cache.set_bits(),
-            distinct_vectors: app.kernel.dense().distinct_vectors(),
+            distinct_vectors: app.kernel.profile().distinct_vectors(),
             memo: app.memo.stats(),
             shards: app.memo.shard_stats(),
             scaffold: app.scaffold.stats(),

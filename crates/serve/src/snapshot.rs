@@ -22,13 +22,15 @@
 //!
 //! The trailing checksum is FNV-1a over every preceding byte; a snapshot
 //! that does not verify is rejected before any of it is interpreted. The
-//! `dense` section *is* the application's [`DenseProfile`] — its sorted
-//! `(vector, weight)` entries plus the tail width — and restore rebuilds the
-//! profile with [`DenseProfile::from_parts`], which revalidates every frozen
-//! invariant and reproduces the original bit for bit. Round-tripping is
-//! therefore an identity: `snapshot(restore(snapshot())) == snapshot()`,
-//! and a restored application prices every candidate bit-identically to the
-//! application that was snapshotted. Application order is preserved, so
+//! `dense` section *is* the application's [`FrozenKernel`] — its profile's
+//! widths and sorted `(vector, weight)` entries plus the lookup-tail width —
+//! and restore rebuilds it with [`ConflictProfile::from_parts`], which
+//! revalidates every histogram invariant without re-sorting, and
+//! [`FrozenKernel::from_parts`], which checks the tail width and lays the
+//! tail out as the original did. Round-tripping is therefore an identity:
+//! `snapshot(restore(snapshot())) == snapshot()`, and a restored application
+//! prices every candidate bit-identically to the application that was
+//! snapshotted. Application order is preserved, so
 //! [`AppId`](crate::AppId)s issued before the snapshot stay valid after
 //! restore.
 //!
@@ -53,7 +55,7 @@ use bytes::{Buf, BufMut};
 use cache_sim::{BlockAddr, CacheConfig};
 use gf2::BitVec;
 use xorindex::search::NeighborPool;
-use xorindex::{ConflictProfile, DenseProfile, FrozenKernel, FunctionClass, ShardedMemo};
+use xorindex::{ConflictProfile, FrozenKernel, FunctionClass, ShardedMemo};
 
 use crate::service::{Application, IndexService};
 
@@ -85,7 +87,7 @@ pub enum SnapshotError {
     /// The input ended before the structure it claimed to carry.
     Truncated,
     /// The bytes parsed but spell an invalid value (bad geometry,
-    /// non-canonical dense entries, unknown tag, …).
+    /// non-canonical profile entries, unknown tag, …).
     Invalid(String),
 }
 
@@ -263,12 +265,12 @@ fn put_app(out: &mut Vec<u8>, app: &Application) {
     put_class(out, &app.class);
     put_pool(out, &app.pool);
     put_opt_usize(out, app.memo.stats().capacity);
-    let dense = app.kernel.dense();
-    out.put_u64(dense.hashed_bits() as u64);
-    out.put_u64(dense.capacity_blocks() as u64);
-    out.put_u64(dense.tail_bits() as u64);
-    out.put_u64(dense.entries().len() as u64);
-    for &(vector, weight) in dense.entries() {
+    let profile = app.kernel.profile();
+    out.put_u64(profile.hashed_bits() as u64);
+    out.put_u64(profile.capacity_blocks() as u64);
+    out.put_u64(app.kernel.tail_bits() as u64);
+    out.put_u64(profile.entries().len() as u64);
+    for &(vector, weight) in profile.entries() {
         out.put_u64(vector);
         out.put_u64(weight);
     }
@@ -330,17 +332,18 @@ fn get_app(buf: &mut &[u8], version: u32) -> Result<Application, SnapshotError> 
         let weight = get_u64(buf)?;
         entries.push((vector, weight));
     }
-    // `from_parts` revalidates every frozen invariant and rebuilds the exact
+    // The two `from_parts` revalidate every invariant and rebuild the exact
     // original layout, so the kernel below prices bit-identically.
-    let dense = DenseProfile::from_parts(hashed_bits, capacity_blocks, tail_bits, entries)
-        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
+    let invalid = |e: xorindex::XorIndexError| SnapshotError::Invalid(e.to_string());
+    let profile =
+        ConflictProfile::from_parts(hashed_bits, capacity_blocks, entries).map_err(invalid)?;
+    let kernel = FrozenKernel::from_parts(profile, tail_bits).map_err(invalid)?;
     let set_bits = cache.set_bits();
     if set_bits == 0 || set_bits >= hashed_bits {
         return Err(SnapshotError::Invalid(format!(
             "cache with {set_bits} set bits cannot serve a {hashed_bits}-bit profile"
         )));
     }
-    let profile = ConflictProfile::from_histogram(dense.iter(), hashed_bits, capacity_blocks);
     let memo = match memo_capacity {
         Some(cap) => ShardedMemo::with_capacity(cap),
         None => ShardedMemo::new(),
@@ -350,11 +353,10 @@ fn get_app(buf: &mut &[u8], version: u32) -> Result<Application, SnapshotError> 
     let replayer = Application::build_replayer(cache, trace.as_ref());
     let baseline = Arc::new(std::sync::OnceLock::new());
     Ok(Application {
-        profile,
         cache,
         class,
         pool,
-        kernel: Arc::new(FrozenKernel::from_dense(dense)),
+        kernel: Arc::new(kernel),
         memo,
         scaffold: xorindex::ScaffoldCache::new(),
         trace,
@@ -496,10 +498,9 @@ mod tests {
                 service.price_batch(app, &candidates).unwrap(),
                 restored.price_batch(app, &candidates).unwrap()
             );
-            assert_eq!(
-                service.kernel(app).unwrap().dense(),
-                restored.kernel(app).unwrap().dense()
-            );
+            let (kernel, back) = (service.kernel(app).unwrap(), restored.kernel(app).unwrap());
+            assert_eq!(kernel.profile().entries(), back.profile().entries());
+            assert_eq!(kernel.tail_bits(), back.tail_bits());
         }
         // Performance state starts cold: the restored memo holds exactly the
         // one batch priced above, and no scaffolds exist yet.
@@ -624,6 +625,47 @@ mod tests {
             restored.simulate_function(a, &function),
             Err(ServeError::NoRetainedTrace(_))
         ));
+    }
+
+    /// A fixed two-application registry: a 12-bit app with a retained trace,
+    /// and a 26-bit app whose kernel carries a hybrid tail.
+    fn pinned_registry() -> IndexService {
+        let service = IndexService::new();
+        let trace: Vec<BlockAddr> = (0..600u64).map(|i| BlockAddr((i * 7) % 96)).collect();
+        service
+            .register(
+                Registration::new(profile(12), CacheConfig::paper_cache(1))
+                    .with_class(FunctionClass::xor_unlimited())
+                    .with_trace(trace),
+            )
+            .unwrap();
+        let footprint: Vec<u64> = (0..40u64)
+            .chain((0..8u64).map(|k| (1 << 24) | (k * 5)))
+            .collect();
+        let blocks = (0..4 * footprint.len()).map(|i| BlockAddr(footprint[i % footprint.len()]));
+        service
+            .register(
+                Registration::new(
+                    ConflictProfile::from_blocks(blocks, 26, 64),
+                    CacheConfig::paper_cache(2),
+                )
+                .with_memo_capacity(32),
+            )
+            .unwrap();
+        service
+    }
+
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        // The round-trip tests cannot see a layout change that the writer
+        // and the reader make together; a fixed registry's image can.
+        let service = pinned_registry();
+        let wide = service.kernel(crate::AppId::from_raw(1)).unwrap();
+        let tail_bits = wide.tail_bits();
+        assert!(0 < tail_bits && tail_bits < 26, "tail of {tail_bits} bits");
+        let image = service.snapshot();
+        assert_eq!(image.len(), 7_346);
+        assert_eq!(fnv1a(&image), 0xb61d_f5b3_11d7_3734);
     }
 
     #[test]

@@ -62,16 +62,16 @@ fn a_26_bit_application_prices_through_the_hybrid_profile() {
     // The frozen kernel serves a hybrid profile: no 512 MB flat table, just
     // a small dense tail over the hot low-index region.
     let kernel = service.kernel(app).unwrap();
-    let dense = kernel.dense();
-    assert_eq!(dense.hashed_bits(), HASHED_BITS);
-    assert!(!dense.has_flat_lookup());
-    assert!(dense.has_dense_tail());
+    assert_eq!(kernel.hashed_bits(), HASHED_BITS);
+    assert_eq!(kernel.profile().entries(), profile.entries());
+    assert!(!kernel.has_flat_lookup());
+    assert!(kernel.has_dense_tail());
     assert!(
-        dense.tail_bits() <= 10,
+        kernel.tail_bits() <= 10,
         "tail unexpectedly wide: {}",
-        dense.tail_bits()
+        kernel.tail_bits()
     );
-    assert!(dense.tail_covered() > 0);
+    assert!(kernel.tail_covered() > 0);
 
     // Single-candidate pricing: the conventional null space.
     let set_bits = cache.set_bits();
