@@ -12,8 +12,9 @@
 //!   conflict);
 //! * [`FullyAssociativeCache`] — the fully-associative LRU reference used by
 //!   the paper's Table 3 (`FA` column);
-//! * [`LruStack`] — the stack-distance structure shared by the classifier and
-//!   by the conflict-vector profiler in the `xorindex` crate;
+//! * [`LruStack`] — the stack-distance structure behind the classifier, the
+//!   fully-associative reference and the reuse-distance statistics of the
+//!   `memtrace` crate;
 //! * [`CacheStats`] — counters and the `misses / K-uop` metric reported in the
 //!   paper's tables;
 //! * [`ReuseStream`] / [`CompactSets`] — the function-independent 3C

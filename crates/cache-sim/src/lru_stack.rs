@@ -1,9 +1,14 @@
 //! LRU stack (stack-distance) data structure.
 //!
-//! The profiling algorithm of the paper (Fig. 1) and the 3C miss classifier
-//! both walk an LRU stack: blocks are kept sorted by recency, and an access to
-//! block `x` needs to know which blocks were touched since the previous access
-//! to `x` (they are exactly the blocks above `x` on the stack).
+//! Blocks are kept sorted by recency, and an access to block `x` learns which
+//! blocks were touched since the previous access to `x` (they are exactly the
+//! blocks above `x` on the stack).
+//!
+//! The 3C [`MissClassifier`](crate::MissClassifier), the
+//! [`FullyAssociativeCache`](crate::FullyAssociativeCache) and `memtrace`'s
+//! `TraceStats` walk it. So does the test-only oracle the `xorindex` crate
+//! pins its profiler to: the paper's Fig. 1 walk, verbatim. The profiler
+//! itself keeps only the top `capacity + 1` blocks of the stack.
 
 use std::collections::HashMap;
 

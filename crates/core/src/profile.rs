@@ -1,6 +1,6 @@
 //! Conflict-vector profiling (paper Fig. 1).
 
-use cache_sim::{BlockAddr, LruStack, StackScan};
+use cache_sim::BlockAddr;
 use gf2::BitVec;
 use serde::{Deserialize, Serialize};
 
@@ -27,12 +27,17 @@ pub struct ProfileSummary {
 /// The conflict-vector histogram `misses(v)` produced by the paper's profiling
 /// algorithm (Fig. 1).
 ///
-/// One pass over the block-address trace maintains an LRU stack. For every
-/// access to a block `x` whose previous use is within the cache capacity, the
-/// algorithm walks the blocks `y` touched since then and increments
-/// `misses(x ⊕ y)` (truncated to the hashed width `n`). Compulsory accesses
-/// and accesses with reuse distance larger than the cache capacity are
-/// filtered out because no index function can avoid those misses.
+/// One pass over the block-address trace keeps the top of the paper's LRU
+/// stack: the `capacity + 1` most recently used distinct blocks, in recency
+/// order — as deep as a reuse within the cache capacity reaches. For every
+/// access to a block `x` still in that window, the blocks `y` above it are
+/// exactly those touched since its previous use, and the algorithm
+/// increments `misses(x ⊕ y)` for each (truncated to the hashed width `n`).
+/// One word-hashed probe per reference tells such a reuse from a first touch
+/// (compulsory) and from a block that has left the window (reuse distance
+/// larger than the cache capacity); both of those are filtered out because
+/// no index function can avoid their misses. A reuse at distance `d` costs
+/// O(1 + d): it scans only the `d` blocks whose vectors it records.
 ///
 /// The histogram then estimates the conflict misses of *any* hash function `H`
 /// as `Σ_{v ∈ N(H)} misses(v)` (paper Eq. 4) — see
@@ -77,44 +82,6 @@ fn width_mask(hashed_bits: usize) -> u64 {
     }
 }
 
-fn assert_geometry(hashed_bits: usize, capacity_blocks: usize) {
-    assert!(
-        (1..=64).contains(&hashed_bits),
-        "hashed_bits must be in 1..=64"
-    );
-    assert!(capacity_blocks > 0, "cache capacity must be positive");
-}
-
-/// Sorts accumulated counts into the entry layout, ascending by vector.
-fn sorted(counts: WordMap<u64, u64>) -> Vec<(u64, u64)> {
-    let mut entries: Vec<(u64, u64)> = counts.into_iter().collect();
-    entries.sort_unstable_by_key(|&(v, _)| v);
-    entries
-}
-
-/// The accumulate-then-sort normaliser of [`ConflictProfile::from_histogram`]
-/// and [`ConflictProfile::merge`]: weights add up per vector in a
-/// word-hashed map, the zero vector and zero weights are dropped, and one
-/// sort at the end yields the entry layout.
-///
-/// # Panics
-///
-/// Panics if a vector has bits outside the hashed width.
-fn normalise(hashed_bits: usize, pairs: impl IntoIterator<Item = (u64, u64)>) -> Vec<(u64, u64)> {
-    let mask = width_mask(hashed_bits);
-    let mut counts: WordMap<u64, u64> = WordMap::default();
-    for (v, w) in pairs {
-        assert!(
-            v & !mask == 0,
-            "vector {v:#x} has bits outside the {hashed_bits}-bit hashed width"
-        );
-        if v != 0 && w != 0 {
-            *counts.entry(v).or_insert(0) += w;
-        }
-    }
-    sorted(counts)
-}
-
 impl ConflictProfile {
     /// Profiles a block-address stream for a cache of `capacity_blocks`
     /// blocks, hashing the low `hashed_bits` bits of the block address.
@@ -128,75 +95,82 @@ impl ConflictProfile {
     where
         I: IntoIterator<Item = BlockAddr>,
     {
-        assert_geometry(hashed_bits, capacity_blocks);
+        assert!(
+            (1..=64).contains(&hashed_bits),
+            "hashed_bits must be in 1..=64"
+        );
+        assert!(capacity_blocks > 0, "cache capacity must be positive");
         let mask = width_mask(hashed_bits);
-        let mut stack = LruStack::new();
+        // The `capacity + 1` most recent distinct blocks, least recent first,
+        // live in `window[start..]`; evicting slides `start` and the dead
+        // prefix is dropped once it is as long as the window.
+        let span = capacity_blocks.saturating_add(1);
+        let mut window: Vec<u64> = Vec::new();
+        let mut start = 0usize;
+        // Every block seen, and whether it is still inside the window.
+        let mut in_window: WordMap<u64, bool> = WordMap::default();
         let mut counts: WordMap<u64, u64> = WordMap::default();
         let mut summary = ProfileSummary::default();
         for block in blocks {
             summary.references += 1;
             let x = block.as_u64();
-            let scan = stack.access_scan(x, capacity_blocks, |y| {
-                // The zero vector can only arise from truncation of
-                // high-order bits; it never represents an avoidable
-                // conflict, so it is not recorded (it still counts in
-                // `conflict_vectors`).
-                let v = (x ^ y) & mask;
-                if v != 0 {
-                    *counts.entry(v).or_insert(0) += 1;
-                }
-            });
-            match scan {
-                StackScan::Cold => summary.compulsory += 1,
-                StackScan::Beyond => summary.capacity += 1,
-                StackScan::Within { distance } => {
+            match in_window.insert(x, true) {
+                Some(true) => {
+                    // The blocks above `x` are the ones touched since its
+                    // last use, at most `capacity` of them.
+                    let live = &mut window[start..];
+                    let mut distance = 0usize;
+                    for &y in live.iter().rev().take_while(|&&y| y != x) {
+                        distance += 1;
+                        // The zero vector can only arise from truncation of
+                        // high-order bits; it never represents an avoidable
+                        // conflict, so it is not recorded (it still counts
+                        // in `conflict_vectors`).
+                        let v = (x ^ y) & mask;
+                        if v != 0 {
+                            *counts.entry(v).or_insert(0) += 1;
+                        }
+                    }
+                    let at = live.len() - 1 - distance;
+                    live[at..].rotate_left(1);
                     summary.profiled += 1;
                     summary.conflict_vectors += distance as u64;
                 }
+                seen => {
+                    if seen.is_none() {
+                        summary.compulsory += 1;
+                    } else {
+                        summary.capacity += 1;
+                    }
+                    window.push(x);
+                    if window.len() - start > span {
+                        in_window.insert(window[start], false);
+                        start += 1;
+                        if start == span {
+                            window.drain(..start);
+                            start = 0;
+                        }
+                    }
+                }
             }
         }
+        let mut entries: Vec<(u64, u64)> = counts.into_iter().collect();
+        entries.sort_unstable_by_key(|&(v, _)| v);
         ConflictProfile {
             hashed_bits,
             capacity_blocks,
             summary,
-            entries: sorted(counts),
+            entries,
         }
-    }
-
-    /// Reconstructs a profile from a recorded `misses(v)` histogram, in any
-    /// order. Entries with zero weight or a zero vector are dropped, exactly
-    /// as profiling itself would never have recorded them; duplicate vectors
-    /// accumulate.
-    ///
-    /// The [`ProfileSummary`] of a rebuilt profile reflects only what the
-    /// histogram retains: `conflict_vectors` (and `profiled`) carry the total
-    /// recorded weight, while the trace-level counters (`references`,
-    /// `compulsory`, `capacity`) are zero because no trace is at hand.
-    /// Everything search and estimation consume — the histogram, widths, and
-    /// capacity — is reconstructed exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hashed_bits` is 0 or larger than 64, `capacity_blocks` is
-    /// 0, or a vector has bits outside the hashed width.
-    #[must_use]
-    pub fn from_histogram<I>(entries: I, hashed_bits: usize, capacity_blocks: usize) -> Self
-    where
-        I: IntoIterator<Item = (u64, u64)>,
-    {
-        assert_geometry(hashed_bits, capacity_blocks);
-        Self::rebuilt(
-            hashed_bits,
-            capacity_blocks,
-            normalise(hashed_bits, entries),
-        )
     }
 
     /// Reassembles a profile from its serialized parts — the counterpart of
     /// [`ConflictProfile::hashed_bits`], [`ConflictProfile::capacity_blocks`]
     /// and [`ConflictProfile::entries`], used by snapshot restore. The
-    /// entries are taken as they are, never re-sorted; the summary is the
-    /// one [`ConflictProfile::from_histogram`] gives.
+    /// entries are taken as they are, never re-sorted. The summary keeps
+    /// only what the entries retain: `conflict_vectors` and `profiled` carry
+    /// their total weight, while `references`, `compulsory` and `capacity`
+    /// are zero because no trace is at hand.
     ///
     /// # Errors
     ///
@@ -244,14 +218,7 @@ impl ConflictProfile {
                 .checked_add(w)
                 .ok_or_else(|| malformed("total weight overflows u64".to_string()))?;
         }
-        Ok(Self::rebuilt(hashed_bits, capacity_blocks, entries))
-    }
-
-    /// A profile over already-normalised entries, with the summary of a
-    /// profile rebuilt without its trace.
-    fn rebuilt(hashed_bits: usize, capacity_blocks: usize, entries: Vec<(u64, u64)>) -> Self {
-        let total = entries.iter().map(|&(_, w)| w).sum();
-        ConflictProfile {
+        Ok(ConflictProfile {
             hashed_bits,
             capacity_blocks,
             summary: ProfileSummary {
@@ -260,7 +227,7 @@ impl ConflictProfile {
                 ..ProfileSummary::default()
             },
             entries,
-        }
+        })
     }
 
     /// Number of hashed address bits `n`.
@@ -333,26 +300,6 @@ impl ConflictProfile {
     pub fn total_weight(&self) -> u64 {
         self.entries.iter().map(|&(_, w)| w).sum()
     }
-
-    /// Merges another profile into this one (histograms and counters add).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two profiles disagree on `hashed_bits` or capacity.
-    pub fn merge(&mut self, other: &ConflictProfile) {
-        assert_eq!(self.hashed_bits, other.hashed_bits, "hashed bits differ");
-        assert_eq!(
-            self.capacity_blocks, other.capacity_blocks,
-            "capacities differ"
-        );
-        let pairs = self.entries.iter().chain(&other.entries).copied();
-        self.entries = normalise(self.hashed_bits, pairs);
-        self.summary.references += other.summary.references;
-        self.summary.compulsory += other.summary.compulsory;
-        self.summary.capacity += other.summary.capacity;
-        self.summary.profiled += other.summary.profiled;
-        self.summary.conflict_vectors += other.summary.conflict_vectors;
-    }
 }
 
 #[cfg(test)]
@@ -378,39 +325,28 @@ mod tests {
     }
 
     #[test]
-    fn from_histogram_rebuilds_the_recorded_state() {
+    fn from_parts_rebuilds_the_histogram_without_its_trace() {
         let trace: Vec<BlockAddr> = (0..200u64)
             .map(|i| BlockAddr((i % 3) * 0x40 + (i % 5) * 0x900))
             .collect();
         let original = ConflictProfile::from_blocks(trace, 13, 64);
-        let rebuilt =
-            ConflictProfile::from_histogram(original.iter().map(|(v, w)| (v.as_u64(), w)), 13, 64);
-        // Histogram, geometry and totals are exact…
+        let rebuilt = ConflictProfile::from_parts(13, 64, original.entries().to_vec()).unwrap();
+        // Histogram and geometry are exact…
         assert_eq!(rebuilt.hashed_bits(), 13);
         assert_eq!(rebuilt.capacity_blocks(), 64);
-        assert_eq!(rebuilt.distinct_vectors(), original.distinct_vectors());
-        assert_eq!(rebuilt.total_weight(), original.total_weight());
-        for (v, w) in original.iter() {
-            assert_eq!(rebuilt.misses(v), w);
-        }
-        assert_eq!(rebuilt.heaviest(5), original.heaviest(5));
         assert_eq!(rebuilt.entries(), original.entries());
-        // …while the trace-level summary counters record only what the
-        // histogram retains.
-        assert_eq!(rebuilt.summary().conflict_vectors, original.total_weight());
-        assert_eq!(rebuilt.summary().references, 0);
-        // Zero vectors and zero weights are dropped; duplicates accumulate.
-        let p = ConflictProfile::from_histogram([(0, 9), (5, 0), (3, 2), (3, 4)], 8, 16);
-        assert_eq!(p.distinct_vectors(), 1);
-        assert_eq!(p.misses_of(3), 6);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the 8-bit hashed width")]
-    fn from_histogram_rejects_vectors_outside_the_hashed_width() {
-        // Truncating would record 0x100 as the zero vector and fold 0x103
-        // into 0x3.
-        let _ = ConflictProfile::from_histogram([(0x100, 5), (0x103, 2), (0x3, 1)], 8, 16);
+        assert_eq!(rebuilt.heaviest(5), original.heaviest(5));
+        // …while the summary records only what the entries retain.
+        let total = original.total_weight();
+        assert!(total > 0);
+        assert_eq!(
+            rebuilt.summary(),
+            ProfileSummary {
+                profiled: total,
+                conflict_vectors: total,
+                ..ProfileSummary::default()
+            }
+        );
     }
 
     #[test]
@@ -423,6 +359,85 @@ mod tests {
         assert_eq!(p.total_weight(), 0);
         assert_eq!(p.summary().capacity, 1);
         assert_eq!(p.summary().compulsory, 10);
+    }
+
+    #[test]
+    fn reuse_at_distance_exactly_capacity_is_near_and_one_more_is_far() {
+        // Five cyclic sweeps over `footprint` distinct blocks: every reuse
+        // has the other `footprint - 1` blocks above it.
+        let sweeps = |footprint: u64| (0..5 * footprint).map(move |i| BlockAddr(i % footprint));
+        let p = ConflictProfile::from_blocks(sweeps(9), 16, 8);
+        assert_eq!(
+            p.summary(),
+            ProfileSummary {
+                references: 45,
+                compulsory: 9,
+                capacity: 0,
+                profiled: 36,
+                conflict_vectors: 36 * 8,
+            }
+        );
+        assert_eq!(p.total_weight(), 36 * 8);
+        let p = ConflictProfile::from_blocks(sweeps(10), 16, 8);
+        assert_eq!(
+            p.summary(),
+            ProfileSummary {
+                references: 50,
+                compulsory: 10,
+                capacity: 40,
+                profiled: 0,
+                conflict_vectors: 0,
+            }
+        );
+        assert!(p.entries().is_empty());
+    }
+
+    #[test]
+    fn reuses_after_a_long_slide_see_only_the_window() {
+        // 102 first touches slide a 5-block window (capacity 4) past 97
+        // evictions, leaving 97..=101 in it.
+        let mut seq: Vec<u64> = (0..102).collect();
+        // 99 sees {100, 101}; 97 sees {98, 100, 101, 99} at distance
+        // exactly 4; 96 and then 98 have left the window; 101 sees
+        // {99, 97, 96, 98}.
+        seq.extend([99, 97, 96, 98, 101]);
+        // None of the 96 blocks that slid out and stayed out is near.
+        seq.extend(0..96);
+        let p = ConflictProfile::from_blocks(blocks(&seq), 8, 4);
+        assert_eq!(
+            p.summary(),
+            ProfileSummary {
+                references: 203,
+                compulsory: 102,
+                capacity: 98,
+                profiled: 3,
+                conflict_vectors: 10,
+            }
+        );
+        assert_eq!(
+            p.entries(),
+            &[(2, 1), (3, 1), (4, 2), (5, 2), (6, 2), (7, 2)]
+        );
+    }
+
+    #[test]
+    fn unbounded_capacity_keeps_every_reuse_near() {
+        let seq = [1, 2, 3, 1, 2, 3, 4, 1];
+        let p = ConflictProfile::from_blocks(blocks(&seq), 8, usize::MAX);
+        assert_eq!(
+            p.summary(),
+            ProfileSummary {
+                references: 8,
+                compulsory: 4,
+                capacity: 0,
+                profiled: 4,
+                conflict_vectors: 9,
+            }
+        );
+        assert_eq!(
+            p.entries(),
+            ConflictProfile::from_blocks(blocks(&seq), 8, 4).entries()
+        );
     }
 
     #[test]
@@ -456,29 +471,6 @@ mod tests {
         assert_eq!(top[0].0.as_u64(), 0x10);
         assert!(top[0].1 > top[1].1);
         assert_eq!(p.heaviest(100).len(), p.distinct_vectors());
-    }
-
-    #[test]
-    fn merge_adds_histograms() {
-        let a = ConflictProfile::from_blocks(blocks(&[0, 1, 0]), 8, 16);
-        let b = ConflictProfile::from_blocks(blocks(&[0, 1, 0, 1]), 8, 16);
-        let mut merged = a.clone();
-        merged.merge(&b);
-        assert_eq!(merged.misses_of(1), a.misses_of(1) + b.misses_of(1));
-        assert_eq!(merged.entries(), &[(1, a.misses_of(1) + b.misses_of(1))]);
-        assert_eq!(
-            merged.summary().references,
-            a.summary().references + b.summary().references
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "hashed bits differ")]
-    fn merge_rejects_mismatched_profiles() {
-        let a = ConflictProfile::from_blocks(blocks(&[0, 1]), 8, 16);
-        let b = ConflictProfile::from_blocks(blocks(&[0, 1]), 16, 16);
-        let mut a = a;
-        a.merge(&b);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use gf2::{BitVec, Subspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use workloads::{Scale, WorkloadSuite};
 use xorindex::search::{
     NeighborCandidate, NeighborPool, Neighborhood, PackedNeighborhood, SearchAlgorithm,
     SearchOutcome, Searcher,
@@ -309,32 +310,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn profile_merge_is_equivalent_to_concatenated_profiling_for_disjoint_footprints(
-        blocks in trace_strategy(),
-        cache in cache_strategy(),
-    ) {
-        // Profiles of traces touching disjoint blocks can be merged; the
-        // histogram weights add.
-        let shifted: Vec<BlockAddr> = blocks
-            .iter()
-            .map(|b| BlockAddr(b.as_u64() + (1 << (HASHED_BITS + 2))))
-            .collect();
-        let a = profile_of(&blocks, &cache);
-        let b = ConflictProfile::from_blocks(
-            shifted.iter().copied(),
-            HASHED_BITS,
-            cache.num_blocks() as usize,
-        );
-        let mut merged = a.clone();
-        merged.merge(&b);
-        prop_assert_eq!(merged.total_weight(), a.total_weight() + b.total_weight());
-        prop_assert_eq!(
-            merged.summary().references,
-            a.summary().references + b.summary().references
-        );
-    }
 }
 
 /// The profiler as it stood while its histogram was a `HashMap<BitVec, u64>`,
@@ -431,6 +406,31 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(profile.entries(), &expected[..], "width {}, capacity {}", width, capacity);
         prop_assert_eq!(profile.summary(), summary, "width {}, capacity {}", width, capacity);
+    }
+}
+
+/// Real traces against the reference walk: every `WorkloadSuite::all()`
+/// data trace at 1, 4 and 16 KB, 16 hashed bits. Proptest traces are short;
+/// only real ones push a 4,097-block window through thousands of evictions.
+/// Slow in debug builds; CI runs it in release.
+#[test]
+#[ignore = "real traces; run with --release --include-ignored"]
+fn real_trace_profiles_match_the_reference_walk() {
+    for workload in WorkloadSuite::all() {
+        let trace = workload.data_trace(Scale::Tiny);
+        for kb in [1u64, 4, 16] {
+            let config = CacheConfig::paper_cache(kb);
+            let blocks: Vec<BlockAddr> = trace.data_block_addresses(config.block_bits()).collect();
+            let capacity = config.num_blocks() as usize;
+            let profile = ConflictProfile::from_blocks(blocks.iter().copied(), 16, capacity);
+            let (reference, summary) = reference_profile(blocks.iter().copied(), 16, capacity);
+            let mut expected: Vec<(u64, u64)> =
+                reference.iter().map(|(v, &w)| (v.as_u64(), w)).collect();
+            expected.sort_unstable();
+            let cell = format!("{}@{kb}KB", workload.name());
+            assert_eq!(profile.entries(), &expected[..], "{cell}");
+            assert_eq!(profile.summary(), summary, "{cell}");
+        }
     }
 }
 
