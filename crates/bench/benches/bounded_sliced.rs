@@ -1,26 +1,26 @@
 //! Bench for the incumbent-bounded, parallel, scaffold-cached pricing paths.
 //!
-//! PR 7 made the sliced-coset neighbourhood route abandon lanes whose running
-//! Eq. 4 sum saturates an incumbent bound, stamp independent 64-lane blocks
-//! on scoped threads, and reuse the per-parent coset scaffolding (hyperplane
-//! frame + remainder-grouped histogram) across revisits. This target times
-//! one hill-climb pricing step — the full susan @ 4 KB neighbourhood under
-//! the parent's own cost as the incumbent — in every configuration:
+//! Every neighbourhood is priced lane by lane: a lane costs its hyperplane's
+//! in-parent weight plus one scan of its direction's remainder group in the
+//! parent's grouped histogram, and stops once its running Eq. 4 sum reaches
+//! an incumbent bound. Runs of lanes split across scoped threads, and the
+//! grouped histogram is cached per parent. This target times one hill-climb
+//! pricing step — the full susan @ 4 KB neighbourhood under the parent's own
+//! cost as the incumbent — in every configuration:
 //!
-//! * `coset` — [`FrozenKernel::cost_neighborhood_bounded`] at bound
+//! * `lanes` — [`FrozenKernel::cost_neighborhood_bounded`] at bound
 //!   `u64::MAX`: every lane summed to completion;
-//! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`]: same slicing,
-//!   but lanes that saturate the incumbent drop out of the scan and fully
-//!   saturated blocks abandon early;
+//! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`] under the
+//!   incumbent: lanes stop scanning once they reach it;
 //! * `engine/unbounded` — the engine's ranking call
 //!   ([`EvalEngine::estimate_neighborhood`], the bounded route at
-//!   `u64::MAX`): every lane summed to completion from the cached scaffold;
+//!   `u64::MAX`): every lane summed to completion from the cached histogram;
 //! * `engine/t1`, `engine/t4` — the whole engine route under the incumbent
-//!   ([`EvalEngine::estimate_neighborhood_bounded`]): cached scaffolding
-//!   and (at `t4`) `map_parallel` block stamping;
+//!   ([`EvalEngine::estimate_neighborhood_bounded`]): cached histogram and
+//!   (at `t4`) `map_parallel` runs of lanes;
 //! * `scaffold/cold` vs `scaffold/warm` — the same engine step with the
 //!   scaffold cache cleared before each iteration vs left warm, isolating
-//!   what the cached frame + histogram rebuild is worth.
+//!   what regrouping the histogram per step costs.
 //!
 //! Every path is asserted bit-identical to the scalar reference before any
 //! timing. The `CRITERION_JSON` records land in `BENCH_bounded.json` on CI.
@@ -82,7 +82,7 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         scalar
     );
 
-    group.bench_with_input(BenchmarkId::new("susan/coset", n), &n, |b, _| {
+    group.bench_with_input(BenchmarkId::new("susan/lanes", n), &n, |b, _| {
         b.iter(|| {
             black_box(kernel.cost_neighborhood_bounded(
                 &parent_span,
@@ -103,7 +103,7 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         })
     });
     // The engine-level baseline: the ranking call, every lane summed to
-    // completion from the warm scaffold.
+    // completion from the warm grouped histogram.
     let mut engine = EvalEngine::new(profile).with_threads(1);
     group.bench_with_input(BenchmarkId::new("susan/engine/unbounded", n), &n, |b, _| {
         b.iter(|| black_box(engine.estimate_neighborhood(&nbhd)))
@@ -111,7 +111,7 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     for threads in [1usize, 4] {
         // The engine caches no costs, so every iteration prices every lane
         // afresh; the scaffold cache warms on the first iteration and stays
-        // warm, like a climb revisiting its parent.
+        // warm, like the rank step revisiting the climb's last parent.
         let mut engine = EvalEngine::new(profile).with_threads(threads);
         group.bench_with_input(
             BenchmarkId::new(format!("susan/engine/t{threads}"), n),
@@ -121,8 +121,8 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     }
 
     // Warm-vs-cold scaffold contrast: identical pricing work, with the
-    // hyperplane frame + remainder histogram either rebuilt every iteration
-    // or answered from the cache.
+    // remainder-grouped histogram either regrouped every iteration or
+    // answered from the cache.
     let mut engine = EvalEngine::new(profile).with_threads(1);
     group.bench_with_input(BenchmarkId::new("susan/scaffold/cold", n), &n, |b, _| {
         b.iter(|| {

@@ -6,10 +6,11 @@
 //! n = 12 / 16 / 20 / 26 hashed bits (26 is the wide-width regime where the
 //! pricing side runs on the hybrid profile):
 //!
-//! * `packed` — the packed-native path the search runs on
-//!   ([`PackedNeighborhood::generate`]): incremental `u64` hyperplane
-//!   enumeration, per-hyperplane dedup on coset representatives, one
-//!   allocation per admitted candidate;
+//! * `packed` — the packed-native path ([`PackedNeighborhood::generate`]):
+//!   the pool reduced once in the parent's coordinates, per-hyperplane dedup
+//!   on (remainder, parity) keys, Eq. 5 decided per hyperplane before any
+//!   basis exists, then one allocation per admitted candidate (the searches
+//!   run the same generation but build only the bases they move to);
 //! * `subspace` — the pre-refactor representation, reproduced verbatim:
 //!   heap-allocated [`Subspace`] candidates, full Gaussian re-canonicalization
 //!   per extension, `HashSet<Subspace>` dedup.

@@ -1,20 +1,18 @@
-//! Bench for the bit-sliced batch pricing paths.
+//! Bench for the batch and neighbourhood pricing paths.
 //!
-//! PR 6 refactored the pricing stack from one-candidate-at-a-time to
-//! 64-candidates-per-word. This target pins three ways one full
-//! hill-climbing neighbourhood can be priced, on the paper's susan @ 4 KB
-//! configuration (n = 16, 4095 candidates of dimension 6):
+//! This target pins three ways one full hill-climbing neighbourhood can be
+//! priced, on the paper's susan @ 4 KB configuration (n = 16, 4095
+//! candidates of dimension 6):
 //!
-//! * `scalar` — the PR 3 baseline: one [`FrozenKernel::cost`] call per
-//!   candidate;
+//! * `scalar` — one [`FrozenKernel::cost`] call per candidate;
 //! * `sliced` — the generic transposed batch
 //!   ([`FrozenKernel::cost_batch_sliced`]): membership masks for 64
 //!   candidates per `u64` word, one histogram scan per block;
-//! * `coset` — the neighbourhood route the searches run
-//!   ([`FrozenKernel::cost_neighborhood_bounded`] at bound `u64::MAX`):
-//!   hyperplane functionals hoisted into a `CosetFrame`, the histogram
-//!   grouped by parent remainder, each 64-lane block summing only the
-//!   entries its cosets select.
+//! * `lanes` — the neighbourhood route the searches run
+//!   ([`FrozenKernel::cost_neighborhood_bounded`] at bound `u64::MAX`): the
+//!   histogram grouped by remainder modulo the parent, each hyperplane's
+//!   in-parent weight summed once, then one scan of each lane's remainder
+//!   group.
 //!
 //! A second group reprices a neighbourhood slice at n = 26 through the
 //! hybrid profile (dense tail over the hot low region, binary search above
@@ -76,7 +74,7 @@ fn bench_paths(
     let n = refs.len();
     let kernel = &prep.kernel;
 
-    let coset = || {
+    let lanes = || {
         kernel.cost_neighborhood_bounded(
             &prep.parent_span,
             &prep.neighborhood.hyperplanes,
@@ -89,7 +87,7 @@ fn bench_paths(
     let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
     assert_eq!(scalar, kernel.cost_batch_sliced(&refs));
     let exact: Vec<BoundedCost> = scalar.iter().map(|&c| BoundedCost::Exact(c)).collect();
-    assert_eq!(exact, coset());
+    assert_eq!(exact, lanes());
 
     group.bench_with_input(
         BenchmarkId::new(format!("{label}/scalar"), n),
@@ -101,8 +99,8 @@ fn bench_paths(
         &n,
         |b, _| b.iter(|| black_box(kernel.cost_batch_sliced(&refs))),
     );
-    group.bench_with_input(BenchmarkId::new(format!("{label}/coset"), n), &n, |b, _| {
-        b.iter(|| black_box(coset()))
+    group.bench_with_input(BenchmarkId::new(format!("{label}/lanes"), n), &n, |b, _| {
+        b.iter(|| black_box(lanes()))
     });
 }
 

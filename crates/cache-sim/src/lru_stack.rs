@@ -59,9 +59,7 @@ pub enum StackScan {
 pub struct LruStack {
     /// Doubly linked list stored in a slab; `head` is the most recent block.
     nodes: Vec<Node>,
-    free: Vec<usize>,
     head: Option<usize>,
-    tail: Option<usize>,
     position: HashMap<u64, usize>,
 }
 
@@ -91,18 +89,6 @@ impl LruStack {
         self.position.is_empty()
     }
 
-    /// `true` when the block is somewhere on the stack.
-    #[must_use]
-    pub fn contains(&self, block: u64) -> bool {
-        self.position.contains_key(&block)
-    }
-
-    /// The most recently accessed block, if any.
-    #[must_use]
-    pub fn most_recent(&self) -> Option<u64> {
-        self.head.map(|i| self.nodes[i].block)
-    }
-
     /// Accesses `block`: scans for it from the top of the stack (calling
     /// `visit` on every distinct block encountered above it, as long as the
     /// block is found within `limit` entries), reports the outcome, and moves
@@ -118,61 +104,47 @@ impl LruStack {
         limit: usize,
         mut visit: F,
     ) -> StackScan {
-        let outcome = match self.position.get(&block).copied() {
-            None => StackScan::Cold,
-            Some(node_idx) => {
-                // Walk from the head looking for the node, up to `limit` steps.
-                let mut distance = 0usize;
-                let mut cursor = self.head;
-                let mut found = false;
-                let mut above: Vec<u64> = Vec::new();
-                while let Some(i) = cursor {
-                    if i == node_idx {
-                        found = true;
-                        break;
-                    }
-                    if distance >= limit {
-                        break;
-                    }
-                    above.push(self.nodes[i].block);
-                    distance += 1;
-                    cursor = self.nodes[i].next;
-                }
-                if found {
-                    for b in above {
-                        visit(b);
-                    }
-                    StackScan::Within { distance }
-                } else {
-                    StackScan::Beyond
-                }
+        let outcome = self.scan(block, limit);
+        if let StackScan::Within { distance } = outcome {
+            // The blocks above are the first `distance` nodes from the head.
+            let mut cursor = self.head;
+            for _ in 0..distance {
+                let i = cursor.expect("the scan found the block below these nodes");
+                visit(self.nodes[i].block);
+                cursor = self.nodes[i].next;
             }
-        };
+        }
         self.touch(block);
         outcome
     }
 
-    /// Accesses `block` without visiting the intermediate blocks; equivalent
-    /// to `access_scan(block, limit, |_| {})`.
+    /// Accesses `block` without visiting the intermediate blocks; the same
+    /// outcome and stack update as `access_scan(block, limit, |_| {})`.
     pub fn access(&mut self, block: u64, limit: usize) -> StackScan {
-        self.access_scan(block, limit, |_| {})
+        let outcome = self.scan(block, limit);
+        self.touch(block);
+        outcome
     }
 
-    /// Exact stack distance of `block` if it is present (may walk the whole
-    /// stack). Intended for tests and small traces.
-    #[must_use]
-    pub fn distance_of(&self, block: u64) -> Option<usize> {
-        let node_idx = *self.position.get(&block)?;
-        let mut distance = 0;
+    /// Where `block` sits: walks from the head looking for it, up to `limit`
+    /// steps, without moving anything.
+    fn scan(&self, block: u64, limit: usize) -> StackScan {
+        let Some(&node_idx) = self.position.get(&block) else {
+            return StackScan::Cold;
+        };
+        let mut distance = 0usize;
         let mut cursor = self.head;
         while let Some(i) = cursor {
             if i == node_idx {
-                return Some(distance);
+                return StackScan::Within { distance };
+            }
+            if distance >= limit {
+                break;
             }
             distance += 1;
             cursor = self.nodes[i].next;
         }
-        None
+        StackScan::Beyond
     }
 
     /// Moves `block` to the top of the stack, inserting it if new.
@@ -183,7 +155,12 @@ impl LruStack {
                 self.push_front(idx);
             }
             None => {
-                let idx = self.alloc(block);
+                self.nodes.push(Node {
+                    block,
+                    prev: None,
+                    next: None,
+                });
+                let idx = self.nodes.len() - 1;
                 self.position.insert(block, idx);
                 self.push_front(idx);
             }
@@ -193,34 +170,8 @@ impl LruStack {
     /// Removes every block from the stack.
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.free.clear();
         self.head = None;
-        self.tail = None;
         self.position.clear();
-    }
-
-    /// Iterates over the blocks from most to least recently used.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        std::iter::successors(self.head, move |&i| self.nodes[i].next)
-            .map(move |i| self.nodes[i].block)
-    }
-
-    fn alloc(&mut self, block: u64) -> usize {
-        if let Some(idx) = self.free.pop() {
-            self.nodes[idx] = Node {
-                block,
-                prev: None,
-                next: None,
-            };
-            idx
-        } else {
-            self.nodes.push(Node {
-                block,
-                prev: None,
-                next: None,
-            });
-            self.nodes.len() - 1
-        }
     }
 
     fn unlink(&mut self, idx: usize) {
@@ -229,9 +180,8 @@ impl LruStack {
             Some(p) => self.nodes[p].next = next,
             None => self.head = next,
         }
-        match next {
-            Some(n) => self.nodes[n].prev = prev,
-            None => self.tail = prev,
+        if let Some(n) = next {
+            self.nodes[n].prev = prev;
         }
         self.nodes[idx].prev = None;
         self.nodes[idx].next = None;
@@ -244,9 +194,6 @@ impl LruStack {
             self.nodes[h].prev = Some(idx);
         }
         self.head = Some(idx);
-        if self.tail.is_none() {
-            self.tail = Some(idx);
-        }
     }
 }
 
@@ -261,8 +208,9 @@ mod tests {
         assert_eq!(s.access(2, 10), StackScan::Cold);
         assert_eq!(s.access(1, 10), StackScan::Within { distance: 1 });
         assert_eq!(s.len(), 2);
-        assert!(s.contains(1));
-        assert!(!s.contains(3));
+        // Block 3 was never pushed; block 1 is on the stack.
+        assert_eq!(s.clone().access(3, 10), StackScan::Cold);
+        assert_ne!(s.clone().access(1, 10), StackScan::Cold);
     }
 
     #[test]
@@ -287,9 +235,15 @@ mod tests {
             StackScan::Within { distance: 3 }
         );
         assert_eq!(seen, vec![40, 30, 20]);
-        // 10 is now the most recent block.
-        assert_eq!(s.most_recent(), Some(10));
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![10, 40, 30, 20]);
+        // 10 is now the most recent block, and the whole stack reads
+        // 10, 40, 30 above the bottom block 20.
+        assert_eq!(s.clone().access(10, 0), StackScan::Within { distance: 0 });
+        seen.clear();
+        assert_eq!(
+            s.access_scan(20, usize::MAX, |b| seen.push(b)),
+            StackScan::Within { distance: 3 }
+        );
+        assert_eq!(seen, vec![10, 40, 30]);
     }
 
     #[test]
@@ -303,7 +257,6 @@ mod tests {
         assert_eq!(s.access_scan(0, 4, |b| seen.push(b)), StackScan::Beyond);
         assert!(seen.is_empty());
         // It still moved to the top.
-        assert_eq!(s.most_recent(), Some(0));
         assert_eq!(s.access(0, 4), StackScan::Within { distance: 0 });
     }
 
@@ -314,7 +267,10 @@ mod tests {
             s.access(b, 100);
         }
         // Block 1 is at distance 4: found when limit >= 4, beyond when < 4.
-        assert_eq!(s.distance_of(1), Some(4));
+        assert_eq!(
+            s.clone().access(1, usize::MAX),
+            StackScan::Within { distance: 4 }
+        );
         let mut clone = s.clone();
         assert_eq!(clone.access(1, 4), StackScan::Within { distance: 4 });
         assert_eq!(s.access(1, 3), StackScan::Beyond);
@@ -348,10 +304,17 @@ mod tests {
         let mut reference: Vec<u64> = Vec::new();
         for &b in &trace {
             let expect = reference.iter().position(|&x| x == b);
-            let got = s.access(b, usize::MAX);
+            // `access` and `access_scan` agree, and the visit lists exactly
+            // the reference's blocks above, most recent first.
+            assert_eq!(s.clone().access(b, 2), s.clone().access_scan(b, 2, |_| {}));
+            let mut seen = Vec::new();
+            let got = s.access_scan(b, usize::MAX, |x| seen.push(x));
             match expect {
                 None => assert_eq!(got, StackScan::Cold),
-                Some(d) => assert_eq!(got, StackScan::Within { distance: d }),
+                Some(d) => {
+                    assert_eq!(got, StackScan::Within { distance: d });
+                    assert_eq!(seen, reference[..d]);
+                }
             }
             if let Some(pos) = expect {
                 reference.remove(pos);

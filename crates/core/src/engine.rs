@@ -5,7 +5,7 @@
 //! [`EvalEngine`] is the batch-oriented replacement the search algorithms
 //! run on: a thin façade over a shared [`FrozenKernel`] — the immutable
 //! pricing core holding the frozen [`ConflictProfile`] and its point-lookup
-//! tail plus all Eq. 4 arithmetic (full walks, histogram scans, coset-sliced
+//! tail plus all Eq. 4 arithmetic (full walks, histogram scans, per-lane
 //! neighbourhood sums), `Send + Sync` and shared via `Arc`, so one kernel
 //! per application serves any number of searches and serving workers
 //! concurrently.
@@ -13,7 +13,8 @@
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
 //! `std::thread::scope` parallelism, and incumbent-bounded neighbourhood
-//! pricing over a cached coset scaffold ([`ScaffoldCache`]). It caches no
+//! pricing, lane by lane, from the parent's remainder-grouped histogram kept
+//! in a [`ScaffoldCache`]. It caches no
 //! costs: every call prices every candidate it is given, so its answers and
 //! counters depend only on the kernel and the calls made. (Repeat pricing
 //! requests are served from a [`ShardedMemo`](crate::ShardedMemo) one layer
@@ -26,7 +27,8 @@ use std::sync::{Arc, OnceLock};
 
 use gf2::{PackedBasis, SLICED_LANES};
 
-use crate::search::PackedNeighborhood;
+use crate::kernel::{lane_groups, price_lanes};
+use crate::search::{NeighborLanes, PackedNeighborhood};
 use crate::{BatchStrategy, BoundedCost, ConflictProfile, FrozenKernel, ScaffoldCache};
 
 /// The host's available parallelism (1 when it cannot be determined),
@@ -56,15 +58,15 @@ pub struct EngineStats {
     pub evaluations: u64,
     /// Batches that were split across threads.
     pub parallel_batches: u64,
-    /// Transposed 64-lane blocks priced by one histogram scan each (generic
-    /// sliced blocks and neighbourhood coset blocks alike).
+    /// Transposed 64-lane [`gf2::SlicedBlock`]s priced by one histogram scan
+    /// each ([`EvalEngine::estimate_batch`]; neighbourhoods price lane by
+    /// lane and count none).
     pub sliced_blocks: u64,
-    /// Coset scaffoldings (frame + grouped histogram) answered from this
-    /// engine's [`ScaffoldCache`].
+    /// Grouped histograms answered from this engine's [`ScaffoldCache`].
     pub scaffold_hits: u64,
-    /// Coset scaffoldings built from the kernel's histogram.
+    /// Grouped histograms built from the kernel's histogram.
     pub scaffold_misses: u64,
-    /// Lanes abandoned by bounded pricing because their running sum saturated
+    /// Lanes abandoned by bounded pricing because their running sum reached
     /// the incumbent bound (reported as [`BoundedCost::AtLeast`], not counted
     /// as evaluations).
     pub bounded_abandons: u64,
@@ -134,10 +136,9 @@ impl EvalEngine {
         self
     }
 
-    /// Replaces the coset scaffolding cache with the given handle — the
-    /// sharing entry point: engines (and a serving layer) holding clones of
-    /// one cache pool their per-parent frames and grouped histograms. Also
-    /// the way to resize it: pass
+    /// Replaces the scaffold cache with the given handle — the sharing entry
+    /// point: engines (and a serving layer) holding clones of one cache pool
+    /// their per-parent grouped histograms. Also the way to resize it: pass
     /// [`ScaffoldCache::with_capacity`]`(n)`.
     #[must_use]
     pub fn with_scaffold_cache(mut self, cache: ScaffoldCache) -> Self {
@@ -152,7 +153,7 @@ impl EvalEngine {
         &self.kernel
     }
 
-    /// The coset scaffolding cache handle. Clones share this engine's table.
+    /// The scaffold cache handle. Clones share this engine's table.
     #[must_use]
     pub fn scaffold_cache(&self) -> &ScaffoldCache {
         &self.scaffold
@@ -242,53 +243,74 @@ impl EvalEngine {
             .collect()
     }
 
-    /// Prices a packed neighbourhood under an incumbent bound — the path
-    /// every search step runs on: per lane, either the exact cost (priced
-    /// below the bound) or [`BoundedCost::AtLeast`]`(bound)` for a lane whose
-    /// running sum saturated the incumbent and was abandoned mid-scan.
+    /// Prices a packed neighbourhood under an incumbent bound: per lane,
+    /// either the exact cost (priced below the bound) or
+    /// [`BoundedCost::AtLeast`]`(bound)` for a lane whose running sum reached
+    /// the incumbent and was abandoned mid-scan.
     ///
-    /// The lanes are transposed, 64 at a time, into
-    /// [`gf2::SlicedCosetBlock`]s and priced from the parent's cached
-    /// remainder-grouped histogram, whole blocks split across the engine's
-    /// threads; each block stops scanning once every lane has saturated.
-    /// Exact lanes are bit-identical to [`FrozenKernel::cost`] and count as
-    /// evaluations; saturated ones count as abandons.
+    /// Each lane costs its hyperplane's in-parent weight (summed once per
+    /// hyperplane) plus one scan of its direction's group in the parent's
+    /// cached remainder-grouped histogram; runs of lanes are split across the
+    /// engine's threads. Exact lanes are bit-identical to
+    /// [`FrozenKernel::cost`] and count as evaluations; abandoned ones count
+    /// as abandons. The searches price their lanes the same way before any
+    /// candidate basis exists.
     ///
     /// # Panics
     ///
-    /// Panics if a candidate's ambient width differs from the profile's
-    /// hashed width.
+    /// Panics if the neighbourhood's ambient width differs from the
+    /// profile's hashed width, or if it is not a hyperplane/direction
+    /// decomposition over one parent.
     pub fn estimate_neighborhood_bounded(
         &mut self,
         neighborhood: &PackedNeighborhood,
         bound: u64,
     ) -> Vec<BoundedCost> {
-        let Some(parent) = neighborhood.parent_span() else {
+        match NeighborLanes::of(neighborhood) {
+            Some(lanes) => self.estimate_lanes_bounded(&lanes, bound),
+            None => Vec::new(),
+        }
+    }
+
+    /// [`EvalEngine::estimate_neighborhood_bounded`] over lanes that carry
+    /// no candidate bases — what every search step prices.
+    pub(crate) fn estimate_lanes_bounded(
+        &mut self,
+        lanes: &NeighborLanes,
+        bound: u64,
+    ) -> Vec<BoundedCost> {
+        if lanes.is_empty() {
             return Vec::new();
+        }
+        self.kernel.check_width(&lanes.parent);
+        let histogram = self.cached_histogram(&lanes.parent);
+        let groups = lane_groups(&histogram, lanes);
+        // A run of lanes is priced independently of the others, so runs
+        // split across scoped threads; one thread takes them all at once.
+        // Runs end where the hyperplane changes, so no hyperplane's shared
+        // in-parent weight is summed twice.
+        let min_run = if self.threads > 1 {
+            SLICED_LANES
+        } else {
+            lanes.len()
         };
-        let lanes: Vec<(usize, u64)> = neighborhood
-            .candidates
-            .iter()
-            .map(|candidate| {
-                self.kernel.check_width(&candidate.basis);
-                (candidate.hyperplane, candidate.direction)
+        let mut runs: Vec<&[(u32, u32)]> = Vec::new();
+        let mut rest = &lanes.lanes[..];
+        while !rest.is_empty() {
+            let mut end = min_run.min(rest.len());
+            while end < rest.len() && rest[end].0 == rest[end - 1].0 {
+                end += 1;
+            }
+            let (run, tail) = rest.split_at(end);
+            runs.push(run);
+            rest = tail;
+        }
+        let priced: Vec<BoundedCost> =
+            Self::map_parallel(&runs, self.threads, &mut self.stats, |run| {
+                price_lanes(&histogram, lanes, &groups, run, bound)
             })
-            .collect();
-        // The scaffolding — hyperplane functionals and the remainder-grouped
-        // histogram — is cached per parent and shared read-only, so the
-        // 64-lane blocks are independent units of work: each touches only the
-        // entries its cosets select, and chunks stamp on scoped threads.
-        let scaffold = self.cached_scaffold(&parent, &neighborhood.hyperplanes);
-        let chunks: Vec<&[(usize, u64)]> = lanes.chunks(SLICED_LANES).collect();
-        let frame = &*scaffold.frame;
-        let histogram = &*scaffold.histogram;
-        let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-            frame.block(chunk).sum_weights(histogram, bound)
-        });
-        self.stats.sliced_blocks += chunks.len() as u64;
-        let priced: Vec<BoundedCost> = blocks
             .into_iter()
-            .flat_map(|block| BoundedCost::from_block(block, bound))
+            .flatten()
             .collect();
         for &cost in &priced {
             self.tally(cost);
@@ -296,20 +318,16 @@ impl EvalEngine {
         priced
     }
 
-    /// Checks the coset scaffolding for `parent` out of the cache (building
+    /// Checks the grouped histogram for `parent` out of the cache (grouping
     /// it on a miss) and folds the outcome into this engine's counters.
-    fn cached_scaffold(
-        &mut self,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-    ) -> crate::scaffold::Scaffold {
-        let scaffold = self.scaffold.scaffold(&self.kernel, parent, hyperplanes);
+    fn cached_histogram(&mut self, parent: &PackedBasis) -> Arc<gf2::CosetHistogram> {
+        let scaffold = self.scaffold.scaffold(&self.kernel, parent);
         if scaffold.cached {
             self.stats.scaffold_hits += 1;
         } else {
             self.stats.scaffold_misses += 1;
         }
-        scaffold
+        scaffold.histogram
     }
 
     /// [`EvalEngine::estimate_packed`] under an incumbent bound: the scan
@@ -337,8 +355,8 @@ impl EvalEngine {
 
     /// Maps `job_cost` over `jobs` in order, splitting across scoped threads
     /// when the engine is configured for parallelism and the batch is large
-    /// enough. Jobs may be single candidates (costing a `u64`) or whole
-    /// sliced blocks (costing a `Vec<u64>` each).
+    /// enough. Jobs may be single candidates (costing a `u64`), whole sliced
+    /// blocks or runs of neighbourhood lanes (costing a `Vec` each).
     fn map_parallel<J: Sync, R: Send>(
         jobs: &[J],
         threads: usize,
@@ -506,7 +524,7 @@ mod tests {
     fn neighborhood_delta_evaluation_is_exact() {
         // Six set bits leave 6-dimensional null spaces, small enough that a
         // single candidate would be priced by enumeration: every class's
-        // neighbourhood must still price exactly through the coset blocks.
+        // neighbourhood must still price exactly lane by lane.
         let profile = mixed_profile();
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
         let parent = PackedBasis::standard_span(12, 6..12);
@@ -595,14 +613,13 @@ mod tests {
         let mut engine = EvalEngine::new(&profile);
         let first = engine.estimate_neighborhood_bounded(&nbhd, u64::MAX);
         let lanes = nbhd.candidates.len() as u64;
-        let blocks = lanes.div_ceil(gf2::SLICED_LANES as u64);
         assert_eq!(engine.stats().evaluations, lanes);
-        assert_eq!(engine.stats().sliced_blocks, blocks);
+        // Neighbourhoods price lane by lane: no sliced block is stamped.
+        assert_eq!(engine.stats().sliced_blocks, 0);
         // Nothing is cached but the scaffold: the second pass prices every
-        // lane again, block for block, from the scaffold the first built.
+        // lane again from the grouped histogram the first built.
         assert_eq!(engine.estimate_neighborhood_bounded(&nbhd, u64::MAX), first);
         assert_eq!(engine.stats().evaluations, 2 * lanes);
-        assert_eq!(engine.stats().sliced_blocks, 2 * blocks);
         assert_eq!(engine.stats().scaffold_misses, 1);
         assert_eq!(engine.stats().scaffold_hits, 1);
     }
@@ -626,12 +643,8 @@ mod tests {
             assert_eq!(cost, estimator.estimate_packed(basis), "lane {lane}");
         }
         let after = engine.stats();
-        // Every lane was priced, in full blocks, from one scaffold probe.
+        // Every lane was priced from one scaffold probe.
         assert_eq!(after.evaluations - before.evaluations, lanes);
-        assert_eq!(
-            after.sliced_blocks - before.sliced_blocks,
-            lanes.div_ceil(gf2::SLICED_LANES as u64)
-        );
         assert_eq!(after.bounded_abandons, before.bounded_abandons);
         assert_eq!(
             (after.scaffold_hits + after.scaffold_misses)
@@ -646,21 +659,61 @@ mod tests {
     fn threaded_sliced_coset_route_is_bit_identical_and_actually_splits() {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
-        // Enough candidates that the sliced route has ≥ PARALLEL_THRESHOLD
-        // 64-lane chunks to split across workers.
+        // Enough lanes that the threaded route has ≥ PARALLEL_THRESHOLD
+        // 64-lane runs to split across workers.
         assert!(nbhd.candidates.len() >= PARALLEL_THRESHOLD * gf2::SLICED_LANES);
         let mut sequential = EvalEngine::new(&profile).with_threads(1);
         let mut parallel = EvalEngine::new(&profile).with_threads(4);
         let reference = sequential.estimate_neighborhood(&nbhd);
         assert_eq!(parallel.estimate_neighborhood(&nbhd), reference);
-        // The parallel engine really split the sliced route: it counted the
-        // same blocks but spawned at least one parallel batch, which the
-        // sequential engine never does.
-        let chunks = (nbhd.candidates.len() as u64).div_ceil(gf2::SLICED_LANES as u64);
-        assert_eq!(sequential.stats().sliced_blocks, chunks);
-        assert_eq!(parallel.stats().sliced_blocks, chunks);
+        // The parallel engine really split the lanes: it spawned one
+        // parallel batch, which the sequential engine never does.
         assert_eq!(sequential.stats().parallel_batches, 0);
         assert_eq!(parallel.stats().parallel_batches, 1);
+        assert_eq!(sequential.stats().evaluations, parallel.stats().evaluations);
+    }
+
+    #[test]
+    fn a_direction_inside_the_parent_prices_the_parent_itself() {
+        // A hand-built lane whose direction lies in the parent but outside
+        // its hyperplane: the candidate re-extends the hyperplane to the
+        // parent, and prices exactly as the parent does.
+        let profile = mixed_profile();
+        let parent = PackedBasis::standard_span(12, 6..12);
+        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().take(2).collect();
+        let candidates = hyperplanes
+            .iter()
+            .enumerate()
+            .map(|(h, hyperplane)| {
+                let inside = parent
+                    .vectors()
+                    .find(|&v| v != 0 && !hyperplane.contains(v))
+                    .expect("a hyperplane misses half the parent");
+                crate::search::PackedCandidate {
+                    hyperplane: h,
+                    direction: inside,
+                    basis: hyperplane.extended(inside),
+                }
+            })
+            .collect();
+        let nbhd = PackedNeighborhood {
+            width: 12,
+            hyperplanes,
+            candidates,
+        };
+        let kernel = FrozenKernel::new(&profile);
+        let parent_cost = kernel.cost(&parent);
+        for candidate in &nbhd.candidates {
+            assert_eq!(candidate.basis, parent);
+        }
+        assert_eq!(
+            EvalEngine::new(&profile).estimate_neighborhood(&nbhd),
+            vec![parent_cost; 2]
+        );
+        assert_eq!(
+            EvalEngine::new(&profile).estimate_neighborhood_bounded(&nbhd, parent_cost),
+            vec![BoundedCost::AtLeast(parent_cost); 2]
+        );
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub enum BatchStrategy {
 /// Produced by the bounded pricing surfaces
 /// ([`FrozenKernel::cost_neighborhood_bounded`](crate::FrozenKernel::cost_neighborhood_bounded),
 /// [`EvalEngine::estimate_neighborhood_bounded`](crate::EvalEngine::estimate_neighborhood_bounded)):
-/// a lane whose running histogram sum saturates the bound is abandoned early
+/// a lane whose running histogram sum reaches the bound is abandoned early
 /// instead of being priced to completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundedCost {
@@ -109,22 +109,6 @@ impl BoundedCost {
         match self {
             BoundedCost::Exact(cost) | BoundedCost::AtLeast(cost) => cost,
         }
-    }
-
-    /// Per-lane prices of one bounded sliced block, from the `(sums,
-    /// saturated)` pair [`gf2::SlicedCosetBlock::sum_weights`] returns: an
-    /// unsaturated lane is exact, a saturated one costs at least `bound`.
-    pub(crate) fn from_block(
-        (sums, saturated): (Vec<u64>, u64),
-        bound: u64,
-    ) -> impl Iterator<Item = BoundedCost> {
-        sums.into_iter().enumerate().map(move |(lane, sum)| {
-            if saturated & (1u64 << lane) == 0 {
-                BoundedCost::Exact(sum)
-            } else {
-                BoundedCost::AtLeast(bound)
-            }
-        })
     }
 }
 

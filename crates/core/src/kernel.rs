@@ -4,8 +4,8 @@
 //! one application's [`ConflictProfile`] — whose sorted `(vector, weight)`
 //! entries every pricing path reads — plus a dense point-lookup tail over
 //! them, and the Eq. 4 arithmetic (full null-space walks, histogram scans,
-//! and the coset-sliced neighbourhood sums) with the strategy-resolution
-//! rule. It holds no interior mutability at all, so it is `Send + Sync` by
+//! and the per-lane neighbourhood sums) with the strategy-resolution rule.
+//! It holds no interior mutability at all, so it is `Send + Sync` by
 //! construction and one `Arc<FrozenKernel>` can price candidates from any
 //! number of threads simultaneously — the [`EvalEngine`](crate::EvalEngine)
 //! façade, the search algorithms, and a multi-tenant serving layer all share
@@ -20,18 +20,21 @@
 //! word-parallel membership mask; [`BatchStrategy`] resolution picks between
 //! the two by batch shape. The neighbourhood path
 //! ([`FrozenKernel::cost_neighborhood_bounded`]) prices candidates
-//! `hyperplane ⊕ span(direction)` over one shared parent in coset-sliced
-//! blocks under an incumbent bound. All compute the exact Eq. 4 sum,
-//! bit-identically.
+//! `hyperplane ⊕ span(direction)` over one shared parent lane by lane under
+//! an incumbent bound, from the histogram grouped by remainder modulo the
+//! parent ([`CosetHistogram`]): each hyperplane's in-parent weight once, then
+//! one scan of the lane's direction's remainder group. All compute the exact
+//! Eq. 4 sum, bit-identically.
 //!
 //! The kernel never caches, so every method here is a pure function of the
 //! frozen histogram. (The serving layer answers repeat pricing requests from
 //! a [`ShardedMemo`](crate::ShardedMemo) in front of it.)
 
-use gf2::{CosetFrame, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
+use gf2::{parity_weight, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
 
 use crate::dense::LookupTail;
 use crate::estimate::{resolve_batch_strategy, resolve_strategy};
+use crate::search::NeighborLanes;
 use crate::{
     BatchStrategy, BoundedCost, ConflictProfile, EstimationStrategy, XorIndexError,
     FLAT_LOOKUP_MAX_BITS,
@@ -314,54 +317,39 @@ impl FrozenKernel {
         )
     }
 
-    /// Builds the per-neighbourhood scaffolding coset-sliced pricing needs:
-    /// the [`CosetFrame`] of hyperplane functionals and the [`CosetHistogram`]
-    /// grouping of the whole histogram by parent remainder.
-    ///
-    /// [`FrozenKernel::cost_neighborhood_bounded`] builds this internally per
-    /// call; orchestrating callers (the engine's scaffold cache, parallel
-    /// block stamping) build it once here and then stamp and sum blocks
-    /// themselves via [`CosetFrame::block`] and
-    /// [`gf2::SlicedCosetBlock::sum_weights`].
+    /// Groups the histogram by remainder modulo `parent` — the scaffolding
+    /// every neighbourhood of `parent` is priced from.
+    /// [`FrozenKernel::cost_neighborhood_bounded`] builds it per call; the
+    /// engine's [`ScaffoldCache`](crate::ScaffoldCache) keeps it per parent.
     ///
     /// # Panics
     ///
     /// Panics if the parent's ambient width differs from the profile's hashed
-    /// width, or if a hyperplane is not a hyperplane of the parent.
+    /// width.
     #[must_use]
-    pub fn neighborhood_scaffold(
-        &self,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-    ) -> (CosetFrame, CosetHistogram) {
+    pub fn neighborhood_scaffold(&self, parent: &PackedBasis) -> CosetHistogram {
         self.check_width(parent);
-        (
-            CosetFrame::new(parent, hyperplanes),
-            CosetHistogram::new(parent, self.entries()),
-        )
+        CosetHistogram::new(parent, self.entries())
     }
 
     /// Prices a whole neighbourhood of candidates `hyperplanes[h] ⊕
-    /// span(direction)` over one shared `parent` through the coset-sliced
-    /// path, under an incumbent bound. The per-neighbourhood work is hoisted
-    /// once — hyperplane functionals into a [`CosetFrame`], the histogram
-    /// grouped by parent remainder into a [`CosetHistogram`] — then each
-    /// block of up to [`SLICED_LANES`] lanes is stamped and summed from only
-    /// the entries its lanes' cosets select.
+    /// span(direction)` over one shared `parent`, lane by lane under an
+    /// incumbent bound: the histogram is grouped by remainder modulo the
+    /// parent once, each hyperplane's in-parent weight is summed once, and
+    /// each lane adds one scan of its direction's remainder group.
     ///
-    /// Lanes whose running sum saturates `bound` are abandoned
-    /// ([`BoundedCost::AtLeast`]) and whole blocks stop scanning once every
-    /// lane has saturated. Lanes with true cost below the bound are priced
-    /// exactly, bit-identical to [`FrozenKernel::cost`] on each materialized
-    /// extension; `bound = u64::MAX` prices every lane exactly. Results align
-    /// with `lanes`.
+    /// A lane whose running sum reaches `bound` is abandoned
+    /// ([`BoundedCost::AtLeast`]); a lane whose true cost is below the bound
+    /// is priced exactly, bit-identical to [`FrozenKernel::cost`] on its
+    /// materialized extension. `bound = u64::MAX` prices every lane exactly.
+    /// Results align with `lanes`.
     ///
     /// # Panics
     ///
     /// Panics if the parent's ambient width differs from the profile's hashed
-    /// width, or if a hyperplane or lane is not a valid hyperplane/direction
-    /// decomposition over the parent (see [`CosetFrame::new`] and
-    /// [`CosetFrame::block`]).
+    /// width, if a hyperplane is not a hyperplane of the parent, or if a
+    /// lane's direction has bits outside the width or lies inside its
+    /// hyperplane.
     #[must_use]
     pub fn cost_neighborhood_bounded(
         &self,
@@ -374,13 +362,10 @@ impl FrozenKernel {
         if lanes.is_empty() {
             return Vec::new();
         }
-        let (frame, histogram) = self.neighborhood_scaffold(parent, hyperplanes);
-        let mut out = Vec::with_capacity(lanes.len());
-        for chunk in lanes.chunks(SLICED_LANES) {
-            let block = frame.block(chunk).sum_weights(&histogram, bound);
-            out.extend(BoundedCost::from_block(block, bound));
-        }
-        out
+        let lanes = NeighborLanes::over(parent.clone(), hyperplanes, lanes.iter().copied());
+        let histogram = self.neighborhood_scaffold(parent);
+        let groups = lane_groups(&histogram, &lanes);
+        price_lanes(&histogram, &lanes, &groups, &lanes.lanes, bound)
     }
 
     /// [`FrozenKernel::cost`] under an incumbent bound: the scan abandons as
@@ -422,6 +407,56 @@ impl FrozenKernel {
         resolve_strategy(EstimationStrategy::Auto, basis.dim(), distinct)
             == EstimationStrategy::EnumerateNullSpace
     }
+}
+
+/// The remainder group of each of the lanes' directions, in direction order.
+pub(crate) fn lane_groups<'h>(
+    histogram: &'h CosetHistogram,
+    lanes: &NeighborLanes,
+) -> Vec<&'h [(u64, u64)]> {
+    debug_assert_eq!(
+        histogram.parent(),
+        &lanes.parent,
+        "grouped over another parent"
+    );
+    lanes
+        .directions
+        .iter()
+        .map(|direction| histogram.group(direction.remainder))
+        .collect()
+}
+
+/// Prices `chunk`, a run of `lanes.lanes`, from the histogram grouped over
+/// the lanes' parent: a lane costs its hyperplane's in-parent entries with
+/// parity 0 (summed once per run of lanes sharing the hyperplane) plus the
+/// entries of its direction's remainder group whose parity matches the
+/// direction's, and is exact exactly when that cost is below `bound`.
+pub(crate) fn price_lanes(
+    histogram: &CosetHistogram,
+    lanes: &NeighborLanes,
+    groups: &[&[(u64, u64)]],
+    chunk: &[(u32, u32)],
+    bound: u64,
+) -> Vec<BoundedCost> {
+    let in_parent = histogram.group(0);
+    let mut out = Vec::with_capacity(chunk.len());
+    let mut hyperplane = u32::MAX;
+    let mut base = 0;
+    for &(h, d) in chunk {
+        let functional = lanes.functionals[h as usize];
+        if h != hyperplane {
+            hyperplane = h;
+            base = parity_weight(in_parent, functional, 0, 0, bound);
+        }
+        let parity = (functional & lanes.directions[d as usize].coordinates).count_ones() & 1;
+        let cost = parity_weight(groups[d as usize], functional, parity, base, bound);
+        out.push(if cost < bound {
+            BoundedCost::Exact(cost)
+        } else {
+            BoundedCost::AtLeast(bound)
+        });
+    }
+    out
 }
 
 #[cfg(test)]
@@ -509,8 +544,8 @@ mod tests {
 
     #[test]
     fn neighbour_cost_matches_a_fresh_evaluation() {
-        // Each neighbour priced alone, as a one-lane coset block, costs what
-        // a fresh evaluation of its materialized extension costs — for a
+        // Each neighbour priced alone, as a one-lane neighbourhood, costs
+        // what a fresh evaluation of its materialized extension costs — for a
         // direction inside the parent and one outside it.
         let profile = mixed_profile();
         let kernel = FrozenKernel::new(&profile);
@@ -541,9 +576,9 @@ mod tests {
 
     #[test]
     fn cost_neighborhood_sliced_matches_materialized_extensions() {
-        // Every lane of a multi-block neighbourhood priced through the
-        // coset-sliced route at bound `u64::MAX` costs what a fresh
-        // evaluation of its materialized extension costs.
+        // Every lane of a many-hyperplane neighbourhood priced through the
+        // per-lane route at bound `u64::MAX` costs what a fresh evaluation of
+        // its materialized extension costs.
         let profile = mixed_profile();
         let kernel = FrozenKernel::new(&profile);
         let estimator = MissEstimator::new(&profile);
@@ -717,31 +752,27 @@ mod tests {
 
     #[test]
     fn neighborhood_scaffold_prices_like_the_one_shot_path() {
+        // The grouped histogram the engine caches, read lane by lane with
+        // each hyperplane's in-parent weight hoisted, prices what the one-shot
+        // kernel call and the histogram's own single-lane sum do.
         let profile = mixed_profile();
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
         let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        let lanes: Vec<(usize, u64)> = hyperplanes
-            .iter()
-            .enumerate()
-            .map(|(h, hyperplane)| {
-                let d = (1..(1u64 << 12))
-                    .find(|&v| !hyperplane.contains(v))
-                    .unwrap();
-                (h, d)
-            })
-            .collect();
-        let (frame, histogram) = kernel.neighborhood_scaffold(&parent, &hyperplanes);
-        let via_scaffold: Vec<BoundedCost> = lanes
-            .chunks(SLICED_LANES)
-            .flat_map(|chunk| {
-                let block = frame.block(chunk).sum_weights(&histogram, u64::MAX);
-                BoundedCost::from_block(block, u64::MAX)
-            })
-            .collect();
+        let lanes = lanes_over(&hyperplanes, 150);
+        let histogram = kernel.neighborhood_scaffold(&parent);
+        let bound = kernel.cost(&parent);
+        let lane_set = NeighborLanes::over(parent.clone(), &hyperplanes, lanes.iter().copied());
+        let groups = lane_groups(&histogram, &lane_set);
+        let via_scaffold = price_lanes(&histogram, &lane_set, &groups, &lane_set.lanes, bound);
         assert_eq!(
             via_scaffold,
-            kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, u64::MAX)
+            kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, bound)
         );
+        for (&(h, d), cost) in lanes.iter().zip(&via_scaffold) {
+            let f = parent.hyperplane_functional(&hyperplanes[h]);
+            let one_lane = histogram.lane_weight(f, d, bound);
+            assert_eq!(cost.exact(), (one_lane < bound).then_some(one_lane));
+        }
     }
 }

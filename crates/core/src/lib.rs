@@ -14,8 +14,9 @@
 //!    re-simulating the trace as `Σ_{v ∈ N(H)} misses(v)` over its null space.
 //!    The searches run this sum through the dense evaluation engine
 //!    ([`EvalEngine`] over the profile's sorted entries): packed `u64` bases,
-//!    incumbent-bounded coset-sliced neighbourhood batches and scoped-thread
-//!    parallelism, with results bit-identical to [`MissEstimator`]. The
+//!    incumbent-bounded neighbourhood pricing lane by lane from the parent's
+//!    remainder-grouped histogram, and scoped-thread parallelism, with
+//!    results bit-identical to [`MissEstimator`]. The
 //!    engine is a façade over an immutable, `Arc`-shareable [`FrozenKernel`]
 //!    (the Eq. 4 arithmetic), so one kernel per application can serve many
 //!    searches and threads at once; a concurrent [`ShardedMemo`] in front of

@@ -1,28 +1,26 @@
-//! A small shared cache of coset-sliced neighbourhood scaffolding.
+//! A small shared cache of neighbourhood-pricing scaffolding.
 //!
-//! Every coset-sliced neighbourhood evaluation needs two pieces of
-//! per-parent precomputation before any block can be stamped: the
-//! [`CosetFrame`] of hyperplane functionals (`O(dim²)` per hyperplane) and —
-//! far more expensively — the [`CosetHistogram`], a full pass over the
-//! histogram grouping every entry by its remainder modulo the parent. The
-//! kernel's standalone [`FrozenKernel::cost_neighborhood_bounded`] rebuilds
-//! both per call, which is fine for a one-shot pricing but wasteful for the
-//! callers that dominate real runs: random restarts walking back through
-//! earlier parents, annealing chains re-visiting a parent after a rejected
-//! excursion, and serve-layer pricing bursts against one application.
+//! Pricing any neighbourhood of a parent null space first groups the whole
+//! histogram by remainder modulo that parent ([`CosetHistogram`], one pass
+//! over every entry). The kernel's standalone
+//! [`FrozenKernel::cost_neighborhood_bounded`] regroups per call, which is
+//! fine for a one-shot pricing but wasteful for the callers that dominate
+//! real runs: the verified pick ranking the neighbourhood the climb's last
+//! step just priced, random restarts walking back through earlier parents,
+//! and serve-layer searches against one application.
 //!
-//! [`ScaffoldCache`] memoizes that scaffolding per parent
-//! ([`gf2::CanonicalKey`]), capacity-capped with FIFO eviction. Entries hold
-//! their pieces behind `Arc`s, so a hit hands back shared read-only
-//! scaffolding that scoped worker threads can consume while the cache moves
-//! on. Like [`ShardedMemo`](crate::ShardedMemo), the cache itself is a
-//! cheaply clonable handle: clones share one table, so an engine and the
-//! serving layer can pool scaffolding per application.
+//! [`ScaffoldCache`] memoizes the grouped histogram per parent
+//! ([`gf2::CanonicalKey`]), capacity-capped with FIFO eviction. Entries sit
+//! behind `Arc`s, so a hit hands back a shared read-only histogram that
+//! scoped worker threads can read while the cache moves on. Like
+//! [`ShardedMemo`](crate::ShardedMemo), the cache itself is a cheaply
+//! clonable handle: clones share one table, so an engine and the serving
+//! layer can pool scaffolding per application.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use gf2::{CanonicalKey, CosetFrame, CosetHistogram, PackedBasis};
+use gf2::{CanonicalKey, CosetHistogram, PackedBasis};
 
 use crate::FrozenKernel;
 
@@ -32,37 +30,22 @@ use crate::FrozenKernel;
 /// while bounding the memory spent on grouped histograms.
 pub const DEFAULT_SCAFFOLD_CAPACITY: usize = 16;
 
-/// One cached scaffolding: the grouped histogram (the expensive half, reused
-/// unconditionally) plus the hyperplane frame, remembered together with the
-/// hyperplane list it was solved for.
-#[derive(Debug, Clone)]
-struct CachedScaffold {
-    frame: Arc<CosetFrame>,
-    histogram: Arc<CosetHistogram>,
-    hyperplanes: Vec<PackedBasis>,
-}
-
-/// One checked-out scaffolding: shared read-only pieces ready for block
-/// stamping, plus whether the probe was answered from the cache.
+/// One checked-out scaffolding: the shared grouped histogram, plus whether
+/// the probe was answered from the cache.
 #[derive(Debug, Clone)]
 pub struct Scaffold {
-    /// The hyperplane functionals over the parent.
-    pub frame: Arc<CosetFrame>,
     /// The kernel's histogram grouped by remainder modulo the parent.
     pub histogram: Arc<CosetHistogram>,
-    /// `true` when the parent was already cached (even if the frame was
-    /// re-solved for a different hyperplane list).
+    /// `true` when the parent was already cached.
     pub cached: bool,
 }
 
 /// Counters and occupancy of a [`ScaffoldCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScaffoldStats {
-    /// Probes answered from the cache (including frame-rebuild hits, where
-    /// the histogram was reused but the functionals were re-solved for a
-    /// different hyperplane list).
+    /// Probes answered from the cache.
     pub hits: u64,
-    /// Probes that had to build the scaffolding from the histogram.
+    /// Probes that had to group the kernel's histogram.
     pub misses: u64,
     /// Entries evicted to make room (FIFO order).
     pub evictions: u64,
@@ -74,7 +57,7 @@ pub struct ScaffoldStats {
 
 #[derive(Debug)]
 struct ScaffoldState {
-    entries: HashMap<CanonicalKey, CachedScaffold>,
+    entries: HashMap<CanonicalKey, Arc<CosetHistogram>>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<CanonicalKey>,
     hits: u64,
@@ -88,8 +71,8 @@ struct ScaffoldInner {
     capacity: usize,
 }
 
-/// A capacity-capped, thread-safe cache of coset-sliced scaffolding keyed by
-/// the parent subspace. Cloning the cache clones a handle: all clones share
+/// A capacity-capped, thread-safe cache of grouped histograms keyed by the
+/// parent subspace. Cloning the cache clones a handle: all clones share
 /// one table.
 ///
 /// # Example
@@ -103,11 +86,10 @@ struct ScaffoldInner {
 /// let profile = ConflictProfile::from_blocks(trace, 12, 64);
 /// let kernel = FrozenKernel::new(&profile);
 /// let parent = PackedBasis::standard_span(12, 6..12);
-/// let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
 ///
 /// let cache = ScaffoldCache::new();
-/// let _ = cache.scaffold(&kernel, &parent, &hyperplanes); // builds
-/// let _ = cache.scaffold(&kernel, &parent, &hyperplanes); // cached
+/// let _ = cache.scaffold(&kernel, &parent); // builds
+/// let _ = cache.scaffold(&kernel, &parent); // cached
 /// assert_eq!(cache.stats().hits, 1);
 /// assert_eq!(cache.stats().misses, 1);
 /// ```
@@ -146,71 +128,41 @@ impl ScaffoldCache {
         }
     }
 
-    /// The scaffolding for pricing neighbourhoods of `parent` whose retained
-    /// hyperplanes are `hyperplanes`: cached when the parent was seen before,
-    /// built from the kernel's histogram (and cached) otherwise.
-    ///
-    /// A revisit with a *different* hyperplane list still reuses the grouped
-    /// histogram — the expensive full-profile pass — and only re-solves the
-    /// frame's functionals; it counts as a hit.
+    /// The scaffolding for pricing neighbourhoods of `parent`: cached when
+    /// the parent was seen before, grouped from the kernel's histogram (and
+    /// cached) otherwise.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as
     /// [`FrozenKernel::neighborhood_scaffold`].
     #[must_use]
-    pub fn scaffold(
-        &self,
-        kernel: &FrozenKernel,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-    ) -> Scaffold {
-        let key = parent.canonical_key();
-        let (cached_histogram, cached) = {
+    pub fn scaffold(&self, kernel: &FrozenKernel, parent: &PackedBasis) -> Scaffold {
+        let mut words = [0u64; 65];
+        {
             let mut state = self.inner.state.lock().expect("scaffold cache poisoned");
-            let probed = state.entries.get(&key).map(|entry| {
-                (
-                    Arc::clone(&entry.frame),
-                    Arc::clone(&entry.histogram),
-                    entry.hyperplanes == hyperplanes,
-                )
-            });
-            match probed {
-                Some((frame, histogram, same_hyperplanes)) => {
-                    state.hits += 1;
-                    if same_hyperplanes {
-                        return Scaffold {
-                            frame,
-                            histogram,
-                            cached: true,
-                        };
-                    }
-                    (Some(histogram), true)
-                }
-                None => {
-                    state.misses += 1;
-                    (None, false)
-                }
+            let probed = state.entries.get(parent.key_words(&mut words)).cloned();
+            if let Some(histogram) = probed {
+                state.hits += 1;
+                return Scaffold {
+                    histogram,
+                    cached: true,
+                };
             }
-        };
-        // Build outside the lock: the histogram grouping walks every
-        // histogram entry, and concurrent probers of *other* parents must not
-        // serialize behind it. A racing build of the same parent is benign —
-        // both compute identical scaffolding and the table keeps one.
-        let (frame, histogram) = match cached_histogram {
-            Some(histogram) => (Arc::new(CosetFrame::new(parent, hyperplanes)), histogram),
-            None => {
-                let (frame, histogram) = kernel.neighborhood_scaffold(parent, hyperplanes);
-                (Arc::new(frame), Arc::new(histogram))
-            }
-        };
-        let entry = CachedScaffold {
-            frame: Arc::clone(&frame),
-            histogram: Arc::clone(&histogram),
-            hyperplanes: hyperplanes.to_vec(),
-        };
+            state.misses += 1;
+        }
+        // Group outside the lock: it walks every histogram entry, and
+        // concurrent probers of *other* parents must not serialize behind it.
+        // A racing build of the same parent is benign — both compute the
+        // same histogram and the table keeps one.
+        let histogram = Arc::new(kernel.neighborhood_scaffold(parent));
+        let key = parent.canonical_key();
         let mut state = self.inner.state.lock().expect("scaffold cache poisoned");
-        if state.entries.insert(key.clone(), entry).is_none() {
+        if state
+            .entries
+            .insert(key.clone(), Arc::clone(&histogram))
+            .is_none()
+        {
             state.order.push_back(key);
             while state.entries.len() > self.inner.capacity {
                 if let Some(oldest) = state.order.pop_front() {
@@ -220,9 +172,8 @@ impl ScaffoldCache {
             }
         }
         Scaffold {
-            frame,
             histogram,
-            cached,
+            cached: false,
         }
     }
 
@@ -272,11 +223,10 @@ mod tests {
         let profile = profile();
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
         let cache = ScaffoldCache::new();
         let clone = cache.clone();
-        let _ = cache.scaffold(&kernel, &parent, &hyperplanes);
-        let _ = clone.scaffold(&kernel, &parent, &hyperplanes);
+        let _ = cache.scaffold(&kernel, &parent);
+        let _ = clone.scaffold(&kernel, &parent);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
         assert_eq!(stats.capacity, DEFAULT_SCAFFOLD_CAPACITY);
@@ -284,30 +234,25 @@ mod tests {
 
     #[test]
     fn hits_return_the_same_scaffolding_and_frame_rebuilds_keep_the_histogram() {
+        // A hit hands back the very histogram the miss grouped; there is no
+        // per-hyperplane frame left to rebuild, so every revisit of a parent
+        // is a plain hit whatever neighbourhood it prices.
         let profile = profile();
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
         let cache = ScaffoldCache::new();
-        let a = cache.scaffold(&kernel, &parent, &hyperplanes);
-        let b = cache.scaffold(&kernel, &parent, &hyperplanes);
+        let a = cache.scaffold(&kernel, &parent);
+        let b = cache.scaffold(&kernel, &parent);
         assert!(!a.cached && b.cached);
-        assert!(Arc::ptr_eq(&a.frame, &b.frame));
         assert!(Arc::ptr_eq(&a.histogram, &b.histogram));
-        // A different hyperplane list over the same parent: the histogram is
-        // reused, the frame is re-solved, and it still counts as a hit.
-        let fewer = &hyperplanes[..hyperplanes.len() - 1];
-        let c = cache.scaffold(&kernel, &parent, fewer);
-        assert!(c.cached);
-        assert!(Arc::ptr_eq(&a.histogram, &c.histogram));
-        assert!(!Arc::ptr_eq(&a.frame, &c.frame));
-        assert_eq!(c.frame.hyperplane_count(), fewer.len());
+        assert_eq!(*a.histogram, kernel.neighborhood_scaffold(&parent));
+        // Another parent is another entry.
+        let other = PackedBasis::standard_span(12, 5..12);
+        let c = cache.scaffold(&kernel, &other);
+        assert!(!c.cached);
+        assert!(!Arc::ptr_eq(&a.histogram, &c.histogram));
         let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (2, 1));
-        // The rebuilt frame replaced the entry, so the narrower list now hits
-        // without a rebuild.
-        let d = cache.scaffold(&kernel, &parent, fewer);
-        assert!(Arc::ptr_eq(&c.frame, &d.frame));
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 2));
     }
 
     #[test]
@@ -319,17 +264,14 @@ mod tests {
             .collect();
         let cache = ScaffoldCache::with_capacity(2);
         for parent in &parents {
-            let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-            let _ = cache.scaffold(&kernel, parent, &hyperplanes);
+            let _ = cache.scaffold(&kernel, parent);
         }
         let stats = cache.stats();
         assert_eq!(stats.entries, 2);
         assert_eq!(stats.evictions, 2);
         assert_eq!(stats.misses, 4);
         // The two oldest parents were evicted; the newest still hits.
-        let newest = &parents[3];
-        let hyperplanes: Vec<PackedBasis> = newest.hyperplanes().collect();
-        let _ = cache.scaffold(&kernel, newest, &hyperplanes);
+        let _ = cache.scaffold(&kernel, &parents[3]);
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.clear(), 2);
         assert_eq!(

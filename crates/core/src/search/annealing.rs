@@ -8,8 +8,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::search::neighbors::PackedNeighborhood;
-use crate::search::{SearchOutcome, Searcher};
+use crate::search::{NeighborLanes, SearchOutcome, Searcher};
 use crate::{HashFunction, XorIndexError};
 
 impl Searcher<'_> {
@@ -56,12 +55,13 @@ impl Searcher<'_> {
         let mut temperature = initial_temperature.max(1e-9);
 
         for _ in 0..iterations {
-            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
-            if nbhd.is_empty() {
+            // Draw a lane of the neighbourhood, in generation order, and
+            // build only its basis.
+            let lanes = NeighborLanes::generate(&current, class, &pool);
+            if lanes.is_empty() {
                 break;
             }
-            let pick = rng.gen_range(0..nbhd.len());
-            let candidate = &nbhd.candidates[pick].basis;
+            let candidate = lanes.basis(rng.gen_range(0..lanes.len()));
             // Any proposal pricier than `current + ⌈800·T⌉` is rejected with
             // probability exactly 0: Δ/T ≥ 800 drives exp(−Δ/T) to 0.0 in f64
             // (it underflows below ~exp(−745)), and the true cost of an
@@ -71,12 +71,12 @@ impl Searcher<'_> {
             // as pricing the proposal exactly.
             let bound = current_cost.saturating_add((800.0 * temperature).ceil() as u64);
             let cost = engine
-                .estimate_packed_bounded(candidate, bound)
+                .estimate_packed_bounded(&candidate, bound)
                 .lower_bound();
             let delta = cost as f64 - current_cost as f64;
             let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
             if accept {
-                current = candidate.clone();
+                current = candidate;
                 current_cost = cost;
                 steps += 1;
                 if cost < best_cost {

@@ -2,8 +2,7 @@
 
 use gf2::Subspace;
 
-use crate::search::neighbors::PackedNeighborhood;
-use crate::search::{SearchOutcome, Searcher};
+use crate::search::{NeighborLanes, SearchOutcome, Searcher};
 use crate::{EvalEngine, HashFunction, XorIndexError};
 
 impl Searcher<'_> {
@@ -54,17 +53,17 @@ impl Searcher<'_> {
         Ok(self.hill_climb_full(engine, start)?.0)
     }
 
-    /// [`Searcher::hill_climb_with`], additionally returning the winner's
-    /// full neighbourhood — the final climb iteration's candidate set, which
-    /// the loop would otherwise drop on the floor. Callers that rank
-    /// runner-up candidates around the winner (the serving layer's verified
-    /// optimization) reuse it instead of paying a second
-    /// [`PackedNeighborhood::generate`].
+    /// [`Searcher::hill_climb_with`], additionally returning the lanes of
+    /// the winner's neighbourhood — the final climb iteration's candidate
+    /// set, which the loop would otherwise drop on the floor. Callers that
+    /// rank runner-up candidates around the winner (the serving layer's
+    /// verified optimization) materialize it instead of paying a second
+    /// [`PackedNeighborhood::generate`](crate::search::PackedNeighborhood::generate).
     pub(crate) fn hill_climb_full(
         &self,
         engine: &mut EvalEngine,
         start: Subspace,
-    ) -> Result<(SearchOutcome, PackedNeighborhood), XorIndexError> {
+    ) -> Result<(SearchOutcome, NeighborLanes), XorIndexError> {
         let pool = self.packed_pool();
         let class = self.class();
 
@@ -88,20 +87,20 @@ impl Searcher<'_> {
         };
         let mut best_function = start_function;
         let mut steps: u64 = 0;
-        let final_neighborhood;
+        let final_lanes;
 
         loop {
-            // Evaluate the whole neighbourhood in one engine batch, cheapest
-            // check first: the engine prices every candidate, the (more
-            // expensive) fan-in admissibility check runs only on candidates
-            // that would be taken. The incumbent is passed down as the bound
-            // so the engine can abandon any lane whose running sum saturates
+            // Price every lane in one engine batch, cheapest check first: no
+            // candidate basis exists yet, and one is built (and checked
+            // against the class's fan-in bound) only for a lane the climb
+            // tries as its move. The incumbent is passed down as the bound so
+            // the engine can abandon any lane whose running sum reaches
             // `best_cost` — such a lane's true cost is at least the
             // incumbent, so it could never be moved to anyway. The exact
             // lanes are therefore exactly those below the incumbent.
-            let nbhd = PackedNeighborhood::generate(&current, class, &pool);
+            let lanes = NeighborLanes::generate(&current, class, &pool);
             let mut below: Vec<(u64, usize)> = engine
-                .estimate_neighborhood_bounded(&nbhd, best_cost)
+                .estimate_lanes_bounded(&lanes, best_cost)
                 .into_iter()
                 .enumerate()
                 .filter_map(|(i, cost)| cost.exact().map(|exact| (exact, i)))
@@ -113,10 +112,10 @@ impl Searcher<'_> {
 
             let mut moved = false;
             for (cost, i) in below {
-                let basis = &nbhd.candidates[i].basis;
+                let basis = lanes.basis(i);
                 match HashFunction::from_null_space(&basis.to_subspace(), class) {
                     Ok(function) => {
-                        current = basis.clone();
+                        current = basis;
                         best_cost = cost;
                         best_function = function;
                         steps += 1;
@@ -131,9 +130,9 @@ impl Searcher<'_> {
                 }
             }
             if !moved {
-                // No admissible neighbour improves on `current`, so `nbhd`
-                // is exactly the winner's neighbourhood.
-                final_neighborhood = nbhd;
+                // No admissible neighbour improves on `current`, so `lanes`
+                // are exactly the winner's neighbourhood.
+                final_lanes = lanes;
                 break;
             }
         }
@@ -147,7 +146,7 @@ impl Searcher<'_> {
                 evaluations,
                 steps,
             },
-            final_neighborhood,
+            final_lanes,
         ))
     }
 }

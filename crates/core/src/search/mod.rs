@@ -11,9 +11,9 @@
 //! Candidate quality is judged with the profile-based estimator (paper
 //! Eq. 4), never by re-simulating the trace; every algorithm routes its
 //! evaluations through the dense [`EvalEngine`], which prices each
-//! neighbourhood in (optionally parallel) coset-sliced blocks under the
-//! incumbent's cost as a bound, abandoning candidates that cannot improve on
-//! it. Nothing is memoized, so a search's outcome — its
+//! neighbourhood lane by lane (optionally in parallel) under the incumbent's
+//! cost as a bound, abandoning candidates that cannot improve on it, before
+//! any candidate basis is built. Nothing is memoized, so a search's outcome — its
 //! [`SearchOutcome::evaluations`] included — depends only on the profile,
 //! the class, the geometry and the algorithm.
 //!
@@ -45,6 +45,7 @@ use crate::{
     ScaffoldCache, ShardedMemo, XorIndexError,
 };
 
+pub(crate) use neighbors::NeighborLanes;
 pub use neighbors::{
     neighborhood, neighbors, NeighborCandidate, NeighborPool, Neighborhood, PackedCandidate,
     PackedNeighborhood,
@@ -330,9 +331,9 @@ impl<'a> Searcher<'a> {
         match algorithm {
             SearchAlgorithm::HillClimb => {
                 let mut engine = self.engine();
-                let (outcome, neighborhood) =
+                let (outcome, lanes) =
                     self.hill_climb_full(&mut engine, self.conventional_null_space())?;
-                Ok((outcome, Some(neighborhood)))
+                Ok((outcome, Some(lanes.materialize())))
             }
             other => Ok((self.run(other)?, None)),
         }

@@ -12,12 +12,17 @@
 //! (small fan-in) while keeping each hill-climbing step fast. The pool is
 //! configurable through [`NeighborPool`].
 //!
-//! Generation is *packed-native*: [`PackedNeighborhood::generate`] works
-//! entirely on [`PackedBasis`] word arithmetic — incremental hyperplane
-//! enumeration, one-allocation extensions and per-hyperplane deduplication
-//! on coset representatives (reduced directions) — so no heap-allocated
-//! [`Subspace`], no hashed basis key and no full Gaussian elimination
-//! appears anywhere on the search hot path. The [`Subspace`]-based
+//! Generation is *packed-native* and works in the parent's own
+//! coordinates. Every pool direction is reduced once modulo the parent `P`
+//! into its remainder and its coordinates over `P`'s rows; a hyperplane of
+//! `P` is named by the functional `f` whose kernel it is. Two directions
+//! give the same candidate under that hyperplane exactly when their
+//! remainders and their parities under `f` agree, so deduplication is a
+//! table lookup, and a set of `(hyperplane, direction)` lanes is produced
+//! without building a single candidate basis. The evaluation engine prices
+//! lanes as they are; a search builds the basis of a lane only when it
+//! moves there, and [`PackedNeighborhood::generate`] is the same lanes with
+//! every basis built. The [`Subspace`]-based
 //! [`Neighborhood`] view remains as the public boundary representation,
 //! converted from the packed form on demand.
 
@@ -26,6 +31,7 @@ use std::collections::HashSet;
 use gf2::{BitVec, PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
 
+use crate::hasher::WordMap;
 use crate::{ConflictProfile, FunctionClass};
 
 /// The pool of replacement directions used to build neighbours.
@@ -104,9 +110,10 @@ impl NeighborPool {
 /// decomposition `candidate = hyperplane ⊕ span(direction)`.
 ///
 /// The decomposition is what lets the evaluation engine price a whole
-/// neighbourhood in coset-sliced blocks: every retained hyperplane is a
-/// hyperplane of one shared parent, so one parent reduction per histogram
-/// entry answers membership for 64 candidates at once.
+/// neighbourhood lane by lane: every retained hyperplane is a hyperplane of
+/// one shared parent, so a lane's cost is its hyperplane's in-parent weight
+/// plus one scan of its direction's remainder group (see
+/// [`gf2::CosetHistogram`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedCandidate {
     /// Index into [`PackedNeighborhood::hyperplanes`] of the retained
@@ -133,128 +140,15 @@ pub struct PackedNeighborhood {
 
 impl PackedNeighborhood {
     /// Generates the neighbours of `parent` admissible for `class`, using the
-    /// given packed replacement-direction pool.
+    /// given packed replacement-direction pool: the `(hyperplane, direction)`
+    /// lanes the searches price, with every candidate basis built.
     ///
     /// For the bit-selecting class the neighbourhood is generated structurally
     /// (swap one selected address bit for an unselected one), which is both
     /// exact and far smaller.
     #[must_use]
     pub fn generate(parent: &PackedBasis, class: FunctionClass, pool: &[u64]) -> Self {
-        let n = parent.width();
-        let m = n - parent.dim();
-        if class == FunctionClass::BitSelecting {
-            return Self::bit_select(parent);
-        }
-        // Directions inside the parent span never produce a neighbour, and
-        // the test does not depend on the hyperplane — filter the pool once
-        // instead of once per hyperplane.
-        let pool: Vec<u64> = pool
-            .iter()
-            .copied()
-            .filter(|&v| !parent.contains(v))
-            .collect();
-        // With every direction outside the parent P, a candidate
-        // `H ⊕ span(v)` meets P in exactly H, so candidates of distinct
-        // hyperplanes never coincide; within one hyperplane, two directions
-        // give the same candidate iff they differ by a member of H, i.e.
-        // iff they reduce to the same coset representative. Duplicates are
-        // therefore found per hyperplane, on reduced directions.
-        let mut cosets = CosetSet::with_room_for(pool.len());
-        let mut hyperplanes = Vec::new();
-        let mut candidates = Vec::new();
-        for hyperplane in parent.hyperplanes() {
-            let hyperplane_index = hyperplanes.len();
-            let mut used = false;
-            cosets.clear();
-            for &v in &pool {
-                let remainder = hyperplane.reduce(v);
-                // Only the first direction of each coset builds a basis
-                // (and is checked for admissibility, a property of the
-                // candidate shared by the whole coset).
-                if !cosets.insert(remainder) {
-                    continue;
-                }
-                let candidate = hyperplane.extended_reduced(remainder);
-                debug_assert_eq!(candidate.dim(), parent.dim());
-                // candidate contains v and parent does not (the pool is
-                // pre-filtered), so candidate can never equal parent.
-                debug_assert_ne!(&candidate, parent);
-                if Self::admissible(&candidate, class, m) {
-                    candidates.push(PackedCandidate {
-                        hyperplane: hyperplane_index,
-                        direction: v,
-                        basis: candidate,
-                    });
-                    used = true;
-                }
-            }
-            if used {
-                hyperplanes.push(hyperplane);
-            }
-        }
-        PackedNeighborhood {
-            width: n,
-            hyperplanes,
-            candidates,
-        }
-    }
-
-    /// Cheap admissibility pre-filter. The permutation-based structural
-    /// condition (Eq. 5) is checked here; fan-in bounds are cheaper to check
-    /// on the chosen candidate only, so they are left to the caller via
-    /// [`FunctionClass::admits`].
-    fn admissible(candidate: &PackedBasis, class: FunctionClass, m: usize) -> bool {
-        match class {
-            FunctionClass::BitSelecting => candidate.is_coordinate_subspace(),
-            FunctionClass::Xor { .. } => true,
-            FunctionClass::PermutationBased { .. } => candidate.admits_permutation_based(m),
-        }
-    }
-
-    /// Structural neighbourhood for bit-selecting functions: the null space is
-    /// a coordinate subspace `span{e_i : i ∉ S}`; a neighbour swaps one
-    /// excluded bit for one selected bit. The retained hyperplane is the span
-    /// of the excluded bits minus the dropped one, and the direction is the
-    /// newly excluded unit vector.
-    fn bit_select(parent: &PackedBasis) -> Self {
-        let n = parent.width();
-        if !parent.is_coordinate_subspace() {
-            // Not a coordinate subspace: no structural neighbours.
-            return PackedNeighborhood {
-                width: n,
-                hyperplanes: Vec::new(),
-                candidates: Vec::new(),
-            };
-        }
-        // Canonical rows are sorted by decreasing pivot, so the excluded bits
-        // come out in decreasing order (the order the Subspace path produced).
-        let excluded: Vec<usize> = parent
-            .rows()
-            .iter()
-            .map(|r| r.trailing_zeros() as usize)
-            .collect();
-        let selected: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
-        let mut hyperplanes = Vec::new();
-        let mut candidates = Vec::new();
-        for &drop in &excluded {
-            let retained: Vec<usize> = excluded.iter().copied().filter(|&b| b != drop).collect();
-            let hyperplane_index = hyperplanes.len();
-            hyperplanes.push(PackedBasis::standard_span(n, retained.iter().copied()));
-            for &add in &selected {
-                let mut new_excluded = retained.clone();
-                new_excluded.push(add);
-                candidates.push(PackedCandidate {
-                    hyperplane: hyperplane_index,
-                    direction: 1u64 << add,
-                    basis: PackedBasis::standard_span(n, new_excluded),
-                });
-            }
-        }
-        PackedNeighborhood {
-            width: n,
-            hyperplanes,
-            candidates,
-        }
+        NeighborLanes::generate(parent, class, pool).materialize()
     }
 
     /// Number of candidates.
@@ -275,7 +169,7 @@ impl PackedNeighborhood {
     }
 
     /// A subspace every retained hyperplane is a hyperplane *of* — the shared
-    /// parent the coset-sliced evaluation path reduces against. `None` for an
+    /// parent the per-lane evaluation path reduces against. `None` for an
     /// empty neighbourhood.
     ///
     /// The parent is reconstructed rather than stored: two distinct
@@ -324,46 +218,301 @@ impl PackedNeighborhood {
     }
 }
 
-/// The coset representatives (directions reduced modulo one hyperplane) seen
-/// so far while extending that hyperplane: a set of non-zero words, open
-/// addressed with linear probing in a power-of-two table at most half full,
-/// with zero marking an empty slot. Cleared once per hyperplane.
-struct CosetSet {
-    slots: Vec<u64>,
-    shift: u32,
+/// A pool direction outside the parent, split once per parent into its
+/// remainder modulo the parent and its coordinates over the parent's rows
+/// ([`PackedBasis::decompose`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ReducedDirection {
+    /// The direction itself.
+    pub(crate) vector: u64,
+    /// Its remainder modulo the parent (non-zero for generated lanes).
+    pub(crate) remainder: u64,
+    /// Its coordinates over the parent's rows.
+    pub(crate) coordinates: u64,
 }
 
-impl CosetSet {
-    /// A set with room for `len` representatives.
-    fn with_room_for(len: usize) -> Self {
-        let slots = (2 * len).next_power_of_two().max(2);
-        CosetSet {
-            slots: vec![0; slots],
-            shift: 64 - slots.trailing_zeros(),
+/// A neighbourhood as `(hyperplane, direction)` lanes over one parent,
+/// before any candidate basis is built: what the searches generate each
+/// step and the evaluation engine prices.
+///
+/// Lane `i` is the candidate `H ⊕ span(v)`, where `H` is the hyperplane
+/// `parent.hyperplane(functionals[h])` and `v` is `directions[d].vector`
+/// for `(h, d) = lanes[i]`. Lanes come in [`PackedNeighborhood::generate`]'s
+/// order, and hyperplane indices count only the hyperplanes that keep a
+/// lane, so [`NeighborLanes::materialize`] is that neighbourhood exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct NeighborLanes {
+    /// The parent every hyperplane is a hyperplane of.
+    pub(crate) parent: PackedBasis,
+    /// The functional of each retained hyperplane over the parent's rows.
+    pub(crate) functionals: Vec<u64>,
+    /// The directions the lanes extend by.
+    pub(crate) directions: Vec<ReducedDirection>,
+    /// `(hyperplane index, direction index)` per lane.
+    pub(crate) lanes: Vec<(u32, u32)>,
+}
+
+impl NeighborLanes {
+    /// The lanes of [`PackedNeighborhood::generate`]`(parent, class, pool)`.
+    ///
+    /// Hyperplanes come in increasing functional order and directions in
+    /// pool order, as they always have. Under the hyperplane `H` of
+    /// functional `f`, the directions `v, w ∉ P` give the same candidate
+    /// exactly when `v ⊕ w ∈ H`, that is when their remainders modulo `P`
+    /// agree and so do their parities `f · c`. Each distinct remainder gets a
+    /// small index once per parent, so that test is one lookup in a table
+    /// stamped with the current functional. Admissibility is a property of
+    /// the candidate, so only the first direction of each key is checked.
+    pub(crate) fn generate(parent: &PackedBasis, class: FunctionClass, pool: &[u64]) -> Self {
+        if class == FunctionClass::BitSelecting {
+            return Self::bit_select(parent);
         }
-    }
-
-    fn clear(&mut self) {
-        self.slots.fill(0);
-    }
-
-    /// Adds the non-zero `key`; `false` when it was already present.
-    fn insert(&mut self, key: u64) -> bool {
-        debug_assert_ne!(key, 0, "zero marks an empty slot");
-        let mask = self.slots.len() - 1;
-        // Fibonacci hashing: the high bits of the product mix every key bit.
-        let mut i = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
-        loop {
-            match self.slots[i] {
-                0 => {
-                    self.slots[i] = key;
-                    return true;
+        let n = parent.width();
+        let dim = parent.dim();
+        // Reduce the pool once. Directions inside the parent never produce a
+        // neighbour, whatever the hyperplane.
+        let mut remainders: Vec<u64> = Vec::new();
+        let mut directions = Vec::new();
+        let mut keys: Vec<usize> = Vec::new();
+        for &vector in pool {
+            let (remainder, coordinates) = parent.decompose(vector);
+            if remainder == 0 {
+                continue;
+            }
+            let class_index = match remainders.iter().position(|&r| r == remainder) {
+                Some(i) => i,
+                None => {
+                    remainders.push(remainder);
+                    remainders.len() - 1
                 }
-                seen if seen == key => return false,
-                _ => i = (i + 1) & mask,
+            };
+            keys.push(2 * class_index);
+            directions.push(ReducedDirection {
+                vector,
+                remainder,
+                coordinates,
+            });
+        }
+        // `seen[key]` holds the functional under which `key` last appeared.
+        let mut seen = vec![0u64; 2 * remainders.len()];
+        let last = if dim >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << dim) - 1
+        };
+        let high_mask = u64::MAX.checked_shl((n - dim) as u32).unwrap_or(0);
+        let mut functionals = Vec::new();
+        let mut lanes = Vec::new();
+        for f in 1..=last {
+            // Eq. 5 for the permutation-based class: `H ⊕ span(v)` meets the
+            // low bits `0..m` only in zero iff projecting `H` onto the high
+            // bits keeps its rank and `v`'s projection falls outside it.
+            let projected = match class {
+                FunctionClass::PermutationBased { .. } => {
+                    let mut projected = PackedBasis::trivial(n);
+                    let hyperplane = parent.hyperplane(f);
+                    if !hyperplane
+                        .rows()
+                        .iter()
+                        .all(|&r| projected.insert(r & high_mask))
+                    {
+                        continue;
+                    }
+                    Some(projected)
+                }
+                _ => None,
+            };
+            let h = functionals.len() as u32;
+            let mut fresh = 0usize;
+            for (d, direction) in directions.iter().enumerate() {
+                let key = keys[d] + ((f & direction.coordinates).count_ones() & 1) as usize;
+                if seen[key] == f {
+                    continue;
+                }
+                seen[key] = f;
+                fresh += 1;
+                let admissible = projected
+                    .as_ref()
+                    .map_or(true, |p| p.reduce(direction.vector & high_mask) != 0);
+                if admissible {
+                    lanes.push((h, d as u32));
+                }
+                if fresh == seen.len() {
+                    // Every key is taken: the rest of the pool repeats them.
+                    break;
+                }
+            }
+            if lanes.last().is_some_and(|&(last_h, _)| last_h == h) {
+                functionals.push(f);
             }
         }
+        NeighborLanes {
+            parent: parent.clone(),
+            functionals,
+            directions,
+            lanes,
+        }
     }
+
+    /// Structural lanes for bit-selecting functions: the null space is a
+    /// coordinate subspace `span{e_i : i ∉ S}`; a neighbour swaps one
+    /// excluded bit for one selected bit. Dropping the excluded bit of row
+    /// `k` is the hyperplane of functional `1 << k`, and the direction is the
+    /// newly excluded unit vector, which the parent leaves unreduced.
+    fn bit_select(parent: &PackedBasis) -> Self {
+        let mut lanes = NeighborLanes {
+            parent: parent.clone(),
+            functionals: Vec::new(),
+            directions: Vec::new(),
+            lanes: Vec::new(),
+        };
+        if !parent.is_coordinate_subspace() {
+            // Not a coordinate subspace: no structural neighbours.
+            return lanes;
+        }
+        let excluded = parent.rows().iter().fold(0u64, |acc, &r| acc | r);
+        lanes.directions = (0..parent.width())
+            .map(|bit| 1u64 << bit)
+            .filter(|&unit| excluded & unit == 0)
+            .map(|unit| ReducedDirection {
+                vector: unit,
+                remainder: unit,
+                coordinates: 0,
+            })
+            .collect();
+        lanes.functionals = (0..parent.dim()).map(|k| 1u64 << k).collect();
+        lanes.lanes = (0..parent.dim() as u32)
+            .flat_map(|h| (0..lanes.directions.len() as u32).map(move |d| (h, d)))
+            .collect();
+        lanes
+    }
+
+    /// The lanes of a materialized neighbourhood over the parent it
+    /// reconstructs ([`PackedNeighborhood::parent_span`]); `None` when it is
+    /// empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a retained hyperplane is not a hyperplane of that parent, or
+    /// a lane's direction has bits outside the ambient width or lies inside
+    /// its hyperplane.
+    pub(crate) fn of(neighborhood: &PackedNeighborhood) -> Option<Self> {
+        let parent = neighborhood.parent_span()?;
+        Some(Self::over(
+            parent,
+            &neighborhood.hyperplanes,
+            neighborhood
+                .candidates
+                .iter()
+                .map(|c| (c.hyperplane, c.direction)),
+        ))
+    }
+
+    /// Lanes `hyperplanes[h] ⊕ span(direction)` over `parent`, in the given
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// As [`NeighborLanes::of`].
+    pub(crate) fn over(
+        parent: PackedBasis,
+        hyperplanes: &[PackedBasis],
+        lanes: impl IntoIterator<Item = (usize, u64)>,
+    ) -> Self {
+        let functionals: Vec<u64> = hyperplanes
+            .iter()
+            .map(|h| parent.hyperplane_functional(h))
+            .collect();
+        let low_mask = u64::MAX >> (64 - parent.width());
+        // Lanes share a few pool directions: reduce each distinct one once.
+        let mut index: WordMap<u64, u32> = WordMap::default();
+        let mut directions: Vec<ReducedDirection> = Vec::new();
+        let lanes = lanes
+            .into_iter()
+            .map(|(h, vector)| {
+                let d = *index.entry(vector).or_insert_with(|| {
+                    assert_eq!(
+                        vector & !low_mask,
+                        0,
+                        "direction {vector:#x} exceeds the ambient width"
+                    );
+                    let (remainder, coordinates) = parent.decompose(vector);
+                    directions.push(ReducedDirection {
+                        vector,
+                        remainder,
+                        coordinates,
+                    });
+                    directions.len() as u32 - 1
+                });
+                // The direction lies in its hyperplane when it is in the
+                // parent and the functional vanishes on it.
+                let direction = &directions[d as usize];
+                assert!(
+                    direction.remainder != 0
+                        || (functionals[h] & direction.coordinates).count_ones() % 2 == 1,
+                    "direction {vector:#x} lies inside its hyperplane"
+                );
+                (h as u32, d)
+            })
+            .collect();
+        NeighborLanes {
+            parent,
+            functionals,
+            directions,
+            lanes,
+        }
+    }
+
+    /// Number of lanes.
+    pub(crate) fn len(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// `true` when there are no lanes.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.lanes.is_empty()
+    }
+
+    /// The candidate basis of lane `i`, canonical.
+    pub(crate) fn basis(&self, i: usize) -> PackedBasis {
+        let (h, d) = self.lanes[i];
+        extend(
+            &self.parent.hyperplane(self.functionals[h as usize]),
+            self.directions[d as usize].vector,
+        )
+    }
+
+    /// The neighbourhood with every hyperplane and candidate basis built.
+    pub(crate) fn materialize(&self) -> PackedNeighborhood {
+        let hyperplanes: Vec<PackedBasis> = self
+            .functionals
+            .iter()
+            .map(|&f| self.parent.hyperplane(f))
+            .collect();
+        let candidates = self
+            .lanes
+            .iter()
+            .map(|&(h, d)| {
+                let direction = self.directions[d as usize].vector;
+                PackedCandidate {
+                    hyperplane: h as usize,
+                    direction,
+                    basis: extend(&hyperplanes[h as usize], direction),
+                }
+            })
+            .collect();
+        PackedNeighborhood {
+            width: self.parent.width(),
+            hyperplanes,
+            candidates,
+        }
+    }
+}
+
+/// `hyperplane ⊕ span(direction)` for a direction outside the hyperplane, in
+/// one allocation.
+fn extend(hyperplane: &PackedBasis, direction: u64) -> PackedBasis {
+    hyperplane.extended_reduced(hyperplane.reduce(direction))
 }
 
 /// A candidate null space of a neighbourhood at the [`Subspace`] boundary,
@@ -570,7 +719,7 @@ mod tests {
     fn neighborhood_decomposition_is_consistent() {
         // Every candidate must equal its hyperplane extended by its direction,
         // with the direction outside the hyperplane — the invariant the
-        // engine's coset-sliced pricing relies on.
+        // engine's per-lane pricing relies on.
         let p = dummy_profile(8);
         let pool = NeighborPool::UnitsAndPairs.vectors(8, &p);
         for (ns, class) in [

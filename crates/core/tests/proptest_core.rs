@@ -1009,6 +1009,133 @@ proptest! {
     }
 }
 
+/// Real traces against the search oracles: every `WorkloadSuite::all()`
+/// data trace at 1 and 4 KB (16 hashed bits), climbed under unlimited XOR
+/// and 2-input permutation-based indexing. At every step the generated
+/// neighbourhood must equal [`reference_neighborhood`], and every lane's
+/// price under the incumbent must be the [`MissEstimator`] cost of its
+/// materialized basis when that is below the incumbent, `AtLeast` the
+/// incumbent otherwise. The climb this test walks must end where
+/// `Searcher::run` does. Proptest profiles are small; only real ones reach
+/// 2,047-entry histograms and neighbourhoods of 11–19 thousand lanes.
+/// Slow in debug builds; CI runs it in release.
+#[test]
+#[ignore = "real traces; run with --release --include-ignored"]
+fn real_trace_climbs_match_the_search_oracles() {
+    use xorindex::search::SearchAlgorithm;
+    for workload in WorkloadSuite::all() {
+        let trace = workload.data_trace(Scale::Tiny);
+        for kb in [1u64, 4] {
+            let config = CacheConfig::paper_cache(kb);
+            let blocks = trace.data_block_addresses(config.block_bits());
+            let profile = ConflictProfile::from_blocks(blocks, 16, config.num_blocks() as usize);
+            let estimator = MissEstimator::new(&profile);
+            let pool = NeighborPool::UnitsAndPairs.vectors(16, &profile);
+            let packed_pool: Vec<u64> = pool.iter().map(|v| v.as_u64()).collect();
+            for class in [
+                FunctionClass::xor_unlimited(),
+                FunctionClass::permutation_based(2),
+            ] {
+                let cell = format!("{}@{kb}KB, class {class}", workload.name());
+                let searcher = Searcher::new(&profile, class, config.set_bits()).unwrap();
+                let mut engine = searcher.engine().with_threads(1);
+                let mut current = searcher.conventional_packed();
+                let mut incumbent = estimator.estimate_packed(&current);
+                let mut steps = 0u64;
+                loop {
+                    let nbhd = PackedNeighborhood::generate(&current, class, &packed_pool);
+                    assert_eq!(
+                        nbhd.to_neighborhood(),
+                        reference_neighborhood(&current.to_subspace(), class, &pool),
+                        "{cell}, step {steps}"
+                    );
+                    let priced = engine.estimate_neighborhood_bounded(&nbhd, incumbent);
+                    assert_eq!(priced.len(), nbhd.len(), "{cell}, step {steps}");
+                    let mut below = Vec::new();
+                    for (i, (basis, &cost)) in nbhd.bases().zip(&priced).enumerate() {
+                        let truth = estimator.estimate_packed(basis);
+                        if truth < incumbent {
+                            assert_eq!(
+                                cost,
+                                BoundedCost::Exact(truth),
+                                "{cell}, step {steps}, lane {i}"
+                            );
+                            below.push((truth, i));
+                        } else {
+                            assert_eq!(
+                                cost,
+                                BoundedCost::AtLeast(incumbent),
+                                "{cell}, step {steps}, lane {i}"
+                            );
+                        }
+                    }
+                    below.sort_unstable();
+                    let next = below.into_iter().find(|&(_, i)| {
+                        HashFunction::from_null_space(
+                            &nbhd.candidates[i].basis.to_subspace(),
+                            class,
+                        )
+                        .is_ok()
+                    });
+                    let Some((cost, i)) = next else { break };
+                    current = nbhd.candidates[i].basis.clone();
+                    incumbent = cost;
+                    steps += 1;
+                }
+                let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
+                assert_eq!(outcome.function.null_space().to_packed(), current, "{cell}");
+                assert_eq!(outcome.estimated_misses, incumbent, "{cell}");
+                assert_eq!(outcome.steps, steps, "{cell}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn permutation_lanes_are_exactly_the_admissible_xor_lanes(
+        seed in any::<u64>(),
+        dim in 1usize..=7,
+        extra in 0usize..12,
+    ) {
+        // Eq. 5 is decided per lane from its hyperplane, before any basis
+        // exists. The permutation-based neighbourhood must be the unlimited
+        // one with exactly the candidates `admits_permutation_based` rejects
+        // on their materialized bases taken out, in the same order.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = HASHED_BITS - dim;
+        let parent = gf2::random::random_subspace(&mut rng, HASHED_BITS, dim).to_packed();
+        let empty = ConflictProfile::from_blocks(std::iter::empty(), HASHED_BITS, 4);
+        let mut pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &empty);
+        pool.extend(
+            (0..extra).map(|_| gf2::random::random_nonzero_vector(&mut rng, HASHED_BITS).as_u64()),
+        );
+        let unlimited = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
+        let permutation = PackedNeighborhood::generate(
+            &parent,
+            FunctionClass::permutation_based_unlimited(),
+            &pool,
+        );
+        let admissible: Vec<(u64, &gf2::PackedBasis)> = unlimited
+            .candidates
+            .iter()
+            .filter(|c| c.basis.admits_permutation_based(m))
+            .map(|c| (c.direction, &c.basis))
+            .collect();
+        let kept: Vec<(u64, &gf2::PackedBasis)> = permutation
+            .candidates
+            .iter()
+            .map(|c| (c.direction, &c.basis))
+            .collect();
+        prop_assert_eq!(kept, admissible);
+        for c in &permutation.candidates {
+            prop_assert_eq!(&permutation.hyperplanes[c.hyperplane].extended(c.direction), &c.basis);
+        }
+    }
+}
+
 /// The packed-native search must reach the reference's function, estimate,
 /// baseline and step count, completing no more pricings than the reference's
 /// exhaustive pricing performs.
@@ -1106,10 +1233,10 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
     ) {
-        // Every neighbourhood prices through the sliced-coset route, so this
-        // exercises the chunked `map_parallel` stamping path end to end:
-        // every thread count must reproduce the sequential costs bit for bit,
-        // bounded and unbounded alike.
+        // Every neighbourhood prices lane by lane, in runs split across
+        // `map_parallel` workers when threaded: every thread count must
+        // reproduce the sequential costs bit for bit, bounded and unbounded
+        // alike.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
         let parent = gf2::PackedBasis::standard_span(

@@ -15,18 +15,18 @@
 //!   row-echelon) basis form, with membership tests, intersection, sum,
 //!   orthogonal complements and vector enumeration;
 //! * [`PackedBasis`] — the same canonical basis packed into bare `u64` words
-//!   for hot-path evaluation: fast reduce/membership, incremental
-//!   extend/replace of one generator, incremental hyperplane enumeration,
+//!   for hot-path evaluation: fast reduce/membership, remainder plus
+//!   coordinates ([`PackedBasis::decompose`]), incremental extend/replace of
+//!   one generator, hyperplanes named by their functionals,
 //!   Gray-code coset enumeration, and compact [`CanonicalKey`] map keys;
 //! * [`SlicedBlock`] — up to 64 packed bases transposed into column-wise
 //!   `u64` check planes, so one pass over a vector's set bits answers the
 //!   membership test for every candidate in the block at once;
-//! * [`SlicedCosetBlock`] — the same idea specialized to neighbourhood blocks
-//!   `hyperplane ⊕ span(direction)` over one shared parent, where a single
-//!   parent reduction plus a remainder lookup rejects all 64 lanes at once;
-//!   paired with a [`CosetHistogram`] (entries pre-grouped by parent
-//!   remainder, shared across the neighbourhood's blocks) each block visits
-//!   only the entries its lanes can actually contain;
+//! * [`CosetHistogram`] — a weighted histogram grouped by remainder modulo
+//!   one parent subspace in one flat array, so a neighbour
+//!   `hyperplane ⊕ span(direction)` of that parent is priced from the
+//!   hyperplane's in-parent weight plus one [`parity_weight`] scan of its
+//!   direction's remainder group;
 //! * [`count`] — Gaussian binomials and the matrix/subspace counting formulas
 //!   quoted in Section 2 of the paper (Eq. 3);
 //! * [`random`] — seeded random generation of vectors, full-rank matrices and
@@ -64,7 +64,7 @@ pub mod random;
 pub use bitvec::{BitVec, SetBits};
 pub use matrix::BitMatrix;
 pub use packed::{hash_key_words, CanonicalKey, PackedBasis, PackedHyperplanes, PackedVectors};
-pub use sliced::{CosetFrame, CosetHistogram, SlicedBlock, SlicedCosetBlock, SLICED_LANES};
+pub use sliced::{parity_weight, CosetHistogram, SlicedBlock, SLICED_LANES};
 pub use subspace::{Subspace, SubspaceVectors};
 
 /// Errors reported by GF(2) operations.

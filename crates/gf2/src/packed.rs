@@ -281,6 +281,23 @@ impl PackedBasis {
         v
     }
 
+    /// Splits `v` into its remainder modulo the subspace and its coordinates
+    /// over the rows: `v = remainder ⊕ Σ_k c_k · row_k`, where bit `k` of the
+    /// returned coordinates is `c_k`. The remainder is
+    /// [`PackedBasis::reduce`]'s, and the coordinates are a gather of `v`'s
+    /// pivot bits (each pivot occurs in one row only).
+    #[must_use]
+    pub fn decompose(&self, v: u64) -> (u64, u64) {
+        let mut remainder = v;
+        let mut coordinates = 0u64;
+        for (k, &row) in self.rows.iter().enumerate() {
+            let bit = (v >> (63 - row.leading_zeros())) & 1;
+            coordinates |= bit << k;
+            remainder ^= row & bit.wrapping_neg();
+        }
+        (remainder, coordinates)
+    }
+
     /// Membership test.
     #[must_use]
     pub fn contains(&self, v: u64) -> bool {
@@ -486,13 +503,9 @@ impl PackedBasis {
     /// `dim − 1`) of this subspace, each already in canonical form.
     ///
     /// Every non-zero linear functional over the basis rows determines one
-    /// hyperplane, and the enumeration visits functionals in increasing
-    /// order, matching [`Subspace::hyperplanes`] value-for-value and
-    /// order-for-order. Each hyperplane is produced *incrementally*: the
-    /// selected row with the smallest pivot is XOR-ed into the other selected
-    /// rows and removed. Because that row is zero above its own pivot and
-    /// zero at every other pivot, the remaining rows keep their leading bits
-    /// and stay reduced — no re-elimination is ever needed.
+    /// hyperplane ([`PackedBasis::hyperplane`]), and the enumeration visits
+    /// functionals in increasing order, matching [`Subspace::hyperplanes`]
+    /// value-for-value and order-for-order, with no re-elimination.
     #[must_use]
     pub fn hyperplanes(&self) -> PackedHyperplanes<'_> {
         PackedHyperplanes {
@@ -500,6 +513,82 @@ impl PackedBasis {
             functional: 1,
             count: 1u128 << self.rows.len(),
         }
+    }
+
+    /// The hyperplane `{x : f · c(x) = 0}` of this subspace, where `c(x)` is
+    /// `x`'s coordinate vector over the rows (see [`PackedBasis::decompose`])
+    /// and bit `k` of the non-zero `functional` `f` weighs row `k`. Already
+    /// canonical: the selected row with the smallest pivot is XOR-ed into the
+    /// other selected rows and removed. That row is zero above its own pivot
+    /// and at every other pivot, so the remaining rows keep their leading
+    /// bits and stay reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `functional` is zero or weighs a row the basis lacks.
+    #[must_use]
+    pub fn hyperplane(&self, functional: u64) -> PackedBasis {
+        assert!(
+            functional != 0 && (self.rows.len() >= 64 || functional >> self.rows.len() == 0),
+            "functional {functional:#x} is not a non-zero functional over {} rows",
+            self.rows.len()
+        );
+        let j = 63 - functional.leading_zeros() as usize;
+        let mut out = Vec::with_capacity(self.rows.len() - 1);
+        for (i, &row) in self.rows.iter().enumerate() {
+            if i != j {
+                out.push(row ^ (self.rows[j] & ((functional >> i) & 1).wrapping_neg()));
+            }
+        }
+        PackedBasis {
+            rows: out,
+            width: self.width,
+        }
+    }
+
+    /// The functional [`PackedBasis::hyperplane`] takes to `hyperplane`: bit
+    /// `k` is set exactly when row `k` lies outside it.
+    ///
+    /// Canonical bases are unique, so a hyperplane's rows are exactly those
+    /// [`PackedBasis::hyperplane`] builds: the row `j` it drops is the first
+    /// whose pivot it lacks, and every other row `i` appears as itself or,
+    /// when the functional weighs it, as `row_i ⊕ row_j`. Reading that off
+    /// costs one comparison per row, and the comparisons also check that
+    /// `hyperplane` is one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hyperplane` is not a hyperplane of this subspace, the
+    /// parent (another width or dimension, or not contained in it).
+    #[must_use]
+    pub fn hyperplane_functional(&self, hyperplane: &PackedBasis) -> u64 {
+        assert_eq!(hyperplane.width, self.width, "hyperplane width must match");
+        assert!(
+            !self.rows.is_empty(),
+            "a dimension-0 parent has no hyperplanes"
+        );
+        assert_eq!(
+            hyperplane.dim() + 1,
+            self.dim(),
+            "a hyperplane of the parent has dimension {}",
+            self.dim() - 1
+        );
+        let rows = &self.rows;
+        let kept = &hyperplane.rows;
+        let pivot = |row: u64| row.leading_zeros();
+        let j = (0..kept.len())
+            .find(|&i| pivot(kept[i]) != pivot(rows[i]))
+            .unwrap_or(kept.len());
+        let mut functional = 1u64 << j;
+        for (i, &row) in rows.iter().enumerate().filter(|&(i, _)| i != j) {
+            let seen = kept[if i < j { i } else { i - 1 }];
+            if seen == row ^ rows[j] && i < j {
+                functional |= 1 << i;
+            } else {
+                assert_eq!(seen, row, "hyperplane must lie inside the parent");
+            }
+        }
+        functional
     }
 
     /// The basis with row `index` removed — a canonical basis of a hyperplane
@@ -626,28 +715,7 @@ impl Iterator for PackedHyperplanes<'_> {
         }
         let f = self.functional as u64;
         self.functional += 1;
-        let rows = &self.basis.rows;
-        // Among the rows the functional selects, XOR the one with the largest
-        // index (= smallest pivot, rows being sorted by decreasing pivot) into
-        // the others and drop it. The combined rows keep their own leading
-        // bits (row j is zero above its pivot) and stay reduced (row j is zero
-        // at every other pivot), so the result is canonical as-is.
-        let j = 63 - f.leading_zeros() as usize;
-        let mut out = Vec::with_capacity(rows.len() - 1);
-        for (i, &row) in rows.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            if (f >> i) & 1 == 1 {
-                out.push(row ^ rows[j]);
-            } else {
-                out.push(row);
-            }
-        }
-        Some(PackedBasis {
-            rows: out,
-            width: self.basis.width,
-        })
+        Some(self.basis.hyperplane(f))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -871,6 +939,55 @@ mod tests {
             assert_eq!(p, &PackedBasis::from_subspace(&p.to_subspace()));
         }
         assert_eq!(PackedBasis::trivial(8).hyperplanes().count(), 0);
+    }
+
+    #[test]
+    fn hyperplanes_are_the_kernels_of_their_functionals() {
+        let s = subspace(8, &[0b0000_0111, 0b0011_1000, 0b1100_0000, 0b1010_1010]);
+        let packed = PackedBasis::from_subspace(&s);
+        for (f, hyper) in (1u64..).zip(packed.hyperplanes()) {
+            assert_eq!(packed.hyperplane(f), hyper);
+            assert_eq!(packed.hyperplane_functional(&hyper), f);
+            // A parent vector lies in the hyperplane iff the functional
+            // vanishes on its coordinates, and decompose splits it exactly.
+            for v in packed.vectors() {
+                let (remainder, c) = packed.decompose(v);
+                assert_eq!(remainder, 0);
+                assert_eq!(hyper.contains(v), (f & c).count_ones() % 2 == 0);
+            }
+        }
+        for v in 0..256u64 {
+            let (remainder, c) = packed.decompose(v);
+            assert_eq!(remainder, packed.reduce(v));
+            let span = (0..packed.dim())
+                .filter(|&k| (c >> k) & 1 == 1)
+                .fold(0, |acc, k| acc ^ packed.rows()[k]);
+            assert_eq!(remainder ^ span, v);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not a non-zero functional")]
+    fn hyperplane_rejects_a_functional_beyond_the_rows() {
+        let _ = PackedBasis::standard_span(8, [0usize, 1]).hyperplane(0b100);
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the parent")]
+    fn hyperplane_functional_rejects_a_foreign_hyperplane() {
+        let parent = PackedBasis::standard_span(8, [0usize, 1]);
+        let _ = parent.hyperplane_functional(&PackedBasis::standard_span(8, [5usize]));
+    }
+
+    #[test]
+    #[should_panic(expected = "inside the parent")]
+    fn hyperplane_functional_rejects_a_stranger_with_the_right_pivots() {
+        // span{e_4 ⊕ e_0} has the pivot of the parent's row e_4 but is not
+        // inside span{e_4, e_1}.
+        let parent = PackedBasis::standard_span(8, [4usize, 1]);
+        let mut stranger = PackedBasis::trivial(8);
+        stranger.insert(0b1_0001);
+        let _ = parent.hyperplane_functional(&stranger);
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Bit-sliced membership tests for blocks of up to 64 candidate subspaces.
+//! Histogram scans for many candidates at once: bit-sliced membership tests
+//! for blocks of up to 64 unrelated candidate subspaces, and the
+//! remainder-grouped histogram a neighbourhood of one parent is priced from,
+//! one lane at a time.
 //!
 //! The Eq. 4 histogram scan asks one question per `(candidate, vector)` pair:
 //! does the conflict vector `v` lie in the candidate's null space? A
@@ -27,6 +30,15 @@
 //! `popcount(v) × checks` word XORs for the whole block — under one word
 //! operation per candidate for typical conflict vectors, against the
 //! `dim`-row reduction [`PackedBasis::contains`] pays per candidate.
+//!
+//! Neighbours `hyperplane ⊕ span(direction)` of one parent `P` share far more
+//! than a block can exploit. A conflict vector lies in such a neighbour only
+//! if its remainder modulo `P` is 0 or the direction's, and then one parity
+//! over `P`'s coordinates decides. A [`CosetHistogram`] groups the histogram
+//! by that remainder once per parent, so a lane costs its hyperplane's
+//! in-parent weight (shared by all of that hyperplane's lanes) plus one
+//! [`parity_weight`] scan of a single group — the handful of entries that can
+//! possibly lie in it, instead of a test of every entry.
 
 use crate::PackedBasis;
 
@@ -227,503 +239,155 @@ impl SlicedBlock {
     }
 }
 
-/// A transposed block of up to [`SLICED_LANES`] *neighbour* candidates
-/// `M_j ⊕ span(w_j)`, where every retained hyperplane `M_j` is a hyperplane
-/// of one shared parent subspace `P` — the shape a search neighbourhood
-/// arrives in.
+/// A weighted histogram grouped by remainder modulo one parent subspace `P`,
+/// in one flat array: what pricing a neighbourhood of `P` reads.
 ///
-/// A generic [`SlicedBlock`] must carry `width − dim` check planes per lane.
-/// The shared parent collapses almost all of that work: membership in
-/// `C_j = M_j ∪ (M_j ⊕ w_j)` factors through `P`. Writing `r = reduce_P(v)`
-/// and `c(v)` for `v`'s coordinate vector over `P`'s RREF rows (both linear
-/// in `v`, and `c` is a plain gather of `v`'s pivot bits),
+/// Every entry `(v, w)` is stored as `(c(v), w)`, where `c(v)` is `v`'s
+/// coordinate vector over `P`'s rows ([`PackedBasis::decompose`]), and the
+/// entries sharing a remainder `reduce_P(v)` sit together, the in-parent
+/// group (remainder 0) first. A neighbour of `P` is a hyperplane
+/// `H_f = {x ∈ P : f · c(x) = 0}` extended by a direction `d ∉ H_f`, and
 ///
 /// ```text
-/// v ∈ M_j       ⟺  r = 0    and  α_j · c(v) = 0
-/// v ∈ M_j ⊕ w_j ⟺  r = ρ_j  and  α_j · c(v) = α_j · c(w_j)
+/// v ∈ H_f        ⟺  reduce_P(v) = 0             and  f · c(v) = 0
+/// v ∈ H_f ⊕ d    ⟺  reduce_P(v) = reduce_P(d)   and  f · c(v) = f · c(d)
 /// ```
 ///
-/// where `α_j` is the linear functional on `P` whose kernel is `M_j` and
-/// `ρ_j = reduce_P(w_j)`. So one `dim(P)`-row reduction plus a lookup of `r`
-/// among the (at most [`SLICED_LANES`]) direction remainders answers the
-/// whole block; only when `r` hits `0` or some `ρ_j` does a single
-/// word-parallel parity pass over `α` run. Histogram vectors far from the
-/// parent — the vast majority — reject for all 64 lanes in a handful of word
-/// operations.
+/// So the lane's Eq. 4 cost is the hyperplane's in-parent weight, shared by
+/// every lane of that hyperplane, plus one [`parity_weight`] scan of its
+/// direction's remainder group. A direction inside `P` has remainder 0 and
+/// parity 1, so its lane rescans the in-parent group for the other parity:
+/// that candidate is `P` itself.
 ///
 /// # Example
 ///
 /// ```
-/// use gf2::{PackedBasis, SlicedCosetBlock};
+/// use gf2::{CosetHistogram, PackedBasis};
 ///
 /// let parent = PackedBasis::standard_span(8, [0usize, 1]);
-/// let hyperplane = PackedBasis::standard_span(8, [0usize]);
-/// let block = SlicedCosetBlock::new(&parent, &[(&hyperplane, 1 << 4), (&hyperplane, 1 << 5)]);
+/// let entries = [(0b0000_0001, 5), (0b0000_0010, 7), (0b0001_0001, 3)];
+/// let histogram = CosetHistogram::new(&parent, entries);
 ///
-/// // Lane j's candidate is span{e_0} ⊕ span{direction_j}.
-/// assert_eq!(block.member_mask(0b0001_0001), 0b01);
-/// assert_eq!(block.member_mask(0b0010_0000), 0b10);
-/// assert_eq!(block.member_mask(0b0000_0001), 0b11); // in the shared hyperplane
-/// assert_eq!(block.member_mask(0b0000_0010), 0b00); // in the parent, in no candidate
+/// // Rows run by decreasing pivot, so functional 0b01 weighs row 0 = e_1:
+/// // its hyperplane is span{e_0}, and this lane is span{e_0, e_4}.
+/// assert_eq!(histogram.lane_weight(0b01, 1 << 4, u64::MAX), 5 + 3);
+/// // e_1 lies in the parent, outside the hyperplane: the parent itself.
+/// assert_eq!(histogram.lane_weight(0b01, 0b10, u64::MAX), 5 + 7);
+/// // Bounded: the scan stops once the running sum reaches the bound.
+/// assert!(histogram.lane_weight(0b01, 1 << 4, 6) >= 6);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlicedCosetBlock {
-    width: usize,
-    lanes: usize,
-    /// Parent RREF rows paired with their pivot positions.
-    rows: Vec<(u64, u32)>,
-    /// `alpha[k]`: bit `j` is the coefficient of lane `j`'s hyperplane
-    /// functional on parent coordinate `k`.
-    alpha: Vec<u64>,
-    /// Bit `j` is `α_j · c(w_j)`, the parity the coset branch compares
-    /// against.
-    direction_parity: u64,
-    /// Distinct direction remainders `ρ = reduce_P(w)` with the mask of lanes
-    /// whose direction reduces to each, sorted by remainder for binary search.
-    cosets: Vec<(u64, u64)>,
-    /// Low `lanes` bits set.
-    lane_mask: u64,
-    /// Low `width` bits set.
-    low_mask: u64,
-}
-
-impl SlicedCosetBlock {
-    /// Builds a block from 1..=[`SLICED_LANES`] `(hyperplane, direction)`
-    /// lanes sharing one `parent`: lane `j`'s candidate is
-    /// `hyperplane_j ⊕ span(direction_j)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty or longer than [`SLICED_LANES`]; if the
-    /// parent has dimension 0; if a hyperplane is not in fact a hyperplane of
-    /// the parent (wrong width or dimension, or not contained in it); or if a
-    /// direction lies inside its hyperplane (the candidate would not be an
-    /// extension).
-    #[must_use]
-    pub fn new(parent: &PackedBasis, lanes: &[(&PackedBasis, u64)]) -> Self {
-        // The standalone constructor treats each lane's hyperplane as its
-        // own: a one-lane-per-hyperplane frame. Callers pricing a whole
-        // neighbourhood (many lanes per distinct hyperplane) should build one
-        // [`CosetFrame`] and stamp blocks from it instead.
-        let frame = CosetFrame::new(parent, lanes.iter().map(|&(hyperplane, _)| hyperplane));
-        let indexed: Vec<(usize, u64)> = lanes
-            .iter()
-            .enumerate()
-            .map(|(j, &(_, direction))| (j, direction))
-            .collect();
-        frame.block(&indexed)
-    }
-
-    /// Ambient width shared by every lane.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of candidate lanes in the block.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Mask with one bit set per occupied lane.
-    #[must_use]
-    pub fn lane_mask(&self) -> u64 {
-        self.lane_mask
-    }
-
-    /// The word-parallel membership test: bit `j` of the result is set exactly
-    /// when `v` lies in lane `j`'s candidate `hyperplane_j ⊕ span(direction_j)`
-    /// — the same verdict [`PackedBasis::contains`] gives on the materialized
-    /// extension.
-    #[must_use]
-    pub fn member_mask(&self, v: u64) -> u64 {
-        if v & !self.low_mask != 0 {
-            return 0;
-        }
-        // One shared reduction: remainder modulo the parent plus the pivot-bit
-        // gather that is v's coordinate vector over the parent rows.
-        let mut c = 0u64;
-        let mut r = v;
-        for (k, &(row, pivot)) in self.rows.iter().enumerate() {
-            let bit = (v >> pivot) & 1;
-            c |= bit << k;
-            r ^= row & bit.wrapping_neg();
-        }
-        let coset_lanes = self.coset_lane_mask(r);
-        if r != 0 && coset_lanes == 0 {
-            // Neither in the parent nor in any direction's coset of it: a
-            // member of no candidate. The common early exit.
-            return 0;
-        }
-        let parity = self.parity_word(c);
-        let mut mask = coset_lanes & !(parity ^ self.direction_parity);
-        if r == 0 {
-            mask |= !parity & self.lane_mask;
-        }
-        mask & self.lane_mask
-    }
-
-    /// Sums entry weights into every lane at once under an incumbent bound:
-    /// lane `j`'s sum is `Σ w` over the histogram entries `(v, w)` with `v` in
-    /// lane `j`'s candidate — Eq. 4 for the whole block from one pre-grouped
-    /// histogram.
-    ///
-    /// A lane whose running sum reaches `bound` is *saturated*: it stops
-    /// accumulating, and once every lane is saturated the scan abandons the
-    /// remaining entries (checked per entry in the in-parent pass and per
-    /// coset group). Returns `(sums, saturated)` where bit `j` of `saturated`
-    /// marks lane `j` as saturated. An unsaturated lane's sum is its exact
-    /// Eq. 4 cost (running sums are monotone, so a lane with true cost
-    /// `< bound` never saturates); a saturated lane's true cost is `≥ bound`.
-    /// `bound = u64::MAX` prices every lane exactly.
-    ///
-    /// The histogram must have been grouped over the same parent this block
-    /// was built from. Unlike a [`SlicedCosetBlock::member_mask`] sweep, this
-    /// never visits entries outside the parent and its represented cosets:
-    /// per block the work is `(|parent entries| + Σ |this block's coset
-    /// entries|)` parity passes, not one test per histogram entry.
-    #[must_use]
-    pub fn sum_weights(&self, histogram: &CosetHistogram, bound: u64) -> (Vec<u64>, u64) {
-        debug_assert_eq!(
-            self.rows, histogram.rows,
-            "histogram was grouped over a different parent"
-        );
-        let mut sums = vec![0u64; self.lanes];
-        let mut saturated = if bound == 0 { self.lane_mask } else { 0 };
-        // Entries inside the parent: candidates contain them through their
-        // hyperplane (parity 0) or — for the rare in-parent directions —
-        // through the direction's coset of the hyperplane.
-        let rho0 = self.coset_lane_mask(0);
-        if saturated != self.lane_mask {
-            for &(c, w) in &histogram.in_parent {
-                let parity = self.parity_word(c);
-                let mut mask = ((!parity & self.lane_mask)
-                    | (rho0 & !(parity ^ self.direction_parity)))
-                    & !saturated;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sums[lane] += w;
-                    if sums[lane] >= bound {
-                        saturated |= 1u64 << lane;
-                    }
-                }
-                if saturated == self.lane_mask {
-                    return (sums, saturated);
-                }
-            }
-        }
-        // Entries in a direction's coset of the parent: only the lanes with
-        // that direction remainder can contain them.
-        for &(rho, rho_lanes) in &self.cosets {
-            if rho == 0 || rho_lanes & !saturated == 0 {
-                continue;
-            }
-            for &(c, w) in histogram.coset_group(rho) {
-                let mut mask =
-                    rho_lanes & !(self.parity_word(c) ^ self.direction_parity) & !saturated;
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    sums[lane] += w;
-                    if sums[lane] >= bound {
-                        saturated |= 1u64 << lane;
-                    }
-                }
-                if saturated == self.lane_mask {
-                    return (sums, saturated);
-                }
-            }
-        }
-        (sums, saturated)
-    }
-
-    /// XOR of the `alpha` planes selected by the set bits of a coordinate
-    /// vector: bit `j` is `α_j · c`.
-    #[inline]
-    fn parity_word(&self, c: u64) -> u64 {
-        let mut parity = 0u64;
-        let mut rest = c;
-        while rest != 0 {
-            let k = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            parity ^= self.alpha[k];
-        }
-        parity
-    }
-
-    /// Mask of lanes whose direction remainder equals `rho` (0 when none).
-    #[inline]
-    fn coset_lane_mask(&self, rho: u64) -> u64 {
-        match self.cosets.binary_search_by_key(&rho, |&(r, _)| r) {
-            Ok(i) => self.cosets[i].1,
-            Err(_) => 0,
-        }
-    }
-}
-
-/// Per-neighbourhood precomputation for coset-sliced pricing: the parent's
-/// RREF rows plus one hyperplane functional per distinct retained hyperplane,
-/// validated and solved **once** and shared by every block stamped from it.
-///
-/// A search neighbourhood has far more candidates than distinct hyperplanes
-/// (`2^dim − 1` hyperplanes fan out over every direction), so recomputing
-/// each lane's functional inside [`SlicedCosetBlock::new`] would dominate the
-/// whole evaluation. The frame hoists that: [`CosetFrame::new`] pays the
-/// `O(dim²)` validation and functional solve per *hyperplane*, and
-/// [`CosetFrame::block`] then costs only a parent reduction and a handful of
-/// word operations per *lane*.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CosetFrame {
-    width: usize,
-    /// Parent RREF rows paired with their pivot positions.
-    rows: Vec<(u64, u32)>,
-    /// The functional vanishing on hyperplane `h`, expressed on the parent's
-    /// coordinates: bit `k` is 1 exactly when parent row `k` falls outside
-    /// hyperplane `h`.
-    alphas: Vec<u64>,
-    /// Low `width` bits set.
-    low_mask: u64,
-}
-
-impl CosetFrame {
-    /// Builds a frame over `parent` for the given distinct hyperplanes —
-    /// lanes passed to [`CosetFrame::block`] refer to them by index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent has dimension 0, or if any hyperplane is not in
-    /// fact a hyperplane of the parent (wrong width or dimension, or not
-    /// contained in it).
-    #[must_use]
-    pub fn new<'a>(
-        parent: &PackedBasis,
-        hyperplanes: impl IntoIterator<Item = &'a PackedBasis>,
-    ) -> Self {
-        let width = parent.width();
-        let dim = parent.dim();
-        assert!(dim >= 1, "a dimension-0 parent has no hyperplanes");
-        let rows: Vec<(u64, u32)> = parent
-            .rows()
-            .iter()
-            .map(|&row| (row, 63 - row.leading_zeros()))
-            .collect();
-        let alphas = hyperplanes
-            .into_iter()
-            .map(|hyperplane| {
-                assert_eq!(
-                    hyperplane.width(),
-                    width,
-                    "hyperplane width must match the parent"
-                );
-                assert_eq!(
-                    hyperplane.dim(),
-                    dim - 1,
-                    "a hyperplane of the parent has dimension {}",
-                    dim - 1
-                );
-                assert!(
-                    parent.contains_subspace(hyperplane),
-                    "hyperplane must lie inside the parent"
-                );
-                let mut a = 0u64;
-                for (k, &(row, _)) in rows.iter().enumerate() {
-                    if !hyperplane.contains(row) {
-                        a |= 1u64 << k;
-                    }
-                }
-                a
-            })
-            .collect();
-        CosetFrame {
-            width,
-            rows,
-            alphas,
-            low_mask: mask_low(width),
-        }
-    }
-
-    /// Ambient width of the parent.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Dimension of the parent.
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Number of hyperplanes the frame carries functionals for.
-    #[must_use]
-    pub fn hyperplane_count(&self) -> usize {
-        self.alphas.len()
-    }
-
-    /// Stamps a [`SlicedCosetBlock`] for 1..=[`SLICED_LANES`] lanes, each a
-    /// `(hyperplane index, direction)` pair: lane `j`'s candidate is
-    /// `hyperplane_{lanes[j].0} ⊕ span(lanes[j].1)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lanes` is empty or longer than [`SLICED_LANES`]; if a
-    /// hyperplane index is out of range; if a direction has bits outside the
-    /// ambient width; or if a direction lies inside its hyperplane (the
-    /// candidate would not be an extension).
-    #[must_use]
-    pub fn block(&self, lanes: &[(usize, u64)]) -> SlicedCosetBlock {
-        assert!(!lanes.is_empty(), "a coset block needs at least one lane");
-        assert!(
-            lanes.len() <= SLICED_LANES,
-            "a coset block holds at most {SLICED_LANES} lanes, got {}",
-            lanes.len()
-        );
-        let dim = self.rows.len();
-        let mut alpha = vec![0u64; dim];
-        let mut direction_parity = 0u64;
-        let mut rho: Vec<(u64, u64)> = Vec::with_capacity(lanes.len());
-        for (j, &(h, direction)) in lanes.iter().enumerate() {
-            let lane_bit = 1u64 << j;
-            let a = self.alphas[h];
-            assert_eq!(
-                direction & !self.low_mask,
-                0,
-                "direction {direction:#x} exceeds the ambient width"
-            );
-            // One reduction serves both the remainder ρ and the coordinate
-            // gather feeding the parity q = α · c(direction).
-            let mut c = 0u64;
-            let mut r = direction;
-            for (k, &(row, pivot)) in self.rows.iter().enumerate() {
-                let bit = (direction >> pivot) & 1;
-                c |= bit << k;
-                r ^= row & bit.wrapping_neg();
-            }
-            let q = u64::from((a & c).count_ones() & 1);
-            // direction ∈ hyperplane ⟺ it is in the parent (ρ = 0) and the
-            // functional vanishes on it (q = 0).
-            assert!(
-                r != 0 || q == 1,
-                "direction {direction:#x} lies inside its hyperplane"
-            );
-            for (k, slot) in alpha.iter_mut().enumerate() {
-                *slot |= ((a >> k) & 1) * lane_bit;
-            }
-            direction_parity |= q << j;
-            rho.push((r, lane_bit));
-        }
-        rho.sort_unstable_by_key(|&(r, _)| r);
-        let mut cosets: Vec<(u64, u64)> = Vec::with_capacity(rho.len());
-        for (r, bit) in rho {
-            match cosets.last_mut() {
-                Some(entry) if entry.0 == r => entry.1 |= bit,
-                _ => cosets.push((r, bit)),
-            }
-        }
-        SlicedCosetBlock {
-            width: self.width,
-            lanes: lanes.len(),
-            rows: self.rows.clone(),
-            alpha,
-            direction_parity,
-            cosets,
-            lane_mask: mask_low(lanes.len()),
-            low_mask: self.low_mask,
-        }
-    }
-}
-
-/// A weighted histogram grouped by remainder modulo one parent subspace —
-/// the shared half of the coset-sliced neighbourhood scan.
-///
-/// Built once per `(parent, histogram)` pair and reused by every
-/// [`SlicedCosetBlock`] over that parent: each entry `(v, w)` is tagged with
-/// its parent remainder `reduce_P(v)` and coordinate vector `c(v)`, then
-/// bucketed — entries inside the parent in one list, the rest grouped by
-/// remainder. A block then visits only the buckets its lanes' directions
-/// select, skipping the (typically vast) majority of entries whose remainder
-/// matches no lane.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CosetHistogram {
-    /// Parent RREF rows with pivots, kept to assert block/histogram pairing.
-    rows: Vec<(u64, u32)>,
-    /// `(c, w)` for entries inside the parent (`reduce_P(v) = 0`).
-    in_parent: Vec<(u64, u64)>,
-    /// `(ρ, entries)` for the non-zero remainders, sorted by `ρ`; each entry
-    /// is `(c, w)`.
-    groups: Vec<(u64, Vec<(u64, u64)>)>,
+    parent: PackedBasis,
+    /// `(c, w)` per entry, grouped by ascending remainder.
+    entries: Vec<(u64, u64)>,
+    /// `(remainder, start)` per distinct remainder, ascending: a group runs
+    /// from its start to the next group's.
+    groups: Vec<(u64, usize)>,
 }
 
 impl CosetHistogram {
     /// Groups weighted entries by their remainder modulo `parent`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent has dimension 0 (no hyperplanes, so no
-    /// [`SlicedCosetBlock`] could consume the grouping).
     #[must_use]
     pub fn new(parent: &PackedBasis, entries: impl IntoIterator<Item = (u64, u64)>) -> Self {
-        assert!(parent.dim() >= 1, "a dimension-0 parent has no hyperplanes");
-        let rows: Vec<(u64, u32)> = parent
-            .rows()
-            .iter()
-            .map(|&row| (row, 63 - row.leading_zeros()))
-            .collect();
         let mut tagged: Vec<(u64, u64, u64)> = entries
             .into_iter()
             .map(|(v, w)| {
-                let mut c = 0u64;
-                let mut r = v;
-                for (k, &(row, pivot)) in rows.iter().enumerate() {
-                    let bit = (v >> pivot) & 1;
-                    c |= bit << k;
-                    r ^= row & bit.wrapping_neg();
-                }
-                (r, c, w)
+                let (remainder, c) = parent.decompose(v);
+                (remainder, c, w)
             })
             .collect();
-        tagged.sort_unstable_by_key(|&(r, _, _)| r);
-        let mut in_parent = Vec::new();
-        let mut groups: Vec<(u64, Vec<(u64, u64)>)> = Vec::new();
-        for (r, c, w) in tagged {
-            if r == 0 {
-                in_parent.push((c, w));
-            } else {
-                match groups.last_mut() {
-                    Some((rho, group)) if *rho == r => group.push((c, w)),
-                    _ => groups.push((r, vec![(c, w)])),
-                }
+        tagged.sort_unstable_by_key(|&(remainder, _, _)| remainder);
+        let mut groups: Vec<(u64, usize)> = Vec::new();
+        let mut entries = Vec::with_capacity(tagged.len());
+        for (remainder, c, w) in tagged {
+            if groups.last().map(|&(last, _)| last) != Some(remainder) {
+                groups.push((remainder, entries.len()));
             }
+            entries.push((c, w));
         }
         CosetHistogram {
-            rows,
-            in_parent,
+            parent: parent.clone(),
+            entries,
             groups,
         }
     }
 
-    /// Number of entries that lie inside the parent.
+    /// The parent the entries are grouped over.
     #[must_use]
-    pub fn in_parent_len(&self) -> usize {
-        self.in_parent.len()
+    pub fn parent(&self) -> &PackedBasis {
+        &self.parent
     }
 
-    /// Number of distinct non-zero remainders observed.
+    /// The `(c, w)` entries whose remainder is `remainder`; empty when none.
+    /// Remainder 0 is the in-parent group.
     #[must_use]
-    pub fn distinct_cosets(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// The `(c, w)` entries whose remainder is `rho` (empty when none; `rho`
-    /// must be non-zero — in-parent entries live in their own bucket).
-    fn coset_group(&self, rho: u64) -> &[(u64, u64)] {
-        match self.groups.binary_search_by_key(&rho, |&(r, _)| r) {
-            Ok(i) => &self.groups[i].1,
+    pub fn group(&self, remainder: u64) -> &[(u64, u64)] {
+        match self.groups.binary_search_by_key(&remainder, |&(r, _)| r) {
+            Ok(i) => {
+                let end = self
+                    .groups
+                    .get(i + 1)
+                    .map_or(self.entries.len(), |&(_, s)| s);
+                &self.entries[self.groups[i].1..end]
+            }
             Err(_) => &[],
         }
     }
+
+    /// The Eq. 4 weight of one lane `H_f ⊕ span(direction)` under a bound:
+    /// exact when below `bound`, otherwise some sum `≥ bound` (the scan stops
+    /// there). `bound = u64::MAX` prices exactly. A caller pricing many lanes
+    /// of one hyperplane hoists the shared in-parent term instead (see the
+    /// type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `direction` has bits outside the ambient width or lies
+    /// inside the hyperplane.
+    #[must_use]
+    pub fn lane_weight(&self, functional: u64, direction: u64, bound: u64) -> u64 {
+        assert_eq!(
+            direction & !mask_low(self.parent.width()),
+            0,
+            "direction {direction:#x} exceeds the ambient width"
+        );
+        let (remainder, c) = self.parent.decompose(direction);
+        let parity = (functional & c).count_ones() & 1;
+        assert!(
+            remainder != 0 || parity == 1,
+            "direction {direction:#x} lies inside its hyperplane"
+        );
+        let base = parity_weight(self.group(0), functional, 0, 0, bound);
+        parity_weight(self.group(remainder), functional, parity, base, bound)
+    }
+}
+
+/// `start` plus the weights of the `(c, w)` entries of `group` whose parity
+/// `functional · c` equals `parity`, stopping as soon as the running sum
+/// reaches `bound` — one lane's scan of one [`CosetHistogram`] group. Sums
+/// are monotone, so a result below `bound` is exact and one at or above it
+/// only says the true sum is at least `bound`.
+#[must_use]
+pub fn parity_weight(
+    group: &[(u64, u64)],
+    functional: u64,
+    parity: u32,
+    start: u64,
+    bound: u64,
+) -> u64 {
+    let mut sum = start;
+    if sum >= bound {
+        return sum;
+    }
+    for &(c, w) in group {
+        let matches = u64::from(((functional & c).count_ones() & 1) ^ parity ^ 1);
+        sum += w & matches.wrapping_neg();
+        if sum >= bound {
+            break;
+        }
+    }
+    sum
 }
 
 /// Mask with the low `bits` bits set (`bits ≤ 64`).
@@ -826,212 +490,169 @@ mod tests {
         }
     }
 
-    /// Exhaustively pins a coset block against `contains` on the materialized
-    /// extensions.
-    fn assert_coset_matches_contains(parent: &PackedBasis, lanes: &[(&PackedBasis, u64)]) {
+    /// Every seventh `(functional, direction)` lane of `parent`, including
+    /// directions inside the parent (whose candidate is the parent itself).
+    fn lanes_of(parent: &PackedBasis) -> Vec<(u64, u64)> {
         let width = parent.width();
-        let block = SlicedCosetBlock::new(parent, lanes);
-        assert_eq!(block.lanes(), lanes.len());
-        assert_eq!(block.width(), width);
-        let materialized: Vec<PackedBasis> = lanes
-            .iter()
-            .map(|&(hyperplane, direction)| hyperplane.extended(direction))
-            .collect();
-        for v in 0..(1u64 << width) {
-            let expect = materialized
-                .iter()
-                .enumerate()
-                .fold(0u64, |m, (j, b)| m | (u64::from(b.contains(v)) << j));
-            assert_eq!(block.member_mask(v), expect, "v={v:#x}");
-        }
-        // Out-of-width vectors are members of nothing.
-        if width < 64 {
-            assert_eq!(block.member_mask(1u64 << width), 0);
-        }
+        (1..(1u64 << parent.dim()))
+            .flat_map(|f| {
+                let hyperplane = parent.hyperplane(f);
+                (1..(1u64 << width))
+                    .filter(move |&d| !hyperplane.contains(d))
+                    .step_by(7)
+                    .map(move |d| (f, d))
+            })
+            .collect()
+    }
+
+    /// A synthetic weighted histogram over every vector of `width` bits, so
+    /// the in-parent group and every coset group are exercised.
+    fn every_vector(width: usize) -> Vec<(u64, u64)> {
+        (0..(1u64 << width)).map(|v| (v, v % 7 + 1)).collect()
+    }
+
+    /// Random parents of every dimension up to 5 in GF(2)^9, with their
+    /// lanes and grouped histograms.
+    fn cases(seed: u64) -> Vec<(CosetHistogram, Vec<(u64, u64)>)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (1..=5)
+            .map(|dim| {
+                let parent = random::random_subspace(&mut rng, 9, dim).to_packed();
+                let histogram = CosetHistogram::new(&parent, every_vector(9));
+                let lanes = lanes_of(&parent);
+                (histogram, lanes)
+            })
+            .collect()
     }
 
     #[test]
     fn coset_block_matches_contains_over_every_hyperplane_and_direction() {
-        let mut rng = StdRng::seed_from_u64(0xC05E7);
-        for width in [4usize, 7, 10] {
-            for dim in 1..=4 {
-                let parent = random::random_subspace(&mut rng, width, dim).to_packed();
-                let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-                // All (hyperplane, direction) pairs over directions outside
-                // each hyperplane — including directions *inside* the parent,
-                // whose candidate degenerates to the parent itself.
-                let mut lanes: Vec<(&PackedBasis, u64)> = Vec::new();
-                for hyperplane in &hyperplanes {
-                    for v in 1..(1u64 << width) {
-                        if !hyperplane.contains(v) {
-                            lanes.push((hyperplane, v));
-                        }
-                        if lanes.len() == SLICED_LANES {
-                            break;
-                        }
-                    }
-                    if lanes.len() == SLICED_LANES {
-                        break;
-                    }
-                }
-                assert_coset_matches_contains(&parent, &lanes);
+        let entries = every_vector(9);
+        for (histogram, lanes) in cases(0xC05E7) {
+            let parent = histogram.parent();
+            for (f, d) in lanes {
+                let candidate = parent.hyperplane(f).extended(d);
+                let exact: u64 = entries
+                    .iter()
+                    .filter(|&&(v, _)| candidate.contains(v))
+                    .map(|&(_, w)| w)
+                    .sum();
+                assert_eq!(
+                    histogram.lane_weight(f, d, u64::MAX),
+                    exact,
+                    "f={f:#x} d={d:#x}"
+                );
             }
         }
     }
 
     #[test]
     fn coset_block_matches_the_generic_sliced_block() {
-        let mut rng = StdRng::seed_from_u64(0x5EED);
-        let width = 9;
-        let parent = random::random_subspace(&mut rng, width, 5).to_packed();
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        let directions: Vec<u64> = (1..(1u64 << width))
-            .filter(|&v| !parent.contains(v))
-            .take(4)
-            .collect();
-        let lanes: Vec<(&PackedBasis, u64)> = hyperplanes
-            .iter()
-            .flat_map(|h| directions.iter().map(move |&d| (h, d)))
-            .take(SLICED_LANES)
-            .collect();
-        let materialized: Vec<PackedBasis> = lanes.iter().map(|&(h, d)| h.extended(d)).collect();
-        let coset = SlicedCosetBlock::new(&parent, &lanes);
-        let generic = SlicedBlock::from_bases(materialized.iter());
-        assert_eq!(coset.lane_mask(), generic.lane_mask());
-        for v in 0..(1u64 << width) {
-            assert_eq!(coset.member_mask(v), generic.member_mask(v), "v={v:#x}");
+        let entries = every_vector(9);
+        for (histogram, lanes) in cases(0x5EED) {
+            for chunk in lanes.chunks(SLICED_LANES) {
+                let materialized: Vec<PackedBasis> = chunk
+                    .iter()
+                    .map(|&(f, d)| histogram.parent().hyperplane(f).extended(d))
+                    .collect();
+                let generic = SlicedBlock::from_bases(materialized.iter());
+                let per_lane: Vec<u64> = chunk
+                    .iter()
+                    .map(|&(f, d)| histogram.lane_weight(f, d, u64::MAX))
+                    .collect();
+                assert_eq!(per_lane, generic.sum_weights(entries.iter().copied()));
+            }
+        }
+    }
+
+    #[test]
+    fn sum_weights_matches_a_member_mask_sweep() {
+        let entries = every_vector(9);
+        for (histogram, lanes) in cases(0x5A11E) {
+            // Every vector is an entry: each coset of the parent is a group.
+            let dim = histogram.parent().dim();
+            assert_eq!(histogram.group(0).len(), 1usize << dim);
+            assert_eq!(histogram.groups.len(), 1usize << (9 - dim));
+            for &(f, d) in lanes.iter().step_by(5) {
+                let block =
+                    SlicedBlock::from_bases([&histogram.parent().hyperplane(f).extended(d)]);
+                let swept: u64 = entries
+                    .iter()
+                    .filter(|&&(v, _)| block.member_mask(v) == 1)
+                    .map(|&(_, w)| w)
+                    .sum();
+                assert_eq!(histogram.lane_weight(f, d, u64::MAX), swept);
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_sum_weights_is_exact_below_the_bound_and_saturated_above() {
+        for (histogram, lanes) in cases(0xB0D) {
+            for &(f, d) in lanes.iter().step_by(3) {
+                let exact = histogram.lane_weight(f, d, u64::MAX);
+                // Bounds straddling the cost, plus the degenerate zero bound.
+                for bound in [0, 1, exact / 2, exact, exact + 1] {
+                    let got = histogram.lane_weight(f, d, bound);
+                    if exact < bound {
+                        assert_eq!(got, exact, "f={f:#x} d={d:#x} bound={bound}");
+                    } else {
+                        assert!(got >= bound, "f={f:#x} d={d:#x} bound={bound}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frame_block_matches_the_standalone_constructor() {
+        // The hoisted route a neighbourhood pricer runs — the hyperplane's
+        // in-parent weight once, then one group scan per lane — answers what
+        // the one-shot `lane_weight` does, at every bound.
+        for (histogram, lanes) in cases(0xF4A3E) {
+            let parent = histogram.parent();
+            for &(f, d) in &lanes {
+                let (remainder, c) = parent.decompose(d);
+                let parity = (f & c).count_ones() & 1;
+                for bound in [0, 9, 40, u64::MAX] {
+                    let base = parity_weight(histogram.group(0), f, 0, 0, bound);
+                    let hoisted = parity_weight(histogram.group(remainder), f, parity, base, bound);
+                    let one_shot = histogram.lane_weight(f, d, bound);
+                    assert_eq!(hoisted.min(bound), one_shot.min(bound), "f={f:#x} d={d:#x}");
+                }
+            }
         }
     }
 
     #[test]
     fn coset_block_handles_width_64_parents() {
         let parent = PackedBasis::standard_span(64, 32..64);
-        let hyperplane = PackedBasis::standard_span(64, 33..64);
-        let lanes = [(&hyperplane, 1u64 << 3), (&hyperplane, 1u64 << 32)];
-        let block = SlicedCosetBlock::new(&parent, &lanes);
-        // e_3 ⊕ e_33 is in lane 0 (e_3 joined the span), not lane 1.
-        assert_eq!(block.member_mask((1 << 3) | (1 << 33)), 0b01);
-        // e_32 ⊕ e_33: lane 1's direction re-extends to the parent.
-        assert_eq!(block.member_mask((1 << 32) | (1 << 33)), 0b10);
-        assert_eq!(block.member_mask(0), 0b11);
+        // Functional weighing row 31 (pivot 32) alone: the hyperplane is
+        // span{e_33, …, e_63}.
+        let f = 1u64 << 31;
+        let entries = [
+            ((1u64 << 3) | (1 << 33), 2),
+            ((1u64 << 32) | (1 << 33), 3),
+            (1u64 << 40, 5),
+            (u64::MAX, 7),
+        ];
+        let histogram = CosetHistogram::new(&parent, entries);
+        assert_eq!(histogram.lane_weight(f, 1 << 3, u64::MAX), 2 + 5);
+        // e_32 re-extends the hyperplane to the parent.
+        assert_eq!(histogram.lane_weight(f, 1 << 32, u64::MAX), 3 + 5);
     }
 
     #[test]
-    fn frame_block_matches_the_standalone_constructor() {
-        let mut rng = StdRng::seed_from_u64(0xF4A3E);
-        let width = 11;
-        let parent = random::random_subspace(&mut rng, width, 4).to_packed();
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        let directions: Vec<u64> = (1..(1u64 << width))
-            .filter(|&v| !parent.contains(v))
-            .take(6)
-            .collect();
-        // Many lanes per distinct hyperplane — the shape the frame exists for.
-        let indexed: Vec<(usize, u64)> = (0..hyperplanes.len())
-            .flat_map(|h| directions.iter().map(move |&d| (h, d)))
-            .take(SLICED_LANES)
-            .collect();
-        let frame = CosetFrame::new(&parent, &hyperplanes);
-        assert_eq!(frame.width(), width);
-        assert_eq!(frame.dim(), 4);
-        assert_eq!(frame.hyperplane_count(), hyperplanes.len());
-        let expanded: Vec<(&PackedBasis, u64)> =
-            indexed.iter().map(|&(h, d)| (&hyperplanes[h], d)).collect();
-        assert_eq!(
-            frame.block(&indexed),
-            SlicedCosetBlock::new(&parent, &expanded)
-        );
-    }
-
-    #[test]
-    fn sum_weights_matches_a_member_mask_sweep() {
-        let mut rng = StdRng::seed_from_u64(0x5A11E);
-        let width = 10;
-        for dim in 2..=5 {
-            let parent = random::random_subspace(&mut rng, width, dim).to_packed();
-            let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-            let lanes: Vec<(usize, u64)> = (0..hyperplanes.len())
-                .flat_map(|h| {
-                    let hyperplane = &hyperplanes[h];
-                    (1..(1u64 << width))
-                        .filter(move |&v| !hyperplane.contains(v))
-                        .take(3)
-                        .map(move |d| (h, d))
-                })
-                .take(SLICED_LANES)
-                .collect();
-            let frame = CosetFrame::new(&parent, &hyperplanes);
-            let block = frame.block(&lanes);
-            // A synthetic weighted histogram covering every vector, so both
-            // the in-parent and every coset bucket are exercised.
-            let entries: Vec<(u64, u64)> = (0..(1u64 << width)).map(|v| (v, v % 7 + 1)).collect();
-            let histogram = CosetHistogram::new(&parent, entries.iter().copied());
-            // Every parent vector (including zero) appears as an entry here.
-            assert_eq!(histogram.in_parent_len(), 1usize << dim);
-            let mut expect = vec![0u64; lanes.len()];
-            for &(v, w) in &entries {
-                let mut mask = block.member_mask(v);
-                while mask != 0 {
-                    let lane = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    expect[lane] += w;
-                }
-            }
-            assert_eq!(
-                block.sum_weights(&histogram, u64::MAX),
-                (expect, 0),
-                "dim={dim}"
-            );
-        }
-    }
-
-    #[test]
-    fn bounded_sum_weights_is_exact_below_the_bound_and_saturated_above() {
-        let mut rng = StdRng::seed_from_u64(0xB0D);
-        let width = 10;
-        for dim in 2..=5 {
-            let parent = random::random_subspace(&mut rng, width, dim).to_packed();
-            let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-            let lanes: Vec<(usize, u64)> = (0..hyperplanes.len())
-                .flat_map(|h| {
-                    let hyperplane = &hyperplanes[h];
-                    (1..(1u64 << width))
-                        .filter(move |&v| !hyperplane.contains(v))
-                        .take(3)
-                        .map(move |d| (h, d))
-                })
-                .take(SLICED_LANES)
-                .collect();
-            let frame = CosetFrame::new(&parent, &hyperplanes);
-            let block = frame.block(&lanes);
-            let entries: Vec<(u64, u64)> = (0..(1u64 << width)).map(|v| (v, v % 7 + 1)).collect();
-            let histogram = CosetHistogram::new(&parent, entries.iter().copied());
-            let (exact, none) = block.sum_weights(&histogram, u64::MAX);
-            assert_eq!(none, 0);
-            let lo = *exact.iter().min().unwrap();
-            let hi = *exact.iter().max().unwrap();
-            // Bounds straddling the cost range, plus the degenerate extremes.
-            for bound in [0, lo, lo + 1, lo + (hi - lo) / 2, hi, hi + 1] {
-                let (sums, saturated) = block.sum_weights(&histogram, bound);
-                for (lane, &true_cost) in exact.iter().enumerate() {
-                    if saturated & (1u64 << lane) == 0 {
-                        assert_eq!(sums[lane], true_cost, "dim={dim} bound={bound} lane={lane}");
-                        assert!(true_cost < bound);
-                    } else {
-                        assert!(true_cost >= bound, "dim={dim} bound={bound} lane={lane}");
-                        assert!(sums[lane] >= bound || bound == 0);
-                    }
-                }
-            }
-            // A bound above every cost completes exactly.
-            let (sums, saturated) = block.sum_weights(&histogram, hi + 1);
-            assert_eq!(sums, exact);
-            assert_eq!(saturated, 0);
-            // A zero bound abandons immediately with every lane saturated.
-            let (sums, saturated) = block.sum_weights(&histogram, 0);
-            assert_eq!(sums, vec![0u64; block.lanes()]);
-            assert_eq!(saturated, block.lane_mask());
-        }
+    fn parity_weight_starts_from_its_base_and_stops_at_the_bound() {
+        // Under functional 0b01 the first two entries have parity 1.
+        let group = [(0b01u64, 4u64), (0b11, 5), (0b10, 6)];
+        assert_eq!(parity_weight(&group, 0b01, 1, 0, u64::MAX), 4 + 5);
+        assert_eq!(parity_weight(&group, 0b01, 0, 0, u64::MAX), 6);
+        assert_eq!(parity_weight(&group, 0b01, 0, 10, u64::MAX), 16);
+        // A base at the bound scans nothing; a bound hit mid-group stops.
+        assert_eq!(parity_weight(&group, 0b01, 0, 10, 10), 10);
+        assert_eq!(parity_weight(&group, 0b01, 1, 0, 4), 4);
+        assert_eq!(parity_weight(&[], 0b01, 0, 3, u64::MAX), 3);
     }
 
     #[test]
@@ -1067,17 +688,17 @@ mod tests {
     #[should_panic(expected = "exceeds the ambient width")]
     fn frame_direction_outside_width_panics() {
         let parent = PackedBasis::standard_span(8, 0..2);
-        let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
-        let frame = CosetFrame::new(&parent, &hyperplanes);
-        let _ = frame.block(&[(0, 1u64 << 9)]);
+        let histogram = CosetHistogram::new(&parent, [(1, 1)]);
+        let _ = histogram.lane_weight(0b01, 1u64 << 9, u64::MAX);
     }
 
     #[test]
     #[should_panic(expected = "inside its hyperplane")]
     fn coset_direction_inside_hyperplane_panics() {
         let parent = PackedBasis::standard_span(8, 0..2);
-        let hyperplane = PackedBasis::standard_span(8, 0..1);
-        let _ = SlicedCosetBlock::new(&parent, &[(&hyperplane, 1)]);
+        let histogram = CosetHistogram::new(&parent, [(1, 1)]);
+        // Functional 0b01 vanishes on e_0 (row 1).
+        let _ = histogram.lane_weight(0b01, 1, u64::MAX);
     }
 
     #[test]
@@ -1085,15 +706,14 @@ mod tests {
     fn coset_foreign_hyperplane_panics() {
         let parent = PackedBasis::standard_span(8, 0..2);
         let foreign = PackedBasis::standard_span(8, [5usize]);
-        let _ = SlicedCosetBlock::new(&parent, &[(&foreign, 1 << 6)]);
+        let _ = parent.hyperplane_functional(&foreign);
     }
 
     #[test]
     #[should_panic(expected = "no hyperplanes")]
     fn coset_trivial_parent_panics() {
         let parent = PackedBasis::trivial(8);
-        let hyperplane = PackedBasis::trivial(8);
-        let _ = SlicedCosetBlock::new(&parent, &[(&hyperplane, 1)]);
+        let _ = parent.hyperplane_functional(&PackedBasis::trivial(8));
     }
 
     #[test]

@@ -380,8 +380,7 @@ pub enum Response {
 pub struct EvictCounts {
     /// Memoized candidate costs dropped from the sharded memo.
     pub memo: usize,
-    /// Hyperplane frames + remainder histograms dropped from the scaffold
-    /// cache.
+    /// Remainder-grouped histograms dropped from the scaffold cache.
     pub scaffold: usize,
 }
 
@@ -421,9 +420,9 @@ pub struct AppStats {
     pub memo: MemoStats,
     /// Per-shard hit/miss/entry counters, in shard order.
     pub shards: Vec<xorindex::MemoShardStats>,
-    /// Coset-scaffolding cache counters (see [`ScaffoldCache::stats`]): how
-    /// often this application's searches reused a cached hyperplane frame +
-    /// remainder histogram instead of rebuilding them.
+    /// Scaffold-cache counters (see [`ScaffoldCache::stats`]): how often
+    /// this application's searches reused a cached remainder-grouped
+    /// histogram instead of regrouping it.
     pub scaffold: ScaffoldStats,
     /// Replay-engine counters (see [`TraceReplayer::replay_stats`]): replays
     /// run and how often the shared 3C pre-classification was built vs
@@ -736,9 +735,9 @@ impl IndexService {
                     PackedNeighborhood::generate(&winner_basis, app.class, &pool)
                 }
             };
-            // Price the neighbourhood through the engine's coset-sliced
-            // path, 64 lanes at a time against the scaffold the climb's
-            // final iteration already cached for this very parent. Exact
+            // Price the neighbourhood lane by lane through the engine,
+            // against the grouped histogram the climb's final iteration
+            // already cached for this very parent. Exact
             // Eq. 4 costs; like the search, the ranking leaves the memo
             // alone.
             let costs = searcher.engine().estimate_neighborhood(&hood);
@@ -1089,8 +1088,8 @@ mod tests {
     #[test]
     fn searches_reuse_the_applications_scaffold_cache() {
         // A tiny cache leaves a 10-dimensional null space; every
-        // neighbourhood prices through the coset slices, the path that uses
-        // the scaffold cache.
+        // neighbourhood prices from its parent's grouped histogram, which the
+        // scaffold cache keeps.
         let tiny = CacheConfig::builder()
             .size_bytes(16)
             .block_bytes(4)
