@@ -1,32 +1,21 @@
 //! Bench for Table 2, data-cache half: the full per-benchmark pipeline
 //! (profile → search three permutation-based classes → simulate) for
-//! representative MediaBench/MiBench workloads on the 1 KB cache.
+//! representative MediaBench/MiBench workloads on the 4 KB cache.
 //!
 //! The printed cells record the reproduced numbers; the measured time is the
 //! cost of regenerating one row cell.
 
-use cache_sim::{Cache, ModuloIndex};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use experiments::table2::table2_classes;
+use experiments::{evaluate_trace, CellResult, ExperimentConfig};
 use std::hint::black_box;
-use xorindex::search::Searcher;
-use xorindex::SearchAlgorithm;
+use xorindex::FunctionClass;
 use xorindex_bench::{prepare_data, PreparedWorkload};
 
-fn run_cell(prepared: &PreparedWorkload) -> (f64, [f64; 3]) {
-    let cache = prepared.cache;
-    let mut baseline_cache = Cache::new(cache, ModuloIndex::for_config(&cache));
-    let baseline = baseline_cache.simulate_blocks(prepared.blocks.iter().copied());
-    let mut removed = [0.0f64; 3];
-    for (i, class) in experiments::table2::table2_classes().iter().enumerate() {
-        let outcome = Searcher::new(&prepared.profile, *class, cache.set_bits())
-            .expect("valid geometry")
-            .run(SearchAlgorithm::HillClimb)
-            .expect("search succeeds");
-        let mut optimized = Cache::new(cache, outcome.function.to_index_function());
-        let stats = optimized.simulate_blocks(prepared.blocks.iter().copied());
-        removed[i] = cache_sim::CacheStats::percent_misses_removed(&baseline, &stats);
-    }
-    (baseline.misses_per_kilo_ops(prepared.ops), removed)
+fn run_cell(prepared: &PreparedWorkload, classes: &[FunctionClass]) -> Vec<CellResult> {
+    let config = ExperimentConfig::paper();
+    let (cache, ops) = (prepared.cache, prepared.ops);
+    evaluate_trace(&config, cache, &prepared.blocks, ops, classes)
 }
 
 fn bench_table2_dcache(c: &mut Criterion) {
@@ -35,32 +24,22 @@ fn bench_table2_dcache(c: &mut Criterion) {
     group.sample_size(10);
     for name in workloads {
         let prepared = prepare_data(name, 4);
-        let (base, removed) = run_cell(&prepared);
+        let cells = run_cell(&prepared, &table2_classes());
         println!(
-            "table2-data {name:>10} @4KB: base {base:>7.1} misses/K-uop | removed 2-in {:>5.1}% 4-in {:>5.1}% 16-in {:>5.1}%",
-            removed[0], removed[1], removed[2]
+            "table2-data {name:>10} @4KB: base {:>7.1} misses/K-uop | removed 2-in {:>5.1}% 4-in {:>5.1}% 16-in {:>5.1}%",
+            cells[0].baseline_mpko(),
+            cells[0].percent_removed(),
+            cells[1].percent_removed(),
+            cells[2].percent_removed()
         );
         // Measuring all three classes per iteration would make each sample
-        // several seconds long; the measured unit is the 2-input pipeline,
-        // the printed line above records the full cell.
+        // several seconds long; the measured unit is one verified 2-input
+        // cell (profile, search on one engine thread, baseline and winner
+        // replays), the printed line above records the full row cell.
         group.bench_with_input(
-            BenchmarkId::new("cell_2in", name),
+            BenchmarkId::new("verified_cell_2in", name),
             &prepared,
-            |b, prepared| {
-                b.iter(|| {
-                    let cache = prepared.cache;
-                    let outcome = Searcher::new(
-                        &prepared.profile,
-                        experiments::table2::table2_classes()[0],
-                        cache.set_bits(),
-                    )
-                    .expect("valid geometry")
-                    .run(SearchAlgorithm::HillClimb)
-                    .expect("search succeeds");
-                    let mut optimized = Cache::new(cache, outcome.function.to_index_function());
-                    black_box(optimized.simulate_blocks(prepared.blocks.iter().copied()))
-                })
-            },
+            |b, prepared| b.iter(|| black_box(run_cell(prepared, &table2_classes()[..1]))),
         );
     }
     group.finish();

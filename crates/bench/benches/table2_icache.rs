@@ -1,31 +1,19 @@
 //! Bench for Table 2, instruction-cache half: the same pipeline as the
 //! data-cache bench but over the synthesized instruction-fetch streams.
 
-use cache_sim::{Cache, ModuloIndex};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use experiments::{evaluate_trace, ExperimentConfig};
 use std::hint::black_box;
-use xorindex::search::Searcher;
-use xorindex::SearchAlgorithm;
+use xorindex::FunctionClass;
 use xorindex_bench::{prepare_instructions, PreparedWorkload};
 
-fn run_cell(prepared: &PreparedWorkload) -> (f64, f64) {
-    let cache = prepared.cache;
-    let mut baseline_cache = Cache::new(cache, ModuloIndex::for_config(&cache));
-    let baseline = baseline_cache.simulate_blocks(prepared.blocks.iter().copied());
-    let outcome = Searcher::new(
-        &prepared.profile,
-        xorindex::FunctionClass::permutation_based(2),
-        cache.set_bits(),
-    )
-    .expect("valid geometry")
-    .run(SearchAlgorithm::HillClimb)
-    .expect("search succeeds");
-    let mut optimized = Cache::new(cache, outcome.function.to_index_function());
-    let stats = optimized.simulate_blocks(prepared.blocks.iter().copied());
-    (
-        baseline.misses_per_kilo_ops(prepared.ops),
-        cache_sim::CacheStats::percent_misses_removed(&baseline, &stats),
-    )
+/// One verified 2-in cell: profile, search on one engine thread, and the
+/// baseline and winner replays.
+fn run_cell(prepared: &PreparedWorkload) -> experiments::CellResult {
+    let config = ExperimentConfig::paper();
+    let classes = [FunctionClass::permutation_based(2)];
+    let (cache, ops) = (prepared.cache, prepared.ops);
+    evaluate_trace(&config, cache, &prepared.blocks, ops, &classes).remove(0)
 }
 
 fn bench_table2_icache(c: &mut Criterion) {
@@ -34,13 +22,17 @@ fn bench_table2_icache(c: &mut Criterion) {
     group.sample_size(10);
     for name in workloads {
         let prepared = prepare_instructions(name, 4);
-        let (base, removed) = run_cell(&prepared);
+        let cell = run_cell(&prepared);
         println!(
-            "table2-instr {name:>10} @4KB: base {base:>7.1} misses/K-uop | removed 2-in {removed:>5.1}%"
+            "table2-instr {name:>10} @4KB: base {:>7.1} misses/K-uop | removed 2-in {:>5.1}%",
+            cell.baseline_mpko(),
+            cell.percent_removed()
         );
-        group.bench_with_input(BenchmarkId::new("cell", name), &prepared, |b, prepared| {
-            b.iter(|| black_box(run_cell(prepared)))
-        });
+        group.bench_with_input(
+            BenchmarkId::new("verified_cell", name),
+            &prepared,
+            |b, prepared| b.iter(|| black_box(run_cell(prepared))),
+        );
     }
     group.finish();
 }

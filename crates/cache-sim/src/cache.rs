@@ -82,18 +82,6 @@ impl Cache {
         config: CacheConfig,
         index_fn: I,
     ) -> Result<Self, CacheError> {
-        Self::from_boxed(config, Box::new(index_fn))
-    }
-
-    /// Creates a cache from an already boxed index function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CacheError::IndexFunctionMismatch`] when the set counts differ.
-    pub fn from_boxed(
-        config: CacheConfig,
-        index_fn: Box<dyn IndexFunction>,
-    ) -> Result<Self, CacheError> {
         if index_fn.num_sets() != config.num_sets() {
             return Err(CacheError::IndexFunctionMismatch {
                 expected_sets: config.num_sets(),
@@ -105,7 +93,7 @@ impl Cache {
             .collect();
         Ok(Cache {
             config,
-            index_fn,
+            index_fn: Box::new(index_fn),
             sets,
             stats: CacheStats::new(),
             classifier: None,
@@ -137,12 +125,6 @@ impl Cache {
         }
         self.set_conflicts = Some(vec![0; self.config.num_sets() as usize]);
         self
-    }
-
-    /// The cache geometry.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
     }
 
     /// Short description of the index function in use.
@@ -184,20 +166,6 @@ impl Cache {
     pub fn contains_block(&self, block: BlockAddr) -> bool {
         let set = self.index_fn.set_index(block) as usize;
         self.sets[set].contains(block.as_u64())
-    }
-
-    /// The blocks currently resident in the given set (unordered snapshot).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is not smaller than the number of sets.
-    #[must_use]
-    pub fn resident_blocks(&self, set: usize) -> Vec<BlockAddr> {
-        self.sets[set]
-            .resident()
-            .iter()
-            .map(|&b| BlockAddr(b))
-            .collect()
     }
 
     /// Accesses a byte address.
@@ -250,17 +218,6 @@ impl Cache {
             conflict_misses: self.stats.conflict_misses - before.conflict_misses,
             evictions: self.stats.evictions - before.evictions,
         }
-    }
-
-    /// Runs a byte-address trace through the cache; see
-    /// [`Cache::simulate_blocks`].
-    pub fn simulate_addrs<I, A>(&mut self, addrs: I) -> CacheStats
-    where
-        I: IntoIterator<Item = A>,
-        A: Into<Address>,
-    {
-        let bits = self.config.block_bits();
-        self.simulate_blocks(addrs.into_iter().map(move |a| a.into().block(bits)))
     }
 
     /// Invalidates all resident blocks but keeps statistics and history.

@@ -9,18 +9,18 @@
 //!   ([`BitSelectIndex`]) and XOR/matrix indexing ([`XorIndex`]);
 //! * [`Cache`] — a set-associative LRU cache simulator with full hit/miss
 //!   accounting, including 3C miss classification (compulsory / capacity /
-//!   conflict);
-//! * [`FullyAssociativeCache`] — the fully-associative LRU reference used by
-//!   the paper's Table 3 (`FA` column);
-//! * [`LruStack`] — the stack-distance structure behind the classifier, the
-//!   fully-associative reference and the reuse-distance statistics of the
-//!   `memtrace` crate;
+//!   conflict). It is the simulation oracle: the fast replay engine in the
+//!   `xorindex-verify` crate is pinned to it;
+//! * [`LruStack`] — the stack-distance structure behind the classifier and
+//!   the reuse-distance statistics of the `memtrace` crate;
 //! * [`CacheStats`] — counters and the `misses / K-uop` metric reported in the
 //!   paper's tables;
 //! * [`ReuseStream`] / [`CompactSets`] — the function-independent 3C
 //!   pre-classification (one O(1)-per-access fully-associative LRU pass,
 //!   pinned to [`MissClassifier`]) and allocation-free LRU tag arrays backing
-//!   the fast replay engine in the `xorindex-verify` crate.
+//!   the fast replay engine in the `xorindex-verify` crate. The same pass is
+//!   the fully-associative reference of the paper's Table 3 (`FA` column,
+//!   [`ReuseStream::fully_associative_stats`]).
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@ mod cache;
 mod classify;
 mod compact;
 mod config;
-mod fully_assoc;
 mod lru_stack;
 mod preclass;
 mod replacement;
@@ -63,7 +62,6 @@ pub use cache::{AccessOutcome, Cache};
 pub use classify::{MissClass, MissClassifier, ReuseClass};
 pub use compact::{CompactAccess, CompactSets, COMPACT_MAX_WAYS};
 pub use config::{CacheConfig, CacheConfigBuilder, CacheError};
-pub use fully_assoc::FullyAssociativeCache;
 pub use index::{BitSelectIndex, IndexFunction, ModuloIndex, XorIndex};
 pub use lru_stack::{LruStack, StackScan};
 pub use preclass::ReuseStream;
@@ -79,7 +77,6 @@ mod lib_tests {
         assert_send_sync::<CacheConfig>();
         assert_send_sync::<Cache>();
         assert_send_sync::<CacheStats>();
-        assert_send_sync::<FullyAssociativeCache>();
         assert_send_sync::<LruStack>();
         assert_send_sync::<XorIndex>();
         assert_send_sync::<ReuseStream>();

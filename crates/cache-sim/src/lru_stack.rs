@@ -4,11 +4,12 @@
 //! blocks were touched since the previous access to `x` (they are exactly the
 //! blocks above `x` on the stack).
 //!
-//! The 3C [`MissClassifier`](crate::MissClassifier), the
-//! [`FullyAssociativeCache`](crate::FullyAssociativeCache) and `memtrace`'s
+//! The 3C [`MissClassifier`](crate::MissClassifier) and `memtrace`'s
 //! `TraceStats` walk it. So does the test-only oracle the `xorindex` crate
 //! pins its profiler to: the paper's Fig. 1 walk, verbatim. The profiler
-//! itself keeps only the top `capacity + 1` blocks of the stack.
+//! itself keeps only the top `capacity + 1` blocks of the stack, and the
+//! fully-associative reference of Table 3 is read from
+//! [`ReuseStream`](crate::ReuseStream)'s O(1)-per-access LRU pass instead.
 
 use std::collections::HashMap;
 

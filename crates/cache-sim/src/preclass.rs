@@ -23,7 +23,7 @@
 //!
 //! [`MissClassifier`]: crate::MissClassifier
 
-use crate::{BlockAddr, MissClass};
+use crate::{BlockAddr, CacheStats, MissClass};
 
 /// Compact per-access reuse code: first touch of the block.
 const CODE_COLD: u8 = 0;
@@ -115,6 +115,26 @@ impl ReuseStream {
     #[must_use]
     pub fn conflict_eligible(&self) -> usize {
         self.codes.iter().filter(|&&c| c == CODE_NEAR).count()
+    }
+
+    /// Statistics of a fully-associative LRU cache of `capacity_blocks`
+    /// blocks (the paper's Table 3 `FA` reference): it hits exactly the near
+    /// accesses and misses the cold (compulsory) and far (capacity) ones.
+    /// Its first `capacity_blocks` misses fill it; every later one evicts.
+    #[must_use]
+    pub fn fully_associative_stats(&self) -> CacheStats {
+        let mut counts = [0u64; 3];
+        self.codes.iter().for_each(|&c| counts[usize::from(c)] += 1);
+        let [cold, near, far] = counts;
+        CacheStats {
+            accesses: self.codes.len() as u64,
+            hits: near,
+            misses: cold + far,
+            compulsory_misses: cold,
+            capacity_misses: far,
+            conflict_misses: 0,
+            evictions: (cold + far).saturating_sub(self.capacity_blocks as u64),
+        }
     }
 }
 
@@ -343,6 +363,41 @@ mod tests {
         assert_eq!(stream.len(), 6);
         assert!(!stream.is_empty());
         assert_eq!(stream.conflict_eligible(), 1);
+    }
+
+    #[test]
+    fn never_suffers_conflict_misses() {
+        // 8 distinct blocks cycled twice through a 4-block cache.
+        let trace: Vec<_> = (0..16u64).map(|i| BlockAddr(i % 8)).collect();
+        let fa = ReuseStream::build(&trace, 4).fully_associative_stats();
+        assert_eq!(fa.conflict_misses, 0);
+        assert_eq!(fa.misses, 16); // working set exceeds capacity
+        assert_eq!(fa.compulsory_misses, 8);
+        assert_eq!(fa.capacity_misses, 8);
+    }
+
+    #[test]
+    fn hits_within_capacity() {
+        let trace: Vec<_> = (0..8u64).map(|i| BlockAddr(i % 4)).collect();
+        let stream = ReuseStream::build(&trace, 4);
+        // A near access (a miss there would be a conflict) is an FA hit.
+        assert!((4..8).all(|i| stream.miss_class(i) == MissClass::Conflict));
+        assert_eq!(stream.fully_associative_stats().hits, 4);
+    }
+
+    #[test]
+    fn dominates_direct_mapped_cache_on_conflicting_trace() {
+        use crate::{Cache, CacheConfig, ModuloIndex};
+        let config = CacheConfig::paper_cache(1);
+        let mut dm = Cache::new(config, ModuloIndex::for_config(&config));
+        // Ping-pong between two conflicting blocks.
+        let trace: Vec<_> = (0..100).map(|i| BlockAddr((i % 2) * 256)).collect();
+        let stream = ReuseStream::build(&trace, config.num_blocks() as usize);
+        assert_eq!(stream.capacity_blocks(), 256);
+        let dm_stats = dm.simulate_blocks(trace.iter().copied());
+        let fa_stats = stream.fully_associative_stats();
+        assert!(fa_stats.misses < dm_stats.misses);
+        assert_eq!(fa_stats.misses, 2);
     }
 
     #[test]

@@ -36,10 +36,6 @@ impl CacheSet {
         self.blocks.contains(&block)
     }
 
-    pub(crate) fn resident(&self) -> &[u64] {
-        &self.blocks
-    }
-
     pub(crate) fn access(&mut self, block: u64) -> SetAccess {
         if let Some(pos) = self.blocks.iter().position(|&b| b == block) {
             // Move to the most-recently-used end.
@@ -91,7 +87,7 @@ mod tests {
         let mut set = CacheSet::new(2);
         set.access(1);
         set.flush();
-        assert_eq!(set.resident().len(), 0);
+        assert!(!set.contains(1));
         assert_eq!(set.access(1), SetAccess::MissFilled);
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the cache simulator.
 
 use cache_sim::{
-    BitSelectIndex, BlockAddr, Cache, CacheConfig, CacheStats, FullyAssociativeCache,
-    IndexFunction, LruStack, MissClassifier, ModuloIndex, ReuseStream, StackScan, XorIndex,
+    BitSelectIndex, BlockAddr, Cache, CacheConfig, CacheStats, IndexFunction, LruStack, MissClass,
+    MissClassifier, ModuloIndex, ReuseStream, StackScan, XorIndex,
 };
 use gf2::BitMatrix;
 use proptest::prelude::*;
@@ -99,12 +99,15 @@ proptest! {
         // (Note: it is NOT always better than a direct-mapped cache of equal
         // capacity — the paper exploits exactly that LRU sub-optimality.)
         let config = CacheConfig::builder().size_bytes(64).block_bytes(4).associativity(1).build().unwrap();
-        let mut fa = FullyAssociativeCache::for_config(&config);
-        let fa_stats = fa.simulate_blocks(trace.iter().copied());
+        let fa_stats = ReuseStream::build(&trace, config.num_blocks() as usize).fully_associative_stats();
         let distinct: std::collections::HashSet<_> = trace.iter().collect();
         prop_assert_eq!(fa_stats.conflict_misses, 0);
         prop_assert_eq!(fa_stats.compulsory_misses, distinct.len() as u64);
         prop_assert_eq!(fa_stats.accesses, trace.len() as u64);
+        // Every counter matches the simulator with all 16 blocks in one set.
+        let one_set = CacheConfig::builder().size_bytes(64).block_bytes(4).associativity(16).build().unwrap();
+        let mut oracle = Cache::new(one_set, ModuloIndex::for_config(&one_set)).with_classification();
+        prop_assert_eq!(fa_stats, oracle.simulate_blocks(trace.iter().copied()));
     }
 
     #[test]
@@ -157,15 +160,15 @@ proptest! {
     #[test]
     fn lru_stack_distances_are_consistent_with_fa_cache(trace in trace_strategy()) {
         // A fully-associative LRU cache of capacity C hits exactly when the
-        // stack distance is < C.
+        // stack distance is < C: the reuse stream's near accesses.
         let capacity = 8usize;
         let mut stack = LruStack::new();
-        let mut fa = FullyAssociativeCache::new(capacity, 0);
-        for &b in &trace {
+        let fa = ReuseStream::build(&trace, capacity);
+        for (i, &b) in trace.iter().enumerate() {
             let scan = stack.access(b.as_u64(), capacity);
-            let outcome = fa.access_block(b);
+            let hit = fa.miss_class(i) == MissClass::Conflict;
             let expect_hit = matches!(scan, StackScan::Within { distance } if distance < capacity);
-            prop_assert_eq!(outcome.is_hit(), expect_hit);
+            prop_assert_eq!(hit, expect_hit);
         }
     }
 

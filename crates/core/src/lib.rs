@@ -35,28 +35,32 @@
 //! 5. **Reconfigurable-hardware cost model** ([`hardware`], paper Section 5 /
 //!    Table 1): switch, memory-cell and wire counts of the reconfigurable
 //!    selector networks for each indexing scheme.
-//! 6. **End-to-end optimizer** ([`Optimizer`]): profile a trace, search for the
-//!    best function in a class, verify it by full cache simulation, and report
-//!    the paper's metrics.
+//!
+//! This crate never simulates. Judging a search winner by replaying the
+//! trace through the cache (the paper's Section 6), and the end-to-end
+//! `Optimizer` and `EvaluationReport` built on that step, live in the
+//! `xorindex_verify` crate.
 //!
 //! # Quick example
 //!
 //! ```
 //! use cache_sim::CacheConfig;
 //! use memtrace::generators::StridedGenerator;
-//! use xorindex::{FunctionClass, Optimizer};
+//! use xorindex::search::Searcher;
+//! use xorindex::{ConflictProfile, FunctionClass, SearchAlgorithm};
 //!
-//! // A power-of-two stride that thrashes a 1 KB direct-mapped cache.
-//! let trace = StridedGenerator::new(0, 1024, 512, 8).generate();
+//! // 16 addresses 1 KB apart thrash set 0 of a 1 KB direct-mapped cache.
+//! let trace = StridedGenerator::new(0, 1024, 16, 8).generate();
 //! let cache = CacheConfig::paper_cache(1);
-//! let optimizer = Optimizer::builder()
-//!     .cache(cache)
-//!     .hashed_bits(16)
-//!     .function_class(FunctionClass::permutation_based(2))
-//!     .revert_if_worse(true)
-//!     .build();
-//! let outcome = optimizer.optimize(trace.data_block_addresses(cache.block_bits()));
-//! assert!(outcome.optimized_stats.misses <= outcome.baseline_stats.misses);
+//! let profile = ConflictProfile::from_blocks(
+//!     trace.data_block_addresses(cache.block_bits()),
+//!     16,
+//!     cache.num_blocks() as usize,
+//! );
+//! let searcher = Searcher::new(&profile, FunctionClass::permutation_based(2), cache.set_bits())?;
+//! let outcome = searcher.run(SearchAlgorithm::HillClimb)?;
+//! assert!(outcome.estimated_misses < outcome.baseline_estimate);
+//! # Ok::<(), xorindex::XorIndexError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -71,9 +75,7 @@ mod hasher;
 mod hashfn;
 mod kernel;
 mod memo;
-mod optimizer;
 mod profile;
-mod report;
 mod scaffold;
 
 pub mod hardware;
@@ -87,9 +89,7 @@ pub use function_class::FunctionClass;
 pub use hashfn::HashFunction;
 pub use kernel::FrozenKernel;
 pub use memo::{MemoShardStats, MemoStats, ShardedMemo, DEFAULT_MEMO_SHARDS};
-pub use optimizer::{OptimizationOutcome, Optimizer, OptimizerBuilder};
 pub use profile::{ConflictProfile, ProfileSummary};
-pub use report::{EvaluationReport, ReportRow};
 pub use scaffold::{Scaffold, ScaffoldCache, ScaffoldStats, DEFAULT_SCAFFOLD_CAPACITY};
 pub use search::{SearchAlgorithm, SearchOutcome};
 
@@ -103,7 +103,6 @@ mod lib_tests {
         assert_send_sync::<ConflictProfile>();
         assert_send_sync::<HashFunction>();
         assert_send_sync::<FunctionClass>();
-        assert_send_sync::<Optimizer>();
         assert_send_sync::<XorIndexError>();
         assert_send_sync::<FrozenKernel>();
         assert_send_sync::<ShardedMemo>();

@@ -206,11 +206,11 @@ impl<'a> Searcher<'a> {
         self
     }
 
-    /// Pools coset scaffolding (hyperplane frames and remainder-grouped
-    /// histograms) through an existing [`ScaffoldCache`] handle instead of a
-    /// fresh private cache — the sharing entry point for callers running many
-    /// searches against one application (the serving layer shares each
-    /// application's cache between its searches this way).
+    /// Pools the per-parent remainder-grouped histograms through an existing
+    /// [`ScaffoldCache`] handle instead of a fresh private cache — the
+    /// sharing entry point for callers running many searches against one
+    /// application (the serving layer shares each application's cache
+    /// between its searches this way).
     #[must_use]
     pub fn with_scaffold_cache(mut self, cache: ScaffoldCache) -> Self {
         self.scaffold = Some(cache);

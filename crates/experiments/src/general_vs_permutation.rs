@@ -50,10 +50,11 @@ pub fn compute_for(
         FunctionClass::xor_unlimited(),
         FunctionClass::permutation_based_unlimited(),
     ];
-    // Evaluate (workload, cache size) cells in parallel and average per size.
+    // Evaluate (workload, cache size) cells in parallel, then sum per size
+    // in workload order, whichever cell finished first.
     let (tx, rx) = channel::unbounded();
     crossbeam::scope(|scope| {
-        for workload in workloads {
+        for (workload_index, workload) in workloads.iter().enumerate() {
             for (size_index, &kb) in config.cache_sizes_kb.iter().enumerate() {
                 let tx = tx.clone();
                 let config = config.clone();
@@ -63,6 +64,7 @@ pub fn compute_for(
                     let blocks: Vec<BlockAddr> = TraceSide::Data.blocks(&trace, cache.block_bits());
                     let results = evaluate_trace(&config, cache, &blocks, trace.ops(), &classes);
                     tx.send((
+                        workload_index,
                         size_index,
                         results[0].percent_removed(),
                         results[1].percent_removed(),
@@ -75,8 +77,10 @@ pub fn compute_for(
     })
     .expect("worker threads do not panic");
 
+    let mut cells: Vec<(usize, usize, f64, f64)> = rx.iter().collect();
+    cells.sort_by_key(|&(workload_index, ..)| workload_index);
     let mut sums: Vec<(f64, f64, usize)> = vec![(0.0, 0.0, 0); config.cache_sizes_kb.len()];
-    for (size_index, general, permutation) in rx.iter() {
+    for (_, size_index, general, permutation) in cells {
         sums[size_index].0 += general;
         sums[size_index].1 += permutation;
         sums[size_index].2 += 1;

@@ -2,11 +2,11 @@
 
 use std::sync::Arc;
 
-use cache_sim::{BlockAddr, Cache, CacheConfig, CacheStats, ModuloIndex};
+use cache_sim::{BlockAddr, CacheConfig, CacheStats};
 use memtrace::Trace;
 use workloads::Scale;
 use xorindex::search::NeighborPool;
-use xorindex::{ConflictProfile, FrozenKernel, FunctionClass, HashFunction, SearchAlgorithm};
+use xorindex::{FunctionClass, HashFunction, SearchAlgorithm};
 
 /// Which side of a workload trace an experiment evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,16 +136,13 @@ impl CellResult {
     }
 }
 
-/// Profiles `blocks` once and evaluates every function class on it, sharing
-/// the profile, the frozen evaluation kernel and the baseline simulation
-/// across classes.
+/// Evaluates every function class on `blocks` through one
+/// [`xorindex_verify::verify_trace`] call, under the configuration's
+/// neighbour pool and search thread cap: one [`CellResult`] per class.
 ///
-/// Each class's search runs on the packed-native core (packed neighbourhood
-/// generation, packed engine pricing), so the table reproductions measure
-/// the same hot path the library ships. The histogram is frozen into one
-/// [`FrozenKernel`] for the whole cell rather than once per class.
+/// # Panics
 ///
-/// Returns one [`CellResult`] per class, in the order given.
+/// Panics if the geometry is invalid (`set_bits >= hashed_bits`).
 #[must_use]
 pub fn evaluate_trace(
     config: &ExperimentConfig,
@@ -154,35 +151,27 @@ pub fn evaluate_trace(
     ops: u64,
     classes: &[FunctionClass],
 ) -> Vec<CellResult> {
-    let profile = ConflictProfile::from_blocks(
-        blocks.iter().copied(),
-        config.hashed_bits,
-        cache.num_blocks() as usize,
-    );
-    let kernel = Arc::new(FrozenKernel::new(&profile));
-
-    let mut baseline_cache = Cache::new(cache, ModuloIndex::for_config(&cache));
-    let baseline = baseline_cache.simulate_blocks(blocks.iter().copied());
-
-    classes
+    let searches: Vec<_> = classes
         .iter()
-        .map(|&class| {
-            let searcher = xorindex::search::Searcher::new(&profile, class, cache.set_bits())
-                .expect("experiment geometry is valid")
-                .with_pool(config.pool.clone())
-                .with_threads(config.search_threads)
-                .with_kernel(Arc::clone(&kernel));
-            let outcome = searcher
-                .run(config.algorithm)
-                .expect("search on a valid geometry succeeds");
-            let mut optimized_cache = Cache::new(cache, outcome.function.to_index_function());
-            let optimized = optimized_cache.simulate_blocks(blocks.iter().copied());
-            CellResult {
-                baseline,
-                optimized,
-                function: outcome.function,
-                ops,
-            }
+        .map(|&class| (class, config.algorithm))
+        .collect();
+    let verdicts = xorindex_verify::verify_trace(
+        cache,
+        config.hashed_bits,
+        Arc::new(blocks.to_vec()),
+        &searches,
+        &config.pool,
+        Some(config.search_threads),
+    )
+    .expect("experiment geometry is valid");
+    verdicts
+        .outcomes
+        .iter()
+        .map(|verified| CellResult {
+            baseline: verdicts.baseline.stats,
+            optimized: verified.winner().sim.stats,
+            function: verified.winner().function.clone(),
+            ops,
         })
         .collect()
 }

@@ -334,10 +334,21 @@ mod tests {
         assert_eq!(report.group_count(), 4);
         for cell in &report.cells {
             assert!(cell.trace_blocks > 0);
-            // The verified winner is picked by simulated misses, so it can
-            // never be worse than the baseline *candidate set's* best; at
-            // minimum the numbers must be internally consistent.
-            assert!(cell.simulated_misses <= cell.baseline_misses.max(cell.simulated_misses));
+            // The baseline is the legacy simulator's conventional cache on
+            // the cell's own trace.
+            let cache = CacheConfig::paper_cache(cell.cache_kb);
+            let trace = WorkloadSuite::by_name(&cell.workload)
+                .unwrap()
+                .data_trace(config.scale);
+            let blocks: Vec<_> = trace.data_block_addresses(cache.block_bits()).collect();
+            let conventional =
+                xorindex::HashFunction::conventional(config.hashed_bits, cache.set_bits()).unwrap();
+            let replayer = xorindex_verify::TraceReplayer::new(cache, Arc::new(blocks));
+            assert_eq!(replayer.trace().len(), cell.trace_blocks);
+            let legacy = replayer.replay_legacy(&conventional).unwrap();
+            assert_eq!(cell.baseline_misses, legacy.misses());
+            let (base, sim) = (cell.baseline_misses as f64, cell.simulated_misses as f64);
+            assert_eq!(cell.percent_removed, (base - sim) * 100.0 / base);
             assert!((0.0..=1.0).contains(&cell.rank_agreement));
         }
     }

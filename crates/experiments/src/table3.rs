@@ -2,10 +2,12 @@
 //! the heuristic search (bit-selecting and permutation-based XOR with 2, 4 and
 //! unlimited inputs) vs a fully-associative cache.
 
-use cache_sim::{BlockAddr, Cache, CacheConfig, CacheStats, FullyAssociativeCache, ModuloIndex};
+use std::sync::Arc;
+
+use cache_sim::{CacheConfig, CacheStats};
 use crossbeam::channel;
 use workloads::{Workload, WorkloadSuite};
-use xorindex::{ConflictProfile, FunctionClass, SearchAlgorithm};
+use xorindex::{FunctionClass, SearchAlgorithm};
 
 use crate::{ExperimentConfig, TraceSide};
 
@@ -42,7 +44,13 @@ pub struct Table3 {
     pub averages: [f64; 6],
 }
 
-/// Evaluates one PowerStone benchmark.
+/// Evaluates one PowerStone benchmark: five searches through one
+/// [`xorindex_verify::verify_trace`] call under the configuration's pool and
+/// thread cap, and the `FA` column from the same replayer's reuse stream.
+///
+/// # Panics
+///
+/// Panics if the geometry is invalid (`set_bits >= hashed_bits`).
 #[must_use]
 pub fn evaluate_workload(
     config: &ExperimentConfig,
@@ -50,53 +58,44 @@ pub fn evaluate_workload(
     cache: CacheConfig,
 ) -> Table3Row {
     let trace = workload.data_trace(config.scale);
-    let blocks: Vec<BlockAddr> = TraceSide::Data.blocks(&trace, cache.block_bits());
-
-    let mut baseline_cache = Cache::new(cache, ModuloIndex::for_config(&cache));
-    let baseline = baseline_cache.simulate_blocks(blocks.iter().copied());
-
-    let profile = ConflictProfile::from_blocks(
-        blocks.iter().copied(),
+    let blocks = Arc::new(TraceSide::Data.blocks(&trace, cache.block_bits()));
+    let heuristic = config.algorithm;
+    let searches = [
+        (
+            FunctionClass::bit_selecting(),
+            SearchAlgorithm::OptimalBitSelect,
+        ),
+        (FunctionClass::bit_selecting(), heuristic),
+        (FunctionClass::permutation_based(2), heuristic),
+        (FunctionClass::permutation_based(4), heuristic),
+        (FunctionClass::permutation_based_unlimited(), heuristic),
+    ];
+    let verdicts = xorindex_verify::verify_trace(
+        cache,
         config.hashed_bits,
-        cache.num_blocks() as usize,
-    );
-    // One frozen kernel backs all six searches of this row: candidate costs
-    // depend only on the profile, so the histogram is frozen once.
-    let kernel = std::sync::Arc::new(xorindex::FrozenKernel::new(&profile));
-
-    let removed = |optimized: &CacheStats| CacheStats::percent_misses_removed(&baseline, optimized);
-
-    let run = |class: FunctionClass, algorithm: SearchAlgorithm| -> f64 {
-        let outcome = xorindex::search::Searcher::new(&profile, class, cache.set_bits())
-            .expect("valid geometry")
-            .with_pool(config.pool.clone())
-            .with_kernel(std::sync::Arc::clone(&kernel))
-            .run(algorithm)
-            .expect("search succeeds");
-        let mut optimized = Cache::new(cache, outcome.function.to_index_function());
-        let stats = optimized.simulate_blocks(blocks.iter().copied());
-        removed(&stats)
-    };
-
-    // Fully-associative reference.
-    let mut fa = FullyAssociativeCache::for_config(&cache);
-    let fa_stats = fa.simulate_blocks(blocks.iter().copied());
+        blocks,
+        &searches,
+        &config.pool,
+        Some(config.search_threads),
+    )
+    .expect("valid geometry");
+    let baseline = &verdicts.baseline.stats;
+    let removed = |optimized: &CacheStats| CacheStats::percent_misses_removed(baseline, optimized);
+    let searched: Vec<f64> = verdicts
+        .outcomes
+        .iter()
+        .map(|verified| removed(&verified.winner().sim.stats))
+        .collect();
 
     Table3Row {
         benchmark: workload.name().to_string(),
         baseline_misses: baseline.misses,
-        optimal_bitselect: run(
-            FunctionClass::bit_selecting(),
-            SearchAlgorithm::OptimalBitSelect,
-        ),
-        heuristic_bitselect: run(FunctionClass::bit_selecting(), config.algorithm),
-        xor_2in: run(FunctionClass::permutation_based(2), config.algorithm),
-        xor_4in: run(FunctionClass::permutation_based(4), config.algorithm),
-        xor_16in: run(
-            FunctionClass::permutation_based_unlimited(),
-            config.algorithm,
-        ),
-        fully_associative: removed(&fa_stats),
+        optimal_bitselect: searched[0],
+        heuristic_bitselect: searched[1],
+        xor_2in: searched[2],
+        xor_4in: searched[3],
+        xor_16in: searched[4],
+        fully_associative: removed(&verdicts.replayer.fully_associative()),
     }
 }
 

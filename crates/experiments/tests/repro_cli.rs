@@ -10,19 +10,28 @@ fn repro(args: &[&str]) -> std::process::Output {
 }
 
 #[test]
+fn quick_run_matches_the_golden_tables() {
+    // Every table of `repro all --quick`, pinned byte for byte.
+    let all = repro(&["all", "--quick"]);
+    assert!(all.status.success(), "stderr: {:?}", all.stderr);
+    assert_eq!(
+        String::from_utf8_lossy(&all.stdout),
+        include_str!("golden/all_quick.txt")
+    );
+}
+
+#[test]
 fn threads_flag_does_not_change_the_output() {
     // Engine parallelism is bit-identical by construction; the CLI output of
-    // a whole experiment must therefore match exactly across --threads.
-    let one = repro(&["general-vs-perm", "--quick", "--threads", "1"]);
-    assert!(one.status.success(), "stderr: {:?}", one.stderr);
-    let two = repro(&["general-vs-perm", "--quick", "--threads", "2"]);
+    // every experiment must therefore match exactly across --threads. The
+    // golden file is the default run, i.e. --threads 1.
+    let two = repro(&["all", "--quick", "--threads", "2"]);
     assert!(two.status.success(), "stderr: {:?}", two.stderr);
     assert_eq!(
-        String::from_utf8_lossy(&one.stdout),
         String::from_utf8_lossy(&two.stdout),
+        include_str!("golden/all_quick.txt"),
         "--threads 2 must reproduce --threads 1 exactly"
     );
-    assert!(!one.stdout.is_empty());
 }
 
 #[test]

@@ -11,8 +11,7 @@ use xorindex::{
     ScaffoldCache, ScaffoldStats, SearchAlgorithm, SearchOutcome, ShardedMemo, XorIndexError,
 };
 use xorindex_verify::{
-    pick_winner, CandidateVerdict, EstimateAudit, ReplayStats, SimStats, TraceReplayer,
-    VerifiedOutcome, VerifyError,
+    verified_pick, ReplayStats, SimStats, TraceReplayer, VerifiedOutcome, VerifyError,
 };
 
 /// Default cap on a retained trace: 2^22 block addresses (32 MiB at 8 bytes
@@ -684,10 +683,12 @@ impl IndexService {
 
     /// Runs the full optimize→verify loop: search with the application's
     /// configured class, take the winner plus the best `top_k - 1` of its
-    /// neighbourhood by Eq. 4 estimate, simulate all of them (and the
-    /// conventional baseline) against the retained trace, and return the
-    /// candidate with the fewest *simulated* misses together with an
-    /// [`EstimateAudit`] of how well the estimates tracked truth.
+    /// neighbourhood by Eq. 4 estimate, and judge that slate with
+    /// [`verified_pick`]: simulate it (and the conventional baseline) against
+    /// the retained trace, and return the candidate with the fewest
+    /// *simulated* misses together with an
+    /// [`EstimateAudit`](xorindex_verify::EstimateAudit) of how well the
+    /// estimates tracked truth.
     ///
     /// The candidate simulations are independent and fan out across threads;
     /// results are keyed by candidate position, so the outcome is
@@ -759,43 +760,16 @@ impl IndexService {
             }
         }
 
-        let sims = replayer.replay_many(&functions, 0)?;
         // The baseline replay is a pure function of the (immutable) trace
         // and geometry: the first request fills the application's cache,
         // later ones reuse it.
-        let baseline = match app.baseline.get() {
-            Some(baseline) => baseline.clone(),
-            None => {
-                let conventional =
-                    HashFunction::conventional(app.kernel.hashed_bits(), app.cache.set_bits())?;
-                let sim = replayer.replay(&conventional)?;
-                app.baseline.get_or_init(|| sim).clone()
-            }
-        };
-        let pairs: Vec<(u64, u64)> = estimates
-            .iter()
-            .zip(&sims)
-            .map(|(&estimate, sim)| (estimate, sim.conflict_misses()))
-            .collect();
-        let audit = EstimateAudit::new(&pairs);
-        let winner = pick_winner(&sims)?;
-        let candidates = functions
-            .into_iter()
-            .zip(estimates)
-            .zip(sims)
-            .map(|((function, estimated_misses), sim)| CandidateVerdict {
-                function,
-                estimated_misses,
-                sim,
-            })
-            .collect();
-        Ok(VerifiedOutcome {
+        Ok(verified_pick(
+            &replayer,
             search,
-            candidates,
-            winner,
-            baseline,
-            audit,
-        })
+            functions,
+            estimates,
+            &app.baseline,
+        )?)
     }
 
     /// A snapshot of the application's serving statistics.

@@ -4,7 +4,8 @@
 //! Eq. 4 estimate over the conflict profile, which is what makes the
 //! optimization tractable. But before *deploying* a function, a service
 //! should close the loop and confirm the pick against ground truth — the
-//! simulate-to-decide step this crate owns:
+//! simulate-to-decide step this crate owns. Every pipeline that judges a
+//! search by simulation goes through one function, [`verified_pick`]:
 //!
 //! * [`TraceReplayer`] — replays a retained block trace through the
 //!   `cache_sim` simulator under any candidate
@@ -18,6 +19,10 @@
 //! * [`VerifiedOutcome`] — a search outcome paired with the simulated
 //!   verdicts of the top-k candidates and the audit; the winner is the
 //!   candidate with the fewest *simulated* misses, not the best estimate.
+//! * [`verify_trace`] — one profile, kernel, replayer and baseline replay
+//!   per trace, then one [`verified_pick`] per (class, algorithm) search:
+//!   what [`Optimizer`], [`EvaluationReport`] and the table reproductions
+//!   run.
 //!
 //! Everything here is deterministic: replays depend only on the trace, the
 //! geometry and the candidate, and [`TraceReplayer::replay_many`] returns
@@ -36,18 +41,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod optimizer;
 pub mod replay;
+mod report;
 
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use cache_sim::{
-    BlockAddr, Cache, CacheConfig, CacheError, CacheStats, IndexFunction, ReuseStream,
-};
+use cache_sim::{BlockAddr, Cache, CacheConfig, CacheError, CacheStats, ReuseStream};
 use xorindex::{HashFunction, SearchOutcome};
 
+pub use optimizer::{
+    verify_trace, OptimizationOutcome, Optimizer, OptimizerBuilder, TraceVerdicts,
+};
 pub use replay::ReplayStats;
+pub use report::{EvaluationReport, ReportRow};
 
 use replay::ReplayCounters;
 
@@ -188,18 +197,6 @@ impl TraceReplayer {
         self.counters.snapshot()
     }
 
-    /// The cache geometry candidates are simulated against.
-    #[must_use]
-    pub fn config(&self) -> &CacheConfig {
-        &self.config
-    }
-
-    /// Number of block accesses in the retained trace.
-    #[must_use]
-    pub fn trace_len(&self) -> usize {
-        self.trace.len()
-    }
-
     /// The retained trace itself (shared, not copied).
     #[must_use]
     pub fn trace(&self) -> &Arc<Vec<BlockAddr>> {
@@ -222,6 +219,13 @@ impl TraceReplayer {
     #[must_use]
     pub fn fast_path(&self) -> bool {
         replay::fast_eligible(&self.config)
+    }
+
+    /// The paper's Table 3 `FA` reference on the retained trace, read from
+    /// the cached reuse stream ([`ReuseStream::fully_associative_stats`]).
+    #[must_use]
+    pub fn fully_associative(&self) -> CacheStats {
+        self.reuse_stream().fully_associative_stats()
     }
 
     /// Returns (building it on first use) the shared function-independent
@@ -250,10 +254,10 @@ impl TraceReplayer {
     /// [`VerifyError::SetBitsMismatch`] when the candidate does not target
     /// this cache's set count.
     pub fn replay(&self, function: &HashFunction) -> Result<SimStats, VerifyError> {
-        self.check(function)?;
         if !self.fast_path() {
-            return self.replay_boxed(Box::new(function.to_index_function()));
+            return self.replay_legacy(function);
         }
+        self.check(function)?;
         let reuse = self.reuse_stream();
         self.counters.note_replays(1);
         Ok(replay::replay_fast(
@@ -274,19 +278,8 @@ impl TraceReplayer {
     /// this cache's set count.
     pub fn replay_legacy(&self, function: &HashFunction) -> Result<SimStats, VerifyError> {
         self.check(function)?;
-        self.replay_boxed(Box::new(function.to_index_function()))
-    }
-
-    /// Replays the trace under an arbitrary boxed index function (e.g. the
-    /// conventional [`ModuloIndex`](cache_sim::ModuloIndex) baseline) on the
-    /// legacy simulator.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError::Cache`] when the function's set count does not match
-    /// the geometry.
-    pub fn replay_boxed(&self, index_fn: Box<dyn IndexFunction>) -> Result<SimStats, VerifyError> {
-        let mut cache = Cache::from_boxed(self.config, index_fn)?.with_set_conflict_tracking();
+        let mut cache =
+            Cache::try_new(self.config, function.to_index_function())?.with_set_conflict_tracking();
         let stats = cache.simulate_blocks(self.trace.iter().copied());
         self.counters.note_replays(1);
         Ok(SimStats {
@@ -504,6 +497,13 @@ impl VerifiedOutcome {
     pub fn estimate_overruled(&self) -> bool {
         self.winner != 0
     }
+
+    /// `true` when the winner simulates more misses than the conventional
+    /// baseline: the one "worse than conventional indexing" test.
+    #[must_use]
+    pub fn loses_to_baseline(&self) -> bool {
+        self.winner().sim.misses() > self.baseline.misses()
+    }
 }
 
 /// Picks the index of the candidate with the fewest simulated misses; the
@@ -519,6 +519,64 @@ pub fn pick_winner(sims: &[SimStats]) -> Result<usize, VerifyError> {
         .min_by_key(|(i, sim)| (sim.misses(), *i))
         .map(|(i, _)| i)
         .ok_or(VerifyError::EmptyCandidates)
+}
+
+/// Judges a slate (`functions`, the search winner first, with their Eq. 4
+/// `estimates`) by simulation: replays it across the host's CPUs, audits the
+/// estimates, and picks the fewest simulated misses with [`pick_winner`].
+/// `baseline` caches the conventional function's replay for this (trace,
+/// geometry): the first pick fills it.
+///
+/// # Errors
+///
+/// [`VerifyError::SetBitsMismatch`] for a slate or search function of
+/// another geometry, [`VerifyError::EmptyCandidates`] for an empty slate.
+///
+/// # Panics
+///
+/// Panics if `functions` and `estimates` differ in length.
+pub fn verified_pick(
+    replayer: &TraceReplayer,
+    search: SearchOutcome,
+    functions: Vec<HashFunction>,
+    estimates: Vec<u64>,
+    baseline: &OnceLock<SimStats>,
+) -> Result<VerifiedOutcome, VerifyError> {
+    assert_eq!(functions.len(), estimates.len(), "one estimate each");
+    let sims = replayer.replay_many(&functions, 0)?;
+    let baseline = match baseline.get() {
+        Some(baseline) => baseline.clone(),
+        None => {
+            let (n, m) = (search.function.hashed_bits(), search.function.set_bits());
+            let conventional = HashFunction::conventional(n, m).expect("1 <= m <= n");
+            let sim = replayer.replay(&conventional)?;
+            baseline.get_or_init(|| sim).clone()
+        }
+    };
+    let pairs: Vec<(u64, u64)> = estimates
+        .iter()
+        .zip(&sims)
+        .map(|(&estimate, sim)| (estimate, sim.conflict_misses()))
+        .collect();
+    let audit = EstimateAudit::new(&pairs);
+    let winner = pick_winner(&sims)?;
+    let candidates = functions
+        .into_iter()
+        .zip(estimates)
+        .zip(sims)
+        .map(|((function, estimated_misses), sim)| CandidateVerdict {
+            function,
+            estimated_misses,
+            sim,
+        })
+        .collect();
+    Ok(VerifiedOutcome {
+        search,
+        candidates,
+        winner,
+        baseline,
+        audit,
+    })
 }
 
 #[cfg(test)]

@@ -1,11 +1,93 @@
 //! End-to-end optimization pipeline: profile → search → verify.
 
-use cache_sim::{BlockAddr, Cache, CacheConfig, CacheStats, ModuloIndex};
+use std::sync::{Arc, OnceLock};
 
-use crate::{
-    ConflictProfile, FunctionClass, HashFunction, ProfileSummary, SearchAlgorithm, SearchOutcome,
-    XorIndexError,
+use cache_sim::{BlockAddr, CacheConfig, CacheStats};
+use xorindex::search::{NeighborPool, Searcher};
+use xorindex::{
+    ConflictProfile, FrozenKernel, FunctionClass, HashFunction, ProfileSummary, SearchAlgorithm,
+    SearchOutcome, XorIndexError,
 };
+
+use crate::{verified_pick, SimStats, TraceReplayer, VerifiedOutcome};
+
+/// Every function here is built for the replayer's cache: replays cannot fail.
+const FITS: &str = "searched for this cache";
+
+/// Every requested search over one trace, each verified by simulation.
+#[derive(Debug, Clone)]
+pub struct TraceVerdicts {
+    /// Counters of the trace's one profiling pass.
+    pub profile: ProfileSummary,
+    /// The replayer every simulation ran on (and its cached reuse stream).
+    pub replayer: TraceReplayer,
+    /// The conventional function's simulation, replayed once.
+    pub baseline: SimStats,
+    /// One outcome per requested search, in order; each slate is the winner.
+    pub outcomes: Vec<VerifiedOutcome>,
+}
+
+/// Profiles `blocks` once for `cache`, freezes one kernel and replays the
+/// conventional baseline once, then runs every `(class, algorithm)` search
+/// in order (neighbours from `pool`, up to `threads` engine workers, `None`
+/// = one per host CPU) and verifies each winner with [`verified_pick`].
+///
+/// # Errors
+///
+/// When the geometry is invalid (e.g. more set-index bits than hashed bits)
+/// or a search fails.
+pub fn verify_trace(
+    cache: CacheConfig,
+    hashed_bits: usize,
+    blocks: Arc<Vec<BlockAddr>>,
+    searches: &[(FunctionClass, SearchAlgorithm)],
+    pool: &NeighborPool,
+    threads: Option<usize>,
+) -> Result<TraceVerdicts, XorIndexError> {
+    let profile = ConflictProfile::from_blocks(
+        blocks.iter().copied(),
+        hashed_bits,
+        cache.num_blocks() as usize,
+    );
+    let kernel = Arc::new(FrozenKernel::new(&profile));
+    let replayer = TraceReplayer::new(cache, blocks);
+    let conventional = HashFunction::conventional(hashed_bits, cache.set_bits())?;
+    let baseline = replayer.replay(&conventional).expect(FITS);
+    let cached = OnceLock::from(baseline.clone());
+    let outcomes = searches
+        .iter()
+        .map(|&search_for| {
+            let search = search(&kernel, cache.set_bits(), search_for, pool, threads)?;
+            let slate = vec![search.function.clone()];
+            let estimates = vec![search.estimated_misses];
+            Ok(verified_pick(&replayer, search, slate, estimates, &cached).expect(FITS))
+        })
+        .collect::<Result<_, XorIndexError>>()?;
+    Ok(TraceVerdicts {
+        profile: profile.summary(),
+        replayer,
+        baseline,
+        outcomes,
+    })
+}
+
+/// One `(class, algorithm)` search priced through `kernel`, with neighbours
+/// from `pool` and up to `threads` engine workers (`None` = one per host CPU).
+fn search(
+    kernel: &Arc<FrozenKernel>,
+    set_bits: usize,
+    (class, algorithm): (FunctionClass, SearchAlgorithm),
+    pool: &NeighborPool,
+    threads: Option<usize>,
+) -> Result<SearchOutcome, XorIndexError> {
+    let mut searcher = Searcher::new(kernel.profile(), class, set_bits)?
+        .with_pool(pool.clone())
+        .with_kernel(Arc::clone(kernel));
+    if let Some(threads) = threads {
+        searcher = searcher.with_threads(threads);
+    }
+    searcher.run(algorithm)
+}
 
 /// Result of one end-to-end optimization run.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,63 +122,69 @@ impl OptimizationOutcome {
     pub fn baseline_misses_per_kilo_ops(&self, ops: u64) -> f64 {
         self.baseline_stats.misses_per_kilo_ops(ops)
     }
+
+    /// The outcome of one verified search: the winner against the baseline.
+    pub(crate) fn from_verified(verified: VerifiedOutcome, profile: ProfileSummary) -> Self {
+        OptimizationOutcome {
+            function: verified.winner().function.clone(),
+            baseline_stats: verified.baseline.stats,
+            optimized_stats: verified.winner().sim.stats,
+            search: verified.search,
+            profile_summary: profile,
+            reverted: false,
+        }
+    }
 }
 
 /// Builder for [`Optimizer`].
 #[derive(Debug, Clone)]
-pub struct OptimizerBuilder {
-    cache: CacheConfig,
-    hashed_bits: usize,
-    class: FunctionClass,
-    algorithm: SearchAlgorithm,
-    revert_if_worse: bool,
-    search_threads: Option<usize>,
-}
+pub struct OptimizerBuilder(Optimizer);
 
 impl Default for OptimizerBuilder {
     fn default() -> Self {
-        OptimizerBuilder {
+        OptimizerBuilder(Optimizer {
             cache: CacheConfig::paper_cache(4),
             hashed_bits: 16,
             class: FunctionClass::permutation_based(2),
             algorithm: SearchAlgorithm::HillClimb,
             revert_if_worse: false,
             search_threads: None,
-        }
+        })
     }
 }
 
 impl OptimizerBuilder {
     /// Target cache geometry (default: the paper's 4 KB direct-mapped cache).
     pub fn cache(&mut self, cache: CacheConfig) -> &mut Self {
-        self.cache = cache;
+        self.0.cache = cache;
         self
     }
 
     /// Number of low-order block-address bits to hash (default 16, as in the
     /// paper).
     pub fn hashed_bits(&mut self, n: usize) -> &mut Self {
-        self.hashed_bits = n;
+        self.0.hashed_bits = n;
         self
     }
 
     /// Function class to search (default: 2-input permutation-based, the
     /// class the paper recommends for reconfigurable hardware).
     pub fn function_class(&mut self, class: FunctionClass) -> &mut Self {
-        self.class = class;
+        self.0.class = class;
         self
     }
 
     /// Search algorithm (default: hill climbing).
     pub fn search(&mut self, algorithm: SearchAlgorithm) -> &mut Self {
-        self.algorithm = algorithm;
+        self.0.algorithm = algorithm;
         self
     }
 
-    /// When enabled, the optimizer verifies the candidate by simulation and
-    /// falls back to the conventional function if it would increase misses.
+    /// When enabled, the optimizer falls back to the conventional function
+    /// when the verified winner
+    /// [loses to it](VerifiedOutcome::loses_to_baseline).
     pub fn revert_if_worse(&mut self, enable: bool) -> &mut Self {
-        self.revert_if_worse = enable;
+        self.0.revert_if_worse = enable;
         self
     }
 
@@ -104,38 +192,26 @@ impl OptimizerBuilder {
     /// neighbourhood batches (default: one per host CPU; 1 = sequential —
     /// useful when the caller already parallelizes across traces).
     pub fn search_threads(&mut self, threads: usize) -> &mut Self {
-        self.search_threads = Some(threads.max(1));
+        self.0.search_threads = Some(threads.max(1));
         self
     }
 
     /// Builds the optimizer.
     #[must_use]
     pub fn build(&self) -> Optimizer {
-        Optimizer {
-            cache: self.cache,
-            hashed_bits: self.hashed_bits,
-            class: self.class,
-            algorithm: self.algorithm,
-            revert_if_worse: self.revert_if_worse,
-            search_threads: self.search_threads,
-        }
+        self.0.clone()
     }
 }
 
 /// Profiles a block-address trace, searches for an application-specific hash
-/// function, and verifies it by full cache simulation.
-///
-/// The search runs on the packed-native core: candidate generation and
-/// deduplication operate on [`gf2::PackedBasis`], and every candidate is
-/// priced through the dense [`EvalEngine`](crate::EvalEngine)'s packed entry
-/// points — the Table 2/3 reproductions built on this type inherit that path
-/// end-to-end.
+/// function, and verifies it by simulation: [`verify_trace`] for one search.
 ///
 /// # Example
 ///
 /// ```
 /// use cache_sim::{BlockAddr, CacheConfig};
-/// use xorindex::{FunctionClass, Optimizer};
+/// use xorindex::FunctionClass;
+/// use xorindex_verify::Optimizer;
 ///
 /// let cache = CacheConfig::paper_cache(1);
 /// let optimizer = Optimizer::builder()
@@ -186,7 +262,8 @@ impl Optimizer {
         ConflictProfile::from_blocks(blocks, self.hashed_bits, self.cache.num_blocks() as usize)
     }
 
-    /// Searches for the best function of the configured class given a profile.
+    /// Searches for the best function of the configured class given a profile:
+    /// the search [`Optimizer::optimize`] runs, without the simulation.
     ///
     /// # Errors
     ///
@@ -196,21 +273,18 @@ impl Optimizer {
         &self,
         profile: &ConflictProfile,
     ) -> Result<SearchOutcome, XorIndexError> {
-        let mut searcher =
-            crate::search::Searcher::new(profile, self.class, self.cache.set_bits())?;
-        if let Some(threads) = self.search_threads {
-            searcher = searcher.with_threads(threads);
-        }
-        searcher.run(self.algorithm)
+        search(
+            &Arc::new(FrozenKernel::new(profile)),
+            self.cache.set_bits(),
+            (self.class, self.algorithm),
+            &NeighborPool::default(),
+            self.search_threads,
+        )
     }
 
     /// Runs the full pipeline on a block-address trace: profile, search, then
     /// simulate both the conventional and the optimized cache on the same
-    /// trace.
-    ///
-    /// The trace is materialized once and replayed three times (profiling and
-    /// two simulations), mirroring the paper's methodology of profiling and
-    /// evaluating on the same input.
+    /// trace (the paper profiles and evaluates on the same input).
     ///
     /// # Panics
     ///
@@ -236,38 +310,23 @@ impl Optimizer {
     where
         I: IntoIterator<Item = BlockAddr>,
     {
-        let blocks: Vec<BlockAddr> = blocks.into_iter().collect();
-        let profile = self.profile(blocks.iter().copied());
-        let search = self.search_profile(&profile)?;
-
-        let mut baseline_cache =
-            Cache::new(self.cache, ModuloIndex::for_config(&self.cache)).with_classification();
-        let baseline_stats = baseline_cache.simulate_blocks(blocks.iter().copied());
-
-        let mut optimized_cache = Cache::try_new(self.cache, search.function.to_index_function())
-            .expect("hash function geometry matches the cache")
-            .with_classification();
-        let optimized_stats = optimized_cache.simulate_blocks(blocks.iter().copied());
-
-        let (function, optimized_stats, reverted) =
-            if self.revert_if_worse && optimized_stats.misses > baseline_stats.misses {
-                (
-                    HashFunction::conventional(self.hashed_bits, self.cache.set_bits())?,
-                    baseline_stats,
-                    true,
-                )
-            } else {
-                (search.function.clone(), optimized_stats, false)
-            };
-
-        Ok(OptimizationOutcome {
-            function,
-            baseline_stats,
-            optimized_stats,
-            search,
-            profile_summary: profile.summary(),
-            reverted,
-        })
+        let verdicts = verify_trace(
+            self.cache,
+            self.hashed_bits,
+            Arc::new(blocks.into_iter().collect()),
+            &[(self.class, self.algorithm)],
+            &NeighborPool::default(),
+            self.search_threads,
+        )?;
+        let verified = verdicts.outcomes.into_iter().next().expect("one search");
+        let reverted = self.revert_if_worse && verified.loses_to_baseline();
+        let mut outcome = OptimizationOutcome::from_verified(verified, verdicts.profile);
+        if reverted {
+            outcome.function = HashFunction::conventional(self.hashed_bits, self.cache.set_bits())?;
+            outcome.optimized_stats = outcome.baseline_stats;
+            outcome.reverted = true;
+        }
+        Ok(outcome)
     }
 }
 
@@ -295,6 +354,13 @@ mod tests {
         assert!(!outcome.reverted);
         assert!(outcome.function.is_permutation_based());
         assert_eq!(outcome.profile_summary.references, 2000);
+    }
+
+    #[test]
+    fn public_types_are_send_sync() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<Optimizer>();
+        assert_send_sync::<TraceVerdicts>();
     }
 
     #[test]
@@ -342,6 +408,39 @@ mod tests {
         let outcome = optimizer.optimize(conflicting_blocks(1000));
         let mpko = outcome.baseline_misses_per_kilo_ops(10_000);
         assert!((mpko - outcome.baseline_stats.misses as f64 / 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn verify_trace_replays_the_baseline_once_for_every_search() {
+        let searches = [
+            (FunctionClass::bit_selecting(), SearchAlgorithm::HillClimb),
+            (FunctionClass::xor_unlimited(), SearchAlgorithm::HillClimb),
+            (
+                FunctionClass::bit_selecting(),
+                SearchAlgorithm::OptimalBitSelect,
+            ),
+        ];
+        let blocks = Arc::new(conflicting_blocks(600));
+        let pool = NeighborPool::default();
+        let verdicts = verify_trace(
+            CacheConfig::paper_cache(1),
+            16,
+            blocks,
+            &searches,
+            &pool,
+            Some(1),
+        )
+        .unwrap();
+        // One baseline replay and one winner replay per search, all on one
+        // pre-classification.
+        let stats = verdicts.replayer.replay_stats();
+        assert_eq!((stats.replays, stats.preclass_builds), (4, 1));
+        for (verified, &(class, _)) in verdicts.outcomes.iter().zip(&searches) {
+            assert_eq!(verified.baseline, verdicts.baseline);
+            assert_eq!(verified.candidates[0].function, verified.search.function);
+            assert!(class.admits(&verified.search.function.null_space()));
+        }
+        assert_eq!(verdicts.outcomes.len(), 3);
     }
 
     #[test]

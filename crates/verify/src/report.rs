@@ -1,10 +1,13 @@
 //! Multi-class evaluation reports.
 
 use std::fmt;
+use std::sync::Arc;
 
 use cache_sim::{BlockAddr, CacheConfig, CacheStats};
+use xorindex::search::NeighborPool;
+use xorindex::{hardware, FunctionClass, SearchAlgorithm};
 
-use crate::{hardware, FunctionClass, OptimizationOutcome, Optimizer, SearchAlgorithm};
+use crate::{verify_trace, OptimizationOutcome};
 
 /// One row of an [`EvaluationReport`]: the outcome of optimizing one function
 /// class for the trace.
@@ -34,7 +37,8 @@ impl ReportRow {
 ///
 /// ```
 /// use cache_sim::{BlockAddr, CacheConfig};
-/// use xorindex::{EvaluationReport, FunctionClass};
+/// use xorindex::FunctionClass;
+/// use xorindex_verify::EvaluationReport;
 ///
 /// let blocks: Vec<BlockAddr> = (0..500u64).map(|i| BlockAddr((i % 2) * 256)).collect();
 /// let report = EvaluationReport::evaluate(
@@ -76,7 +80,11 @@ impl EvaluationReport {
     }
 
     /// Same as [`EvaluationReport::evaluate`] with an explicit search
-    /// algorithm.
+    /// algorithm, through one [`verify_trace`] call for all classes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is invalid (`set_bits >= hashed_bits`).
     #[must_use]
     pub fn evaluate_with(
         name: impl Into<String>,
@@ -86,35 +94,39 @@ impl EvaluationReport {
         blocks: &[BlockAddr],
         algorithm: SearchAlgorithm,
     ) -> Self {
-        let mut rows = Vec::with_capacity(classes.len());
-        let mut baseline = CacheStats::new();
-        for &class in classes {
-            let optimizer = Optimizer::builder()
-                .cache(cache)
-                .hashed_bits(hashed_bits)
-                .function_class(class)
-                .search(algorithm)
-                .build();
-            let outcome = optimizer.optimize(blocks.iter().copied());
-            baseline = outcome.baseline_stats;
-            let scheme = match class {
-                FunctionClass::BitSelecting => hardware::IndexingScheme::OptimizedBitSelect,
-                FunctionClass::PermutationBased { .. } => {
-                    hardware::IndexingScheme::PermutationBased2
+        let searches: Vec<_> = classes.iter().map(|&class| (class, algorithm)).collect();
+        let verdicts = verify_trace(
+            cache,
+            hashed_bits,
+            Arc::new(blocks.to_vec()),
+            &searches,
+            &NeighborPool::default(),
+            None,
+        )
+        .expect("optimization failed; check cache geometry against hashed_bits");
+        let rows = classes
+            .iter()
+            .zip(verdicts.outcomes)
+            .map(|(&class, verified)| {
+                let scheme = match class {
+                    FunctionClass::BitSelecting => hardware::IndexingScheme::OptimizedBitSelect,
+                    FunctionClass::PermutationBased { .. } => {
+                        hardware::IndexingScheme::PermutationBased2
+                    }
+                    FunctionClass::Xor { .. } => hardware::IndexingScheme::GeneralXor2,
+                };
+                ReportRow {
+                    class,
+                    outcome: OptimizationOutcome::from_verified(verified, verdicts.profile),
+                    hardware_switches: hardware::cost(scheme, hashed_bits, cache.set_bits())
+                        .switches,
                 }
-                FunctionClass::Xor { .. } => hardware::IndexingScheme::GeneralXor2,
-            };
-            let hardware_switches = hardware::cost(scheme, hashed_bits, cache.set_bits()).switches;
-            rows.push(ReportRow {
-                class,
-                outcome,
-                hardware_switches,
-            });
-        }
+            })
+            .collect();
         EvaluationReport {
             name: name.into(),
             cache,
-            baseline,
+            baseline: verdicts.baseline.stats,
             rows,
         }
     }

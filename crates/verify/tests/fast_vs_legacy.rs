@@ -9,16 +9,16 @@
 //! byte tables, including partial last bytes, and some traces carry address
 //! bits above the hashed width.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use cache_sim::{BlockAddr, CacheConfig, MissClassifier, ReuseStream};
+use cache_sim::{BlockAddr, Cache, CacheConfig, MissClassifier, ModuloIndex, ReuseStream};
 use gf2::BitMatrix;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workloads::{Scale, WorkloadSuite};
-use xorindex::HashFunction;
-use xorindex_verify::TraceReplayer;
+use xorindex::{HashFunction, SearchOutcome};
+use xorindex_verify::{verified_pick, EstimateAudit, TraceReplayer};
 
 /// Hashed address widths the candidates consume: 1 to 4 byte tables, with
 /// full and partial last bytes.
@@ -119,6 +119,41 @@ proptest! {
         let legacy = replayer.replay_legacy(&function).unwrap();
         let fast = replayer.replay(&function).unwrap();
         prop_assert_eq!(&fast, &legacy, "width {}", hashed_bits);
+        // The legacy replay is the classified simulator's answer.
+        let mut cache = Cache::new(config, function.to_index_function()).with_classification();
+        prop_assert_eq!(&legacy.stats, &cache.simulate_blocks(trace.iter().copied()));
+    }
+
+    #[test]
+    fn verified_pick_matches_the_legacy_simulator(
+        (hashed_bits, trace) in width_strategy().prop_flat_map(|n| (Just(n), trace_strategy(n))),
+        config in config_strategy(),
+        seeds in proptest::collection::vec(any::<u64>(), 1..5),
+    ) {
+        let m = config.set_bits();
+        let functions: Vec<_> = seeds.iter().map(|&s| function_for(s as u8, s, hashed_bits, m)).collect();
+        let estimates: Vec<u64> = seeds.iter().map(|s| s % 500).collect();
+        let (function, estimated_misses) = (functions[0].clone(), estimates[0]);
+        let search = SearchOutcome { function, estimated_misses, baseline_estimate: 0, evaluations: 0, steps: 0 };
+        let replayer = TraceReplayer::new(config, Arc::clone(&trace));
+        let baseline = OnceLock::new();
+        let pick = || {
+            verified_pick(&replayer, search.clone(), functions.clone(), estimates.clone(), &baseline)
+        };
+        let first = pick().unwrap();
+        let sims: Vec<_> = functions.iter().map(|f| replayer.replay_legacy(f).unwrap()).collect();
+        let mut modulo = Cache::new(config, ModuloIndex::for_config(&config)).with_classification();
+        prop_assert_eq!(first.baseline.stats, modulo.simulate_blocks(trace.iter().copied()));
+        let fewest = sims.iter().map(|s| s.misses()).min().unwrap();
+        prop_assert_eq!(first.winner, sims.iter().position(|s| s.misses() == fewest).unwrap());
+        prop_assert_eq!(first.loses_to_baseline(), fewest > first.baseline.misses());
+        let pairs: Vec<_> = estimates.iter().zip(&sims).map(|(&e, s)| (e, s.conflict_misses())).collect();
+        prop_assert_eq!(first.audit, EstimateAudit::new(&pairs));
+        prop_assert!(first.candidates.iter().map(|c| &c.sim).eq(&sims));
+        // A second pick reuses the cached baseline: it replays the slate only.
+        let replays = replayer.replay_stats().replays;
+        prop_assert_eq!(pick().unwrap(), first);
+        prop_assert_eq!(replayer.replay_stats().replays, replays + sims.len() as u64);
     }
 
     #[test]

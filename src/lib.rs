@@ -37,16 +37,18 @@ pub use xorindex_verify;
 /// Commonly used items, re-exported for examples and quick experiments.
 pub mod prelude {
     pub use cache_sim::{
-        AccessOutcome, BlockAddr, Cache, CacheConfig, CacheStats, FullyAssociativeCache,
-        IndexFunction, ModuloIndex, XorIndex,
+        AccessOutcome, BlockAddr, Cache, CacheConfig, CacheStats, IndexFunction, ModuloIndex,
+        XorIndex,
     };
     pub use gf2::{BitMatrix, BitVec, Subspace};
     pub use memtrace::{AccessKind, Trace, TraceBuilder, TraceRecord};
     pub use workloads::{Scale, Workload, WorkloadSuite};
     pub use xorindex::{
-        ConflictProfile, EvaluationReport, FrozenKernel, FunctionClass, HashFunction,
-        MissEstimator, Optimizer, SearchAlgorithm, ShardedMemo,
+        ConflictProfile, FrozenKernel, FunctionClass, HashFunction, MissEstimator, SearchAlgorithm,
+        ShardedMemo,
     };
     pub use xorindex_serve::{IndexService, Registration, Request, Response, WorkerPool};
-    pub use xorindex_verify::{EstimateAudit, SimStats, TraceReplayer, VerifiedOutcome};
+    pub use xorindex_verify::{
+        EstimateAudit, EvaluationReport, Optimizer, SimStats, TraceReplayer, VerifiedOutcome,
+    };
 }

@@ -21,7 +21,7 @@ fn optimize(
     blocks: &[BlockAddr],
     cache: CacheConfig,
     class: FunctionClass,
-) -> xorindex::OptimizationOutcome {
+) -> xorindex_verify::OptimizationOutcome {
     Optimizer::builder()
         .cache(cache)
         .hashed_bits(HASHED_BITS)

@@ -133,8 +133,9 @@ fn fully_associative_caches_are_not_always_better_than_good_xor_indexing() {
         .unwrap();
     let blocks: Vec<BlockAddr> = (0..2000u64).map(|i| BlockAddr(i % 17)).collect();
 
-    let mut fa = FullyAssociativeCache::for_config(&cache);
-    let fa_stats = fa.simulate_blocks(blocks.iter().copied());
+    // Table 3's `FA` column: read from the replayer's reuse stream.
+    let fa_stats =
+        TraceReplayer::new(cache, std::sync::Arc::new(blocks.clone())).fully_associative();
 
     let mut dm = Cache::new(cache, ModuloIndex::for_config(&cache));
     let dm_stats = dm.simulate_blocks(blocks.iter().copied());
