@@ -1,8 +1,9 @@
 //! Bench for the search-cost claim of Section 3.2: constructing a hash
 //! function takes 0.5–10 s on the paper's 2 GHz Pentium 4. This target
-//! measures the three pipeline stages separately — profiling, a single
-//! Eq. 4 evaluation, and the full hill climb — so the cost model of the
-//! search can be compared against that figure.
+//! measures the three pipeline stages separately — profiling (on a typical,
+//! a vector-heavy and a short trace), a single Eq. 4 evaluation, and the
+//! full hill climb — so the cost model of the search can be compared against
+//! that figure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2::PackedBasis;
@@ -19,15 +20,43 @@ fn bench_search_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("search_cost");
     group.sample_size(10);
 
-    group.bench_function("profiling_pass", |b| {
-        b.iter(|| {
-            black_box(ConflictProfile::from_blocks(
-                prepared.blocks.iter().copied(),
-                HASHED_BITS,
-                prepared.cache.num_blocks() as usize,
-            ))
-        })
-    });
+    // Profiling rows: susan@4KB; des@16KB, a vector-heavy trace (63,360
+    // references, ~10.8 M conflict vectors); and susan@4KB's first 200
+    // references, where the fixed cost of the histogram's flat table
+    // (allocating and scanning 2^16 slots) dominates.
+    let des = prepare_data("des", 16);
+    for (id, blocks, cache) in [
+        (
+            BenchmarkId::from("profiling_pass"),
+            &prepared.blocks[..],
+            prepared.cache,
+        ),
+        (
+            BenchmarkId::new("profiling_pass", "des@16KB"),
+            &des.blocks[..],
+            des.cache,
+        ),
+        (
+            BenchmarkId::new("profiling_pass", "susan@4KB/first_200"),
+            &prepared.blocks[..200],
+            prepared.cache,
+        ),
+    ] {
+        let capacity = cache.num_blocks() as usize;
+        let profile =
+            || ConflictProfile::from_blocks(blocks.iter().copied(), HASHED_BITS, capacity);
+        // Every reference is a first touch, a capacity miss or profiled, and
+        // the histogram holds at most the vectors recorded.
+        let checked = profile();
+        let summary = checked.summary();
+        assert_eq!(summary.references, blocks.len() as u64);
+        assert_eq!(
+            summary.compulsory + summary.capacity + summary.profiled,
+            summary.references
+        );
+        assert!(checked.total_weight() <= summary.conflict_vectors);
+        group.bench_function(id, |b| b.iter(|| black_box(profile())));
+    }
 
     let conventional =
         HashFunction::conventional(HASHED_BITS, prepared.cache.set_bits()).expect("valid");

@@ -5,9 +5,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 /// FxHash-style hasher: one rotate, xor and multiply per `u64` word. The
 /// maps it serves are internal (no untrusted keys) — canonical-key pivot
-/// patterns in the memo, conflict vectors and block addresses in the
-/// profiler — so SipHash's DoS resistance buys nothing there and costs
-/// several times the probe.
+/// patterns in the memo, block addresses in the profiler's recency window,
+/// and the profiler's conflict vectors of `2^16` and above (smaller ones,
+/// every vector at `n ≤ 16`, are counted in a flat table instead) — so
+/// SipHash's DoS resistance buys nothing there and costs several times the
+/// probe.
 ///
 /// `finish` rotates the product's well-mixed high bits down. `HashMap` picks
 /// a bucket by the low bits of the hash, and a bare product keeps the word's

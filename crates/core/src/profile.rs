@@ -39,6 +39,12 @@ pub struct ProfileSummary {
 /// no index function can avoid their misses. A reuse at distance `d` costs
 /// O(1 + d): it scans only the `d` blocks whose vectors it records.
 ///
+/// Each recorded vector below `2^min(n, 16)` is one indexed add into a flat
+/// counter table (512 KiB at the paper's `n = 16`); only wider vectors go
+/// through a word-hashed map. One ascending scan of the table, followed by
+/// the sorted map, yields the entries, so at `n ≤ 16` no vector is hashed
+/// or sorted.
+///
 /// The histogram then estimates the conflict misses of *any* hash function `H`
 /// as `Σ_{v ∈ N(H)} misses(v)` (paper Eq. 4) — see
 /// [`MissEstimator`](crate::MissEstimator).
@@ -72,6 +78,17 @@ pub struct ConflictProfile {
     /// zero vector nor a zero weight appears.
     entries: Vec<(u64, u64)>,
 }
+
+/// Conflict vectors below `2^FLAT_BITS` are counted in a flat table indexed
+/// by the vector; wider ones in a word-hashed map. At 16 bits the table is
+/// 512 KiB of `u64` counters and stays cache-resident; a 20-bit table
+/// (8 MiB) measured slower on 20- and 26-bit profiles too.
+const FLAT_BITS: usize = 16;
+
+/// Table slots tested together (one OR) before the extraction scan looks at
+/// them one by one, so that the mostly empty table of a short trace is
+/// skipped 16 slots at a time.
+const SCAN_CHUNK: usize = 16;
 
 /// The low `hashed_bits` bits of a word.
 fn width_mask(hashed_bits: usize) -> u64 {
@@ -109,26 +126,36 @@ impl ConflictProfile {
         let mut start = 0usize;
         // Every block seen, and whether it is still inside the window.
         let mut in_window: WordMap<u64, bool> = WordMap::default();
-        let mut counts: WordMap<u64, u64> = WordMap::default();
+        // `flat[v]` counts vector `v` below `slots`, `2^min(n, FLAT_BITS)`
+        // but at least one whole scan chunk; `wide` the rest. The table is
+        // allocated at the first near reuse, so a trace without one costs
+        // nothing extra. Slot 0 collects the zero vector, which only
+        // truncation of high-order bits produces: it never represents an
+        // avoidable conflict, so it is dropped from the entries (it still
+        // counts in `conflict_vectors`).
+        let slots = (1u64 << hashed_bits.min(FLAT_BITS)).max(SCAN_CHUNK as u64);
+        let mut flat: Vec<u64> = Vec::new();
+        let mut wide: WordMap<u64, u64> = WordMap::default();
         let mut summary = ProfileSummary::default();
         for block in blocks {
             summary.references += 1;
             let x = block.as_u64();
             match in_window.insert(x, true) {
                 Some(true) => {
+                    if flat.is_empty() {
+                        flat = vec![0; slots as usize];
+                    }
                     // The blocks above `x` are the ones touched since its
                     // last use, at most `capacity` of them.
                     let live = &mut window[start..];
                     let mut distance = 0usize;
                     for &y in live.iter().rev().take_while(|&&y| y != x) {
                         distance += 1;
-                        // The zero vector can only arise from truncation of
-                        // high-order bits; it never represents an avoidable
-                        // conflict, so it is not recorded (it still counts
-                        // in `conflict_vectors`).
                         let v = (x ^ y) & mask;
-                        if v != 0 {
-                            *counts.entry(v).or_insert(0) += 1;
+                        if v < slots {
+                            flat[v as usize] += 1;
+                        } else {
+                            *wide.entry(v).or_insert(0) += 1;
                         }
                     }
                     let at = live.len() - 1 - distance;
@@ -154,8 +181,21 @@ impl ConflictProfile {
                 }
             }
         }
-        let mut entries: Vec<(u64, u64)> = counts.into_iter().collect();
-        entries.sort_unstable_by_key(|&(v, _)| v);
+        let mut entries: Vec<(u64, u64)> = Vec::new();
+        for (chunk, counts) in flat.chunks_exact(SCAN_CHUNK).enumerate() {
+            if counts.iter().fold(0, |any, &w| any | w) != 0 {
+                let base = (chunk * SCAN_CHUNK) as u64;
+                entries.extend(
+                    (base..)
+                        .zip(counts.iter().copied())
+                        .filter(|&(v, w)| v != 0 && w != 0),
+                );
+            }
+        }
+        // Every map key lies above the table, so the sorted map follows it.
+        let table_entries = entries.len();
+        entries.extend(wide);
+        entries[table_entries..].sort_unstable_by_key(|&(v, _)| v);
         ConflictProfile {
             hashed_bits,
             capacity_blocks,
@@ -461,6 +501,65 @@ mod tests {
         // With 20 hashed bits the vector is visible.
         let p = ConflictProfile::from_blocks(blocks(&[0, 0x1_0000, 0, 0x1_0000]), 20, 64);
         assert_eq!(p.misses_of(0x1_0000), 2);
+    }
+
+    #[test]
+    fn entries_straddle_the_flat_table_in_ascending_order() {
+        // a = 0, b = 0xffff (the table's last slot at n ≥ 16), c = 0x1_0000
+        // (the first vector above it), d = 2^26 - 1, e = 2^26. Reusing a
+        // sees e, d, c, b above it; reusing b then sees a, e, d, c.
+        let (a, b, c, d, e) = (0, 0xffff, 0x1_0000, 0x3ff_ffff, 0x400_0000);
+        let seq = [a, b, c, d, e, a, b];
+        let counters = ProfileSummary {
+            references: 7,
+            compulsory: 5,
+            capacity: 0,
+            profiled: 2,
+            conflict_vectors: 8,
+        };
+        // At n = 26, a ^ e truncates to zero and b ^ e to b.
+        let p = ConflictProfile::from_blocks(blocks(&seq), 26, 8);
+        assert_eq!(p.summary(), counters);
+        assert_eq!(
+            p.entries(),
+            &[
+                (0xffff, 3),
+                (0x1_0000, 1),
+                (0x1_ffff, 1),
+                (0x3ff_0000, 1),
+                (0x3ff_ffff, 1),
+            ]
+        );
+        let p = ConflictProfile::from_blocks(blocks(&seq), 64, 8);
+        assert_eq!(p.summary(), counters);
+        assert_eq!(
+            p.entries(),
+            &[
+                (0xffff, 2),
+                (0x1_0000, 1),
+                (0x1_ffff, 1),
+                (0x3ff_0000, 1),
+                (0x3ff_ffff, 1),
+                (0x400_0000, 1),
+                (0x400_ffff, 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn tables_narrower_than_a_scan_chunk_keep_their_top_slot() {
+        // Reusing 0 sees 8, 7, 6, 1 above it; 0 ^ 8 truncates to zero at
+        // every width below 4.
+        let seq = [0, 1, 6, 7, 8, 0];
+        for (width, expected) in [
+            (1, &[(1, 2)][..]),
+            (2, &[(1, 1), (2, 1), (3, 1)][..]),
+            (3, &[(1, 1), (6, 1), (7, 1)][..]),
+        ] {
+            let p = ConflictProfile::from_blocks(blocks(&seq), width, 8);
+            assert_eq!(p.entries(), expected, "width {width}");
+            assert_eq!(p.summary().conflict_vectors, 4, "width {width}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use cache_sim::{BlockAddr, Cache, CacheConfig, LruStack, ModuloIndex, StackScan};
+use cache_sim::{BlockAddr, Cache, CacheConfig, LruStack, StackScan};
 use gf2::{BitVec, Subspace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -104,18 +104,35 @@ proptest! {
         // at least one conflict vector inside the indexing function's null
         // space, so the Eq. 4 estimate can never be smaller than the
         // simulated conflict-miss count for that same function — the
-        // conventional one the profile was gathered against, and any other.
+        // conventional one the profile was gathered against, a random
+        // full-rank one, a few random bit-selecting ones, and the hill
+        // climb's pick in each class the system searches.
+        use rand::seq::SliceRandom;
         let profile = profile_of(&blocks, &cache);
         let estimator = MissEstimator::new(&profile);
-        let conventional = HashFunction::conventional(HASHED_BITS, cache.set_bits()).unwrap();
-        let mut sim = Cache::new(cache, ModuloIndex::for_config(&cache)).with_classification();
-        let conventional_misses = sim.simulate_blocks(blocks.iter().copied()).conflict_misses;
+        let set_bits = cache.set_bits();
         let mut rng = StdRng::seed_from_u64(seed);
-        let matrix = gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, cache.set_bits());
-        let random = HashFunction::new(matrix).expect("full rank");
-        let mut sim = Cache::new(cache, random.to_index_function()).with_classification();
-        let random_misses = sim.simulate_blocks(blocks.iter().copied()).conflict_misses;
-        for (function, simulated) in [(conventional, conventional_misses), (random, random_misses)] {
+        let matrix = gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, set_bits);
+        let mut functions = vec![
+            HashFunction::conventional(HASHED_BITS, set_bits).unwrap(),
+            HashFunction::new(matrix).expect("full rank"),
+        ];
+        let mut bits: Vec<usize> = (0..HASHED_BITS).collect();
+        for _ in 0..4 {
+            bits.shuffle(&mut rng);
+            functions.push(HashFunction::bit_selecting(HASHED_BITS, &bits[..set_bits]).unwrap());
+        }
+        for class in [
+            FunctionClass::bit_selecting(),
+            FunctionClass::permutation_based(2),
+            FunctionClass::xor_unlimited(),
+        ] {
+            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
+            functions.push(searcher.run(SearchAlgorithm::HillClimb).unwrap().function);
+        }
+        for function in functions {
+            let mut sim = Cache::new(cache, function.to_index_function()).with_classification();
+            let simulated = sim.simulate_blocks(blocks.iter().copied()).conflict_misses;
             let estimate = estimator.estimate(&function).unwrap();
             prop_assert!(
                 estimate >= simulated,
@@ -361,7 +378,9 @@ const PROFILE_WIDTHS: [usize; 7] = [1, 8, 12, 16, 20, 26, 64];
 /// the largest footprint, so reuses also fall beyond it), and a trace over a
 /// small footprint (so reuses conflict) whose blocks carry random bits above
 /// the width, plus `u64::MAX` — so conflict vectors truncate to zero and
-/// alias.
+/// alias. A block's in-width bits are a small offset (so vectors coincide),
+/// optionally plus one random in-width bit or a random in-width word, so
+/// vectors fall on both sides of the profiler's `2^16`-slot flat table.
 fn profiling_case_strategy() -> impl Strategy<Value = (usize, usize, Vec<BlockAddr>)> {
     (
         0..PROFILE_WIDTHS.len(),
@@ -375,13 +394,21 @@ fn profiling_case_strategy() -> impl Strategy<Value = (usize, usize, Vec<BlockAd
             let width = PROFILE_WIDTHS[w];
             let capacity = if small { 1 + capacity % 40 } else { capacity };
             let mut rng = StdRng::seed_from_u64(seed);
+            let in_width = |rng: &mut StdRng| {
+                let offset = rng.gen_range(0..64u64);
+                let spread = match rng.gen_range(0..3u32) {
+                    0 => 0,
+                    1 => 1 << rng.gen_range(0..width),
+                    _ => rng.gen::<u64>(),
+                };
+                offset | (spread & (u64::MAX >> (64 - width)))
+            };
             let blocks: Vec<u64> = (0..footprint)
                 .map(|_| match rng.gen_range(0..8u32) {
                     0 => u64::MAX,
-                    1..=3 => rng.gen_range(0..64u64),
+                    1..=3 => in_width(&mut rng),
                     _ => {
-                        rng.gen_range(0..64u64)
-                            | rng.gen::<u64>().checked_shl(width as u32).unwrap_or(0)
+                        in_width(&mut rng) | rng.gen::<u64>().checked_shl(width as u32).unwrap_or(0)
                     }
                 })
                 .collect();

@@ -26,8 +26,8 @@
 //! crate rather than the original ARM binaries, so absolute values differ from
 //! the paper; the *relationships* the paper reports (who wins, by roughly what
 //! factor, how the gap changes with cache size) are what these experiments
-//! reproduce. `EXPERIMENTS.md` at the repository root records a side-by-side
-//! comparison.
+//! reproduce. `repro all` prints every table; its quick-mode output is pinned
+//! byte for byte by `crates/experiments/tests/golden/all_quick.txt`.
 //!
 //! Run everything from the command line:
 //!
