@@ -8,10 +8,6 @@
 //! pricing step — the full susan @ 4 KB neighbourhood under the parent's own
 //! cost as the incumbent — in every configuration:
 //!
-//! * `lanes` — [`FrozenKernel::cost_neighborhood_bounded`] at bound
-//!   `u64::MAX`: every lane summed to completion;
-//! * `bounded` — [`FrozenKernel::cost_neighborhood_bounded`] under the
-//!   incumbent: lanes stop scanning once they reach it;
 //! * `engine/unbounded` — the engine's ranking call
 //!   ([`EvalEngine::estimate_neighborhood`], the bounded route at
 //!   `u64::MAX`): every lane summed to completion from the cached histogram;
@@ -22,8 +18,8 @@
 //!   scaffold cache cleared before each iteration vs left warm, isolating
 //!   what regrouping the histogram per step costs.
 //!
-//! Every path is asserted bit-identical to the scalar reference before any
-//! timing. The `CRITERION_JSON` records land in `BENCH_bounded.json` on CI.
+//! Every path is asserted bit-identical to the scalar reference
+//! ([`FrozenKernel::cost`]) before any timing. The `CRITERION_JSON` records land in `BENCH_bounded.json` on CI.
 
 use std::hint::black_box;
 
@@ -45,22 +41,19 @@ fn bench_bounded_sliced(c: &mut Criterion) {
     let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, profile);
     let parent = PackedBasis::standard_span(HASHED_BITS, susan.cache.set_bits()..HASHED_BITS);
     let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::xor_unlimited(), &pool);
-    let parent_span = nbhd.parent_span().expect("non-empty neighbourhood");
-    let lanes: Vec<(usize, u64)> = nbhd
-        .candidates
-        .iter()
-        .map(|c| (c.hyperplane, c.direction))
-        .collect();
-    let n = lanes.len();
+    let n = nbhd.candidates.len();
     // The hill-climb incumbent at the first step: the parent's own cost.
     let bound = kernel.cost(&parent);
 
-    // Bit-identity before timing anything: bounded kernel pricing is exact
-    // for every lane below the incumbent and `AtLeast(bound)` otherwise, the
-    // engine route reproduces it at every thread count, and the unbounded
-    // engine route is the scalar path.
+    // Bit-identity before timing anything: bounded engine pricing is exact
+    // for every lane below the incumbent and `AtLeast(bound)` otherwise, at
+    // every thread count, and the unbounded engine route is the scalar path.
     let scalar: Vec<u64> = nbhd.bases().map(|b| kernel.cost(b)).collect();
-    let bounded = kernel.cost_neighborhood_bounded(&parent_span, &nbhd.hyperplanes, &lanes, bound);
+    let price = |threads: usize| {
+        let mut engine = EvalEngine::new(profile).with_threads(threads);
+        engine.estimate_neighborhood_bounded(&nbhd, bound)
+    };
+    let bounded = price(1);
     for (cost, &truth) in bounded.iter().zip(&scalar) {
         match *cost {
             BoundedCost::Exact(c) => assert_eq!(c, truth),
@@ -70,11 +63,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
             }
         }
     }
-    let price = |threads: usize| {
-        let mut engine = EvalEngine::new(profile).with_threads(threads);
-        engine.estimate_neighborhood_bounded(&nbhd, bound)
-    };
-    assert_eq!(price(1), bounded);
     assert_eq!(price(4), bounded);
     // At bound `u64::MAX` every lane is exact.
     assert_eq!(
@@ -82,26 +70,6 @@ fn bench_bounded_sliced(c: &mut Criterion) {
         scalar
     );
 
-    group.bench_with_input(BenchmarkId::new("susan/lanes", n), &n, |b, _| {
-        b.iter(|| {
-            black_box(kernel.cost_neighborhood_bounded(
-                &parent_span,
-                &nbhd.hyperplanes,
-                &lanes,
-                u64::MAX,
-            ))
-        })
-    });
-    group.bench_with_input(BenchmarkId::new("susan/bounded", n), &n, |b, _| {
-        b.iter(|| {
-            black_box(kernel.cost_neighborhood_bounded(
-                &parent_span,
-                &nbhd.hyperplanes,
-                &lanes,
-                bound,
-            ))
-        })
-    });
     // The engine-level baseline: the ranking call, every lane summed to
     // completion from the warm grouped histogram.
     let mut engine = EvalEngine::new(profile).with_threads(1);

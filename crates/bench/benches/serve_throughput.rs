@@ -113,8 +113,8 @@ fn bench_serve_throughput(c: &mut Criterion) {
     let _ = price_all(&pool); // warm it
     group.bench_function("memo_warm/4", |b| b.iter(|| black_box(price_all(&pool))));
 
-    // Wide-width contrast: a second application at n = 26 served through the
-    // hybrid profile (dense tail + binary search, no flat table). Same
+    // Wide-width contrast: a second application at n = 26, whose vectors
+    // span a dozen dimensions (a small weight table, no flat one). Same
     // request shape, four workers, fresh pricing per iteration.
     const WIDE_BITS: usize = 26;
     let wide_trace: Vec<cache_sim::BlockAddr> = {

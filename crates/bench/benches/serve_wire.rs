@@ -144,7 +144,7 @@ fn bench_serve_wire(c: &mut Criterion) {
     }
 
     // Warm-restart costs: serialize the two-application registry, and
-    // rebuild a service (validated profile entries + re-laid lookup tails)
+    // rebuild a service (validated profile entries, each kernel re-frozen)
     // from the image.
     group.bench_function("snapshot/save", |b| {
         b.iter(|| black_box(service.snapshot().len()))

@@ -1,122 +1,169 @@
-//! The dense point-lookup tail a [`FrozenKernel`] lays over its profile.
+//! The dense weight table a [`FrozenKernel`] prices from, in the profile's
+//! own coordinates.
 //!
-//! A [`ConflictProfile`](crate::ConflictProfile) holds its histogram as
-//! `(vector, weight)` pairs sorted by vector — the cache-friendly layout for
-//! scanning the whole histogram. Eq. 4 also looks single vectors up, up to
-//! `2^(n−m)` of them per candidate, and each binary search over the entries
-//! costs a dozen dependent loads. So the kernel adds a dense *tail*: a flat
-//! weight array covering the vectors below `2^tail_bits`, sized to the
-//! hottest low-index region of the histogram rather than to the full
-//! address space. Point lookups that land under the tail are one indexed
-//! load; the rest binary-search only the entries above it.
+//! Eq. 4 sums `misses(v)` over a null space `N(H)`, but every recorded
+//! conflict vector lies in `P`, the span of the profile's vectors, so only
+//! `N(H) ∩ P` can carry weight. At freeze the kernel takes `P`'s canonical
+//! basis (`d = dim P` rows) and re-keys the histogram by each vector's
+//! coordinates over those rows ([`PackedBasis::decompose`]) into a flat
+//! `2^d`-slot weight table. `decompose` is linear, so a word's remainder and
+//! coordinates are the XOR of its bytes' entries in `⌈n/8⌉` 256-entry
+//! tables built once.
 //!
-//! Narrow profiles (`hashed_bits ≤` [`FLAT_LOOKUP_MAX_BITS`]) get a tail
-//! spanning the whole space, so every lookup is a flat load (at the 20-bit
-//! limit that is `2^20 × 8 B = 8 MB`; the paper's configuration uses
-//! n = 16, i.e. 512 KB). Wider profiles do not fall off a cliff into pure
-//! binary search: conflict vectors are XORs of addresses and cluster heavily
-//! in the low-index region (small strides), so the kernel materializes a
-//! tail over that region whenever it is occupied densely enough to pay for
-//! itself. Whatever the tail, lookups answer bit-identically.
+//! A candidate is priced by decomposing its null-space rows and eliminating
+//! their remainders: a combination of rows lies in `P` exactly when its
+//! remainders cancel, so the eliminations that reach remainder 0 leave a
+//! coordinate basis of `N(H) ∩ P`. The Gray-code sum of the table over that
+//! basis is the Eq. 4 cost. On the paper's roster `d ≤ 15` at n = 16, 20 and
+//! 26 alike, and on the served apps `dim(N(H) ∩ P)` averages 0–3, so a
+//! candidate costs a handful of loads whatever its null space's dimension.
+//!
+//! A profile whose span is wider than [`FLAT_LOOKUP_MAX_BITS`] gets no table
+//! (it would exceed `2^20 × 8 B = 8 MB`); its kernel scans the sorted
+//! entries instead.
 //!
 //! [`FrozenKernel`]: crate::FrozenKernel
 
-/// Widest `hashed_bits` for which a kernel's tail covers the *entire* space
-/// (the flat lookup), and the widest tail any kernel holds.
+use gf2::PackedBasis;
+
+/// Widest span dimension `d` for which a kernel keeps a `2^d`-slot weight
+/// table; a profile whose conflict vectors span more dimensions is priced by
+/// scanning its entries.
 pub const FLAT_LOOKUP_MAX_BITS: usize = 20;
 
-/// A candidate tail must cover at least three quarters of the entries any
-/// tail under the cap could cover; otherwise a smaller tail is chosen.
-const TAIL_COVERAGE_NUM: usize = 3;
-const TAIL_COVERAGE_DEN: usize = 4;
+/// The canonical basis of the span of `entries`' vectors in GF(2)^`width`.
+///
+/// Vectors are reduced against an echelon basis indexed by leading bit.
+/// While the span is all of the coordinate subspace of the bits seen so far
+/// (its dimension equals their count), a vector inside those bits is a
+/// member without any reduction; on address-XOR profiles that holds for
+/// almost every entry.
+pub(crate) fn span_of(entries: &[(u64, u64)], width: usize) -> PackedBasis {
+    let mut by_lead = [0u64; 64];
+    let mut dim = 0;
+    let mut seen = 0u64;
+    for &(v, _) in entries {
+        if v & !seen == 0 && dim == seen.count_ones() {
+            continue;
+        }
+        seen |= v;
+        let mut rest = v;
+        while rest != 0 {
+            let lead = 63 - rest.leading_zeros() as usize;
+            if by_lead[lead] == 0 {
+                by_lead[lead] = rest;
+                dim += 1;
+                break;
+            }
+            rest ^= by_lead[lead];
+        }
+    }
+    let mut span = PackedBasis::trivial(width);
+    for &row in by_lead.iter().filter(|&&row| row != 0) {
+        span.insert(row);
+    }
+    span
+}
 
-/// A tail is only materialized when at least one slot in 64 would be
-/// occupied (and never for fewer than four entries) — sparser regions are
-/// cheaper to binary-search than to cache-miss through.
-const TAIL_MIN_OCCUPANCY_SHIFT: usize = 6;
-const TAIL_MIN_ENTRIES: usize = 4;
-
-/// A flat weight table over the vectors below `2^bits`, answering point
-/// lookups over a sorted entry slice together with a binary search above
-/// it.
+/// The profile's histogram keyed by coordinates over its span `P`, with the
+/// per-byte tables that map a word to its remainder and coordinates.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LookupTail {
-    /// `misses(v)` for every `v < 2^bits`; empty when no tail is
-    /// materialized.
-    table: Vec<u64>,
-    /// Width of the tail in bits; 0 exactly when `table` is empty.
-    bits: usize,
-    /// Index of the first entry `≥ 2^bits`: entries below it are answered
-    /// by the table, the slice above it by binary search.
-    split: usize,
+pub(crate) struct SpanTable {
+    /// `bytes[k][b]`: the remainder modulo `P` and the coordinates over `P`'s
+    /// rows of the word `b << 8k`.
+    bytes: Box<[[(u64, u64); 256]]>,
+    /// `misses(v)` at `v`'s coordinates, for every `v ∈ P`.
+    weights: Box<[u64]>,
 }
 
-impl LookupTail {
-    /// The default tail width for a profile's sorted entries: the whole
-    /// space for narrow profiles (kept even when they are empty); for wider
-    /// ones, the smallest width covering three quarters of what a
-    /// [`FLAT_LOOKUP_MAX_BITS`]-wide tail would cover — provided that region
-    /// is occupied densely enough to be worth materializing, else 0 (no
-    /// tail).
-    pub(crate) fn default_bits(entries: &[(u64, u64)], hashed_bits: usize) -> usize {
-        if hashed_bits <= FLAT_LOOKUP_MAX_BITS {
-            return hashed_bits;
+impl SpanTable {
+    /// Re-keys sorted `entries`, all inside `span`, by their coordinates over
+    /// `span`; `None` when `span` has more than [`FLAT_LOOKUP_MAX_BITS`]
+    /// dimensions.
+    pub(crate) fn new(span: &PackedBasis, entries: &[(u64, u64)]) -> Option<Self> {
+        if span.dim() > FLAT_LOOKUP_MAX_BITS {
+            return None;
         }
-        let target = covered_below(entries, FLAT_LOOKUP_MAX_BITS);
-        let bits = (1..FLAT_LOOKUP_MAX_BITS)
-            .find(|&t| covered_below(entries, t) * TAIL_COVERAGE_DEN >= target * TAIL_COVERAGE_NUM)
-            .unwrap_or(FLAT_LOOKUP_MAX_BITS);
-        let covered = covered_below(entries, bits);
-        let occupancy_floor = ((1usize << bits) >> TAIL_MIN_OCCUPANCY_SHIFT).max(TAIL_MIN_ENTRIES);
-        if covered >= occupancy_floor {
-            bits
-        } else {
-            0
+        let bytes = (0..span.width().div_ceil(8))
+            .map(|k| {
+                let mut table = [(0u64, 0u64); 256];
+                for b in 1..256 {
+                    let (remainder, coordinates) = table[b & (b - 1)];
+                    let (bit_remainder, bit_coordinates) =
+                        span.decompose(1u64 << (8 * k + b.trailing_zeros() as usize));
+                    table[b] = (remainder ^ bit_remainder, coordinates ^ bit_coordinates);
+                }
+                table
+            })
+            .collect();
+        let mut table = SpanTable {
+            bytes,
+            weights: vec![0; 1 << span.dim()].into_boxed_slice(),
+        };
+        for &(v, w) in entries {
+            let (remainder, coordinates) = table.decompose(v);
+            debug_assert_eq!(remainder, 0, "entry {v:#x} outside the span");
+            table.weights[coordinates as usize] = w;
+        }
+        Some(table)
+    }
+
+    /// [`PackedBasis::decompose`] over the span, from the byte tables.
+    fn decompose(&self, v: u64) -> (u64, u64) {
+        let mut out = (0, 0);
+        for (k, table) in self.bytes.iter().enumerate() {
+            let (remainder, coordinates) = table[(v >> (8 * k)) as usize & 0xFF];
+            out = (out.0 ^ remainder, out.1 ^ coordinates);
+        }
+        out
+    }
+
+    /// `misses(v)` for a vector inside the profile's width.
+    pub(crate) fn misses_of(&self, v: u64) -> u64 {
+        match self.decompose(v) {
+            (0, coordinates) => self.weights[coordinates as usize],
+            _ => 0,
         }
     }
 
-    /// Builds a `bits`-wide tail (0 = none) over sorted entries.
-    pub(crate) fn new(entries: &[(u64, u64)], bits: usize) -> Self {
-        if bits == 0 {
-            return LookupTail {
-                table: Vec::new(),
-                bits: 0,
-                split: 0,
-            };
+    /// The Eq. 4 weight of the null space `basis`, summed until it reaches
+    /// `bound`: exact when below `bound`, otherwise some sum `≥ bound`.
+    pub(crate) fn null_space_weight(&self, basis: &PackedBasis, bound: u64) -> u64 {
+        // Rows whose remainders did not cancel, by the remainder's leading
+        // bit, each with its coordinates; and the coordinates of the
+        // combinations that landed inside the span.
+        let mut outside = [(0u64, 0u64); 64];
+        let mut inside = [0u64; FLAT_LOOKUP_MAX_BITS];
+        let mut dim = 0;
+        for &row in basis.rows() {
+            let (mut remainder, mut coordinates) = self.decompose(row);
+            while remainder != 0 {
+                let pivot = 63 - remainder.leading_zeros() as usize;
+                let (held_remainder, held_coordinates) = outside[pivot];
+                if held_remainder == 0 {
+                    outside[pivot] = (remainder, coordinates);
+                    break;
+                }
+                remainder ^= held_remainder;
+                coordinates ^= held_coordinates;
+            }
+            if remainder == 0 {
+                // Independent of the earlier ones: it is the first to use
+                // this row, and coordinates over `P` are injective.
+                inside[dim] = coordinates;
+                dim += 1;
+            }
         }
-        let split = covered_below(entries, bits);
-        let mut table = vec![0u64; 1usize << bits];
-        for &(v, w) in &entries[..split] {
-            table[v as usize] = w;
+        let mut sum = 0;
+        let mut coordinates = 0;
+        let mut step = 1u64;
+        while sum < bound && step < 1 << dim {
+            coordinates ^= inside[step.trailing_zeros() as usize];
+            sum += self.weights[coordinates as usize];
+            step += 1;
         }
-        LookupTail { table, bits, split }
+        sum
     }
-
-    /// Width of the tail in bits (0 when none is materialized).
-    pub(crate) fn bits(&self) -> usize {
-        self.bits
-    }
-
-    /// Number of entries the table answers.
-    pub(crate) fn covered(&self) -> usize {
-        self.split
-    }
-
-    /// `misses(v)` over the `entries` the tail was built from.
-    pub(crate) fn lookup(&self, entries: &[(u64, u64)], v: u64) -> u64 {
-        if self.bits > 0 && (v >> self.bits) == 0 {
-            return self.table[v as usize];
-        }
-        let above = &entries[self.split..];
-        above
-            .binary_search_by_key(&v, |&(vector, _)| vector)
-            .map_or(0, |i| above[i].1)
-    }
-}
-
-/// Number of sorted entries with vector `< 2^bits` (`bits` below 64).
-fn covered_below(entries: &[(u64, u64)], bits: usize) -> usize {
-    entries.partition_point(|&(v, _)| v < (1u64 << bits))
 }
 
 #[cfg(test)]
@@ -135,74 +182,48 @@ mod tests {
         let seq: Vec<u64> = (0..300u64).map(|i| (i * 37) % 97).collect();
         let p = profile(&seq, 10);
         let k = FrozenKernel::new(&p);
-        assert!(k.has_flat_lookup());
-        assert!(k.has_dense_tail());
-        assert_eq!(k.tail_bits(), 10);
-        assert_eq!(k.tail_covered(), p.distinct_vectors());
+        assert!(k.has_weight_table());
         for v in 0..(1u64 << 10) {
             assert_eq!(k.misses_of(v), p.misses(BitVec::from_u64(v, 10)), "v={v}");
         }
+        // Bits above the width are truncated, as the profile truncates them.
+        assert_eq!(k.misses_of((1 << 10) | 0x3F), p.misses_of(0x3F));
         assert_eq!(k.profile().hashed_bits(), 10);
         assert_eq!(k.profile().capacity_blocks(), 64);
     }
 
     #[test]
     fn wide_profiles_get_no_flat_lookup() {
+        // Vectors at bits 40–42: the table covers their three-dimensional
+        // span, eight slots, not the 2^48-vector space.
         let seq: Vec<u64> = (0..100u64).map(|i| (i % 5) << 40).collect();
         let p = ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 48, 64);
         let k = FrozenKernel::new(&p);
-        assert!(!k.has_flat_lookup());
-        // All mass sits at bit 40 and above: no low-index tail pays off.
-        assert!(!k.has_dense_tail());
-        assert_eq!(k.tail_bits(), 0);
+        assert!(k.has_weight_table());
+        assert_eq!(k.span().dim(), 3);
         for (v, w) in p.iter() {
             assert_eq!(k.misses_of(v.as_u64()), w);
         }
         assert_eq!(k.misses_of(0x1234), 0);
-    }
-
-    #[test]
-    fn wide_profile_with_hot_low_region_gets_a_hybrid_tail() {
-        // Low-stride conflicts (vectors < 2^8) plus a couple of high outliers.
-        let mut seq = Vec::new();
-        for i in 0..400u64 {
-            seq.push((i % 13) * 0x11); // dense low region
-            seq.push((i % 2) << 40); // two far-apart blocks
-        }
-        let p = ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 48, 64);
-        let k = FrozenKernel::new(&p);
-        assert!(!k.has_flat_lookup());
-        assert!(k.has_dense_tail(), "hot low region should be materialized");
-        assert!(k.tail_bits() <= FLAT_LOOKUP_MAX_BITS);
-        assert!(k.tail_covered() > 0);
-        // Every lookup still agrees with the histogram, tail or not.
-        for (v, w) in p.iter() {
-            assert_eq!(k.misses_of(v.as_u64()), w, "v={:#x}", v.as_u64());
-        }
-        assert_eq!(k.misses_of(0x3), 0);
-        assert_eq!(k.misses_of(0x3 << 30), 0);
+        assert_eq!(k.misses_of(3 << 40 | 1), 0);
     }
 
     #[test]
     fn representations_answer_identically() {
+        // The table at every vector of an 18-bit space, in and out of the
+        // span, answers what the profile's binary search does.
         let seq: Vec<u64> = (0..500u64)
             .map(|i| (i % 7) * 0x21 + (i % 3) * 0x4000)
             .collect();
         let p = profile(&seq, 18);
-        let flat = FrozenKernel::new(&p); // whole-space tail
-        let sorted = FrozenKernel::from_parts(p.clone(), 0).unwrap(); // no tail
-        let hybrid = FrozenKernel::from_parts(p.clone(), 10).unwrap(); // partial tail
-        assert!(flat.has_flat_lookup());
-        assert!(!sorted.has_dense_tail());
-        assert!(hybrid.has_dense_tail() && !hybrid.has_flat_lookup());
+        let k = FrozenKernel::new(&p);
+        assert!(k.span().dim() < 18);
         for v in (0..(1u64 << 18)).step_by(7) {
-            let w = flat.misses_of(v);
-            assert_eq!(sorted.misses_of(v), w, "v={v:#x}");
-            assert_eq!(hybrid.misses_of(v), w, "v={v:#x}");
-            assert_eq!(p.misses_of(v), w, "v={v:#x}");
+            assert_eq!(k.misses_of(v), p.misses_of(v), "v={v:#x}");
         }
-        assert_eq!(flat.profile().entries(), sorted.profile().entries());
-        assert_eq!(flat.profile().entries(), hybrid.profile().entries());
+        for &(v, w) in p.entries() {
+            assert_eq!(k.misses_of(v), w, "v={v:#x}");
+        }
     }
 
     #[test]
@@ -226,8 +247,10 @@ mod tests {
         assert_eq!(k.profile().distinct_vectors(), 0);
         assert_eq!(k.profile().total_weight(), 0);
         assert_eq!(k.misses_of(0x10), 0);
-        // Narrow widths keep the whole-space tail even when empty.
-        assert!(k.has_flat_lookup());
+        // An empty span gets the one-slot table, and every null space costs 0.
+        assert_eq!(k.span().dim(), 0);
+        assert!(k.has_weight_table());
+        assert_eq!(k.cost(&gf2::PackedBasis::standard_span(16, 0..16)), 0);
     }
 
     #[test]
@@ -235,39 +258,27 @@ mod tests {
         let seq: Vec<u64> = (0..500u64)
             .map(|i| (i % 7) * 0x21 + (i % 3) * 0x4000)
             .collect();
-        let p = profile(&seq, 18);
-        for original in [
-            FrozenKernel::new(&p),                            // whole-space tail
-            FrozenKernel::from_parts(p.clone(), 0).unwrap(),  // no tail
-            FrozenKernel::from_parts(p.clone(), 10).unwrap(), // hybrid tail
+        for p in [
+            profile(&seq, 18),
+            ConflictProfile::from_blocks(std::iter::empty(), 16, 64),
         ] {
+            let original = FrozenKernel::new(&p);
             let parts = original.profile();
-            let profile = ConflictProfile::from_parts(
-                parts.hashed_bits(),
-                parts.capacity_blocks(),
-                parts.entries().to_vec(),
-            )
-            .expect("own parts are valid");
-            let rebuilt = FrozenKernel::from_parts(profile, original.tail_bits())
-                .expect("own tail width is valid");
+            let rebuilt = FrozenKernel::from_parts(
+                ConflictProfile::from_parts(
+                    parts.hashed_bits(),
+                    parts.capacity_blocks(),
+                    parts.entries().to_vec(),
+                )
+                .expect("own parts are valid"),
+            );
             assert_eq!(rebuilt.profile().entries(), parts.entries());
-            assert_eq!(rebuilt.profile().hashed_bits(), 18);
-            assert_eq!(rebuilt.profile().capacity_blocks(), 64);
-            assert_eq!(rebuilt.tail_bits(), original.tail_bits());
-            assert_eq!(rebuilt.tail_covered(), original.tail_covered());
-            for v in 0..(1u64 << 18) {
+            assert_eq!(rebuilt.span(), original.span());
+            assert_eq!(rebuilt.has_weight_table(), original.has_weight_table());
+            for v in 0..(1u64 << p.hashed_bits()) {
                 assert_eq!(rebuilt.misses_of(v), original.misses_of(v), "v={v:#x}");
             }
         }
-        // The empty flat profile round-trips too.
-        let empty = FrozenKernel::new(&ConflictProfile::from_blocks(std::iter::empty(), 16, 64));
-        let rebuilt = FrozenKernel::from_parts(
-            ConflictProfile::from_parts(16, 64, Vec::new()).unwrap(),
-            empty.tail_bits(),
-        )
-        .unwrap();
-        assert!(rebuilt.has_flat_lookup());
-        assert_eq!(rebuilt.profile(), empty.profile());
     }
 
     #[test]
@@ -275,16 +286,9 @@ mod tests {
         let bad = |r: Result<ConflictProfile, XorIndexError>| {
             assert!(matches!(r, Err(XorIndexError::MalformedProfile { .. })));
         };
-        let bad_tail = |r: Result<FrozenKernel, XorIndexError>| {
-            assert!(matches!(r, Err(XorIndexError::MalformedProfile { .. })));
-        };
-        let empty = |bits| ConflictProfile::from_parts(bits, 64, vec![]).unwrap();
         bad(ConflictProfile::from_parts(0, 64, vec![]));
         bad(ConflictProfile::from_parts(65, 64, vec![]));
         bad(ConflictProfile::from_parts(12, 0, vec![]));
-        bad_tail(FrozenKernel::from_parts(empty(12), 13)); // tail wider than space
-        bad_tail(FrozenKernel::from_parts(empty(40), 21)); // tail above the cap
-        assert!(FrozenKernel::from_parts(empty(40), FLAT_LOOKUP_MAX_BITS).is_ok());
         bad(ConflictProfile::from_parts(12, 64, vec![(0, 5)])); // zero vector
         bad(ConflictProfile::from_parts(12, 64, vec![(1 << 12, 5)])); // outside width
         bad(ConflictProfile::from_parts(12, 64, vec![(3, 0)])); // zero weight
@@ -292,5 +296,31 @@ mod tests {
         bad(ConflictProfile::from_parts(12, 64, vec![(3, 1), (3, 2)])); // duplicate
         let overflowing = vec![(3, u64::MAX), (5, 1)];
         bad(ConflictProfile::from_parts(12, 64, overflowing)); // total overflows
+    }
+
+    #[test]
+    fn byte_tables_decompose_like_the_basis() {
+        // Every width's last partial byte, and a 64-bit span whose rows
+        // reach the top byte.
+        for (width, rows) in [
+            (5usize, vec![0b1_0110u64, 0b0_0101]),
+            (12, vec![0x9A5, 0x0F0, 0x00C]),
+            (64, vec![u64::MAX, 1 << 40 | 0xFF, 0x8000_0000_0000_0001]),
+        ] {
+            let mut span = PackedBasis::trivial(width);
+            for row in rows {
+                span.insert(row);
+            }
+            let table = SpanTable::new(&span, &[]).expect("narrow span");
+            let mask = u64::MAX >> (64 - width);
+            for i in 0..4096u64 {
+                let v = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) & mask;
+                assert_eq!(
+                    table.decompose(v),
+                    span.decompose(v),
+                    "{width} bits, v={v:#x}"
+                );
+            }
+        }
     }
 }

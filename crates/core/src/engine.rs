@@ -4,17 +4,17 @@
 //! through `BitVec` lookups, re-paying `Subspace` traversal on every call.
 //! [`EvalEngine`] is the batch-oriented replacement the search algorithms
 //! run on: a thin façade over a shared [`FrozenKernel`] — the immutable
-//! pricing core holding the frozen [`ConflictProfile`] and its point-lookup
-//! tail plus all Eq. 4 arithmetic (full walks, histogram scans, per-lane
-//! neighbourhood sums), `Send + Sync` and shared via `Arc`, so one kernel
-//! per application serves any number of searches and serving workers
-//! concurrently.
+//! pricing core holding the frozen [`ConflictProfile`] and its histogram in
+//! the profile's own coordinates plus all Eq. 4 arithmetic, `Send + Sync`
+//! and shared via `Arc`, so one kernel per application serves any number of
+//! searches and serving workers concurrently.
 //!
 //! The façade adds what a single search loop needs on top: per-engine work
 //! counters ([`EngineStats`]), batch orchestration with
-//! `std::thread::scope` parallelism, and incumbent-bounded neighbourhood
-//! pricing, lane by lane, from the parent's remainder-grouped histogram kept
-//! in a [`ScaffoldCache`]. It caches no
+//! `std::thread::scope` parallelism (a batch of unrelated candidates is
+//! priced one candidate at a time through the kernel), and
+//! incumbent-bounded neighbourhood pricing, lane by lane, from the parent's
+//! remainder-grouped histogram kept in a [`ScaffoldCache`]. It caches no
 //! costs: every call prices every candidate it is given, so its answers and
 //! counters depend only on the kernel and the calls made. (Repeat pricing
 //! requests are served from a [`ShardedMemo`](crate::ShardedMemo) one layer
@@ -25,11 +25,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use gf2::{PackedBasis, SLICED_LANES};
+use gf2::PackedBasis;
 
 use crate::kernel::{lane_groups, price_lanes};
 use crate::search::{NeighborLanes, PackedNeighborhood};
-use crate::{BatchStrategy, BoundedCost, ConflictProfile, FrozenKernel, ScaffoldCache};
+use crate::{BoundedCost, ConflictProfile, FrozenKernel, ScaffoldCache};
 
 /// The host's available parallelism (1 when it cannot be determined),
 /// resolved once per process: the query reads cgroup files on Linux, which
@@ -44,6 +44,10 @@ pub fn host_threads() -> usize {
 /// (below this the spawn overhead dominates).
 const PARALLEL_THRESHOLD: usize = 8;
 
+/// Fewest lanes in one run of a neighbourhood split across threads, so
+/// that each run amortizes its share of the thread spawn.
+const LANE_RUN: usize = 64;
+
 /// Counters describing the work an [`EvalEngine`] has performed.
 ///
 /// These are per-engine (per-façade) counters: an engine sharing its
@@ -52,16 +56,12 @@ const PARALLEL_THRESHOLD: usize = 8;
 /// [`ScaffoldCache::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Candidate Eq. 4 evaluations priced exactly (full walks, scans or
-    /// sliced-block lanes). Nothing is cached, so a candidate priced twice
+    /// Candidate Eq. 4 evaluations priced exactly (single candidates or
+    /// neighbourhood lanes). Nothing is cached, so a candidate priced twice
     /// counts twice.
     pub evaluations: u64,
     /// Batches that were split across threads.
     pub parallel_batches: u64,
-    /// Transposed 64-lane [`gf2::SlicedBlock`]s priced by one histogram scan
-    /// each ([`EvalEngine::estimate_batch`]; neighbourhoods price lane by
-    /// lane and count none).
-    pub sliced_blocks: u64,
     /// Grouped histograms answered from this engine's [`ScaffoldCache`].
     pub scaffold_hits: u64,
     /// Grouped histograms built from the kernel's histogram.
@@ -186,10 +186,9 @@ impl EvalEngine {
         cost
     }
 
-    /// Prices a whole batch of packed candidates under the kernel's resolved
-    /// [`BatchStrategy`] — per candidate in parallel, or transposed into
-    /// 64-lane sliced blocks with whole blocks as the unit of parallelism.
-    /// Costs are aligned with `candidates`.
+    /// Prices a whole batch of packed candidates, one candidate at a time
+    /// through [`FrozenKernel::cost`], split across threads when the batch is
+    /// large enough. Costs are aligned with `candidates`.
     ///
     /// # Panics
     ///
@@ -199,28 +198,11 @@ impl EvalEngine {
         for basis in candidates {
             self.kernel.check_width(basis);
         }
-        if candidates.is_empty() {
-            return Vec::new();
-        }
         let kernel = &*self.kernel;
-        let dims: Vec<usize> = candidates.iter().map(PackedBasis::dim).collect();
         self.stats.evaluations += candidates.len() as u64;
-        match kernel.batch_strategy(&dims) {
-            BatchStrategy::PerCandidate => {
-                Self::map_parallel(candidates, self.threads, &mut self.stats, |basis| {
-                    kernel.cost(basis)
-                })
-            }
-            BatchStrategy::SlicedScan => {
-                let chunks: Vec<&[PackedBasis]> = candidates.chunks(SLICED_LANES).collect();
-                self.stats.sliced_blocks += chunks.len() as u64;
-                let blocks = Self::map_parallel(&chunks, self.threads, &mut self.stats, |chunk| {
-                    let refs: Vec<&PackedBasis> = chunk.iter().collect();
-                    kernel.cost_batch_sliced(&refs)
-                });
-                blocks.into_iter().flatten().collect()
-            }
-        }
+        Self::map_parallel(candidates, self.threads, &mut self.stats, |basis| {
+            kernel.cost(basis)
+        })
     }
 
     /// Prices a packed neighbourhood exactly: every lane summed to
@@ -290,7 +272,7 @@ impl EvalEngine {
         // Runs end where the hyperplane changes, so no hyperplane's shared
         // in-parent weight is summed twice.
         let min_run = if self.threads > 1 {
-            SLICED_LANES
+            LANE_RUN
         } else {
             lanes.len()
         };
@@ -355,8 +337,8 @@ impl EvalEngine {
 
     /// Maps `job_cost` over `jobs` in order, splitting across scoped threads
     /// when the engine is configured for parallelism and the batch is large
-    /// enough. Jobs may be single candidates (costing a `u64`), whole sliced
-    /// blocks or runs of neighbourhood lanes (costing a `Vec` each).
+    /// enough. Jobs may be single candidates (costing a `u64`) or runs of
+    /// neighbourhood lanes (costing a `Vec` each).
     fn map_parallel<J: Sync, R: Send>(
         jobs: &[J],
         threads: usize,
@@ -614,8 +596,6 @@ mod tests {
         let first = engine.estimate_neighborhood_bounded(&nbhd, u64::MAX);
         let lanes = nbhd.candidates.len() as u64;
         assert_eq!(engine.stats().evaluations, lanes);
-        // Neighbourhoods price lane by lane: no sliced block is stamped.
-        assert_eq!(engine.stats().sliced_blocks, 0);
         // Nothing is cached but the scaffold: the second pass prices every
         // lane again from the grouped histogram the first built.
         assert_eq!(engine.estimate_neighborhood_bounded(&nbhd, u64::MAX), first);
@@ -660,8 +640,8 @@ mod tests {
         let profile = mixed_profile();
         let nbhd = xor_neighborhood(&profile, 6);
         // Enough lanes that the threaded route has ≥ PARALLEL_THRESHOLD
-        // 64-lane runs to split across workers.
-        assert!(nbhd.candidates.len() >= PARALLEL_THRESHOLD * gf2::SLICED_LANES);
+        // runs to split across workers.
+        assert!(nbhd.candidates.len() >= PARALLEL_THRESHOLD * LANE_RUN);
         let mut sequential = EvalEngine::new(&profile).with_threads(1);
         let mut parallel = EvalEngine::new(&profile).with_threads(4);
         let reference = sequential.estimate_neighborhood(&nbhd);
@@ -810,32 +790,5 @@ mod tests {
         // Reset clears the shared table.
         engine.reset();
         assert_eq!(engine.scaffold_cache().stats().entries, 0);
-    }
-
-    #[test]
-    fn forced_sliced_batches_count_blocks_and_evaluations() {
-        // 64 two-dimensional-codimension null spaces: wide enough that the
-        // kernel resolves the batch to one transposed histogram scan.
-        let profile = mixed_profile();
-        let candidates: Vec<PackedBasis> = (0..12)
-            .flat_map(|i| (i + 1..12).map(move |j| (i, j)))
-            .take(SLICED_LANES)
-            .map(|(i, j)| PackedBasis::standard_span(12, (0..12).filter(|&b| b != i && b != j)))
-            .collect();
-        let mut engine = EvalEngine::new(&profile);
-        let dims: Vec<usize> = candidates.iter().map(PackedBasis::dim).collect();
-        assert_eq!(
-            engine.kernel().batch_strategy(&dims),
-            BatchStrategy::SlicedScan
-        );
-        let batch = engine.estimate_batch(&candidates);
-        let fresh: Vec<u64> = candidates.iter().map(|b| engine.kernel().cost(b)).collect();
-        assert_eq!(batch, fresh);
-        assert_eq!(engine.stats().sliced_blocks, 1);
-        assert_eq!(engine.stats().evaluations, SLICED_LANES as u64);
-        // Re-estimating scans the block again, to the same costs.
-        assert_eq!(engine.estimate_batch(&candidates), batch);
-        assert_eq!(engine.stats().sliced_blocks, 2);
-        assert_eq!(engine.stats().evaluations, 2 * SLICED_LANES as u64);
     }
 }

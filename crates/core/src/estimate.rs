@@ -1,4 +1,10 @@
 //! Conflict-miss estimation from a profile (paper Eq. 4).
+//!
+//! [`MissEstimator`] is the pricing oracle: it evaluates Eq. 4 literally, on
+//! either side of the sum ([`EstimationStrategy`]), and every fast route —
+//! the [`FrozenKernel`](crate::FrozenKernel)'s coordinate table and entry
+//! scan, and the engine's neighbourhood lanes — is pinned bit-identical to
+//! it under every strategy.
 
 use gf2::{BitVec, PackedBasis, Subspace};
 use serde::{Deserialize, Serialize};
@@ -34,12 +40,8 @@ pub enum EstimationStrategy {
 /// enumerate the `2^dim − 1` *non-zero* null-space vectors (the zero vector
 /// is never recorded, so enumeration skips it) when there are no more of them
 /// than distinct vectors, otherwise scan the histogram.
-///
-/// The single source of truth for the crossover — both [`MissEstimator`] and
-/// [`FrozenKernel`](crate::FrozenKernel) call it, which is what keeps their
-/// strategy choices (and therefore their per-candidate work) aligned.
 #[must_use]
-pub(crate) fn resolve_strategy(
+fn resolve_strategy(
     strategy: EstimationStrategy,
     dim: usize,
     distinct_vectors: usize,
@@ -57,33 +59,16 @@ pub(crate) fn resolve_strategy(
     }
 }
 
-/// How a *batch* of candidates is priced: transposed and bit-sliced, or one
-/// candidate at a time.
-///
-/// Both paths compute the exact Eq. 4 sum for every candidate; they differ
-/// only in data layout. [`BatchStrategy::SlicedScan`] packs up to 64
-/// candidates into a [`gf2::SlicedBlock`] and scans the histogram once,
-/// advancing every candidate per entry with word-parallel membership masks;
-/// [`BatchStrategy::PerCandidate`] prices each candidate independently under
-/// its own resolved [`EstimationStrategy`] (typically a `2^dim` null-space
-/// enumeration when the null space is small).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// One transposed histogram scan prices the whole block of candidates.
-    SlicedScan,
-    /// Each candidate is priced alone (enumeration or scalar scan).
-    PerCandidate,
-}
-
 /// An Eq. 4 price under an incumbent bound: either the exact miss count, or
 /// the verdict that the candidate costs at least the bound — all a
 /// best-improvement search ever needs from a lane it will discard.
 ///
 /// Produced by the bounded pricing surfaces
-/// ([`FrozenKernel::cost_neighborhood_bounded`](crate::FrozenKernel::cost_neighborhood_bounded),
+/// ([`FrozenKernel::cost_bounded`](crate::FrozenKernel::cost_bounded),
 /// [`EvalEngine::estimate_neighborhood_bounded`](crate::EvalEngine::estimate_neighborhood_bounded)):
-/// a lane whose running histogram sum reaches the bound is abandoned early
-/// instead of being priced to completion.
+/// a candidate whose running sum reaches the bound is abandoned early
+/// instead of being priced to completion. Every surface answers `Exact`
+/// exactly when the cost is below the bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundedCost {
     /// The exact Eq. 4 miss count — bit-identical to the unbounded path.
@@ -109,49 +94,6 @@ impl BoundedCost {
         match self {
             BoundedCost::Exact(cost) | BoundedCost::AtLeast(cost) => cost,
         }
-    }
-}
-
-/// Cost-model weight of one dense-table point lookup relative to one `u64`
-/// ALU operation, used when comparing a `2^dim`-lookup enumeration against
-/// the bit-sliced scan's word arithmetic. Calibrated on the susan@4KB
-/// workload (`n = 16`, dim 6, ~500 distinct vectors), where a dense lookup
-/// costs a few times a dependent XOR chain step.
-const ENUM_LOOKUP_UNITS: u128 = 4;
-
-/// Resolves how one block of candidates (at most [`gf2::SLICED_LANES`], with
-/// the given null-space dimensions) should be priced against a histogram of
-/// `distinct_vectors` entries, by comparing the modelled `u64`-operation
-/// costs of the two paths:
-///
-/// * per candidate, the cheaper of enumerating its `2^dim` null-space
-///   vectors or scanning the histogram with a `dim`-row reduction per entry;
-/// * one generic sliced block (up to 64 lanes): per histogram entry, one
-///   column-slice XOR across `max_checks` check planes for each set bit of
-///   the entry (`mean_popcount`).
-///
-/// Single-candidate blocks are never sliced.
-#[must_use]
-pub(crate) fn resolve_batch_strategy(
-    width: usize,
-    mean_popcount: usize,
-    dims: &[usize],
-    distinct_vectors: usize,
-) -> BatchStrategy {
-    if dims.len() <= 1 {
-        return BatchStrategy::PerCandidate;
-    }
-    let distinct = distinct_vectors as u128;
-    let scalar: u128 = dims
-        .iter()
-        .map(|&dim| (ENUM_LOOKUP_UNITS << dim.min(100)).min(distinct * dim.max(1) as u128))
-        .sum();
-    let max_checks = dims.iter().map(|&dim| width - dim).max().unwrap_or(0);
-    let sliced = distinct * max_checks.max(1) as u128 * (mean_popcount as u128 + 1);
-    if sliced < scalar {
-        BatchStrategy::SlicedScan
-    } else {
-        BatchStrategy::PerCandidate
     }
 }
 

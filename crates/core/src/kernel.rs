@@ -1,47 +1,44 @@
 //! The frozen, shareable pricing core of the evaluation engine.
 //!
-//! [`FrozenKernel`] is the immutable half of what used to be `EvalEngine`:
-//! one application's [`ConflictProfile`] — whose sorted `(vector, weight)`
-//! entries every pricing path reads — plus a dense point-lookup tail over
-//! them, and the Eq. 4 arithmetic (full null-space walks, histogram scans,
-//! and the per-lane neighbourhood sums) with the strategy-resolution rule.
-//! It holds no interior mutability at all, so it is `Send + Sync` by
+//! [`FrozenKernel`] is the immutable half of the
+//! [`EvalEngine`](crate::EvalEngine): one application's
+//! [`ConflictProfile`] — whose sorted `(vector, weight)` entries the
+//! neighbourhood lanes, the snapshot and the wire read — plus the same
+//! histogram in the profile's own coordinates, and the Eq. 4 arithmetic. It
+//! holds no interior mutability at all, so it is `Send + Sync` by
 //! construction and one `Arc<FrozenKernel>` can price candidates from any
-//! number of threads simultaneously — the [`EvalEngine`](crate::EvalEngine)
-//! façade, the search algorithms, and a multi-tenant serving layer all share
-//! the same kernel per application instead of re-freezing the histogram per
-//! search.
+//! number of threads simultaneously — the engine façade, the search
+//! algorithms, and a multi-tenant serving layer all share the same kernel
+//! per application instead of re-freezing the histogram per search.
 //!
-//! Pricing comes in three shapes. The scalar path ([`FrozenKernel::cost`])
-//! prices one candidate under its resolved [`EstimationStrategy`]. The batch
-//! path ([`FrozenKernel::cost_batch`] / [`FrozenKernel::cost_batch_sliced`])
-//! transposes up to [`SLICED_LANES`] candidates into a [`SlicedBlock`] and
-//! scans the histogram once, advancing every candidate per entry with a
-//! word-parallel membership mask; [`BatchStrategy`] resolution picks between
-//! the two by batch shape. The neighbourhood path
-//! ([`FrozenKernel::cost_neighborhood_bounded`]) prices candidates
-//! `hyperplane ⊕ span(direction)` over one shared parent lane by lane under
-//! an incumbent bound, from the histogram grouped by remainder modulo the
-//! parent ([`CosetHistogram`]): each hyperplane's in-parent weight once, then
-//! one scan of the lane's direction's remainder group. All compute the exact
-//! Eq. 4 sum, bit-identically.
+//! Pricing comes in two shapes. A single candidate
+//! ([`FrozenKernel::cost_bounded`], and [`FrozenKernel::cost`] at bound
+//! `u64::MAX`) is priced over `N(H) ∩ P`, where `P` is the span of the
+//! profile's conflict vectors: its null-space rows are reduced to
+//! coordinates over `P` and the kernel's `2^dim P` weight table is summed
+//! over the intersection. A profile whose span has more than
+//! [`FLAT_LOOKUP_MAX_BITS`](crate::FLAT_LOOKUP_MAX_BITS) dimensions keeps no
+//! table and scans its entries instead. A neighbourhood — candidates
+//! `hyperplane ⊕ span(direction)` over one shared parent — is priced lane by
+//! lane under an incumbent bound from the histogram grouped by remainder
+//! modulo the parent ([`FrozenKernel::neighborhood_scaffold`]): each
+//! hyperplane's in-parent weight once, then one scan of the lane's
+//! direction's remainder group. All compute the exact Eq. 4 sum,
+//! bit-identically.
 //!
 //! The kernel never caches, so every method here is a pure function of the
 //! frozen histogram. (The serving layer answers repeat pricing requests from
 //! a [`ShardedMemo`](crate::ShardedMemo) in front of it.)
 
-use gf2::{parity_weight, CosetHistogram, PackedBasis, SlicedBlock, SLICED_LANES};
+use gf2::{parity_weight, CosetHistogram, PackedBasis};
 
-use crate::dense::LookupTail;
-use crate::estimate::{resolve_batch_strategy, resolve_strategy};
+use crate::dense::{span_of, SpanTable};
 use crate::search::NeighborLanes;
-use crate::{
-    BatchStrategy, BoundedCost, ConflictProfile, EstimationStrategy, XorIndexError,
-    FLAT_LOOKUP_MAX_BITS,
-};
+use crate::{BoundedCost, ConflictProfile, XorIndexError};
 
 /// The immutable Eq. 4 pricing core: a frozen [`ConflictProfile`] plus its
-/// point-lookup tail, shareable across threads via `Arc`.
+/// histogram in the coordinates of the profile's span, shareable across
+/// threads via `Arc`.
 ///
 /// # Example
 ///
@@ -62,65 +59,40 @@ use crate::{
 ///     kernel.cost(&ns),
 ///     MissEstimator::new(&profile).estimate_packed(&ns)
 /// );
-/// // A 16-bit profile gets a lookup table over its whole space.
-/// assert!(kernel.has_flat_lookup());
+/// // The one recorded vector spans a line: a two-slot weight table.
+/// assert_eq!(kernel.span().dim(), 1);
+/// assert!(kernel.has_weight_table());
 /// assert_eq!(kernel.misses_of(0x100), profile.misses_of(0x100));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FrozenKernel {
     profile: ConflictProfile,
-    tail: LookupTail,
-    /// Mean set-bit count over the distinct recorded vectors, rounded up (0
-    /// for an empty profile) — the batch cost model's estimate of per-entry
-    /// sliced work. Conflict vectors are XORs of nearby addresses and are
-    /// typically much sparser than random `hashed_bits`-wide words.
-    mean_popcount: usize,
+    /// `P`: the canonical basis of the span of the recorded vectors.
+    span: PackedBasis,
+    /// The histogram keyed by coordinates over `P`; `None` when `P` has more
+    /// than [`FLAT_LOOKUP_MAX_BITS`](crate::FLAT_LOOKUP_MAX_BITS) dimensions.
+    table: Option<SpanTable>,
 }
 
 impl FrozenKernel {
-    /// Freezes a copy of a profile's entries into a kernel with the default
-    /// lookup tail: the whole space for `hashed_bits ≤`
-    /// [`FLAT_LOOKUP_MAX_BITS`], the hot low-index region of wider profiles
-    /// when it is occupied densely enough to pay for itself.
+    /// Freezes a copy of a profile's entries into a kernel.
     #[must_use]
     pub fn new(profile: &ConflictProfile) -> Self {
-        let tail_bits = LookupTail::default_bits(profile.entries(), profile.hashed_bits());
-        Self::assemble(profile.clone(), tail_bits)
+        Self::from_parts(profile.clone())
     }
 
-    /// Builds a kernel over `profile` with a `tail_bits`-wide lookup tail
-    /// (0 = none, the pure sorted layout) — the counterpart of
-    /// [`FrozenKernel::profile`] and [`FrozenKernel::tail_bits`], used by
-    /// snapshot restore. A kernel rebuilt from its own parts answers and
-    /// lays out its tail exactly as the original did. Whatever the tail,
-    /// prices are bit-identical; only lookup latency and memory change.
-    ///
-    /// # Errors
-    ///
-    /// [`XorIndexError::MalformedProfile`] when `tail_bits` exceeds the
-    /// profile's hashed width or [`FLAT_LOOKUP_MAX_BITS`].
-    pub fn from_parts(profile: ConflictProfile, tail_bits: usize) -> Result<Self, XorIndexError> {
-        let hashed_bits = profile.hashed_bits();
-        if tail_bits > hashed_bits || tail_bits > FLAT_LOOKUP_MAX_BITS {
-            return Err(XorIndexError::MalformedProfile {
-                reason: format!(
-                    "tail of {tail_bits} bits cannot cover a {hashed_bits}-bit profile \
-                     (cap {FLAT_LOOKUP_MAX_BITS})"
-                ),
-            });
-        }
-        Ok(Self::assemble(profile, tail_bits))
-    }
-
-    fn assemble(profile: ConflictProfile, tail_bits: usize) -> Self {
-        let entries = profile.entries();
-        let popcount_sum: usize = entries.iter().map(|&(v, _)| v.count_ones() as usize).sum();
-        let mean_popcount = popcount_sum.div_ceil(entries.len().max(1));
-        let tail = LookupTail::new(entries, tail_bits);
+    /// Freezes `profile` itself, without copying its entries — the
+    /// counterpart of [`FrozenKernel::profile`], used by snapshot restore.
+    /// Everything else the kernel holds is derived from the profile, so a
+    /// kernel rebuilt from its own profile answers exactly as the original.
+    #[must_use]
+    pub fn from_parts(profile: ConflictProfile) -> Self {
+        let span = span_of(profile.entries(), profile.hashed_bits());
+        let table = SpanTable::new(&span, profile.entries());
         FrozenKernel {
             profile,
-            tail,
-            mean_popcount,
+            span,
+            table,
         }
     }
 
@@ -136,39 +108,29 @@ impl FrozenKernel {
         self.profile.hashed_bits()
     }
 
-    /// Width of the lookup tail in bits (0 when none is materialized; a
-    /// materialized tail always covers at least one bit).
+    /// The canonical basis of `P`, the span of the recorded conflict vectors:
+    /// only a null space's intersection with it carries Eq. 4 weight.
     #[must_use]
-    pub fn tail_bits(&self) -> usize {
-        self.tail.bits()
+    pub fn span(&self) -> &PackedBasis {
+        &self.span
     }
 
-    /// `true` when the lookup tail covers the *entire* space, so every point
-    /// lookup is a single indexed load.
+    /// `true` when the kernel prices from a `2^dim P` weight table, i.e. when
+    /// `P` has at most [`FLAT_LOOKUP_MAX_BITS`](crate::FLAT_LOOKUP_MAX_BITS)
+    /// dimensions; otherwise it scans the sorted entries.
     #[must_use]
-    pub fn has_flat_lookup(&self) -> bool {
-        self.tail.bits() == self.hashed_bits()
+    pub fn has_weight_table(&self) -> bool {
+        self.table.is_some()
     }
 
-    /// `true` when any lookup tail is materialized (whole-space or hybrid).
-    #[must_use]
-    pub fn has_dense_tail(&self) -> bool {
-        self.tail.bits() > 0
-    }
-
-    /// Number of entries the lookup tail answers (the rest go through binary
-    /// search over the sorted slice above it).
-    #[must_use]
-    pub fn tail_covered(&self) -> usize {
-        self.tail.covered()
-    }
-
-    /// The weight `misses(v)` of a conflict vector's raw bits, through the
-    /// lookup tail where it covers `v` and binary search above it.
+    /// The weight `misses(v)` of a conflict vector's raw bits (truncated to
+    /// the hashed width), from the weight table where the kernel has one.
     #[must_use]
     pub fn misses_of(&self, v: u64) -> u64 {
-        debug_assert!(self.hashed_bits() == 64 || v < (1u64 << self.hashed_bits()));
-        self.tail.lookup(self.profile.entries(), v)
+        match &self.table {
+            Some(table) => table.misses_of(v & (u64::MAX >> (64 - self.hashed_bits()))),
+            None => self.profile.misses_of(v),
+        }
     }
 
     /// The histogram's `(vector, weight)` pairs, ascending by vector.
@@ -191,9 +153,8 @@ impl FrozenKernel {
         );
     }
 
-    /// The exact Eq. 4 sum for one packed null space — a fresh evaluation
-    /// on whichever side of Eq. 4 is smaller
-    /// ([`EstimationStrategy::Auto`]).
+    /// The exact Eq. 4 sum for one packed null space:
+    /// [`FrozenKernel::cost_bounded`] at bound `u64::MAX`.
     ///
     /// # Panics
     ///
@@ -201,14 +162,7 @@ impl FrozenKernel {
     /// width.
     #[must_use]
     pub fn cost(&self, basis: &PackedBasis) -> u64 {
-        self.check_width(basis);
-        if self.enumerates(basis) {
-            // The zero vector carries weight 0, so it needs no special case.
-            basis.vectors().map(|v| self.misses_of(v)).sum()
-        } else {
-            let members = self.entries().filter(|&(v, _)| basis.contains(v));
-            members.map(|(_, w)| w).sum()
-        }
+        self.cost_bounded(basis, u64::MAX).lower_bound()
     }
 
     /// Checked width test: `Ok` exactly when `basis` has the profile's hashed
@@ -230,97 +184,9 @@ impl FrozenKernel {
         }
     }
 
-    /// Prices a batch of candidates, chunking it into blocks of at most
-    /// [`SLICED_LANES`] and resolving each block to the bit-sliced scan or
-    /// the per-candidate path by shape (see [`BatchStrategy`]). Results are
-    /// aligned with `bases` and bit-identical to calling
-    /// [`FrozenKernel::cost`] per candidate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any candidate's ambient width differs from the profile's
-    /// hashed width.
-    #[must_use]
-    pub fn cost_batch(&self, bases: &[&PackedBasis]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(bases.len());
-        for chunk in bases.chunks(SLICED_LANES) {
-            out.extend(self.cost_block(chunk).0);
-        }
-        out
-    }
-
-    /// Prices one block of at most [`SLICED_LANES`] candidates, reporting
-    /// which [`BatchStrategy`] the block resolved to (so callers can count
-    /// sliced work). The building block of [`FrozenKernel::cost_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the block is empty, exceeds [`SLICED_LANES`] lanes, or any
-    /// candidate's ambient width differs from the profile's hashed width.
-    #[must_use]
-    pub fn cost_block(&self, chunk: &[&PackedBasis]) -> (Vec<u64>, BatchStrategy) {
-        assert!(
-            chunk.len() <= SLICED_LANES,
-            "a block holds at most {SLICED_LANES} candidates"
-        );
-        let dims: Vec<usize> = chunk.iter().map(|b| b.dim()).collect();
-        let resolved = self.batch_strategy(&dims);
-        let costs = match resolved {
-            BatchStrategy::SlicedScan => self.cost_block_sliced(chunk),
-            BatchStrategy::PerCandidate => chunk.iter().map(|b| self.cost(b)).collect(),
-        };
-        (costs, resolved)
-    }
-
-    /// Forced bit-sliced batch pricing: every chunk of up to [`SLICED_LANES`]
-    /// candidates is transposed into a [`SlicedBlock`] and priced by one
-    /// histogram scan, regardless of what strategy resolution would pick.
-    /// Bit-identical to [`FrozenKernel::cost`] per candidate; useful for
-    /// benchmarking the sliced path and as the batch form of
-    /// [`EstimationStrategy::ScanHistogram`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if any candidate's ambient width differs from the profile's
-    /// hashed width.
-    #[must_use]
-    pub fn cost_batch_sliced(&self, bases: &[&PackedBasis]) -> Vec<u64> {
-        let mut out = Vec::with_capacity(bases.len());
-        for chunk in bases.chunks(SLICED_LANES) {
-            out.extend(self.cost_block_sliced(chunk));
-        }
-        out
-    }
-
-    /// One transposed scan over the histogram, pricing a whole block: per
-    /// entry, the block's membership mask says which lanes' null spaces
-    /// contain the vector, and the entry's weight is added to exactly those
-    /// lanes' sums — Eq. 4 for all lanes at once.
-    fn cost_block_sliced(&self, chunk: &[&PackedBasis]) -> Vec<u64> {
-        for basis in chunk {
-            self.check_width(basis);
-        }
-        SlicedBlock::from_bases(chunk.iter().copied()).sum_weights(self.entries())
-    }
-
-    /// Resolves how a batch of candidates with the given null-space
-    /// dimensions should be priced — the [`BatchStrategy`] the sliced paths
-    /// and [`FrozenKernel::cost_block`] act on, exposed so orchestrating
-    /// callers (the engine) can pick their work partitioning to match.
-    #[must_use]
-    pub fn batch_strategy(&self, dims: &[usize]) -> BatchStrategy {
-        resolve_batch_strategy(
-            self.hashed_bits(),
-            self.mean_popcount,
-            dims,
-            self.profile.distinct_vectors(),
-        )
-    }
-
     /// Groups the histogram by remainder modulo `parent` — the scaffolding
-    /// every neighbourhood of `parent` is priced from.
-    /// [`FrozenKernel::cost_neighborhood_bounded`] builds it per call; the
-    /// engine's [`ScaffoldCache`](crate::ScaffoldCache) keeps it per parent.
+    /// every neighbourhood of `parent` is priced from, which the engine's
+    /// [`ScaffoldCache`](crate::ScaffoldCache) keeps per parent.
     ///
     /// # Panics
     ///
@@ -332,47 +198,15 @@ impl FrozenKernel {
         CosetHistogram::new(parent, self.entries())
     }
 
-    /// Prices a whole neighbourhood of candidates `hyperplanes[h] ⊕
-    /// span(direction)` over one shared `parent`, lane by lane under an
-    /// incumbent bound: the histogram is grouped by remainder modulo the
-    /// parent once, each hyperplane's in-parent weight is summed once, and
-    /// each lane adds one scan of its direction's remainder group.
+    /// The Eq. 4 price of one null space under an incumbent bound: exact
+    /// ([`BoundedCost::Exact`]) exactly when the cost is below `bound`,
+    /// otherwise [`BoundedCost::AtLeast`]`(bound)` — so bound 0 answers
+    /// `AtLeast(0)` for every candidate. The sum stops as soon as it reaches
+    /// the bound; it only grows, so a cost below the bound is never cut
+    /// short.
     ///
-    /// A lane whose running sum reaches `bound` is abandoned
-    /// ([`BoundedCost::AtLeast`]); a lane whose true cost is below the bound
-    /// is priced exactly, bit-identical to [`FrozenKernel::cost`] on its
-    /// materialized extension. `bound = u64::MAX` prices every lane exactly.
-    /// Results align with `lanes`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parent's ambient width differs from the profile's hashed
-    /// width, if a hyperplane is not a hyperplane of the parent, or if a
-    /// lane's direction has bits outside the width or lies inside its
-    /// hyperplane.
-    #[must_use]
-    pub fn cost_neighborhood_bounded(
-        &self,
-        parent: &PackedBasis,
-        hyperplanes: &[PackedBasis],
-        lanes: &[(usize, u64)],
-        bound: u64,
-    ) -> Vec<BoundedCost> {
-        self.check_width(parent);
-        if lanes.is_empty() {
-            return Vec::new();
-        }
-        let lanes = NeighborLanes::over(parent.clone(), hyperplanes, lanes.iter().copied());
-        let histogram = self.neighborhood_scaffold(parent);
-        let groups = lane_groups(&histogram, &lanes);
-        price_lanes(&histogram, &lanes, &groups, &lanes.lanes, bound)
-    }
-
-    /// [`FrozenKernel::cost`] under an incumbent bound: the scan abandons as
-    /// soon as the running sum saturates `bound`, returning
-    /// [`BoundedCost::AtLeast`] instead of the exact count. A candidate whose
-    /// true cost is below the bound is priced exactly (the running sum is
-    /// monotone, so it never saturates early).
+    /// The sum runs over the weight table across `N(H) ∩ P`, or over the
+    /// sorted entries inside the null space when the kernel keeps no table.
     ///
     /// # Panics
     ///
@@ -381,31 +215,24 @@ impl FrozenKernel {
     #[must_use]
     pub fn cost_bounded(&self, basis: &PackedBasis, bound: u64) -> BoundedCost {
         self.check_width(basis);
-        let mut sum = 0u64;
-        let mut saturates = |w: u64| {
-            sum += w;
-            sum >= bound
+        let sum = match &self.table {
+            Some(table) => table.null_space_weight(basis, bound),
+            None => {
+                let mut sum = 0;
+                for (_, w) in self.entries().filter(|&(v, _)| basis.contains(v)) {
+                    sum += w;
+                    if sum >= bound {
+                        break;
+                    }
+                }
+                sum
+            }
         };
-        let saturated = if self.enumerates(basis) {
-            basis.vectors().any(|v| saturates(self.misses_of(v)))
-        } else {
-            let mut members = self.entries().filter(|&(v, _)| basis.contains(v));
-            members.any(|(_, w)| saturates(w))
-        };
-        if saturated {
-            BoundedCost::AtLeast(bound)
-        } else {
+        if sum < bound {
             BoundedCost::Exact(sum)
+        } else {
+            BoundedCost::AtLeast(bound)
         }
-    }
-
-    /// Whether a single candidate is priced by enumerating its null space
-    /// rather than scanning the histogram — whichever side of Eq. 4 is
-    /// smaller.
-    fn enumerates(&self, basis: &PackedBasis) -> bool {
-        let distinct = self.profile.distinct_vectors();
-        resolve_strategy(EstimationStrategy::Auto, basis.dim(), distinct)
-            == EstimationStrategy::EnumerateNullSpace
     }
 }
 
@@ -462,7 +289,7 @@ pub(crate) fn price_lanes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HashFunction, MissEstimator};
+    use crate::{EstimationStrategy, HashFunction, MissEstimator};
     use cache_sim::BlockAddr;
 
     const STRATEGIES: [EstimationStrategy; 3] = [
@@ -484,10 +311,20 @@ mod tests {
         ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), 12, 64)
     }
 
+    /// A 24-bit profile whose vectors span 21 dimensions, one more than a
+    /// weight table may cover, so its kernel scans: the unit vectors
+    /// `e_0 … e_20` plus a few of their sums.
+    fn scanned_profile() -> ConflictProfile {
+        let mut vectors: Vec<u64> = (0..21).map(|b| 1u64 << b).collect();
+        vectors.extend([0b11, 0x18_0000, 0x1F_FFFF]);
+        vectors.sort_unstable();
+        let entries = vectors.iter().map(|&v| (v, v % 7 + 1)).collect();
+        ConflictProfile::from_parts(24, 64, entries).expect("canonical entries")
+    }
+
     /// The first `count` `(hyperplane, direction)` lanes over `hyperplanes`,
-    /// directions ascending — enough to cross a block boundary, including
-    /// directions inside the parent (whose candidate degenerates to the
-    /// parent itself).
+    /// directions ascending — including directions inside the parent (whose
+    /// candidate degenerates to the parent itself).
     fn lanes_over(hyperplanes: &[PackedBasis], count: usize) -> Vec<(usize, u64)> {
         hyperplanes
             .iter()
@@ -499,6 +336,22 @@ mod tests {
             })
             .take(count)
             .collect()
+    }
+
+    /// Prices `(hyperplane, direction)` lanes over `parent` the way the
+    /// engine does: the histogram grouped once, then each lane from its
+    /// hyperplane's in-parent weight and its direction's group.
+    fn price_over(
+        kernel: &FrozenKernel,
+        parent: &PackedBasis,
+        hyperplanes: &[PackedBasis],
+        lanes: &[(usize, u64)],
+        bound: u64,
+    ) -> Vec<BoundedCost> {
+        let lanes = NeighborLanes::over(parent.clone(), hyperplanes, lanes.iter().copied());
+        let histogram = kernel.neighborhood_scaffold(parent);
+        let groups = lane_groups(&histogram, &lanes);
+        price_lanes(&histogram, &lanes, &groups, &lanes.lanes, bound)
     }
 
     #[test]
@@ -557,12 +410,7 @@ mod tests {
                 .find(|&v| v != 0 && !hyperplane.contains(v))
                 .expect("a hyperplane misses half the parent");
             for direction in [inside, 1] {
-                let costs = kernel.cost_neighborhood_bounded(
-                    &parent,
-                    &hyperplanes,
-                    &[(h, direction)],
-                    u64::MAX,
-                );
+                let costs = price_over(&kernel, &parent, &hyperplanes, &[(h, direction)], u64::MAX);
                 assert_eq!(
                     costs,
                     [BoundedCost::Exact(
@@ -585,28 +433,44 @@ mod tests {
         let parent = PackedBasis::standard_span(12, 6..12);
         let hyperplanes: Vec<PackedBasis> = parent.hyperplanes().collect();
         let lanes = lanes_over(&hyperplanes, 150);
-        let costs = kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, u64::MAX);
+        let costs = price_over(&kernel, &parent, &hyperplanes, &lanes, u64::MAX);
         assert_eq!(costs.len(), lanes.len());
         for (&(h, d), &cost) in lanes.iter().zip(&costs) {
             let fresh = estimator.estimate_packed(&hyperplanes[h].extended(d));
             assert_eq!(cost, BoundedCost::Exact(fresh), "lane ({h}, {d:#x})");
         }
-        assert!(kernel
-            .cost_neighborhood_bounded(&parent, &hyperplanes, &[], u64::MAX)
-            .is_empty());
     }
 
     #[test]
     fn from_dense_and_new_agree() {
-        // A kernel rebuilt from its parts holds what `new` froze.
+        // A kernel rebuilt from its profile holds what `new` froze.
         let profile = mixed_profile();
         let a = FrozenKernel::new(&profile);
-        let b = FrozenKernel::from_parts(profile.clone(), a.tail_bits()).unwrap();
+        let b = FrozenKernel::from_parts(profile.clone());
         assert_eq!(a.profile(), &profile);
         assert_eq!(a.profile(), b.profile());
-        assert_eq!(a.tail, b.tail);
-        assert_eq!(a.mean_popcount, b.mean_popcount);
+        assert_eq!(a.span(), b.span());
+        assert_eq!(a.table, b.table);
         assert_eq!(a.hashed_bits(), 12);
+    }
+
+    #[test]
+    fn the_span_is_the_span_of_the_recorded_vectors() {
+        for profile in [mixed_profile(), scanned_profile()] {
+            let kernel = FrozenKernel::new(&profile);
+            let mut span = PackedBasis::trivial(profile.hashed_bits());
+            for &(v, _) in profile.entries() {
+                span.insert(v);
+            }
+            assert_eq!(kernel.span(), &span);
+            assert_eq!(
+                kernel.has_weight_table(),
+                span.dim() <= crate::FLAT_LOOKUP_MAX_BITS
+            );
+        }
+        assert!(FrozenKernel::new(&mixed_profile()).has_weight_table());
+        assert_eq!(FrozenKernel::new(&scanned_profile()).span().dim(), 21);
+        assert!(!FrozenKernel::new(&scanned_profile()).has_weight_table());
     }
 
     #[test]
@@ -633,6 +497,8 @@ mod tests {
 
     #[test]
     fn batch_paths_are_bit_identical_under_every_strategy() {
+        // A batch through the engine, single prices and bounded prices at
+        // `u64::MAX` all reproduce the oracle, on either side of Eq. 4.
         let profile = mixed_profile();
         let bases: Vec<PackedBasis> = (0..=10)
             .map(|m| PackedBasis::standard_span(12, m..12))
@@ -643,47 +509,19 @@ mod tests {
                     .to_packed()
             }))
             .collect();
-        let refs: Vec<&PackedBasis> = bases.iter().collect();
         let kernel = FrozenKernel::new(&profile);
+        let batch = crate::EvalEngine::new(&profile).estimate_batch(&bases);
         for strategy in STRATEGIES {
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
-            let oracle: Vec<u64> = refs.iter().map(|b| estimator.estimate_packed(b)).collect();
-            assert_eq!(kernel.cost_batch(&refs), oracle, "{strategy:?} cost_batch");
-            assert_eq!(
-                kernel.cost_batch_sliced(&refs),
-                oracle,
-                "{strategy:?} cost_batch_sliced"
-            );
-        }
-    }
-
-    #[test]
-    fn cost_block_reports_the_resolved_strategy() {
-        let profile = mixed_profile();
-        let kernel = FrozenKernel::new(&profile);
-        // Wide blocks of large null spaces share one histogram scan; a pair
-        // of one-dimensional null spaces is cheaper to enumerate; a single
-        // candidate never slices.
-        let wide: Vec<PackedBasis> = (0..12)
-            .flat_map(|i| (i + 1..12).map(move |j| (i, j)))
-            .take(SLICED_LANES)
-            .map(|(i, j)| PackedBasis::standard_span(12, (0..12).filter(|&b| b != i && b != j)))
-            .collect();
-        let narrow: Vec<PackedBasis> = (0..2)
-            .map(|b| PackedBasis::standard_span(12, [b]))
-            .collect();
-        for (bases, expect) in [
-            (&wide[..], BatchStrategy::SlicedScan),
-            (&narrow[..], BatchStrategy::PerCandidate),
-            (&wide[..1], BatchStrategy::PerCandidate),
-        ] {
-            let refs: Vec<&PackedBasis> = bases.iter().collect();
-            let dims: Vec<usize> = bases.iter().map(PackedBasis::dim).collect();
-            assert_eq!(kernel.batch_strategy(&dims), expect);
-            // Whichever path a block resolves to, the costs are the scalar
-            // costs.
-            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-            assert_eq!(kernel.cost_block(&refs), (scalar, expect));
+            let oracle: Vec<u64> = bases.iter().map(|b| estimator.estimate_packed(b)).collect();
+            assert_eq!(batch, oracle, "{strategy:?} estimate_batch");
+            let single: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
+            assert_eq!(single, oracle, "{strategy:?} cost");
+            let bounded: Vec<u64> = bases
+                .iter()
+                .map(|b| kernel.cost_bounded(b, u64::MAX).lower_bound())
+                .collect();
+            assert_eq!(bounded, oracle, "{strategy:?} cost_bounded");
         }
     }
 
@@ -701,7 +539,7 @@ mod tests {
         let lo = *exact.iter().min().unwrap();
         let hi = *exact.iter().max().unwrap();
         for bound in [0, lo, lo + (hi - lo) / 2, hi + 1] {
-            let bounded = kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, bound);
+            let bounded = price_over(&kernel, &parent, &hyperplanes, &lanes, bound);
             assert_eq!(bounded.len(), exact.len());
             for (lane, (&true_cost, &got)) in exact.iter().zip(&bounded).enumerate() {
                 match got {
@@ -716,12 +554,9 @@ mod tests {
             }
         }
         // Above every cost the bounded path is the exact path, lane for lane.
-        let bounded = kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, hi + 1);
+        let bounded = price_over(&kernel, &parent, &hyperplanes, &lanes, hi + 1);
         let unwrapped: Vec<u64> = bounded.iter().map(|c| c.exact().unwrap()).collect();
         assert_eq!(unwrapped, exact);
-        assert!(kernel
-            .cost_neighborhood_bounded(&parent, &hyperplanes, &[], 10)
-            .is_empty());
     }
 
     #[test]
@@ -751,10 +586,47 @@ mod tests {
     }
 
     #[test]
+    fn bounded_cost_is_exact_iff_below_the_bound_on_both_routes() {
+        // The rule holds whichever route prices: `Exact` exactly when the
+        // cost is below the bound — so bound 0 abandons even a zero-cost
+        // candidate, however large its null space.
+        for profile in [mixed_profile(), scanned_profile()] {
+            let kernel = FrozenKernel::new(&profile);
+            let n = profile.hashed_bits();
+            let estimator = MissEstimator::new(&profile);
+            let mut zero_cost = 0;
+            for basis in [
+                PackedBasis::standard_span(n, [2usize, 3]),
+                PackedBasis::standard_span(n, [n - 3, n - 2, n - 1]),
+                PackedBasis::standard_span(n, [2usize, 3, 4, 8, 9, 10, 11]),
+                PackedBasis::standard_span(n, 1..n),
+                PackedBasis::standard_span(n, (0..n).filter(|&b| b != 5 && b != 6)),
+                PackedBasis::standard_span(n, [0usize, 1]).extended(0x0F00),
+            ] {
+                let cost = estimator.estimate_packed(&basis);
+                zero_cost += usize::from(cost == 0);
+                for bound in [0, cost / 2, cost, cost + 1, u64::MAX] {
+                    let expected = if cost < bound {
+                        BoundedCost::Exact(cost)
+                    } else {
+                        BoundedCost::AtLeast(bound)
+                    };
+                    assert_eq!(
+                        kernel.cost_bounded(&basis, bound),
+                        expected,
+                        "{n} bits, {basis:?}, bound {bound}"
+                    );
+                }
+            }
+            assert!(zero_cost >= 1, "{n} bits: no zero-cost candidate");
+        }
+    }
+
+    #[test]
     fn neighborhood_scaffold_prices_like_the_one_shot_path() {
         // The grouped histogram the engine caches, read lane by lane with
-        // each hyperplane's in-parent weight hoisted, prices what the one-shot
-        // kernel call and the histogram's own single-lane sum do.
+        // each hyperplane's in-parent weight hoisted, prices what the
+        // histogram's own single-lane sum does.
         let profile = mixed_profile();
         let kernel = FrozenKernel::new(&profile);
         let parent = PackedBasis::standard_span(12, 6..12);
@@ -762,13 +634,7 @@ mod tests {
         let lanes = lanes_over(&hyperplanes, 150);
         let histogram = kernel.neighborhood_scaffold(&parent);
         let bound = kernel.cost(&parent);
-        let lane_set = NeighborLanes::over(parent.clone(), &hyperplanes, lanes.iter().copied());
-        let groups = lane_groups(&histogram, &lane_set);
-        let via_scaffold = price_lanes(&histogram, &lane_set, &groups, &lane_set.lanes, bound);
-        assert_eq!(
-            via_scaffold,
-            kernel.cost_neighborhood_bounded(&parent, &hyperplanes, &lanes, bound)
-        );
+        let via_scaffold = price_over(&kernel, &parent, &hyperplanes, &lanes, bound);
         for (&(h, d), cost) in lanes.iter().zip(&via_scaffold) {
             let f = parent.hyperplane_functional(&hyperplanes[h]);
             let one_lane = histogram.lane_weight(f, d, bound);

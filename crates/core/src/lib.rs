@@ -84,7 +84,7 @@ pub mod search;
 pub use dense::FLAT_LOOKUP_MAX_BITS;
 pub use engine::{host_threads, EngineStats, EvalEngine};
 pub use error::XorIndexError;
-pub use estimate::{BatchStrategy, BoundedCost, EstimationStrategy, MissEstimator};
+pub use estimate::{BoundedCost, EstimationStrategy, MissEstimator};
 pub use function_class::FunctionClass;
 pub use hashfn::HashFunction;
 pub use kernel::FrozenKernel;

@@ -2,12 +2,11 @@
 //!
 //! Pricing any neighbourhood of a parent null space first groups the whole
 //! histogram by remainder modulo that parent ([`CosetHistogram`], one pass
-//! over every entry). The kernel's standalone
-//! [`FrozenKernel::cost_neighborhood_bounded`] regroups per call, which is
-//! fine for a one-shot pricing but wasteful for the callers that dominate
-//! real runs: the verified pick ranking the neighbourhood the climb's last
-//! step just priced, random restarts walking back through earlier parents,
-//! and serve-layer searches against one application.
+//! over every entry, [`FrozenKernel::neighborhood_scaffold`]). Regrouping per
+//! call would be wasteful for the callers that dominate real runs: the
+//! verified pick ranking the neighbourhood the climb's last step just
+//! priced, random restarts walking back through earlier parents, and
+//! serve-layer searches against one application.
 //!
 //! [`ScaffoldCache`] memoizes the grouped histogram per parent
 //! ([`gf2::CanonicalKey`]), capacity-capped with FIFO eviction. Entries sit

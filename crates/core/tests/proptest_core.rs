@@ -189,8 +189,9 @@ proptest! {
         prop_assert_eq!(kernel.hashed_bits(), profile.hashed_bits());
         prop_assert_eq!(kernel.profile().distinct_vectors(), reference.len());
         // Exhaustive point-lookup agreement over the whole hashed domain:
-        // the kernel's lookup table and the profile's binary search both
+        // the kernel's coordinate table and the profile's binary search both
         // answer what the reference map holds.
+        prop_assert!(kernel.has_weight_table());
         for v in 0..(1u64 << HASHED_BITS) {
             let expected = reference
                 .get(&BitVec::from_u64(v, HASHED_BITS))
@@ -206,40 +207,31 @@ proptest! {
         blocks in trace_strategy(),
         cache in cache_strategy(),
         seed in any::<u64>(),
-        tail_bits in 0usize..=HASHED_BITS,
     ) {
+        // Single, bounded and batch prices from the coordinate table all
+        // match the oracle, for candidates of every dimension.
         let profile = profile_of(&blocks, &cache);
         let mut rng = StdRng::seed_from_u64(seed);
-        // Candidates of every dimension: random subspaces plus the
-        // conventional chain (the shapes the searches actually price).
-        let mut bases: Vec<gf2::PackedBasis> = (0..12)
-            .map(|i| {
-                gf2::random::random_subspace(&mut rng, HASHED_BITS, i % (HASHED_BITS + 1))
-                    .to_packed()
-            })
-            .collect();
-        bases.extend(
-            (0..HASHED_BITS).map(|m| gf2::PackedBasis::standard_span(HASHED_BITS, m..HASHED_BITS)),
-        );
-        let refs: Vec<&gf2::PackedBasis> = bases.iter().collect();
-        // Two kernel layouts: the default tail and an explicit tail width
-        // (0 = pure sorted entries, no dense tail at all).
-        for kernel in [
-            FrozenKernel::new(&profile),
-            FrozenKernel::from_parts(profile.clone(), tail_bits).unwrap(),
-        ] {
-            let tail = kernel.tail_bits();
-            let scalar: Vec<u64> = refs.iter().map(|b| kernel.cost(b)).collect();
-            for strategy in STRATEGIES {
-                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
-                let oracle: Vec<u64> = refs.iter().map(|b| estimator.estimate_packed(b)).collect();
-                prop_assert_eq!(&scalar, &oracle, "cost, strategy {:?}, tail {}", strategy, tail);
+        prop_assert_eq!(check_coordinate_pricing(&profile, &mut rng), Ok(()));
+    }
+
+    #[test]
+    fn coordinate_pricing_matches_the_oracle_on_spans_below_and_at_full_width(
+        seed in any::<u64>(),
+        dim in 0usize..HASHED_BITS,
+    ) {
+        // Random profiles whose vectors span `dim < n` dimensions, and
+        // random profiles spanning the whole space.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for dim in [dim, HASHED_BITS] {
+            let profile = random_span_profile(&mut rng, dim);
+            let kernel = FrozenKernel::new(&profile);
+            prop_assert_eq!(kernel.span().dim(), dim);
+            prop_assert!(kernel.has_weight_table());
+            for v in 0..(1u64 << HASHED_BITS) {
+                prop_assert_eq!(kernel.misses_of(v), profile.misses_of(v), "vector {}", v);
             }
-            prop_assert_eq!(&kernel.cost_batch(&refs), &scalar, "cost_batch, tail {}", tail);
-            prop_assert_eq!(
-                &kernel.cost_batch_sliced(&refs), &scalar,
-                "cost_batch_sliced, tail {}", tail
-            );
+            prop_assert_eq!(check_coordinate_pricing(&profile, &mut rng), Ok(()));
         }
     }
 
@@ -327,6 +319,75 @@ proptest! {
             }
         }
     }
+}
+
+/// A profile whose recorded vectors span a random `dim`-dimensional subspace
+/// of the hashed space: the subspace's basis rows plus random members, with
+/// random weights.
+fn random_span_profile(rng: &mut StdRng, dim: usize) -> ConflictProfile {
+    let span = gf2::random::random_subspace(rng, HASHED_BITS, dim).to_packed();
+    let mut vectors: Vec<u64> = span.rows().to_vec();
+    for _ in 0..24 {
+        let pick = rng.gen_range(0..1u64 << dim);
+        let member = span
+            .rows()
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| pick >> k & 1 == 1)
+            .fold(0, |v, (_, &row)| v ^ row);
+        vectors.push(member);
+    }
+    vectors.retain(|&v| v != 0);
+    vectors.sort_unstable();
+    vectors.dedup();
+    let entries = vectors
+        .into_iter()
+        .map(|v| (v, rng.gen_range(1..100u64)))
+        .collect();
+    ConflictProfile::from_parts(HASHED_BITS, 64, entries).expect("canonical entries")
+}
+
+/// Pins the kernel's `cost`, `cost_bounded` (at bounds 0, the cost, one
+/// above it and `u64::MAX`) and the engine's batch pricing against the
+/// oracle under every strategy, for random candidates of every dimension
+/// plus the conventional chain. Kept outside the `proptest!` macro (its
+/// expansion depth scales with statement count).
+fn check_coordinate_pricing(profile: &ConflictProfile, rng: &mut StdRng) -> Result<(), String> {
+    let mut bases: Vec<gf2::PackedBasis> = (0..12)
+        .map(|i| gf2::random::random_subspace(rng, HASHED_BITS, i % (HASHED_BITS + 1)).to_packed())
+        .collect();
+    bases.extend(
+        (0..HASHED_BITS).map(|m| gf2::PackedBasis::standard_span(HASHED_BITS, m..HASHED_BITS)),
+    );
+    let kernel = FrozenKernel::new(profile);
+    let costs: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
+    for strategy in STRATEGIES {
+        let estimator = MissEstimator::new(profile).with_strategy(strategy);
+        let oracle: Vec<u64> = bases.iter().map(|b| estimator.estimate_packed(b)).collect();
+        if costs != oracle {
+            return Err(format!("{strategy:?}: cost {costs:?} != oracle {oracle:?}"));
+        }
+    }
+    for (basis, &cost) in bases.iter().zip(&costs) {
+        for bound in [0, cost, cost + 1, u64::MAX] {
+            let expected = if cost < bound {
+                BoundedCost::Exact(cost)
+            } else {
+                BoundedCost::AtLeast(bound)
+            };
+            let got = kernel.cost_bounded(basis, bound);
+            if got != expected {
+                return Err(format!(
+                    "{basis:?} at bound {bound}: {got:?} != {expected:?}"
+                ));
+            }
+        }
+    }
+    let batch = EvalEngine::new(profile).estimate_batch(&bases);
+    if batch != costs {
+        return Err(format!("estimate_batch {batch:?} != cost {costs:?}"));
+    }
+    Ok(())
 }
 
 /// The profiler as it stood while its histogram was a `HashMap<BitVec, u64>`,

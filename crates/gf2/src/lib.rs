@@ -19,9 +19,6 @@
 //!   coordinates ([`PackedBasis::decompose`]), incremental extend/replace of
 //!   one generator, hyperplanes named by their functionals,
 //!   Gray-code coset enumeration, and compact [`CanonicalKey`] map keys;
-//! * [`SlicedBlock`] — up to 64 packed bases transposed into column-wise
-//!   `u64` check planes, so one pass over a vector's set bits answers the
-//!   membership test for every candidate in the block at once;
 //! * [`CosetHistogram`] — a weighted histogram grouped by remainder modulo
 //!   one parent subspace in one flat array, so a neighbour
 //!   `hyperplane ⊕ span(direction)` of that parent is priced from the
@@ -64,7 +61,7 @@ pub mod random;
 pub use bitvec::{BitVec, SetBits};
 pub use matrix::BitMatrix;
 pub use packed::{hash_key_words, CanonicalKey, PackedBasis, PackedHyperplanes, PackedVectors};
-pub use sliced::{parity_weight, CosetHistogram, SlicedBlock, SLICED_LANES};
+pub use sliced::{parity_weight, CosetHistogram};
 pub use subspace::{Subspace, SubspaceVectors};
 
 /// Errors reported by GF(2) operations.

@@ -1,243 +1,16 @@
-//! Histogram scans for many candidates at once: bit-sliced membership tests
-//! for blocks of up to 64 unrelated candidate subspaces, and the
-//! remainder-grouped histogram a neighbourhood of one parent is priced from,
-//! one lane at a time.
+//! The remainder-grouped histogram a neighbourhood of one parent is priced
+//! from, one lane at a time.
 //!
-//! The Eq. 4 histogram scan asks one question per `(candidate, vector)` pair:
-//! does the conflict vector `v` lie in the candidate's null space? A
-//! [`PackedBasis`] answers it for one candidate at a time by reducing `v`
-//! against its rows. A [`SlicedBlock`] transposes that computation: it lays
-//! the membership checks of up to [`SLICED_LANES`] candidates out
-//! *column-wise*, one candidate per bit position ("lane") of a `u64` word, so
-//! a single pass over `v`'s set bits advances every candidate in the block at
-//! once.
-//!
-//! The transposition rests on the remainder map being *linear* in `v` for a
-//! basis in reduced row-echelon form: each pivot column is zero in every
-//! other row, so reducing `v` XORs in exactly the rows whose pivot bit is set
-//! in `v`, independent of order. Writing `row(b)` for the row with pivot `b`,
-//!
-//! ```text
-//! remainder(v) = Σ_b v_b · col(b),   col(b) = e_b ⊕ row(b)   (b a pivot)
-//!                                    col(b) = e_b             (otherwise)
-//! ```
-//!
-//! and `v` is a member exactly when the remainder is zero. Remainder bits at
-//! pivot positions are identically zero (each `col(b)` is supported on
-//! non-pivot coordinates only), so the block stores just the `width − dim`
-//! non-pivot *check* coordinates per candidate: `checks` bit-planes, each a
-//! `u64` whose bit `j` belongs to lane `j`. Testing `v` then costs
-//! `popcount(v) × checks` word XORs for the whole block — under one word
-//! operation per candidate for typical conflict vectors, against the
-//! `dim`-row reduction [`PackedBasis::contains`] pays per candidate.
-//!
-//! Neighbours `hyperplane ⊕ span(direction)` of one parent `P` share far more
-//! than a block can exploit. A conflict vector lies in such a neighbour only
-//! if its remainder modulo `P` is 0 or the direction's, and then one parity
-//! over `P`'s coordinates decides. A [`CosetHistogram`] groups the histogram
-//! by that remainder once per parent, so a lane costs its hyperplane's
+//! Neighbours `hyperplane ⊕ span(direction)` of one parent `P` share most of
+//! their Eq. 4 work. A conflict vector lies in such a neighbour only if its
+//! remainder modulo `P` is 0 or the direction's, and then one parity over
+//! `P`'s coordinates decides. A [`CosetHistogram`] groups the histogram by
+//! that remainder once per parent, so a lane costs its hyperplane's
 //! in-parent weight (shared by all of that hyperplane's lanes) plus one
 //! [`parity_weight`] scan of a single group — the handful of entries that can
 //! possibly lie in it, instead of a test of every entry.
 
 use crate::PackedBasis;
-
-/// Maximum number of candidates ("lanes") a [`SlicedBlock`] holds: one per
-/// bit of the `u64` membership mask.
-pub const SLICED_LANES: usize = 64;
-
-/// A transposed block of up to [`SLICED_LANES`] candidate subspaces of one
-/// ambient width, answering membership for all of them in one word-parallel
-/// pass.
-///
-/// # Example
-///
-/// ```
-/// use gf2::{PackedBasis, SlicedBlock};
-///
-/// let a = PackedBasis::standard_span(8, [0usize, 1]);
-/// let b = PackedBasis::standard_span(8, [1usize, 2]);
-/// let block = SlicedBlock::from_bases([&a, &b]);
-///
-/// // Bit j of the mask is lane j's membership verdict.
-/// assert_eq!(block.member_mask(0b0000_0011), 0b01); // in a, not in b
-/// assert_eq!(block.member_mask(0b0000_0110), 0b10); // in b, not in a
-/// assert_eq!(block.member_mask(0b0000_0010), 0b11); // in both
-/// assert_eq!(block.member_mask(0b1000_0000), 0b00); // in neither
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SlicedBlock {
-    width: usize,
-    lanes: usize,
-    /// Check bit-planes per input bit: the largest `width − dim` over the
-    /// lanes. Lanes of higher dimension simply leave their surplus planes
-    /// zero (no constraint).
-    checks: usize,
-    /// `columns[b * checks + r]`: bit `j` is lane `j`'s coefficient of input
-    /// bit `b` on check row `r`.
-    columns: Vec<u64>,
-    /// Low `lanes` bits set.
-    lane_mask: u64,
-    /// Low `width` bits set: vectors outside the ambient space are members of
-    /// no lane.
-    low_mask: u64,
-}
-
-impl SlicedBlock {
-    /// Builds a block from 1..=[`SLICED_LANES`] candidate bases of equal
-    /// ambient width. Dimensions may differ across lanes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the iterator yields no basis, more than [`SLICED_LANES`], or
-    /// bases of differing ambient widths.
-    #[must_use]
-    pub fn from_bases<'a>(bases: impl IntoIterator<Item = &'a PackedBasis>) -> Self {
-        let bases: Vec<&PackedBasis> = bases.into_iter().collect();
-        assert!(!bases.is_empty(), "a sliced block needs at least one lane");
-        assert!(
-            bases.len() <= SLICED_LANES,
-            "a sliced block holds at most {SLICED_LANES} lanes, got {}",
-            bases.len()
-        );
-        let width = bases[0].width();
-        let lanes = bases.len();
-        let checks = bases
-            .iter()
-            .map(|b| {
-                assert_eq!(b.width(), width, "sliced lanes must share one width");
-                width - b.dim()
-            })
-            .max()
-            .unwrap_or(0);
-        let mut columns = vec![0u64; width * checks];
-        for (j, basis) in bases.iter().enumerate() {
-            let lane_bit = 1u64 << j;
-            // Index the RREF rows by their pivot coordinate.
-            let mut pivot_row = [0u64; 64];
-            let mut pivots = 0u64;
-            for &row in basis.rows() {
-                let p = 63 - row.leading_zeros() as usize;
-                pivots |= 1 << p;
-                pivot_row[p] = row;
-            }
-            // Check rows are this lane's non-pivot coordinates, ascending.
-            let mut check_of = [usize::MAX; 64];
-            let mut next = 0usize;
-            for (c, slot) in check_of.iter_mut().enumerate().take(width) {
-                if pivots & (1u64 << c) == 0 {
-                    *slot = next;
-                    next += 1;
-                }
-            }
-            for b in 0..width {
-                // col(b) = e_b ⊕ row(b) for pivots, e_b otherwise; supported
-                // on non-pivot coordinates only (RREF zeroes pivot columns in
-                // every other row).
-                let mut col = if pivots & (1u64 << b) != 0 {
-                    pivot_row[b] ^ (1u64 << b)
-                } else {
-                    1u64 << b
-                };
-                while col != 0 {
-                    let c = col.trailing_zeros() as usize;
-                    col &= col - 1;
-                    columns[b * checks + check_of[c]] |= lane_bit;
-                }
-            }
-        }
-        SlicedBlock {
-            width,
-            lanes,
-            checks,
-            columns,
-            lane_mask: mask_low(lanes),
-            low_mask: mask_low(width),
-        }
-    }
-
-    /// Ambient width shared by every lane.
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Number of candidate lanes in the block.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Check bit-planes per input bit (the widest `width − dim` over lanes).
-    #[must_use]
-    pub fn checks(&self) -> usize {
-        self.checks
-    }
-
-    /// Mask with one bit set per occupied lane.
-    #[must_use]
-    pub fn lane_mask(&self) -> u64 {
-        self.lane_mask
-    }
-
-    /// The word-parallel membership test: bit `j` of the result is set exactly
-    /// when `v` lies in lane `j`'s subspace, i.e. when
-    /// [`PackedBasis::contains`] would return `true` for that lane.
-    #[must_use]
-    pub fn member_mask(&self, v: u64) -> u64 {
-        let mut scratch = [0u64; SLICED_LANES];
-        self.member_mask_scratch(v, &mut scratch)
-    }
-
-    /// Sums entry weights into every lane at once: lane `j` of the result is
-    /// `Σ w` over the entries `(v, w)` with `v` in lane `j`'s subspace —
-    /// Eq. 4 for the whole block in one sweep.
-    #[must_use]
-    pub fn sum_weights(&self, entries: impl IntoIterator<Item = (u64, u64)>) -> Vec<u64> {
-        let mut scratch = [0u64; SLICED_LANES];
-        let mut sums = vec![0u64; self.lanes];
-        for (v, w) in entries {
-            let mut mask = self.member_mask_scratch(v, &mut scratch);
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                sums[lane] += w;
-            }
-        }
-        sums
-    }
-
-    /// [`SlicedBlock::member_mask`] with a caller-owned scratch buffer, for
-    /// hot loops testing many vectors against one block: only the block's
-    /// `checks` planes of the scratch are touched per call, instead of
-    /// zero-initializing a fresh 64-word array each time.
-    #[must_use]
-    pub fn member_mask_scratch(&self, v: u64, scratch: &mut [u64; SLICED_LANES]) -> u64 {
-        if v & !self.low_mask != 0 {
-            return 0;
-        }
-        if self.checks == 0 {
-            // Every lane is the full space.
-            return self.lane_mask;
-        }
-        let planes = &mut scratch[..self.checks];
-        planes.fill(0);
-        let mut rest = v;
-        while rest != 0 {
-            let b = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let col = &self.columns[b * self.checks..(b + 1) * self.checks];
-            for (plane, &word) in planes.iter_mut().zip(col) {
-                *plane ^= word;
-            }
-        }
-        let mut nonzero = 0u64;
-        for &plane in planes.iter() {
-            nonzero |= plane;
-        }
-        !nonzero & self.lane_mask
-    }
-}
 
 /// A weighted histogram grouped by remainder modulo one parent subspace `P`,
 /// in one flat array: what pricing a neighbourhood of `P` reads.
@@ -404,91 +177,7 @@ mod tests {
     use super::*;
     use crate::random;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// Exhaustively pins `member_mask` against per-lane `contains`.
-    fn assert_matches_contains(bases: &[PackedBasis], width: usize) {
-        let block = SlicedBlock::from_bases(bases.iter());
-        assert_eq!(block.lanes(), bases.len());
-        assert_eq!(block.width(), width);
-        let top = if width >= 16 {
-            1u64 << 16
-        } else {
-            1u64 << width
-        };
-        for v in 0..top {
-            let expect = bases
-                .iter()
-                .enumerate()
-                .fold(0u64, |m, (j, b)| m | (u64::from(b.contains(v)) << j));
-            assert_eq!(block.member_mask(v), expect, "v={v:#x}");
-        }
-    }
-
-    #[test]
-    fn single_lane_matches_contains_exhaustively() {
-        for width in [1usize, 2, 5, 8] {
-            for dim in 0..=width {
-                let basis = PackedBasis::standard_span(width, 0..dim);
-                assert_matches_contains(std::slice::from_ref(&basis), width);
-            }
-        }
-    }
-
-    #[test]
-    fn random_mixed_dimension_block_matches_contains() {
-        let mut rng = StdRng::seed_from_u64(0x51CED);
-        let width = 10;
-        let bases: Vec<PackedBasis> = (0..17)
-            .map(|i| random::random_subspace(&mut rng, width, i % (width + 1)).to_packed())
-            .collect();
-        assert_matches_contains(&bases, width);
-    }
-
-    #[test]
-    fn sixty_four_lanes_fill_the_word() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let width = 9;
-        let bases: Vec<PackedBasis> = (0..SLICED_LANES)
-            .map(|i| random::random_subspace(&mut rng, width, 1 + i % width).to_packed())
-            .collect();
-        let block = SlicedBlock::from_bases(bases.iter());
-        assert_eq!(block.lane_mask(), u64::MAX);
-        // The zero vector is in every subspace.
-        assert_eq!(block.member_mask(0), u64::MAX);
-        for v in [1u64, 0b101, 0x1FF] {
-            let expect = bases
-                .iter()
-                .enumerate()
-                .fold(0u64, |m, (j, b)| m | (u64::from(b.contains(v)) << j));
-            assert_eq!(block.member_mask(v), expect);
-        }
-    }
-
-    #[test]
-    fn width_64_and_out_of_range_vectors() {
-        let full = PackedBasis::standard_span(64, 0..64);
-        let half = PackedBasis::standard_span(64, 0..32);
-        let block = SlicedBlock::from_bases([&full, &half]);
-        assert_eq!(block.member_mask(u64::MAX), 0b01);
-        assert_eq!(block.member_mask(0xFFFF_FFFF), 0b11);
-        // A narrow block rejects vectors outside its ambient width outright.
-        let narrow = PackedBasis::standard_span(4, 0..4);
-        let block = SlicedBlock::from_bases([&narrow]);
-        assert_eq!(block.member_mask(0b1111), 0b1);
-        assert_eq!(block.member_mask(0b1_0000), 0);
-    }
-
-    #[test]
-    fn full_dimension_lanes_accept_everything() {
-        let a = PackedBasis::standard_span(6, 0..6);
-        let b = PackedBasis::standard_span(6, 0..6);
-        let block = SlicedBlock::from_bases([&a, &b]);
-        assert_eq!(block.checks(), 0);
-        for v in 0..(1u64 << 6) {
-            assert_eq!(block.member_mask(v), 0b11);
-        }
-    }
+    use rand::{Rng, SeedableRng};
 
     /// Every seventh `(functional, direction)` lane of `parent`, including
     /// directions inside the parent (whose candidate is the parent itself).
@@ -548,19 +237,25 @@ mod tests {
 
     #[test]
     fn coset_block_matches_the_generic_sliced_block() {
-        let entries = every_vector(9);
+        // A sparse histogram: many remainders have no group at all, so lanes
+        // whose direction's group is empty cost their in-parent weight
+        // alone. Each lane still costs the weight of the entries its
+        // materialized candidate contains.
+        let mut rng = StdRng::seed_from_u64(0x5EED);
+        let entries: Vec<(u64, u64)> = every_vector(9)
+            .into_iter()
+            .filter(|_| rng.gen_bool(0.1))
+            .collect();
         for (histogram, lanes) in cases(0x5EED) {
-            for chunk in lanes.chunks(SLICED_LANES) {
-                let materialized: Vec<PackedBasis> = chunk
+            let histogram = CosetHistogram::new(histogram.parent(), entries.iter().copied());
+            for &(f, d) in &lanes {
+                let candidate = histogram.parent().hyperplane(f).extended(d);
+                let contained: u64 = entries
                     .iter()
-                    .map(|&(f, d)| histogram.parent().hyperplane(f).extended(d))
-                    .collect();
-                let generic = SlicedBlock::from_bases(materialized.iter());
-                let per_lane: Vec<u64> = chunk
-                    .iter()
-                    .map(|&(f, d)| histogram.lane_weight(f, d, u64::MAX))
-                    .collect();
-                assert_eq!(per_lane, generic.sum_weights(entries.iter().copied()));
+                    .filter(|&&(v, _)| candidate.contains(v))
+                    .map(|&(_, w)| w)
+                    .sum();
+                assert_eq!(histogram.lane_weight(f, d, u64::MAX), contained);
             }
         }
     }
@@ -574,11 +269,10 @@ mod tests {
             assert_eq!(histogram.group(0).len(), 1usize << dim);
             assert_eq!(histogram.groups.len(), 1usize << (9 - dim));
             for &(f, d) in lanes.iter().step_by(5) {
-                let block =
-                    SlicedBlock::from_bases([&histogram.parent().hyperplane(f).extended(d)]);
+                let candidate = histogram.parent().hyperplane(f).extended(d);
                 let swept: u64 = entries
                     .iter()
-                    .filter(|&&(v, _)| block.member_mask(v) == 1)
+                    .filter(|&&(v, _)| candidate.contains(v))
                     .map(|&(_, w)| w)
                     .sum();
                 assert_eq!(histogram.lane_weight(f, d, u64::MAX), swept);
@@ -656,35 +350,6 @@ mod tests {
     }
 
     #[test]
-    fn generic_block_sum_weights_matches_member_mask_sweep_and_bounds() {
-        let mut rng = StdRng::seed_from_u64(0x6E4E);
-        let width = 9;
-        let bases: Vec<PackedBasis> = (0..23)
-            .map(|i| random::random_subspace(&mut rng, width, 1 + i % width).to_packed())
-            .collect();
-        let block = SlicedBlock::from_bases(bases.iter());
-        let entries: Vec<(u64, u64)> = (0..(1u64 << width)).map(|v| (v, v % 5 + 1)).collect();
-        let mut expect = vec![0u64; bases.len()];
-        for &(v, w) in &entries {
-            let mut mask = block.member_mask(v);
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                expect[lane] += w;
-            }
-        }
-        let sums = block.sum_weights(entries.iter().copied());
-        assert_eq!(sums, expect);
-        // Every lane holds the zero vector and at most the whole space; the
-        // full-dimension lanes reach the total weight.
-        let total: u64 = entries.iter().map(|&(_, w)| w).sum();
-        for (lane, basis) in bases.iter().enumerate() {
-            assert!((1..=total).contains(&sums[lane]), "lane={lane}");
-            assert_eq!(sums[lane] == total, basis.dim() == width, "lane={lane}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "exceeds the ambient width")]
     fn frame_direction_outside_width_panics() {
         let parent = PackedBasis::standard_span(8, 0..2);
@@ -714,19 +379,5 @@ mod tests {
     fn coset_trivial_parent_panics() {
         let parent = PackedBasis::trivial(8);
         let _ = parent.hyperplane_functional(&PackedBasis::trivial(8));
-    }
-
-    #[test]
-    #[should_panic(expected = "share one width")]
-    fn mismatched_widths_panic() {
-        let a = PackedBasis::trivial(8);
-        let b = PackedBasis::trivial(9);
-        let _ = SlicedBlock::from_bases([&a, &b]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one lane")]
-    fn empty_block_panics() {
-        let _ = SlicedBlock::from_bases(std::iter::empty());
     }
 }

@@ -348,48 +348,3 @@ proptest! {
         prop_assert_eq!(ka.as_words()[0] as usize, n);
     }
 }
-
-/// Body of `sliced_member_mask_matches_scalar_contains`, kept outside the
-/// `proptest!` macro (its expansion depth scales with statement count).
-fn check_sliced_mask_matches_contains(seed: u64, n: usize, lanes: usize) -> Result<(), String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let bases: Vec<gf2::PackedBasis> = (0..lanes)
-        .map(|i| random::random_subspace(&mut rng, n, (seed as usize + i) % (n + 1)).to_packed())
-        .collect();
-    let block = gf2::SlicedBlock::from_bases(bases.iter());
-    if block.lanes() != lanes {
-        return Err(format!("lanes {} != {lanes}", block.lanes()));
-    }
-    for _ in 0..64 {
-        let v = random::random_vector(&mut rng, n).as_u64();
-        let expect = bases
-            .iter()
-            .enumerate()
-            .fold(0u64, |m, (j, b)| m | (u64::from(b.contains(v)) << j));
-        if block.member_mask(v) != expect {
-            return Err(format!(
-                "v={v:#x}: mask {:#x} != contains fold {expect:#x}",
-                block.member_mask(v)
-            ));
-        }
-    }
-    // The zero vector is a member of every lane.
-    if block.member_mask(0) != block.lane_mask() {
-        return Err("zero vector must be in every lane".to_string());
-    }
-    Ok(())
-}
-
-proptest! {
-    // A sliced block's word-parallel membership mask agrees lane-for-lane
-    // with the scalar `PackedBasis::contains` on every probed vector, for
-    // random blocks of mixed dimensions and any lane count up to the limit.
-    #[test]
-    fn sliced_member_mask_matches_scalar_contains(
-        seed in any::<u64>(),
-        n in 1usize..=16,
-        lanes in 1usize..=gf2::SLICED_LANES,
-    ) {
-        prop_assert_eq!(check_sliced_mask_matches_contains(seed, n, lanes), Ok(()));
-    }
-}

@@ -558,10 +558,9 @@ impl IndexService {
 
     /// Prices a batch of candidates, returning costs aligned with `bases`.
     /// The whole batch is width-checked before any pricing happens, so a
-    /// malformed batch is rejected atomically. Memoized candidates answer
-    /// from the memo; the rest are priced together through
-    /// [`FrozenKernel::cost_batch`] — which bit-slices blocks of up to 64
-    /// candidates when the batch shape pays for it — and backfilled.
+    /// malformed batch is rejected atomically. Each candidate is then priced
+    /// as [`IndexService::price_candidate`] prices it: from the memo, or on a
+    /// miss by [`FrozenKernel::cost`] and backfilled.
     ///
     /// # Errors
     ///
@@ -571,23 +570,10 @@ impl IndexService {
         for basis in bases {
             Self::check_width(&app, basis)?;
         }
-        let mut out = vec![0u64; bases.len()];
-        let mut pending: Vec<usize> = Vec::new();
-        for (i, basis) in bases.iter().enumerate() {
-            match app.memo.probe(basis) {
-                Some(cost) => out[i] = cost,
-                None => pending.push(i),
-            }
-        }
-        if !pending.is_empty() {
-            let refs: Vec<&PackedBasis> = pending.iter().map(|&i| &bases[i]).collect();
-            let costs = app.kernel.cost_batch(&refs);
-            for (&i, cost) in pending.iter().zip(costs) {
-                app.memo.insert(&bases[i], cost);
-                out[i] = cost;
-            }
-        }
-        Ok(out)
+        Ok(bases
+            .iter()
+            .map(|basis| app.memo.price(&app.kernel, basis))
+            .collect())
     }
 
     /// Prices a batch under an incumbent bound. Memoized candidates always
@@ -1057,6 +1043,46 @@ mod tests {
         );
         // The abandoned candidates still price fully (and correctly) later.
         assert_eq!(service.price_batch(app, &candidates).unwrap(), exact);
+    }
+
+    #[test]
+    fn bound_zero_abandons_every_unseen_candidate_on_both_routes() {
+        // `Exact` exactly when the cost is below the bound, so bound 0
+        // answers `AtLeast(0)` for every candidate the memo has not seen —
+        // zero-cost ones too, however large their null space — whether the
+        // kernel prices from its weight table (the 12-bit profile) or scans
+        // its entries (24 bits whose vectors span 21 dimensions).
+        let units: Vec<(u64, u64)> = (0..21).map(|b| (1u64 << b, 3)).collect();
+        let scanned = ConflictProfile::from_parts(24, 64, units).unwrap();
+        let service = IndexService::new();
+        for (profile, width) in [(profile(12), 12usize), (scanned, 24)] {
+            let app = service
+                .register(Registration::new(profile, CacheConfig::paper_cache(1)))
+                .unwrap();
+            assert_eq!(service.kernel(app).unwrap().has_weight_table(), width == 12);
+            let bases = vec![
+                PackedBasis::standard_span(width, [width - 3, width - 2, width - 1]),
+                PackedBasis::standard_span(width, 0..8),
+                PackedBasis::standard_span(width, 0..width),
+            ];
+            let costs: Vec<u64> = bases
+                .iter()
+                .map(|b| service.kernel(app).unwrap().cost(b))
+                .collect();
+            assert!(costs.contains(&0) && costs.iter().any(|&c| c > 0));
+            let response = service.handle(Request::PriceBatchBounded {
+                app,
+                bases: bases.clone(),
+                bound: 0,
+            });
+            assert_eq!(
+                response,
+                Response::BoundedPrices(vec![BoundedCost::AtLeast(0); bases.len()]),
+                "{width} bits"
+            );
+            // Nothing was priced exactly, so nothing was memoized.
+            assert_eq!(service.stats(app).unwrap().memo.entries, 0);
+        }
     }
 
     #[test]

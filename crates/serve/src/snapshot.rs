@@ -15,7 +15,7 @@
 //!                                               3 Custom count:u32 (width:u8 bits:u64)*)
 //! memo_capacity := opt
 //! opt      := flag:u8 [value:u64]              (0 = None, 1 = Some)
-//! dense    := hashed_bits:u64 capacity_blocks:u64 tail_bits:u64
+//! dense    := hashed_bits:u64 capacity_blocks:u64 [tail_bits:u64]   (versions 1–2 only)
 //!             entry_count:u64 (vector:u64 weight:u64)*
 //! trace    := flag:u8 [block_count:u64 block:u64*]   (version >= 2 only)
 //! ```
@@ -23,14 +23,13 @@
 //! The trailing checksum is FNV-1a over every preceding byte; a snapshot
 //! that does not verify is rejected before any of it is interpreted. The
 //! `dense` section *is* the application's [`FrozenKernel`] — its profile's
-//! widths and sorted `(vector, weight)` entries plus the lookup-tail width —
-//! and restore rebuilds it with [`ConflictProfile::from_parts`], which
-//! revalidates every histogram invariant without re-sorting, and
-//! [`FrozenKernel::from_parts`], which checks the tail width and lays the
-//! tail out as the original did. Round-tripping is therefore an identity:
-//! `snapshot(restore(snapshot())) == snapshot()`, and a restored application
-//! prices every candidate bit-identically to the application that was
-//! snapshotted. Application order is preserved, so
+//! widths and sorted `(vector, weight)` entries — and restore rebuilds it
+//! with [`ConflictProfile::from_parts`], which revalidates every histogram
+//! invariant without re-sorting, and [`FrozenKernel::from_parts`], which
+//! derives everything else the kernel holds from the profile. Round-tripping
+//! is therefore an identity: `snapshot(restore(snapshot())) == snapshot()`,
+//! and a restored application prices every candidate bit-identically to the
+//! application that was snapshotted. Application order is preserved, so
 //! [`AppId`](crate::AppId)s issued before the snapshot stay valid after
 //! restore.
 //!
@@ -41,10 +40,13 @@
 //!
 //! # Versions
 //!
-//! Version 2 appends a per-app retained-trace section so a restored server
-//! can keep answering `SimulateFunction` / `OptimizeVerified` without
-//! re-registering traces. Version-1 images (no trace section) still restore
-//! — every application simply comes back with no retained trace.
+//! Version 3 drops the `tail_bits` word, the width of a lookup table kernels
+//! no longer keep. Version-1 and version-2 images still restore: their tail
+//! word is range-checked (at most `hashed_bits` and at most
+//! [`FLAT_LOOKUP_MAX_BITS`]) and then ignored. Version 2 appended the per-app
+//! retained-trace section, so a restored server can keep answering
+//! `SimulateFunction` / `OptimizeVerified` without re-registering traces;
+//! every application of a version-1 image comes back with no retained trace.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -55,7 +57,7 @@ use bytes::{Buf, BufMut};
 use cache_sim::{BlockAddr, CacheConfig};
 use gf2::BitVec;
 use xorindex::search::NeighborPool;
-use xorindex::{ConflictProfile, FrozenKernel, FunctionClass, ShardedMemo};
+use xorindex::{ConflictProfile, FrozenKernel, FunctionClass, ShardedMemo, FLAT_LOOKUP_MAX_BITS};
 
 use crate::service::{Application, IndexService};
 
@@ -63,7 +65,7 @@ use crate::service::{Application, IndexService};
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"XIDXSNAP";
 
 /// Current snapshot format version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 /// Oldest snapshot version [`IndexService::restore`] still accepts.
 pub const MIN_SNAPSHOT_VERSION: u32 = 1;
@@ -258,17 +260,21 @@ fn get_pool(buf: &mut &[u8]) -> Result<NeighborPool, SnapshotError> {
     }
 }
 
-fn put_app(out: &mut Vec<u8>, app: &Application) {
+/// Writes an application's `cache class pool memo_capacity` fields.
+fn put_settings(out: &mut Vec<u8>, app: &Application) {
     out.put_u64(app.cache.size_bytes());
     out.put_u64(app.cache.block_bytes());
     out.put_u32(app.cache.associativity());
     put_class(out, &app.class);
     put_pool(out, &app.pool);
     put_opt_usize(out, app.memo.stats().capacity);
+}
+
+fn put_app(out: &mut Vec<u8>, app: &Application) {
+    put_settings(out, app);
     let profile = app.kernel.profile();
     out.put_u64(profile.hashed_bits() as u64);
     out.put_u64(profile.capacity_blocks() as u64);
-    out.put_u64(app.kernel.tail_bits() as u64);
     out.put_u64(profile.entries().len() as u64);
     for &(vector, weight) in profile.entries() {
         out.put_u64(vector);
@@ -321,7 +327,17 @@ fn get_app(buf: &mut &[u8], version: u32) -> Result<Application, SnapshotError> 
     let memo_capacity = get_opt_usize(buf)?;
     let hashed_bits = get_usize(buf)?;
     let capacity_blocks = get_usize(buf)?;
-    let tail_bits = get_usize(buf)?;
+    if version < 3 {
+        // The width of the lookup table kernels no longer keep: checked as
+        // versions 1 and 2 checked it, then dropped.
+        let tail_bits = get_usize(buf)?;
+        if tail_bits > hashed_bits || tail_bits > FLAT_LOOKUP_MAX_BITS {
+            return Err(SnapshotError::Invalid(format!(
+                "tail of {tail_bits} bits cannot cover a {hashed_bits}-bit profile \
+                 (cap {FLAT_LOOKUP_MAX_BITS})"
+            )));
+        }
+    }
     let entry_count = get_usize(buf)?;
     if entry_count.saturating_mul(16) > buf.len() {
         return Err(SnapshotError::Truncated);
@@ -332,12 +348,11 @@ fn get_app(buf: &mut &[u8], version: u32) -> Result<Application, SnapshotError> 
         let weight = get_u64(buf)?;
         entries.push((vector, weight));
     }
-    // The two `from_parts` revalidate every invariant and rebuild the exact
-    // original layout, so the kernel below prices bit-identically.
-    let invalid = |e: xorindex::XorIndexError| SnapshotError::Invalid(e.to_string());
-    let profile =
-        ConflictProfile::from_parts(hashed_bits, capacity_blocks, entries).map_err(invalid)?;
-    let kernel = FrozenKernel::from_parts(profile, tail_bits).map_err(invalid)?;
+    // `from_parts` revalidates every invariant, and the kernel derives the
+    // rest from the profile, so it prices bit-identically.
+    let profile = ConflictProfile::from_parts(hashed_bits, capacity_blocks, entries)
+        .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
+    let kernel = FrozenKernel::from_parts(profile);
     let set_bits = cache.set_bits();
     if set_bits == 0 || set_bits >= hashed_bits {
         return Err(SnapshotError::Invalid(format!(
@@ -500,7 +515,7 @@ mod tests {
             );
             let (kernel, back) = (service.kernel(app).unwrap(), restored.kernel(app).unwrap());
             assert_eq!(kernel.profile().entries(), back.profile().entries());
-            assert_eq!(kernel.tail_bits(), back.tail_bits());
+            assert_eq!(kernel.span(), back.span());
         }
         // Performance state starts cold: the restored memo holds exactly the
         // one batch priced above, and no scaffolds exist yet.
@@ -583,20 +598,27 @@ mod tests {
         );
     }
 
-    /// Serializes `service` in the version-1 layout (no per-app trace
-    /// section). Only valid for services with no retained traces.
-    fn v1_image(service: &IndexService) -> Vec<u8> {
+    /// Serializes `service` in the version-1 or version-2 layout: each app's
+    /// current encoding with a tail word of `tails[i]` after the profile's
+    /// two widths and, for version 1, no trace section (so only
+    /// services with no retained traces have a version-1 image).
+    fn legacy_image(service: &IndexService, version: u32, tails: &[u64]) -> Vec<u8> {
         let apps = service.applications();
         let mut out = Vec::new();
         out.put_slice(&SNAPSHOT_MAGIC);
-        out.put_u32(1);
+        out.put_u32(version);
         out.put_u32(apps.len() as u32);
-        for app in &apps {
+        for (app, &tail) in apps.iter().zip(tails) {
             let mut bytes = Vec::new();
             put_app(&mut bytes, app);
-            // A trace-free v2 app is the v1 encoding plus a trailing 0 flag.
-            assert_eq!(bytes.last(), Some(&0u8));
-            bytes.pop();
+            let mut settings = Vec::new();
+            put_settings(&mut settings, app);
+            let at = settings.len() + 16;
+            bytes.splice(at..at, tail.to_be_bytes());
+            if version == 1 {
+                // A trace-free app is the version-1 encoding plus a 0 flag.
+                assert_eq!(bytes.pop(), Some(0u8));
+            }
             out.put_slice(&bytes);
         }
         let checksum = fnv1a(&out);
@@ -607,7 +629,7 @@ mod tests {
     #[test]
     fn version_1_snapshots_still_restore_without_traces() {
         let (service, a, _) = populated_service();
-        let restored = IndexService::restore(&v1_image(&service)).unwrap();
+        let restored = IndexService::restore(&legacy_image(&service, 1, &[12, 14])).unwrap();
         assert_eq!(restored.len(), 2);
         // Pricing state survives; re-snapshotting upgrades to the current
         // version, bit-identical to a fresh snapshot of the original.
@@ -628,7 +650,7 @@ mod tests {
     }
 
     /// A fixed two-application registry: a 12-bit app with a retained trace,
-    /// and a 26-bit app whose kernel carries a hybrid tail.
+    /// and a 26-bit app whose vectors span only a few dimensions.
     fn pinned_registry() -> IndexService {
         let service = IndexService::new();
         let trace: Vec<BlockAddr> = (0..600u64).map(|i| BlockAddr((i * 7) % 96)).collect();
@@ -655,17 +677,62 @@ mod tests {
         service
     }
 
+    /// The lookup-tail widths the version-2 writer stored for
+    /// [`pinned_registry`]'s two apps.
+    const PINNED_TAILS: [u64; 2] = [12, 6];
+
     #[test]
     fn snapshot_bytes_are_pinned() {
         // The round-trip tests cannot see a layout change that the writer
         // and the reader make together; a fixed registry's image can.
         let service = pinned_registry();
         let wide = service.kernel(crate::AppId::from_raw(1)).unwrap();
-        let tail_bits = wide.tail_bits();
-        assert!(0 < tail_bits && tail_bits < 26, "tail of {tail_bits} bits");
+        assert!(wide.has_weight_table() && wide.span().dim() < 26);
         let image = service.snapshot();
-        assert_eq!(image.len(), 7_346);
-        assert_eq!(fnv1a(&image), 0xb61d_f5b3_11d7_3734);
+        assert_eq!(image.len(), 7_330);
+        assert_eq!(fnv1a(&image), 0xaf0a_4e0d_7def_56c0);
+    }
+
+    #[test]
+    fn version_2_images_restore_and_reprice_bit_identically() {
+        // The version-2 writer's image of the pinned registry, byte for byte
+        // as that writer left it (its length and hash are the ones version 2
+        // pinned), restores to a registry that prices as the original and
+        // re-snapshots to the current image.
+        let service = pinned_registry();
+        let v2 = legacy_image(&service, 2, &PINNED_TAILS);
+        assert_eq!(v2.len(), 7_346);
+        assert_eq!(fnv1a(&v2), 0xb61d_f5b3_11d7_3734);
+        let restored = IndexService::restore(&v2).unwrap();
+        assert_eq!(restored.snapshot(), service.snapshot());
+        for (raw, width) in [(0, 12usize), (1, 26)] {
+            let app = crate::AppId::from_raw(raw);
+            let (kernel, back) = (service.kernel(app).unwrap(), restored.kernel(app).unwrap());
+            assert_eq!(back.span(), kernel.span());
+            let candidates: Vec<PackedBasis> = (1..=6)
+                .map(|m| PackedBasis::standard_span(width, m..width))
+                .chain([PackedBasis::standard_span(width, [0usize, 2, 3])])
+                .collect();
+            for candidate in &candidates {
+                for bound in [0, 1, 40, u64::MAX] {
+                    assert_eq!(
+                        back.cost_bounded(candidate, bound),
+                        kernel.cost_bounded(candidate, bound)
+                    );
+                }
+            }
+            assert_eq!(
+                restored.price_batch(app, &candidates).unwrap(),
+                service.price_batch(app, &candidates).unwrap()
+            );
+        }
+        // A tail word wider than its profile or the cap is still refused.
+        for tails in [[13, 6], [12, 21]] {
+            assert!(matches!(
+                IndexService::restore(&legacy_image(&service, 2, &tails)),
+                Err(SnapshotError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Wide-width end-to-end scenario: a 26-bit hashed space priced through the
-//! hybrid profile, with no flat lookup table.
+//! hybrid profile — the sorted entries the neighbourhood lanes read, plus a
+//! small weight table in the coordinates of the span of its vectors.
 //!
 //! At `hashed_bits = 26` a whole-space flat table would be `2^26 × 8 B =
-//! 512 MB`; the hybrid layout must instead materialize a small dense tail
-//! over the hot low-index region and binary-search the rest. This test runs
-//! the full pipeline — trace → profile → registration → batch pricing →
-//! search — through the serving layer and pins every answer against a fresh
-//! [`MissEstimator`] forced to `ScanHistogram`, the reference path that never
-//! touches a dense table at all.
+//! 512 MB`; the vectors of this trace span 12 dimensions, so the kernel keeps
+//! a `2^12`-slot table instead. This test runs the full pipeline — trace →
+//! profile → registration → batch pricing → search — through the serving
+//! layer and pins every answer against a fresh [`MissEstimator`] forced to
+//! `ScanHistogram`, the reference path that never touches a table at all.
 
 use std::sync::Arc;
 
@@ -31,8 +31,8 @@ fn wide_cache() -> CacheConfig {
 }
 
 /// A trace with two conflict populations: 128 small-stride blocks whose
-/// pairwise XORs populate the hot low-index region (feeding the hybrid
-/// tail), and 64 block pairs `k` / `k | 2^22` that collide in the
+/// pairwise XORs populate the low seven bits, and 64 block pairs
+/// `k` / `k | 2^22` that collide in the
 /// conventional index (same low 20 bits), producing heavy avoidable
 /// conflict vectors with bit 22 set — misses a XOR index can eliminate.
 fn wide_trace() -> Vec<BlockAddr> {
@@ -60,18 +60,16 @@ fn a_26_bit_application_prices_through_the_hybrid_profile() {
         .unwrap();
 
     // The frozen kernel serves a hybrid profile: no 512 MB flat table, just
-    // a small dense tail over the hot low-index region.
+    // a small weight table over the span of the recorded vectors.
     let kernel = service.kernel(app).unwrap();
     assert_eq!(kernel.hashed_bits(), HASHED_BITS);
     assert_eq!(kernel.profile().entries(), profile.entries());
-    assert!(!kernel.has_flat_lookup());
-    assert!(kernel.has_dense_tail());
+    assert!(kernel.has_weight_table());
     assert!(
-        kernel.tail_bits() <= 10,
-        "tail unexpectedly wide: {}",
-        kernel.tail_bits()
+        kernel.span().dim() <= 12,
+        "span unexpectedly wide: {}",
+        kernel.span().dim()
     );
-    assert!(kernel.tail_covered() > 0);
 
     // Single-candidate pricing: the conventional null space.
     let set_bits = cache.set_bits();
