@@ -25,16 +25,61 @@
 //! Both optimize benches evict the application's caches every iteration so
 //! the searches start from identical (cold) scaffolds and the measured gap
 //! is the verification work itself.
+//!
+//! The rank step — picking a verified pick's two runners-up from the hill
+//! climb winner's neighbourhood — on crc @ 1 KB under unlimited XOR, whose
+//! winner has 19,425 neighbours, on one thread with a cleared scaffold
+//! cache each iteration:
+//!
+//! * `rank/lanes` — `Searcher::run_with_runners_up`: the climb, then its
+//!   own last lanes priced under a bound that tightens to the running
+//!   second best, bases built only for lanes below it;
+//! * `rank/materialized` — `Searcher::run_with_neighborhood` (the climb,
+//!   then every neighbour's basis built), `EvalEngine::estimate_neighborhood`
+//!   and a full sort;
+//! * `rank/climb` — the climb alone (`Searcher::run`), so either row minus
+//!   this one is its rank step.
+//!
+//! Both routes' runners-up are asserted identical before timing.
 
 use std::sync::Arc;
 
 use cache_sim::{MissClassifier, ReuseStream};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use xorindex::{FunctionClass, HashFunction, SearchAlgorithm};
+use xorindex::search::Searcher;
+use xorindex::{FunctionClass, HashFunction, ScaffoldCache, SearchAlgorithm, SearchOutcome};
 use xorindex_bench::prepare_data;
 use xorindex_serve::{IndexService, Registration};
 use xorindex_verify::TraceReplayer;
+
+/// Runners-up a verified top-3 pick simulates beside the winner.
+const RUNNERS_UP: usize = 2;
+
+/// The climb, then its winner's neighbourhood materialized, priced to
+/// completion and sorted by (estimate, position): the first `RUNNERS_UP`
+/// candidates the class admits. Also returns the neighbourhood's size.
+fn materialized_runners_up(
+    searcher: &Searcher<'_>,
+) -> (SearchOutcome, Vec<(HashFunction, u64)>, usize) {
+    let (search, hood) = searcher
+        .run_with_neighborhood(SearchAlgorithm::HillClimb)
+        .expect("search succeeds");
+    let hood = hood.expect("a hill climb carries its neighbourhood");
+    let costs = searcher.engine().estimate_neighborhood(&hood);
+    let mut scored: Vec<(u64, usize)> = costs.into_iter().zip(0..).collect();
+    scored.sort_unstable();
+    let runners_up = scored
+        .into_iter()
+        .filter_map(|(estimate, i)| {
+            let basis = hood.candidates[i].basis.to_subspace();
+            let function = HashFunction::from_null_space(&basis, searcher.class()).ok()?;
+            Some((function, estimate))
+        })
+        .take(RUNNERS_UP)
+        .collect();
+    (search, runners_up, hood.len())
+}
 
 fn bench_verify_loop(c: &mut Criterion) {
     let prepared = prepare_data("susan", 4);
@@ -127,6 +172,55 @@ fn bench_verify_loop(c: &mut Criterion) {
         &trace.len(),
         |b, _| b.iter(|| black_box(ReuseStream::build(&trace, capacity))),
     );
+
+    let crc = prepare_data("crc", 1);
+    let scaffold = ScaffoldCache::new();
+    let searcher = Searcher::new(
+        &crc.profile,
+        FunctionClass::xor_unlimited(),
+        crc.cache.set_bits(),
+    )
+    .expect("valid geometry")
+    .with_scaffold_cache(scaffold.clone())
+    .with_threads(1);
+    let (search, expected, neighbours) = materialized_runners_up(&searcher);
+    assert_eq!(neighbours, 19_425, "crc@1KB/xor's winner neighbourhood");
+    assert_eq!(
+        searcher
+            .run_with_runners_up(SearchAlgorithm::HillClimb, RUNNERS_UP)
+            .expect("search succeeds"),
+        (search, expected),
+        "ranking the climb's lanes must pick what the materialized route picks"
+    );
+
+    group.bench_function("rank/lanes", |b| {
+        b.iter(|| {
+            scaffold.clear();
+            black_box(
+                searcher
+                    .run_with_runners_up(SearchAlgorithm::HillClimb, RUNNERS_UP)
+                    .expect("search succeeds"),
+            )
+        })
+    });
+
+    group.bench_function("rank/materialized", |b| {
+        b.iter(|| {
+            scaffold.clear();
+            black_box(materialized_runners_up(&searcher))
+        })
+    });
+
+    group.bench_function("rank/climb", |b| {
+        b.iter(|| {
+            scaffold.clear();
+            black_box(
+                searcher
+                    .run(SearchAlgorithm::HillClimb)
+                    .expect("search succeeds"),
+            )
+        })
+    });
 
     group.finish();
 }

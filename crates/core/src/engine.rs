@@ -23,11 +23,12 @@
 //! under every [`EstimationStrategy`](crate::EstimationStrategy), however
 //! many engines share one kernel.
 
+use std::collections::BinaryHeap;
 use std::sync::{Arc, OnceLock};
 
 use gf2::PackedBasis;
 
-use crate::kernel::{lane_groups, price_lanes};
+use crate::kernel::{lane_groups, price_lanes, LanePricer};
 use crate::search::{NeighborLanes, PackedNeighborhood};
 use crate::{BoundedCost, ConflictProfile, FrozenKernel, ScaffoldCache};
 
@@ -210,9 +211,11 @@ impl EvalEngine {
     /// bit-identical to [`FrozenKernel::cost`].
     ///
     /// This is [`EvalEngine::estimate_neighborhood_bounded`] at bound
-    /// `u64::MAX`, where every lane is exact — the ranking call for a
-    /// neighbourhood whose every price is needed, such as the verified
-    /// pick's ranking of the search winner's neighbourhood.
+    /// `u64::MAX`, where every lane is exact — the call for a neighbourhood
+    /// whose every price is needed. A verified pick needs only the best few,
+    /// which [`Searcher::run_with_runners_up`](crate::search::Searcher::run_with_runners_up)
+    /// selects without materializing or sorting the neighbourhood; this
+    /// route is its test oracle.
     ///
     /// # Panics
     ///
@@ -298,6 +301,66 @@ impl EvalEngine {
             self.tally(cost);
         }
         priced
+    }
+
+    /// The `k` cheapest lanes whose candidate `admit` accepts, by (Eq. 4
+    /// cost, generation order), cheapest first: what `admit` made of each,
+    /// with its cost.
+    ///
+    /// Lanes are priced in generation order, on one thread, under a bound
+    /// that is the running k-th best cost (`u64::MAX` until `k` lanes are
+    /// held), so most lanes stop early. Only a lane priced strictly below
+    /// the bound gets its basis built and handed to `admit`: a later lane
+    /// that ties the k-th best ranks after it. At most `min(k, lanes)`
+    /// lanes are held, in a heap, so selecting costs O(lanes · log k).
+    /// Exact lanes count as evaluations and stopped ones as abandons, as in
+    /// [`EvalEngine::estimate_neighborhood_bounded`].
+    pub(crate) fn best_lanes<T>(
+        &mut self,
+        lanes: &NeighborLanes,
+        k: usize,
+        mut admit: impl FnMut(&PackedBasis) -> Option<T>,
+    ) -> Vec<(T, u64)> {
+        let capacity = k.min(lanes.len());
+        if capacity == 0 {
+            return Vec::new();
+        }
+        self.kernel.check_width(&lanes.parent);
+        let histogram = self.cached_histogram(&lanes.parent);
+        let groups = lane_groups(&histogram, lanes);
+        let mut pricer = LanePricer::new(&histogram, lanes, &groups);
+        // A max-heap of (cost, lane, slot): `slot` indexes what `admit` made
+        // of the lane. (cost, lane) is unique, so slots never decide order.
+        let mut held: BinaryHeap<(u64, usize, usize)> = BinaryHeap::with_capacity(capacity);
+        let mut admitted: Vec<Option<T>> = Vec::with_capacity(capacity);
+        let mut bound = u64::MAX;
+        for (i, &lane) in lanes.lanes.iter().enumerate() {
+            let cost = pricer.price(lane, bound);
+            if cost >= bound {
+                self.stats.bounded_abandons += 1;
+                continue;
+            }
+            self.stats.evaluations += 1;
+            let Some(item) = admit(&lanes.basis(i)) else {
+                continue;
+            };
+            let slot = if held.len() < capacity {
+                admitted.push(Some(item));
+                admitted.len() - 1
+            } else {
+                let (_, _, slot) = held.pop().expect("the heap is full");
+                admitted[slot] = Some(item);
+                slot
+            };
+            held.push((cost, i, slot));
+            if held.len() == capacity {
+                bound = held.peek().expect("the heap is full").0;
+            }
+        }
+        held.into_sorted_vec()
+            .into_iter()
+            .map(|(cost, _, slot)| (admitted[slot].take().expect("one lane per slot"), cost))
+            .collect()
     }
 
     /// Checks the grouped histogram for `parent` out of the cache (grouping
@@ -765,6 +828,48 @@ mod tests {
             BoundedCost::Exact(exact)
         );
         assert_eq!(engine.stats().evaluations, 2);
+    }
+
+    #[test]
+    fn best_lanes_keep_the_cheapest_admitted_lanes_in_generation_order() {
+        let profile = mixed_profile();
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
+        let parent = PackedBasis::standard_span(12, 6..12);
+        let lanes = NeighborLanes::generate(&parent, FunctionClass::xor_unlimited(), &pool);
+        let nbhd = lanes.materialize();
+        let costs = EvalEngine::new(&profile).estimate_neighborhood(&nbhd);
+        // Admit every third lane only, recognized by its basis.
+        let admit = |basis: &PackedBasis| {
+            let i = nbhd
+                .bases()
+                .position(|b| b == basis)
+                .expect("a lane's basis");
+            (i % 3 == 0).then_some(i)
+        };
+        let mut ranked: Vec<(usize, u64)> = costs
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i % 3 == 0)
+            .map(|(i, &cost)| (i, cost))
+            .collect();
+        ranked.sort_unstable_by_key(|&(i, cost)| (cost, i));
+        assert!(ranked.windows(2).any(|pair| pair[0].1 == pair[1].1));
+        for k in [1, 3, 50, lanes.len() + 1] {
+            let mut engine = EvalEngine::new(&profile);
+            let best = engine.best_lanes(&lanes, k, admit);
+            assert_eq!(best, ranked[..k.min(ranked.len())], "k = {k}");
+            // Every lane is priced once, from one scaffold probe.
+            let stats = engine.stats();
+            assert_eq!(
+                stats.evaluations + stats.bounded_abandons,
+                lanes.len() as u64
+            );
+            assert_eq!(stats.scaffold_hits + stats.scaffold_misses, 1);
+        }
+        // Nothing to hold: nothing is priced or probed.
+        let mut engine = EvalEngine::new(&profile);
+        assert!(engine.best_lanes(&lanes, 0, admit).is_empty());
+        assert_eq!(engine.stats(), EngineStats::default());
     }
 
     #[test]

@@ -253,11 +253,60 @@ pub(crate) fn lane_groups<'h>(
         .collect()
 }
 
-/// Prices `chunk`, a run of `lanes.lanes`, from the histogram grouped over
-/// the lanes' parent: a lane costs its hyperplane's in-parent entries with
-/// parity 0 (summed once per run of lanes sharing the hyperplane) plus the
-/// entries of its direction's remainder group whose parity matches the
-/// direction's, and is exact exactly when that cost is below `bound`.
+/// Prices lanes one after another from the histogram grouped over their
+/// parent: a lane costs its hyperplane's in-parent entries with parity 0
+/// plus the entries of its direction's remainder group whose parity matches
+/// the direction's.
+///
+/// The in-parent weight is summed once per run of lanes sharing a
+/// hyperplane, under the bound of the run's first lane. So the bound may
+/// tighten from one lane to the next but must never loosen.
+pub(crate) struct LanePricer<'a> {
+    lanes: &'a NeighborLanes,
+    in_parent: &'a [(u64, u64)],
+    groups: &'a [&'a [(u64, u64)]],
+    hyperplane: u32,
+    base: u64,
+}
+
+impl<'a> LanePricer<'a> {
+    /// A pricer over `lanes`, whose directions' groups are `groups`
+    /// ([`lane_groups`]).
+    pub(crate) fn new(
+        histogram: &'a CosetHistogram,
+        lanes: &'a NeighborLanes,
+        groups: &'a [&'a [(u64, u64)]],
+    ) -> Self {
+        LanePricer {
+            lanes,
+            in_parent: histogram.group(0),
+            groups,
+            hyperplane: u32::MAX,
+            base: 0,
+        }
+    }
+
+    /// The cost of lane `(h, d)` when it is below `bound`; otherwise a sum
+    /// of at least `bound`, where the scan stopped.
+    pub(crate) fn price(&mut self, (h, d): (u32, u32), bound: u64) -> u64 {
+        let functional = self.lanes.functionals[h as usize];
+        if h != self.hyperplane {
+            self.hyperplane = h;
+            self.base = parity_weight(self.in_parent, functional, 0, 0, bound);
+        }
+        let parity = (functional & self.lanes.directions[d as usize].coordinates).count_ones() & 1;
+        parity_weight(
+            self.groups[d as usize],
+            functional,
+            parity,
+            self.base,
+            bound,
+        )
+    }
+}
+
+/// Prices `chunk`, a run of `lanes.lanes`, under one bound: each lane is
+/// exact exactly when its cost is below `bound`.
 pub(crate) fn price_lanes(
     histogram: &CosetHistogram,
     lanes: &NeighborLanes,
@@ -265,25 +314,18 @@ pub(crate) fn price_lanes(
     chunk: &[(u32, u32)],
     bound: u64,
 ) -> Vec<BoundedCost> {
-    let in_parent = histogram.group(0);
-    let mut out = Vec::with_capacity(chunk.len());
-    let mut hyperplane = u32::MAX;
-    let mut base = 0;
-    for &(h, d) in chunk {
-        let functional = lanes.functionals[h as usize];
-        if h != hyperplane {
-            hyperplane = h;
-            base = parity_weight(in_parent, functional, 0, 0, bound);
-        }
-        let parity = (functional & lanes.directions[d as usize].coordinates).count_ones() & 1;
-        let cost = parity_weight(groups[d as usize], functional, parity, base, bound);
-        out.push(if cost < bound {
-            BoundedCost::Exact(cost)
-        } else {
-            BoundedCost::AtLeast(bound)
-        });
-    }
-    out
+    let mut pricer = LanePricer::new(histogram, lanes, groups);
+    chunk
+        .iter()
+        .map(|&lane| {
+            let cost = pricer.price(lane, bound);
+            if cost < bound {
+                BoundedCost::Exact(cost)
+            } else {
+                BoundedCost::AtLeast(bound)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

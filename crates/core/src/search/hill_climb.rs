@@ -55,9 +55,9 @@ impl Searcher<'_> {
 
     /// [`Searcher::hill_climb_with`], additionally returning the lanes of
     /// the winner's neighbourhood — the final climb iteration's candidate
-    /// set, which the loop would otherwise drop on the floor. Callers that
-    /// rank runner-up candidates around the winner (the serving layer's
-    /// verified optimization) materialize it instead of paying a second
+    /// set, which the loop would otherwise drop on the floor.
+    /// [`Searcher::run_with_runners_up`] ranks them on the climb's engine
+    /// instead of paying a second
     /// [`PackedNeighborhood::generate`](crate::search::PackedNeighborhood::generate).
     pub(crate) fn hill_climb_full(
         &self,

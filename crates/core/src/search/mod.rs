@@ -313,13 +313,62 @@ impl<'a> Searcher<'a> {
         }
     }
 
+    /// Runs `algorithm` and ranks the winner's neighbourhood: returns the
+    /// outcome with the winner's `k` best admissible neighbours by (Eq. 4
+    /// estimate, generation order), cheapest first, each with its estimate.
+    /// These are the runners-up a verified pick simulates beside the winner.
+    ///
+    /// A hill climb ranks the lanes its last iteration generated, on its own
+    /// engine and the grouped histogram that iteration cached; other
+    /// algorithms generate the winner's lanes once. Lanes are priced under a
+    /// bound that tightens to the running k-th best, and a candidate basis
+    /// is built and checked against the class only for a lane priced
+    /// strictly below it, so no neighbourhood is materialized or sorted.
+    /// The list is what pricing every candidate of
+    /// [`PackedNeighborhood::generate`] around the winner, sorting by
+    /// (estimate, position) and keeping the first `k` the class admits
+    /// gives.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`Searcher::run`].
+    pub fn run_with_runners_up(
+        &self,
+        algorithm: SearchAlgorithm,
+        k: usize,
+    ) -> Result<(SearchOutcome, Vec<(HashFunction, u64)>), XorIndexError> {
+        let (outcome, mut engine, lanes) = match algorithm {
+            SearchAlgorithm::HillClimb => {
+                let mut engine = self.engine();
+                let (outcome, lanes) =
+                    self.hill_climb_full(&mut engine, self.conventional_null_space())?;
+                (outcome, engine, lanes)
+            }
+            other => {
+                let outcome = self.run(other)?;
+                if k == 0 {
+                    return Ok((outcome, Vec::new()));
+                }
+                let winner = outcome.function.null_space().to_packed();
+                let lanes = NeighborLanes::generate(&winner, self.class, &self.packed_pool());
+                (outcome, self.engine(), lanes)
+            }
+        };
+        let runners_up = engine.best_lanes(&lanes, k, |basis| {
+            // A lane is a move, not a guaranteed member: a basis whose
+            // representative exceeds the class's fan-in bound is skipped,
+            // as the climb skips it.
+            HashFunction::from_null_space(&basis.to_subspace(), self.class).ok()
+        });
+        Ok((outcome, runners_up))
+    }
+
     /// Like [`Searcher::run`], but for hill climbing also returns the
-    /// winner's full neighbourhood — the candidate set the final climb
-    /// iteration generated and found no improvement in. Callers that go on
-    /// to rank runner-up candidates around the winner (the serving layer's
-    /// verified optimization picks its `top_k` there) reuse it instead of
-    /// regenerating the same neighbourhood from scratch. Algorithms whose
-    /// final state carries no neighbourhood return `None`.
+    /// winner's full neighbourhood, every candidate basis built: the
+    /// candidate set the final climb iteration generated and found no
+    /// improvement in. Algorithms whose final state carries no
+    /// neighbourhood return `None`. [`Searcher::run_with_runners_up`] ranks
+    /// that neighbourhood without building it.
     ///
     /// # Errors
     ///

@@ -1454,3 +1454,125 @@ proptest! {
         }
     }
 }
+
+/// A trace over two to six blocks: few distinct conflict vectors, so most of
+/// a winner's neighbours tie on their estimate and the ranking's tie-break
+/// decides which are kept.
+fn tie_heavy_trace_strategy() -> impl Strategy<Value = Vec<BlockAddr>> {
+    (2u64..=6, 20usize..200).prop_flat_map(|(footprint, len)| {
+        proptest::collection::vec(
+            (0..footprint).prop_map(|k| BlockAddr(k * 0x45 % (1 << HASHED_BITS))),
+            len,
+        )
+    })
+}
+
+/// The winner's neighbourhood ranked the long way: every candidate of
+/// [`PackedNeighborhood::generate`] around it priced by [`MissEstimator`],
+/// sorted by (estimate, position), those the class admits. The best `k`
+/// are its first `k`.
+fn reference_ranking(
+    profile: &ConflictProfile,
+    class: FunctionClass,
+    winner: &HashFunction,
+) -> Vec<(HashFunction, u64)> {
+    let estimator = MissEstimator::new(profile);
+    let pool = NeighborPool::UnitsAndPairs.packed_vectors(profile.hashed_bits(), profile);
+    let nbhd = PackedNeighborhood::generate(&winner.null_space().to_packed(), class, &pool);
+    let mut priced: Vec<(u64, usize)> = nbhd
+        .bases()
+        .map(|basis| estimator.estimate_packed(basis))
+        .zip(0..)
+        .collect();
+    priced.sort_unstable();
+    priced
+        .into_iter()
+        .filter_map(|(estimate, i)| {
+            let basis = nbhd.candidates[i].basis.to_subspace();
+            let function = HashFunction::from_null_space(&basis, class).ok()?;
+            Some((function, estimate))
+        })
+        .collect()
+}
+
+/// Checks `run_with_runners_up` against [`reference_ranking`] for every
+/// algorithm and class, at k = 0, 1, 2, 5 and more than can be held.
+fn check_runners_up(profile: &ConflictProfile, set_bits: usize, seed: u64) {
+    let classes = [
+        FunctionClass::bit_selecting(),
+        FunctionClass::permutation_based(2),
+        FunctionClass::xor_unlimited(),
+    ];
+    let mut searches: Vec<(FunctionClass, SearchAlgorithm)> = Vec::new();
+    for class in classes {
+        searches.push((class, SearchAlgorithm::HillClimb));
+        searches.push((class, SearchAlgorithm::RandomRestart { restarts: 2, seed }));
+        searches.push((
+            class,
+            SearchAlgorithm::Annealing {
+                iterations: 20,
+                initial_temperature: 10.0,
+                seed,
+            },
+        ));
+    }
+    searches.push((
+        FunctionClass::bit_selecting(),
+        SearchAlgorithm::OptimalBitSelect,
+    ));
+    for (class, algorithm) in searches {
+        let searcher = Searcher::new(profile, class, set_bits).unwrap();
+        let outcome = searcher.run(algorithm).unwrap();
+        let ranking = reference_ranking(profile, class, &outcome.function);
+        for k in [0, 1, 2, 5, ranking.len() + 3] {
+            let label = format!("{algorithm:?}, class {class}, k = {k}");
+            let (ranked, runners_up) = searcher.run_with_runners_up(algorithm, k).unwrap();
+            assert_eq!(ranked, outcome, "{label}");
+            assert_eq!(runners_up, ranking[..k.min(ranking.len())], "{label}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn runners_up_match_the_materialized_ranking(
+        blocks in trace_strategy(),
+        few_blocks in tie_heavy_trace_strategy(),
+        cache in cache_strategy(),
+        seed in any::<u64>(),
+    ) {
+        // The ranking prices lanes under a bound that tightens to the
+        // running k-th best and checks the class only below it; the
+        // reference prices every materialized candidate exactly and sorts.
+        for trace in [&blocks, &few_blocks] {
+            check_runners_up(&profile_of(trace, &cache), cache.set_bits(), seed);
+        }
+    }
+}
+
+#[test]
+fn runners_up_break_ties_in_generation_order() {
+    // Two blocks one set apart in a 16-set cache: one conflict vector, so
+    // almost every neighbour of the winner ties on its estimate and the
+    // generation order alone decides the list.
+    let blocks: Vec<BlockAddr> = (0..50u64).map(|i| BlockAddr((i % 2) * 0x40)).collect();
+    let profile = ConflictProfile::from_blocks(blocks, HASHED_BITS, 16);
+    for class in [
+        FunctionClass::permutation_based(2),
+        FunctionClass::xor_unlimited(),
+    ] {
+        let searcher = Searcher::new(&profile, class, 4).unwrap();
+        let (outcome, runners_up) = searcher
+            .run_with_runners_up(SearchAlgorithm::HillClimb, 5)
+            .unwrap();
+        let ranking = reference_ranking(&profile, class, &outcome.function);
+        assert_eq!(runners_up, ranking[..5], "{class}");
+        assert!(
+            runners_up.windows(2).any(|pair| pair[0].1 == pair[1].1),
+            "{class}: no tie among {:?}",
+            runners_up.iter().map(|(_, e)| e).collect::<Vec<_>>()
+        );
+    }
+}

@@ -5,7 +5,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 
 use cache_sim::{BlockAddr, CacheConfig};
 use gf2::PackedBasis;
-use xorindex::search::{NeighborPool, PackedNeighborhood, Searcher};
+use xorindex::search::{NeighborPool, Searcher};
 use xorindex::{
     BoundedCost, ConflictProfile, FrozenKernel, FunctionClass, HashFunction, MemoStats,
     ScaffoldCache, ScaffoldStats, SearchAlgorithm, SearchOutcome, ShardedMemo, XorIndexError,
@@ -676,9 +676,10 @@ impl IndexService {
     /// [`EstimateAudit`](xorindex_verify::EstimateAudit) of how well the
     /// estimates tracked truth.
     ///
-    /// The candidate simulations are independent and fan out across threads;
-    /// results are keyed by candidate position, so the outcome is
-    /// bit-identical at any worker or thread count.
+    /// The whole request runs on the calling thread, search, ranking and
+    /// replays alike: the worker pool is the parallelism layer, and one
+    /// request should not oversubscribe it. The outcome is bit-identical at
+    /// any worker count.
     ///
     /// # Errors
     ///
@@ -692,59 +693,22 @@ impl IndexService {
     ) -> Result<VerifiedOutcome, ServeError> {
         let app = self.app(app_id)?;
         let replayer = Self::replayer(app_id, &app)?;
-        // Run the search inline (rather than through `run_search`) so the
-        // hill climb can hand back the winner's neighbourhood — the final
-        // climb iteration already generated it, and regenerating it here was
-        // the single largest cost of the whole verified pick.
         let searcher = Searcher::new(app.kernel.profile(), app.class, app.cache.set_bits())?
             .with_pool(app.pool.clone())
             .with_kernel(Arc::clone(&app.kernel))
             .with_scaffold_cache(app.scaffold.clone())
             .with_threads(1);
-        let (search, hood) = searcher.run_with_neighborhood(algorithm)?;
-        let top_k = top_k.max(1);
-
-        // The candidate set: the search winner first, then its neighbourhood
-        // ranked by (estimate, generation order). Generation already yields
-        // each candidate null space once and never the parent itself, so no
-        // further dedup is needed here.
-        let winner_basis = search.function.null_space().to_packed();
-        let mut functions = vec![search.function.clone()];
-        let mut estimates = vec![search.estimated_misses];
-        if top_k > 1 {
-            let hood = match hood {
-                Some(hood) => hood,
-                // Algorithms that carry no final neighbourhood (annealing,
-                // exhaustive bit selection) pay one generation here.
-                None => {
-                    let profile = app.kernel.profile();
-                    let pool = app.pool.packed_vectors(profile.hashed_bits(), profile);
-                    PackedNeighborhood::generate(&winner_basis, app.class, &pool)
-                }
-            };
-            // Price the neighbourhood lane by lane through the engine,
-            // against the grouped histogram the climb's final iteration
-            // already cached for this very parent. Exact
-            // Eq. 4 costs; like the search, the ranking leaves the memo
-            // alone.
-            let costs = searcher.engine().estimate_neighborhood(&hood);
-            let mut scored: Vec<(u64, usize)> =
-                costs.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
-            scored.sort_unstable();
-            for &(estimate, i) in &scored {
-                if functions.len() == top_k {
-                    break;
-                }
-                let subspace = hood.candidates[i].basis.to_subspace();
-                // Neighbourhood bases are moves, not guaranteed members: a
-                // basis whose representative exceeds the class's fan-in
-                // bound is skipped, exactly as the search itself skips it.
-                if let Ok(function) = HashFunction::from_null_space(&subspace, app.class) {
-                    functions.push(function);
-                    estimates.push(estimate);
-                }
-            }
-        }
+        // The slate: the search winner first, then the best `top_k - 1` of
+        // its neighbourhood by (estimate, generation order), ranked on the
+        // climb's own lanes. Generation yields each candidate null space
+        // once and never the winner itself, so no further dedup is needed.
+        // Like the search, the ranking leaves the memo alone.
+        let (search, runners_up) =
+            searcher.run_with_runners_up(algorithm, top_k.saturating_sub(1))?;
+        let (functions, estimates) =
+            std::iter::once((search.function.clone(), search.estimated_misses))
+                .chain(runners_up)
+                .unzip();
 
         // The baseline replay is a pure function of the (immutable) trace
         // and geometry: the first request fills the application's cache,

@@ -1,17 +1,25 @@
 //! End-to-end tests for the optimize→verify loop: `OptimizeVerified` run
 //! through worker pools of different sizes, or repeated around pricing
-//! requests, answers bit-identically, and on the paper's susan @ 4 KB cell
-//! the simulated winner never loses to conventional bit selection.
+//! requests, answers bit-identically; it answers as the materialized
+//! ranking route does, at any `top_k` and on real traces; and on the
+//! paper's susan @ 4 KB cell the simulated winner never loses to
+//! conventional bit selection.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use cache_sim::{BlockAddr, CacheConfig};
 use gf2::PackedBasis;
 use workloads::mibench::Susan;
-use workloads::{Scale, Workload};
-use xorindex::search::{NeighborPool, PackedNeighborhood};
-use xorindex::{ConflictProfile, FunctionClass, HashFunction, SearchAlgorithm};
-use xorindex_serve::{IndexService, Registration, Request, Response, ServeError, WorkerPool};
+use workloads::{Scale, Workload, WorkloadSuite};
+use xorindex::search::{NeighborPool, PackedNeighborhood, Searcher};
+use xorindex::{
+    ConflictProfile, FrozenKernel, FunctionClass, HashFunction, ScaffoldCache, SearchAlgorithm,
+    ShardedMemo,
+};
+use xorindex_serve::{
+    AppId, IndexService, Registration, Request, Response, ServeError, WorkerPool,
+};
+use xorindex_verify::{verified_pick, SimStats, TraceReplayer, VerifiedOutcome};
 
 const HASHED_BITS: usize = 14;
 
@@ -237,4 +245,214 @@ fn simulate_function_matches_direct_replay() {
     // Per-set conflicts reconcile with the aggregate conflict count.
     let total: u64 = sim.set_conflicts.iter().map(|&(_, c)| c).sum();
     assert_eq!(total, sim.stats.conflict_misses);
+}
+
+/// `IndexService::optimize_verified` rebuilt the long way, with caches of
+/// its own: the winner's whole neighbourhood materialized
+/// (`run_with_neighborhood`, or one generation for other algorithms),
+/// priced to completion (`estimate_neighborhood`) and sorted, the first
+/// `top_k - 1` admissible candidates joining the winner's slate, which
+/// [`verified_pick`] judges.
+struct MaterializedRoute {
+    kernel: Arc<FrozenKernel>,
+    class: FunctionClass,
+    set_bits: usize,
+    scaffold: ScaffoldCache,
+    replayer: TraceReplayer,
+    baseline: OnceLock<SimStats>,
+}
+
+impl MaterializedRoute {
+    fn new(
+        profile: &ConflictProfile,
+        cache: CacheConfig,
+        class: FunctionClass,
+        blocks: Arc<Vec<BlockAddr>>,
+    ) -> Self {
+        MaterializedRoute {
+            kernel: Arc::new(FrozenKernel::new(profile)),
+            class,
+            set_bits: cache.set_bits(),
+            scaffold: ScaffoldCache::new(),
+            replayer: TraceReplayer::new(cache, blocks),
+            baseline: OnceLock::new(),
+        }
+    }
+
+    fn optimize_verified(&self, algorithm: SearchAlgorithm, top_k: usize) -> VerifiedOutcome {
+        let profile = self.kernel.profile();
+        let searcher = Searcher::new(profile, self.class, self.set_bits)
+            .unwrap()
+            .with_pool(NeighborPool::UnitsAndPairs)
+            .with_kernel(Arc::clone(&self.kernel))
+            .with_scaffold_cache(self.scaffold.clone())
+            .with_threads(1);
+        let (search, hood) = searcher.run_with_neighborhood(algorithm).unwrap();
+        let top_k = top_k.max(1);
+        let mut functions = vec![search.function.clone()];
+        let mut estimates = vec![search.estimated_misses];
+        if top_k > 1 {
+            let hood = hood.unwrap_or_else(|| {
+                let pool =
+                    NeighborPool::UnitsAndPairs.packed_vectors(profile.hashed_bits(), profile);
+                let winner = search.function.null_space().to_packed();
+                PackedNeighborhood::generate(&winner, self.class, &pool)
+            });
+            let costs = searcher.engine().estimate_neighborhood(&hood);
+            let mut scored: Vec<(u64, usize)> =
+                costs.into_iter().enumerate().map(|(i, c)| (c, i)).collect();
+            scored.sort_unstable();
+            for (estimate, i) in scored {
+                if functions.len() == top_k {
+                    break;
+                }
+                let subspace = hood.candidates[i].basis.to_subspace();
+                if let Ok(function) = HashFunction::from_null_space(&subspace, self.class) {
+                    functions.push(function);
+                    estimates.push(estimate);
+                }
+            }
+        }
+        verified_pick(&self.replayer, search, functions, estimates, &self.baseline).unwrap()
+    }
+
+    /// Asserts that the service's counters for `app` are this route's: no
+    /// memo traffic, the same scaffold probes and the same replays.
+    fn assert_stats_match(&self, service: &IndexService, app: AppId, label: &str) {
+        let stats = service.stats(app).unwrap();
+        assert_eq!(stats.memo, ShardedMemo::new().stats(), "{label}");
+        assert_eq!(stats.scaffold, self.scaffold.stats(), "{label}");
+        assert_eq!(stats.replay, self.replayer.replay_stats(), "{label}");
+    }
+}
+
+fn verified_answer(
+    service: &IndexService,
+    app: AppId,
+    algorithm: SearchAlgorithm,
+    top_k: usize,
+) -> VerifiedOutcome {
+    match service.handle(Request::OptimizeVerified {
+        app,
+        algorithm,
+        top_k,
+    }) {
+        Response::Verified(outcome) => outcome,
+        other => panic!("expected Verified, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_top_k_answers_as_the_materialized_route() {
+    // `top_k` arrives from the wire uncapped: 0 and 1 mean the winner alone,
+    // and one past the neighbourhood or `usize::MAX` mean all of it.
+    const BITS: usize = 10;
+    let cache = CacheConfig::builder()
+        .size_bytes(4 << 4)
+        .block_bytes(4)
+        .associativity(1)
+        .build()
+        .unwrap();
+    let blocks: Arc<Vec<BlockAddr>> = Arc::new(
+        (0..300u64)
+            .flat_map(|i| {
+                [
+                    BlockAddr((i % 5) * 16),
+                    BlockAddr(0x100 + (i % 3) * 32),
+                    BlockAddr(0x2A0 + (i % 7)),
+                ]
+            })
+            .collect(),
+    );
+    let profile = ConflictProfile::from_blocks(blocks.iter().copied(), BITS, 16);
+    let service = IndexService::new();
+    for class in [
+        FunctionClass::bit_selecting(),
+        FunctionClass::permutation_based(2),
+        FunctionClass::xor_unlimited(),
+    ] {
+        let app = service
+            .register(
+                Registration::new(profile.clone(), cache)
+                    .with_class(class)
+                    .with_shared_trace(Arc::clone(&blocks)),
+            )
+            .unwrap();
+        let route = MaterializedRoute::new(&profile, cache, class, Arc::clone(&blocks));
+        let (_, hood) = Searcher::new(&profile, class, cache.set_bits())
+            .unwrap()
+            .run_with_neighborhood(SearchAlgorithm::HillClimb)
+            .unwrap();
+        let lanes = hood.unwrap().len();
+        assert!(lanes >= 3, "{class}: {lanes} neighbours");
+        for top_k in [0, 1, 2, 3, lanes + 1, usize::MAX] {
+            let answer = verified_answer(&service, app, SearchAlgorithm::HillClimb, top_k);
+            let expected = route.optimize_verified(SearchAlgorithm::HillClimb, top_k);
+            assert_eq!(answer, expected, "{class}, top_k = {top_k}");
+        }
+        let annealing = SearchAlgorithm::Annealing {
+            iterations: 20,
+            initial_temperature: 10.0,
+            seed: 7,
+        };
+        for top_k in [0, 3] {
+            let answer = verified_answer(&service, app, annealing, top_k);
+            let expected = route.optimize_verified(annealing, top_k);
+            assert_eq!(answer, expected, "{class}, annealing, top_k = {top_k}");
+        }
+        route.assert_stats_match(&service, app, &format!("{class}"));
+    }
+}
+
+#[test]
+#[ignore = "slow in debug: every roster trace at 1/4/16 KB; CI runs it in release"]
+fn real_trace_slates_match_the_materialized_route() {
+    // Every roster data trace at 1/4/16 KB under both swept classes (n = 16,
+    // `Scale::Tiny`): the cells perfbench's `design` draws from, which
+    // include its `optimize` workload's 13 served applications. Each app
+    // answers twice, the second time after an eviction as `optimize` runs
+    // it, and its counters must end where the long route's do.
+    let mut cells = 0;
+    for workload in WorkloadSuite::all() {
+        let trace = workload.data_trace(Scale::Tiny);
+        for kb in [1u64, 4, 16] {
+            let cache = CacheConfig::paper_cache(kb);
+            let blocks: Arc<Vec<BlockAddr>> =
+                Arc::new(trace.data_block_addresses(cache.block_bits()).collect());
+            let profile = ConflictProfile::from_blocks(
+                blocks.iter().copied(),
+                16,
+                cache.num_blocks() as usize,
+            );
+            for class in [
+                FunctionClass::bit_selecting(),
+                FunctionClass::xor_unlimited(),
+            ] {
+                let label = format!("{}@{kb}KB, class {class}", workload.name());
+                let service = IndexService::new();
+                let app = service
+                    .register(
+                        Registration::new(profile.clone(), cache)
+                            .with_class(class)
+                            .with_shared_trace(Arc::clone(&blocks)),
+                    )
+                    .unwrap();
+                let route = MaterializedRoute::new(&profile, cache, class, Arc::clone(&blocks));
+                for pass in 0..2 {
+                    if pass > 0 {
+                        service.evict(app).unwrap();
+                        route.scaffold.clear();
+                    }
+                    let answer = service
+                        .optimize_verified(app, SearchAlgorithm::HillClimb, 3)
+                        .unwrap();
+                    let expected = route.optimize_verified(SearchAlgorithm::HillClimb, 3);
+                    assert_eq!(answer, expected, "{label}, pass {pass}");
+                }
+                route.assert_stats_match(&service, app, &label);
+                cells += 1;
+            }
+        }
+    }
+    assert_eq!(cells, WorkloadSuite::all().len() * 6);
 }

@@ -27,7 +27,8 @@
 //! Everything here is deterministic: replays depend only on the trace, the
 //! geometry and the candidate, and [`TraceReplayer::replay_many`] returns
 //! results indexed by candidate position, so outcomes are bit-identical at
-//! any thread count.
+//! any thread count. [`verified_pick`] replays its slate on the calling
+//! thread, so a serving worker never starts threads of its own.
 //!
 //! Replays of [`HashFunction`] candidates ride the fast engine in [`replay`]
 //! when the geometry allows (LRU, associativity ≤ 8): a shared, cached 3C
@@ -36,7 +37,7 @@
 //! LRU tag arrays — bit-identical to the legacy [`Cache`]-based path
 //! (exposed as [`TraceReplayer::replay_legacy`]) and over an order of
 //! magnitude faster. A single replay runs on the calling thread;
-//! [`TraceReplayer::replay_many`] spreads candidates across threads.
+//! [`TraceReplayer::replay_many`] can spread a batch across threads.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -289,10 +290,11 @@ impl TraceReplayer {
     }
 
     /// Replays every candidate, fanning the independent simulations across
-    /// up to `threads` OS threads (`0` = one per host CPU). Results are
-    /// indexed by candidate position, so the output is bit-identical at any
-    /// thread count. On the fast path the batch shares one
-    /// pre-classification pass.
+    /// up to `threads` OS threads (`0` = one per host CPU; `1`, what
+    /// [`verified_pick`] passes, replays on the calling thread and starts
+    /// none). Results are indexed by candidate position, so the output is
+    /// bit-identical at any thread count. On the fast path the batch shares
+    /// one pre-classification pass.
     ///
     /// # Errors
     ///
@@ -522,10 +524,15 @@ pub fn pick_winner(sims: &[SimStats]) -> Result<usize, VerifyError> {
 }
 
 /// Judges a slate (`functions`, the search winner first, with their Eq. 4
-/// `estimates`) by simulation: replays it across the host's CPUs, audits the
+/// `estimates`) by simulation: replays it on the calling thread, audits the
 /// estimates, and picks the fewest simulated misses with [`pick_winner`].
 /// `baseline` caches the conventional function's replay for this (trace,
 /// geometry): the first pick fills it.
+///
+/// A slate holds a few candidates, and starting threads for them costs a
+/// serving worker more CPU than it saves: the worker pool is the serving
+/// layer's parallelism. A caller that wants a batch spread across threads
+/// calls [`TraceReplayer::replay_many`] itself.
 ///
 /// # Errors
 ///
@@ -543,7 +550,7 @@ pub fn verified_pick(
     baseline: &OnceLock<SimStats>,
 ) -> Result<VerifiedOutcome, VerifyError> {
     assert_eq!(functions.len(), estimates.len(), "one estimate each");
-    let sims = replayer.replay_many(&functions, 0)?;
+    let sims = replayer.replay_many(&functions, 1)?;
     let baseline = match baseline.get() {
         Some(baseline) => baseline.clone(),
         None => {
