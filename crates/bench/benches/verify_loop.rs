@@ -41,6 +41,21 @@
 //!   this one is its rank step.
 //!
 //! Both routes' runners-up are asserted identical before timing.
+//!
+//! The slate replay — what a first verified top-3 pick simulates: the
+//! served winner, its two runners-up and the conventional function — on
+//! crc @ 1 KB under unlimited XOR (the three slate members partition the
+//! trace's blocks alike: two simulations) and fir @ 4 KB under bit
+//! selection (one member partitions like the conventional function: three
+//! simulations):
+//!
+//! * `slate/shared/<cell>` — one `TraceReplayer::replay_many` of the four
+//!   functions: one simulation per distinct block partition, all in one
+//!   fused pass;
+//! * `slate/each/<cell>` — one `TraceReplayer::replay` per function.
+//!
+//! Both rows' stats and the shared row's simulation count are asserted
+//! before timing.
 
 use std::sync::Arc;
 
@@ -49,7 +64,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use xorindex::search::Searcher;
 use xorindex::{FunctionClass, HashFunction, ScaffoldCache, SearchAlgorithm, SearchOutcome};
-use xorindex_bench::prepare_data;
+use xorindex_bench::{prepare_data, HASHED_BITS};
 use xorindex_serve::{IndexService, Registration};
 use xorindex_verify::TraceReplayer;
 
@@ -79,6 +94,38 @@ fn materialized_runners_up(
         .take(RUNNERS_UP)
         .collect();
     (search, runners_up, hood.len())
+}
+
+/// The four functions a first verified top-3 pick replays for `workload`
+/// at `kb` KB under `class` (the served winner, its two runners-up, then the
+/// conventional function), with a replayer over the trace.
+fn first_pick_slate(
+    workload: &str,
+    kb: u64,
+    class: FunctionClass,
+) -> (TraceReplayer, Vec<HashFunction>) {
+    let prepared = prepare_data(workload, kb);
+    let trace = Arc::new(prepared.blocks);
+    let service = IndexService::new();
+    let app = service
+        .register(
+            Registration::new(prepared.profile, prepared.cache)
+                .with_class(class)
+                .with_shared_trace(Arc::clone(&trace)),
+        )
+        .expect("valid geometry");
+    let outcome = service
+        .optimize_verified(app, SearchAlgorithm::HillClimb, 3)
+        .expect("verified optimization succeeds");
+    let mut slate: Vec<HashFunction> = outcome
+        .candidates
+        .into_iter()
+        .map(|candidate| candidate.function)
+        .collect();
+    slate.push(
+        HashFunction::conventional(HASHED_BITS, prepared.cache.set_bits()).expect("valid geometry"),
+    );
+    (TraceReplayer::new(prepared.cache, trace), slate)
 }
 
 fn bench_verify_loop(c: &mut Criterion) {
@@ -221,6 +268,47 @@ fn bench_verify_loop(c: &mut Criterion) {
             )
         })
     });
+
+    for (cell, workload, kb, class, simulations) in [
+        ("crc@1KB/xor", "crc", 1, FunctionClass::xor_unlimited(), 2),
+        (
+            "fir@4KB/bitsel",
+            "fir",
+            4,
+            FunctionClass::bit_selecting(),
+            3,
+        ),
+    ] {
+        let (replayer, slate) = first_pick_slate(workload, kb, class);
+        let each: Vec<_> = slate
+            .iter()
+            .map(|f| replayer.replay(f).expect("geometry matches"))
+            .collect();
+        let before = replayer.replay_stats().replays;
+        assert_eq!(
+            replayer.replay_many(&slate, 1).expect("geometry matches"),
+            each,
+            "{cell}: a shared replay must equal one replay per function"
+        );
+        assert_eq!(
+            replayer.replay_stats().replays - before,
+            simulations,
+            "{cell}: simulations per shared slate replay"
+        );
+        group.bench_function(format!("slate/shared/{cell}"), |b| {
+            b.iter(|| black_box(replayer.replay_many(&slate, 1).expect("geometry matches")))
+        });
+        group.bench_function(format!("slate/each/{cell}"), |b| {
+            b.iter(|| {
+                black_box(
+                    slate
+                        .iter()
+                        .map(|f| replayer.replay(f).expect("geometry matches"))
+                        .collect::<Vec<_>>(),
+                )
+            })
+        });
+    }
 
     group.finish();
 }

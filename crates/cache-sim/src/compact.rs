@@ -8,6 +8,9 @@
 //! order packed in place, so a whole cache's simulation state is two
 //! allocations total and each access is a short in-register scan.
 //!
+//! The replay's direct-mapped lanes need no recency order and keep one bare
+//! tag per set instead.
+//!
 //! The hit/fill/evict outcomes are bit-identical to `CacheSet` under LRU:
 //! tags are kept least-recently-used first within each set's occupied prefix,
 //! a hit rotates the touched tag to the most-recently-used end, and an
@@ -82,18 +85,6 @@ impl CompactSets {
     #[inline(always)]
     pub fn access(&mut self, set: usize, block: u64) -> CompactAccess {
         let len = self.occupancy[set] as usize;
-        if self.ways == 1 {
-            // Direct-mapped: one compare, no recency bookkeeping.
-            if len != 0 && self.tags[set] == block {
-                return CompactAccess::Hit;
-            }
-            self.tags[set] = block;
-            if len == 0 {
-                self.occupancy[set] = 1;
-                return CompactAccess::MissFilled;
-            }
-            return CompactAccess::MissEvicted;
-        }
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];
         // Scan most-recent-first: temporal locality makes recent ways the

@@ -39,6 +39,10 @@ const CODE_FAR: u8 = 2;
 /// what 3C class is the miss?" — exactly the information `Cache::access_block`
 /// derives per access when classification is enabled.
 ///
+/// The same pass keeps the trace's distinct blocks in first-touch order
+/// (eight bytes per distinct block, none per access): an index function acts
+/// on the trace only through which of these blocks share a set.
+///
 /// # Example
 ///
 /// ```
@@ -53,6 +57,10 @@ const CODE_FAR: u8 = 2;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReuseStream {
     codes: Vec<u8>,
+    /// Distinct blocks in first-touch order.
+    blocks: Vec<BlockAddr>,
+    /// The least block address the trace never touches.
+    unused: BlockAddr,
     capacity_blocks: usize,
 }
 
@@ -71,8 +79,12 @@ impl ReuseStream {
             .iter()
             .map(|&block| lru.access(ids.id_of(block.as_u64())))
             .collect();
+        let mut blocks = ids.blocks;
+        blocks.shrink_to_fit();
         ReuseStream {
             codes,
+            unused: least_unused(&blocks),
+            blocks,
             capacity_blocks,
         }
     }
@@ -111,6 +123,20 @@ impl ReuseStream {
         }
     }
 
+    /// The trace's distinct blocks in first-touch order.
+    #[must_use]
+    pub fn distinct_blocks(&self) -> &[BlockAddr] {
+        &self.blocks
+    }
+
+    /// The least block address the trace never touches. A tag array whose
+    /// empty entries hold it needs no occupancy flag: no access matches an
+    /// empty entry.
+    #[must_use]
+    pub fn unused_block(&self) -> BlockAddr {
+        self.unused
+    }
+
     /// Number of accesses whose miss (if any) would be conflict-eligible.
     #[must_use]
     pub fn conflict_eligible(&self) -> usize {
@@ -138,6 +164,25 @@ impl ReuseStream {
     }
 }
 
+/// The least address missing from `blocks`: of the `len + 1` values
+/// `0..=len`, at least one is.
+fn least_unused(blocks: &[BlockAddr]) -> BlockAddr {
+    let mut seen = vec![false; blocks.len() + 1];
+    for block in blocks {
+        if let Some(slot) = usize::try_from(block.as_u64())
+            .ok()
+            .and_then(|i| seen.get_mut(i))
+        {
+            *slot = true;
+        }
+    }
+    let least = seen
+        .iter()
+        .position(|&s| !s)
+        .expect("len + 1 values, len blocks");
+    BlockAddr(least as u64)
+}
+
 /// Marks a free [`BlockIds`] slot. Emptiness lives in the id, not the key,
 /// because a block address may be any `u64`.
 const NO_ID: u32 = u32::MAX;
@@ -159,7 +204,8 @@ struct BlockIds {
     slots: Vec<Slot>,
     /// `64 − log2(slots.len())`: the hash keeps the product's top bits.
     shift: u32,
-    len: u32,
+    /// Entry `id` is the block with that id.
+    blocks: Vec<BlockAddr>,
 }
 
 impl BlockIds {
@@ -169,7 +215,7 @@ impl BlockIds {
         BlockIds {
             slots: Self::empty_slots(1 << Self::INITIAL_SLOTS_LOG2),
             shift: 64 - Self::INITIAL_SLOTS_LOG2,
-            len: 0,
+            blocks: Vec::new(),
         }
     }
 
@@ -203,11 +249,14 @@ impl BlockIds {
             }
             i = (i + 1) & mask;
         }
-        let id = self.len;
-        assert!(id < NO_ID, "more than u32::MAX distinct blocks");
+        assert!(
+            self.blocks.len() < NO_ID as usize,
+            "more than u32::MAX distinct blocks"
+        );
+        let id = self.blocks.len() as u32;
         self.slots[i] = Slot { block, id };
-        self.len += 1;
-        if 2 * self.len as usize > self.slots.len() {
+        self.blocks.push(BlockAddr(block));
+        if 2 * self.blocks.len() > self.slots.len() {
             self.grow();
         }
         id
@@ -401,6 +450,19 @@ mod tests {
     }
 
     #[test]
+    fn keeps_distinct_blocks_in_first_touch_order_and_an_unused_block() {
+        let trace = blocks(&[3, 0, 3, 1, 7, 0, u64::MAX]);
+        let stream = ReuseStream::build(&trace, 2);
+        assert_eq!(stream.distinct_blocks(), blocks(&[3, 0, 1, 7, u64::MAX]));
+        assert_eq!(stream.unused_block(), BlockAddr(2));
+        let high = ReuseStream::build(&blocks(&[u64::MAX, 1, 1]), 1);
+        assert_eq!(high.unused_block(), BlockAddr(0));
+        let dense = ReuseStream::build(&blocks(&[2, 1, 0]), 1);
+        assert_eq!(dense.unused_block(), BlockAddr(3));
+        assert_eq!(ReuseStream::build(&[], 1).unused_block(), BlockAddr(0));
+    }
+
+    #[test]
     fn empty_trace() {
         let stream = ReuseStream::build(&[], 4);
         assert!(stream.is_empty());
@@ -431,6 +493,9 @@ mod tests {
         assert_eq!(first[..1000], (0..1000).collect::<Vec<u32>>()[..]);
         let again: Vec<u32> = keys.iter().map(|&k| ids.id_of(k)).collect();
         assert_eq!(again, first);
-        assert!(2 * ids.len as usize <= ids.slots.len());
+        assert!(2 * ids.blocks.len() <= ids.slots.len());
+        let distinct: Vec<u64> = ids.blocks.iter().map(|b| b.as_u64()).collect();
+        assert_eq!(distinct[..1000], keys[..1000]);
+        assert_eq!(distinct[1000..], [u64::MAX, u64::MAX - 1]);
     }
 }

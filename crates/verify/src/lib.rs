@@ -32,11 +32,13 @@
 //!
 //! Replays of [`HashFunction`] candidates ride the fast engine in [`replay`]
 //! when the geometry allows (LRU, associativity ≤ 8): a shared, cached 3C
-//! pre-classification of the trace, then one pass per candidate that looks
-//! each access's set up in per-candidate byte tables and simulates compact
-//! LRU tag arrays — bit-identical to the legacy [`Cache`]-based path
-//! (exposed as [`TraceReplayer::replay_legacy`]) and over an order of
-//! magnitude faster. A single replay runs on the calling thread;
+//! pre-classification of the trace, one simulation per distinct partition
+//! of the trace's blocks (candidates that put the same blocks in a common
+//! set share it, relabelled), and fused passes that look each access's set
+//! up in per-candidate byte tables and simulate compact tag arrays —
+//! bit-identical to the legacy [`Cache`]-based path (exposed as
+//! [`TraceReplayer::replay_legacy`]) and over an order of magnitude faster.
+//! A single replay runs on the calling thread;
 //! [`TraceReplayer::replay_many`] can spread a batch across threads.
 
 #![forbid(unsafe_code)]
@@ -47,7 +49,6 @@ pub mod replay;
 mod report;
 
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use cache_sim::{BlockAddr, Cache, CacheConfig, CacheError, CacheStats, ReuseStream};
@@ -248,25 +249,16 @@ impl TraceReplayer {
     /// Replays the trace under a candidate hash function, returning true
     /// hit/miss counts with the per-set conflict breakdown. Rides the fast
     /// engine when [`TraceReplayer::fast_path`] holds, falling back to the
-    /// legacy simulator otherwise; both produce identical results.
+    /// legacy simulator otherwise; both produce identical results. It is the
+    /// one-candidate case of [`TraceReplayer::replay_many`].
     ///
     /// # Errors
     ///
     /// [`VerifyError::SetBitsMismatch`] when the candidate does not target
     /// this cache's set count.
     pub fn replay(&self, function: &HashFunction) -> Result<SimStats, VerifyError> {
-        if !self.fast_path() {
-            return self.replay_legacy(function);
-        }
-        self.check(function)?;
-        let reuse = self.reuse_stream();
-        self.counters.note_replays(1);
-        Ok(replay::replay_fast(
-            &self.config,
-            &self.trace,
-            &reuse,
-            function,
-        ))
+        let mut sims = self.replay_many(std::slice::from_ref(function), 1)?;
+        Ok(sims.pop().expect("one result per candidate"))
     }
 
     /// Replays the trace under a candidate through the legacy [`Cache`]-based
@@ -279,22 +271,32 @@ impl TraceReplayer {
     /// this cache's set count.
     pub fn replay_legacy(&self, function: &HashFunction) -> Result<SimStats, VerifyError> {
         self.check(function)?;
+        self.counters.note_replays(1);
+        self.simulate_legacy(function)
+    }
+
+    fn simulate_legacy(&self, function: &HashFunction) -> Result<SimStats, VerifyError> {
         let mut cache =
             Cache::try_new(self.config, function.to_index_function())?.with_set_conflict_tracking();
         let stats = cache.simulate_blocks(self.trace.iter().copied());
-        self.counters.note_replays(1);
         Ok(SimStats {
             stats,
             set_conflicts: cache.nonzero_set_conflicts(),
         })
     }
 
-    /// Replays every candidate, fanning the independent simulations across
-    /// up to `threads` OS threads (`0` = one per host CPU; `1`, what
-    /// [`verified_pick`] passes, replays on the calling thread and starts
-    /// none). Results are indexed by candidate position, so the output is
-    /// bit-identical at any thread count. On the fast path the batch shares
-    /// one pre-classification pass.
+    /// Replays every candidate, simulating each distinct cache once.
+    /// Candidates that put the same trace blocks in a common set simulate
+    /// alike up to the names of their sets, so the batch is grouped by that
+    /// partition: one member per group is simulated, and every other member
+    /// gets its [`SimStats`] with the per-set conflicts renamed. On the fast
+    /// path the simulated members share one pre-classification pass and run
+    /// as the lanes of fused passes over the trace, two per pass.
+    ///
+    /// The simulations spread across up to `threads` OS threads (`0` = one
+    /// per host CPU; `1`, what [`verified_pick`] passes, replays on the
+    /// calling thread and starts none). Results are indexed by candidate
+    /// position and bit-identical at any thread count.
     ///
     /// # Errors
     ///
@@ -305,50 +307,95 @@ impl TraceReplayer {
         functions: &[HashFunction],
         threads: usize,
     ) -> Result<Vec<SimStats>, VerifyError> {
-        for function in functions {
+        self.replay_sharing(functions, None, threads)
+    }
+
+    /// [`TraceReplayer::replay_many`] with one more group member whose
+    /// simulation is already known: a candidate that partitions the blocks
+    /// like `known`'s function takes its stats, relabelled, and is not
+    /// simulated.
+    fn replay_sharing(
+        &self,
+        functions: &[HashFunction],
+        known: Option<(&HashFunction, &SimStats)>,
+        threads: usize,
+    ) -> Result<Vec<SimStats>, VerifyError> {
+        let (known_function, known_sim) = known.unzip();
+        for function in known_function.into_iter().chain(functions) {
             self.check(function)?;
         }
         if functions.is_empty() {
             return Ok(Vec::new());
         }
-        let reuse = self.fast_path().then(|| self.reuse_stream());
-        let replay_one = |function: &HashFunction| match &reuse {
-            Some(reuse) => {
-                self.counters.note_replays(1);
-                replay::replay_fast(&self.config, &self.trace, reuse, function)
-            }
-            None => self
-                .replay_legacy(function)
-                .expect("batch was validated before simulation"),
+        // The known member, if any, comes first: `functions[i]` is member
+        // `first + i`.
+        let first = usize::from(known.is_some());
+        let members: Vec<&HashFunction> = known_function.into_iter().chain(functions).collect();
+        let reuse = self.reuse_stream();
+        let tables: Vec<_> = members.iter().map(|f| replay::byte_tables(f)).collect();
+        let num_sets = self.config.num_sets() as usize;
+        let shares = replay::share(reuse.distinct_blocks(), num_sets, &tables);
+        let simulated: Vec<usize> = (first..members.len())
+            .filter(|&i| shares[i].leader == i)
+            .collect();
+        self.counters.note_replays(simulated.len() as u64);
+        let threads = match threads {
+            0 => xorindex::host_threads(),
+            n => n,
         };
-        let threads = if threads == 0 {
-            xorindex::host_threads()
-        } else {
-            threads
-        };
-        let threads = threads.min(functions.len());
-        if threads <= 1 {
-            return Ok(functions.iter().map(replay_one).collect());
-        }
-        let slots: Vec<OnceLock<SimStats>> =
-            (0..functions.len()).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= functions.len() {
-                        break;
-                    }
-                    let _ = slots[i].set(replay_one(&functions[i]));
-                });
+        let sims = in_chunks(simulated.len(), threads, |chunk| {
+            let chunk = &simulated[chunk];
+            if self.fast_path() {
+                let leaders: Vec<_> = chunk.iter().map(|&i| &tables[i]).collect();
+                replay::replay_fused(&self.config, &self.trace, &reuse, &leaders)
+            } else {
+                chunk
+                    .iter()
+                    .map(|&i| {
+                        self.simulate_legacy(members[i])
+                            .expect("batch was validated before simulation")
+                    })
+                    .collect()
             }
         });
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every slot was filled"))
+        let sim_of = |i: usize| match known_sim {
+            Some(sim) if i < first => sim,
+            _ => &sims[simulated.binary_search(&i).expect("a leader is simulated")],
+        };
+        Ok(shares[first..]
+            .iter()
+            .map(|share| match &share.sets {
+                Some(sets) => replay::relabel(sim_of(share.leader), sets),
+                None => sim_of(share.leader).clone(),
+            })
             .collect())
     }
+}
+
+/// Runs `job` over `0..n` cut into at most `threads` contiguous chunks, one
+/// scoped thread per chunk (none for a single chunk), and concatenates the
+/// results in order.
+fn in_chunks<T: Send>(
+    n: usize,
+    threads: usize,
+    job: impl Fn(std::ops::Range<usize>) -> Vec<T> + Sync,
+) -> Vec<T> {
+    let chunks = threads.clamp(1, n.max(1));
+    if chunks == 1 {
+        return job(0..n);
+    }
+    let size = n.div_ceil(chunks);
+    let job = &job;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n)
+            .step_by(size)
+            .map(|start| scope.spawn(move || job(start..n.min(start + size))))
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("replay thread panicked"))
+            .collect()
+    })
 }
 
 /// How well the Eq. 4 estimator tracked simulated truth over a candidate
@@ -529,6 +576,12 @@ pub fn pick_winner(sims: &[SimStats]) -> Result<usize, VerifyError> {
 /// `baseline` caches the conventional function's replay for this (trace,
 /// geometry): the first pick fills it.
 ///
+/// The slate is replayed like [`TraceReplayer::replay_many`] batches, one
+/// simulation per distinct block partition, with the conventional function
+/// as one more member: a slate member that partitions the trace's blocks
+/// like it takes the cached baseline, relabelled, and when no baseline is
+/// cached yet the conventional function joins the same pass.
+///
 /// A slate holds a few candidates, and starting threads for them costs a
 /// serving worker more CPU than it saves: the worker pool is the serving
 /// layer's parallelism. A caller that wants a batch spread across threads
@@ -545,19 +598,24 @@ pub fn pick_winner(sims: &[SimStats]) -> Result<usize, VerifyError> {
 pub fn verified_pick(
     replayer: &TraceReplayer,
     search: SearchOutcome,
-    functions: Vec<HashFunction>,
+    mut functions: Vec<HashFunction>,
     estimates: Vec<u64>,
     baseline: &OnceLock<SimStats>,
 ) -> Result<VerifiedOutcome, VerifyError> {
     assert_eq!(functions.len(), estimates.len(), "one estimate each");
-    let sims = replayer.replay_many(&functions, 1)?;
-    let baseline = match baseline.get() {
-        Some(baseline) => baseline.clone(),
+    let (n, m) = (search.function.hashed_bits(), search.function.set_bits());
+    let conventional = HashFunction::conventional(n, m).expect("1 <= m <= n");
+    let (sims, baseline) = match baseline.get() {
+        Some(known) => (
+            replayer.replay_sharing(&functions, Some((&conventional, known)), 1)?,
+            known.clone(),
+        ),
         None => {
-            let (n, m) = (search.function.hashed_bits(), search.function.set_bits());
-            let conventional = HashFunction::conventional(n, m).expect("1 <= m <= n");
-            let sim = replayer.replay(&conventional)?;
-            baseline.get_or_init(|| sim).clone()
+            functions.push(conventional);
+            let mut sims = replayer.replay_many(&functions, 1)?;
+            functions.pop();
+            let sim = sims.pop().expect("one result per candidate");
+            (sims, baseline.get_or_init(|| sim).clone())
         }
     };
     let pairs: Vec<(u64, u64)> = estimates
