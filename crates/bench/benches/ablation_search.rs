@@ -1,9 +1,8 @@
 //! Ablation: search algorithms and neighbour pools.
 //!
-//! Compares the paper's plain hill climb against the random-restart and
-//! simulated-annealing extensions (Section 3.3 anticipates such trade-offs)
-//! and against the exhaustive optimal bit-selecting search, and measures how
-//! much the richer neighbour pool costs.
+//! Compares the paper's plain hill climb against the exhaustive optimal
+//! bit-selecting search, and measures how much the richer neighbour pool
+//! costs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -15,51 +14,29 @@ fn bench_search_algorithms(c: &mut Criterion) {
     let prepared = prepare_data("compress", 4);
     let class = FunctionClass::permutation_based(2);
     let algorithms = [
-        ("hill_climb", SearchAlgorithm::HillClimb),
+        ("hill_climb", class, SearchAlgorithm::HillClimb),
         (
-            "random_restart_2",
-            SearchAlgorithm::RandomRestart {
-                restarts: 2,
-                seed: 7,
-            },
-        ),
-        (
-            "annealing_100",
-            SearchAlgorithm::Annealing {
-                iterations: 100,
-                initial_temperature: 100.0,
-                seed: 7,
-            },
+            "optimal_bitselect",
+            FunctionClass::bit_selecting(),
+            SearchAlgorithm::OptimalBitSelect,
         ),
     ];
 
     // Record achieved quality once per algorithm.
-    for (label, algorithm) in algorithms {
+    for (label, class, algorithm) in algorithms {
         let outcome = Searcher::new(&prepared.profile, class, prepared.cache.set_bits())
             .expect("valid geometry")
             .run(algorithm)
             .expect("search succeeds");
         println!(
-            "ablation-search compress @4KB {label:>16}: estimated misses {:>8} ({} evaluations)",
+            "ablation-search compress @4KB {label:>17}: estimated misses {:>8} ({} evaluations)",
             outcome.estimated_misses, outcome.evaluations
         );
     }
-    let optimal_bs = Searcher::new(
-        &prepared.profile,
-        FunctionClass::bit_selecting(),
-        prepared.cache.set_bits(),
-    )
-    .expect("valid geometry")
-    .run(SearchAlgorithm::OptimalBitSelect)
-    .expect("search succeeds");
-    println!(
-        "ablation-search compress @4KB optimal_bitselect: estimated misses {:>8} ({} evaluations)",
-        optimal_bs.estimated_misses, optimal_bs.evaluations
-    );
 
     let mut group = c.benchmark_group("ablation_search");
     group.sample_size(10);
-    for (label, algorithm) in algorithms {
+    for (label, class, algorithm) in algorithms {
         group.bench_with_input(
             BenchmarkId::new("algorithm", label),
             &algorithm,
@@ -73,21 +50,6 @@ fn bench_search_algorithms(c: &mut Criterion) {
             },
         );
     }
-    group.bench_function("algorithm/optimal_bitselect", |b| {
-        b.iter(|| {
-            let searcher = Searcher::new(
-                &prepared.profile,
-                FunctionClass::bit_selecting(),
-                prepared.cache.set_bits(),
-            )
-            .expect("valid geometry");
-            black_box(
-                searcher
-                    .run(SearchAlgorithm::OptimalBitSelect)
-                    .expect("search"),
-            )
-        })
-    });
     for (label, pool) in [
         ("units", NeighborPool::Units),
         ("units_and_pairs", NeighborPool::UnitsAndPairs),

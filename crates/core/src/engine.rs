@@ -297,8 +297,11 @@ impl EvalEngine {
             .into_iter()
             .flatten()
             .collect();
-        for &cost in &priced {
-            self.tally(cost);
+        for cost in &priced {
+            match cost {
+                BoundedCost::Exact(_) => self.stats.evaluations += 1,
+                BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
+            }
         }
         priced
     }
@@ -373,29 +376,6 @@ impl EvalEngine {
             self.stats.scaffold_misses += 1;
         }
         scaffold.histogram
-    }
-
-    /// [`EvalEngine::estimate_packed`] under an incumbent bound: the scan
-    /// abandons with [`BoundedCost::AtLeast`] once the running sum saturates
-    /// the bound, and prices exactly otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the basis's ambient width differs from the profile's hashed
-    /// width.
-    pub fn estimate_packed_bounded(&mut self, basis: &PackedBasis, bound: u64) -> BoundedCost {
-        let cost = self.kernel.cost_bounded(basis, bound);
-        self.tally(cost);
-        cost
-    }
-
-    /// Counts one bounded price: an evaluation when exact, an abandon when
-    /// it saturated the bound.
-    fn tally(&mut self, cost: BoundedCost) {
-        match cost {
-            BoundedCost::Exact(_) => self.stats.evaluations += 1,
-            BoundedCost::AtLeast(_) => self.stats.bounded_abandons += 1,
-        }
     }
 
     /// Maps `job_cost` over `jobs` in order, splitting across scoped threads
@@ -799,35 +779,6 @@ mod tests {
                 2 * (exact.len() as u64 - abandons)
             );
         }
-    }
-
-    #[test]
-    fn bounded_single_candidate_pricing_is_exact_below_the_bound() {
-        let profile = mixed_profile();
-        let mut engine = EvalEngine::new(&profile);
-        let ns = PackedBasis::standard_span(12, 6..12);
-        let exact = engine.kernel().cost(&ns);
-        assert!(exact > 0);
-        // Below the bound: exact, one evaluation.
-        assert_eq!(
-            engine.estimate_packed_bounded(&ns, exact + 1),
-            BoundedCost::Exact(exact)
-        );
-        assert_eq!(engine.stats().evaluations, 1);
-        // At the bound: abandoned, counted as an abandon only.
-        assert_eq!(
-            engine.estimate_packed_bounded(&ns, exact),
-            BoundedCost::AtLeast(exact)
-        );
-        assert_eq!(engine.stats().evaluations, 1);
-        assert_eq!(engine.stats().bounded_abandons, 1);
-        // An earlier exact price never answers a later bounded call: each
-        // call is priced under its own bound.
-        assert_eq!(
-            engine.estimate_packed_bounded(&ns, u64::MAX),
-            BoundedCost::Exact(exact)
-        );
-        assert_eq!(engine.stats().evaluations, 2);
     }
 
     #[test]

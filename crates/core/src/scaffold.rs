@@ -5,8 +5,7 @@
 //! over every entry, [`FrozenKernel::neighborhood_scaffold`]). Regrouping per
 //! call would be wasteful for the callers that dominate real runs: the
 //! verified pick ranking the neighbourhood the climb's last step just
-//! priced, random restarts walking back through earlier parents, and
-//! serve-layer searches against one application.
+//! priced, and serve-layer searches repeated against one application.
 //!
 //! [`ScaffoldCache`] memoizes the grouped histogram per parent
 //! ([`gf2::CanonicalKey`]), capacity-capped with FIFO eviction. Entries sit
@@ -23,10 +22,11 @@ use gf2::{CanonicalKey, CosetHistogram, PackedBasis};
 
 use crate::FrozenKernel;
 
-/// Default number of parents a [`ScaffoldCache`] retains. Search algorithms
-/// revisit a handful of recent parents (the current incumbent, its
-/// predecessor, restart seeds), so a small window captures nearly all reuse
-/// while bounding the memory spent on grouped histograms.
+/// Default number of parents a [`ScaffoldCache`] retains. Reuse comes from a
+/// handful of recent parents (the climb's last parent, ranked again by the
+/// verified pick, and the parents a repeated search over one application
+/// walks again), so a small window captures nearly all of it while bounding
+/// the memory spent on grouped histograms.
 pub const DEFAULT_SCAFFOLD_CAPACITY: usize = 16;
 
 /// One checked-out scaffolding: the shared grouped histogram, plus whether

@@ -1,7 +1,5 @@
 //! Steepest-descent hill climbing (the paper's search algorithm).
 
-use gf2::Subspace;
-
 use crate::search::{NeighborLanes, SearchOutcome, Searcher};
 use crate::{EvalEngine, HashFunction, XorIndexError};
 
@@ -19,73 +17,37 @@ impl Searcher<'_> {
     /// Propagates representative-construction failures (see
     /// [`Searcher::run`]).
     pub fn hill_climb(&self) -> Result<SearchOutcome, XorIndexError> {
-        self.hill_climb_from(self.conventional_null_space())
-    }
-
-    /// Hill climbing from an arbitrary admissible starting null space.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XorIndexError::NoRepresentative`] if the starting point is
-    /// not admissible for the searcher's function class.
-    pub fn hill_climb_from(&self, start: Subspace) -> Result<SearchOutcome, XorIndexError> {
         let mut engine = self.engine();
-        self.hill_climb_with(&mut engine, start)
+        Ok(self.hill_climb_full(&mut engine)?.0)
     }
 
-    /// Hill climbing on a caller-supplied engine, so several climbs (random
-    /// restarts) share one frozen kernel and scaffold cache.
+    /// [`Searcher::hill_climb`] on a caller-supplied engine, additionally
+    /// returning the lanes of the winner's neighbourhood — the final climb
+    /// iteration's candidate set, which the loop would otherwise drop on the
+    /// floor. [`Searcher::run_with_runners_up`] ranks them on the climb's
+    /// engine instead of paying a second
+    /// [`PackedNeighborhood::generate`](crate::search::PackedNeighborhood::generate).
     ///
     /// Reported `evaluations` are the Eq. 4 evaluations this climb completed
-    /// on the engine: the start (unless it is the conventional null space,
-    /// whose baseline price it reuses) plus every lane a step priced exactly.
-    /// Lanes abandoned under the incumbent bound are not counted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`XorIndexError::NoRepresentative`] if the starting point is
-    /// not admissible for the searcher's function class.
-    pub(crate) fn hill_climb_with(
-        &self,
-        engine: &mut EvalEngine,
-        start: Subspace,
-    ) -> Result<SearchOutcome, XorIndexError> {
-        Ok(self.hill_climb_full(engine, start)?.0)
-    }
-
-    /// [`Searcher::hill_climb_with`], additionally returning the lanes of
-    /// the winner's neighbourhood — the final climb iteration's candidate
-    /// set, which the loop would otherwise drop on the floor.
-    /// [`Searcher::run_with_runners_up`] ranks them on the climb's engine
-    /// instead of paying a second
-    /// [`PackedNeighborhood::generate`](crate::search::PackedNeighborhood::generate).
+    /// on the engine: every lane a step priced exactly. Lanes abandoned under
+    /// the incumbent bound are not counted.
     pub(crate) fn hill_climb_full(
         &self,
         engine: &mut EvalEngine,
-        start: Subspace,
     ) -> Result<(SearchOutcome, NeighborLanes), XorIndexError> {
         let pool = self.packed_pool();
         let class = self.class();
 
-        // Validate the start and prime the bookkeeping. The baseline is
-        // priced before the evaluation snapshot so it is never charged to
+        // Prime the bookkeeping at the conventional null space. Its price is
+        // taken before the evaluation snapshot so it is never charged to
         // this climb (matching the pre-engine accounting, where the baseline
-        // went through a separate estimator call). A climb from the
-        // conventional null space reuses that price as the start's cost
-        // rather than pricing the same basis twice. The start arrives as a
-        // `Subspace` (the public boundary) and is packed once; from here the
-        // climb carries `PackedBasis` state end-to-end.
-        let start_function = HashFunction::from_null_space(&start, class)?;
-        let conventional = self.conventional_packed();
-        let baseline_estimate = engine.estimate_packed(&conventional);
+        // went through a separate estimator call), and it is also the
+        // start's cost.
+        let mut current = self.conventional_packed();
+        let baseline_estimate = engine.estimate_packed(&current);
         let evaluations_before = engine.stats().evaluations;
-        let mut current = start.to_packed();
-        let mut best_cost = if current == conventional {
-            baseline_estimate
-        } else {
-            engine.estimate_packed(&current)
-        };
-        let mut best_function = start_function;
+        let mut best_cost = baseline_estimate;
+        let mut best_function = HashFunction::from_null_space(&current.to_subspace(), class)?;
         let mut steps: u64 = 0;
         let final_lanes;
 
@@ -340,14 +302,5 @@ mod tests {
             );
             assert_eq!(hood.unwrap(), regenerated);
         }
-    }
-
-    #[test]
-    fn hill_climb_from_inadmissible_start_errors() {
-        let profile = ping_pong_profile();
-        let searcher = Searcher::new(&profile, FunctionClass::permutation_based(2), 6).unwrap();
-        // A null space containing e0 violates Eq. 5.
-        let bad = gf2::Subspace::standard_span(12, [0usize, 7, 8, 9, 10, 11]);
-        assert!(searcher.hill_climb_from(bad).is_err());
     }
 }

@@ -6,8 +6,8 @@
 //! function twice. The native null-space currency of the whole layer is
 //! [`gf2::PackedBasis`]: candidate generation and deduplication
 //! ([`PackedNeighborhood`]) and each algorithm's current/best state are all
-//! packed `u64` words, with [`Subspace`] conversions only at public API
-//! boundaries (start points and the final [`HashFunction`] construction).
+//! packed `u64` words, with [`Subspace`] conversions only where a
+//! [`HashFunction`] is built.
 //! Candidate quality is judged with the profile-based estimator (paper
 //! Eq. 4), never by re-simulating the trace; every algorithm routes its
 //! evaluations through the dense [`EvalEngine`], which prices each
@@ -21,19 +21,13 @@
 //!
 //! * [`SearchAlgorithm::HillClimb`] — the paper's steepest-descent search,
 //!   started from the conventional modulo function;
-//! * [`SearchAlgorithm::RandomRestart`] — hill climbing from additional random
-//!   starting points (an extension the paper's Section 3.3 hints at);
-//! * [`SearchAlgorithm::Annealing`] — simulated annealing over the same
-//!   neighbourhood (extension);
 //! * [`SearchAlgorithm::OptimalBitSelect`] — exhaustive enumeration of all
 //!   `C(n, m)` bit-selecting functions, the optimal baseline of Patel et al.
 //!   reproduced in the paper's Table 3.
 
-mod annealing;
 mod hill_climb;
 mod neighbors;
 mod optimal_bitselect;
-mod random_restart;
 
 use std::sync::Arc;
 
@@ -58,23 +52,6 @@ pub enum SearchAlgorithm {
     /// paper's algorithm).
     #[default]
     HillClimb,
-    /// Hill climbing from the conventional function plus `restarts` random
-    /// starting points; the best local optimum wins.
-    RandomRestart {
-        /// Number of additional random starting points.
-        restarts: usize,
-        /// RNG seed (searches are deterministic per seed).
-        seed: u64,
-    },
-    /// Simulated annealing over the hill-climbing neighbourhood.
-    Annealing {
-        /// Number of proposal steps.
-        iterations: usize,
-        /// Initial temperature, in units of estimated misses.
-        initial_temperature: f64,
-        /// RNG seed.
-        seed: u64,
-    },
     /// Exhaustive search over all bit-selecting functions (optimal with
     /// respect to the profile, as in Patel et al.).
     OptimalBitSelect,
@@ -91,7 +68,7 @@ pub struct SearchOutcome {
     pub baseline_estimate: u64,
     /// Number of candidate evaluations performed.
     pub evaluations: u64,
-    /// Number of accepted moves (hill-climbing steps / annealing acceptances).
+    /// Number of accepted moves (hill-climbing steps).
     pub steps: u64,
 }
 
@@ -301,14 +278,6 @@ impl<'a> Searcher<'a> {
     pub fn run(&self, algorithm: SearchAlgorithm) -> Result<SearchOutcome, XorIndexError> {
         match algorithm {
             SearchAlgorithm::HillClimb => self.hill_climb(),
-            SearchAlgorithm::RandomRestart { restarts, seed } => {
-                self.random_restart(restarts, seed)
-            }
-            SearchAlgorithm::Annealing {
-                iterations,
-                initial_temperature,
-                seed,
-            } => self.annealing(iterations, initial_temperature, seed),
             SearchAlgorithm::OptimalBitSelect => self.optimal_bit_select(),
         }
     }
@@ -319,12 +288,12 @@ impl<'a> Searcher<'a> {
     /// These are the runners-up a verified pick simulates beside the winner.
     ///
     /// A hill climb ranks the lanes its last iteration generated, on its own
-    /// engine and the grouped histogram that iteration cached; other
-    /// algorithms generate the winner's lanes once. Lanes are priced under a
-    /// bound that tightens to the running k-th best, and a candidate basis
-    /// is built and checked against the class only for a lane priced
-    /// strictly below it, so no neighbourhood is materialized or sorted.
-    /// The list is what pricing every candidate of
+    /// engine and the grouped histogram that iteration cached; the
+    /// exhaustive bit-selecting search generates the winner's lanes once.
+    /// Lanes are priced under a bound that tightens to the running k-th
+    /// best, and a candidate basis is built and checked against the class
+    /// only for a lane priced strictly below it, so no neighbourhood is
+    /// materialized or sorted. The list is what pricing every candidate of
     /// [`PackedNeighborhood::generate`] around the winner, sorting by
     /// (estimate, position) and keeping the first `k` the class admits
     /// gives.
@@ -340,12 +309,11 @@ impl<'a> Searcher<'a> {
         let (outcome, mut engine, lanes) = match algorithm {
             SearchAlgorithm::HillClimb => {
                 let mut engine = self.engine();
-                let (outcome, lanes) =
-                    self.hill_climb_full(&mut engine, self.conventional_null_space())?;
+                let (outcome, lanes) = self.hill_climb_full(&mut engine)?;
                 (outcome, engine, lanes)
             }
-            other => {
-                let outcome = self.run(other)?;
+            SearchAlgorithm::OptimalBitSelect => {
+                let outcome = self.optimal_bit_select()?;
                 if k == 0 {
                     return Ok((outcome, Vec::new()));
                 }
@@ -366,8 +334,8 @@ impl<'a> Searcher<'a> {
     /// Like [`Searcher::run`], but for hill climbing also returns the
     /// winner's full neighbourhood, every candidate basis built: the
     /// candidate set the final climb iteration generated and found no
-    /// improvement in. Algorithms whose final state carries no
-    /// neighbourhood return `None`. [`Searcher::run_with_runners_up`] ranks
+    /// improvement in. The exhaustive bit-selecting search carries no
+    /// neighbourhood and returns `None`. [`Searcher::run_with_runners_up`] ranks
     /// that neighbourhood without building it.
     ///
     /// # Errors
@@ -380,11 +348,10 @@ impl<'a> Searcher<'a> {
         match algorithm {
             SearchAlgorithm::HillClimb => {
                 let mut engine = self.engine();
-                let (outcome, lanes) =
-                    self.hill_climb_full(&mut engine, self.conventional_null_space())?;
+                let (outcome, lanes) = self.hill_climb_full(&mut engine)?;
                 Ok((outcome, Some(lanes.materialize())))
             }
-            other => Ok((self.run(other)?, None)),
+            SearchAlgorithm::OptimalBitSelect => Ok((self.optimal_bit_select()?, None)),
         }
     }
 

@@ -126,8 +126,8 @@ pub struct PackedCandidate {
 }
 
 /// The full neighbourhood of a null space in packed form, grouped by retained
-/// hyperplane — the representation that flows through candidate generation,
-/// pricing and all four search algorithms.
+/// hyperplane — the representation that flows through candidate generation
+/// and pricing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PackedNeighborhood {
     /// Ambient width of the hashed address space.

@@ -634,10 +634,7 @@ proptest! {
             FunctionClass::permutation_based(2),
             FunctionClass::xor_unlimited(),
         ] {
-            let reference = reference_engine_hill_climb(
-                &mut OraclePricer::new(&profile), &profile, class, set_bits,
-                reference_conventional(HASHED_BITS, set_bits),
-            );
+            let reference = reference_engine_hill_climb(&profile, class, set_bits);
             let searcher = Searcher::new(&profile, class, set_bits).unwrap();
             let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
             assert_matches_reference(&outcome, &reference, &format!("class {class}"));
@@ -648,26 +645,15 @@ proptest! {
     fn search_outcomes_are_estimation_strategy_independent(
         blocks in trace_strategy(),
         cache in cache_strategy(),
-        seed in any::<u64>(),
     ) {
         // Each algorithm's reported winner and baseline costs must be what
         // the oracle computes on either side of Eq. 4.
         let profile = profile_of(&blocks, &cache);
-        let algorithms = [
-            SearchAlgorithm::HillClimb,
-            SearchAlgorithm::RandomRestart { restarts: 2, seed },
-            SearchAlgorithm::Annealing {
-                iterations: 25,
-                initial_temperature: 10.0,
-                seed,
-            },
-            SearchAlgorithm::OptimalBitSelect,
+        let searches = [
+            (FunctionClass::xor_unlimited(), SearchAlgorithm::HillClimb),
+            (FunctionClass::bit_selecting(), SearchAlgorithm::OptimalBitSelect),
         ];
-        for algorithm in algorithms {
-            let class = match algorithm {
-                SearchAlgorithm::OptimalBitSelect => FunctionClass::bit_selecting(),
-                _ => FunctionClass::xor_unlimited(),
-            };
+        for (class, algorithm) in searches {
             let outcome = Searcher::new(&profile, class, cache.set_bits())
                 .unwrap()
                 .run(algorithm)
@@ -730,18 +716,19 @@ fn reference_conventional(n: usize, set_bits: usize) -> Subspace {
     Subspace::standard_span(n, set_bits..n)
 }
 
-/// PR 2's `hill_climb_with`, verbatim on the Subspace path.
+/// The Subspace-native hill climb, verbatim, from the conventional null
+/// space.
 fn reference_engine_hill_climb(
-    pricer: &mut OraclePricer<'_>,
     profile: &ConflictProfile,
     class: FunctionClass,
     set_bits: usize,
-    start: Subspace,
 ) -> SearchOutcome {
     let n = profile.hashed_bits();
+    let mut pricer = OraclePricer::new(profile);
     let pool = NeighborPool::UnitsAndPairs.vectors(n, profile);
+    let start = reference_conventional(n, set_bits);
     let start_function = HashFunction::from_null_space(&start, class).unwrap();
-    let baseline_estimate = pricer.price(&reference_conventional(n, set_bits));
+    let baseline_estimate = pricer.price(&start);
     let evaluations_before = pricer.evaluations();
     let mut current = start;
     let mut best_cost = pricer.price(&current);
@@ -776,140 +763,6 @@ fn reference_engine_hill_climb(
         estimated_misses: best_cost,
         baseline_estimate,
         evaluations: pricer.evaluations() - evaluations_before,
-        steps,
-    }
-}
-
-/// PR 2's `random_admissible_start`, verbatim.
-fn reference_random_start(rng: &mut StdRng, n: usize, m: usize, class: FunctionClass) -> Subspace {
-    match class {
-        FunctionClass::BitSelecting => {
-            use rand::seq::SliceRandom;
-            let mut bits: Vec<usize> = (0..n).collect();
-            bits.shuffle(rng);
-            let excluded = bits[m..].to_vec();
-            Subspace::standard_span(n, excluded)
-        }
-        FunctionClass::PermutationBased {
-            max_inputs: Some(k),
-        }
-        | FunctionClass::Xor {
-            max_inputs: Some(k),
-        } => {
-            use rand::seq::SliceRandom;
-            use rand::Rng;
-            let extra_per_column = k.saturating_sub(1);
-            let mut matrix = gf2::BitMatrix::zero(n, m);
-            for c in 0..m {
-                matrix.set(c, c, true);
-                if n > m && extra_per_column > 0 {
-                    let mut high_rows: Vec<usize> = (m..n).collect();
-                    high_rows.shuffle(rng);
-                    let extras = rng.gen_range(0..=extra_per_column.min(high_rows.len()));
-                    for &r in high_rows.iter().take(extras) {
-                        matrix.set(r, c, true);
-                    }
-                }
-            }
-            matrix.null_space()
-        }
-        FunctionClass::PermutationBased { max_inputs: None } => {
-            gf2::random::random_permutation_null_space(rng, n, m)
-        }
-        FunctionClass::Xor { max_inputs: None } => gf2::random::random_subspace(rng, n, n - m),
-    }
-}
-
-/// PR 2's `random_restart`, verbatim on the Subspace path.
-fn reference_engine_random_restart(
-    profile: &ConflictProfile,
-    class: FunctionClass,
-    set_bits: usize,
-    restarts: usize,
-    seed: u64,
-) -> SearchOutcome {
-    let n = profile.hashed_bits();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut pricer = OraclePricer::new(profile);
-    let mut best = reference_engine_hill_climb(
-        &mut pricer,
-        profile,
-        class,
-        set_bits,
-        reference_conventional(n, set_bits),
-    );
-    let mut total_evaluations = best.evaluations;
-    let mut total_steps = best.steps;
-    for _ in 0..restarts {
-        let start = reference_random_start(&mut rng, n, set_bits, class);
-        let outcome = reference_engine_hill_climb(&mut pricer, profile, class, set_bits, start);
-        total_evaluations += outcome.evaluations;
-        total_steps += outcome.steps;
-        if outcome.estimated_misses < best.estimated_misses {
-            best = outcome;
-        }
-    }
-    best.evaluations = total_evaluations;
-    best.steps = total_steps;
-    best
-}
-
-/// PR 2's `annealing`, verbatim on the Subspace path.
-fn reference_engine_annealing(
-    profile: &ConflictProfile,
-    class: FunctionClass,
-    set_bits: usize,
-    iterations: usize,
-    initial_temperature: f64,
-    seed: u64,
-) -> SearchOutcome {
-    use rand::Rng;
-    let n = profile.hashed_bits();
-    let mut pricer = OraclePricer::new(profile);
-    let pool = NeighborPool::UnitsAndPairs.vectors(n, profile);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let start = reference_conventional(n, set_bits);
-    let mut current = start.clone();
-    let mut current_cost = pricer.price(&current);
-    let baseline_estimate = current_cost;
-    let mut best_function = HashFunction::from_null_space(&start, class).unwrap();
-    let mut best_cost = current_cost;
-    let mut steps: u64 = 0;
-    let temperature_floor = (initial_temperature * 0.01).max(1e-9);
-    let decay = if iterations > 1 {
-        (temperature_floor / initial_temperature.max(1e-9)).powf(1.0 / (iterations as f64 - 1.0))
-    } else {
-        1.0
-    };
-    let mut temperature = initial_temperature.max(1e-9);
-    for _ in 0..iterations {
-        let candidates = reference_neighborhood(&current, class, &pool).subspaces();
-        if candidates.is_empty() {
-            break;
-        }
-        let pick = rng.gen_range(0..candidates.len());
-        let candidate = &candidates[pick];
-        let cost = pricer.price(candidate);
-        let delta = cost as f64 - current_cost as f64;
-        let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temperature).exp();
-        if accept {
-            current = candidate.clone();
-            current_cost = cost;
-            steps += 1;
-            if cost < best_cost {
-                if let Ok(function) = HashFunction::from_null_space(&current, class) {
-                    best_cost = cost;
-                    best_function = function;
-                }
-            }
-        }
-        temperature = (temperature * decay).max(temperature_floor);
-    }
-    SearchOutcome {
-        function: best_function,
-        estimated_misses: best_cost,
-        baseline_estimate,
-        evaluations: pricer.evaluations(),
         steps,
     }
 }
@@ -1044,9 +897,12 @@ proptest! {
             // The conventional start, a random subspace (possibly not even
             // admissible for the class) and a random coordinate subspace all
             // must decompose identically.
-            let random_coordinate =
-                reference_random_start(&mut rng, HASHED_BITS, cache.set_bits(),
-                                       FunctionClass::bit_selecting());
+            let random_coordinate = {
+                use rand::seq::SliceRandom;
+                let mut bits: Vec<usize> = (0..HASHED_BITS).collect();
+                bits.shuffle(&mut rng);
+                Subspace::standard_span(HASHED_BITS, bits[cache.set_bits()..].to_vec())
+            };
             let parents = [
                 reference_conventional(HASHED_BITS, cache.set_bits()),
                 gf2::random::random_subspace(&mut rng, HASHED_BITS, dim),
@@ -1250,17 +1106,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn all_four_algorithms_match_the_pre_refactor_path_bit_for_bit(
+    fn both_algorithms_match_the_pre_refactor_path_bit_for_bit(
         blocks in trace_strategy(),
         cache in cache_strategy(),
-        seed in any::<u64>(),
     ) {
         // The references price every candidate exactly; the searches price
         // under the incumbent bound. Matching outcomes therefore also pin
-        // that bounded pricing never changes any algorithm's decisions.
+        // that bounded pricing never changes either algorithm's decisions,
+        // and each reported estimate is the exact Eq. 4 price of the
+        // function found.
         let profile = profile_of(&blocks, &cache);
         let set_bits = cache.set_bits();
-        let n = profile.hashed_bits();
+        let estimator = MissEstimator::new(&profile);
+        let exact = |outcome: &SearchOutcome| {
+            estimator.estimate_null_space(&outcome.function.null_space())
+        };
 
         // Hill climbing, every class.
         for class in [
@@ -1268,41 +1128,11 @@ proptest! {
             FunctionClass::permutation_based(2),
             FunctionClass::xor_unlimited(),
         ] {
-            let reference = reference_engine_hill_climb(
-                &mut OraclePricer::new(&profile), &profile, class, set_bits,
-                reference_conventional(n, set_bits),
-            );
+            let reference = reference_engine_hill_climb(&profile, class, set_bits);
             let searcher = Searcher::new(&profile, class, set_bits).unwrap();
             let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
             assert_matches_reference(&outcome, &reference, &format!("hill climb, class {class}"));
-        }
-
-        // Random restarts (shared pricing, shared RNG stream).
-        for class in [FunctionClass::permutation_based(2), FunctionClass::xor_unlimited()] {
-            let reference =
-                reference_engine_random_restart(&profile, class, set_bits, 2, seed);
-            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
-            let outcome = searcher
-                .run(SearchAlgorithm::RandomRestart { restarts: 2, seed })
-                .unwrap();
-            assert_matches_reference(
-                &outcome, &reference, &format!("random restart, class {class}"),
-            );
-        }
-
-        // Simulated annealing (identical proposal and acceptance stream).
-        for class in [FunctionClass::permutation_based(2), FunctionClass::xor_unlimited()] {
-            let reference =
-                reference_engine_annealing(&profile, class, set_bits, 30, 10.0, seed);
-            let searcher = Searcher::new(&profile, class, set_bits).unwrap();
-            let outcome = searcher
-                .run(SearchAlgorithm::Annealing {
-                    iterations: 30,
-                    initial_temperature: 10.0,
-                    seed,
-                })
-                .unwrap();
-            assert_matches_reference(&outcome, &reference, &format!("annealing, class {class}"));
+            prop_assert_eq!(outcome.estimated_misses, exact(&outcome), "hill climb, class {}", class);
         }
 
         // Exhaustive bit selection prices every combination exactly.
@@ -1310,6 +1140,7 @@ proptest! {
         let searcher = Searcher::new(&profile, FunctionClass::bit_selecting(), set_bits).unwrap();
         let outcome = searcher.run(SearchAlgorithm::OptimalBitSelect).unwrap();
         prop_assert_eq!(&outcome, &reference, "optimal bit select");
+        prop_assert_eq!(outcome.estimated_misses, exact(&outcome), "optimal bit select");
     }
 }
 
@@ -1393,66 +1224,6 @@ proptest! {
             }
         }
     }
-
-    #[test]
-    fn bounded_pricing_never_changes_any_algorithms_outcome(
-        blocks in trace_strategy(),
-        cache in cache_strategy(),
-        seed in any::<u64>(),
-    ) {
-        // Incumbent-bounded pricing only skips work that could never alter a
-        // decision, so every algorithm's found function, estimate, baseline
-        // and step count are those of a reference that prices every
-        // candidate exactly (only the `evaluations` counter may shrink), and
-        // the reported estimate is the exact Eq. 4 price of the function.
-        let profile = profile_of(&blocks, &cache);
-        let set_bits = cache.set_bits();
-        let n = profile.hashed_bits();
-        let estimator = MissEstimator::new(&profile);
-        let algorithms = [
-            SearchAlgorithm::HillClimb,
-            SearchAlgorithm::RandomRestart { restarts: 2, seed },
-            SearchAlgorithm::Annealing {
-                iterations: 25,
-                initial_temperature: 10.0,
-                seed,
-            },
-            SearchAlgorithm::OptimalBitSelect,
-        ];
-        for algorithm in algorithms {
-            let class = match algorithm {
-                SearchAlgorithm::OptimalBitSelect => FunctionClass::bit_selecting(),
-                _ => FunctionClass::xor_unlimited(),
-            };
-            let reference = match algorithm {
-                SearchAlgorithm::HillClimb => reference_engine_hill_climb(
-                    &mut OraclePricer::new(&profile), &profile, class, set_bits,
-                    reference_conventional(n, set_bits),
-                ),
-                SearchAlgorithm::RandomRestart { restarts, seed } => {
-                    reference_engine_random_restart(&profile, class, set_bits, restarts, seed)
-                }
-                SearchAlgorithm::Annealing { iterations, initial_temperature, seed } => {
-                    reference_engine_annealing(
-                        &profile, class, set_bits, iterations, initial_temperature, seed,
-                    )
-                }
-                SearchAlgorithm::OptimalBitSelect => {
-                    reference_engine_optimal_bit_select(&profile, set_bits)
-                }
-            };
-            let outcome = Searcher::new(&profile, class, set_bits)
-                .unwrap()
-                .run(algorithm)
-                .unwrap();
-            assert_matches_reference(&outcome, &reference, &format!("{algorithm:?}"));
-            prop_assert_eq!(
-                outcome.estimated_misses,
-                estimator.estimate_null_space(&outcome.function.null_space()),
-                "{:?}", algorithm
-            );
-        }
-    }
 }
 
 /// A trace over two to six blocks: few distinct conflict vectors, so most of
@@ -1495,31 +1266,22 @@ fn reference_ranking(
         .collect()
 }
 
-/// Checks `run_with_runners_up` against [`reference_ranking`] for every
-/// algorithm and class, at k = 0, 1, 2, 5 and more than can be held.
-fn check_runners_up(profile: &ConflictProfile, set_bits: usize, seed: u64) {
-    let classes = [
-        FunctionClass::bit_selecting(),
-        FunctionClass::permutation_based(2),
-        FunctionClass::xor_unlimited(),
+/// Checks `run_with_runners_up` against [`reference_ranking`] for the hill
+/// climb under every class and the exhaustive bit-selecting search, at
+/// k = 0, 1, 2, 5 and more than can be held.
+fn check_runners_up(profile: &ConflictProfile, set_bits: usize) {
+    let searches = [
+        (FunctionClass::bit_selecting(), SearchAlgorithm::HillClimb),
+        (
+            FunctionClass::permutation_based(2),
+            SearchAlgorithm::HillClimb,
+        ),
+        (FunctionClass::xor_unlimited(), SearchAlgorithm::HillClimb),
+        (
+            FunctionClass::bit_selecting(),
+            SearchAlgorithm::OptimalBitSelect,
+        ),
     ];
-    let mut searches: Vec<(FunctionClass, SearchAlgorithm)> = Vec::new();
-    for class in classes {
-        searches.push((class, SearchAlgorithm::HillClimb));
-        searches.push((class, SearchAlgorithm::RandomRestart { restarts: 2, seed }));
-        searches.push((
-            class,
-            SearchAlgorithm::Annealing {
-                iterations: 20,
-                initial_temperature: 10.0,
-                seed,
-            },
-        ));
-    }
-    searches.push((
-        FunctionClass::bit_selecting(),
-        SearchAlgorithm::OptimalBitSelect,
-    ));
     for (class, algorithm) in searches {
         let searcher = Searcher::new(profile, class, set_bits).unwrap();
         let outcome = searcher.run(algorithm).unwrap();
@@ -1541,13 +1303,12 @@ proptest! {
         blocks in trace_strategy(),
         few_blocks in tie_heavy_trace_strategy(),
         cache in cache_strategy(),
-        seed in any::<u64>(),
     ) {
         // The ranking prices lanes under a bound that tightens to the
         // running k-th best and checks the class only below it; the
         // reference prices every materialized candidate exactly and sorts.
         for trace in [&blocks, &few_blocks] {
-            check_runners_up(&profile_of(trace, &cache), cache.set_bits(), seed);
+            check_runners_up(&profile_of(trace, &cache), cache.set_bits());
         }
     }
 }

@@ -1,9 +1,8 @@
 //! Seeded random generation of GF(2) objects.
 //!
-//! Randomized searches (random restarts, simulated annealing) and the
-//! property-based tests need random vectors, full-rank matrices and subspaces.
-//! All generation is driven by a caller-supplied [`rand::Rng`], so experiments
-//! stay reproducible when seeded.
+//! The property-based and unit tests need random vectors, full-rank
+//! matrices and subspaces. All generation is driven by a caller-supplied
+//! [`rand::Rng`], so every draw is reproducible when seeded.
 
 use rand::Rng;
 

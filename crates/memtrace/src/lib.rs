@@ -17,8 +17,7 @@
 //! * [`instr`] — a lightweight static-CFG model that synthesizes instruction
 //!   fetch streams (loops, calls, straight-line code) for the instruction-cache
 //!   half of the paper's Table 2;
-//! * [`stats`] — footprint, stride and reuse-distance statistics of a trace;
-//! * [`io`] — a simple, versioned text serialization for traces.
+//! * [`stats`] — footprint, stride and reuse-distance statistics of a trace.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@ mod trace;
 
 pub mod generators;
 pub mod instr;
-pub mod io;
 pub mod stats;
 
 pub use record::{AccessKind, TraceRecord};

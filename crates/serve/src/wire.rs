@@ -18,13 +18,12 @@
 //! back in order, but ids make the pairing checkable).
 //!
 //! Request bodies use tags `0x01..=0x09`, response bodies `0x81..=0x89` plus
-//! `0xFF` for [`Response::Error`]. All integers are big-endian; `f64` travels
-//! as its IEEE-754 bit pattern, so every value — including NaN payloads —
-//! round-trips bit-identically. [`PackedBasis`] candidates are the hot path:
-//! a basis is its width, its dimension, and its raw `u64` rows copied
-//! straight between the frame buffer and the basis's own row storage —
-//! encoding or decoding a candidate performs no heap allocation beyond the
-//! row vector the decoded basis itself owns.
+//! `0xFF` for [`Response::Error`]. All integers are big-endian.
+//! [`PackedBasis`] candidates are the hot path: a basis is its width, its
+//! dimension, and its raw `u64` rows copied straight between the frame
+//! buffer and the basis's own row storage — encoding or decoding a candidate
+//! performs no heap allocation beyond the row vector the decoded basis itself
+//! owns.
 //!
 //! Decoding is total: every malformed input maps to a typed [`WireError`]
 //! (never a panic), and a well-framed but undecodable payload leaves the
@@ -315,37 +314,16 @@ fn get_bases(buf: &mut &[u8]) -> Result<Vec<PackedBasis>, WireError> {
 fn put_algorithm(out: &mut Vec<u8>, algorithm: &SearchAlgorithm) {
     match algorithm {
         SearchAlgorithm::HillClimb => out.put_u8(0),
-        SearchAlgorithm::RandomRestart { restarts, seed } => {
-            out.put_u8(1);
-            out.put_u64(*restarts as u64);
-            out.put_u64(*seed);
-        }
-        SearchAlgorithm::Annealing {
-            iterations,
-            initial_temperature,
-            seed,
-        } => {
-            out.put_u8(2);
-            out.put_u64(*iterations as u64);
-            out.put_u64(initial_temperature.to_bits());
-            out.put_u64(*seed);
-        }
         SearchAlgorithm::OptimalBitSelect => out.put_u8(3),
     }
 }
 
+/// Decodes an algorithm tag. Tags 1 and 2 stay unassigned: older clients
+/// may still send them, followed by parameters, and they must keep decoding
+/// as unknown rather than as some other algorithm.
 fn get_algorithm(buf: &mut &[u8]) -> Result<SearchAlgorithm, WireError> {
     match get_u8(buf)? {
         0 => Ok(SearchAlgorithm::HillClimb),
-        1 => Ok(SearchAlgorithm::RandomRestart {
-            restarts: get_usize(buf)?,
-            seed: get_u64(buf)?,
-        }),
-        2 => Ok(SearchAlgorithm::Annealing {
-            iterations: get_usize(buf)?,
-            initial_temperature: f64::from_bits(get_u64(buf)?),
-            seed: get_u64(buf)?,
-        }),
         3 => Ok(SearchAlgorithm::OptimalBitSelect),
         tag => Err(WireError::Invalid(format!("unknown algorithm tag {tag}"))),
     }
@@ -1297,11 +1275,7 @@ mod tests {
         });
         request_roundtrip(Request::RunSearch {
             app,
-            algorithm: SearchAlgorithm::Annealing {
-                iterations: 100,
-                initial_temperature: 2.5,
-                seed: 42,
-            },
+            algorithm: SearchAlgorithm::OptimalBitSelect,
         });
         request_roundtrip(Request::Stats { app });
         request_roundtrip(Request::Evict { app });
@@ -1537,5 +1511,33 @@ mod tests {
             decode_client_frame(payload),
             Err(WireError::Invalid(_))
         ));
+        // Algorithm tags 1 and 2, followed by the parameters they used to
+        // carry, and the never-assigned tag 4 are Invalid under both
+        // requests that carry an algorithm.
+        let cases: [(u8, &[u64]); 3] = [(1, &[2, 7]), (2, &[100, 2.5f64.to_bits(), 7]), (4, &[])];
+        for (tag, params) in cases {
+            for request in [TAG_RUN_SEARCH, TAG_OPTIMIZE_VERIFIED] {
+                let mut out = Vec::new();
+                frame(&mut out, |out| {
+                    out.put_u8(WIRE_VERSION);
+                    out.put_u64(5);
+                    out.put_u8(request);
+                    out.put_u64(0); // app
+                    out.put_u8(tag);
+                    for &param in params {
+                        out.put_u64(param);
+                    }
+                    if request == TAG_OPTIMIZE_VERIFIED {
+                        out.put_u64(3); // top_k
+                    }
+                });
+                let (payload, _) = split_frame(&out).unwrap().unwrap();
+                assert_eq!(
+                    decode_client_frame(payload),
+                    Err(WireError::Invalid(format!("unknown algorithm tag {tag}"))),
+                    "request tag {request}, algorithm tag {tag}"
+                );
+            }
+        }
     }
 }

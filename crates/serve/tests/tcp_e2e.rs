@@ -10,10 +10,10 @@ use std::sync::Arc;
 use cache_sim::{BlockAddr, CacheConfig};
 use gf2::PackedBasis;
 use xorindex::search::{NeighborPool, PackedNeighborhood};
-use xorindex::{BoundedCost, ConflictProfile, EvalEngine, FunctionClass};
+use xorindex::{BoundedCost, ConflictProfile, EvalEngine, FunctionClass, SearchAlgorithm};
 use xorindex_serve::{
     encode_request, split_frame, AppId, Client, IndexService, Registration, Request, Response,
-    ServeError, ServerConfig, ServerFrame, TcpServer, WireError, WIRE_VERSION,
+    ServeError, ServerConfig, ServerFrame, TcpServer, WireError, FRAME_HEADER_BYTES, WIRE_VERSION,
 };
 
 const HASHED_BITS: usize = 12;
@@ -157,6 +157,30 @@ fn pipelined_tcp_clients_match_the_single_threaded_oracle() {
     assert!(stats.bytes_in > 0 && stats.bytes_out > 0);
 }
 
+/// Prefixes `payload` with its big-endian length, as the wire frames it.
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// `request`'s frame with its algorithm tag (the payload byte after the
+/// version, id, request tag and app) replaced by `tag` and followed by
+/// `params`.
+fn with_algorithm_tag(id: u64, request: &Request, tag: u8, params: &[u64]) -> Vec<u8> {
+    const ALGORITHM_AT: usize = 1 + 8 + 1 + 8;
+    let mut raw = Vec::new();
+    encode_request(id, request, &mut raw);
+    let mut payload = raw[FRAME_HEADER_BYTES..].to_vec();
+    payload[ALGORITHM_AT] = tag;
+    let rest = payload.split_off(ALGORITHM_AT + 1);
+    for param in params {
+        payload.extend_from_slice(&param.to_be_bytes());
+    }
+    payload.extend_from_slice(&rest);
+    framed(&payload)
+}
+
 #[test]
 fn decode_errors_are_answered_in_stream_without_desync() {
     let service = Arc::new(IndexService::new());
@@ -173,45 +197,72 @@ fn decode_errors_are_answered_in_stream_without_desync() {
     let mut garbage_payload = vec![WIRE_VERSION];
     garbage_payload.extend_from_slice(&77u64.to_be_bytes());
     garbage_payload.push(0x5A);
-    let mut frame = (garbage_payload.len() as u32).to_be_bytes().to_vec();
-    frame.extend_from_slice(&garbage_payload);
-
-    // Sandwich it between two valid requests on the same connection.
-    let basis = PackedBasis::standard_span(HASHED_BITS, 8..HASHED_BITS);
-    let mut raw = Vec::new();
-    encode_request(
-        1,
-        &Request::PriceCandidate {
+    // A search under retired algorithm tag 1 (two `u64` parameters) and a
+    // verified pick under retired tag 2 (three), as an older client sends
+    // them.
+    let tag1_search = with_algorithm_tag(
+        78,
+        &Request::RunSearch {
             app,
-            basis: basis.clone(),
+            algorithm: SearchAlgorithm::HillClimb,
         },
-        &mut raw,
+        1,
+        &[2, 7],
     );
-    raw.extend_from_slice(&frame);
-    encode_request(2, &Request::PriceCandidate { app, basis }, &mut raw);
+    let tag2_pick = with_algorithm_tag(
+        79,
+        &Request::OptimizeVerified {
+            app,
+            algorithm: SearchAlgorithm::HillClimb,
+            top_k: 3,
+        },
+        2,
+        &[100, 10f64.to_bits(), 7],
+    );
+
+    // Interleave them with valid requests on the same connection.
+    let basis = PackedBasis::standard_span(HASHED_BITS, 8..HASHED_BITS);
+    let price = Request::PriceCandidate { app, basis };
+    let mut raw = Vec::new();
+    encode_request(1, &price, &mut raw);
+    raw.extend_from_slice(&framed(&garbage_payload));
+    encode_request(2, &price, &mut raw);
+    raw.extend_from_slice(&tag1_search);
+    encode_request(3, &price, &mut raw);
+    raw.extend_from_slice(&tag2_pick);
+    encode_request(4, &price, &mut raw);
 
     use std::io::Write as _;
     let stream = client.raw_stream();
     stream.write_all(&raw).unwrap();
     stream.flush().unwrap();
 
-    let (id1, frame1) = client.recv().unwrap();
-    let (id_bad, frame_bad) = client.recv().unwrap();
-    let (id2, frame2) = client.recv().unwrap();
-    assert_eq!(id1, 1);
-    assert_eq!(id2, 2);
-    assert_eq!(id_bad, 77, "error echoes the malformed frame's id");
-    assert_eq!(
-        frame_bad,
-        ServerFrame::Response(Response::Error(ServeError::Wire(WireError::BadTag(0x5A))))
+    let mut prices = Vec::new();
+    for expected_id in [1, 77, 2, 78, 3, 79, 4] {
+        let (id, frame) = client.recv().unwrap();
+        assert_eq!(id, expected_id, "answers arrive in request order");
+        match (expected_id, frame) {
+            (77, frame) => assert_eq!(
+                frame,
+                ServerFrame::Response(Response::Error(ServeError::Wire(WireError::BadTag(0x5A)))),
+                "error echoes the malformed frame's id"
+            ),
+            (78 | 79, frame) => assert!(
+                matches!(
+                    frame,
+                    ServerFrame::Response(Response::Error(ServeError::Wire(WireError::Invalid(_))))
+                ),
+                "frame {expected_id}: {frame:?}"
+            ),
+            (_, ServerFrame::Response(Response::Price(cost))) => prices.push(cost),
+            (_, frame) => panic!("pricing around the bad frames failed: {frame:?}"),
+        }
+    }
+    assert!(
+        prices.windows(2).all(|pair| pair[0] == pair[1]),
+        "the same candidate priced before, between and after: {prices:?}"
     );
-    let (ServerFrame::Response(Response::Price(a)), ServerFrame::Response(Response::Price(b))) =
-        (frame1, frame2)
-    else {
-        panic!("pricing around the bad frame failed");
-    };
-    assert_eq!(a, b, "the same candidate priced before and after");
-    assert_eq!(server.wire_stats().decode_errors, 1);
+    assert_eq!(server.wire_stats().decode_errors, 3);
 }
 
 #[test]

@@ -47,21 +47,13 @@ fn bases_strategy() -> impl Strategy<Value = Vec<PackedBasis>> {
 }
 
 fn algorithm_strategy() -> impl Strategy<Value = SearchAlgorithm> {
-    (0u8..4, any::<u32>(), 0u32..10_000, any::<u64>()).prop_map(
-        |(variant, count, temp_tenths, seed)| match variant {
-            0 => SearchAlgorithm::HillClimb,
-            1 => SearchAlgorithm::RandomRestart {
-                restarts: count as usize,
-                seed,
-            },
-            2 => SearchAlgorithm::Annealing {
-                iterations: count as usize,
-                initial_temperature: f64::from(temp_tenths) / 10.0,
-                seed,
-            },
-            _ => SearchAlgorithm::OptimalBitSelect,
-        },
-    )
+    any::<bool>().prop_map(|exhaustive| {
+        if exhaustive {
+            SearchAlgorithm::OptimalBitSelect
+        } else {
+            SearchAlgorithm::HillClimb
+        }
+    })
 }
 
 /// A random full-column-rank hash function (what searches produce).
