@@ -69,7 +69,7 @@ fn bench_search_cost(c: &mut Criterion) {
     // flat histogram), without memoization.
     group.bench_function("dense_estimate_eq4", |b| {
         let kernel = FrozenKernel::new(&prepared.profile);
-        let ns = conventional.null_space().to_packed();
+        let ns = conventional.null_space();
         b.iter(|| black_box(kernel.cost(&ns)))
     });
 

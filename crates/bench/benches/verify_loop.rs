@@ -87,8 +87,8 @@ fn materialized_runners_up(
     let runners_up = scored
         .into_iter()
         .filter_map(|(estimate, i)| {
-            let basis = hood.candidates[i].basis.to_subspace();
-            let function = HashFunction::from_null_space(&basis, searcher.class()).ok()?;
+            let basis = &hood.candidates[i].basis;
+            let function = HashFunction::from_null_space(basis, searcher.class()).ok()?;
             Some((function, estimate))
         })
         .take(RUNNERS_UP)

@@ -171,7 +171,6 @@ mod tests {
     use super::*;
     use crate::{ConflictProfile, FrozenKernel, XorIndexError};
     use cache_sim::BlockAddr;
-    use gf2::BitVec;
 
     fn profile(seq: &[u64], hashed_bits: usize) -> ConflictProfile {
         ConflictProfile::from_blocks(seq.iter().copied().map(BlockAddr), hashed_bits, 64)
@@ -184,7 +183,7 @@ mod tests {
         let k = FrozenKernel::new(&p);
         assert!(k.has_weight_table());
         for v in 0..(1u64 << 10) {
-            assert_eq!(k.misses_of(v), p.misses(BitVec::from_u64(v, 10)), "v={v}");
+            assert_eq!(k.misses_of(v), p.misses_of(v), "v={v}");
         }
         // Bits above the width are truncated, as the profile truncates them.
         assert_eq!(k.misses_of((1 << 10) | 0x3F), p.misses_of(0x3F));
@@ -201,8 +200,8 @@ mod tests {
         let k = FrozenKernel::new(&p);
         assert!(k.has_weight_table());
         assert_eq!(k.span().dim(), 3);
-        for (v, w) in p.iter() {
-            assert_eq!(k.misses_of(v.as_u64()), w);
+        for &(v, w) in p.entries() {
+            assert_eq!(k.misses_of(v), w);
         }
         assert_eq!(k.misses_of(0x1234), 0);
         assert_eq!(k.misses_of(3 << 40 | 1), 0);

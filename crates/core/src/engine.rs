@@ -1,8 +1,9 @@
 //! Dense evaluation engine for Eq. 4 over whole candidate sets.
 //!
-//! [`MissEstimator`](crate::MissEstimator) evaluates one candidate at a time
-//! through `BitVec` lookups, re-paying `Subspace` traversal on every call.
-//! [`EvalEngine`] is the batch-oriented replacement the search algorithms
+//! [`MissEstimator`](crate::MissEstimator) evaluates Eq. 4 literally, one
+//! candidate at a time, enumerating the null space or scanning the whole
+//! histogram on every call. [`EvalEngine`] is the batch-oriented replacement
+//! the search algorithms
 //! run on: a thin façade over a shared [`FrozenKernel`] — the immutable
 //! pricing core holding the frozen [`ConflictProfile`] and its histogram in
 //! the profile's own coordinates plus all Eq. 4 arithmetic, `Send + Sync`
@@ -91,7 +92,7 @@ pub struct EngineStats {
 /// let conventional = HashFunction::conventional(16, 8)?;
 ///
 /// let mut engine = EvalEngine::new(&profile);
-/// let ns = conventional.null_space().to_packed();
+/// let ns = conventional.null_space();
 /// assert_eq!(
 ///     engine.estimate_packed(&ns),
 ///     MissEstimator::new(&profile).estimate(&conventional)?
@@ -481,11 +482,10 @@ mod tests {
             let mut engine = EvalEngine::new(&profile);
             let estimator = MissEstimator::new(&profile).with_strategy(strategy);
             for f in &functions {
-                let ns = f.null_space();
-                let packed = ns.to_packed();
+                let packed = f.null_space();
                 assert_eq!(
                     engine.estimate_packed(&packed),
-                    estimator.estimate_null_space(&ns),
+                    estimator.estimate_packed(&packed),
                     "{strategy:?}"
                 );
                 assert_eq!(

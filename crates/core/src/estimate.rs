@@ -6,7 +6,7 @@
 //! scan, and the engine's neighbourhood lanes — is pinned bit-identical to
 //! it under every strategy.
 
-use gf2::{BitVec, PackedBasis, Subspace};
+use gf2::PackedBasis;
 use serde::{Deserialize, Serialize};
 
 use crate::{ConflictProfile, HashFunction, XorIndexError};
@@ -168,52 +168,21 @@ impl<'a> MissEstimator<'a> {
                 candidate_bits: function.hashed_bits(),
             });
         }
-        Ok(self.estimate_null_space(&function.null_space()))
+        Ok(self.estimate_packed(&function.null_space()))
     }
 
-    /// The concrete strategy [`MissEstimator::estimate_null_space`] would run
+    /// The concrete strategy [`MissEstimator::estimate_packed`] would run
     /// for a null space of this dimension: never
     /// [`EstimationStrategy::Auto`], which enumerates the `2^dim − 1`
     /// non-zero null-space vectors when there are no more of them than
     /// distinct histogram vectors, and scans the histogram otherwise.
     #[must_use]
-    pub fn resolved_strategy(&self, ns: &Subspace) -> EstimationStrategy {
+    pub fn resolved_strategy(&self, ns: &PackedBasis) -> EstimationStrategy {
         resolve_strategy(self.strategy, ns.dim(), self.profile.distinct_vectors())
     }
 
-    /// Estimated conflict misses of any function whose null space is `ns`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the null space's ambient width differs from the profile's
-    /// hashed width.
-    #[must_use]
-    pub fn estimate_null_space(&self, ns: &Subspace) -> u64 {
-        assert_eq!(
-            ns.ambient_width(),
-            self.profile.hashed_bits(),
-            "null space width must match the profile"
-        );
-        match self.resolved_strategy(ns) {
-            EstimationStrategy::EnumerateNullSpace => ns
-                .vectors()
-                .filter(|v| !v.is_zero())
-                .map(|v| self.profile.misses(v))
-                .sum(),
-            EstimationStrategy::ScanHistogram => self
-                .profile
-                .iter()
-                .filter(|(v, _)| ns.contains(*v))
-                .map(|(_, w)| w)
-                .sum(),
-            EstimationStrategy::Auto => unreachable!("Auto resolved above"),
-        }
-    }
-
-    /// Estimated conflict misses of any function whose null space is the
-    /// packed `basis` — the packed counterpart of
-    /// [`MissEstimator::estimate_null_space`], for callers that already hold
-    /// the search's native representation.
+    /// Estimated conflict misses of any function whose null space is
+    /// `basis` (paper Eq. 4).
     ///
     /// # Panics
     ///
@@ -221,19 +190,22 @@ impl<'a> MissEstimator<'a> {
     /// width.
     #[must_use]
     pub fn estimate_packed(&self, basis: &PackedBasis) -> u64 {
-        let n = self.profile.hashed_bits();
-        assert_eq!(basis.width(), n, "null space width must match the profile");
-        match resolve_strategy(self.strategy, basis.dim(), self.profile.distinct_vectors()) {
+        assert_eq!(
+            basis.width(),
+            self.profile.hashed_bits(),
+            "null space width must match the profile"
+        );
+        match self.resolved_strategy(basis) {
             // The zero vector carries weight 0, so it needs no special case.
-            EstimationStrategy::EnumerateNullSpace => basis
-                .vectors()
-                .map(|v| self.profile.misses(BitVec::from_u64(v, n)))
-                .sum(),
+            EstimationStrategy::EnumerateNullSpace => {
+                basis.vectors().map(|v| self.profile.misses_of(v)).sum()
+            }
             EstimationStrategy::ScanHistogram => self
                 .profile
+                .entries()
                 .iter()
-                .filter(|(v, _)| basis.contains(v.as_u64()))
-                .map(|(_, w)| w)
+                .filter(|&&(v, _)| basis.contains(v))
+                .map(|&(_, w)| w)
                 .sum(),
             EstimationStrategy::Auto => unreachable!("Auto resolved above"),
         }
@@ -308,13 +280,13 @@ mod tests {
         // dim 2 → 3 non-zero null vectors == 3 distinct: enumeration is no
         // more expensive, so Auto must pick it. (The old comparison counted
         // the zero vector, saw 4 > 3, and scanned instead.)
-        let dim2 = Subspace::standard_span(8, [6usize, 7]);
+        let dim2 = PackedBasis::standard_span(8, [6usize, 7]);
         assert_eq!(
             estimator.resolved_strategy(&dim2),
             EstimationStrategy::EnumerateNullSpace
         );
         // dim 3 → 7 non-zero null vectors > 3 distinct: scan the histogram.
-        let dim3 = Subspace::standard_span(8, [5usize, 6, 7]);
+        let dim3 = PackedBasis::standard_span(8, [5usize, 6, 7]);
         assert_eq!(
             estimator.resolved_strategy(&dim3),
             EstimationStrategy::ScanHistogram
@@ -393,29 +365,41 @@ mod tests {
         let f = HashFunction::new(BitMatrix::from_fn(12, 5, |r, c| r == c || r == c + 5)).unwrap();
         assert_eq!(
             estimator.estimate(&f).unwrap(),
-            estimator.estimate_null_space(&f.null_space())
+            estimator.estimate_packed(&f.null_space())
         );
     }
 
     #[test]
-    fn packed_estimate_matches_subspace_estimate_under_every_strategy() {
+    fn estimate_is_the_literal_eq4_sum_under_every_strategy() {
         let seq: Vec<u64> = (0..300u64)
             .map(|i| (i % 3) * 0x40 + (i % 5) * 0x200)
             .collect();
         let profile = profile_from(&seq, 12, 64);
-        for strategy in [
-            EstimationStrategy::Auto,
-            EstimationStrategy::EnumerateNullSpace,
-            EstimationStrategy::ScanHistogram,
-        ] {
-            let estimator = MissEstimator::new(&profile).with_strategy(strategy);
-            for m in 2..=8 {
-                let ns = HashFunction::conventional(12, m).unwrap().null_space();
-                assert_eq!(
-                    estimator.estimate_packed(&ns.to_packed()),
-                    estimator.estimate_null_space(&ns),
-                    "{strategy:?}, m={m}"
-                );
+        let functions: Vec<HashFunction> = (2..=8)
+            .map(|m| HashFunction::conventional(12, m).unwrap())
+            .chain([
+                HashFunction::new(BitMatrix::from_fn(12, 6, |r, c| r == c || r == c + 6)).unwrap(),
+                HashFunction::new(BitMatrix::from_fn(12, 4, |r, c| r == c + 4 || r == c + 8))
+                    .unwrap(),
+                HashFunction::bit_selecting(12, &[0, 1, 2, 3, 4, 11]).unwrap(),
+            ])
+            .collect();
+        for f in &functions {
+            // Eq. 4 with membership read off Eq. 2: v ∈ N(H) iff v · H = 0.
+            let literal: u64 = profile
+                .entries()
+                .iter()
+                .filter(|&&(v, _)| f.set_index_of(v) == 0)
+                .map(|&(_, w)| w)
+                .sum();
+            for strategy in [
+                EstimationStrategy::Auto,
+                EstimationStrategy::EnumerateNullSpace,
+                EstimationStrategy::ScanHistogram,
+            ] {
+                let estimator = MissEstimator::new(&profile).with_strategy(strategy);
+                assert_eq!(estimator.estimate(f).unwrap(), literal, "{strategy:?}, {f}");
+                assert_eq!(estimator.estimate_packed(&f.null_space()), literal);
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use gf2::{BitMatrix, Subspace};
+use gf2::{BitMatrix, PackedBasis};
 use serde::{Deserialize, Serialize};
 
 use crate::{HashFunction, XorIndexError};
@@ -146,15 +146,6 @@ impl FunctionClass {
         Ok(())
     }
 
-    /// `true` when a null space can be realized by some function of this class
-    /// *and* that representative respects the fan-in bound.
-    #[must_use]
-    pub fn admits(&self, null_space: &Subspace) -> bool {
-        self.representative(null_space)
-            .map(|f| self.check(&f).is_ok())
-            .unwrap_or(false)
-    }
-
     /// Builds the class's canonical representative with the given null space.
     ///
     /// * `BitSelecting` — requires the null space to be a coordinate subspace
@@ -170,9 +161,10 @@ impl FunctionClass {
     ///
     /// Returns [`XorIndexError::NoRepresentative`] when the null space cannot
     /// be realized within the class structure. Fan-in bounds are *not* checked
-    /// here; use [`FunctionClass::check`] or [`FunctionClass::admits`].
-    pub fn representative(&self, null_space: &Subspace) -> Result<HashFunction, XorIndexError> {
-        let n = null_space.ambient_width();
+    /// here; use [`FunctionClass::check`] or
+    /// [`HashFunction::from_null_space`], which checks them.
+    pub fn representative(&self, null_space: &PackedBasis) -> Result<HashFunction, XorIndexError> {
+        let n = null_space.width();
         let m = n - null_space.dim();
         if m == 0 {
             return Err(XorIndexError::InvalidGeometry {
@@ -182,18 +174,13 @@ impl FunctionClass {
         }
         match self {
             FunctionClass::BitSelecting => {
-                let coordinate = null_space.basis().iter().all(|b| b.weight() == 1);
-                if !coordinate {
+                if !null_space.is_coordinate_subspace() {
                     return Err(XorIndexError::NoRepresentative {
                         reason: "null space is not spanned by standard basis vectors".to_string(),
                     });
                 }
-                let excluded: Vec<usize> = null_space
-                    .basis()
-                    .iter()
-                    .map(|b| b.trailing_bit().expect("basis vectors are non-zero"))
-                    .collect();
-                let selected: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
+                let excluded = null_space.rows().iter().fold(0u64, |acc, &row| acc | row);
+                let selected: Vec<usize> = (0..n).filter(|i| excluded >> i & 1 == 0).collect();
                 HashFunction::bit_selecting(n, &selected)
             }
             FunctionClass::PermutationBased { .. } => {
@@ -206,7 +193,7 @@ impl FunctionClass {
                 HashFunction::new(matrix)
             }
             FunctionClass::Xor { .. } => {
-                if null_space.admits_permutation_based_function(m) {
+                if null_space.admits_permutation_based(m) {
                     let matrix = BitMatrix::permutation_based_with_null_space(null_space)
                         .map_err(XorIndexError::from)?;
                     HashFunction::new(matrix)
@@ -248,7 +235,11 @@ impl fmt::Display for FunctionClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gf2::BitVec;
+
+    /// `true` when `class` realizes `ns` within its fan-in bound.
+    fn admits(class: FunctionClass, ns: &PackedBasis) -> bool {
+        HashFunction::from_null_space(ns, class).is_ok()
+    }
 
     #[test]
     fn constructors_and_labels() {
@@ -290,12 +281,13 @@ mod tests {
     #[test]
     fn bit_selecting_representative_requires_coordinate_null_space() {
         // Null space of selecting bits {0, 2} from 4 bits: span{e1, e3}.
-        let ns = Subspace::standard_span(4, [1, 3]);
+        let ns = PackedBasis::standard_span(4, [1, 3]);
         let rep = FunctionClass::bit_selecting().representative(&ns).unwrap();
         assert!(rep.is_bit_selecting());
         assert_eq!(rep.null_space(), ns);
         // A non-coordinate null space has no bit-selecting representative.
-        let ns = Subspace::from_generators(4, &[BitVec::from_u64(0b0110, 4)]);
+        let mut ns = PackedBasis::trivial(4);
+        ns.insert(0b0110);
         assert!(matches!(
             FunctionClass::bit_selecting().representative(&ns),
             Err(XorIndexError::NoRepresentative { .. })
@@ -314,22 +306,22 @@ mod tests {
         assert_eq!(rep.null_space(), good);
 
         // A null space containing e0 violates Eq. 5.
-        let bad = Subspace::standard_span(12, [0usize, 7, 8, 9, 10, 11]);
+        let bad = PackedBasis::standard_span(12, [0usize, 7, 8, 9, 10, 11]);
         assert!(matches!(
             FunctionClass::permutation_based(2).representative(&bad),
             Err(XorIndexError::NoRepresentative { .. })
         ));
-        assert!(!FunctionClass::permutation_based(2).admits(&bad));
+        assert!(!admits(FunctionClass::permutation_based(2), &bad));
     }
 
     #[test]
     fn xor_class_always_has_a_representative() {
         // Even a null space violating Eq. 5 is representable by a general XOR
         // function (selecting high bits).
-        let ns = Subspace::standard_span(12, [0usize, 1, 2, 3, 4, 5]);
+        let ns = PackedBasis::standard_span(12, [0usize, 1, 2, 3, 4, 5]);
         let rep = FunctionClass::xor_unlimited().representative(&ns).unwrap();
         assert_eq!(rep.null_space(), ns);
-        assert!(FunctionClass::xor_unlimited().admits(&ns));
+        assert!(admits(FunctionClass::xor_unlimited(), &ns));
     }
 
     #[test]
@@ -341,9 +333,9 @@ mod tests {
         m.set(5, 0, true);
         let h = HashFunction::new(m).unwrap();
         let ns = h.null_space();
-        assert!(FunctionClass::permutation_based(4).admits(&ns));
-        assert!(!FunctionClass::permutation_based(2).admits(&ns));
-        assert!(FunctionClass::xor(3).admits(&ns));
+        assert!(admits(FunctionClass::permutation_based(4), &ns));
+        assert!(!admits(FunctionClass::permutation_based(2), &ns));
+        assert!(admits(FunctionClass::xor(3), &ns));
     }
 
     #[test]

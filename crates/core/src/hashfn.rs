@@ -3,7 +3,7 @@
 use std::fmt;
 
 use cache_sim::XorIndex;
-use gf2::{BitMatrix, BitVec, Subspace};
+use gf2::{BitMatrix, BitVec, PackedBasis};
 use serde::{Deserialize, Serialize};
 
 use crate::{FunctionClass, XorIndexError};
@@ -97,7 +97,7 @@ impl HashFunction {
     /// no function of the class (e.g. Eq. 5 fails for permutation-based
     /// functions), and [`XorIndexError::NotInClass`] when the representative
     /// exists but violates a fan-in bound.
-    pub fn from_null_space(ns: &Subspace, class: FunctionClass) -> Result<Self, XorIndexError> {
+    pub fn from_null_space(ns: &PackedBasis, class: FunctionClass) -> Result<Self, XorIndexError> {
         let function = class.representative(ns)?;
         class.check(&function)?;
         Ok(function)
@@ -124,7 +124,7 @@ impl HashFunction {
     /// The null space `N(H)`: the set of XOR-difference vectors that map two
     /// blocks to the same set.
     #[must_use]
-    pub fn null_space(&self) -> Subspace {
+    pub fn null_space(&self) -> PackedBasis {
         self.matrix.null_space()
     }
 

@@ -408,8 +408,8 @@ mod tests {
             for m in 2..=8 {
                 let ns = HashFunction::conventional(12, m).unwrap().null_space();
                 assert_eq!(
-                    kernel.cost(&ns.to_packed()),
-                    estimator.estimate_null_space(&ns),
+                    kernel.cost(&ns),
+                    estimator.estimate_packed(&ns),
                     "{strategy:?}, m={m}"
                 );
             }
@@ -544,12 +544,7 @@ mod tests {
         let profile = mixed_profile();
         let bases: Vec<PackedBasis> = (0..=10)
             .map(|m| PackedBasis::standard_span(12, m..12))
-            .chain((2..=8).map(|m| {
-                HashFunction::conventional(12, m)
-                    .unwrap()
-                    .null_space()
-                    .to_packed()
-            }))
+            .chain((2..=8).map(|m| HashFunction::conventional(12, m).unwrap().null_space()))
             .collect();
         let kernel = FrozenKernel::new(&profile);
         let batch = crate::EvalEngine::new(&profile).estimate_batch(&bases);

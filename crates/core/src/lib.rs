@@ -24,11 +24,10 @@
 //! 3. **Design-space search** ([`search`]): steepest-descent hill climbing over
 //!    null spaces (neighbours differ in exactly one dimension) from the
 //!    conventional function, plus the exhaustive optimal bit-selecting
-//!    baseline of Patel et al. used in the paper's Table 3. The whole layer
-//!    is packed-native: candidate generation and dedup
-//!    ([`search::PackedNeighborhood`]) and algorithm state all run on
-//!    [`gf2::PackedBasis`], with `Subspace` conversions only where a
-//!    [`HashFunction`] is built.
+//!    baseline of Patel et al. used in the paper's Table 3. Every null space
+//!    is a [`gf2::PackedBasis`]: candidate generation and dedup
+//!    ([`search::PackedNeighborhood`]), algorithm state and the
+//!    [`HashFunction`] a move builds all read the same packed rows.
 //! 4. **Function classes** ([`FunctionClass`]): unrestricted XOR functions,
 //!    XOR functions with bounded gate fan-in, permutation-based functions
 //!    (paper Section 4) and plain bit-selecting functions.

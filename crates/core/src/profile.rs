@@ -1,7 +1,6 @@
 //! Conflict-vector profiling (paper Fig. 1).
 
 use cache_sim::BlockAddr;
-use gf2::BitVec;
 use serde::{Deserialize, Serialize};
 
 use crate::hasher::WordMap;
@@ -294,15 +293,8 @@ impl ConflictProfile {
         self.entries.len()
     }
 
-    /// The accumulated weight `misses(v)` of a conflict vector.
-    #[must_use]
-    pub fn misses(&self, v: BitVec) -> u64 {
-        debug_assert_eq!(v.width(), self.hashed_bits);
-        self.misses_of(v.as_u64())
-    }
-
-    /// Convenience form of [`ConflictProfile::misses`] taking the raw bits of
-    /// the vector (truncated to the hashed width).
+    /// The accumulated weight `misses(v)` of a conflict vector, given by its
+    /// raw bits (truncated to the hashed width).
     #[must_use]
     pub fn misses_of(&self, v: u64) -> u64 {
         let v = v & width_mask(self.hashed_bits);
@@ -317,18 +309,11 @@ impl ConflictProfile {
         &self.entries
     }
 
-    /// Iterates over `(vector, weight)` pairs in ascending vector order.
-    pub fn iter(&self) -> impl Iterator<Item = (BitVec, u64)> + '_ {
-        self.entries
-            .iter()
-            .map(|&(v, w)| (BitVec::from_u64(v, self.hashed_bits), w))
-    }
-
-    /// The `count` heaviest conflict vectors, sorted by decreasing weight
-    /// (ties broken by vector value for determinism).
+    /// The `count` heaviest `(vector, weight)` pairs, sorted by decreasing
+    /// weight (ties broken by vector value for determinism).
     #[must_use]
-    pub fn heaviest(&self, count: usize) -> Vec<(BitVec, u64)> {
-        let mut all: Vec<(BitVec, u64)> = self.iter().collect();
+    pub fn heaviest(&self, count: usize) -> Vec<(u64, u64)> {
+        let mut all = self.entries.clone();
         all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         all.truncate(count);
         all
@@ -567,7 +552,7 @@ mod tests {
         // Vector 0x10 appears twice as often as 0x20.
         let p = ConflictProfile::from_blocks(blocks(&[0, 0x10, 0, 0x10, 0, 0x20, 0]), 16, 64);
         let top = p.heaviest(2);
-        assert_eq!(top[0].0.as_u64(), 0x10);
+        assert_eq!(top[0].0, 0x10);
         assert!(top[0].1 > top[1].1);
         assert_eq!(p.heaviest(100).len(), p.distinct_vectors());
     }

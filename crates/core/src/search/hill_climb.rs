@@ -43,11 +43,11 @@ impl Searcher<'_> {
         // this climb (matching the pre-engine accounting, where the baseline
         // went through a separate estimator call), and it is also the
         // start's cost.
-        let mut current = self.conventional_packed();
+        let mut current = self.conventional_null_space();
         let baseline_estimate = engine.estimate_packed(&current);
         let evaluations_before = engine.stats().evaluations;
         let mut best_cost = baseline_estimate;
-        let mut best_function = HashFunction::from_null_space(&current.to_subspace(), class)?;
+        let mut best_function = HashFunction::from_null_space(&current, class)?;
         let mut steps: u64 = 0;
         let final_lanes;
 
@@ -75,7 +75,7 @@ impl Searcher<'_> {
             let mut moved = false;
             for (cost, i) in below {
                 let basis = lanes.basis(i);
-                match HashFunction::from_null_space(&basis.to_subspace(), class) {
+                match HashFunction::from_null_space(&basis, class) {
                     Ok(function) => {
                         current = basis;
                         best_cost = cost;
@@ -230,8 +230,7 @@ mod tests {
         let estimator = MissEstimator::new(profile);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, profile);
         let mut current = PackedBasis::standard_span(12, 6..12);
-        let mut best_function =
-            HashFunction::from_null_space(&current.to_subspace(), class).unwrap();
+        let mut best_function = HashFunction::from_null_space(&current, class).unwrap();
         let mut best_cost = estimator.estimate_packed(&current);
         let mut steps = 0;
         loop {
@@ -247,7 +246,7 @@ mod tests {
                 .take_while(|&(cost, _)| cost < best_cost)
                 .find_map(|(cost, i)| {
                     let basis = &nbhd.candidates[i].basis;
-                    let function = HashFunction::from_null_space(&basis.to_subspace(), class);
+                    let function = HashFunction::from_null_space(basis, class);
                     function.ok().map(|f| (f, cost, basis.clone()))
                 });
             let Some((function, cost, basis)) = next else {
@@ -295,11 +294,8 @@ mod tests {
             // The carried neighbourhood is exactly what regenerating around
             // the winner would produce — callers can skip the regeneration.
             let pool = NeighborPool::UnitsAndPairs.packed_vectors(12, &profile);
-            let regenerated = PackedNeighborhood::generate(
-                &outcome.function.null_space().to_packed(),
-                class,
-                &pool,
-            );
+            let regenerated =
+                PackedNeighborhood::generate(&outcome.function.null_space(), class, &pool);
             assert_eq!(hood.unwrap(), regenerated);
         }
     }

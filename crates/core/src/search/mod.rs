@@ -3,11 +3,11 @@
 //! The search operates on *null spaces* rather than matrices (paper Section 3.2):
 //! equal null spaces give identical conflict behaviour, and canonical bases
 //! make equality checks cheap, so a neighbourhood never holds the same
-//! function twice. The native null-space currency of the whole layer is
-//! [`gf2::PackedBasis`]: candidate generation and deduplication
-//! ([`PackedNeighborhood`]) and each algorithm's current/best state are all
-//! packed `u64` words, with [`Subspace`] conversions only where a
-//! [`HashFunction`] is built.
+//! function twice. Every null space in the layer is a [`gf2::PackedBasis`]:
+//! candidate generation and deduplication ([`PackedNeighborhood`]), each
+//! algorithm's current and best state, and the [`HashFunction`] a move
+//! builds all read the same packed `u64` rows, with no conversion between
+//! representations.
 //! Candidate quality is judged with the profile-based estimator (paper
 //! Eq. 4), never by re-simulating the trace; every algorithm routes its
 //! evaluations through the dense [`EvalEngine`], which prices each
@@ -31,7 +31,7 @@ mod optimal_bitselect;
 
 use std::sync::Arc;
 
-use gf2::{PackedBasis, Subspace};
+use gf2::PackedBasis;
 use serde::{Deserialize, Serialize};
 
 use crate::{
@@ -40,10 +40,7 @@ use crate::{
 };
 
 pub(crate) use neighbors::NeighborLanes;
-pub use neighbors::{
-    neighborhood, neighbors, NeighborCandidate, NeighborPool, Neighborhood, PackedCandidate,
-    PackedNeighborhood,
-};
+pub use neighbors::{NeighborPool, PackedCandidate, PackedNeighborhood};
 
 /// Which search algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
@@ -215,14 +212,7 @@ impl<'a> Searcher<'a> {
     /// The null space of the conventional modulo function — the starting point
     /// of the paper's hill climb.
     #[must_use]
-    pub fn conventional_null_space(&self) -> Subspace {
-        Subspace::standard_span(self.hashed_bits(), self.set_bits..self.hashed_bits())
-    }
-
-    /// The conventional null space in the packed form the search algorithms
-    /// carry end-to-end.
-    #[must_use]
-    pub fn conventional_packed(&self) -> PackedBasis {
+    pub fn conventional_null_space(&self) -> PackedBasis {
         PackedBasis::standard_span(self.hashed_bits(), self.set_bits..self.hashed_bits())
     }
 
@@ -265,7 +255,7 @@ impl<'a> Searcher<'a> {
     /// Estimated misses of the conventional function under this profile.
     #[must_use]
     pub fn baseline_estimate(&self) -> u64 {
-        MissEstimator::new(self.profile).estimate_null_space(&self.conventional_null_space())
+        MissEstimator::new(self.profile).estimate_packed(&self.conventional_null_space())
     }
 
     /// Runs the chosen algorithm.
@@ -317,7 +307,7 @@ impl<'a> Searcher<'a> {
                 if k == 0 {
                     return Ok((outcome, Vec::new()));
                 }
-                let winner = outcome.function.null_space().to_packed();
+                let winner = outcome.function.null_space();
                 let lanes = NeighborLanes::generate(&winner, self.class, &self.packed_pool());
                 (outcome, self.engine(), lanes)
             }
@@ -326,7 +316,7 @@ impl<'a> Searcher<'a> {
             // A lane is a move, not a guaranteed member: a basis whose
             // representative exceeds the class's fan-in bound is skipped,
             // as the climb skips it.
-            HashFunction::from_null_space(&basis.to_subspace(), self.class).ok()
+            HashFunction::from_null_space(basis, self.class).ok()
         });
         Ok((outcome, runners_up))
     }

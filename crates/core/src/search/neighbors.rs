@@ -22,13 +22,11 @@
 //! without building a single candidate basis. The evaluation engine prices
 //! lanes as they are; a search builds the basis of a lane only when it
 //! moves there, and [`PackedNeighborhood::generate`] is the same lanes with
-//! every basis built. The [`Subspace`]-based
-//! [`Neighborhood`] view remains as the public boundary representation,
-//! converted from the packed form on demand.
+//! every basis built.
 
 use std::collections::HashSet;
 
-use gf2::{BitVec, PackedBasis, Subspace};
+use gf2::{BitVec, PackedBasis};
 use serde::{Deserialize, Serialize};
 
 use crate::hasher::WordMap;
@@ -86,7 +84,7 @@ impl NeighborPool {
                 }
                 if let NeighborPool::UnitsPairsAndProfile(k) = self {
                     for (v, _) in profile.heaviest(*k) {
-                        push_unique(v, &mut out);
+                        push_unique(BitVec::from_u64(v, n), &mut out);
                     }
                 }
             }
@@ -191,29 +189,6 @@ impl PackedNeighborhood {
             Some(parent)
         } else {
             Some(self.candidates[0].basis.clone())
-        }
-    }
-
-    /// Converts to the [`Subspace`]-based boundary view, preserving order and
-    /// decomposition. The packed bases are already canonical, so this is pure
-    /// unpacking.
-    #[must_use]
-    pub fn to_neighborhood(&self) -> Neighborhood {
-        Neighborhood {
-            hyperplanes: self
-                .hyperplanes
-                .iter()
-                .map(PackedBasis::to_subspace)
-                .collect(),
-            candidates: self
-                .candidates
-                .iter()
-                .map(|c| NeighborCandidate {
-                    hyperplane: c.hyperplane,
-                    direction: BitVec::from_u64(c.direction, self.width),
-                    subspace: c.basis.to_subspace(),
-                })
-                .collect(),
         }
     }
 }
@@ -515,92 +490,6 @@ fn extend(hyperplane: &PackedBasis, direction: u64) -> PackedBasis {
     hyperplane.extended_reduced(hyperplane.reduce(direction))
 }
 
-/// A candidate null space of a neighbourhood at the [`Subspace`] boundary,
-/// together with its decomposition `candidate = hyperplane ⊕ span(direction)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NeighborCandidate {
-    /// Index into [`Neighborhood::hyperplanes`] of the retained hyperplane.
-    pub hyperplane: usize,
-    /// The replacement direction `v ∉ parent`.
-    pub direction: BitVec,
-    /// The candidate null space `hyperplane ⊕ span(direction)`, canonical.
-    pub subspace: Subspace,
-}
-
-/// The full neighbourhood of a null space, grouped by retained hyperplane —
-/// the [`Subspace`]-based boundary view of a [`PackedNeighborhood`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Neighborhood {
-    /// The distinct hyperplanes of the parent that candidates retain.
-    pub hyperplanes: Vec<Subspace>,
-    /// The admissible candidates, in deterministic generation order.
-    pub candidates: Vec<NeighborCandidate>,
-}
-
-impl Neighborhood {
-    /// Number of candidates.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// `true` when there are no candidates.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Borrowing iterator over the candidate subspaces, in generation order.
-    /// Prefer this over [`Neighborhood::subspaces`] when a reference is
-    /// enough.
-    pub fn iter_subspaces(&self) -> impl Iterator<Item = &Subspace> {
-        self.candidates.iter().map(|c| &c.subspace)
-    }
-
-    /// The candidate subspaces alone, cloned, in generation order.
-    #[must_use]
-    pub fn subspaces(&self) -> Vec<Subspace> {
-        self.iter_subspaces().cloned().collect()
-    }
-
-    /// The candidates re-packed into [`PackedBasis`] form, in generation
-    /// order — the entry point for feeding a boundary neighbourhood back to
-    /// the packed evaluation kernel (e.g. a serving layer that received the
-    /// `Subspace` view).
-    pub fn packed_candidates(&self) -> impl Iterator<Item = PackedBasis> + '_ {
-        self.candidates
-            .iter()
-            .map(|c| PackedBasis::from_subspace(&c.subspace))
-    }
-}
-
-/// Generates the neighbours of `null_space` admissible for `class`, using the
-/// given replacement-direction pool.
-///
-/// Boundary convenience over [`PackedNeighborhood::generate`].
-#[must_use]
-pub fn neighbors(null_space: &Subspace, class: FunctionClass, pool: &[BitVec]) -> Vec<Subspace> {
-    let packed_pool: Vec<u64> = pool.iter().map(|v| v.as_u64()).collect();
-    PackedNeighborhood::generate(&null_space.to_packed(), class, &packed_pool)
-        .candidates
-        .iter()
-        .map(|c| c.basis.to_subspace())
-        .collect()
-}
-
-/// Generates the neighbourhood of `null_space` with its hyperplane/direction
-/// structure preserved.
-///
-/// Candidates appear in the same deterministic order as [`neighbors`]
-/// produces. Boundary convenience over [`PackedNeighborhood::generate`];
-/// packed-native callers should use that directly and skip the `Subspace`
-/// round-trip.
-#[must_use]
-pub fn neighborhood(null_space: &Subspace, class: FunctionClass, pool: &[BitVec]) -> Neighborhood {
-    let packed_pool: Vec<u64> = pool.iter().map(|v| v.as_u64()).collect();
-    PackedNeighborhood::generate(&null_space.to_packed(), class, &packed_pool).to_neighborhood()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -660,20 +549,29 @@ mod tests {
         }
     }
 
+    /// Dimension of `a + b`.
+    fn sum_dim(a: &PackedBasis, b: &PackedBasis) -> usize {
+        let mut sum = a.clone();
+        for &row in b.rows() {
+            sum.insert(row);
+        }
+        sum.dim()
+    }
+
     #[test]
     fn neighbors_differ_in_exactly_one_dimension() {
         let p = dummy_profile(8);
-        let ns = Subspace::standard_span(8, 3..8);
-        let pool = NeighborPool::UnitsAndPairs.vectors(8, &p);
-        let nbrs = neighbors(&ns, FunctionClass::xor_unlimited(), &pool);
+        let ns = PackedBasis::standard_span(8, 3..8);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(8, &p);
+        let nbrs = PackedNeighborhood::generate(&ns, FunctionClass::xor_unlimited(), &pool);
         assert!(!nbrs.is_empty());
-        for nb in &nbrs {
+        for nb in nbrs.bases() {
             assert_eq!(nb.dim(), ns.dim());
-            assert_eq!(ns.intersection_dim(nb), ns.dim() - 1, "neighbour {nb}");
-            assert_ne!(*nb, ns);
+            // dim(ns ∩ nb) = dim − 1, i.e. dim(ns + nb) = dim + 1.
+            assert_eq!(sum_dim(&ns, nb), ns.dim() + 1, "neighbour {nb:?}");
         }
         // No duplicates.
-        let distinct: HashSet<_> = nbrs.iter().cloned().collect();
+        let distinct: HashSet<_> = nbrs.bases().collect();
         assert_eq!(distinct.len(), nbrs.len());
     }
 
@@ -681,35 +579,36 @@ mod tests {
     fn permutation_based_neighbors_satisfy_eq5() {
         let p = dummy_profile(8);
         let m = 3;
-        let ns = Subspace::standard_span(8, m..8);
-        let pool = NeighborPool::UnitsAndPairs.vectors(8, &p);
-        let nbrs = neighbors(&ns, FunctionClass::permutation_based_unlimited(), &pool);
+        let ns = PackedBasis::standard_span(8, m..8);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(8, &p);
+        let nbrs =
+            PackedNeighborhood::generate(&ns, FunctionClass::permutation_based_unlimited(), &pool);
         assert!(!nbrs.is_empty());
-        for nb in &nbrs {
-            assert!(nb.admits_permutation_based_function(m));
+        for nb in nbrs.bases() {
+            assert!(nb.admits_permutation_based(m));
         }
         // The permutation-based neighbourhood is a subset of the general one.
-        let general = neighbors(&ns, FunctionClass::xor_unlimited(), &pool);
+        let general = PackedNeighborhood::generate(&ns, FunctionClass::xor_unlimited(), &pool);
         assert!(nbrs.len() <= general.len());
     }
 
     #[test]
     fn bit_select_neighbors_swap_one_bit() {
-        let ns = Subspace::standard_span(8, [3usize, 4, 5, 6, 7]);
-        let nbrs = neighbors(&ns, FunctionClass::bit_selecting(), &[]);
+        let ns = PackedBasis::standard_span(8, [3usize, 4, 5, 6, 7]);
+        let nbrs = PackedNeighborhood::generate(&ns, FunctionClass::bit_selecting(), &[]);
         // 5 excluded bits × 3 selected bits = 15 swaps.
         assert_eq!(nbrs.len(), 15);
-        for nb in &nbrs {
+        for nb in nbrs.bases() {
             assert_eq!(nb.dim(), 5);
-            assert!(nb.basis().iter().all(|b| b.weight() == 1));
-            assert_eq!(ns.intersection_dim(nb), 4);
+            assert!(nb.is_coordinate_subspace());
+            assert_eq!(sum_dim(&ns, nb), 6);
         }
     }
 
     #[test]
     fn bit_select_of_a_non_coordinate_subspace_is_empty() {
-        let parent =
-            PackedBasis::from_subspace(&Subspace::from_generators(8, &[BitVec::from_u64(0b11, 8)]));
+        let mut parent = PackedBasis::trivial(8);
+        parent.insert(0b11);
         let nbhd = PackedNeighborhood::generate(&parent, FunctionClass::bit_selecting(), &[]);
         assert!(nbhd.is_empty());
         assert!(nbhd.hyperplanes.is_empty());
@@ -721,63 +620,35 @@ mod tests {
         // with the direction outside the hyperplane — the invariant the
         // engine's per-lane pricing relies on.
         let p = dummy_profile(8);
-        let pool = NeighborPool::UnitsAndPairs.vectors(8, &p);
+        let pool = NeighborPool::UnitsAndPairs.packed_vectors(8, &p);
         for (ns, class) in [
             (
-                Subspace::standard_span(8, 3..8),
+                PackedBasis::standard_span(8, 3..8),
                 FunctionClass::xor_unlimited(),
             ),
             (
-                Subspace::standard_span(8, 3..8),
+                PackedBasis::standard_span(8, 3..8),
                 FunctionClass::permutation_based_unlimited(),
             ),
             (
-                Subspace::standard_span(8, [3usize, 4, 5, 6, 7]),
+                PackedBasis::standard_span(8, [3usize, 4, 5, 6, 7]),
                 FunctionClass::bit_selecting(),
             ),
         ] {
-            let nbhd = neighborhood(&ns, class, &pool);
+            let nbhd = PackedNeighborhood::generate(&ns, class, &pool);
             assert!(!nbhd.is_empty(), "{class}");
+            assert_eq!(nbhd.width, 8);
             assert_eq!(nbhd.len(), nbhd.candidates.len());
             for c in &nbhd.candidates {
                 let hyperplane = &nbhd.hyperplanes[c.hyperplane];
                 assert_eq!(hyperplane.dim(), ns.dim() - 1);
                 assert!(ns.contains_subspace(hyperplane));
                 assert!(!hyperplane.contains(c.direction), "{class}");
-                assert_eq!(hyperplane.extended(c.direction), c.subspace, "{class}");
+                assert_eq!(hyperplane.extended(c.direction), c.basis, "{class}");
+                assert_eq!(c.basis.width(), 8);
             }
-            // The flat views match the structured view, in order.
-            assert_eq!(nbhd.subspaces(), neighbors(&ns, class, &pool));
-            let borrowed: Vec<&Subspace> = nbhd.iter_subspaces().collect();
-            assert_eq!(borrowed.len(), nbhd.len());
-            let repacked: Vec<Subspace> =
-                nbhd.packed_candidates().map(|b| b.to_subspace()).collect();
-            assert_eq!(repacked, nbhd.subspaces());
-        }
-    }
-
-    #[test]
-    fn packed_and_boundary_views_agree() {
-        let p = dummy_profile(8);
-        let pool = NeighborPool::UnitsAndPairs.packed_vectors(8, &p);
-        let parent = PackedBasis::standard_span(8, 3..8);
-        for class in [
-            FunctionClass::xor_unlimited(),
-            FunctionClass::permutation_based_unlimited(),
-        ] {
-            let packed = PackedNeighborhood::generate(&parent, class, &pool);
-            assert_eq!(packed.width, 8);
-            let view = packed.to_neighborhood();
-            assert_eq!(view.len(), packed.len());
-            assert_eq!(view.hyperplanes.len(), packed.hyperplanes.len());
-            for (pc, vc) in packed.candidates.iter().zip(&view.candidates) {
-                assert_eq!(pc.hyperplane, vc.hyperplane);
-                assert_eq!(pc.direction, vc.direction.as_u64());
-                assert_eq!(pc.basis.to_subspace(), vc.subspace);
-            }
-            for (b, _) in packed.bases().zip(packed.candidates.iter()) {
-                assert_eq!(b.width(), 8);
-            }
+            // The borrowed view lists the candidates' bases, in order.
+            assert!(nbhd.bases().eq(nbhd.candidates.iter().map(|c| &c.basis)));
         }
     }
 

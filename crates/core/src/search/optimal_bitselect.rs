@@ -34,7 +34,7 @@ impl Searcher<'_> {
         let n = self.hashed_bits();
         let m = self.set_bits();
         let mut engine = self.engine();
-        let baseline_estimate = engine.estimate_packed(&self.conventional_packed());
+        let baseline_estimate = engine.estimate_packed(&self.conventional_null_space());
 
         let mut best: Option<(u64, Vec<usize>)> = None;
         let mut evaluations = 0u64;

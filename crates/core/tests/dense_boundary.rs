@@ -147,7 +147,7 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
         // histogram for the large one.
         let sides: Vec<EstimationStrategy> = bases
             .iter()
-            .map(|b| MissEstimator::new(profile).resolved_strategy(&b.to_subspace()))
+            .map(|b| MissEstimator::new(profile).resolved_strategy(b))
             .collect();
         assert!(sides.contains(&EstimationStrategy::EnumerateNullSpace));
         assert!(sides.contains(&EstimationStrategy::ScanHistogram));
@@ -181,7 +181,7 @@ fn kernel_costs_are_bit_identical_across_representations_and_strategies() {
 /// macro (its expansion depth scales with statement count).
 fn check_random_null_space(seed: u64, dim: usize) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let basis = gf2::random::random_subspace(&mut rng, WIDTH, dim).to_packed();
+    let basis = gf2::random::random_subspace(&mut rng, WIDTH, dim);
     for (profile, kernel) in kernels() {
         let d = kernel.span().dim();
         let cost = kernel.cost(&basis);

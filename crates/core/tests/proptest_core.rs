@@ -1,20 +1,23 @@
 //! Property-based tests for the profiling / estimation / search pipeline.
 
+#[path = "../../gf2/tests/reference/subspace.rs"]
+mod subspace_reference;
+
 use std::collections::HashMap;
 
 use cache_sim::{BlockAddr, Cache, CacheConfig, LruStack, StackScan};
-use gf2::{BitVec, Subspace};
+use gf2::{BitVec, PackedBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use subspace_reference::Subspace;
 use workloads::{Scale, WorkloadSuite};
 use xorindex::search::{
-    NeighborCandidate, NeighborPool, Neighborhood, PackedNeighborhood, SearchAlgorithm,
-    SearchOutcome, Searcher,
+    NeighborPool, PackedNeighborhood, SearchAlgorithm, SearchOutcome, Searcher,
 };
 use xorindex::{
     BoundedCost, ConflictProfile, EstimationStrategy, EvalEngine, FrozenKernel, FunctionClass,
-    HashFunction, MissEstimator, ProfileSummary,
+    HashFunction, MissEstimator, ProfileSummary, XorIndexError,
 };
 
 /// Every side of Eq. 4 the [`MissEstimator`] oracle can enumerate.
@@ -247,7 +250,7 @@ proptest! {
             FunctionClass::permutation_based_unlimited(),
             FunctionClass::xor_unlimited(),
         ] {
-            let parent = gf2::PackedBasis::standard_span(
+            let parent = PackedBasis::standard_span(
                 HASHED_BITS,
                 cache.set_bits()..HASHED_BITS,
             );
@@ -280,12 +283,12 @@ proptest! {
             let matrix =
                 gf2::random::random_full_rank_matrix(&mut rng, HASHED_BITS, cache.set_bits());
             let ns = matrix.null_space();
-            let cost = engine.estimate_packed(&ns.to_packed());
+            let cost = engine.estimate_packed(&ns);
             for strategy in STRATEGIES {
                 let estimator = MissEstimator::new(&profile).with_strategy(strategy);
                 prop_assert_eq!(
                     cost,
-                    estimator.estimate_null_space(&ns),
+                    estimator.estimate_packed(&ns),
                     "strategy {:?}", strategy
                 );
             }
@@ -306,16 +309,12 @@ proptest! {
         ] {
             let searcher = Searcher::new(&profile, class, cache.set_bits()).unwrap();
             let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-            let packed = PackedNeighborhood::generate(&searcher.conventional_packed(), class, &pool);
+            let packed =
+                PackedNeighborhood::generate(&searcher.conventional_null_space(), class, &pool);
             let costs = searcher.engine().estimate_neighborhood(&packed);
-            let nbhd = packed.to_neighborhood();
-            prop_assert_eq!(costs.len(), nbhd.len());
-            for (candidate, &cost) in nbhd.candidates.iter().zip(&costs) {
-                prop_assert_eq!(
-                    cost,
-                    estimator.estimate_null_space(&candidate.subspace),
-                    "class {}", class
-                );
+            prop_assert_eq!(costs.len(), packed.len());
+            for (basis, &cost) in packed.bases().zip(&costs) {
+                prop_assert_eq!(cost, estimator.estimate_packed(basis), "class {}", class);
             }
         }
     }
@@ -325,7 +324,7 @@ proptest! {
 /// of the hashed space: the subspace's basis rows plus random members, with
 /// random weights.
 fn random_span_profile(rng: &mut StdRng, dim: usize) -> ConflictProfile {
-    let span = gf2::random::random_subspace(rng, HASHED_BITS, dim).to_packed();
+    let span = gf2::random::random_subspace(rng, HASHED_BITS, dim);
     let mut vectors: Vec<u64> = span.rows().to_vec();
     for _ in 0..24 {
         let pick = rng.gen_range(0..1u64 << dim);
@@ -353,12 +352,10 @@ fn random_span_profile(rng: &mut StdRng, dim: usize) -> ConflictProfile {
 /// plus the conventional chain. Kept outside the `proptest!` macro (its
 /// expansion depth scales with statement count).
 fn check_coordinate_pricing(profile: &ConflictProfile, rng: &mut StdRng) -> Result<(), String> {
-    let mut bases: Vec<gf2::PackedBasis> = (0..12)
-        .map(|i| gf2::random::random_subspace(rng, HASHED_BITS, i % (HASHED_BITS + 1)).to_packed())
+    let mut bases: Vec<PackedBasis> = (0..12)
+        .map(|i| gf2::random::random_subspace(rng, HASHED_BITS, i % (HASHED_BITS + 1)))
         .collect();
-    bases.extend(
-        (0..HASHED_BITS).map(|m| gf2::PackedBasis::standard_span(HASHED_BITS, m..HASHED_BITS)),
-    );
+    bases.extend((0..HASHED_BITS).map(|m| PackedBasis::standard_span(HASHED_BITS, m..HASHED_BITS)));
     let kernel = FrozenKernel::new(profile);
     let costs: Vec<u64> = bases.iter().map(|b| kernel.cost(b)).collect();
     for strategy in STRATEGIES {
@@ -518,6 +515,51 @@ fn real_trace_profiles_match_the_reference_walk() {
             let cell = format!("{}@{kb}KB", workload.name());
             assert_eq!(profile.entries(), &expected[..], "{cell}");
             assert_eq!(profile.summary(), summary, "{cell}");
+        }
+    }
+}
+
+/// A candidate null space of a reference neighbourhood, together with its
+/// decomposition `candidate = hyperplane ⊕ span(direction)`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct NeighborCandidate {
+    /// Index into [`Neighborhood::hyperplanes`] of the retained hyperplane.
+    hyperplane: usize,
+    /// The replacement direction `v ∉ parent`.
+    direction: BitVec,
+    /// The candidate null space `hyperplane ⊕ span(direction)`, canonical.
+    subspace: Subspace,
+}
+
+/// A neighbourhood in the reference representation, grouped by retained
+/// hyperplane.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Neighborhood {
+    /// The distinct hyperplanes of the parent that candidates retain.
+    hyperplanes: Vec<Subspace>,
+    /// The admissible candidates, in deterministic generation order.
+    candidates: Vec<NeighborCandidate>,
+}
+
+impl Neighborhood {
+    /// A packed neighbourhood in the reference representation: the same
+    /// order and decomposition, every basis re-eliminated.
+    fn of(packed: &PackedNeighborhood) -> Self {
+        Neighborhood {
+            hyperplanes: packed
+                .hyperplanes
+                .iter()
+                .map(Subspace::from_packed)
+                .collect(),
+            candidates: packed
+                .candidates
+                .iter()
+                .map(|c| NeighborCandidate {
+                    hyperplane: c.hyperplane,
+                    direction: BitVec::from_u64(c.direction, packed.width),
+                    subspace: Subspace::from_packed(&c.basis),
+                })
+                .collect(),
         }
     }
 }
@@ -704,7 +746,7 @@ impl<'p> OraclePricer<'p> {
 
     fn price(&mut self, ns: &Subspace) -> u64 {
         self.pricings += 1;
-        self.estimator.estimate_null_space(ns)
+        self.estimator.estimate_packed(&ns.packed())
     }
 
     fn evaluations(&self) -> u64 {
@@ -714,6 +756,65 @@ impl<'p> OraclePricer<'p> {
 
 fn reference_conventional(n: usize, set_bits: usize) -> Subspace {
     Subspace::standard_span(n, set_bits..n)
+}
+
+/// The pre-refactor `FunctionClass::representative`, verbatim on the
+/// reference subspace and its matrix constructions.
+fn reference_representative(
+    null_space: &Subspace,
+    class: FunctionClass,
+) -> Result<HashFunction, XorIndexError> {
+    let n = null_space.ambient_width();
+    let m = n - null_space.dim();
+    if m == 0 {
+        return Err(XorIndexError::InvalidGeometry {
+            hashed_bits: n,
+            set_bits: m,
+        });
+    }
+    match class {
+        FunctionClass::BitSelecting => {
+            let coordinate = null_space.basis().iter().all(|b| b.weight() == 1);
+            if !coordinate {
+                return Err(XorIndexError::NoRepresentative {
+                    reason: "null space is not spanned by standard basis vectors".to_string(),
+                });
+            }
+            let excluded: Vec<usize> = null_space
+                .basis()
+                .iter()
+                .map(|b| b.trailing_bit().expect("basis vectors are non-zero"))
+                .collect();
+            let selected: Vec<usize> = (0..n).filter(|i| !excluded.contains(i)).collect();
+            HashFunction::bit_selecting(n, &selected)
+        }
+        FunctionClass::PermutationBased { .. } => {
+            let matrix = subspace_reference::permutation_based_with_null_space(null_space)
+                .map_err(|e| XorIndexError::NoRepresentative {
+                    reason: e.to_string(),
+                })?;
+            HashFunction::new(matrix)
+        }
+        FunctionClass::Xor { .. } => {
+            let matrix = if null_space.admits_permutation_based_function(m) {
+                subspace_reference::permutation_based_with_null_space(null_space)
+            } else {
+                subspace_reference::with_null_space(null_space)
+            };
+            HashFunction::new(matrix.map_err(XorIndexError::from)?)
+        }
+    }
+}
+
+/// The pre-refactor `HashFunction::from_null_space`: the reference
+/// representative, checked against the class's fan-in bound.
+fn reference_from_null_space(
+    null_space: &Subspace,
+    class: FunctionClass,
+) -> Result<HashFunction, XorIndexError> {
+    let function = reference_representative(null_space, class)?;
+    class.check(&function)?;
+    Ok(function)
 }
 
 /// The Subspace-native hill climb, verbatim, from the conventional null
@@ -727,7 +828,7 @@ fn reference_engine_hill_climb(
     let mut pricer = OraclePricer::new(profile);
     let pool = NeighborPool::UnitsAndPairs.vectors(n, profile);
     let start = reference_conventional(n, set_bits);
-    let start_function = HashFunction::from_null_space(&start, class).unwrap();
+    let start_function = reference_from_null_space(&start, class).unwrap();
     let baseline_estimate = pricer.price(&start);
     let evaluations_before = pricer.evaluations();
     let mut current = start;
@@ -736,7 +837,11 @@ fn reference_engine_hill_climb(
     let mut steps: u64 = 0;
     loop {
         let nbhd = reference_neighborhood(&current, class, &pool);
-        let costs: Vec<u64> = nbhd.iter_subspaces().map(|ns| pricer.price(ns)).collect();
+        let costs: Vec<u64> = nbhd
+            .candidates
+            .iter()
+            .map(|c| pricer.price(&c.subspace))
+            .collect();
         let mut order: Vec<usize> = (0..nbhd.candidates.len()).collect();
         order.sort_by_key(|&i| costs[i]);
         let mut moved = false;
@@ -745,7 +850,7 @@ fn reference_engine_hill_climb(
                 break;
             }
             let ns = &nbhd.candidates[i].subspace;
-            if let Ok(function) = HashFunction::from_null_space(ns, class) {
+            if let Ok(function) = reference_from_null_space(ns, class) {
                 current = ns.clone();
                 best_cost = costs[i];
                 best_function = function;
@@ -860,15 +965,13 @@ fn coset_edge_directions(rng: &mut StdRng, parent: &Subspace) -> Vec<BitVec> {
 /// same order, same hyperplane/direction decomposition — and that no
 /// candidate's canonical key repeats, within a hyperplane or across them.
 fn assert_matches_reference_neighborhood(
-    packed: &Neighborhood,
+    packed: &PackedNeighborhood,
     reference: &Neighborhood,
     label: &str,
 ) {
-    assert_eq!(packed, reference, "{label}");
-    let keys: std::collections::HashSet<_> = packed
-        .packed_candidates()
-        .map(|basis| basis.canonical_key())
-        .collect();
+    assert_eq!(&Neighborhood::of(packed), reference, "{label}");
+    let keys: std::collections::HashSet<_> =
+        packed.bases().map(PackedBasis::canonical_key).collect();
     assert_eq!(keys.len(), packed.len(), "{label}: repeated candidate");
 }
 
@@ -905,7 +1008,7 @@ proptest! {
             };
             let parents = [
                 reference_conventional(HASHED_BITS, cache.set_bits()),
-                gf2::random::random_subspace(&mut rng, HASHED_BITS, dim),
+                Subspace::from_packed(&gf2::random::random_subspace(&mut rng, HASHED_BITS, dim)),
                 random_coordinate,
             ];
             for parent in parents {
@@ -919,10 +1022,9 @@ proptest! {
                 ];
                 for (p, pool) in pools.iter().enumerate() {
                     let packed_pool: Vec<u64> = pool.iter().map(|v| v.as_u64()).collect();
-                    let packed =
-                        PackedNeighborhood::generate(&parent.to_packed(), class, &packed_pool);
+                    let packed = PackedNeighborhood::generate(&parent.packed(), class, &packed_pool);
                     assert_matches_reference_neighborhood(
-                        &packed.to_neighborhood(),
+                        &packed,
                         &reference_neighborhood(&parent, class, pool),
                         &format!("class {class}, pool {p}, parent {parent}"),
                     );
@@ -930,22 +1032,24 @@ proptest! {
             }
         }
 
-        // One wide parent, through the `Subspace` boundary entry point.
+        // One wide parent.
         let wide_profile = ConflictProfile::from_blocks(
             blocks.iter().copied(),
             WIDE_BITS,
             cache.num_blocks() as usize,
         );
-        let wide_parent = gf2::random::random_subspace(&mut rng, WIDE_BITS, 4);
+        let wide_packed = gf2::random::random_subspace(&mut rng, WIDE_BITS, 4);
+        let wide_parent = Subspace::from_packed(&wide_packed);
         let mut wide_pool = NeighborPool::UnitsPairsAndProfile(heaviest)
             .vectors(WIDE_BITS, &wide_profile);
         wide_pool.extend(coset_edge_directions(&mut rng, &wide_parent));
+        let wide_packed_pool: Vec<u64> = wide_pool.iter().map(|v| v.as_u64()).collect();
         for class in [
             FunctionClass::permutation_based_unlimited(),
             FunctionClass::xor_unlimited(),
         ] {
             assert_matches_reference_neighborhood(
-                &xorindex::search::neighborhood(&wide_parent, class, &wide_pool),
+                &PackedNeighborhood::generate(&wide_packed, class, &wide_packed_pool),
                 &reference_neighborhood(&wide_parent, class, &wide_pool),
                 &format!("n = {WIDE_BITS}, class {class}, parent {wide_parent}"),
             );
@@ -983,14 +1087,14 @@ fn real_trace_climbs_match_the_search_oracles() {
                 let cell = format!("{}@{kb}KB, class {class}", workload.name());
                 let searcher = Searcher::new(&profile, class, config.set_bits()).unwrap();
                 let mut engine = searcher.engine().with_threads(1);
-                let mut current = searcher.conventional_packed();
+                let mut current = searcher.conventional_null_space();
                 let mut incumbent = estimator.estimate_packed(&current);
                 let mut steps = 0u64;
                 loop {
                     let nbhd = PackedNeighborhood::generate(&current, class, &packed_pool);
                     assert_eq!(
-                        nbhd.to_neighborhood(),
-                        reference_neighborhood(&current.to_subspace(), class, &pool),
+                        Neighborhood::of(&nbhd),
+                        reference_neighborhood(&Subspace::from_packed(&current), class, &pool),
                         "{cell}, step {steps}"
                     );
                     let priced = engine.estimate_neighborhood_bounded(&nbhd, incumbent);
@@ -1015,11 +1119,7 @@ fn real_trace_climbs_match_the_search_oracles() {
                     }
                     below.sort_unstable();
                     let next = below.into_iter().find(|&(_, i)| {
-                        HashFunction::from_null_space(
-                            &nbhd.candidates[i].basis.to_subspace(),
-                            class,
-                        )
-                        .is_ok()
+                        HashFunction::from_null_space(&nbhd.candidates[i].basis, class).is_ok()
                     });
                     let Some((cost, i)) = next else { break };
                     current = nbhd.candidates[i].basis.clone();
@@ -1027,7 +1127,7 @@ fn real_trace_climbs_match_the_search_oracles() {
                     steps += 1;
                 }
                 let outcome = searcher.run(SearchAlgorithm::HillClimb).unwrap();
-                assert_eq!(outcome.function.null_space().to_packed(), current, "{cell}");
+                assert_eq!(outcome.function.null_space(), current, "{cell}");
                 assert_eq!(outcome.estimated_misses, incumbent, "{cell}");
                 assert_eq!(outcome.steps, steps, "{cell}");
             }
@@ -1050,7 +1150,7 @@ proptest! {
         // on their materialized bases taken out, in the same order.
         let mut rng = StdRng::seed_from_u64(seed);
         let m = HASHED_BITS - dim;
-        let parent = gf2::random::random_subspace(&mut rng, HASHED_BITS, dim).to_packed();
+        let parent = gf2::random::random_subspace(&mut rng, HASHED_BITS, dim);
         let empty = ConflictProfile::from_blocks(std::iter::empty(), HASHED_BITS, 4);
         let mut pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &empty);
         pool.extend(
@@ -1062,13 +1162,13 @@ proptest! {
             FunctionClass::permutation_based_unlimited(),
             &pool,
         );
-        let admissible: Vec<(u64, &gf2::PackedBasis)> = unlimited
+        let admissible: Vec<(u64, &PackedBasis)> = unlimited
             .candidates
             .iter()
             .filter(|c| c.basis.admits_permutation_based(m))
             .map(|c| (c.direction, &c.basis))
             .collect();
-        let kept: Vec<(u64, &gf2::PackedBasis)> = permutation
+        let kept: Vec<(u64, &PackedBasis)> = permutation
             .candidates
             .iter()
             .map(|c| (c.direction, &c.basis))
@@ -1118,9 +1218,7 @@ proptest! {
         let profile = profile_of(&blocks, &cache);
         let set_bits = cache.set_bits();
         let estimator = MissEstimator::new(&profile);
-        let exact = |outcome: &SearchOutcome| {
-            estimator.estimate_null_space(&outcome.function.null_space())
-        };
+        let exact = |outcome: &SearchOutcome| estimator.estimate_packed(&outcome.function.null_space());
 
         // Hill climbing, every class.
         for class in [
@@ -1158,7 +1256,7 @@ proptest! {
         // alike.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-        let parent = gf2::PackedBasis::standard_span(
+        let parent = PackedBasis::standard_span(
             HASHED_BITS,
             cache.set_bits()..HASHED_BITS,
         );
@@ -1193,7 +1291,7 @@ proptest! {
         // is abandoned as `AtLeast(bound)`.
         let profile = profile_of(&blocks, &cache);
         let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-        let parent = gf2::PackedBasis::standard_span(
+        let parent = PackedBasis::standard_span(
             HASHED_BITS,
             cache.set_bits()..HASHED_BITS,
         );
@@ -1249,7 +1347,7 @@ fn reference_ranking(
 ) -> Vec<(HashFunction, u64)> {
     let estimator = MissEstimator::new(profile);
     let pool = NeighborPool::UnitsAndPairs.packed_vectors(profile.hashed_bits(), profile);
-    let nbhd = PackedNeighborhood::generate(&winner.null_space().to_packed(), class, &pool);
+    let nbhd = PackedNeighborhood::generate(&winner.null_space(), class, &pool);
     let mut priced: Vec<(u64, usize)> = nbhd
         .bases()
         .map(|basis| estimator.estimate_packed(basis))
@@ -1259,8 +1357,7 @@ fn reference_ranking(
     priced
         .into_iter()
         .filter_map(|(estimate, i)| {
-            let basis = nbhd.candidates[i].basis.to_subspace();
-            let function = HashFunction::from_null_space(&basis, class).ok()?;
+            let function = HashFunction::from_null_space(&nbhd.candidates[i].basis, class).ok()?;
             Some((function, estimate))
         })
         .collect()
@@ -1335,5 +1432,63 @@ fn runners_up_break_ties_in_generation_order() {
             "{class}: no tie among {:?}",
             runners_up.iter().map(|(_, e)| e).collect::<Vec<_>>()
         );
+    }
+}
+
+/// Pins the function [`HashFunction::from_null_space`] and
+/// [`FunctionClass::representative`] build under every class to the
+/// pre-refactor construction on the reference subspace: random spaces of
+/// every dimension at `n` hashed bits, and a random coordinate space of each
+/// dimension, so bit-selecting representatives exist. Kept outside the
+/// `proptest!` macro (its expansion depth scales with statement count).
+fn check_representatives(seed: u64, n: usize) {
+    use rand::seq::SliceRandom;
+    let classes = [
+        FunctionClass::bit_selecting(),
+        FunctionClass::xor(2),
+        FunctionClass::xor_unlimited(),
+        FunctionClass::permutation_based(2),
+        FunctionClass::permutation_based_unlimited(),
+    ];
+    let mut rng = StdRng::seed_from_u64(seed);
+    for m in 0..=n {
+        let mut bits: Vec<usize> = (0..n).collect();
+        bits.shuffle(&mut rng);
+        let spaces = [
+            gf2::random::random_subspace(&mut rng, n, n - m),
+            PackedBasis::standard_span(n, bits[m..].to_vec()),
+        ];
+        for packed in spaces {
+            let space = Subspace::from_packed(&packed);
+            for class in classes {
+                let label = format!("n={n} m={m}, class {class}, space {space}");
+                let function = HashFunction::from_null_space(&packed, class);
+                assert_eq!(
+                    function.as_ref().ok(),
+                    reference_from_null_space(&space, class).as_ref().ok(),
+                    "{label}"
+                );
+                assert_eq!(
+                    class.representative(&packed).ok(),
+                    reference_representative(&space, class).ok(),
+                    "{label}"
+                );
+                if let Ok(function) = function {
+                    assert_eq!(function.null_space(), packed, "{label}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn hash_functions_match_the_subspace_construction(
+        seed in any::<u64>(),
+        n in 1usize..=16,
+    ) {
+        check_representatives(seed, n);
     }
 }

@@ -11,14 +11,14 @@
 //! * [`BitVec`] — a fixed-width (≤ 64 bit) vector over GF(2);
 //! * [`BitMatrix`] — a dense matrix over GF(2) with rank, row reduction,
 //!   inversion, matrix/vector products, and null-space extraction;
-//! * [`Subspace`] — a linear subspace of GF(2)^n in canonical (reduced
-//!   row-echelon) basis form, with membership tests, intersection, sum,
-//!   orthogonal complements and vector enumeration;
-//! * [`PackedBasis`] — the same canonical basis packed into bare `u64` words
-//!   for hot-path evaluation: fast reduce/membership, remainder plus
-//!   coordinates ([`PackedBasis::decompose`]), incremental extend/replace of
-//!   one generator, hyperplanes named by their functionals,
-//!   Gray-code coset enumeration, and compact [`CanonicalKey`] map keys;
+//! * [`PackedBasis`] — a linear subspace of GF(2)^n (n ≤ 64) as its
+//!   canonical (reduced row-echelon) basis packed into bare `u64` words:
+//!   reduce/membership, remainder plus coordinates
+//!   ([`PackedBasis::decompose`]), incremental extend/replace of one
+//!   generator, hyperplanes named by their functionals, orthogonal
+//!   complements, Gray-code coset enumeration, and compact [`CanonicalKey`]
+//!   map keys. It is the one basis type: every null space in the workspace
+//!   is a `PackedBasis`;
 //! * [`CosetHistogram`] — a weighted histogram grouped by remainder modulo
 //!   one parent subspace in one flat array, so a neighbour
 //!   `hyperplane ⊕ span(direction)` of that parent is priced from the
@@ -43,7 +43,7 @@
 //! let ns = h.null_space();
 //! let a = BitVec::from_u64(0x1234, 16);
 //! let b = BitVec::from_u64(0x5634, 16);
-//! assert_eq!(h.mul_vec(a) == h.mul_vec(b), ns.contains(a ^ b));
+//! assert_eq!(h.mul_vec(a) == h.mul_vec(b), ns.contains((a ^ b).as_u64()));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +53,6 @@ mod bitvec;
 mod matrix;
 mod packed;
 mod sliced;
-mod subspace;
 
 pub mod count;
 pub mod random;
@@ -62,7 +61,6 @@ pub use bitvec::{BitVec, SetBits};
 pub use matrix::BitMatrix;
 pub use packed::{hash_key_words, CanonicalKey, PackedBasis, PackedHyperplanes, PackedVectors};
 pub use sliced::{parity_weight, CosetHistogram};
-pub use subspace::{Subspace, SubspaceVectors};
 
 /// Errors reported by GF(2) operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -102,6 +100,24 @@ impl std::error::Error for Gf2Error {}
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, Gf2Error>;
 
+// The reference basis's own paths name this crate as `gf2`, as the test
+// crates that include it do.
+#[cfg(test)]
+extern crate self as gf2;
+
+/// The `BitVec` reference basis under `tests/reference`, with its own
+/// invariants as `subspace::tests`; the packed unit tests compare against it.
+#[path = "../tests/reference"]
+#[cfg(test)]
+mod subspace {
+    #[path = "subspace.rs"]
+    mod reference;
+    pub use reference::*;
+
+    #[path = "subspace_tests.rs"]
+    mod tests;
+}
+
 #[cfg(test)]
 mod lib_tests {
     use super::*;
@@ -129,6 +145,6 @@ mod lib_tests {
         assert_send_sync::<Gf2Error>();
         assert_send_sync::<BitVec>();
         assert_send_sync::<BitMatrix>();
-        assert_send_sync::<Subspace>();
+        assert_send_sync::<PackedBasis>();
     }
 }

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BitVec, Gf2Error, Result, Subspace};
+use crate::{BitVec, Gf2Error, PackedBasis, Result};
 
 /// A dense matrix over GF(2) with at most 64 columns and 64 rows.
 ///
@@ -421,50 +421,37 @@ impl BitMatrix {
     }
 
     /// Right kernel: the subspace of vectors `v` (width = `n_cols`) with
-    /// `row_r · v = 0` for every row.
+    /// `row_r · v = 0` for every row — the orthogonal complement of the row
+    /// space.
     #[must_use]
-    pub fn kernel(&self) -> Subspace {
-        let (rref, pivots) = self.rref();
-        let pivot_set: u64 = pivots.iter().fold(0, |acc, &c| acc | (1 << c));
-        let mut basis = Vec::new();
-        for free_col in 0..self.n_cols {
-            if pivot_set & (1 << free_col) != 0 {
-                continue;
-            }
-            // Basis vector: 1 in the free column, and for every pivot row whose
-            // row contains the free column, a 1 in that row's pivot column.
-            let mut v = BitVec::zero(self.n_cols);
-            v.set(free_col, true);
-            for (row_idx, &pivot_col) in pivots.iter().enumerate() {
-                if (rref.rows[row_idx] >> free_col) & 1 == 1 {
-                    v.set(pivot_col, true);
-                }
-            }
-            basis.push(v);
+    pub fn kernel(&self) -> PackedBasis {
+        let mut row_space = PackedBasis::trivial(self.n_cols);
+        for &row in &self.rows {
+            row_space.insert(row);
         }
-        Subspace::from_generators(self.n_cols, &basis)
+        row_space.orthogonal_complement()
     }
 
     /// Left null space: the subspace of row vectors `x` (width = `n_rows`)
     /// with `x · H = 0`. Two block addresses `x` and `y` map to the same set
     /// exactly when `x ⊕ y` lies in this space (paper Eq. 2).
     #[must_use]
-    pub fn null_space(&self) -> Subspace {
+    pub fn null_space(&self) -> PackedBasis {
         self.transpose().kernel()
     }
 
     /// Constructs an `n × m` full-column-rank matrix whose left null space is
     /// exactly `null_space`, where `m = n - null_space.dim()`.
     ///
-    /// The columns are a canonical basis of the orthogonal complement of the
-    /// null space, so any two calls with equal subspaces return equal matrices.
+    /// Column `c` is row `c` of the canonical basis of the null space's
+    /// orthogonal complement, so equal subspaces give equal matrices.
     ///
     /// # Errors
     ///
     /// Returns [`Gf2Error::Impossible`] if the null space has dimension `n`
     /// (no index bits would remain).
-    pub fn with_null_space(null_space: &Subspace) -> Result<BitMatrix> {
-        let n = null_space.ambient_width();
+    pub fn with_null_space(null_space: &PackedBasis) -> Result<BitMatrix> {
+        let n = null_space.width();
         let m = n - null_space.dim();
         if m == 0 {
             return Err(Gf2Error::Impossible(
@@ -474,9 +461,9 @@ impl BitMatrix {
         let complement = null_space.orthogonal_complement();
         debug_assert_eq!(complement.dim(), m);
         let mut h = BitMatrix::zero(n, m);
-        for (c, basis_vec) in complement.basis().iter().enumerate() {
-            for r in basis_vec.set_bits() {
-                h.set(r, c, true);
+        for (c, &column) in complement.rows().iter().enumerate() {
+            for (r, row) in h.rows.iter_mut().enumerate() {
+                *row |= (column >> r & 1) << c;
             }
         }
         debug_assert!(h.has_full_column_rank());
@@ -492,9 +479,8 @@ impl BitMatrix {
     /// Returns [`Gf2Error::Impossible`] when the null space intersects
     /// `span(e_0, …, e_{m-1})` non-trivially (Eq. 5 violated), in which case no
     /// permutation-based representative exists.
-    pub fn permutation_based_with_null_space(null_space: &Subspace) -> Result<BitMatrix> {
-        let n = null_space.ambient_width();
-        let m = n - null_space.dim();
+    pub fn permutation_based_with_null_space(null_space: &PackedBasis) -> Result<BitMatrix> {
+        let m = null_space.width() - null_space.dim();
         let h = Self::with_null_space(null_space)?;
         // The m low-order rows form an m×m submatrix; Eq. 5 holds exactly when
         // it is invertible. Multiplying on the right by its inverse keeps the
@@ -513,7 +499,6 @@ impl BitMatrix {
         for r in 0..m {
             debug_assert_eq!(p.row(r), BitVec::unit(r, m));
         }
-        let _ = n;
         Ok(p)
     }
 
@@ -705,7 +690,7 @@ mod tests {
         for bits in 0..16u64 {
             let v = BitVec::from_u64(bits, 4);
             let annihilated = (0..3).all(|r| !m.row(r).dot(v));
-            assert_eq!(k.contains(v), annihilated, "vector {bits:04b}");
+            assert_eq!(k.contains(bits), annihilated, "vector {bits:04b}");
         }
     }
 
@@ -719,7 +704,7 @@ mod tests {
                 let vx = BitVec::from_u64(x, 8);
                 let vy = BitVec::from_u64(y, 8);
                 let same_set = h.mul_vec(vx) == h.mul_vec(vy);
-                assert_eq!(same_set, ns.contains(vx ^ vy));
+                assert_eq!(same_set, ns.contains(x ^ y));
             }
         }
     }

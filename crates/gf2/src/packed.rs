@@ -1,11 +1,10 @@
-//! Packed word-level subspace bases for hot-path evaluation.
+//! Subspaces of GF(2)^n as packed word-level bases.
 //!
-//! [`Subspace`] stores a canonical basis of [`BitVec`]s, which is convenient
-//! for correctness-oriented code but pays for width bookkeeping on every
-//! operation. The miss-estimation hot path (paper Eq. 4) reduces millions of
-//! raw `u64` conflict vectors against the same basis, so this module provides
-//! [`PackedBasis`]: the same reduced-row-echelon basis packed into bare `u64`
-//! words, with
+//! The search works on null spaces, not matrices (paper Section 3.2), and
+//! its hot path (Eq. 4) reduces millions of raw `u64` conflict vectors
+//! against the same null space. [`PackedBasis`] is the library's one
+//! representation of such a subspace: its reduced-row-echelon basis packed
+//! into bare `u64` words, with
 //!
 //! * a branch-light [`PackedBasis::reduce`] / [`PackedBasis::contains`]
 //!   membership test,
@@ -16,24 +15,27 @@
 //! * *incremental* hyperplane enumeration — [`PackedBasis::hyperplanes`]
 //!   produces every codimension-1 subspace by removing one (combined)
 //!   generator, again without re-elimination, which is what the search's
-//!   neighbourhood generation iterates over, and
+//!   neighbourhood generation iterates over,
+//! * the orthogonal complement ([`PackedBasis::orthogonal_complement`]),
+//!   read off the reduced rows, from which [`crate::BitMatrix`] builds a
+//!   matrix with a given null space, and
 //! * Gray-code enumeration of the subspace ([`PackedBasis::vectors`]) and of
 //!   any coset ([`PackedBasis::coset`]), so consecutive enumerated vectors
 //!   differ by a single row XOR.
 //!
 //! A `PackedBasis` in canonical form is a unique representative of its
-//! subspace, so derived equality is subspace equality, exactly as for
-//! [`Subspace`], and [`PackedBasis::canonical_key`] yields a compact boxed
-//! word slice suitable as a hash-map key for memoization.
+//! subspace, so derived equality is subspace equality, and
+//! [`PackedBasis::canonical_key`] yields a compact boxed word slice suitable
+//! as a hash-map key for memoization.
 
-use crate::{BitVec, Gf2Error, Subspace};
+use crate::{BitVec, Gf2Error};
 
 /// A subspace of GF(2)^width (width ≤ 64) as a packed reduced-row-echelon
 /// basis of `u64` words.
 ///
 /// Rows are kept sorted by strictly decreasing leading (pivot) bit, and every
-/// pivot bit occurs in exactly one row — the same canonical form as
-/// [`Subspace`], so conversions in either direction preserve identity.
+/// pivot bit occurs in exactly one row: the reduced row-echelon form, which
+/// is unique to the subspace however its generators were given.
 ///
 /// # Example
 ///
@@ -64,8 +66,8 @@ pub struct PackedBasis {
 ///
 /// Because the packed rows are a unique canonical representative of the
 /// subspace, two keys compare (and hash) equal exactly when the subspaces are
-/// equal. Keys are cheaper to hash and store than a `Subspace` clone, which is
-/// what makes them the memoization currency of the evaluation engine.
+/// equal. Keys are cheaper to hash and store than a `PackedBasis` clone, which
+/// is what makes them the memoization currency of the evaluation engine.
 ///
 /// # Example
 ///
@@ -154,8 +156,19 @@ impl PackedBasis {
         }
     }
 
-    /// The span of the standard basis vectors `e_k` for the given bit indices
-    /// — the packed counterpart of [`Subspace::standard_span`].
+    /// The full space GF(2)^width.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is 0 or larger than [`BitVec::MAX_WIDTH`].
+    #[must_use]
+    pub fn full(width: usize) -> Self {
+        Self::standard_span(width, 0..width)
+    }
+
+    /// The span of the standard basis vectors `e_k` for the given bit indices.
+    /// `standard_span(n, m..n)` is the null space of the conventional
+    /// modulo-`2^m` function (paper Section 4).
     ///
     /// Unit vectors are their own canonical rows, so construction is a handful
     /// of incremental inserts with no elimination work.
@@ -229,25 +242,18 @@ impl PackedBasis {
         Ok(PackedBasis { rows, width })
     }
 
-    /// Packs the canonical basis of a [`Subspace`].
+    /// A clone of this basis. Kept for the `perfbench` package, which still
+    /// calls it; nothing in the workspace does.
     #[must_use]
-    pub fn from_subspace(space: &Subspace) -> Self {
-        PackedBasis {
-            rows: space.basis().iter().map(|b| b.as_u64()).collect(),
-            width: space.ambient_width(),
-        }
+    pub fn to_subspace(&self) -> PackedBasis {
+        self.clone()
     }
 
-    /// Converts back to a [`Subspace`] without re-canonicalizing (the packed
-    /// basis already is canonical).
+    /// A clone of this basis. Kept for the `perfbench` package, which still
+    /// calls it; nothing in the workspace does.
     #[must_use]
-    pub fn to_subspace(&self) -> Subspace {
-        let gens: Vec<BitVec> = self
-            .rows
-            .iter()
-            .map(|&r| BitVec::from_u64(r, self.width))
-            .collect();
-        Subspace::from_generators(self.width, &gens)
+    pub fn to_packed(&self) -> PackedBasis {
+        self.clone()
     }
 
     /// Width of the ambient space GF(2)^n.
@@ -381,6 +387,30 @@ impl PackedBasis {
         self.rows.iter().all(|r| r.count_ones() == 1)
     }
 
+    /// Orthogonal complement with respect to the standard GF(2) inner
+    /// product: the vectors `x` with `x · row = 0` for every row.
+    ///
+    /// Read off the reduced rows: for each non-pivot column `j`, the vector
+    /// with ones at `j` and at the pivot of every row that has a one at `j`
+    /// is orthogonal to every row (each pivot occurs in one row only). These
+    /// `width − dim` vectors are independent, and are inserted in increasing
+    /// `j` to canonical form.
+    #[must_use]
+    pub fn orthogonal_complement(&self) -> PackedBasis {
+        let pivot = |row: u64| 1u64 << (63 - row.leading_zeros());
+        let pivots = self.rows.iter().fold(0u64, |acc, &row| acc | pivot(row));
+        let mut out = PackedBasis::trivial(self.width);
+        for column in (0..self.width).filter(|&j| pivots >> j & 1 == 0) {
+            let v = self
+                .rows
+                .iter()
+                .filter(|&&row| row >> column & 1 == 1)
+                .fold(1u64 << column, |v, &row| v | pivot(row));
+            out.insert(v);
+        }
+        out
+    }
+
     fn low_mask(&self) -> u64 {
         if self.width == 64 {
             u64::MAX
@@ -429,8 +459,7 @@ impl PackedBasis {
     }
 
     /// Span of this subspace and one extra generator — the owned counterpart
-    /// of [`PackedBasis::insert`], mirroring [`Subspace::extended`]. The
-    /// result is built in one allocation.
+    /// of [`PackedBasis::insert`]. The result is built in one allocation.
     ///
     /// When `v` already lies in the span the result equals `self`.
     ///
@@ -504,8 +533,7 @@ impl PackedBasis {
     ///
     /// Every non-zero linear functional over the basis rows determines one
     /// hyperplane ([`PackedBasis::hyperplane`]), and the enumeration visits
-    /// functionals in increasing order, matching [`Subspace::hyperplanes`]
-    /// value-for-value and order-for-order, with no re-elimination.
+    /// functionals in increasing order, with no re-elimination.
     #[must_use]
     pub fn hyperplanes(&self) -> PackedHyperplanes<'_> {
         PackedHyperplanes {
@@ -655,12 +683,6 @@ impl PackedBasis {
     }
 }
 
-impl From<&Subspace> for PackedBasis {
-    fn from(space: &Subspace) -> Self {
-        PackedBasis::from_subspace(space)
-    }
-}
-
 /// Iterator over the vectors of a [`PackedBasis`] coset, produced by
 /// [`PackedBasis::vectors`] / [`PackedBasis::coset`].
 #[derive(Debug, Clone)]
@@ -731,55 +753,37 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn subspace(width: usize, gens: &[u64]) -> Subspace {
-        let gens: Vec<BitVec> = gens.iter().map(|&g| BitVec::from_u64(g, width)).collect();
-        Subspace::from_generators(width, &gens)
-    }
-
-    #[test]
-    fn roundtrip_preserves_identity() {
-        let s = subspace(6, &[0b000111, 0b011100, 0b110000]);
-        let packed = PackedBasis::from_subspace(&s);
-        assert_eq!(packed.dim(), s.dim());
-        assert_eq!(packed.width(), 6);
-        assert_eq!(packed.to_subspace(), s);
-    }
-
-    #[test]
-    fn membership_matches_subspace() {
-        let s = subspace(8, &[0b0011_0011, 0b0101_0101, 0b1000_0001]);
-        let packed = PackedBasis::from_subspace(&s);
-        for bits in 0..256u64 {
-            assert_eq!(
-                packed.contains(bits),
-                s.contains(BitVec::from_u64(bits, 8)),
-                "vector {bits:08b}"
-            );
-            assert_eq!(
-                packed.reduce(bits),
-                s.reduce(BitVec::from_u64(bits, 8)).as_u64()
-            );
+    /// The span of `gens`, built by incremental insertion.
+    fn basis(width: usize, gens: &[u64]) -> PackedBasis {
+        let mut out = PackedBasis::trivial(width);
+        for &g in gens {
+            out.insert(g);
         }
+        out
+    }
+
+    /// Every XOR of a subset of `gens`, by brute force.
+    fn span_of(gens: &[u64]) -> HashSet<u64> {
+        (0..1u64 << gens.len())
+            .map(|mask| {
+                (0..gens.len())
+                    .filter(|&i| mask >> i & 1 == 1)
+                    .fold(0, |v, i| v ^ gens[i])
+            })
+            .collect()
+    }
+
+    /// `true` when `b`'s rows pass [`PackedBasis::try_from_rows`]'s
+    /// canonical-form validation unchanged.
+    fn is_canonical(b: &PackedBasis) -> bool {
+        PackedBasis::try_from_rows(b.width(), b.rows().to_vec()).as_ref() == Ok(b)
     }
 
     #[test]
     fn contains_rejects_out_of_width_bits() {
-        let packed = PackedBasis::from_subspace(&Subspace::full(4));
+        let packed = PackedBasis::full(4);
         assert!(packed.contains(0b1111));
         assert!(!packed.contains(0b1_0000));
-    }
-
-    #[test]
-    fn incremental_insert_matches_batch_construction() {
-        let gens = [0b1100u64, 0b0110, 0b1010, 0b0001, 0b1111];
-        let mut packed = PackedBasis::trivial(4);
-        for &g in &gens {
-            packed.insert(g);
-        }
-        let batch = PackedBasis::from_subspace(&subspace(4, &gens));
-        assert_eq!(packed, batch);
-        // Canonical: rows strictly decreasing, unique pivots.
-        assert!(packed.rows().windows(2).all(|w| w[0] > w[1]));
     }
 
     #[test]
@@ -794,17 +798,12 @@ mod tests {
 
     #[test]
     fn without_row_is_a_hyperplane_in_canonical_form() {
-        let s = subspace(8, &[0b0000_1111, 0b1111_0000, 0b1010_1010]);
-        let packed = PackedBasis::from_subspace(&s);
+        let packed = basis(8, &[0b0000_1111, 0b1111_0000, 0b1010_1010]);
         for i in 0..packed.dim() {
             let hyper = packed.without_row(i);
             assert_eq!(hyper.dim(), packed.dim() - 1);
             // Canonical form survives the removal untouched.
-            assert_eq!(
-                hyper,
-                PackedBasis::from_subspace(&hyper.to_subspace()),
-                "row {i}"
-            );
+            assert!(is_canonical(&hyper), "row {i}");
             for v in hyper.vectors() {
                 assert!(packed.contains(v));
             }
@@ -813,8 +812,7 @@ mod tests {
 
     #[test]
     fn replaced_swaps_one_dimension() {
-        let s = subspace(6, &[0b000011, 0b001100, 0b110000]);
-        let packed = PackedBasis::from_subspace(&s);
+        let packed = basis(6, &[0b000011, 0b001100, 0b110000]);
         let swapped = packed.replaced(1, 0b000100).expect("independent direction");
         assert_eq!(swapped.dim(), 3);
         assert!(swapped.contains(0b000100));
@@ -822,27 +820,31 @@ mod tests {
         // dimension — rejected. (0b001111 = 0b001100 ^ 0b000011.)
         assert!(packed.replaced(0, 0b001111).is_none());
         // The swap equals the from-scratch construction.
-        let reference = subspace(6, &[0b000011, 0b110000, 0b000100]);
-        assert_eq!(swapped.to_subspace(), reference);
+        assert_eq!(swapped, basis(6, &[0b000011, 0b110000, 0b000100]));
     }
 
     #[test]
     fn vectors_enumerate_exactly_the_span() {
-        let s = subspace(6, &[0b000111, 0b011100, 0b110000]);
-        let packed = PackedBasis::from_subspace(&s);
+        let gens = [0b000111, 0b011100, 0b110000];
+        let packed = basis(6, &gens);
         let got: HashSet<u64> = packed.vectors().collect();
-        let expected: HashSet<u64> = s.vectors().map(|v| v.as_u64()).collect();
-        assert_eq!(got, expected);
+        assert_eq!(got, span_of(&gens));
         assert_eq!(packed.vectors().len(), 1 << packed.dim());
+        // Gray-code order: consecutive vectors differ by one row.
+        let order: Vec<u64> = packed.vectors().collect();
+        assert_eq!(order[0], 0);
+        for pair in order.windows(2) {
+            assert!(packed.rows().contains(&(pair[0] ^ pair[1])));
+        }
     }
 
     #[test]
     fn coset_enumerates_offset_plus_span() {
-        let s = subspace(6, &[0b000011, 0b001100]);
-        let packed = PackedBasis::from_subspace(&s);
+        let gens = [0b000011, 0b001100];
+        let packed = basis(6, &gens);
         let offset = 0b110000u64;
         let got: HashSet<u64> = packed.coset(offset).collect();
-        let expected: HashSet<u64> = s.vectors().map(|v| v.as_u64() ^ offset).collect();
+        let expected: HashSet<u64> = span_of(&gens).iter().map(|v| v ^ offset).collect();
         assert_eq!(got, expected);
         assert_eq!(got.len(), 1 << packed.dim());
         // The coset never touches the subspace itself (offset ∉ span).
@@ -861,21 +863,44 @@ mod tests {
 
     #[test]
     fn full_width_64_round_trips() {
-        let s = Subspace::full(64);
-        let packed = PackedBasis::from_subspace(&s);
+        let packed = PackedBasis::full(64);
         assert_eq!(packed.dim(), 64);
         assert!(packed.contains(u64::MAX));
-        assert_eq!(packed.to_subspace(), s);
+        assert!(packed.is_coordinate_subspace());
+        assert!(is_canonical(&packed));
+        assert_eq!(
+            PackedBasis::full(8),
+            basis(8, &[0xFF, 0x7F, 0x3F, 0x1F, 0xF, 7, 3, 1])
+        );
     }
 
     #[test]
-    fn standard_span_matches_subspace_standard_span() {
-        let packed = PackedBasis::standard_span(10, [7usize, 2, 9, 2]);
-        let reference = Subspace::standard_span(10, [7usize, 2, 9, 2]);
-        assert_eq!(packed, PackedBasis::from_subspace(&reference));
-        assert_eq!(packed.dim(), 3);
-        assert!(packed.is_coordinate_subspace());
-        assert_eq!(PackedBasis::standard_span(6, []).dim(), 0);
+    fn orthogonal_complement_is_orthogonal_and_involutive() {
+        for packed in [
+            basis(8, &[0b0000_1111, 0b1111_0000, 0b1010_1010]),
+            basis(8, &[0b1011_0001, 0b0010_0110, 0b0000_1100, 0b1000_0000]),
+            PackedBasis::standard_span(8, [0usize, 3, 7]),
+            basis(64, &[u64::MAX, 1 << 63 | 1, 0xF0]),
+        ] {
+            let c = packed.orthogonal_complement();
+            assert_eq!(c.dim(), packed.width() - packed.dim());
+            assert!(is_canonical(&c));
+            for &x in c.rows() {
+                for &row in packed.rows() {
+                    assert_eq!((x & row).count_ones() % 2, 0, "{x:#x} · {row:#x}");
+                }
+            }
+            assert_eq!(c.orthogonal_complement(), packed);
+        }
+        // Complement of the trivial space is everything and vice versa.
+        assert_eq!(
+            PackedBasis::trivial(8).orthogonal_complement(),
+            PackedBasis::full(8)
+        );
+        assert_eq!(
+            PackedBasis::full(8).orthogonal_complement(),
+            PackedBasis::trivial(8)
+        );
     }
 
     #[test]
@@ -885,27 +910,11 @@ mod tests {
     }
 
     #[test]
-    fn extended_matches_subspace_extended() {
-        let s = subspace(6, &[0b000011, 0b001100]);
-        let packed = PackedBasis::from_subspace(&s);
-        for v in 0..(1u64 << 6) {
-            let grown = packed.extended(v);
-            assert_eq!(
-                grown.to_subspace(),
-                s.extended(BitVec::from_u64(v, 6)),
-                "direction {v:06b}"
-            );
-            // Dependent directions leave the basis unchanged.
-            assert_eq!(grown.dim() == packed.dim(), packed.contains(v));
-        }
-    }
-
-    #[test]
     fn extended_reduced_matches_insert_in_one_allocation() {
         let bases = [
             PackedBasis::trivial(8),
             PackedBasis::standard_span(8, [0usize, 7]),
-            PackedBasis::from_subspace(&subspace(8, &[0b1011_0001, 0b0010_0110, 0b0000_1100])),
+            basis(8, &[0b1011_0001, 0b0010_0110, 0b0000_1100]),
         ];
         for basis in &bases {
             for v in 1..(1u64 << 8) {
@@ -925,29 +934,12 @@ mod tests {
     }
 
     #[test]
-    fn hyperplanes_match_subspace_hyperplanes_in_order() {
-        let s = subspace(8, &[0b0000_0111, 0b0011_1000, 0b1100_0000, 0b1010_1010]);
-        let packed = PackedBasis::from_subspace(&s);
-        let reference = s.hyperplanes();
-        let got: Vec<PackedBasis> = packed.hyperplanes().collect();
-        assert_eq!(packed.hyperplanes().len(), reference.len());
-        assert_eq!(got.len(), reference.len());
-        for (i, (p, r)) in got.iter().zip(&reference).enumerate() {
-            assert_eq!(p, &PackedBasis::from_subspace(r), "hyperplane {i}");
-            assert!(packed.contains_subspace(p));
-            // Canonical with no re-elimination: round-tripping changes nothing.
-            assert_eq!(p, &PackedBasis::from_subspace(&p.to_subspace()));
-        }
-        assert_eq!(PackedBasis::trivial(8).hyperplanes().count(), 0);
-    }
-
-    #[test]
     fn hyperplanes_are_the_kernels_of_their_functionals() {
-        let s = subspace(8, &[0b0000_0111, 0b0011_1000, 0b1100_0000, 0b1010_1010]);
-        let packed = PackedBasis::from_subspace(&s);
+        let packed = basis(8, &[0b0000_0111, 0b0011_1000, 0b1100_0000, 0b1010_1010]);
         for (f, hyper) in (1u64..).zip(packed.hyperplanes()) {
             assert_eq!(packed.hyperplane(f), hyper);
             assert_eq!(packed.hyperplane_functional(&hyper), f);
+            assert!(is_canonical(&hyper));
             // A parent vector lies in the hyperplane iff the functional
             // vanishes on its coordinates, and decompose splits it exactly.
             for v in packed.vectors() {
@@ -992,8 +984,7 @@ mod tests {
 
     #[test]
     fn hyperplane_extended_by_an_outside_member_recovers_the_parent() {
-        let s = subspace(6, &[0b000111, 0b011100, 0b110000]);
-        let packed = PackedBasis::from_subspace(&s);
+        let packed = basis(6, &[0b000111, 0b011100, 0b110000]);
         for hyper in packed.hyperplanes() {
             let v = packed
                 .vectors()
@@ -1015,11 +1006,11 @@ mod tests {
 
     #[test]
     fn canonical_key_identifies_the_subspace() {
-        let a = PackedBasis::from_subspace(&subspace(8, &[0b0011_0011, 0b0101_0101]));
-        let b = PackedBasis::from_subspace(&subspace(8, &[0b0101_0101, 0b0110_0110]));
+        let a = basis(8, &[0b0011_0011, 0b0101_0101]);
+        let b = basis(8, &[0b0101_0101, 0b0110_0110]);
         assert_eq!(a, b);
         assert_eq!(a.canonical_key(), b.canonical_key());
-        let c = PackedBasis::from_subspace(&subspace(8, &[0b0011_0011]));
+        let c = basis(8, &[0b0011_0011]);
         assert_ne!(a.canonical_key(), c.canonical_key());
         // The width participates, so equal rows in different ambient spaces
         // yield different keys.
@@ -1035,8 +1026,8 @@ mod tests {
         let bases = [
             PackedBasis::trivial(8),
             PackedBasis::standard_span(8, [1usize, 4]),
-            PackedBasis::from_subspace(&subspace(8, &[0b0011_0011, 0b0101_0101])),
-            PackedBasis::from_subspace(&Subspace::full(64)),
+            basis(8, &[0b0011_0011, 0b0101_0101]),
+            PackedBasis::full(64),
         ];
         let mut buf = [0u64; 65];
         for b in &bases {
@@ -1046,8 +1037,8 @@ mod tests {
             assert_eq!(owned.hash64(), hash_key_words(owned.as_words()));
         }
         // Equal subspaces hash equal; the width participates.
-        let a = PackedBasis::from_subspace(&subspace(8, &[0b0011_0011, 0b0101_0101]));
-        let b = PackedBasis::from_subspace(&subspace(8, &[0b0101_0101, 0b0110_0110]));
+        let a = basis(8, &[0b0011_0011, 0b0101_0101]);
+        let b = basis(8, &[0b0101_0101, 0b0110_0110]);
         assert_eq!(a, b);
         assert_eq!(a.key_hash(), b.key_hash());
         assert_ne!(
@@ -1134,21 +1125,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn admits_permutation_based_matches_subspace_check() {
-        for (gens, m) in [
-            (vec![0b110000u64, 0b001100, 0b000011], 2usize),
-            (vec![0b000001, 0b110000], 2),
-            (vec![0b101010, 0b010101], 3),
-            (vec![], 4),
-        ] {
-            let s = subspace(6, &gens);
-            let packed = PackedBasis::from_subspace(&s);
-            assert_eq!(
-                packed.admits_permutation_based(m),
-                s.admits_permutation_based_function(m),
-                "gens {gens:?}, m {m}"
-            );
-        }
-    }
+    // The comparisons against the `BitVec` reference basis, kept beside it
+    // under `tests/`.
+    include!("../tests/reference/packed_tests.rs");
 }

@@ -6,7 +6,7 @@
 
 use rand::Rng;
 
-use crate::{BitMatrix, BitVec, Subspace};
+use crate::{BitMatrix, BitVec, PackedBasis};
 
 /// Generates a uniformly random vector of the given width.
 ///
@@ -70,18 +70,14 @@ pub fn random_full_rank_matrix<R: Rng + ?Sized>(rng: &mut R, n: usize, m: usize)
 /// # Panics
 ///
 /// Panics if `dim > width` or the width is unsupported.
-pub fn random_subspace<R: Rng + ?Sized>(rng: &mut R, width: usize, dim: usize) -> Subspace {
+pub fn random_subspace<R: Rng + ?Sized>(rng: &mut R, width: usize, dim: usize) -> PackedBasis {
     assert!(
         dim <= width,
         "dimension {dim} exceeds ambient width {width}"
     );
-    let mut space = Subspace::trivial(width);
+    let mut space = PackedBasis::trivial(width);
     while space.dim() < dim {
-        let v = random_vector(rng, width);
-        let extended = space.extended(v);
-        if extended.dim() > space.dim() {
-            space = extended;
-        }
+        space.insert(random_vector(rng, width).as_u64());
     }
     space
 }
@@ -93,11 +89,15 @@ pub fn random_subspace<R: Rng + ?Sized>(rng: &mut R, width: usize, dim: usize) -
 /// # Panics
 ///
 /// Panics if `m > n` or the width is unsupported.
-pub fn random_permutation_null_space<R: Rng + ?Sized>(rng: &mut R, n: usize, m: usize) -> Subspace {
+pub fn random_permutation_null_space<R: Rng + ?Sized>(
+    rng: &mut R,
+    n: usize,
+    m: usize,
+) -> PackedBasis {
     assert!(m <= n, "m must not exceed n");
     loop {
         let s = random_subspace(rng, n, n - m);
-        if s.admits_permutation_based_function(m) {
+        if s.admits_permutation_based(m) {
             return s;
         }
     }
@@ -144,7 +144,7 @@ mod tests {
         for dim in 0..=8 {
             let s = random_subspace(&mut rng, 8, dim);
             assert_eq!(s.dim(), dim);
-            assert_eq!(s.ambient_width(), 8);
+            assert_eq!(s.width(), 8);
         }
     }
 
@@ -154,7 +154,7 @@ mod tests {
         for _ in 0..10 {
             let s = random_permutation_null_space(&mut rng, 12, 5);
             assert_eq!(s.dim(), 7);
-            assert!(s.admits_permutation_based_function(5));
+            assert!(s.admits_permutation_based(5));
             // And the permutation-based matrix really exists.
             assert!(BitMatrix::permutation_based_with_null_space(&s).is_ok());
         }

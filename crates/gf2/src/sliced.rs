@@ -206,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         (1..=5)
             .map(|dim| {
-                let parent = random::random_subspace(&mut rng, 9, dim).to_packed();
+                let parent = random::random_subspace(&mut rng, 9, dim);
                 let histogram = CosetHistogram::new(&parent, every_vector(9));
                 let lanes = lanes_of(&parent);
                 (histogram, lanes)

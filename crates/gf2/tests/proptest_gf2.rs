@@ -3,12 +3,18 @@
 //! These check the algebraic invariants that the XOR-indexing machinery relies
 //! on: XOR is a group operation, null spaces characterize set conflicts,
 //! canonical subspace bases are representation-independent, and the dimension
-//! formulas hold.
+//! formulas hold. [`PackedBasis`] and the matrix constructions built on it
+//! are compared against the [`BitVec`] reference [`Subspace`], which
+//! re-eliminates from scratch on every construction.
 
-use gf2::{count, random, BitMatrix, BitVec, Subspace};
+#[path = "reference/subspace.rs"]
+mod reference;
+
+use gf2::{count, random, BitMatrix, BitVec, PackedBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use reference::Subspace;
 
 /// Strategy producing a width in the interesting range and a value fitting it.
 fn vec_strategy() -> impl Strategy<Value = BitVec> {
@@ -87,8 +93,8 @@ proptest! {
         let ns = h.null_space();
         prop_assert_eq!(ns.dim(), n - h.rank());
         // Every basis vector of the null space really maps to zero.
-        for v in ns.basis() {
-            prop_assert!(h.mul_vec(*v).is_zero());
+        for &v in ns.rows() {
+            prop_assert!(h.mul_vec(BitVec::from_u64(v, n)).is_zero());
         }
     }
 
@@ -104,7 +110,7 @@ proptest! {
         let x = BitVec::from_u64(x_bits, n);
         let y = BitVec::from_u64(y_bits, n);
         // Paper Eq. 2: x·H = y·H  <=>  (x ⊕ y) ∈ N(H)
-        prop_assert_eq!(h.mul_vec(x) == h.mul_vec(y), ns.contains(x ^ y));
+        prop_assert_eq!(h.mul_vec(x) == h.mul_vec(y), ns.contains((x ^ y).as_u64()));
     }
 
     #[test]
@@ -121,8 +127,11 @@ proptest! {
     #[test]
     fn subspace_canonicalization_is_stable((n, m, seed) in matrix_params()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let s = random::random_subspace(&mut rng, n, m.min(n));
-        // Rebuilding from shuffled/extended generator sets gives the same space.
+        let packed = random::random_subspace(&mut rng, n, m.min(n));
+        let s = Subspace::from_packed(&packed);
+        // Rebuilding from shuffled/extended generator sets gives the same
+        // space, through the reference elimination and incremental insertion
+        // alike.
         let mut gens: Vec<BitVec> = s.basis().to_vec();
         if gens.len() >= 2 {
             let extra = gens[0] ^ gens[1];
@@ -130,14 +139,19 @@ proptest! {
         }
         gens.reverse();
         let rebuilt = Subspace::from_generators(n, &gens);
-        prop_assert_eq!(rebuilt, s);
+        prop_assert_eq!(&rebuilt, &s);
+        let mut inserted = PackedBasis::trivial(n);
+        for g in &gens {
+            inserted.insert(g.as_u64());
+        }
+        prop_assert_eq!(inserted, packed);
     }
 
     #[test]
     fn dimension_formula_for_sum_and_intersection(seed in any::<u64>(), n in 3usize..=12) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let u = random::random_subspace(&mut rng, n, n / 2);
-        let v = random::random_subspace(&mut rng, n, n / 3 + 1);
+        let u = Subspace::from_packed(&random::random_subspace(&mut rng, n, n / 2));
+        let v = Subspace::from_packed(&random::random_subspace(&mut rng, n, n / 3 + 1));
         let sum = u.sum(&v);
         let inter = u.intersection(&v);
         prop_assert_eq!(u.dim() + v.dim(), sum.dim() + inter.dim());
@@ -153,17 +167,22 @@ proptest! {
         let s = random::random_subspace(&mut rng, n, n / 2);
         let c = s.orthogonal_complement();
         prop_assert_eq!(c.dim(), n - s.dim());
-        prop_assert_eq!(c.orthogonal_complement(), s);
+        prop_assert_eq!(c.orthogonal_complement(), s.clone());
+        // The reference's complement, re-eliminated through its kernel.
+        prop_assert_eq!(c, Subspace::from_packed(&s).orthogonal_complement().packed());
     }
 
     #[test]
     fn subspace_vectors_are_members_and_distinct(seed in any::<u64>(), n in 2usize..=10) {
         let mut rng = StdRng::seed_from_u64(seed);
         let s = random::random_subspace(&mut rng, n, (n / 2).min(6));
-        let vectors: Vec<BitVec> = s.vectors().collect();
+        let vectors: Vec<u64> = s.vectors().collect();
         prop_assert_eq!(vectors.len(), 1 << s.dim());
         let distinct: std::collections::HashSet<_> = vectors.iter().copied().collect();
         prop_assert_eq!(distinct.len(), vectors.len());
+        let reference: std::collections::HashSet<u64> =
+            Subspace::from_packed(&s).vectors().map(|v| v.as_u64()).collect();
+        prop_assert_eq!(distinct, reference);
         for v in vectors {
             prop_assert!(s.contains(v));
         }
@@ -173,7 +192,7 @@ proptest! {
     fn hyperplanes_have_codimension_one_in_parent(seed in any::<u64>(), n in 2usize..=10) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = (n / 2).clamp(1, 5);
-        let s = random::random_subspace(&mut rng, n, dim);
+        let s = Subspace::from_packed(&random::random_subspace(&mut rng, n, dim));
         let hps = s.hyperplanes();
         prop_assert_eq!(hps.len(), (1usize << dim) - 1);
         for h in hps {
@@ -198,7 +217,7 @@ proptest! {
         let ns = random::random_permutation_null_space(&mut rng, n, m);
         let p = BitMatrix::permutation_based_with_null_space(&ns).unwrap();
         prop_assert!(p.is_permutation_based());
-        prop_assert_eq!(p.null_space(), ns);
+        prop_assert_eq!(p.null_space(), ns.clone());
         for r in 0..m {
             prop_assert_eq!(p.row(r), BitVec::unit(r, m));
         }
@@ -210,10 +229,10 @@ proptest! {
     fn packed_basis_agrees_with_subspace(seed in any::<u64>(), n in 2usize..=14) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = (seed as usize) % (n + 1);
-        let space = random::random_subspace(&mut rng, n, dim);
-        let packed = gf2::PackedBasis::from_subspace(&space);
+        let packed = random::random_subspace(&mut rng, n, dim);
+        let space = Subspace::from_packed(&packed);
         prop_assert_eq!(packed.dim(), space.dim());
-        prop_assert_eq!(packed.to_subspace(), space.clone());
+        prop_assert_eq!(space.packed(), packed.clone());
         // Membership and reduction agree on random probes.
         for _ in 0..32 {
             let v = random::random_vector(&mut rng, n);
@@ -221,7 +240,7 @@ proptest! {
             prop_assert_eq!(packed.reduce(v.as_u64()), space.reduce(v).as_u64());
         }
         // Incremental insertion from scratch reproduces the canonical form.
-        let mut incremental = gf2::PackedBasis::trivial(n);
+        let mut incremental = PackedBasis::trivial(n);
         for b in space.basis() {
             prop_assert!(incremental.insert(b.as_u64()));
         }
@@ -232,8 +251,8 @@ proptest! {
     fn packed_replace_matches_subspace_rebuild(seed in any::<u64>(), n in 3usize..=12) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = 1 + (seed as usize) % (n - 1);
-        let space = random::random_subspace(&mut rng, n, dim);
-        let packed = gf2::PackedBasis::from_subspace(&space);
+        let packed = random::random_subspace(&mut rng, n, dim);
+        let space = Subspace::from_packed(&packed);
         let index = (seed as usize) % dim;
         let direction = random::random_nonzero_vector(&mut rng, n);
         // Reference: rebuild from the surviving generators plus the direction.
@@ -245,7 +264,7 @@ proptest! {
         match packed.replaced(index, direction.as_u64()) {
             Some(swapped) => {
                 prop_assert_eq!(swapped.dim(), dim);
-                prop_assert_eq!(swapped.to_subspace(), rebuilt);
+                prop_assert_eq!(Subspace::from_packed(&swapped), rebuilt);
                 prop_assert!(!remaining.contains(direction));
             }
             None => prop_assert!(remaining.contains(direction)),
@@ -259,7 +278,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = (seed as usize) % (n + 1);
-        let space = random::random_subspace(&mut rng, n, dim);
+        let packed = random::random_subspace(&mut rng, n, dim);
+        let space = Subspace::from_packed(&packed);
         for m in 0..=n {
             let low = Subspace::standard_span(n, 0..m);
             prop_assert_eq!(
@@ -269,7 +289,6 @@ proptest! {
             );
         }
         // The packed check agrees with the subspace check everywhere.
-        let packed = gf2::PackedBasis::from_subspace(&space);
         for m in 0..=n {
             prop_assert_eq!(
                 packed.admits_permutation_based(m),
@@ -285,16 +304,16 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = ((seed as usize) % n).clamp(1, 6);
-        let space = random::random_subspace(&mut rng, n, dim);
-        let packed = gf2::PackedBasis::from_subspace(&space);
+        let packed = random::random_subspace(&mut rng, n, dim);
+        let space = Subspace::from_packed(&packed);
         let reference = space.hyperplanes();
-        let got: Vec<gf2::PackedBasis> = packed.hyperplanes().collect();
+        let got: Vec<PackedBasis> = packed.hyperplanes().collect();
         prop_assert_eq!(got.len(), reference.len());
         prop_assert_eq!(packed.hyperplanes().len(), reference.len());
         for (i, (p, r)) in got.iter().zip(&reference).enumerate() {
             // Same subspace, same canonical rows, same enumeration position —
             // and already canonical without any re-elimination.
-            prop_assert_eq!(p, &gf2::PackedBasis::from_subspace(r), "hyperplane {}", i);
+            prop_assert_eq!(p, &r.packed(), "hyperplane {}", i);
             prop_assert!(packed.contains_subspace(p));
             prop_assert_eq!(p.dim(), dim - 1);
         }
@@ -307,8 +326,8 @@ proptest! {
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         let dim = ((seed as usize) % n).clamp(1, 6);
-        let space = random::random_subspace(&mut rng, n, dim);
-        let packed = gf2::PackedBasis::from_subspace(&space);
+        let packed = random::random_subspace(&mut rng, n, dim);
+        let space = Subspace::from_packed(&packed);
         for hyper in packed.hyperplanes() {
             // Extending a hyperplane by any parent member outside it recovers
             // the parent exactly (the move the neighbourhood generator makes
@@ -328,7 +347,7 @@ proptest! {
         for _ in 0..16 {
             let v = random::random_vector(&mut rng, n);
             prop_assert_eq!(
-                packed.extended(v.as_u64()).to_subspace(),
+                Subspace::from_packed(&packed.extended(v.as_u64())),
                 space.extended(v)
             );
         }
@@ -342,9 +361,56 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let a = random::random_subspace(&mut rng, n, (seed as usize) % (n + 1));
         let b = random::random_subspace(&mut rng, n, (seed as usize / 7) % (n + 1));
-        let ka = gf2::PackedBasis::from_subspace(&a).canonical_key();
-        let kb = gf2::PackedBasis::from_subspace(&b).canonical_key();
-        prop_assert_eq!(a == b, ka == kb);
+        let ka = a.canonical_key();
+        let kb = b.canonical_key();
+        prop_assert_eq!(Subspace::from_packed(&a) == Subspace::from_packed(&b), ka == kb);
         prop_assert_eq!(ka.as_words()[0] as usize, n);
+    }
+}
+
+/// Pins the matrices the library builds from a null space, column for
+/// column, to the reference construction: every function the search
+/// reports, and every digest of one, reads these columns. Kept outside the
+/// `proptest!` macro (its expansion depth scales with statement count).
+fn check_null_space_matrices(seed: u64, n: usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for m in 0..=n {
+        let packed = random::random_subspace(&mut rng, n, n - m);
+        let space = Subspace::from_packed(&packed);
+        let label = format!("n={n} m={m} space={space}");
+        let h = BitMatrix::with_null_space(&packed);
+        assert_eq!(&h, &reference::with_null_space(&space), "{}", label);
+        // Eq. 5 decides whether the permutation-based form exists.
+        let p = BitMatrix::permutation_based_with_null_space(&packed);
+        assert_eq!(
+            p.is_ok(),
+            m > 0 && space.admits_permutation_based_function(m)
+        );
+        assert_eq!(
+            &p,
+            &reference::permutation_based_with_null_space(&space),
+            "{}",
+            label
+        );
+        // The null space read back from each matrix is the reference
+        // kernel, and the space it was built from.
+        for matrix in [h, p].into_iter().flatten() {
+            assert_eq!(matrix.null_space(), reference::null_space(&matrix).packed());
+            assert_eq!(matrix.null_space(), packed.clone());
+        }
+    }
+    // Rank-deficient matrices too: the kernel of any matrix.
+    let matrix = random::random_matrix(&mut rng, n, 1 + (seed as usize) % n);
+    assert_eq!(matrix.kernel(), reference::kernel(&matrix).packed());
+    assert_eq!(matrix.null_space(), reference::null_space(&matrix).packed());
+}
+
+proptest! {
+    #[test]
+    fn null_space_matrices_match_the_subspace_construction(
+        seed in any::<u64>(),
+        n in 1usize..=16,
+    ) {
+        check_null_space_matrices(seed, n);
     }
 }

@@ -19,9 +19,9 @@
 //!   [`Request::PriceCandidate`], [`Request::PriceBatch`],
 //!   [`Request::RunSearch`], [`Request::Stats`], [`Request::Evict`],
 //!   [`Request::SimulateFunction`], [`Request::OptimizeVerified`].
-//!   Pricing requests carry [`gf2::PackedBasis`] (and are cached under
-//!   [`gf2::CanonicalKey`] hashes), so the pricing hot path never
-//!   materializes a `Subspace`. The two simulation requests replay an
+//!   Pricing requests carry [`gf2::PackedBasis`] candidates, priced as they
+//!   arrive and cached under [`gf2::CanonicalKey`] hashes. The two
+//!   simulation requests replay an
 //!   application's retained trace (opt-in at registration, capped by
 //!   [`DEFAULT_TRACE_CAP_BLOCKS`]) through `cache_sim` via
 //!   [`xorindex_verify`], turning Eq. 4 *estimates* into measured

@@ -276,7 +276,7 @@ impl Application {
 }
 
 /// A request to the serving layer. Pricing requests carry [`PackedBasis`]
-/// candidates, so handling them touches no `Subspace` at all.
+/// candidates, which the kernel prices as they are.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Price one candidate null space (Eq. 4, memoized).
@@ -544,8 +544,8 @@ impl IndexService {
 
     /// Prices one candidate null space for an application: a typed width
     /// check ([`FrozenKernel::ensure_width`]), a sharded memo probe,
-    /// then (on a miss) one fresh kernel evaluation. No `Subspace` is ever
-    /// materialized.
+    /// then (on a miss) one fresh kernel evaluation of the basis as it
+    /// arrived.
     ///
     /// # Errors
     ///

@@ -267,7 +267,7 @@ fn a_search_and_concurrent_pricing_share_one_memo_consistently() {
     assert!(searched.estimated_misses <= searched.baseline_estimate);
     assert_eq!(
         searched.estimated_misses,
-        oracle.estimate_packed(&searched.function.null_space().to_packed())
+        oracle.estimate_packed(&searched.function.null_space())
     );
 
     // The memo counters account for the pricing requests alone: one probe

@@ -155,7 +155,7 @@ fn repeat_search_requests_answer_identically_around_pricing() {
         cache.num_blocks() as usize,
     );
     let pool = NeighborPool::UnitsAndPairs.packed_vectors(HASHED_BITS, &profile);
-    let winner = first_search.function.null_space().to_packed();
+    let winner = first_search.function.null_space();
     let bases: Vec<PackedBasis> =
         PackedNeighborhood::generate(&winner, FunctionClass::xor_unlimited(), &pool)
             .bases()
@@ -295,7 +295,7 @@ impl MaterializedRoute {
             let hood = hood.unwrap_or_else(|| {
                 let pool =
                     NeighborPool::UnitsAndPairs.packed_vectors(profile.hashed_bits(), profile);
-                let winner = search.function.null_space().to_packed();
+                let winner = search.function.null_space();
                 PackedNeighborhood::generate(&winner, self.class, &pool)
             });
             let costs = searcher.engine().estimate_neighborhood(&hood);
@@ -306,8 +306,8 @@ impl MaterializedRoute {
                 if functions.len() == top_k {
                     break;
                 }
-                let subspace = hood.candidates[i].basis.to_subspace();
-                if let Ok(function) = HashFunction::from_null_space(&subspace, self.class) {
+                let basis = &hood.candidates[i].basis;
+                if let Ok(function) = HashFunction::from_null_space(basis, self.class) {
                     functions.push(function);
                     estimates.push(estimate);
                 }

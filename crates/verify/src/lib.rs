@@ -676,8 +676,8 @@ mod tests {
     fn xor_folding_eliminates_the_simulated_conflicts() {
         let config = CacheConfig::paper_cache(1);
         let replayer = TraceReplayer::new(config, ping_pong_trace());
-        let ns = gf2::Subspace::standard_span(16, [9usize, 10, 11, 12, 13, 14, 15])
-            .extended(gf2::BitVec::with_bits(&[0, 8], 16));
+        let ns = gf2::PackedBasis::standard_span(16, [9usize, 10, 11, 12, 13, 14, 15])
+            .extended(1 << 8 | 1);
         let folded = HashFunction::from_null_space(&ns, FunctionClass::xor_unlimited()).unwrap();
         let sim = replayer.replay(&folded).unwrap();
         assert_eq!(sim.conflict_misses(), 0);

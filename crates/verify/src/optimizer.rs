@@ -438,7 +438,8 @@ mod tests {
         for (verified, &(class, _)) in verdicts.outcomes.iter().zip(&searches) {
             assert_eq!(verified.baseline, verdicts.baseline);
             assert_eq!(verified.candidates[0].function, verified.search.function);
-            assert!(class.admits(&verified.search.function.null_space()));
+            let ns = verified.search.function.null_space();
+            assert!(HashFunction::from_null_space(&ns, class).is_ok());
         }
         assert_eq!(verdicts.outcomes.len(), 3);
     }

@@ -16,7 +16,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 use cache_sim::{BlockAddr, Cache, CacheConfig, MissClassifier, ModuloIndex, ReuseStream};
-use gf2::{BitMatrix, BitVec, Subspace};
+use gf2::{BitMatrix, BitVec, PackedBasis};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -192,16 +192,19 @@ fn invertible(seed: u64, m: usize) -> BitMatrix {
 /// `None` when those XORs span everything or no such sum keeps full rank.
 fn agreeing_on_the_trace(h: &HashFunction, blocks: &[u64], seed: u64) -> Option<HashFunction> {
     let n = h.hashed_bits();
-    let hashed = |b: u64| BitVec::from_u64(b & ((1u64 << n) - 1), n);
+    let hashed = |b: u64| b & ((1u64 << n) - 1);
     let first = hashed(*blocks.first()?);
-    let xors: Vec<BitVec> = blocks.iter().map(|&b| hashed(b) ^ first).collect();
-    let outside = Subspace::from_generators(n, &xors).orthogonal_complement();
+    let mut xors = PackedBasis::trivial(n);
+    for &b in blocks {
+        xors.insert(hashed(b) ^ first);
+    }
+    let outside = xors.orthogonal_complement();
     let u = *outside
-        .basis()
-        .get(seed as usize % outside.basis().len().max(1))?;
+        .rows()
+        .get(seed as usize % outside.rows().len().max(1))?;
     (0..h.set_bits()).find_map(|j| {
         let mut matrix = h.matrix().clone();
-        for r in u.set_bits() {
+        for r in BitVec::from_u64(u, n).set_bits() {
             matrix.set(r, j, !matrix.get(r, j));
         }
         HashFunction::new(matrix)

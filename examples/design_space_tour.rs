@@ -38,7 +38,7 @@ fn main() {
     );
 
     // Conflicts are characterized by the null space (paper Eq. 2).
-    let difference = BitVec::from_u64(a ^ b, n);
+    let difference = a ^ b;
     println!(
         "a ^ b in N(conventional)? {}   in N(xor)? {}",
         conventional.null_space().contains(difference),
@@ -71,7 +71,7 @@ fn main() {
         profile.total_weight()
     );
     for (vector, weight) in profile.heaviest(3) {
-        println!("  heavy conflict vector {vector}  seen {weight} times");
+        println!("  heavy conflict vector {vector:#06x}  seen {weight} times");
     }
     let estimator = MissEstimator::new(&profile);
     println!(
@@ -85,7 +85,7 @@ fn main() {
     let ns = xor.null_space();
     println!(
         "N(xor) admits a permutation-based representative: {}",
-        ns.admits_permutation_based_function(m)
+        ns.admits_permutation_based(m)
     );
     let rebuilt = HashFunction::from_null_space(&ns, FunctionClass::permutation_based(2))
         .expect("Eq. 5 holds for this null space");

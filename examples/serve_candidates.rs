@@ -4,10 +4,10 @@
 //!
 //! The hot path is the one the paper's reconfigurable cache needs in
 //! production: per-application conflict profiles frozen into shared kernels,
-//! candidate null spaces priced as packed `u64` bases (no `Subspace` is ever
-//! materialized per request), repeat pricing answered from the memo, and a
-//! full design-space search served through the same kernel. Searches leave
-//! the memo alone, so their answers never depend on what was priced before.
+//! candidate null spaces priced as packed `u64` bases, repeat pricing
+//! answered from the memo, and a full design-space search served through the
+//! same kernel. Searches leave the memo alone, so their answers never depend
+//! on what was priced before.
 //!
 //! Run with:
 //!

@@ -40,7 +40,7 @@ pub mod prelude {
         AccessOutcome, BlockAddr, Cache, CacheConfig, CacheStats, IndexFunction, ModuloIndex,
         XorIndex,
     };
-    pub use gf2::{BitMatrix, BitVec, Subspace};
+    pub use gf2::{BitMatrix, BitVec, PackedBasis};
     pub use memtrace::{AccessKind, Trace, TraceBuilder, TraceRecord};
     pub use workloads::{Scale, Workload, WorkloadSuite};
     pub use xorindex::{

@@ -58,7 +58,7 @@ fn permutation_based_functions_keep_the_conventional_tag() {
     let h = HashFunction::new(BitMatrix::from_fn(16, 10, |r, c| r == c || r == c + 10)).unwrap();
     assert!(h.is_permutation_based());
     assert!(h.conventional_tag_is_correct());
-    assert!(h.null_space().admits_permutation_based_function(10));
+    assert!(h.null_space().admits_permutation_based(10));
 
     // And (tag, index) is a bijection on the hashed field: two addresses that
     // agree on the conventional tag and on the XOR set index are identical.
